@@ -7,57 +7,28 @@ The package splits into:
 - belief: single-agent probabilistic recognizer (one belief array per agent)
 - social: coherence counting, role filters, learned communication models
 - yoyo: team recognizer sharing one plan hierarchy across the whole team
+- recognizer: one step/query interface over both recognizer layouts
 - sim: seeded team simulator producing ground-truth traces and logs
 - harness: exact oracle, run scoring, hypothesis counting, scalability bench
 - progen: program generators for tests and experiments
 - cli: `overhear` command built from the above
+
+The top level exports what the README's library example uses, plus the
+error types; everything else is imported from its module.
 """
 
-from .model import (PlanNode, ProgramError, TeamHierarchy, TeamOrientedProgram,
-                    TemporalTransition, TERMINATE, is_allowed, load_program,
-                    load_program_path, nodes_consistent_with, program_from_document,
-                    program_to_document, serialize_program, topmost_teams)
-from .ingest import (INIT, TERM, IngestError, ObservedMessage, apply_loss,
-                     format_log, format_log_line, messages_by_tick, parse_kqml_log,
-                     parse_kqml_record, parse_log, parse_log_line)
-from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
-                     apply_messages, array_overseer_tick, hazard,
-                     incorporate_evidence, init_beliefs, most_likely_state,
-                     propagate_down, propagate_forward)
-from .social import (CommModel, apply_comm_model, coherent_hypotheses,
-                     count_hypotheses, filter_by_role, format_comm_model,
-                     learn_comm_model, parse_comm_model, prediction_misses)
-from .yoyo import (TeamBeliefState, scale, team_init_beliefs, team_most_likely,
-                   team_propagate_down, team_propagate_forward, yoyo_tick)
-from .sim import (ALWAYS, COMM_POLICIES, MU_SAMPLED, NEVER, GroundTruthTrace,
-                  SimConfig, SimulationError, checkpoints, format_trace,
-                  parse_trace, simulate, state_changes)
-from .progen import flatten_mu, grow_team, random_program, team_program
-from .harness import (RunReport, bench_scalability, evaluate_run, exact_filter,
-                      engine_vector, hypothesis_count_curve, oracle_states,
-                      render_bench, render_report, replay_single, score_run)
+from .model import ProgramError, load_program_path
+from .ingest import IngestError, messages_by_tick
+from .belief import MonitoringError
+from .social import learn_comm_model
+from .recognizer import make_recognizer
+from .sim import SimConfig, SimulationError, simulate
+from .harness import evaluate_run
 
 __all__ = [
-    "ALWAYS", "BeliefState", "COMM_POLICIES", "CommModel", "GroundTruthTrace",
-    "INIT", "IngestError", "MU_SAMPLED", "MonitoringError", "NEVER",
-    "ObservedMessage", "PROB_FLOOR", "PlanNode", "ProgramError", "RunReport",
-    "SimConfig", "SimulationError", "TERM", "TERMINATE", "TeamBeliefState",
-    "TeamHierarchy", "TeamOrientedProgram", "TemporalTransition", "VisitCounter",
-    "apply_comm_model", "apply_loss", "apply_messages", "array_overseer_tick",
-    "bench_scalability", "checkpoints", "coherent_hypotheses", "count_hypotheses",
-    "engine_vector", "evaluate_run", "exact_filter", "filter_by_role",
-    "flatten_mu", "format_comm_model", "format_log", "format_log_line",
-    "format_trace", "grow_team", "hazard", "hypothesis_count_curve",
-    "incorporate_evidence", "init_beliefs", "is_allowed", "learn_comm_model",
-    "load_program", "load_program_path", "messages_by_tick", "most_likely_state",
-    "nodes_consistent_with", "oracle_states", "parse_comm_model",
-    "parse_kqml_log", "parse_kqml_record", "parse_log", "parse_log_line",
-    "parse_trace", "prediction_misses", "program_from_document",
-    "program_to_document", "propagate_down", "propagate_forward",
-    "random_program", "render_bench", "render_report", "replay_single",
-    "scale", "score_run", "serialize_program", "simulate", "state_changes",
-    "team_init_beliefs", "team_most_likely", "team_program",
-    "team_propagate_down", "team_propagate_forward", "yoyo_tick",
+    "IngestError", "MonitoringError", "ProgramError", "SimConfig", "SimulationError",
+    "evaluate_run", "learn_comm_model", "load_program_path", "make_recognizer",
+    "messages_by_tick", "simulate",
 ]
 
 __version__ = "0.1.0"

@@ -165,13 +165,6 @@ def _commit_evidence(scratch: dict[str, float], time: int,
     return nxt
 
 
-def incorporate_evidence(m: ObservedMessage, b: BeliefState,
-                         p: TeamOrientedProgram) -> BeliefState:
-    """Collapse belief onto the plan states consistent with one message."""
-    scratch = _evidence_scratch(m, b, p)
-    return _commit_evidence(scratch, b.time + 1, p)
-
-
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
                       counter: VisitCounter | None = None) -> BeliefState:
     """Advance one tick with no observation.

@@ -20,16 +20,16 @@ import argparse
 import os
 import sys
 
-from .belief import (MonitoringError, array_overseer_tick, init_beliefs,
-                     most_likely_state)
+from .belief import MonitoringError
 from .harness import bench_scalability, evaluate_run, render_bench, render_report
 from .ingest import IngestError, apply_loss, format_log, messages_by_tick, parse_log
 from .model import ProgramError, load_program_path
 from .progen import flatten_mu
+from .recognizer import make_recognizer
 from .sim import (COMM_POLICIES, MU_SAMPLED, SimConfig, SimulationError,
                   format_trace, parse_trace, simulate)
-from .social import format_comm_model, learn_comm_model, parse_comm_model
-from .yoyo import team_init_beliefs, team_most_likely, yoyo_tick
+from .social import (apply_comm_model, format_comm_model, learn_comm_model,
+                     parse_comm_model)
 
 TICKS_ENV = "OVERHEAR_TICKS"
 
@@ -71,12 +71,6 @@ def _load_comm(args):
     return parse_comm_model(_read(args.comm))
 
 
-def _resolve_coherent(args) -> bool:
-    if args.coherent is None:
-        return args.mode == "yoyo"
-    return args.coherent
-
-
 # --- subcommand bodies ------------------------------------------------------
 
 
@@ -115,50 +109,18 @@ def _cmd_recognize(args) -> int:
     p = _load_recognizer(args)
     model = _load_comm(args)
     if model is not None:
-        from .social import apply_comm_model
         p = apply_comm_model(p, model)
     log = parse_log(_read(args.log))
     ticks = args.ticks if args.ticks is not None else (
         (max(m.tick for m in log) + 2) if log else _default_ticks())
     by_tick = messages_by_tick(log)
+    rec = make_recognizer(p, args.mode, args.coherent)
+    units = rec.teams if args.mode == "yoyo" else rec.agents
     lines = []
-
-    if args.mode == "yoyo":
-        if not p.team_mode:
-            raise MonitoringError("yoyo mode needs a team program (--team-mode)")
-        b = team_init_beliefs(p)
-        h = p.team_hierarchy
-        teams = sorted(t for t in h.team_names
-                       if h.members(t) and not h.child_teams(t))
-        for t in range(ticks):
-            yoyo_tick(p, b, by_tick.get(t, ()))
-            for team in teams:
-                path = p.path_names(team_most_likely(b, p, team))
-                lines.append(f"{t} {team} {'/'.join(path)}")
-    else:
-        view = p.single_agent_view() if p.team_mode else p
-        h = p.team_hierarchy
-        agents = sorted(h.agent_names)
-        known = set(agents)
-        coherent = _resolve_coherent(args)
-        if coherent:
-            def recipients(m):
-                if h.has_team(m.team):
-                    return sorted(h.members(m.team))
-                return [m.sender] if m.sender in known else []
-        else:
-            # unknown senders carry no evidence for any monitored unit
-            def recipients(m):
-                return [m.sender] if m.sender in known else []
-        beliefs = {a: init_beliefs(view) for a in agents}
-        programs = {a: view for a in agents}
-        for t in range(ticks):
-            array_overseer_tick(beliefs, programs, by_tick.get(t, ()),
-                                recipients=recipients)
-            for a in agents:
-                path = view.path_names(most_likely_state(beliefs[a], view))
-                lines.append(f"{t} {a} {'/'.join(path)}")
-
+    for t in range(ticks):
+        rec.step(by_tick.get(t, ()))
+        for unit in units:
+            lines.append(f"{t} {unit} {'/'.join(rec.path(unit))}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 
@@ -172,9 +134,7 @@ def _cmd_evaluate(args) -> int:
     log = parse_log(_read(args.log))
     if args.loss is not None:
         log = apply_loss(log, args.loss, args.loss_seed)
-    report = evaluate_run(p, trace, log, mode=args.mode,
-                          temporal=args.temporal,
-                          coherent=_resolve_coherent(args),
+    report = evaluate_run(p, trace, log, mode=args.mode, coherent=args.coherent,
                           comm_model=_load_comm(args),
                           recognizer_program=rec, delay=args.delay)
     _emit(render_report(report), args.out)
@@ -270,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth", required=True, help="ground-truth trace file")
     ev.add_argument("--mode", choices=("array", "yoyo"), default="yoyo",
                     help="recognizer structure")
-    ev.add_argument("--temporal", action=argparse.BooleanOptionalAction,
-                    default=True, help="use duration/transition probabilities")
     ev.add_argument("--coherent", action=argparse.BooleanOptionalAction,
                     default=None,
                     help="apply the coherence heuristic "

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
-                     apply_messages, hazard, init_beliefs, most_likely_state,
-                     propagate_forward, array_overseer_tick)
+                     _prune_redundant_ancestors, apply_messages, hazard, init_beliefs,
+                     propagate_forward)
 from .ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from .model import TERMINATE, TeamOrientedProgram
+from .recognizer import MODES, make_recognizer
 from .sim import GroundTruthTrace, checkpoints as truth_checkpoints
 from .social import CommModel, apply_comm_model, learn_comm_model
-from .yoyo import TeamBeliefState, team_init_beliefs, team_most_likely, yoyo_tick
 
 MAX_ORACLE_STATES = 64
 
@@ -86,11 +86,6 @@ def _oracle_kernel(p: TeamOrientedProgram, states) -> np.ndarray:
     return K
 
 
-def _deepest_only(p: TeamOrientedProgram, nodes) -> list[str]:
-    nodes = set(nodes)
-    return sorted(x for x in nodes if not any(a in nodes for a in p.ancestors(x)))
-
-
 def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
                      m: ObservedMessage) -> np.ndarray:
     index = {s: i for i, s in enumerate(states)}
@@ -113,11 +108,11 @@ def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
                 raw[t.dst] = raw.get(t.dst, 0.0) + v[index[("blocked", x)]] * t.mu * t.pi
     positive = [y for y in raw if raw[y] > 0.0]
     if positive:
-        keep = _deepest_only(p, positive)
+        keep = _prune_redundant_ancestors(p, positive)
         total = sum(raw[y] for y in keep)
         scratch = {y: raw[y] / total for y in keep}
     else:
-        fallback = _deepest_only(p, base or set(named))
+        fallback = _prune_redundant_ancestors(p, base or set(named))
         scratch = {y: 1.0 / len(fallback) for y in fallback}
     out = np.zeros(len(states))
     for y, mass in scratch.items():
@@ -240,11 +235,6 @@ def score_run(hypotheses, truths, units=None) -> RunReport:
 
 # --- replay runners -----------------------------------------------------------
 
-def _scored_teams(p: TeamOrientedProgram) -> tuple[str, ...]:
-    h = p.team_hierarchy
-    return tuple(sorted({h.agent_team(a) for a in h.agent_names}))
-
-
 def _team_truth(p: TeamOrientedProgram, step, team: str) -> tuple[str, ...]:
     h = p.team_hierarchy
     paths = {step[a][0] for a in h.members(team)}
@@ -252,19 +242,6 @@ def _team_truth(p: TeamOrientedProgram, step, team: str) -> tuple[str, ...]:
         raise MonitoringError(
             f"members of '{team}' disagree in the ground truth; run is not coherent")
     return next(iter(paths))
-
-
-def _fused_team_path(p: TeamOrientedProgram, beliefs, members, team: str):
-    """Most likely leaf for a team from averaged member beliefs."""
-    h = p.team_hierarchy
-    chain = set(h.ancestors_or_self(team))
-    candidates = [x for x in p.leaves if p.node(x).team in chain] or list(p.leaves)
-    best, best_mass = None, -1.0
-    for x in candidates:
-        mass = sum(beliefs[a].active[x] + beliefs[a].blocked[x] for a in members)
-        if mass > best_mass + 1e-15:
-            best, best_mass = x, mass
-    return p.path_names(p.path_to(best))
 
 
 def _checkpoint_map(trace: GroundTruthTrace, messages, delay: int):
@@ -275,70 +252,40 @@ def _checkpoint_map(trace: GroundTruthTrace, messages, delay: int):
 
 
 def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
-                 mode: str = "yoyo", temporal: bool = True, coherent: bool = True,
+                 mode: str = "yoyo", coherent: bool | None = True,
                  comm_model: CommModel | None = None,
                  recognizer_program: TeamOrientedProgram | None = None,
                  delay: int = 1, counter: VisitCounter | None = None,
                  hypotheses_out: list | None = None) -> RunReport:
     """Replay a log against ground truth and score checkpoint hypotheses.
 
+    Coherent runs score each populated leaf team, others each agent;
+    ``coherent=None`` takes the layout's default (see ``make_recognizer``).
     ``recognizer_program`` lets the monitor run on a degraded copy of the
     program (e.g. flattened message probabilities) while truth comes from
     the real one; ``comm_model`` rewrites its message probabilities first.
     """
-    if not temporal:
-        raise MonitoringError("scoring requires the temporal engine; "
-                              "hypothesis counting covers the non-temporal case")
-    if mode not in ("array", "yoyo"):
-        raise MonitoringError(f"unknown recognizer mode '{mode}'")
-    if mode == "yoyo" and not coherent:
-        raise MonitoringError("the shared-hierarchy recognizer is inherently coherent")
     rec = recognizer_program or p
     if comm_model is not None:
         rec = apply_comm_model(rec, comm_model)
+    recognizer = make_recognizer(rec, mode, coherent)
+    coherent = recognizer.coherent
     counter = counter if counter is not None else VisitCounter()
     cps = _checkpoint_map(trace, messages, delay)
     by_tick = messages_by_tick(messages)
-    h = p.team_hierarchy
     last = max(cps) if cps else 0
+    units = recognizer.teams if coherent else recognizer.agents
 
     hypotheses = []
     truths = []
-    if mode == "yoyo":
-        units = _scored_teams(p)
-        b = team_init_beliefs(rec)
-        for t in range(1, last + 1):
-            yoyo_tick(rec, b, by_tick.get(t, []), counter)
-            if t in cps:
-                hypotheses.append({team: rec.path_names(team_most_likely(b, rec, team))
-                                   for team in units})
+    for t in range(1, last + 1):
+        recognizer.step(by_tick.get(t, []), counter)
+        if t in cps:
+            hypotheses.append({u: recognizer.path(u) for u in units})
+            if coherent:
                 truths.append({team: _team_truth(p, cps[t], team) for team in units})
-    else:
-        view = rec.single_agent_view()
-        agents = h.agent_names
-        beliefs = {a: init_beliefs(view) for a in agents}
-        programs = {a: view for a in agents}
-        if coherent:
-            units = _scored_teams(p)
-            recipients = lambda m: sorted(h.members(m.team)) if h.has_team(m.team) \
-                else [m.sender]
-        else:
-            units = agents
-            recipients = None
-        for t in range(1, last + 1):
-            array_overseer_tick(beliefs, programs, by_tick.get(t, []), counter,
-                                recipients=recipients)
-            if t in cps:
-                if coherent:
-                    hypotheses.append(
-                        {team: _fused_team_path(view, beliefs, sorted(h.members(team)), team)
-                         for team in units})
-                    truths.append({team: _team_truth(p, cps[t], team) for team in units})
-                else:
-                    hypotheses.append(
-                        {a: view.path_names(most_likely_state(beliefs[a], view))
-                         for a in agents})
-                    truths.append({a: cps[t][a][0] for a in agents})
+            else:
+                truths.append({a: cps[t][a][0] for a in units})
 
     if hypotheses_out is not None:
         hypotheses_out.extend(hypotheses)
@@ -347,7 +294,8 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     report.hypothesis_counts = tuple(
         hypothesis_count_curve(rec, messages,
                                rules=comm_model, up_to_tick=last))
-    report.config = {"mode": mode, "temporal": int(temporal), "coherent": int(coherent),
+    # Scoring has only the temporal engine; the key keeps reports comparable.
+    report.config = {"mode": mode, "temporal": 1, "coherent": int(coherent),
                      "comm": int(comm_model is not None), "delay": delay,
                      "seed": trace.seed}
     return report
@@ -449,26 +397,17 @@ def bench_scalability(base: TeamOrientedProgram, agent_counts,
         if n < base_n:
             raise MonitoringError(f"cannot shrink the team below {base_n} agents")
         p = grow_team(base, n - base_n) if n > base_n else base
-        h = p.team_hierarchy
-        view = p.single_agent_view()
-        beliefs = {a: init_beliefs(view) for a in h.agent_names}
-        programs = {a: view for a in h.agent_names}
-        array_nodes = sum(len(b.active) for b in beliefs.values())
-        ac = VisitCounter()
-        start = time.perf_counter()
-        for _ in range(ticks):
-            array_overseer_tick(beliefs, programs, [], ac)
-        array_secs = time.perf_counter() - start
-        tb = team_init_beliefs(p)
-        yoyo_nodes = len(tb.active) + h.size
-        yc = VisitCounter()
-        start = time.perf_counter()
-        for _ in range(ticks):
-            yoyo_tick(p, tb, [], yc)
-        yoyo_secs = time.perf_counter() - start
-        rows.append({"agents": n, "array_nodes": array_nodes, "yoyo_nodes": yoyo_nodes,
-                     "array_visits": ac.visits, "yoyo_visits": yc.visits,
-                     "array_secs": array_secs, "yoyo_secs": yoyo_secs})
+        row = {"agents": n}
+        for mode in MODES:
+            recognizer = make_recognizer(p, mode)
+            counter = VisitCounter()
+            start = time.perf_counter()
+            for _ in range(ticks):
+                recognizer.step([], counter)
+            row[f"{mode}_secs"] = time.perf_counter() - start
+            row[f"{mode}_nodes"] = recognizer.state_nodes
+            row[f"{mode}_visits"] = counter.visits
+        rows.append(row)
     return rows
 
 

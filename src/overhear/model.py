@@ -71,17 +71,10 @@ class TeamHierarchy:
     agents: tuple[tuple[str, str], ...]        # (agent, team) sorted by agent
 
     _parent: dict = field(default_factory=dict, compare=False, repr=False)
-    _children: dict = field(default_factory=dict, compare=False, repr=False)
     _agent_team: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        parent = {t: p for t, p in self.teams}
-        children: dict[str, list[str]] = {t: [] for t in parent}
-        for t, p in self.teams:
-            if p is not None:
-                children[p].append(t)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_children", {k: tuple(sorted(v)) for k, v in children.items()})
+        object.__setattr__(self, "_parent", dict(self.teams))
         object.__setattr__(self, "_agent_team", dict(self.agents))
 
     @property
@@ -102,9 +95,6 @@ class TeamHierarchy:
 
     def parent_team(self, team: str) -> str | None:
         return self._parent[team]
-
-    def child_teams(self, team: str) -> tuple[str, ...]:
-        return self._children[team]
 
     def agent_team(self, agent: str) -> str:
         return self._agent_team[agent]
@@ -134,6 +124,20 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
         if not any(u != t and h.covers(u, t) for u in teams):
             chosen.add(t)
     return chosen
+
+
+def _first_child_groups(p: TeamOrientedProgram, x: str) -> list[tuple[str, tuple[str, ...]]]:
+    """First children of x grouped by owning team, topmost teams only.
+
+    Parallel groups each receive the full parent mass; alternatives within a
+    group split it.
+    """
+    first = p.first_children(x)
+    if not first:
+        return []
+    tops = topmost_teams(p.team_hierarchy, {p.node(c).team for c in first})
+    return [(team, tuple(c for c in first if p.node(c).team == team))
+            for team in sorted(tops)]
 
 
 def is_allowed(t: TemporalTransition, team: str, h: TeamHierarchy) -> bool:
@@ -247,10 +251,6 @@ class TeamOrientedProgram:
     def path_names(self, path) -> tuple[str, ...]:
         return tuple(self._node[x].name for x in path)
 
-    def transitions_for_team(self, node_id: str, team: str) -> tuple[TemporalTransition, ...]:
-        h = self.team_hierarchy
-        return tuple(t for t in self._out[node_id] if is_allowed(t, team, h))
-
     def single_agent_view(self) -> "TeamOrientedProgram":
         """Strip team restrictions for the per-agent recognizer baseline.
 
@@ -268,11 +268,6 @@ class TeamOrientedProgram:
         )
         return TeamOrientedProgram(self.plans, flat, self.team_hierarchy, self.root,
                                    team_mode=False)
-
-
-def nodes_consistent_with(p: TeamOrientedProgram, plan_name: str) -> tuple[str, ...]:
-    """Plan nodes a message naming ``plan_name`` can refer to."""
-    return p.nodes_named(plan_name)
 
 
 # -- document loading -------------------------------------------------------
@@ -333,6 +328,8 @@ def _load_hierarchy(doc: dict) -> TeamHierarchy:
         team = _require(entry, "team", loc)
         if name in agents:
             raise ProgramError(f"duplicate agent '{name}'", loc)
+        if name in seen:  # a unit name must say whether it is a team or an agent
+            raise ProgramError(f"agent '{name}' has the name of a team", loc)
         if team not in seen:
             raise ProgramError(f"agent '{name}' names unknown team '{team}'", loc)
         if team in children:

@@ -15,10 +15,10 @@ executing at tick t+2.  Silent transitions skip the blocked tick entirely.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, PlanNode, TeamOrientedProgram, is_allowed
+from .model import TERMINATE, TeamOrientedProgram, _first_child_groups, is_allowed
 from .belief import hazard
 
 MU_SAMPLED = "MU_SAMPLED"
@@ -258,11 +258,6 @@ class _Active:
         self.plan = plan
         self.group = group
         self.groups: list[_Group] = []
-
-
-def _first_child_groups(p: TeamOrientedProgram, x: str):
-    from .yoyo import _first_child_groups as groups  # single definition
-    return groups(p, x)
 
 
 class _TeamRun:

@@ -14,22 +14,19 @@ from dataclasses import dataclass, field
 
 from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter, _clamp,
                      _prune_redundant_ancestors, _zeros, hazard)
-from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, is_allowed, topmost_teams
+from .ingest import INIT, ObservedMessage
+from .model import (TERMINATE, TeamOrientedProgram, _first_child_groups, is_allowed,
+                    topmost_teams)
 
 
 @dataclass
 class TeamBeliefState(BeliefState):
     """Joint belief over the shared hierarchy.
 
-    ``initiated``/``terminated`` record which plans the latest batch of
-    messages named (deduplicated), mirroring the evidence sets the update is
-    built around.  ``prior_active``/``prior_blocked`` snapshot the state the
-    current tick started from; cross-team rescaling reads its shape.
+    ``prior_active``/``prior_blocked`` snapshot the state the current tick
+    started from; cross-team rescaling reads its shape.
     """
 
-    initiated: set[str] = field(default_factory=set)
-    terminated: set[str] = field(default_factory=set)
     prior_active: dict[str, float] = field(default_factory=dict)
     prior_blocked: dict[str, float] = field(default_factory=dict)
 
@@ -40,20 +37,6 @@ def team_init_beliefs(p: TeamOrientedProgram) -> TeamBeliefState:
     b.active[p.root] = 1.0
     team_propagate_down(p.root, 1.0, b, p)
     return b
-
-
-def _first_child_groups(p: TeamOrientedProgram, x: str) -> list[tuple[str, tuple[str, ...]]]:
-    """First children of x grouped by owning team, topmost teams only.
-
-    Parallel groups each receive the full parent mass; alternatives within a
-    group split it.
-    """
-    first = p.first_children(x)
-    if not first:
-        return []
-    tops = topmost_teams(p.team_hierarchy, {p.node(c).team for c in first})
-    return [(team, tuple(c for c in first if p.node(c).team == team))
-            for team in sorted(tops)]
 
 
 def team_propagate_down(x: str, rho: float, b: BeliefState, p: TeamOrientedProgram,
@@ -283,8 +266,6 @@ def yoyo_tick(p: TeamOrientedProgram, b: TeamBeliefState, msgs,
                 team = p.node(par).team
             node = par
     b.scratch = scratch
-    b.initiated = set(initiated)
-    b.terminated = set(terminated)
     b.time += 1
     _clamp(b)
 

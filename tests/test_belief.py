@@ -4,9 +4,8 @@ import random
 import pytest
 
 from overhear.belief import (MonitoringError, VisitCounter, apply_messages,
-                             array_overseer_tick, hazard, incorporate_evidence,
-                             init_beliefs, most_likely_state, propagate_down,
-                             propagate_forward)
+                             array_overseer_tick, hazard, init_beliefs,
+                             most_likely_state, propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import program_from_document
 from overhear.progen import random_program
@@ -146,7 +145,7 @@ def test_evidence_posterior_ratio():
     b.blocked["w1"] = 0.3
     b.blocked["w2"] = 0.1
     m = ObservedMessage(0, "solo", "T", INIT, "shared-step")
-    b2 = incorporate_evidence(m, b, p)
+    b2 = apply_messages(b, [m], p)
     assert b2.active["x1"] == pytest.approx(0.75)
     assert b2.active["x2"] == pytest.approx(0.25)
     assert b2.active["r"] == pytest.approx(1.0)
@@ -161,7 +160,7 @@ def test_evidence_commits_full_path(evac_team):
         b = propagate_forward(b, p)
     assert b.blocked["n1"] > 0
     m = ObservedMessage(5, "escort1", "TASK-FORCE", INIT, "fly-flight-plan")
-    b = incorporate_evidence(m, b, p)
+    b = apply_messages(b, [m], p)
     assert b.active["n2"] == pytest.approx(1.0)
     assert b.active["n6"] == pytest.approx(1.0)  # first child follows
     assert b.active["n0"] == pytest.approx(1.0)
@@ -175,7 +174,7 @@ def test_term_message_moves_mass_to_successors(evac_team):
     for _ in range(5):
         b = propagate_forward(b, p)
     m = ObservedMessage(5, "escort1", "TASK-FORCE", TERM, "process-orders")
-    b = incorporate_evidence(m, b, p)
+    b = apply_messages(b, [m], p)
     assert b.active["n2"] == pytest.approx(1.0)
     assert b.active["n6"] == pytest.approx(1.0)
 
@@ -184,7 +183,7 @@ def test_unknown_plan_rejected(evac_mini_single):
     b = init_beliefs(evac_mini_single)
     m = ObservedMessage(0, "escort1", "ESCORT", INIT, "no-such-plan")
     with pytest.raises(MonitoringError, match="no-such-plan"):
-        incorporate_evidence(m, b, evac_mini_single)
+        apply_messages(b, [m], evac_mini_single)
 
 
 def test_surprise_message_falls_back_to_uniform(evac_mini_single):
@@ -192,7 +191,7 @@ def test_surprise_message_falls_back_to_uniform(evac_mini_single):
     p = evac_mini_single
     b = init_beliefs(p)
     m = ObservedMessage(0, "escort1", "ESCORT", INIT, "fly-flight-plan")
-    b2 = incorporate_evidence(m, b, p)
+    b2 = apply_messages(b, [m], p)
     assert b2.active["n2"] == pytest.approx(1.0)
 
 
@@ -299,7 +298,7 @@ def test_evidence_scratch_sums_to_one():
         names = sorted({p.node(x).name for x in p.node_ids})
         m = ObservedMessage(b.time, "solo", "SOLO", INIT, rng.choice(names))
         try:
-            b2 = incorporate_evidence(m, b, p)
+            b2 = apply_messages(b, [m], p)
         except MonitoringError:
             continue  # named the root: no in-transitions and no fallback base
         assert sum(b2.scratch.values()) == pytest.approx(1.0, abs=1e-9)

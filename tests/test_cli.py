@@ -150,6 +150,17 @@ def test_evaluate_report_and_reproducibility(tmp_path):
     assert "metric accuracy " in text
 
 
+def test_evaluate_has_no_temporal_switch(tmp_path, capsys):
+    # scoring always uses the temporal engine; turning it off is not an option
+    trace_path, log_path = _simulate(tmp_path / "run")
+    with pytest.raises(SystemExit) as exc:
+        run_command(["evaluate", "--program", TEAM, "--team-mode",
+                     "--log", str(log_path), "--truth", str(trace_path),
+                     "--no-temporal"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-temporal" in capsys.readouterr().err
+
+
 def test_evaluate_with_loss_and_model(tmp_path):
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"

@@ -157,8 +157,6 @@ def test_score_run_shape_errors():
 def test_evaluate_run_validates_options(evac_team):
     trace, log = simulate(evac_team, SimConfig(seed=2, ticks=100, team_mode=True,
                                                send_prob=0.5, comm_policy=ALWAYS))
-    with pytest.raises(MonitoringError, match="temporal"):
-        evaluate_run(evac_team, trace, log, temporal=False)
     with pytest.raises(MonitoringError, match="mode"):
         evaluate_run(evac_team, trace, log, mode="exact")
     with pytest.raises(MonitoringError, match="coherent"):

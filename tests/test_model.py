@@ -5,8 +5,8 @@ import random
 import pytest
 
 from overhear.model import (ProgramError, TERMINATE, is_allowed, load_program,
-                            nodes_consistent_with, program_from_document,
-                            program_to_document, serialize_program, topmost_teams)
+                            program_from_document, program_to_document,
+                            serialize_program, topmost_teams)
 from overhear.progen import random_program, team_program
 
 
@@ -112,8 +112,8 @@ def test_duplicate_plan_names_allowed():
         {"from": "a", "to": "c", "pi": 0.5, "mu": 0.5},
     ]
     p = program_from_document(doc)
-    assert nodes_consistent_with(p, "second") == ("b", "c")
-    assert nodes_consistent_with(p, "nothing") == ()
+    assert p.nodes_named("second") == ("b", "c")
+    assert p.nodes_named("nothing") == ()
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -133,6 +133,7 @@ def test_duplicate_plan_names_allowed():
      "must be a plan id or TERMINATE"),
     (lambda d: d["transitions"][0].update({"surprise": 1}), "unknown keys"),
     (lambda d: d["agents"][0].update({"team": "NOPE"}), "unknown team"),
+    (lambda d: d["agents"][0].update({"name": "T"}), "name of a team"),
     (lambda d: d["teams"].append({"name": "X", "parent": None}), "exactly one root"),
 ])
 def test_validation_rejects(mutate, fragment):
