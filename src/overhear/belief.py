@@ -1,4 +1,4 @@
-"""Single-agent belief engine over a plan hierarchy.
+"""Belief engine over a plan hierarchy, shared by both recognizer layouts.
 
 Per plan node the engine keeps two masses: ``active`` (the agent is executing
 the node, or a descendant for internal nodes) and ``blocked`` (the node has
@@ -7,6 +7,12 @@ message has not been seen yet).  Ticks without an observed message apply a
 linear forward propagation driven by leaf termination rates; ticks with a
 message collapse the state onto the nodes consistent with it.
 
+The forward step reads each node's step table
+(``TeamOrientedProgram.step_table``).  On a team-mode program it duplicates
+mass across parallel subteams, which is the quiet tick of the shared (yoyo)
+layout; otherwise it is the single-agent engine that the array layout runs
+once per agent.
+
 States are value objects; the update functions return fresh states and never
 mutate their input, so recognizer arrays can be stepped from worker threads
 as long as each agent's state is owned by one worker at a time.
@@ -14,11 +20,10 @@ as long as each agent's state is owned by one worker at a time.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram
+from .model import TERMINATE, TeamOrientedProgram, hazard
 
 # Evidence posteriors below the floor are truncated to zero to stop dead
 # hypotheses from drifting along indefinitely.
@@ -43,24 +48,11 @@ class VisitCounter:
 
 @dataclass
 class BeliefState:
-    """Belief over one agent's plan state at a given tick.
-
-    ``scratch`` holds the normalized evidence masses of the latest message
-    update (empty after a plain forward tick); it is kept for inspection and
-    tests, not consumed by later updates.
-    """
+    """Belief over a plan state at a given tick."""
 
     time: int
     active: dict[str, float]
     blocked: dict[str, float]
-    scratch: dict[str, float] = field(default_factory=dict)
-
-    def copy(self) -> "BeliefState":
-        return BeliefState(self.time, dict(self.active), dict(self.blocked),
-                           dict(self.scratch))
-
-    def mass(self, node_id: str) -> float:
-        return self.active[node_id] + self.blocked[node_id]
 
 
 def _zeros(p: TeamOrientedProgram) -> dict[str, float]:
@@ -76,31 +68,30 @@ def _clamp(state: BeliefState):
                 table[k] = 1.0
 
 
-def hazard(rate: float) -> float:
-    """Per-tick termination probability of a leaf with the given rate."""
-    return 1.0 - math.exp(-rate)
-
-
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     """All mass on the root and, through first children, on the initial leaves."""
-    b = BeliefState(0, _zeros(p), _zeros(p), {})
+    b = BeliefState(0, _zeros(p), _zeros(p))
     b.active[p.root] = 1.0
     propagate_down(p.root, 1.0, b, p)
     return b
 
 
-def propagate_down(x: str, rho: float, b: BeliefState, p: TeamOrientedProgram):
-    """Credit ``rho`` to x's first children, splitting evenly, recursively.
+def propagate_down(x: str, rho: float, b: BeliefState, p: TeamOrientedProgram,
+                   updated: set[str] | None = None):
+    """Credit ``rho`` to x's first children, recursively.
 
-    Mutates ``b.active`` in place; callers pass the state under construction.
+    Each first-child group gets the full ``rho`` (parallel subteams carry
+    duplicated mass) and splits it evenly among its members.  Mutates
+    ``b.active`` in place, and adds every credited node to ``updated`` when
+    given; callers pass the state under construction.
     """
-    first = p.first_children(x)
-    if not first:
-        return
-    share = rho / len(first)
-    for c in first:
-        b.active[c] += share
-        propagate_down(c, share, b, p)
+    for group in p.step_table(x).groups:
+        share = rho / len(group)
+        for c in group:
+            b.active[c] += share
+            if updated is not None:
+                updated.add(c)
+            propagate_down(c, share, b, p, updated)
 
 
 def _prune_redundant_ancestors(p: TeamOrientedProgram, nodes) -> list[str]:
@@ -154,7 +145,7 @@ def _evidence_scratch(m: ObservedMessage, b: BeliefState,
 
 def _commit_evidence(scratch: dict[str, float], time: int,
                      p: TeamOrientedProgram) -> BeliefState:
-    nxt = BeliefState(time, _zeros(p), _zeros(p), dict(scratch))
+    nxt = BeliefState(time, _zeros(p), _zeros(p))
     for x in sorted(scratch):
         mass = scratch[x]
         nxt.active[x] += mass
@@ -169,37 +160,40 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
                       counter: VisitCounter | None = None) -> BeliefState:
     """Advance one tick with no observation.
 
-    Leaves shed mass at their termination hazard; the shed mass follows
-    outgoing transitions that need no message, parks as ``blocked`` in the
-    proportion that does, and climbs to the parent along TERMINATE edges.
-    The map is linear and conserves leaf-active plus blocked mass as long as
-    no TERMINATE edge leaves the root's own children.
+    Leaves shed mass at their termination hazard.  Each team acting on a
+    node's outgoing transitions sends the full shed mass along its own
+    edges: mass follows edges that need no message, parks as ``blocked`` in
+    the mean proportion that does, and climbs to the parent along TERMINATE
+    edges.  The map is linear; with one team it conserves leaf-active plus
+    blocked mass as long as no TERMINATE edge leaves the root's own children.
     """
-    nxt = BeliefState(b.time + 1, dict(b.active), dict(b.blocked), {})
+    nxt = BeliefState(b.time + 1, dict(b.active), dict(b.blocked))
     out: dict[str, float] = {x: 0.0 for x in p.node_ids}
     for x in p.postorder:
         if counter is not None:
             counter.visit()
-        node = p.node(x)
-        if p.is_leaf(x):
-            out[x] = b.active[x] * hazard(node.rate)
-        outgoing = p.out_transitions(x)
-        eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
-        if eta > 0.0 and out[x] > 0.0:
-            for t in outgoing:
-                rho = out[x] * (1.0 - t.mu) * t.pi
-                if rho == 0.0:
+        step = p.step_table(x)
+        if step.hazard is not None:
+            out[x] = b.active[x] * step.hazard
+        shed = out[x]
+        if shed > 0.0:
+            for eta, edges in step.teams:
+                if eta <= 0.0:
                     continue
-                if t.dst == TERMINATE:
-                    if node.parent is not None:
-                        out[node.parent] += rho
+                for dst, silent, pi in edges:
+                    rho = shed * silent * pi
+                    if rho == 0.0:
+                        continue
+                    if dst == TERMINATE:
+                        if step.parent is not None:
+                            out[step.parent] += rho / step.parent_groups
+                        else:
+                            nxt.blocked[x] += rho  # program complete
                     else:
-                        nxt.blocked[x] += rho  # program complete
-                else:
-                    nxt.active[t.dst] += rho
-                    propagate_down(t.dst, rho, nxt, p)
-        nxt.blocked[x] += out[x] * (1.0 - eta)
-        nxt.active[x] -= out[x]
+                        nxt.active[dst] += rho
+                        propagate_down(dst, rho, nxt, p)
+        nxt.blocked[x] += shed * (1.0 - step.eta)
+        nxt.active[x] -= shed
     _clamp(nxt)
     return nxt
 
@@ -223,10 +217,8 @@ def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram) -> BeliefState:
     """Fold several same-tick messages into one time step, TERM before INIT."""
     ordered = sorted(msgs, key=lambda m: (0 if m.kind == TERM else 1, m.plan, m.sender))
     state = b
-    bumped = b.time + 1
     for m in ordered:
-        scratch = _evidence_scratch(m, state, p)
-        state = _commit_evidence(scratch, bumped, p)
+        state = _commit_evidence(_evidence_scratch(m, state, p), b.time + 1, p)
     return state
 
 
@@ -253,7 +245,6 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
             inbox.setdefault(agent, []).append(m)
     for agent in beliefs:
         if agent in inbox:
-            beliefs[agent] = apply_messages(beliefs[agent], inbox[agent],
-                                                  programs[agent])
+            beliefs[agent] = apply_messages(beliefs[agent], inbox[agent], programs[agent])
         else:
             beliefs[agent] = propagate_forward(beliefs[agent], programs[agent], counter)

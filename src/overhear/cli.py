@@ -57,14 +57,6 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _load_recognizer(args):
-    """Load the program named by --program, with optional flat-mu degradation."""
-    p = load_program_path(args.program, team_mode=args.team_mode)
-    if getattr(args, "flat_mu", None) is not None:
-        p = flatten_mu(p, args.flat_mu)
-    return p
-
-
 def _load_comm(args):
     if getattr(args, "comm", None) is None:
         return None
@@ -106,7 +98,9 @@ def _cmd_lose(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    p = _load_recognizer(args)
+    p = load_program_path(args.program, team_mode=args.team_mode)
+    if args.flat_mu is not None:
+        p = flatten_mu(p, args.flat_mu)
     model = _load_comm(args)
     if model is not None:
         p = apply_comm_model(p, model)

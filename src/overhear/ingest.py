@@ -8,6 +8,7 @@ applied here so every consumer sees the same censoring.
 
 from __future__ import annotations
 
+import calendar
 import random
 import time
 from dataclasses import dataclass, field
@@ -111,7 +112,8 @@ def _parse_kqml_fields(block: str) -> tuple[float, dict[str, str]]:
             _, _, rest = line.partition(";")
             rest = rest.strip().rstrip(":")
             try:
-                stamp = time.mktime(time.strptime(rest, _KQML_TIME_FORMAT))
+                # Stamps carry no zone: read as UTC, not the host's local time
+                stamp = calendar.timegm(time.strptime(rest, _KQML_TIME_FORMAT))
             except ValueError:
                 raise IngestError(f"unreadable record timestamp {rest!r}") from None
             continue

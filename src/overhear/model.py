@@ -6,14 +6,19 @@ teams with agents at the leaf teams).  Programs are loaded from a JSON
 document, validated, and exposed with precomputed structural indexes so the
 recognizers never walk raw lists.
 
-All structures are immutable after load.  Instances are safe to share across
-threads; mutable run state lives in the belief containers, not here.
+All structures are immutable after load, except each node's forward step
+table (``TeamOrientedProgram.step_table``), which is filled on first use.
+Filling is idempotent: two threads that race on a node build equal tables,
+so instances are safe to share across threads.  Mutable run state lives in
+the belief containers, not here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 TERMINATE = "TERMINATE"
 
@@ -78,10 +83,6 @@ class TeamHierarchy:
         object.__setattr__(self, "_agent_team", dict(self.agents))
 
     @property
-    def team_names(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.teams)
-
-    @property
     def agent_names(self) -> tuple[str, ...]:
         return tuple(a for a, _ in self.agents)
 
@@ -117,6 +118,11 @@ class TeamHierarchy:
         return tuple(a for a, t in self.agents if self.covers(team, t))
 
 
+def hazard(rate: float) -> float:
+    """Per-tick termination probability of a leaf with the given rate."""
+    return 1.0 - math.exp(-rate)
+
+
 def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
     """Drop every team that has an ancestor in the same set."""
     chosen = set()
@@ -127,11 +133,7 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
 
 
 def _first_child_groups(p: TeamOrientedProgram, x: str) -> list[tuple[str, tuple[str, ...]]]:
-    """First children of x grouped by owning team, topmost teams only.
-
-    Parallel groups each receive the full parent mass; alternatives within a
-    group split it.
-    """
+    """First children of x grouped by owning team, topmost teams only."""
     first = p.first_children(x)
     if not first:
         return []
@@ -144,6 +146,17 @@ def is_allowed(t: TemporalTransition, team: str, h: TeamHierarchy) -> bool:
     """A transition is open to ``team`` when it lists the team or an ancestor."""
     chain = h.ancestors_or_self(team)
     return any(listed in chain for listed in t.teams)
+
+
+class NodeStep(NamedTuple):
+    """What one forward tick needs of a node (``TeamOrientedProgram.step_table``)."""
+
+    groups: tuple[tuple[str, ...], ...]  # first children, one tuple per parallel group
+    teams: tuple  # per topmost acting team: (eta, ((dst, 1 - mu, pi), ...))
+    eta: float  # mean eta (unannounced share) over ``teams``
+    parent: str | None
+    parent_groups: int  # the parent's parallel group count; divides TERMINATE flow
+    hazard: float | None  # a leaf's per-tick termination probability
 
 
 @dataclass(frozen=True)
@@ -164,6 +177,7 @@ class TeamOrientedProgram:
     _by_name: dict = field(default_factory=dict, compare=False, repr=False)
     _postorder: tuple = field(default=(), compare=False, repr=False)
     _leaves: tuple = field(default=(), compare=False, repr=False)
+    _steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         node = {n.id: n for n in self.plans}
@@ -250,6 +264,35 @@ class TeamOrientedProgram:
 
     def path_names(self, path) -> tuple[str, ...]:
         return tuple(self._node[x].name for x in path)
+
+    def step_table(self, x: str) -> NodeStep:
+        """x's forward step table, built on first use.
+
+        Each first-child group gets the full mass entering x and splits it
+        among its members.  Outside team mode there is one group of all first
+        children and one team taking every edge: the single-agent engine.
+        """
+        table = self._steps.get(x)
+        if table is not None:
+            return table
+        node, outgoing = self._node[x], self._out[x]
+        if self.team_mode:
+            h = self.team_hierarchy
+            groups = tuple(g for _, g in _first_child_groups(self, x))
+            acting = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
+            allowed = [[t for t in outgoing if is_allowed(t, team, h)] for team in acting]
+            kids = self._children.get(node.parent, ())
+            parent_groups = max(1, len(topmost_teams(h, {self._node[c].team for c in kids})))
+        else:
+            groups = (self._first_children[x],) if self._first_children[x] else ()
+            allowed, parent_groups = ([outgoing] if outgoing else []), 1
+        teams = tuple((sum((1.0 - t.mu) * t.pi for t in edges),
+                       tuple((t.dst, 1.0 - t.mu, t.pi) for t in edges)) for edges in allowed)
+        eta = sum(e for e, _ in teams) / len(teams) if teams else 0.0
+        leaf_hazard = None if self._children[x] else hazard(node.rate)
+        table = NodeStep(groups, teams, eta, node.parent, parent_groups, leaf_hazard)
+        self._steps[x] = table
+        return table
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """Strip team restrictions for the per-agent recognizer baseline.

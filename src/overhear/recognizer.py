@@ -15,14 +15,14 @@ Every message must resolve to a known unit.  The shared layout takes the
 message's team, or else its sender's team.  The array layout routes a
 message to its sender, or, under coherence, to every member of its team
 when that team is known.  Anything else raises ``MonitoringError`` naming
-the message's tick.
+the message's tick; ``path`` raises it naming an unknown unit.
 """
 
 from __future__ import annotations
 
 from .belief import MonitoringError, array_overseer_tick, init_beliefs, most_likely_state
 from .model import TeamOrientedProgram
-from .yoyo import team_init_beliefs, team_most_likely, yoyo_tick
+from .yoyo import team_init_beliefs, team_leaves, team_most_likely, yoyo_tick
 
 MODES = ("array", "yoyo")
 
@@ -81,10 +81,8 @@ class ArrayRecognizer(_Recognizer):
         view = self.view
         if unit in self.beliefs:
             return view.path_names(most_likely_state(self.beliefs[unit], view))
-        h = view.team_hierarchy
-        members = sorted(h.members(unit))
-        chain = set(h.ancestors_or_self(unit))
-        candidates = [x for x in view.leaves if view.node(x).team in chain] or list(view.leaves)
+        candidates = team_leaves(view, unit)
+        members = sorted(view.team_hierarchy.members(unit))
         best, best_mass = None, -1.0
         for x in candidates:
             mass = sum(self.beliefs[a].active[x] + self.beliefs[a].blocked[x] for a in members)

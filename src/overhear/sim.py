@@ -18,8 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, _first_child_groups, is_allowed
-from .belief import hazard
+from .model import TERMINATE, TeamOrientedProgram, _first_child_groups, hazard, is_allowed
 
 MU_SAMPLED = "MU_SAMPLED"
 ALWAYS = "ALWAYS"
@@ -93,18 +92,22 @@ def parse_trace(text: str) -> GroundTruthTrace:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "seed":
-                seed = int(parts[1])
+                seed = _trace_int(parts[1], "seed", lineno)
             continue
         parts = line.split()
         if len(parts) != 3:
             raise SimulationError(f"trace line {lineno}: expected 'tick agent path'")
-        tick = int(parts[0])
-        agent = parts[1]
-        path = parts[2]
+        raw_tick, agent, path = parts
+        tick = _trace_int(raw_tick, "tick", lineno)
+        if tick < 0:
+            raise SimulationError(f"trace line {lineno}: tick {tick} is negative")
         blocked = path.endswith("!")
         names = tuple(path.rstrip("!").split("/"))
         while len(steps) <= tick:
             steps.append({})
+        if agent in steps[tick]:
+            raise SimulationError(
+                f"trace line {lineno}: agent '{agent}' already has a state at tick {tick}")
         steps[tick][agent] = (names, blocked)
         if agent not in agents:
             agents.append(agent)
@@ -113,6 +116,14 @@ def parse_trace(text: str) -> GroundTruthTrace:
             if agent not in step:
                 raise SimulationError(f"trace is missing agent '{agent}' at tick {tick}")
     return GroundTruthTrace(seed=seed, agents=tuple(agents), steps=steps)
+
+
+def _trace_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SimulationError(f"trace line {lineno}: {what} must be an integer, "
+                              f"got {text!r}") from None
 
 
 def _name_path(p: TeamOrientedProgram, node_id: str) -> tuple[str, ...]:

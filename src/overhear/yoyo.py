@@ -6,123 +6,36 @@ evidence about one team's plan is reconciled with the rest of the hierarchy
 by walking up to the common parent and rescaling the other teams' subtrees to
 the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
+
+A quiet tick is ``belief.propagate_forward``, the engine both layouts share;
+this module holds the evidence and rescale steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter, _clamp,
-                     _prune_redundant_ancestors, _zeros, hazard)
+                     _prune_redundant_ancestors, _zeros, init_beliefs, propagate_down,
+                     propagate_forward)
 from .ingest import INIT, ObservedMessage
-from .model import (TERMINATE, TeamOrientedProgram, _first_child_groups, is_allowed,
-                    topmost_teams)
+from .model import TERMINATE, TeamOrientedProgram, is_allowed
 
 
-@dataclass
-class TeamBeliefState(BeliefState):
-    """Joint belief over the shared hierarchy.
-
-    ``prior_active``/``prior_blocked`` snapshot the state the current tick
-    started from; cross-team rescaling reads its shape.
-    """
-
-    prior_active: dict[str, float] = field(default_factory=dict)
-    prior_blocked: dict[str, float] = field(default_factory=dict)
-
-
-def team_init_beliefs(p: TeamOrientedProgram) -> TeamBeliefState:
+def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     """Full mass on the root and on every topmost team's first-child chain."""
-    b = TeamBeliefState(0, _zeros(p), _zeros(p), {})
-    b.active[p.root] = 1.0
-    team_propagate_down(p.root, 1.0, b, p)
-    return b
+    return init_beliefs(p)
 
 
-def team_propagate_down(x: str, rho: float, b: BeliefState, p: TeamOrientedProgram,
-                        updated: set[str] | None = None):
-    """Like the single-agent descent, but duplicate across parallel teams."""
-    for _, group in _first_child_groups(p, x):
-        share = rho / len(group)
-        for c in group:
-            b.active[c] += share
-            if updated is not None:
-                updated.add(c)
-            team_propagate_down(c, share, b, p, updated)
-
-
-def _parallel_group_count(p: TeamOrientedProgram, x: str) -> int:
-    """Parallel team groups among x's children (1 when x has none)."""
-    kids = p.children(x)
-    if not kids:
-        return 1
-    return max(1, len(topmost_teams(p.team_hierarchy, {p.node(c).team for c in kids})))
-
-
-def team_propagate_forward(b: TeamBeliefState, p: TeamOrientedProgram,
-                           counter: VisitCounter | None = None):
-    """One no-message tick over the shared hierarchy, in place.
-
-    Each topmost team allowed on a node's outgoing transitions propagates the
-    full outgoing mass along its own edges (duplication); TERMINATE flow into
-    the parent is averaged over the parent's parallel groups so duplicated
-    branches do not double-complete it.
-    """
-    h = p.team_hierarchy
-    nxt_active = dict(b.active)
-    nxt_blocked = dict(b.blocked)
-    carrier = BeliefState(0, nxt_active, nxt_blocked, {})
-    out: dict[str, float] = {x: 0.0 for x in p.node_ids}
-    for x in p.postorder:
-        if counter is not None:
-            counter.visit()
-        node = p.node(x)
-        if p.is_leaf(x):
-            out[x] = b.active[x] * hazard(node.rate)
-        outgoing = p.out_transitions(x)
-        eta_mean = 0.0
-        if outgoing and out[x] >= 0.0:
-            tops = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
-            etas = []
-            for team in tops:
-                allowed = [t for t in outgoing if is_allowed(t, team, h)]
-                eta = sum((1.0 - t.mu) * t.pi for t in allowed)
-                etas.append(eta)
-                if eta <= 0.0 or out[x] <= 0.0:
-                    continue
-                for t in allowed:
-                    rho = out[x] * (1.0 - t.mu) * t.pi
-                    if rho == 0.0:
-                        continue
-                    if t.dst == TERMINATE:
-                        if node.parent is not None:
-                            out[node.parent] += rho / _parallel_group_count(p, node.parent)
-                        else:
-                            nxt_blocked[x] += rho
-                    else:
-                        nxt_active[t.dst] += rho
-                        team_propagate_down(t.dst, rho, carrier, p)
-            eta_mean = sum(etas) / len(etas) if etas else 0.0
-        nxt_blocked[x] += out[x] * (1.0 - eta_mean)
-        nxt_active[x] -= out[x]
-    b.active = nxt_active
-    b.blocked = nxt_blocked
-    b.scratch = {}
-    b.time += 1
-    _clamp(b)
-
-
-def scale(parent: str, team: str, child: str, b: TeamBeliefState,
+def scale(parent: str, team: str, child: str, b: BeliefState, prior: BeliefState,
           p: TeamOrientedProgram, updated: set[str] | None = None):
     """Rescale parallel teams' subplans under ``parent`` to its new belief.
 
-    ``child``'s subtree was just updated by evidence.  Plans owned by
-    ``team``, its subteams, or its ancestor teams are all executed by the
-    evidencing team itself, so the evidence already decided them; they are
-    left alone.  Every subtree owned by a team disjoint from ``team`` (a
-    sibling executing in parallel) keeps its prior share of its parent's
-    prior active mass, reapplied to the parent's new mass; parents are
-    rewritten before their children (pre-order).
+    ``child``'s subtree was just updated by evidence; ``prior`` is the state
+    the tick started from.  Plans owned by ``team``, its subteams, or its
+    ancestor teams are all executed by the evidencing team itself, so the
+    evidence already decided them; they are left alone.  Every subtree owned
+    by a team disjoint from ``team`` (a sibling executing in parallel) keeps
+    its prior share of its parent's prior active mass, reapplied to the
+    parent's new mass, parents before their children (pre-order).
     """
     h = p.team_hierarchy
     if updated is None:
@@ -136,11 +49,11 @@ def scale(parent: str, team: str, child: str, b: TeamBeliefState,
             return  # the evidencing team executes these plans itself
         if y not in updated:
             par = p.node(y).parent
-            denom = b.prior_active.get(par, 0.0)
+            denom = prior.active.get(par, 0.0)
             new_parent = b.active[par]
             if denom > 0.0:
-                b.active[y] += (b.prior_active[y] / denom) * new_parent
-                b.blocked[y] += (b.prior_blocked[y] / denom) * new_parent
+                b.active[y] += (prior.active[y] / denom) * new_parent
+                b.blocked[y] += (prior.blocked[y] / denom) * new_parent
             else:
                 # No prior shape to preserve: spread the parent's new mass
                 # evenly over this node's first-child group.
@@ -169,10 +82,10 @@ def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str:
         f"sender '{m.sender}'")
 
 
-def _team_evidence_scratch(b: TeamBeliefState, p: TeamOrientedProgram,
+def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
                            initiated: dict[str, str], terminated: dict[str, str]
-                           ) -> tuple[dict[str, float], dict[str, str]]:
-    """Raw evidence masses plus the candidate->team map used to normalize."""
+                           ) -> dict[str, float]:
+    """Evidence masses, normalized per owning team of the candidate nodes."""
     h = p.team_hierarchy
     raw: dict[str, float] = {}
     cand_team: dict[str, str] = {}
@@ -211,20 +124,21 @@ def _team_evidence_scratch(b: TeamBeliefState, p: TeamOrientedProgram,
         else:
             for x in members:
                 scratch[x] = 1.0 / len(members)
-    return scratch, cand_team
+    return scratch
 
 
-def yoyo_tick(p: TeamOrientedProgram, b: TeamBeliefState, msgs,
+def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
 
-    With no messages this is plain team forward propagation.  Otherwise the
+    With no messages this is the shared forward step.  Otherwise the
     batched messages are folded in together: committed evidence propagates
     down its subtree, climbs toward the root, and triggers a cross-team
     rescale whenever the walk crosses into the parent team's plan.
     """
     if not msgs:
-        team_propagate_forward(b, p, counter)
+        nxt = propagate_forward(b, p, counter)
+        b.time, b.active, b.blocked = nxt.time, nxt.active, nxt.blocked
         return
     initiated: dict[str, str] = {}
     terminated: dict[str, str] = {}
@@ -242,19 +156,17 @@ def yoyo_tick(p: TeamOrientedProgram, b: TeamBeliefState, msgs,
         target = initiated if m.kind == INIT else terminated
         for x in nodes:
             target[x] = team
-    b.prior_active = dict(b.active)
-    b.prior_blocked = dict(b.blocked)
-    scratch, _ = _team_evidence_scratch(b, p, initiated, terminated)
+    scratch = _team_evidence_scratch(b, p, initiated, terminated)
 
     h = p.team_hierarchy
-    b.active = _zeros(p)
-    b.blocked = _zeros(p)
+    prior = BeliefState(b.time, b.active, b.blocked)
+    b.active, b.blocked = _zeros(p), _zeros(p)
     updated: set[str] = set()
     for x in sorted(scratch):
         mass = scratch[x]
         b.active[x] = max(b.active[x], mass)
         updated.add(x)
-        team_propagate_down(x, b.active[x], b, p, updated)
+        propagate_down(x, b.active[x], b, p, updated)
         team = p.node(x).team
         node = x
         while p.node(node).parent is not None:
@@ -262,21 +174,26 @@ def yoyo_tick(p: TeamOrientedProgram, b: TeamBeliefState, msgs,
             b.active[par] = max(b.active[par], b.active[node])
             updated.add(par)
             if p.node(par).team == h.parent_team(team):
-                scale(par, team, node, b, p, updated)
+                scale(par, team, node, b, prior, p, updated)
                 team = p.node(par).team
             node = par
-    b.scratch = scratch
     b.time += 1
     _clamp(b)
 
 
+def team_leaves(p: TeamOrientedProgram, team: str) -> list[str]:
+    """Leaves owned by ``team`` or an ancestor team, else every leaf."""
+    h = p.team_hierarchy
+    if not h.has_team(team):
+        raise MonitoringError(f"unknown unit '{team}'")
+    chain = set(h.ancestors_or_self(team))
+    return [leaf for leaf in p.leaves if p.node(leaf).team in chain] or list(p.leaves)
+
+
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
     """Most likely root-to-leaf path among leaves the team can be executing."""
-    h = p.team_hierarchy
-    chain = set(h.ancestors_or_self(team))
-    candidates = [leaf for leaf in p.leaves if p.node(leaf).team in chain] or list(p.leaves)
     best, best_mass = None, -1.0
-    for leaf in candidates:
+    for leaf in team_leaves(p, team):
         mass = b.active[leaf] + b.blocked[leaf]
         if mass > best_mass:
             best, best_mass = leaf, mass

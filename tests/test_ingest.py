@@ -1,5 +1,6 @@
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,24 @@ def test_kqml_single_record_epoch():
     m = parse_kqml_record(block)
     assert m.tick == 0
     assert m.kind == TERM
+
+
+@pytest.mark.parametrize("zone", ["UTC", "America/New_York",
+                                  "EST5EDT,M3.2.0,M11.1.0"])  # New York's rule, no tzdata
+def test_kqml_ticks_ignore_host_time_zone(zone, monkeypatch):
+    # New York skips 02:00-03:00 on this date: read as local time, the two
+    # records would be 60 s apart instead of 3660 s
+    block = KQML_SAMPLE.read_text().split("\n\n")[0].split("\n", 1)[1]
+    text = "".join(f"Log Message Received; {stamp}:\n{block}\n\n"
+                   for stamp in ("Sun Mar 13 01:59:30 2011", "Sun Mar 13 03:00:30 2011"))
+    monkeypatch.setenv("TZ", zone)
+    time.tzset()
+    try:
+        ticks = [m.tick for m in parse_kqml_log(text)]
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert ticks == [0, 3660]
 
 
 def test_kqml_missing_content():

@@ -26,6 +26,14 @@ def test_unit_lists(evac_team, mode, coherent):
         assert rec.path(unit)[0] == "evacuate"
 
 
+@pytest.mark.parametrize("mode, coherent", [("yoyo", None), ("array", False),
+                                            ("array", True)])
+def test_path_of_unknown_unit(evac_team, mode, coherent):
+    rec = make_recognizer(evac_team, mode, coherent)
+    with pytest.raises(MonitoringError, match="unknown unit 'nobody'"):
+        rec.path("nobody")
+
+
 def test_layout_defaults_and_checks(evac_team, evac_mini_single):
     assert isinstance(make_recognizer(evac_team, "yoyo"), SharedRecognizer)
     assert make_recognizer(evac_team, "yoyo").coherent

@@ -61,6 +61,18 @@ def test_parse_trace_rejects_missing_agent(evac_team):
         parse_trace(broken)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 a p\nx a p\n", "line 2: tick must be an integer"),
+    ("# seed 7.5\n0 a p\n", "line 1: seed must be an integer"),
+    ("-1 a p\n", "line 1: tick -1 is negative"),
+    ("0 a p\n-1 a p\n", "line 2: tick -1 is negative"),
+    ("0 a p\n0 a q\n", "line 2: agent 'a' already has a state at tick 0"),
+])
+def test_parse_trace_rejects_bad_lines(text, message):
+    with pytest.raises(SimulationError, match=message):
+        parse_trace(text)
+
+
 def test_never_policy_is_silent(evac_team):
     _, log = simulate(evac_team, SimConfig(seed=5, ticks=300, team_mode=True,
                                            comm_policy=NEVER))
