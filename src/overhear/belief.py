@@ -7,11 +7,14 @@ message has not been seen yet).  Ticks without an observed message apply a
 linear forward propagation driven by leaf termination rates; ticks with a
 message collapse the state onto the nodes consistent with it.
 
-The forward step reads each node's step table
+The forward step is built from each node's step table
 (``TeamOrientedProgram.step_table``).  On a team-mode program it duplicates
 mass across parallel subteams, which is the quiet tick of the shared (yoyo)
 layout; otherwise it is the single-agent engine that the array layout runs
-once per agent.
+once per agent.  It runs as a kernel compiled once per program: the step
+tables are unrolled, in postorder, into one straight-line Python function
+over local variables, which makes the same float operations in the same
+order as walking the tables, so its states are bit-identical to theirs.
 
 States are value objects; the update functions return fresh states and never
 mutate their input, so recognizer arrays can be stepped from worker threads
@@ -21,6 +24,7 @@ as long as each agent's state is owned by one worker at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .ingest import INIT, TERM, ObservedMessage
 from .model import TERMINATE, TeamOrientedProgram, hazard
@@ -156,6 +160,79 @@ def _commit_evidence(scratch: dict[str, float], time: int,
     return nxt
 
 
+def _compile_forward(p: TeamOrientedProgram):
+    """p's forward step as one function of the prior (active, blocked) dicts.
+
+    The generator walks the step tables in postorder and writes one
+    straight-line statement per update, over locals ``a<i>`` and ``b<i>``
+    (node i's next active and blocked mass, starting from the prior's) and
+    ``o<i>`` (the mass node i sheds).  Every float operation is the one the
+    step has always made, in the same order, so exact ties between leaves
+    break as they always have.  Leaf hazards read the prior state, so they
+    all come first.  Updates that are always zero are left out: teams with
+    ``eta <= 0``, edges with a factor of exactly 0, and nodes that never shed
+    (a leaf with hazard 0, an internal node no TERMINATE edge feeds), since
+    adding 0.0 leaves a finite mass unchanged.  Factors of exactly 1 and
+    splits into one share are not written either, as they change no bit.
+    Every inlined constant is finite, so ``repr`` writes it exactly.
+    """
+    ids = p.node_ids
+    n = {x: i for i, x in enumerate(ids)}
+    body: list[str] = []
+    sheds: set[str] = set()
+    for x in p.postorder:
+        h = p.step_table(x).hazard
+        if h:  # None on internal nodes
+            body.append(f"o{n[x]} = a{n[x]} * {h!r}")
+            sheds.add(x)
+
+    def down(x: str, rho: str, depth: int):  # propagate_down, unrolled
+        for group in p.step_table(x).groups:
+            share = rho
+            if len(group) > 1:
+                share = f"s{depth}"
+                body.append(f"{share} = {rho} / {len(group)}")
+            for c in group:
+                body.append(f"a{n[c]} += {share}")
+                down(c, share, depth + 1)
+
+    for x in p.postorder:
+        if x not in sheds:
+            continue
+        i, step = n[x], p.step_table(x)
+        for eta, edges in step.teams:
+            if eta <= 0.0:
+                continue
+            for dst, silent, pi in edges:
+                if silent == 0.0 or pi == 0.0:
+                    continue
+                factors = "".join(f" * {f!r}" for f in (silent, pi) if f != 1.0)
+                body.append(f"r = o{i}{factors}")
+                if dst != TERMINATE:
+                    body.append(f"a{n[dst]} += r")
+                    down(dst, "r", 0)
+                elif step.parent is None:
+                    body.append(f"b{i} += r")  # program complete
+                else:
+                    par = step.parent
+                    flow = "r" if step.parent_groups == 1 else f"r / {step.parent_groups}"
+                    body.append(f"o{n[par]} {'+=' if par in sheds else '='} {flow}")
+                    sheds.add(par)
+        keep = 1.0 - step.eta
+        if keep != 0.0:
+            body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
+        body.append(f"a{i} -= o{i}")
+    a = ", ".join(f"a{i}" for i in range(len(ids)))
+    b = ", ".join(f"b{i}" for i in range(len(ids)))
+    a_out = ", ".join(f"{x!r}: a{i}" for x, i in n.items())
+    b_out = ", ".join(f"{x!r}: b{i}" for x, i in n.items())
+    src = "\n    ".join(["def forward(A, B):", f"{a} = get(A)", f"{b} = get(B)", *body,
+                         f"return {{{a_out}}}, {{{b_out}}}"])
+    scope = {"get": itemgetter(*ids)}
+    exec(compile(src, f"<forward step of {p.root!r}>", "exec"), scope)
+    return scope["forward"]
+
+
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
                       counter: VisitCounter | None = None) -> BeliefState:
     """Advance one tick with no observation.
@@ -166,34 +243,17 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     the mean proportion that does, and climbs to the parent along TERMINATE
     edges.  The map is linear; with one team it conserves leaf-active plus
     blocked mass as long as no TERMINATE edge leaves the root's own children.
+    The step runs as p's compiled kernel (``_compile_forward``), built on the
+    first call and kept on the program; it visits every node once.
     """
-    nxt = BeliefState(b.time + 1, dict(b.active), dict(b.blocked))
-    out: dict[str, float] = {x: 0.0 for x in p.node_ids}
-    for x in p.postorder:
-        if counter is not None:
-            counter.visit()
-        step = p.step_table(x)
-        if step.hazard is not None:
-            out[x] = b.active[x] * step.hazard
-        shed = out[x]
-        if shed > 0.0:
-            for eta, edges in step.teams:
-                if eta <= 0.0:
-                    continue
-                for dst, silent, pi in edges:
-                    rho = shed * silent * pi
-                    if rho == 0.0:
-                        continue
-                    if dst == TERMINATE:
-                        if step.parent is not None:
-                            out[step.parent] += rho / step.parent_groups
-                        else:
-                            nxt.blocked[x] += rho  # program complete
-                    else:
-                        nxt.active[dst] += rho
-                        propagate_down(dst, rho, nxt, p)
-        nxt.blocked[x] += shed * (1.0 - step.eta)
-        nxt.active[x] -= shed
+    if counter is not None:
+        counter.visit(len(p.postorder))
+    kernel = p._forward
+    if kernel is None:
+        kernel = _compile_forward(p)
+        object.__setattr__(p, "_forward", kernel)  # idempotent: equal kernels
+    active, blocked = kernel(b.active, b.blocked)
+    nxt = BeliefState(b.time + 1, active, blocked)
     _clamp(nxt)
     return nxt
 

@@ -53,8 +53,13 @@ def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        # Write over the old bytes, then cut what is left of them.  Opening
+        # with "w" truncates first, and on ext4 truncating a file whose
+        # blocks are already on disk waits for the disk (about 40 ms).
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8") as fh:
             fh.write(text)
+            fh.truncate()
 
 
 def _load_comm(args):

@@ -7,9 +7,10 @@ document, validated, and exposed with precomputed structural indexes so the
 recognizers never walk raw lists.
 
 All structures are immutable after load, except each node's forward step
-table (``TeamOrientedProgram.step_table``), which is filled on first use.
-Filling is idempotent: two threads that race on a node build equal tables,
-so instances are safe to share across threads.  Mutable run state lives in
+table (``TeamOrientedProgram.step_table``) and the program's compiled forward
+step (``belief.propagate_forward``), which are filled on first use.  Filling
+is idempotent: two threads that race build equal tables and kernels, so
+instances are safe to share across threads.  Mutable run state lives in
 the belief containers, not here.
 """
 
@@ -178,6 +179,7 @@ class TeamOrientedProgram:
     _postorder: tuple = field(default=(), compare=False, repr=False)
     _leaves: tuple = field(default=(), compare=False, repr=False)
     _steps: dict = field(default_factory=dict, compare=False, repr=False)
+    _forward: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         node = {n.id: n for n in self.plans}
@@ -402,7 +404,8 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
         if not hierarchy.has_team(team):
             raise ProgramError(f"unknown team '{team}'", loc)
         rate = entry.get("lambda")
-        if rate is not None and (not isinstance(rate, (int, float)) or rate < 0):
+        # json reads NaN, and a NaN rate would poison every belief it touches
+        if rate is not None and (not isinstance(rate, (int, float)) or not rate >= 0):
             raise ProgramError("lambda must be a nonnegative number", loc)
         plans[pid] = PlanNode(
             id=pid,

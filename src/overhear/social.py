@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ingest import INIT, TERM
+from .ingest import INIT, TERM, IngestError
 from .model import TeamOrientedProgram, TemporalTransition
 
 # Transitions the communication model says nothing about keep a small chance
@@ -44,17 +44,6 @@ def count_hypotheses(set_sizes) -> tuple[int, int]:
         raise ValueError(f"set sizes must be nonnegative and nonempty, got {sizes}")
     coherent = min(sizes)
     return coherent, math.prod(sizes) - coherent
-
-
-def filter_by_role(candidates, agent: str, p: TeamOrientedProgram) -> list[str]:
-    """Keep candidate nodes whose team the agent actually serves.
-
-    An agent can execute a plan assigned to its own team or to any ancestor
-    team; plans of sibling teams are off-role.  Input order is preserved.
-    """
-    h = p.team_hierarchy
-    chain = set(h.ancestors_or_self(h.agent_team(agent)))
-    return [x for x in candidates if p.node(x).team in chain]
 
 
 # -- communication model -----------------------------------------------------
@@ -114,11 +103,6 @@ def apply_comm_model(p: TeamOrientedProgram, model: CommModel,
                                team_mode=p.team_mode)
 
 
-def prediction_misses(messages, model: CommModel) -> int:
-    """Observed announcements the model did not predict."""
-    return sum(1 for m in messages if not model.predicts(m.plan, m.kind))
-
-
 def format_comm_model(model: CommModel) -> str:
     lines = [f"CONFIDENCE {model.confidence}"]
     for plan, kind in sorted(model.rules):
@@ -127,6 +111,11 @@ def format_comm_model(model: CommModel) -> str:
 
 
 def parse_comm_model(text: str) -> CommModel:
+    """Read a model written by ``format_comm_model``; '#' starts a comment.
+
+    Raises ``IngestError`` naming the line of a bad confidence or an
+    unrecognized line.
+    """
     confidence = 1.0
     rules: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,9 +124,16 @@ def parse_comm_model(text: str) -> CommModel:
             continue
         parts = line.split()
         if parts[0] == "CONFIDENCE" and len(parts) == 2:
-            confidence = float(parts[1])
+            try:
+                confidence = float(parts[1])
+            except ValueError:
+                raise IngestError(f"line {lineno}: confidence must be a number, "
+                                  f"got {parts[1]!r}") from None
+            if not 0.0 < confidence <= 1.0:
+                raise IngestError(f"line {lineno}: confidence must be in (0, 1], "
+                                  f"got {parts[1]!r}")
         elif parts[0] == "PLAN" and len(parts) == 3 and parts[2] in (INIT, TERM):
             rules.add((parts[1], parts[2]))
         else:
-            raise ValueError(f"line {lineno}: unrecognized communication-model line {raw!r}")
+            raise IngestError(f"line {lineno}: unrecognized communication-model line {raw!r}")
     return CommModel(frozenset(rules), confidence)

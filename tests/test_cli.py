@@ -175,6 +175,36 @@ def test_evaluate_with_loss_and_model(tmp_path):
     assert "config comm 1" in out_path.read_text()
 
 
+def test_recognize_rejects_bad_comm_model(tmp_path, capsys):
+    _, log_path = _simulate(tmp_path / "run")
+    model_path = tmp_path / "model.txt"
+    model_path.write_text("CONFIDENCE 0.9\nCONFIDENCE abc\n")
+    rc = run_command(["recognize", "--program", TEAM, "--team-mode",
+                      "--log", str(log_path), "--comm", str(model_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("overhear recognize: error: line 2: confidence must be a number")
+
+
+def test_output_files_are_rewritten_whole(tmp_path):
+    _, log_path = _simulate(tmp_path / "run")
+    fresh = tmp_path / "fresh.txt"
+    assert run_command(["learn", "--log", str(log_path), "--out", str(fresh)]) == 0
+    model = fresh.read_text()
+    # a longer old file keeps none of its tail
+    out = tmp_path / "model.txt"
+    out.write_text("x" * 100_000)
+    assert run_command(["learn", "--log", str(log_path), "--out", str(out)]) == 0
+    assert out.read_text() == model
+    # a symlink is written through to its target, as with open(..., "w")
+    link = tmp_path / "link.txt"
+    link.symlink_to(out)
+    out.write_text("y" * 100_000)
+    assert run_command(["learn", "--log", str(log_path), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert out.read_text() == model
+
+
 def test_bench_table(tmp_path, capsys):
     rc = run_command(["bench", "--program", TEAM, "--agents", "4:6",
                       "--ticks", "5"])

@@ -185,6 +185,17 @@ def test_load_program_reports_json_errors():
         load_program("{not json")
 
 
+def test_nan_lambda_rejected():
+    # json reads NaN and Infinity; NaN would poison every belief, while an
+    # infinite rate is a leaf that always ends at once (hazard 1)
+    text = json.dumps(_mini_doc()).replace('"lambda": 0.1', '"lambda": NaN')
+    with pytest.raises(ProgramError) as err:
+        load_program(text)
+    assert str(err.value) == "lambda must be a nonnegative number [plan 'b']"
+    p = load_program(json.dumps(_mini_doc()).replace('"lambda": 0.1', '"lambda": Infinity'))
+    assert p.step_table("b").hazard == 1.0
+
+
 def test_temporal_cycles_are_legal():
     doc = _mini_doc()
     doc["transitions"] = [

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from overhear.ingest import INIT, TERM, ObservedMessage
+from overhear.ingest import INIT, TERM, IngestError, ObservedMessage
 from overhear.model import TERMINATE
 from overhear.social import (CommModel, apply_comm_model, coherent_hypotheses,
-                             count_hypotheses, filter_by_role, format_comm_model,
-                             learn_comm_model, parse_comm_model,
-                             prediction_misses, DEFAULT_UNPREDICTED_MU)
+                             count_hypotheses, format_comm_model, learn_comm_model,
+                             parse_comm_model, DEFAULT_UNPREDICTED_MU)
 
 
 def test_coherent_hypotheses_examples():
@@ -57,17 +56,6 @@ def test_coherent_bound_holds_on_arbitrary_sets():
         assert len(coherent) <= min(len(s) for s in sets)
 
 
-def test_filter_by_role(evac_mini):
-    assert filter_by_role(["n4", "n5"], "transport1", evac_mini) == ["n4"]
-    # ancestor-team plans stay eligible
-    assert filter_by_role(["n1", "n5"], "transport1", evac_mini) == ["n1"]
-    assert filter_by_role(["n4", "n1"], "transport2", evac_mini) == ["n4", "n1"]
-    # nothing compatible -> empty, the caller decides the fallback
-    assert filter_by_role(["n5"], "transport1", evac_mini) == []
-    with pytest.raises(KeyError):
-        filter_by_role({"n4"}, "nobody", evac_mini)
-
-
 def test_learn_comm_model_idempotent():
     msgs = [ObservedMessage(0, "a", "T", TERM, "determine-number-of-helos"),
             ObservedMessage(3, "b", "T", INIT, "fly-flight-plan")]
@@ -86,6 +74,19 @@ def test_comm_model_round_trip():
     assert parse_comm_model(format_comm_model(model)) == model
     assert format_comm_model(model) == format_comm_model(
         parse_comm_model(format_comm_model(model)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("PLAN a INIT\nCONFIDENCE abc\n", "line 2: confidence must be a number, got 'abc'"),
+    ("CONFIDENCE 2\n", "line 1: confidence must be in (0, 1], got '2'"),
+    ("# model\n\nCONFIDENCE nan\n", "line 3: confidence must be in (0, 1], got 'nan'"),
+    ("CONFIDENCE 0.5\nPLAN a DONE\n", "line 2: unrecognized communication-model line"),
+    ("RULE a INIT\n", "line 1: unrecognized communication-model line 'RULE a INIT'"),
+])
+def test_parse_comm_model_errors_name_the_line(text, message):
+    with pytest.raises(IngestError) as exc:
+        parse_comm_model(text)
+    assert message in str(exc.value)
 
 
 def test_apply_comm_model_rewrites_mu(evac_team):
@@ -114,14 +115,6 @@ def test_apply_comm_model_ignores_unknown_plans(evac_team):
     for t in q.transitions:
         if t.dst != TERMINATE:
             assert t.mu == DEFAULT_UNPREDICTED_MU
-
-
-def test_prediction_misses():
-    model = learn_comm_model([ObservedMessage(0, "a", "T", TERM, "x")])
-    log = [ObservedMessage(1, "a", "T", TERM, "x"),
-           ObservedMessage(2, "a", "T", INIT, "y"),
-           ObservedMessage(3, "a", "T", TERM, "z")]
-    assert prediction_misses(log, model) == 2
 
 
 def test_confidence_validation():

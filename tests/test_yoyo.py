@@ -1,6 +1,6 @@
 import pytest
 
-from overhear import model
+from overhear import belief, model
 from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
                              propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -289,22 +289,30 @@ def test_quiet_tick_visits_bounded():
 
 
 def test_quiet_ticks_reuse_step_tables(monkeypatch):
-    # one warm-up tick fills every node's step table; later quiet ticks in
-    # either layout must not recompute team structure
+    # one warm-up tick fills every node's step table and compiles each
+    # program's forward kernel once; later quiet ticks in either layout must
+    # neither recompute team structure nor compile again
     tp = team_program(0)
     recognizers = [make_recognizer(tp, "yoyo"), make_recognizer(tp, "array"),
                    make_recognizer(tp, "array", coherent=True)]
     for rec in recognizers:
         rec.step([])
+    kernels = [tp._forward] + [rec.view._forward for rec in recognizers[1:]]
+    assert all(kernels)
 
     def recomputed(*args):
         raise AssertionError("team structure recomputed during a quiet tick")
 
+    def recompiled(*args):
+        raise AssertionError("forward kernel compiled again during a quiet tick")
+
     monkeypatch.setattr(model, "topmost_teams", recomputed)
     monkeypatch.setattr(model, "_first_child_groups", recomputed)
+    monkeypatch.setattr(belief, "_compile_forward", recompiled)
     for rec in recognizers:
         counter = VisitCounter()
         for _ in range(50):
             rec.step([], counter)
         beliefs = 1 if rec is recognizers[0] else len(rec.agents)
         assert counter.visits == 50 * len(tp.node_ids) * beliefs
+    assert [tp._forward] + [rec.view._forward for rec in recognizers[1:]] == kernels
