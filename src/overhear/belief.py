@@ -60,7 +60,7 @@ class BeliefState:
 
 
 def _zeros(p: TeamOrientedProgram) -> dict[str, float]:
-    return {x: 0.0 for x in p.node_ids}
+    return dict.fromkeys(p.node_ids, 0.0)
 
 
 def _clamp(state: BeliefState):

@@ -264,7 +264,12 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     ``recognizer_program`` lets the monitor run on a degraded copy of the
     program (e.g. flattened message probabilities) while truth comes from
     the real one; ``comm_model`` rewrites its message probabilities first.
+    A trace that lacks one of the program's agents raises ``MonitoringError``.
     """
+    traced = set(trace.agents)
+    for agent in p.team_hierarchy.agent_names:
+        if agent not in traced:
+            raise MonitoringError(f"truth trace has no state for agent '{agent}'")
     rec = recognizer_program or p
     if comm_model is not None:
         rec = apply_comm_model(rec, comm_model)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import calendar
 import random
-import time
+import re
 from dataclasses import dataclass, field
 
 INIT = "INIT"
@@ -93,7 +93,33 @@ def format_log(messages) -> str:
 
 # -- KQML records ------------------------------------------------------------
 
-_KQML_TIME_FORMAT = "%a %b %d %H:%M:%S %Y"
+# Record stamps look like 'Fri Sep 17 18:27:54 1999'.  Day and month names
+# come from this fixed English table: time.strptime's %a and %b would follow
+# the host's LC_TIME.
+_DAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+_MONTHS = ("jan", "feb", "mar", "apr", "may", "jun",
+           "jul", "aug", "sep", "oct", "nov", "dec")
+_STAMP = re.compile(r"([A-Za-z]+)\s+([A-Za-z]+)\s+([0-9]{1,2})\s+"
+                    r"([0-9]{1,2}):([0-9]{1,2}):([0-9]{1,2})\s+([0-9]{4})")
+
+
+def _read_stamp(text: str) -> int:
+    """Seconds since the epoch of a record stamp; stamps carry no zone, so UTC."""
+    match = _STAMP.fullmatch(text)
+    if match is None:
+        raise IngestError(f"unreadable record timestamp {text!r}")
+    day, month, mday, hour, minute, second, year = match.groups()
+    if day.lower() not in _DAYS:
+        raise IngestError(f"unknown day name {day!r} in record timestamp {text!r}")
+    if month.lower() not in _MONTHS:
+        raise IngestError(f"unknown month name {month!r} in record timestamp {text!r}")
+    year, mon = int(year), _MONTHS.index(month.lower()) + 1
+    mday, hour, minute, second = int(mday), int(hour), int(minute), int(second)
+    # the ranges time.strptime accepted: no year 0, and leap seconds up to 61
+    last_day = calendar.monthrange(year, mon)[1] if year else 0
+    if not (1 <= mday <= last_day and hour <= 23 and minute <= 59 and second <= 61):
+        raise IngestError(f"record timestamp {text!r} is out of range")
+    return calendar.timegm((year, mon, mday, hour, minute, second))
 
 
 def _parse_kqml_fields(block: str) -> tuple[float, dict[str, str]]:
@@ -110,12 +136,7 @@ def _parse_kqml_fields(block: str) -> tuple[float, dict[str, str]]:
             continue
         if line.startswith("Log Message Received"):
             _, _, rest = line.partition(";")
-            rest = rest.strip().rstrip(":")
-            try:
-                # Stamps carry no zone: read as UTC, not the host's local time
-                stamp = calendar.timegm(time.strptime(rest, _KQML_TIME_FORMAT))
-            except ValueError:
-                raise IngestError(f"unreadable record timestamp {rest!r}") from None
+            stamp = _read_stamp(rest.strip().rstrip(":"))
             continue
         if line.startswith("Logging Agent:") or line.startswith("Message==>"):
             continue

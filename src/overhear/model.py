@@ -6,12 +6,26 @@ teams with agents at the leaf teams).  Programs are loaded from a JSON
 document, validated, and exposed with precomputed structural indexes so the
 recognizers never walk raw lists.
 
-All structures are immutable after load, except each node's forward step
-table (``TeamOrientedProgram.step_table``) and the program's compiled forward
-step (``belief.propagate_forward``), which are filled on first use.  Filling
-is idempotent: two threads that race build equal tables and kernels, so
-instances are safe to share across threads.  Mutable run state lives in
-the belief containers, not here.
+Tables built once, when an object is built:
+
+- ``TeamHierarchy``: team -> parent, agent -> team, the agent names, team ->
+  ancestor-or-self chain (``ancestors_or_self``, ``covers``) and team ->
+  members (``members``);
+- ``TeamOrientedProgram``: node -> plan, children, first children, transitions
+  out and in, plan name -> nodes, the sorted node ids, the postorder and the
+  leaves.
+
+Tables filled on first use and then kept on the program:
+
+- each node's forward step table (``step_table``);
+- the program's compiled forward step (``belief.propagate_forward``);
+- every node's root path (``path_to``), plan-name path (``name_path``) and
+  strict ancestors (``ancestors``), all three built together;
+- each team's candidate leaves (``yoyo.team_leaves``), per team.
+
+Filling is idempotent: two threads that race build equal tables and
+kernels, so instances are safe to share across threads.  Mutable run state
+lives in the belief containers, not here.
 """
 
 from __future__ import annotations
@@ -71,21 +85,33 @@ class TemporalTransition:
 
 @dataclass(frozen=True)
 class TeamHierarchy:
-    """Tree of teams plus the agent -> leaf-team assignment."""
+    """Tree of teams plus the agent -> leaf-team assignment.
+
+    The team -> ancestor chain and team -> members tables are built once,
+    with the hierarchy; every query reads them.
+    """
 
     teams: tuple[tuple[str, str | None], ...]  # (team, parent) sorted by team
     agents: tuple[tuple[str, str], ...]        # (agent, team) sorted by agent
 
     _parent: dict = field(default_factory=dict, compare=False, repr=False)
     _agent_team: dict = field(default_factory=dict, compare=False, repr=False)
+    _agent_names: tuple = field(default=(), compare=False, repr=False)
+    _chain: dict = field(default_factory=dict, compare=False, repr=False)
+    _members: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_parent", dict(self.teams))
+        parent = dict(self.teams)
+        chain, members = _team_tables(parent, self.agents)
+        object.__setattr__(self, "_parent", parent)
         object.__setattr__(self, "_agent_team", dict(self.agents))
+        object.__setattr__(self, "_agent_names", tuple(a for a, _ in self.agents))
+        object.__setattr__(self, "_chain", chain)
+        object.__setattr__(self, "_members", members)
 
     @property
     def agent_names(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.agents)
+        return self._agent_names
 
     @property
     def size(self) -> int:
@@ -95,6 +121,9 @@ class TeamHierarchy:
     def has_team(self, team: str) -> bool:
         return team in self._parent
 
+    def has_agent(self, agent: str) -> bool:
+        return agent in self._agent_team
+
     def parent_team(self, team: str) -> str | None:
         return self._parent[team]
 
@@ -103,20 +132,35 @@ class TeamHierarchy:
 
     def ancestors_or_self(self, team: str) -> tuple[str, ...]:
         """Chain from ``team`` up to the root team, inclusive."""
-        chain = []
-        cur: str | None = team
-        while cur is not None:
-            chain.append(cur)
-            cur = self._parent[cur]
-        return tuple(chain)
+        return self._chain[team]
 
     def covers(self, ancestor: str, team: str) -> bool:
         """True when ``ancestor`` is ``team`` itself or one of its ancestors."""
-        return ancestor in self.ancestors_or_self(team)
+        return ancestor in self._chain[team]
 
     def members(self, team: str) -> tuple[str, ...]:
-        """Agents whose leaf team lies at or below ``team``."""
-        return tuple(a for a, t in self.agents if self.covers(team, t))
+        """Agents whose leaf team lies at or below ``team``, sorted by name."""
+        return self._members.get(team, ())
+
+
+def _team_tables(parent: dict, agents) -> tuple[dict, dict]:
+    """Each team's ancestor-or-self chain, and each team's members.
+
+    ``agents`` is sorted by name, so every member tuple is too.
+    """
+    chain: dict[str, tuple[str, ...]] = {}
+    for team in parent:
+        hops = []
+        cur = team
+        while cur is not None:
+            hops.append(cur)
+            cur = parent[cur]
+        chain[team] = tuple(hops)
+    members: dict[str, list[str]] = {}
+    for agent, team in agents:
+        for t in chain[team]:
+            members.setdefault(t, []).append(agent)
+    return chain, {t: tuple(v) for t, v in members.items()}
 
 
 def hazard(rate: float) -> float:
@@ -131,6 +175,22 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
         if not any(u != t and h.covers(u, t) for u in teams):
             chosen.add(t)
     return chosen
+
+
+def _root_path_tables(p: TeamOrientedProgram) -> tuple[dict, dict, dict]:
+    """Node -> root path, plan-name path and strict ancestors (parent first)."""
+    paths: dict[str, tuple[str, ...]] = {}
+    names: dict[str, tuple[str, ...]] = {}
+    ancestors: dict[str, tuple[str, ...]] = {}
+    for x in reversed(p.postorder):  # every parent before its children
+        node = p.node(x)
+        if node.parent is None:
+            paths[x], names[x], ancestors[x] = (x,), (node.name,), ()
+        else:
+            paths[x] = paths[node.parent] + (x,)
+            names[x] = names[node.parent] + (node.name,)
+            ancestors[x] = (node.parent,) + ancestors[node.parent]
+    return paths, names, ancestors
 
 
 def _first_child_groups(p: TeamOrientedProgram, x: str) -> list[tuple[str, tuple[str, ...]]]:
@@ -176,10 +236,15 @@ class TeamOrientedProgram:
     _out: dict = field(default_factory=dict, compare=False, repr=False)
     _into: dict = field(default_factory=dict, compare=False, repr=False)
     _by_name: dict = field(default_factory=dict, compare=False, repr=False)
+    _node_ids: tuple = field(default=(), compare=False, repr=False)
     _postorder: tuple = field(default=(), compare=False, repr=False)
     _leaves: tuple = field(default=(), compare=False, repr=False)
     _steps: dict = field(default_factory=dict, compare=False, repr=False)
     _forward: object = field(default=None, compare=False, repr=False)
+    _paths: dict | None = field(default=None, compare=False, repr=False)
+    _name_paths: dict | None = field(default=None, compare=False, repr=False)
+    _ancestors: dict | None = field(default=None, compare=False, repr=False)
+    _team_leaves: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         node = {n.id: n for n in self.plans}
@@ -207,13 +272,14 @@ class TeamOrientedProgram:
 
         walk(self.root)
         object.__setattr__(self, "_node", node)
+        object.__setattr__(self, "_node_ids", tuple(sorted(node)))
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
         object.__setattr__(self, "_first_children", first)
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
         object.__setattr__(self, "_into", {k: tuple(v) for k, v in into.items()})
         object.__setattr__(self, "_by_name", {k: tuple(sorted(v)) for k, v in by_name.items()})
         object.__setattr__(self, "_postorder", tuple(post))
-        object.__setattr__(self, "_leaves", tuple(i for i in sorted(node) if not children[i]))
+        object.__setattr__(self, "_leaves", tuple(i for i in self._node_ids if not children[i]))
 
     # -- structure ---------------------------------------------------------
 
@@ -222,7 +288,7 @@ class TeamOrientedProgram:
 
     @property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._node))
+        return self._node_ids
 
     @property
     def leaves(self) -> tuple[str, ...]:
@@ -253,19 +319,32 @@ class TeamOrientedProgram:
 
     def ancestors(self, node_id: str) -> tuple[str, ...]:
         """Strict ancestors from parent up to the root."""
-        chain = []
-        cur = self._node[node_id].parent
-        while cur is not None:
-            chain.append(cur)
-            cur = self._node[cur].parent
-        return tuple(chain)
+        if self._ancestors is None:
+            self._fill_root_paths()
+        return self._ancestors[node_id]
 
     def path_to(self, node_id: str) -> tuple[str, ...]:
         """Node ids from the root down to ``node_id`` inclusive."""
-        return tuple(reversed((node_id,) + self.ancestors(node_id)))
+        if self._paths is None:
+            self._fill_root_paths()
+        return self._paths[node_id]
+
+    def name_path(self, node_id: str) -> tuple[str, ...]:
+        """Plan names from the root down to ``node_id`` inclusive."""
+        if self._name_paths is None:
+            self._fill_root_paths()
+        return self._name_paths[node_id]
 
     def path_names(self, path) -> tuple[str, ...]:
-        return tuple(self._node[x].name for x in path)
+        return tuple([self._node[x].name for x in path])
+
+    def _fill_root_paths(self):
+        """Every node's root path, plan-name path and ancestors, on first use."""
+        paths, names, ancestors = _root_path_tables(self)
+        # idempotent: a racing thread writes equal tables
+        object.__setattr__(self, "_paths", paths)
+        object.__setattr__(self, "_name_paths", names)
+        object.__setattr__(self, "_ancestors", ancestors)
 
     def step_table(self, x: str) -> NodeStep:
         """x's forward step table, built on first use.
@@ -325,9 +404,8 @@ _TRANS_KEYS = {"from", "to", "pi", "mu", "teams"}
 
 
 def _reject_unknown(entry: dict, allowed: set[str], loc: str):
-    extra = set(entry) - allowed
-    if extra:
-        raise ProgramError(f"unknown keys {sorted(extra)}", loc)
+    if not allowed.issuperset(entry):
+        raise ProgramError(f"unknown keys {sorted(set(entry) - allowed)}", loc)
 
 
 def _require(entry: dict, key: str, loc: str):
@@ -336,17 +414,47 @@ def _require(entry: dict, key: str, loc: str):
     return entry[key]
 
 
+def _string(entry: dict, key: str, loc: str, optional: bool = False) -> str | None:
+    """entry[key], which must be a string; an optional key may be absent or null."""
+    value = entry.get(key)
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    value = _require(entry, key, loc)
+    raise ProgramError(f"'{key}' must be a string, not {type(value).__name__}", loc)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _nonnegative_number(v) -> bool:
+    # json reads NaN, and a NaN rate would poison every belief it touches;
+    # an integer too large for a float would fail the first forward step
+    try:
+        return _is_number(v) and float(v) >= 0
+    except OverflowError:
+        return False
+
+
+def _section(doc: dict, key: str) -> list:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ProgramError(f"'{key}' must be a list, not {type(entries).__name__}",
+                           "document")
+    return entries
+
+
 def _load_hierarchy(doc: dict) -> TeamHierarchy:
     seen: dict[str, str | None] = {}
-    for i, entry in enumerate(doc.get("teams", [])):
+    for i, entry in enumerate(_section(doc, "teams")):
         loc = f"teams[{i}]"
         if not isinstance(entry, dict):
             raise ProgramError("team entry must be an object", loc)
         _reject_unknown(entry, _TEAM_KEYS, loc)
-        name = _require(entry, "name", loc)
+        name = _string(entry, "name", loc)
         if name in seen:
             raise ProgramError(f"duplicate team '{name}'", loc)
-        seen[name] = entry.get("parent")
+        seen[name] = _string(entry, "parent", loc, optional=True)
     roots = [t for t, p in seen.items() if p is None]
     for t, p in seen.items():
         if p is not None and p not in seen:
@@ -364,13 +472,13 @@ def _load_hierarchy(doc: dict) -> TeamHierarchy:
                 raise ProgramError(f"team parent chain of '{t}' is cyclic", "teams")
     agents: dict[str, str] = {}
     children = {t for t, p in seen.items() if p is not None for t in [p]}
-    for i, entry in enumerate(doc.get("agents", [])):
+    for i, entry in enumerate(_section(doc, "agents")):
         loc = f"agents[{i}]"
         if not isinstance(entry, dict):
             raise ProgramError("agent entry must be an object", loc)
         _reject_unknown(entry, _AGENT_KEYS, loc)
-        name = _require(entry, "name", loc)
-        team = _require(entry, "team", loc)
+        name = _string(entry, "name", loc)
+        team = _string(entry, "team", loc)
         if name in agents:
             raise ProgramError(f"duplicate agent '{name}'", loc)
         if name in seen:  # a unit name must say whether it is a team or an agent
@@ -391,34 +499,36 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
     hierarchy = _load_hierarchy(doc)
 
     plans: dict[str, PlanNode] = {}
-    for i, entry in enumerate(doc.get("plans", [])):
+    for i, entry in enumerate(_section(doc, "plans")):
         loc = f"plans[{i}]"
         if not isinstance(entry, dict):
             raise ProgramError("plan entry must be an object", loc)
         _reject_unknown(entry, _PLAN_KEYS, loc)
-        pid = _require(entry, "id", loc)
+        pid = _string(entry, "id", loc)
         loc = f"plan '{pid}'"
         if pid in plans:
             raise ProgramError("duplicate plan id", loc)
-        team = _require(entry, "team", loc)
+        team = _string(entry, "team", loc)
         if not hierarchy.has_team(team):
             raise ProgramError(f"unknown team '{team}'", loc)
         rate = entry.get("lambda")
-        # json reads NaN, and a NaN rate would poison every belief it touches
-        if rate is not None and (not isinstance(rate, (int, float)) or not rate >= 0):
+        if rate is not None and not _nonnegative_number(rate):
             raise ProgramError("lambda must be a nonnegative number", loc)
+        first_child = entry.get("first_child", False)
+        if not isinstance(first_child, bool):
+            raise ProgramError("first_child must be true or false", loc)
         plans[pid] = PlanNode(
             id=pid,
-            name=_require(entry, "name", loc),
+            name=_string(entry, "name", loc),
             team=team,
-            parent=entry.get("parent"),
-            is_first_child=bool(entry.get("first_child", False)),
+            parent=_string(entry, "parent", loc, optional=True),
+            is_first_child=first_child,
             rate=rate,
         )
     if not plans:
         raise ProgramError("program has no plans", "plans")
 
-    root = _require(doc, "root", "document")
+    root = _string(doc, "root", "document")
     if root not in plans:
         raise ProgramError(f"root '{root}' is not a plan id", "document")
     if plans[root].parent is not None:
@@ -448,13 +558,13 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
             raise ProgramError("non-leaf plan needs at least one first child", f"plan '{pid}'")
 
     transitions: list[TemporalTransition] = []
-    for i, entry in enumerate(doc.get("transitions", [])):
+    for i, entry in enumerate(_section(doc, "transitions")):
         loc = f"transitions[{i}]"
         if not isinstance(entry, dict):
             raise ProgramError("transition entry must be an object", loc)
         _reject_unknown(entry, _TRANS_KEYS, loc)
-        src = _require(entry, "from", loc)
-        dst = _require(entry, "to", loc)
+        src = _string(entry, "from", loc)
+        dst = _string(entry, "to", loc)
         loc = f"transition {src}->{dst}"
         if src not in plans:
             raise ProgramError("unknown source plan", loc)
@@ -463,12 +573,14 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
         pi = _require(entry, "pi", loc)
         mu = _require(entry, "mu", loc)
         for label, v in (("pi", pi), ("mu", mu)):
-            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+            if not _is_number(v) or not 0.0 <= v <= 1.0:
                 raise ProgramError(f"{label} must be a probability in [0, 1]", loc)
         teams = entry.get("teams", [])
         if not isinstance(teams, list):
             raise ProgramError("teams must be a list", loc)
         for team in teams:
+            if not isinstance(team, str):
+                raise ProgramError(f"teams must hold strings, not {type(team).__name__}", loc)
             if not hierarchy.has_team(team):
                 raise ProgramError(f"unknown team '{team}'", loc)
         if team_mode and not teams:

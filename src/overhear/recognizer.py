@@ -51,7 +51,7 @@ class SharedRecognizer(_Recognizer):
         yoyo_tick(self.p, self.belief, msgs, counter)
 
     def path(self, team: str) -> tuple[str, ...]:
-        return self.p.path_names(team_most_likely(self.belief, self.p, team))
+        return self.p.name_path(team_most_likely(self.belief, self.p, team)[-1])
 
 
 class ArrayRecognizer(_Recognizer):
@@ -70,7 +70,7 @@ class ArrayRecognizer(_Recognizer):
     def recipients(self, m) -> list[str]:
         h = self.view.team_hierarchy
         if self.coherent and h.has_team(m.team):
-            return sorted(h.members(m.team))
+            return list(h.members(m.team))  # sorted
         return [m.sender]
 
     def step(self, msgs, counter=None):
@@ -80,15 +80,15 @@ class ArrayRecognizer(_Recognizer):
         """An agent's own most likely path, or a team's from its members."""
         view = self.view
         if unit in self.beliefs:
-            return view.path_names(most_likely_state(self.beliefs[unit], view))
+            return view.name_path(most_likely_state(self.beliefs[unit], view)[-1])
         candidates = team_leaves(view, unit)
-        members = sorted(view.team_hierarchy.members(unit))
+        members = view.team_hierarchy.members(unit)  # sorted
         best, best_mass = None, -1.0
         for x in candidates:
             mass = sum(self.beliefs[a].active[x] + self.beliefs[a].blocked[x] for a in members)
             if mass > best_mass + 1e-15:
                 best, best_mass = x, mass
-        return view.path_names(view.path_to(best))
+        return view.name_path(best)
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

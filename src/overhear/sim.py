@@ -73,48 +73,66 @@ class GroundTruthTrace:
 
 def format_trace(trace: GroundTruthTrace) -> str:
     lines = [f"# seed {trace.seed}"]
+    paths: dict[tuple[tuple[str, ...], bool], str] = {}  # each distinct state once
     for tick, step in enumerate(trace.steps):
+        stamp = f"{tick} "  # formatted once per tick, not once per line
         for agent in trace.agents:
-            names, blocked = step[agent]
-            path = "/".join(names) + ("!" if blocked else "")
-            lines.append(f"{tick} {agent} {path}")
+            state = step[agent]
+            path = paths.get(state)
+            if path is None:
+                names, blocked = state
+                path = paths[state] = "/".join(names) + ("!" if blocked else "")
+            lines.append(f"{stamp}{agent} {path}")
     return "\n".join(lines) + "\n"
 
 
 def parse_trace(text: str) -> GroundTruthTrace:
+    """Read a trace written by ``format_trace``; bad text raises ``SimulationError``."""
     seed = 0
     steps: list[dict[str, tuple[tuple[str, ...], bool]]] = []
-    agents: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "seed":
-                seed = _trace_int(parts[1], "seed", lineno)
-            continue
+    agents: list[str] = []  # in order of first appearance
+    seen: set[str] = set()
+    states: dict[str, tuple[tuple[str, ...], bool]] = {}  # path text -> state
+    ticks: dict[str, int] = {}  # tick text -> checked tick
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
+        if not parts:
+            continue
+        if parts[0].startswith("#"):
+            comment = line.split("#", 1)[1].split()
+            if len(comment) == 2 and comment[0] == "seed":
+                seed = _trace_int(comment[1], "seed", lineno)
+            continue
         if len(parts) != 3:
             raise SimulationError(f"trace line {lineno}: expected 'tick agent path'")
         raw_tick, agent, path = parts
-        tick = _trace_int(raw_tick, "tick", lineno)
-        if tick < 0:
-            raise SimulationError(f"trace line {lineno}: tick {tick} is negative")
-        blocked = path.endswith("!")
-        names = tuple(path.rstrip("!").split("/"))
+        tick = ticks.get(raw_tick)
+        if tick is None:
+            tick = _trace_int(raw_tick, "tick", lineno)
+            if tick < 0:
+                raise SimulationError(f"trace line {lineno}: tick {tick} is negative")
+            if tick >= len(lines):  # ticks 0..tick would need more lines than there are
+                raise SimulationError(f"trace line {lineno}: tick {tick} is past the "
+                                      f"trace's {len(lines)} lines")
+            ticks[raw_tick] = tick
+        state = states.get(path)
+        if state is None:
+            state = states[path] = (tuple(path.rstrip("!").split("/")), path.endswith("!"))
         while len(steps) <= tick:
             steps.append({})
-        if agent in steps[tick]:
+        step = steps[tick]
+        if agent in step:
             raise SimulationError(
                 f"trace line {lineno}: agent '{agent}' already has a state at tick {tick}")
-        steps[tick][agent] = (names, blocked)
-        if agent not in agents:
+        step[agent] = state
+        if agent not in seen:
+            seen.add(agent)
             agents.append(agent)
     for tick, step in enumerate(steps):
-        for agent in agents:
-            if agent not in step:
-                raise SimulationError(f"trace is missing agent '{agent}' at tick {tick}")
+        if len(step) < len(agents):
+            missing = next(a for a in agents if a not in step)
+            raise SimulationError(f"trace is missing agent '{missing}' at tick {tick}")
     return GroundTruthTrace(seed=seed, agents=tuple(agents), steps=steps)
 
 
@@ -124,10 +142,6 @@ def _trace_int(text: str, what: str, lineno: int) -> int:
     except ValueError:
         raise SimulationError(f"trace line {lineno}: {what} must be an integer, "
                               f"got {text!r}") from None
-
-
-def _name_path(p: TeamOrientedProgram, node_id: str) -> tuple[str, ...]:
-    return p.path_names(p.path_to(node_id))
 
 
 def _descend(p: TeamOrientedProgram, rng: random.Random, node_id: str) -> str:
@@ -197,8 +211,8 @@ class _AgentRun:
 
     def truth(self) -> tuple[tuple[str, ...], bool]:
         if self.kind == _END:
-            return _name_path(self.p, self.p.root), True
-        return _name_path(self.p, self.node), self.kind != _EXEC
+            return self.p.name_path(self.p.root), True
+        return self.p.name_path(self.node), self.kind != _EXEC
 
     def _cascade(self, cfg: SimConfig, node_id: str, out: list[int]) -> None:
         t = _sample_transition(self.p, self.rng, node_id, None)
@@ -300,11 +314,12 @@ class _TeamRun:
             visit(self.root)
         return found
 
-    def truth(self, agent: str) -> tuple[tuple[str, ...], bool]:
-        h = self.p.team_hierarchy
-        chain = set(h.ancestors_or_self(h.agent_team(agent)))
+    def truth(self, team: str) -> tuple[tuple[str, ...], bool]:
+        """The state of every agent on leaf team ``team``."""
+        p = self.p
+        chain = p.team_hierarchy.ancestors_or_self(team)
         if self.finished or self.root is None:
-            return _name_path(self.p, self.p.root), True
+            return p.name_path(p.root), True
         a = self.root
         while True:
             match = None
@@ -313,11 +328,11 @@ class _TeamRun:
                     match = g
                     break
             if match is None:
-                return _name_path(self.p, a.plan), False
+                return p.name_path(a.plan), False
             if match.done:
-                return _name_path(self.p, match.last or a.plan), True
+                return p.name_path(match.last or a.plan), True
             if match.pending is not None:
-                return _name_path(self.p, match.pending_src or a.plan), True
+                return p.name_path(match.pending_src or a.plan), True
             a = match.current
 
     def _complete(self, cfg: SimConfig, group: _Group, src: str, out: list[int]) -> None:
@@ -392,7 +407,7 @@ class _TeamRun:
                 continue
             src = g.pending_src
             team = self.p.node(src).team
-            members = sorted(h.members(team)) or sorted(h.agent_names)
+            members = h.members(team) or h.agent_names  # both sorted
             sender = self.rng.choice(members)
             msg = _make_message(self.rng, tick, sender, team, self.p, src, g.pending)
             if not cfg.fails_at(sender, tick):
@@ -412,7 +427,8 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
     Returns the ground-truth trace (state at the start of every tick) and
     the overheard message log, both fully determined by cfg.seed.
     """
-    agents = p.team_hierarchy.agent_names
+    h = p.team_hierarchy
+    agents = h.agent_names
     if not agents:
         raise SimulationError("program has no agents to simulate")
     steps: list[dict[str, tuple[tuple[str, ...], bool]]] = []
@@ -420,8 +436,11 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
     count = [0]
     if cfg.team_mode:
         run = _TeamRun(p, random.Random(cfg.seed))
+        leaf_teams = sorted({t for _, t in h.agents})
         for tick in range(cfg.ticks):
-            steps.append({a: run.truth(a) for a in agents})
+            # an agent's state depends only on its leaf team: one walk per team
+            truth = {team: run.truth(team) for team in leaf_teams}
+            steps.append({a: truth[t] for a, t in h.agents})
             for m in run.step(cfg, tick, count):
                 messages.append(m)
     else:

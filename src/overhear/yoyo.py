@@ -75,7 +75,7 @@ def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str:
     h = p.team_hierarchy
     if m.team and h.has_team(m.team):
         return m.team
-    if m.sender in h.agent_names:
+    if h.has_agent(m.sender):
         return h.agent_team(m.sender)
     raise MonitoringError(
         f"message at tick {m.tick} carries unknown team '{m.team}' and unknown "
@@ -181,20 +181,31 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     _clamp(b)
 
 
-def team_leaves(p: TeamOrientedProgram, team: str) -> list[str]:
-    """Leaves owned by ``team`` or an ancestor team, else every leaf."""
-    h = p.team_hierarchy
-    if not h.has_team(team):
-        raise MonitoringError(f"unknown unit '{team}'")
-    chain = set(h.ancestors_or_self(team))
-    return [leaf for leaf in p.leaves if p.node(leaf).team in chain] or list(p.leaves)
+def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
+    """Leaves owned by ``team`` or an ancestor team, else every leaf.
+
+    Built on a team's first query and kept on the program.
+    """
+    leaves = p._team_leaves.get(team)
+    if leaves is None:
+        if not p.team_hierarchy.has_team(team):
+            raise MonitoringError(f"unknown unit '{team}'")
+        leaves = _collect_team_leaves(p, team)
+        p._team_leaves[team] = leaves  # idempotent: equal tuples
+    return leaves
+
+
+def _collect_team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
+    chain = p.team_hierarchy.ancestors_or_self(team)
+    return tuple(leaf for leaf in p.leaves if p.node(leaf).team in chain) or p.leaves
 
 
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
     """Most likely root-to-leaf path among leaves the team can be executing."""
+    active, blocked = b.active, b.blocked
     best, best_mass = None, -1.0
     for leaf in team_leaves(p, team):
-        mass = b.active[leaf] + b.blocked[leaf]
+        mass = active[leaf] + blocked[leaf]
         if mass > best_mass:
             best, best_mass = leaf, mass
     return p.path_to(best)

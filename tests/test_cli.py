@@ -175,6 +175,20 @@ def test_evaluate_with_loss_and_model(tmp_path):
     assert "config comm 1" in out_path.read_text()
 
 
+@pytest.mark.parametrize("mode", ["yoyo", "array"])
+def test_evaluate_rejects_trace_without_program_agents(tmp_path, capsys, mode):
+    # a truth trace for other agents must be a clean error, not a KeyError
+    trace_path, log_path = _simulate(tmp_path / "run")
+    text = trace_path.read_text()
+    for agent in ("escort1", "escort2", "transport1", "transport2"):
+        text = text.replace(f" {agent} ", f" other-{agent} ")
+    trace_path.write_text(text)
+    rc = run_command(["evaluate", "--program", TEAM, "--team-mode", "--mode", mode,
+                      "--log", str(log_path), "--truth", str(trace_path)])
+    assert rc == 1
+    assert "truth trace has no state for agent 'escort1'" in capsys.readouterr().err
+
+
 def test_recognize_rejects_bad_comm_model(tmp_path, capsys):
     _, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"

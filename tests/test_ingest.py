@@ -1,3 +1,5 @@
+import calendar
+import datetime
 import pathlib
 import random
 import time
@@ -89,6 +91,44 @@ def test_kqml_ticks_ignore_host_time_zone(zone, monkeypatch):
         monkeypatch.undo()
         time.tzset()
     assert ticks == [0, 3660]
+
+
+_DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _stamped(stamp):
+    block = KQML_SAMPLE.read_text().split("\n\n")[0].split("\n", 1)[1]
+    return f"Log Message Received; {stamp}:\n{block}\n"
+
+
+def test_kqml_stamps_read_every_day_and_month():
+    # names come from a fixed English table, not the host's LC_TIME; ticks
+    # from epoch 0 are the stamp's seconds since the epoch
+    dates = [datetime.datetime(2024, 1, d, 9, 5, 7) for d in range(1, 8)]  # Mon..Sun
+    dates += [datetime.datetime(1999, m, 28, 23, 59, 58) for m in range(1, 13)]
+    for d in dates:
+        stamp = (f"{_DAY_NAMES[d.weekday()]} {_MONTH_NAMES[d.month - 1]} {d.day:02d} "
+                 f"{d.hour:02d}:{d.minute:02d}:{d.second:02d} {d.year}")
+        m = parse_kqml_record(_stamped(stamp), epoch=0)
+        assert m.tick == calendar.timegm(d.timetuple()), stamp
+        # the names are matched whatever their case
+        assert parse_kqml_record(_stamped(stamp.upper()), epoch=0).tick == m.tick
+    assert {d.weekday() for d in dates[:7]} == set(range(7))
+
+
+@pytest.mark.parametrize("stamp, message", [
+    ("Fry Sep 17 18:27:54 1999", "unknown day name 'Fry'"),
+    ("Fri Spt 17 18:27:54 1999", "unknown month name 'Spt'"),
+    ("Friday Sep 17 18:27:54 1999", "unknown day name 'Friday'"),
+    ("Fri Feb 30 18:27:54 1999", "out of range"),
+    ("Fri Sep 17 24:27:54 1999", "out of range"),
+    ("Fri Sep 17 18:27 1999", "unreadable record timestamp"),
+])
+def test_kqml_bad_stamps_rejected(stamp, message):
+    with pytest.raises(IngestError, match=message):
+        parse_kqml_record(_stamped(stamp))
 
 
 def test_kqml_missing_content():

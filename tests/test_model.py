@@ -7,7 +7,8 @@ import pytest
 from overhear.model import (ProgramError, TERMINATE, is_allowed, load_program,
                             program_from_document, program_to_document,
                             serialize_program, topmost_teams)
-from overhear.progen import random_program, team_program
+from overhear.progen import grow_team, random_program, team_program
+from overhear.yoyo import team_leaves
 
 
 def _mini_doc():
@@ -135,6 +136,29 @@ def test_duplicate_plan_names_allowed():
     (lambda d: d["agents"][0].update({"team": "NOPE"}), "unknown team"),
     (lambda d: d["agents"][0].update({"name": "T"}), "name of a team"),
     (lambda d: d["teams"].append({"name": "X", "parent": None}), "exactly one root"),
+    # wrong types once escaped as a bare TypeError, and an integer lambda too
+    # large for a float as an OverflowError on the first forward step
+    (lambda d: d.update({"teams": 5}), "'teams' must be a list, not int [document]"),
+    (lambda d: d.update({"plans": {"id": "r"}}), "'plans' must be a list, not dict"),
+    (lambda d: d["teams"][0].update({"name": ["T"]}),
+     "'name' must be a string, not list [teams[0]]"),
+    (lambda d: d["teams"][0].update({"parent": 7}), "'parent' must be a string, not int"),
+    (lambda d: d["plans"][1].update({"team": ["T"]}),
+     "'team' must be a string, not list [plan 'a']"),
+    (lambda d: d["plans"][1].update({"id": 3}), "'id' must be a string, not int [plans[1]]"),
+    (lambda d: d["agents"][0].update({"name": 1}),
+     "'name' must be a string, not int [agents[0]]"),
+    (lambda d: d.update({"root": {"id": "r"}}), "'root' must be a string, not dict"),
+    (lambda d: d["transitions"][0].update({"teams": [["T"]]}),
+     "teams must hold strings, not list"),
+    (lambda d: d["transitions"][0].update({"to": None}), "'to' must be a string"),
+    (lambda d: d["plans"][1].update({"lambda": 10 ** 400}),
+     "lambda must be a nonnegative number [plan 'a']"),
+    # read as truthy or as 1, these were silently accepted
+    (lambda d: d["plans"][2].update({"first_child": "false"}),
+     "first_child must be true or false [plan 'b']"),
+    (lambda d: d["plans"][1].update({"lambda": True}), "lambda must be a nonnegative number"),
+    (lambda d: d["transitions"][0].update({"pi": True}), "pi must be a probability"),
 ])
 def test_validation_rejects(mutate, fragment):
     doc = _mini_doc()
@@ -215,3 +239,42 @@ def test_cycles_allowed_by_generator():
         for t in p.transitions:
             assert t.src in p.node_ids
             assert t.dst == TERMINATE or t.dst in p.node_ids
+
+
+def _brute_chain(h, team):
+    parent = dict(h.teams)
+    chain = [team]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    return tuple(chain)
+
+
+def _brute_path(p, x):
+    path = [x]
+    while p.node(path[-1]).parent is not None:
+        path.append(p.node(path[-1]).parent)
+    return tuple(reversed(path))
+
+
+@pytest.mark.parametrize("p", [team_program(k) for k in range(7)]
+                         + [grow_team(team_program(0), 1000)],
+                         ids=[f"team_program({k})" for k in range(7)] + ["grown-1011"])
+def test_structure_tables_match_definitions(p):
+    h = p.team_hierarchy
+    teams = [t for t, _ in h.teams]
+    assert h.agent_names == tuple(a for a, _ in h.agents)
+    for team in teams:
+        chain = _brute_chain(h, team)
+        assert h.ancestors_or_self(team) == chain
+        assert h.members(team) == tuple(a for a, t in h.agents
+                                        if team in _brute_chain(h, t))
+        for other in teams:
+            assert h.covers(other, team) == (other in chain)
+        owned = [x for x in p.leaves if p.node(x).team in chain]
+        assert team_leaves(p, team) == tuple(owned or p.leaves)
+    assert h.members("no-such-team") == ()
+    for x in p.node_ids:
+        path = _brute_path(p, x)
+        assert p.path_to(x) == path
+        assert p.ancestors(x) == tuple(reversed(path[:-1]))
+        assert p.name_path(x) == tuple(p.node(y).name for y in path)

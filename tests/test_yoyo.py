@@ -1,6 +1,6 @@
 import pytest
 
-from overhear import belief, model
+from overhear import belief, model, yoyo
 from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
                              propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -289,14 +289,23 @@ def test_quiet_tick_visits_bounded():
 
 
 def test_quiet_ticks_reuse_step_tables(monkeypatch):
-    # one warm-up tick fills every node's step table and compiles each
-    # program's forward kernel once; later quiet ticks in either layout must
-    # neither recompute team structure nor compile again
+    # one warm-up tick and one query per unit fill every node's step table,
+    # compile each program's forward kernel once and build the hierarchy,
+    # path and team-leaf tables; 50 more quiet ticks, each queried for every
+    # unit, in either layout must neither recompute team structure, compile
+    # again nor rebuild a table
     tp = team_program(0)
     recognizers = [make_recognizer(tp, "yoyo"), make_recognizer(tp, "array"),
                    make_recognizer(tp, "array", coherent=True)]
+
+    def query(rec):
+        units = rec.teams if rec is recognizers[0] else rec.teams + rec.agents
+        return {u: rec.path(u) for u in units}
+
+    warm = []
     for rec in recognizers:
         rec.step([])
+        warm.append(query(rec))
     kernels = [tp._forward] + [rec.view._forward for rec in recognizers[1:]]
     assert all(kernels)
 
@@ -306,13 +315,22 @@ def test_quiet_ticks_reuse_step_tables(monkeypatch):
     def recompiled(*args):
         raise AssertionError("forward kernel compiled again during a quiet tick")
 
+    def rebuilt(*args):
+        raise AssertionError("structure table rebuilt by a query")
+
     monkeypatch.setattr(model, "topmost_teams", recomputed)
     monkeypatch.setattr(model, "_first_child_groups", recomputed)
     monkeypatch.setattr(belief, "_compile_forward", recompiled)
-    for rec in recognizers:
+    monkeypatch.setattr(model, "_team_tables", rebuilt)
+    monkeypatch.setattr(model, "_root_path_tables", rebuilt)
+    monkeypatch.setattr(yoyo, "_collect_team_leaves", rebuilt)
+    for rec, first in zip(recognizers, warm):
         counter = VisitCounter()
         for _ in range(50):
             rec.step([], counter)
+            paths = query(rec)
+            assert set(paths) == set(first)
+            assert all(path[0] == "mission" for path in paths.values())
         beliefs = 1 if rec is recognizers[0] else len(rec.agents)
         assert counter.visits == 50 * len(tp.node_ids) * beliefs
     assert [tp._forward] + [rec.view._forward for rec in recognizers[1:]] == kernels
