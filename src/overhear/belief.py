@@ -7,14 +7,13 @@ message has not been seen yet).  Ticks without an observed message apply a
 linear forward propagation driven by leaf termination rates; ticks with a
 message collapse the state onto the nodes consistent with it.
 
-The forward step is built from each node's step table
-(``TeamOrientedProgram.step_table``).  On a team-mode program it duplicates
-mass across parallel subteams, which is the quiet tick of the shared (yoyo)
-layout; otherwise it is the single-agent engine that the array layout runs
-once per agent.  It runs as a kernel compiled once per program: the step
-tables are unrolled, in postorder, into one straight-line Python function
-over local variables, which makes the same float operations in the same
-order as walking the tables, so its states are bit-identical to theirs.
+Mass entering a node is copied into each of its first-child groups
+(``TeamOrientedProgram.first_child_groups``).  On a team-mode program a
+group is one parallel subteam, which makes the quiet tick of the shared
+(yoyo) layout; otherwise there is one group, and the step is the
+single-agent engine that the array layout runs once per agent.  It runs as
+a kernel compiled once per program into one straight-line Python function
+over local variables (``_compile_forward``).
 
 States are value objects; the update functions return fresh states and never
 mutate their input, so recognizer arrays can be stepped from worker threads
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, hazard
+from .model import TERMINATE, TeamOrientedProgram, hazard, is_allowed, topmost_teams
 
 # Evidence posteriors below the floor are truncated to zero to stop dead
 # hypotheses from drifting along indefinitely.
@@ -89,7 +88,7 @@ def propagate_down(x: str, rho: float, b: BeliefState, p: TeamOrientedProgram,
     ``b.active`` in place, and adds every credited node to ``updated`` when
     given; callers pass the state under construction.
     """
-    for group in p.step_table(x).groups:
+    for group in p.first_child_groups(x):
         share = rho / len(group)
         for c in group:
             b.active[c] += share
@@ -163,31 +162,34 @@ def _commit_evidence(scratch: dict[str, float], time: int,
 def _compile_forward(p: TeamOrientedProgram):
     """p's forward step as one function of the prior (active, blocked) dicts.
 
-    The generator walks the step tables in postorder and writes one
+    The generator walks the program in postorder and writes one
     straight-line statement per update, over locals ``a<i>`` and ``b<i>``
     (node i's next active and blocked mass, starting from the prior's) and
     ``o<i>`` (the mass node i sheds).  Every float operation is the one the
     step has always made, in the same order, so exact ties between leaves
     break as they always have.  Leaf hazards read the prior state, so they
-    all come first.  Updates that are always zero are left out: teams with
-    ``eta <= 0``, edges with a factor of exactly 0, and nodes that never shed
-    (a leaf with hazard 0, an internal node no TERMINATE edge feeds), since
-    adding 0.0 leaves a finite mass unchanged.  Factors of exactly 1 and
-    splits into one share are not written either, as they change no bit.
-    Every inlined constant is finite, so ``repr`` writes it exactly.
+    all come first.  Each topmost team acting on a node's edges (one team
+    outside team mode) sends the node's full shed mass along its own edges;
+    a TERMINATE edge divides it among the parent's groups.  Updates that
+    are always zero are left out: teams with ``eta <= 0``, edges with a
+    factor of exactly 0, and nodes that never shed (a leaf with hazard 0, an
+    internal node no TERMINATE edge feeds), since adding 0.0 leaves a finite
+    mass unchanged.  Factors of exactly 1 and splits into one share are not
+    written either, as they change no bit.  Every inlined constant is
+    finite, so ``repr`` writes it exactly.
     """
-    ids = p.node_ids
+    ids, h = p.node_ids, p.team_hierarchy
     n = {x: i for i, x in enumerate(ids)}
     body: list[str] = []
     sheds: set[str] = set()
-    for x in p.postorder:
-        h = p.step_table(x).hazard
-        if h:  # None on internal nodes
-            body.append(f"o{n[x]} = a{n[x]} * {h!r}")
+    for x in p.leaves:
+        rate = hazard(p.node(x).rate)
+        if rate:
+            body.append(f"o{n[x]} = a{n[x]} * {rate!r}")
             sheds.add(x)
 
     def down(x: str, rho: str, depth: int):  # propagate_down, unrolled
-        for group in p.step_table(x).groups:
+        for group in p.first_child_groups(x):
             share = rho
             if len(group) > 1:
                 share = f"s{depth}"
@@ -199,26 +201,33 @@ def _compile_forward(p: TeamOrientedProgram):
     for x in p.postorder:
         if x not in sheds:
             continue
-        i, step = n[x], p.step_table(x)
-        for eta, edges in step.teams:
+        i, parent, outgoing = n[x], p.node(x).parent, p.out_transitions(x)
+        if p.team_mode:
+            acting = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
+            teams = [[t for t in outgoing if is_allowed(t, team, h)] for team in acting]
+        else:
+            teams = [outgoing] if outgoing else []
+        etas = [sum((1.0 - t.mu) * t.pi for t in edges) for edges in teams]
+        for eta, edges in zip(etas, teams):
             if eta <= 0.0:
                 continue
-            for dst, silent, pi in edges:
-                if silent == 0.0 or pi == 0.0:
+            for t in edges:
+                silent = 1.0 - t.mu
+                if silent == 0.0 or t.pi == 0.0:
                     continue
-                factors = "".join(f" * {f!r}" for f in (silent, pi) if f != 1.0)
+                factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
                 body.append(f"r = o{i}{factors}")
-                if dst != TERMINATE:
-                    body.append(f"a{n[dst]} += r")
-                    down(dst, "r", 0)
-                elif step.parent is None:
+                if t.dst != TERMINATE:
+                    body.append(f"a{n[t.dst]} += r")
+                    down(t.dst, "r", 0)
+                elif parent is None:
                     body.append(f"b{i} += r")  # program complete
                 else:
-                    par = step.parent
-                    flow = "r" if step.parent_groups == 1 else f"r / {step.parent_groups}"
-                    body.append(f"o{n[par]} {'+=' if par in sheds else '='} {flow}")
-                    sheds.add(par)
-        keep = 1.0 - step.eta
+                    groups = len(p.first_child_groups(parent))
+                    flow = "r" if groups == 1 else f"r / {groups}"
+                    body.append(f"o{n[parent]} {'+=' if parent in sheds else '='} {flow}")
+                    sheds.add(parent)
+        keep = 1.0 - (sum(etas) / len(etas) if etas else 0.0)
         if keep != 0.0:
             body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
         body.append(f"a{i} -= o{i}")

@@ -12,7 +12,6 @@ per-tick work of both recognizer layouts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,8 +254,7 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
                  mode: str = "yoyo", coherent: bool | None = True,
                  comm_model: CommModel | None = None,
                  recognizer_program: TeamOrientedProgram | None = None,
-                 delay: int = 1, counter: VisitCounter | None = None,
-                 hypotheses_out: list | None = None) -> RunReport:
+                 delay: int = 1, hypotheses_out: list | None = None) -> RunReport:
     """Replay a log against ground truth and score checkpoint hypotheses.
 
     Coherent runs score each populated leaf team, others each agent;
@@ -264,8 +262,12 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     ``recognizer_program`` lets the monitor run on a degraded copy of the
     program (e.g. flattened message probabilities) while truth comes from
     the real one; ``comm_model`` rewrites its message probabilities first.
-    A trace that lacks one of the program's agents raises ``MonitoringError``.
+    Each checkpoint lies ``delay`` ticks after its exchange.  A negative
+    delay, or a trace that lacks one of the program's agents, raises
+    ``MonitoringError``.
     """
+    if delay < 0:
+        raise MonitoringError(f"checkpoint delay must be nonnegative, got {delay}")
     traced = set(trace.agents)
     for agent in p.team_hierarchy.agent_names:
         if agent not in traced:
@@ -275,7 +277,7 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
         rec = apply_comm_model(rec, comm_model)
     recognizer = make_recognizer(rec, mode, coherent)
     coherent = recognizer.coherent
-    counter = counter if counter is not None else VisitCounter()
+    counter = VisitCounter()
     cps = _checkpoint_map(trace, messages, delay)
     by_tick = messages_by_tick(messages)
     last = max(cps) if cps else 0
@@ -406,10 +408,8 @@ def bench_scalability(base: TeamOrientedProgram, agent_counts,
         for mode in MODES:
             recognizer = make_recognizer(p, mode)
             counter = VisitCounter()
-            start = time.perf_counter()
             for _ in range(ticks):
                 recognizer.step([], counter)
-            row[f"{mode}_secs"] = time.perf_counter() - start
             row[f"{mode}_nodes"] = recognizer.state_nodes
             row[f"{mode}_visits"] = counter.visits
         rows.append(row)

@@ -17,7 +17,9 @@ Tables built once, when an object is built:
 
 Tables filled on first use and then kept on the program:
 
-- each node's forward step table (``step_table``);
+- each node's parallel first-child groups (``first_child_groups``), the one
+  place that decides which subteams run in parallel: the belief engine, its
+  compiled forward step, the yoyo rescale and the team simulator all read it;
 - the program's compiled forward step (``belief.propagate_forward``);
 - every node's root path (``path_to``), plan-name path (``name_path``) and
   strict ancestors (``ancestors``), all three built together;
@@ -33,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 TERMINATE = "TERMINATE"
 
@@ -193,31 +194,10 @@ def _root_path_tables(p: TeamOrientedProgram) -> tuple[dict, dict, dict]:
     return paths, names, ancestors
 
 
-def _first_child_groups(p: TeamOrientedProgram, x: str) -> list[tuple[str, tuple[str, ...]]]:
-    """First children of x grouped by owning team, topmost teams only."""
-    first = p.first_children(x)
-    if not first:
-        return []
-    tops = topmost_teams(p.team_hierarchy, {p.node(c).team for c in first})
-    return [(team, tuple(c for c in first if p.node(c).team == team))
-            for team in sorted(tops)]
-
-
 def is_allowed(t: TemporalTransition, team: str, h: TeamHierarchy) -> bool:
     """A transition is open to ``team`` when it lists the team or an ancestor."""
     chain = h.ancestors_or_self(team)
     return any(listed in chain for listed in t.teams)
-
-
-class NodeStep(NamedTuple):
-    """What one forward tick needs of a node (``TeamOrientedProgram.step_table``)."""
-
-    groups: tuple[tuple[str, ...], ...]  # first children, one tuple per parallel group
-    teams: tuple  # per topmost acting team: (eta, ((dst, 1 - mu, pi), ...))
-    eta: float  # mean eta (unannounced share) over ``teams``
-    parent: str | None
-    parent_groups: int  # the parent's parallel group count; divides TERMINATE flow
-    hazard: float | None  # a leaf's per-tick termination probability
 
 
 @dataclass(frozen=True)
@@ -239,7 +219,7 @@ class TeamOrientedProgram:
     _node_ids: tuple = field(default=(), compare=False, repr=False)
     _postorder: tuple = field(default=(), compare=False, repr=False)
     _leaves: tuple = field(default=(), compare=False, repr=False)
-    _steps: dict = field(default_factory=dict, compare=False, repr=False)
+    _groups: dict = field(default_factory=dict, compare=False, repr=False)
     _forward: object = field(default=None, compare=False, repr=False)
     _paths: dict | None = field(default=None, compare=False, repr=False)
     _name_paths: dict | None = field(default=None, compare=False, repr=False)
@@ -346,34 +326,28 @@ class TeamOrientedProgram:
         object.__setattr__(self, "_name_paths", names)
         object.__setattr__(self, "_ancestors", ancestors)
 
-    def step_table(self, x: str) -> NodeStep:
-        """x's forward step table, built on first use.
+    def first_child_groups(self, x: str) -> tuple[tuple[str, ...], ...]:
+        """x's first children, one member tuple per parallel group.
 
-        Each first-child group gets the full mass entering x and splits it
-        among its members.  Outside team mode there is one group of all first
-        children and one team taking every edge: the single-agent engine.
+        In team mode each topmost team among the first children's owners is
+        one group, in team order, holding the first children that team owns;
+        a first child of a team nested under another group's team is in no
+        group.  Otherwise all first children form one group.  Built on x's
+        first query and kept on the program.
         """
-        table = self._steps.get(x)
-        if table is not None:
-            return table
-        node, outgoing = self._node[x], self._out[x]
-        if self.team_mode:
-            h = self.team_hierarchy
-            groups = tuple(g for _, g in _first_child_groups(self, x))
-            acting = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
-            allowed = [[t for t in outgoing if is_allowed(t, team, h)] for team in acting]
-            kids = self._children.get(node.parent, ())
-            parent_groups = max(1, len(topmost_teams(h, {self._node[c].team for c in kids})))
-        else:
-            groups = (self._first_children[x],) if self._first_children[x] else ()
-            allowed, parent_groups = ([outgoing] if outgoing else []), 1
-        teams = tuple((sum((1.0 - t.mu) * t.pi for t in edges),
-                       tuple((t.dst, 1.0 - t.mu, t.pi) for t in edges)) for edges in allowed)
-        eta = sum(e for e, _ in teams) / len(teams) if teams else 0.0
-        leaf_hazard = None if self._children[x] else hazard(node.rate)
-        table = NodeStep(groups, teams, eta, node.parent, parent_groups, leaf_hazard)
-        self._steps[x] = table
-        return table
+        groups = self._groups.get(x)
+        if groups is None:
+            first, node = self._first_children[x], self._node
+            if not first:
+                groups = ()
+            elif self.team_mode:
+                tops = topmost_teams(self.team_hierarchy, {node[c].team for c in first})
+                groups = tuple(tuple(c for c in first if node[c].team == team)
+                               for team in sorted(tops))
+            else:
+                groups = (first,)
+            self._groups[x] = groups  # idempotent: equal tuples
+        return groups
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """Strip team restrictions for the per-agent recognizer baseline.

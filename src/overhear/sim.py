@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, _first_child_groups, hazard, is_allowed
+from .model import TERMINATE, TeamOrientedProgram, hazard, is_allowed
 
 MU_SAMPLED = "MU_SAMPLED"
 ALWAYS = "ALWAYS"
@@ -294,9 +294,9 @@ class _TeamRun:
 
     def _spawn(self, plan: str, group: _Group | None) -> "_Active":
         node = _Active(plan, group)
-        for team, members in _first_child_groups(self.p, plan):
-            g = _Group(team, node)
-            child = self.rng.choice(sorted(members))
+        for members in self.p.first_child_groups(plan):  # each sorted, one team
+            g = _Group(self.p.node(members[0]).team, node)
+            child = self.rng.choice(members)
             g.current = self._spawn(child, g)
             node.groups.append(g)
         return node
@@ -425,12 +425,17 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
     """Run the program for cfg.ticks ticks.
 
     Returns the ground-truth trace (state at the start of every tick) and
-    the overheard message log, both fully determined by cfg.seed.
+    the overheard message log, both fully determined by cfg.seed.  A
+    team-mode run needs a program loaded in team mode (``SimulationError``).
     """
     h = p.team_hierarchy
     agents = h.agent_names
     if not agents:
         raise SimulationError("program has no agents to simulate")
+    if cfg.team_mode and not p.team_mode:
+        # a team run forks into the program's parallel groups, and only a
+        # team-mode program groups first children by team
+        raise SimulationError("team-mode simulation needs a program loaded in team mode")
     steps: list[dict[str, tuple[tuple[str, ...], bool]]] = []
     messages: list[ObservedMessage] = []
     count = [0]

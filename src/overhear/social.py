@@ -78,13 +78,12 @@ def learn_comm_model(messages, model: CommModel | None = None,
                      base.confidence if confidence is None else confidence)
 
 
-def apply_comm_model(p: TeamOrientedProgram, model: CommModel,
-                     default_mu: float = DEFAULT_UNPREDICTED_MU) -> TeamOrientedProgram:
+def apply_comm_model(p: TeamOrientedProgram, model: CommModel) -> TeamOrientedProgram:
     """Rewrite transition announcement probabilities from learned rules.
 
     Every transition entering a plan with an INIT rule, or leaving a plan
     with a TERM rule, is expected to be announced with the model's
-    confidence; all other transitions fall back to ``default_mu``.
+    confidence; all other transitions fall back to ``DEFAULT_UNPREDICTED_MU``.
     Completion edges stay silent (mu 0): programs never announce TERMINATE
     itself, only the transition out of the finished plan.
     """
@@ -97,7 +96,7 @@ def apply_comm_model(p: TeamOrientedProgram, model: CommModel,
             continue
         predicted = (model.predicts(p.node(t.src).name, TERM)
                      or model.predicts(p.node(t.dst).name, INIT))
-        mu = model.confidence if predicted else default_mu
+        mu = model.confidence if predicted else DEFAULT_UNPREDICTED_MU
         rewritten.append(TemporalTransition(t.src, t.dst, t.pi, mu, t.teams))
     return TeamOrientedProgram(p.plans, tuple(rewritten), p.team_hierarchy, p.root,
                                team_mode=p.team_mode)

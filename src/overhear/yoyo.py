@@ -56,11 +56,8 @@ def scale(parent: str, team: str, child: str, b: BeliefState, prior: BeliefState
                 b.blocked[y] += (prior.blocked[y] / denom) * new_parent
             else:
                 # No prior shape to preserve: spread the parent's new mass
-                # evenly over this node's first-child group.
-                node = p.node(y)
-                if node.is_first_child:
-                    group = [c for c in p.first_children(par)
-                             if p.node(c).team == node.team]
+                # evenly over the first-child group that holds this node.
+                for group in p.first_child_groups(par):
                     if y in group:
                         b.active[y] += new_parent / len(group)
             updated.add(y)

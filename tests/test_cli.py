@@ -189,6 +189,19 @@ def test_evaluate_rejects_trace_without_program_agents(tmp_path, capsys, mode):
     assert "truth trace has no state for agent 'escort1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delay", ["-1", "-200"])
+def test_evaluate_rejects_negative_delay(tmp_path, capsys, delay):
+    # -1 would score the state before each message and -200 ran off the trace
+    trace_path, log_path = _simulate(tmp_path / "run")
+    rc = run_command(["evaluate", "--program", TEAM, "--team-mode", "--delay", delay,
+                      "--log", str(log_path), "--truth", str(trace_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("overhear evaluate: error: checkpoint delay must be "
+                            f"nonnegative, got {delay}\n")
+
+
 def test_recognize_rejects_bad_comm_model(tmp_path, capsys):
     _, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"

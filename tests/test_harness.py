@@ -161,6 +161,8 @@ def test_evaluate_run_validates_options(evac_team):
         evaluate_run(evac_team, trace, log, mode="exact")
     with pytest.raises(MonitoringError, match="coherent"):
         evaluate_run(evac_team, trace, log, mode="yoyo", coherent=False)
+    with pytest.raises(MonitoringError, match="delay must be nonnegative, got -1"):
+        evaluate_run(evac_team, trace, log, delay=-1)
 
 
 def test_evaluate_run_report_shape(evac_team):
@@ -260,6 +262,8 @@ def test_bench_scalability_layout_sizes(evac_team):
     np_ = len(evac_team.node_ids)
     teams = len(evac_team.team_hierarchy.teams)
     for row, n in zip(rows, [4, 5, 6]):
+        assert set(row) == {"agents", "array_nodes", "yoyo_nodes", "array_visits",
+                            "yoyo_visits"}
         assert row["agents"] == n
         assert row["array_nodes"] == n * nv
         assert row["yoyo_nodes"] == np_ + teams + n

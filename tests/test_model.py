@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from overhear.model import (ProgramError, TERMINATE, is_allowed, load_program,
+from overhear.model import (ProgramError, TERMINATE, hazard, is_allowed, load_program,
                             program_from_document, program_to_document,
                             serialize_program, topmost_teams)
 from overhear.progen import grow_team, random_program, team_program
@@ -217,7 +217,7 @@ def test_nan_lambda_rejected():
         load_program(text)
     assert str(err.value) == "lambda must be a nonnegative number [plan 'b']"
     p = load_program(json.dumps(_mini_doc()).replace('"lambda": 0.1', '"lambda": Infinity'))
-    assert p.step_table("b").hazard == 1.0
+    assert hazard(p.node("b").rate) == 1.0
 
 
 def test_temporal_cycles_are_legal():
@@ -278,3 +278,18 @@ def test_structure_tables_match_definitions(p):
         assert p.path_to(x) == path
         assert p.ancestors(x) == tuple(reversed(path[:-1]))
         assert p.name_path(x) == tuple(p.node(y).name for y in path)
+    for q in (p, p.single_agent_view()):
+        for x in q.node_ids:
+            assert q.first_child_groups(x) == _brute_groups(q, x)
+
+
+def _brute_groups(p, x):
+    first = [c for c in p.node_ids if p.node(c).parent == x and p.node(c).is_first_child]
+    if not first:
+        return ()
+    if not p.team_mode:
+        return (tuple(first),)
+    h = p.team_hierarchy
+    owners = {p.node(c).team for c in first}
+    tops = [t for t in owners if not any(u in _brute_chain(h, t)[1:] for u in owners)]
+    return tuple(tuple(c for c in first if p.node(c).team == t) for t in sorted(tops))

@@ -33,6 +33,18 @@ def test_config_validation():
         SimConfig(send_prob=1.5)
 
 
+def test_team_mode_needs_team_program(evac_team, evac_mini_single):
+    # a program loaded without team mode has one group of all first
+    # children, so it cannot drive a team run
+    with pytest.raises(SimulationError, match="program loaded in team mode"):
+        simulate(evac_mini_single, SimConfig(seed=1, ticks=10, team_mode=True))
+    single = evac_team.single_agent_view()
+    with pytest.raises(SimulationError, match="program loaded in team mode"):
+        simulate(single, SimConfig(seed=1, ticks=10, team_mode=True))
+    trace, _ = simulate(single, SimConfig(seed=1, ticks=10))
+    assert trace.ticks == 10
+
+
 def test_determinism(evac_team):
     cfg = SimConfig(seed=11, ticks=250, team_mode=True, send_prob=0.4)
     t1, l1 = simulate(evac_team, cfg)

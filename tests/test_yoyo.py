@@ -288,12 +288,12 @@ def test_quiet_tick_visits_bounded():
     assert counter.visits == 10 * len(tp.node_ids)
 
 
-def test_quiet_ticks_reuse_step_tables(monkeypatch):
-    # one warm-up tick and one query per unit fill every node's step table,
-    # compile each program's forward kernel once and build the hierarchy,
-    # path and team-leaf tables; 50 more quiet ticks, each queried for every
-    # unit, in either layout must neither recompute team structure, compile
-    # again nor rebuild a table
+def test_quiet_ticks_reuse_groups_and_kernels(monkeypatch):
+    # one warm-up tick and one query per unit fill the first-child groups the
+    # engine needs, compile each program's forward kernel once and build the
+    # hierarchy, path and team-leaf tables; 50 more quiet ticks, each queried
+    # for every unit, in either layout must neither regroup first children,
+    # compile again nor rebuild a table
     tp = team_program(0)
     recognizers = [make_recognizer(tp, "yoyo"), make_recognizer(tp, "array"),
                    make_recognizer(tp, "array", coherent=True)]
@@ -306,8 +306,10 @@ def test_quiet_ticks_reuse_step_tables(monkeypatch):
     for rec in recognizers:
         rec.step([])
         warm.append(query(rec))
-    kernels = [tp._forward] + [rec.view._forward for rec in recognizers[1:]]
+    programs = [tp] + [rec.view for rec in recognizers[1:]]
+    kernels = [q._forward for q in programs]
     assert all(kernels)
+    groups = [dict(q._groups) for q in programs]
 
     def recomputed(*args):
         raise AssertionError("team structure recomputed during a quiet tick")
@@ -318,8 +320,10 @@ def test_quiet_ticks_reuse_step_tables(monkeypatch):
     def rebuilt(*args):
         raise AssertionError("structure table rebuilt by a query")
 
+    # the group builder's and the compiler's helpers
     monkeypatch.setattr(model, "topmost_teams", recomputed)
-    monkeypatch.setattr(model, "_first_child_groups", recomputed)
+    monkeypatch.setattr(belief, "topmost_teams", recomputed)
+    monkeypatch.setattr(belief, "is_allowed", recomputed)
     monkeypatch.setattr(belief, "_compile_forward", recompiled)
     monkeypatch.setattr(model, "_team_tables", rebuilt)
     monkeypatch.setattr(model, "_root_path_tables", rebuilt)
@@ -333,4 +337,52 @@ def test_quiet_ticks_reuse_step_tables(monkeypatch):
             assert all(path[0] == "mission" for path in paths.values())
         beliefs = 1 if rec is recognizers[0] else len(rec.agents)
         assert counter.visits == 50 * len(tp.node_ids) * beliefs
-    assert [tp._forward] + [rec.view._forward for rec in recognizers[1:]] == kernels
+    assert [q._forward for q in programs] == kernels
+    assert [q._groups for q in programs] == groups
+
+
+def _leak_doc():
+    """A phase whose first children run in two teams, with a third team's
+    non-first child among its children."""
+    teams = ["A", "B", "C"]
+    return {
+        "teams": [{"name": "T", "parent": None}]
+                 + [{"name": t, "parent": "T"} for t in teams],
+        "agents": [{"name": t.lower() + "1", "team": t} for t in teams],
+        "root": "mission",
+        "plans": [
+            {"id": "mission", "name": "mission", "team": "T"},
+            {"id": "phase", "name": "phase", "team": "T", "parent": "mission",
+             "first_child": True},
+            {"id": "a-step", "name": "a-step", "team": "A", "parent": "phase",
+             "first_child": True, "lambda": 0.5},
+            {"id": "b-step", "name": "b-step", "team": "B", "parent": "phase",
+             "first_child": True, "lambda": 0.5},
+            {"id": "c-step", "name": "c-step", "team": "C", "parent": "phase",
+             "lambda": 0.5},
+        ],
+        "transitions": [
+            {"from": "a-step", "to": "c-step", "pi": 1.0, "mu": 0.0, "teams": ["A"]},
+            {"from": "c-step", "to": "TERMINATE", "pi": 1.0, "mu": 0.0, "teams": ["C"]},
+            {"from": "b-step", "to": "TERMINATE", "pi": 1.0, "mu": 0.0, "teams": ["B"]},
+            {"from": "phase", "to": "TERMINATE", "pi": 1.0, "mu": 0.0, "teams": ["T"]},
+        ],
+    }
+
+
+def test_terminate_flow_divides_by_first_child_groups():
+    # mass enters phase's two first-child groups, so each group's TERMINATE
+    # must return half of it; a third, from the three teams among all of
+    # phase's children, would lose a third of the mission
+    tp = program_from_document(_leak_doc(), team_mode=True)
+    shared = make_recognizer(tp, "yoyo")
+    array = make_recognizer(tp, "array")
+    for _ in range(200):
+        shared.step([])
+        array.step([])
+    internal = [x for x in tp.node_ids if not tp.is_leaf(x)]
+    for b in [shared.belief] + list(array.beliefs.values()):
+        assert b.blocked["mission"] == pytest.approx(1.0, abs=1e-9)
+        assert all(b.active[x] == pytest.approx(0.0, abs=1e-9) for x in internal)
+    assert {u: shared.path(u) for u in shared.teams} == {u: array.path(u) for u in array.teams}
+    assert tp.first_child_groups("phase") == (("a-step",), ("b-step",))
