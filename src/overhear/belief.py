@@ -12,8 +12,9 @@ Mass entering a node is copied into each of its first-child groups
 group is one parallel subteam, which makes the quiet tick of the shared
 (yoyo) layout; otherwise there is one group, and the step is the
 single-agent engine that the array layout runs once per agent.  It runs as
-a kernel compiled once per program into one straight-line Python function
-over local variables (``_compile_forward``).
+the program's compiled kernel (``TeamOrientedProgram.forward``), one
+straight-line Python function over local variables; this module only calls
+it and never writes to a program.
 
 States are value objects; the update functions return fresh states and never
 mutate their input, so recognizer arrays can be stepped from worker threads
@@ -23,10 +24,9 @@ as long as each agent's state is owned by one worker at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, hazard, is_allowed, topmost_teams
+from .model import TERMINATE, TeamOrientedProgram
 
 # Evidence posteriors below the floor are truncated to zero to stop dead
 # hypotheses from drifting along indefinitely.
@@ -159,89 +159,6 @@ def _commit_evidence(scratch: dict[str, float], time: int,
     return nxt
 
 
-def _compile_forward(p: TeamOrientedProgram):
-    """p's forward step as one function of the prior (active, blocked) dicts.
-
-    The generator walks the program in postorder and writes one
-    straight-line statement per update, over locals ``a<i>`` and ``b<i>``
-    (node i's next active and blocked mass, starting from the prior's) and
-    ``o<i>`` (the mass node i sheds).  Every float operation is the one the
-    step has always made, in the same order, so exact ties between leaves
-    break as they always have.  Leaf hazards read the prior state, so they
-    all come first.  Each topmost team acting on a node's edges (one team
-    outside team mode) sends the node's full shed mass along its own edges;
-    a TERMINATE edge divides it among the parent's groups.  Updates that
-    are always zero are left out: teams with ``eta <= 0``, edges with a
-    factor of exactly 0, and nodes that never shed (a leaf with hazard 0, an
-    internal node no TERMINATE edge feeds), since adding 0.0 leaves a finite
-    mass unchanged.  Factors of exactly 1 and splits into one share are not
-    written either, as they change no bit.  Every inlined constant is
-    finite, so ``repr`` writes it exactly.
-    """
-    ids, h = p.node_ids, p.team_hierarchy
-    n = {x: i for i, x in enumerate(ids)}
-    body: list[str] = []
-    sheds: set[str] = set()
-    for x in p.leaves:
-        rate = hazard(p.node(x).rate)
-        if rate:
-            body.append(f"o{n[x]} = a{n[x]} * {rate!r}")
-            sheds.add(x)
-
-    def down(x: str, rho: str, depth: int):  # propagate_down, unrolled
-        for group in p.first_child_groups(x):
-            share = rho
-            if len(group) > 1:
-                share = f"s{depth}"
-                body.append(f"{share} = {rho} / {len(group)}")
-            for c in group:
-                body.append(f"a{n[c]} += {share}")
-                down(c, share, depth + 1)
-
-    for x in p.postorder:
-        if x not in sheds:
-            continue
-        i, parent, outgoing = n[x], p.node(x).parent, p.out_transitions(x)
-        if p.team_mode:
-            acting = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
-            teams = [[t for t in outgoing if is_allowed(t, team, h)] for team in acting]
-        else:
-            teams = [outgoing] if outgoing else []
-        etas = [sum((1.0 - t.mu) * t.pi for t in edges) for edges in teams]
-        for eta, edges in zip(etas, teams):
-            if eta <= 0.0:
-                continue
-            for t in edges:
-                silent = 1.0 - t.mu
-                if silent == 0.0 or t.pi == 0.0:
-                    continue
-                factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
-                body.append(f"r = o{i}{factors}")
-                if t.dst != TERMINATE:
-                    body.append(f"a{n[t.dst]} += r")
-                    down(t.dst, "r", 0)
-                elif parent is None:
-                    body.append(f"b{i} += r")  # program complete
-                else:
-                    groups = len(p.first_child_groups(parent))
-                    flow = "r" if groups == 1 else f"r / {groups}"
-                    body.append(f"o{n[parent]} {'+=' if parent in sheds else '='} {flow}")
-                    sheds.add(parent)
-        keep = 1.0 - (sum(etas) / len(etas) if etas else 0.0)
-        if keep != 0.0:
-            body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
-        body.append(f"a{i} -= o{i}")
-    a = ", ".join(f"a{i}" for i in range(len(ids)))
-    b = ", ".join(f"b{i}" for i in range(len(ids)))
-    a_out = ", ".join(f"{x!r}: a{i}" for x, i in n.items())
-    b_out = ", ".join(f"{x!r}: b{i}" for x, i in n.items())
-    src = "\n    ".join(["def forward(A, B):", f"{a} = get(A)", f"{b} = get(B)", *body,
-                         f"return {{{a_out}}}, {{{b_out}}}"])
-    scope = {"get": itemgetter(*ids)}
-    exec(compile(src, f"<forward step of {p.root!r}>", "exec"), scope)
-    return scope["forward"]
-
-
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
                       counter: VisitCounter | None = None) -> BeliefState:
     """Advance one tick with no observation.
@@ -252,16 +169,12 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     the mean proportion that does, and climbs to the parent along TERMINATE
     edges.  The map is linear; with one team it conserves leaf-active plus
     blocked mass as long as no TERMINATE edge leaves the root's own children.
-    The step runs as p's compiled kernel (``_compile_forward``), built on the
-    first call and kept on the program; it visits every node once.
+    The step runs as p's compiled kernel (``TeamOrientedProgram.forward``);
+    it visits every node once.
     """
     if counter is not None:
         counter.visit(len(p.postorder))
-    kernel = p._forward
-    if kernel is None:
-        kernel = _compile_forward(p)
-        object.__setattr__(p, "_forward", kernel)  # idempotent: equal kernels
-    active, blocked = kernel(b.active, b.blocked)
+    active, blocked = p.forward(b.active, b.blocked)
     nxt = BeliefState(b.time + 1, active, blocked)
     _clamp(nxt)
     return nxt

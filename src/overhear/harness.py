@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
-                     _prune_redundant_ancestors, apply_messages, hazard, init_beliefs,
-                     propagate_forward)
+                     _prune_redundant_ancestors, apply_messages, init_beliefs, propagate_forward)
 from .ingest import INIT, TERM, ObservedMessage, messages_by_tick
-from .model import TERMINATE, TeamOrientedProgram
+from .model import TERMINATE, TeamOrientedProgram, hazard
 from .recognizer import MODES, make_recognizer
 from .sim import GroundTruthTrace, checkpoints as truth_checkpoints
 from .social import CommModel, apply_comm_model, learn_comm_model

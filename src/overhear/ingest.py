@@ -165,6 +165,21 @@ def parse_kqml_record(block: str, *, epoch: float | None = None,
     payload.
     """
     stamp, fields = _parse_kqml_fields(block)
+    return _kqml_message(stamp, fields, stamp if epoch is None else epoch, tick_seconds)
+
+
+def _first_word(fields: dict[str, str], key: str, default: str | None = None) -> str:
+    value = fields.get(key, default)
+    if value is None:
+        raise IngestError(f"record has no :{key} field")
+    words = value.split()
+    if not words:
+        raise IngestError(f"record has an empty :{key} field")
+    return words[0]
+
+
+def _kqml_message(stamp: float, fields: dict[str, str], epoch: float,
+                  tick_seconds: float) -> ObservedMessage:
     if "content" not in fields:
         raise IngestError("record has no :content field")
     tokens = fields["content"].split()
@@ -179,12 +194,9 @@ def parse_kqml_record(block: str, *, epoch: float | None = None,
     if not rest:
         raise IngestError(f"content {fields['content']!r} carries no plan name")
     plan, extra = rest[0], " ".join(rest[1:])
-    sender = fields.get("sender", tokens[0]).split()[0]
-    if "team" not in fields:
-        raise IngestError("record has no :team field")
-    team = fields["team"].split()[0]
-    base = stamp if epoch is None else epoch
-    tick = int((stamp - base) / tick_seconds)
+    sender = _first_word(fields, "sender", tokens[0])
+    team = _first_word(fields, "team")
+    tick = int((stamp - epoch) / tick_seconds)
     return ObservedMessage(tick, sender, team, _VERB_KIND[verb], plan, extra=extra)
 
 
@@ -196,11 +208,13 @@ def parse_kqml_log(text: str, *, tick_seconds: float = 1.0) -> list[ObservedMess
             blocks.append([raw])
         elif blocks and raw.strip():
             blocks[-1].append(raw)
-    if not blocks:
-        return []
-    first_stamp, _ = _parse_kqml_fields("\n".join(blocks[0]))
-    return [parse_kqml_record("\n".join(b), epoch=first_stamp, tick_seconds=tick_seconds)
-            for b in blocks]
+    messages: list[ObservedMessage] = []
+    epoch = None
+    for block in blocks:
+        stamp, fields = _parse_kqml_fields("\n".join(block))
+        epoch = stamp if epoch is None else epoch
+        messages.append(_kqml_message(stamp, fields, epoch, tick_seconds))
+    return messages
 
 
 # -- message loss ------------------------------------------------------------

@@ -3,31 +3,25 @@
 A program couples a plan hierarchy (a decomposition tree whose siblings are
 linked by probabilistic temporal transitions) with a team hierarchy (a tree of
 teams with agents at the leaf teams).  Programs are loaded from a JSON
-document, validated, and exposed with precomputed structural indexes so the
-recognizers never walk raw lists.
+document, validated, and exposed with structural indexes so the recognizers
+never walk raw lists.
 
-Tables built once, when an object is built:
+Every derived table of ``TeamHierarchy`` and ``TeamOrientedProgram`` is a
+``functools.cached_property``: built whole from the dataclass fields on first
+use, kept in the instance's ``__dict__`` and left out of equality, hashing
+and ``repr``.  The hierarchy's are the team -> parent, agent -> team,
+ancestor-or-self chain and members tables and the agent names.  The
+program's are node -> plan, children, first children, transitions out and
+in, plan name -> nodes, the sorted node ids, the postorder, the leaves,
+every node's root path, plan-name path and ancestors, each node's parallel
+first-child groups (``first_child_groups``, the one place that decides which
+subteams run in parallel), each team's candidate leaves (``leaves_by_team``)
+and the compiled forward step (``forward``).  No other module writes to a
+program.
 
-- ``TeamHierarchy``: team -> parent, agent -> team, the agent names, team ->
-  ancestor-or-self chain (``ancestors_or_self``, ``covers``) and team ->
-  members (``members``);
-- ``TeamOrientedProgram``: node -> plan, children, first children, transitions
-  out and in, plan name -> nodes, the sorted node ids, the postorder and the
-  leaves.
-
-Tables filled on first use and then kept on the program:
-
-- each node's parallel first-child groups (``first_child_groups``), the one
-  place that decides which subteams run in parallel: the belief engine, its
-  compiled forward step, the yoyo rescale and the team simulator all read it;
-- the program's compiled forward step (``belief.propagate_forward``);
-- every node's root path (``path_to``), plan-name path (``name_path``) and
-  strict ancestors (``ancestors``), all three built together;
-- each team's candidate leaves (``yoyo.team_leaves``), per team.
-
-Filling is idempotent: two threads that race build equal tables and
-kernels, so instances are safe to share across threads.  Mutable run state
-lives in the belief containers, not here.
+A table is a pure function of the fields, so two threads racing on its first
+use build equal tables, and instances are safe to share across threads.
+Mutable run state lives in the belief containers, not here.
 """
 
 from __future__ import annotations
@@ -35,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 TERMINATE = "TERMINATE"
 
@@ -86,33 +82,44 @@ class TemporalTransition:
 
 @dataclass(frozen=True)
 class TeamHierarchy:
-    """Tree of teams plus the agent -> leaf-team assignment.
-
-    The team -> ancestor chain and team -> members tables are built once,
-    with the hierarchy; every query reads them.
-    """
+    """Tree of teams plus the agent -> leaf-team assignment."""
 
     teams: tuple[tuple[str, str | None], ...]  # (team, parent) sorted by team
     agents: tuple[tuple[str, str], ...]        # (agent, team) sorted by agent
 
-    _parent: dict = field(default_factory=dict, compare=False, repr=False)
-    _agent_team: dict = field(default_factory=dict, compare=False, repr=False)
-    _agent_names: tuple = field(default=(), compare=False, repr=False)
-    _chain: dict = field(default_factory=dict, compare=False, repr=False)
-    _members: dict = field(default_factory=dict, compare=False, repr=False)
+    @cached_property
+    def _parent(self) -> dict[str, str | None]:
+        return dict(self.teams)
 
-    def __post_init__(self):
-        parent = dict(self.teams)
-        chain, members = _team_tables(parent, self.agents)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_agent_team", dict(self.agents))
-        object.__setattr__(self, "_agent_names", tuple(a for a, _ in self.agents))
-        object.__setattr__(self, "_chain", chain)
-        object.__setattr__(self, "_members", members)
+    @cached_property
+    def _agent_team(self) -> dict[str, str]:
+        return dict(self.agents)
 
-    @property
+    @cached_property
     def agent_names(self) -> tuple[str, ...]:
-        return self._agent_names
+        return tuple(a for a, _ in self.agents)
+
+    @cached_property
+    def _chain(self) -> dict[str, tuple[str, ...]]:
+        """Each team's chain up to the root team, inclusive."""
+        chain: dict[str, tuple[str, ...]] = {}
+        for team in self._parent:
+            hops: list[str] = []
+            cur = team
+            while cur is not None:
+                hops.append(cur)
+                cur = self._parent[cur]
+            chain[team] = tuple(hops)
+        return chain
+
+    @cached_property
+    def _members(self) -> dict[str, tuple[str, ...]]:
+        """Each team's members; ``agents`` is sorted by name, so each tuple is too."""
+        members: dict[str, list[str]] = {}
+        for agent, team in self.agents:
+            for t in self._chain[team]:
+                members.setdefault(t, []).append(agent)
+        return {t: tuple(v) for t, v in members.items()}
 
     @property
     def size(self) -> int:
@@ -144,26 +151,6 @@ class TeamHierarchy:
         return self._members.get(team, ())
 
 
-def _team_tables(parent: dict, agents) -> tuple[dict, dict]:
-    """Each team's ancestor-or-self chain, and each team's members.
-
-    ``agents`` is sorted by name, so every member tuple is too.
-    """
-    chain: dict[str, tuple[str, ...]] = {}
-    for team in parent:
-        hops = []
-        cur = team
-        while cur is not None:
-            hops.append(cur)
-            cur = parent[cur]
-        chain[team] = tuple(hops)
-    members: dict[str, list[str]] = {}
-    for agent, team in agents:
-        for t in chain[team]:
-            members.setdefault(t, []).append(agent)
-    return chain, {t: tuple(v) for t, v in members.items()}
-
-
 def hazard(rate: float) -> float:
     """Per-tick termination probability of a leaf with the given rate."""
     return 1.0 - math.exp(-rate)
@@ -176,22 +163,6 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
         if not any(u != t and h.covers(u, t) for u in teams):
             chosen.add(t)
     return chosen
-
-
-def _root_path_tables(p: TeamOrientedProgram) -> tuple[dict, dict, dict]:
-    """Node -> root path, plan-name path and strict ancestors (parent first)."""
-    paths: dict[str, tuple[str, ...]] = {}
-    names: dict[str, tuple[str, ...]] = {}
-    ancestors: dict[str, tuple[str, ...]] = {}
-    for x in reversed(p.postorder):  # every parent before its children
-        node = p.node(x)
-        if node.parent is None:
-            paths[x], names[x], ancestors[x] = (x,), (node.name,), ()
-        else:
-            paths[x] = paths[node.parent] + (x,)
-            names[x] = names[node.parent] + (node.name,)
-            ancestors[x] = (node.parent,) + ancestors[node.parent]
-    return paths, names, ancestors
 
 
 def is_allowed(t: TemporalTransition, team: str, h: TeamHierarchy) -> bool:
@@ -210,74 +181,87 @@ class TeamOrientedProgram:
     root: str
     team_mode: bool = field(default=False, compare=False)
 
-    _node: dict = field(default_factory=dict, compare=False, repr=False)
-    _children: dict = field(default_factory=dict, compare=False, repr=False)
-    _first_children: dict = field(default_factory=dict, compare=False, repr=False)
-    _out: dict = field(default_factory=dict, compare=False, repr=False)
-    _into: dict = field(default_factory=dict, compare=False, repr=False)
-    _by_name: dict = field(default_factory=dict, compare=False, repr=False)
-    _node_ids: tuple = field(default=(), compare=False, repr=False)
-    _postorder: tuple = field(default=(), compare=False, repr=False)
-    _leaves: tuple = field(default=(), compare=False, repr=False)
-    _groups: dict = field(default_factory=dict, compare=False, repr=False)
-    _forward: object = field(default=None, compare=False, repr=False)
-    _paths: dict | None = field(default=None, compare=False, repr=False)
-    _name_paths: dict | None = field(default=None, compare=False, repr=False)
-    _ancestors: dict | None = field(default=None, compare=False, repr=False)
-    _team_leaves: dict = field(default_factory=dict, compare=False, repr=False)
+    # -- structure ---------------------------------------------------------
 
-    def __post_init__(self):
-        node = {n.id: n for n in self.plans}
-        children: dict[str, list[str]] = {i: [] for i in node}
+    @cached_property
+    def _node(self) -> dict[str, PlanNode]:
+        return {n.id: n for n in self.plans}
+
+    @cached_property
+    def _children(self) -> dict[str, tuple[str, ...]]:
+        children: dict[str, list[str]] = {x: [] for x in self._node}
         for n in self.plans:
             if n.parent is not None:
                 children[n.parent].append(n.id)
-        children = {k: sorted(v) for k, v in children.items()}
-        first = {k: tuple(c for c in v if node[c].is_first_child) for k, v in children.items()}
-        out: dict[str, list[TemporalTransition]] = {i: [] for i in node}
-        into: dict[str, list[TemporalTransition]] = {i: [] for i in node}
+        return {x: tuple(sorted(v)) for x, v in children.items()}
+
+    @cached_property
+    def _first_children(self) -> dict[str, tuple[str, ...]]:
+        node = self._node
+        return {x: tuple(c for c in kids if node[c].is_first_child)
+                for x, kids in self._children.items()}
+
+    @cached_property
+    def _out(self) -> dict[str, tuple[TemporalTransition, ...]]:
+        out: dict[str, list[TemporalTransition]] = {x: [] for x in self._node}
         for t in self.transitions:
             out[t.src].append(t)
+        return {x: tuple(v) for x, v in out.items()}
+
+    @cached_property
+    def _into(self) -> dict[str, tuple[TemporalTransition, ...]]:
+        into: dict[str, list[TemporalTransition]] = {x: [] for x in self._node}
+        for t in self.transitions:
             if t.dst != TERMINATE:
                 into[t.dst].append(t)
+        return {x: tuple(v) for x, v in into.items()}
+
+    @cached_property
+    def _by_name(self) -> dict[str, tuple[str, ...]]:
         by_name: dict[str, list[str]] = {}
         for n in self.plans:
             by_name.setdefault(n.name, []).append(n.id)
+        return {k: tuple(sorted(v)) for k, v in by_name.items()}
+
+    @cached_property
+    def node_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self._node))
+
+    @cached_property
+    def leaves(self) -> tuple[str, ...]:
+        return tuple(x for x in self.node_ids if not self._children[x])
+
+    @cached_property
+    def postorder(self) -> tuple[str, ...]:
+        """Every node id with children listed before their parent."""
         post: list[str] = []
 
         def walk(x: str):
-            for c in children[x]:
+            for c in self._children[x]:
                 walk(c)
             post.append(x)
 
         walk(self.root)
-        object.__setattr__(self, "_node", node)
-        object.__setattr__(self, "_node_ids", tuple(sorted(node)))
-        object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
-        object.__setattr__(self, "_first_children", first)
-        object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
-        object.__setattr__(self, "_into", {k: tuple(v) for k, v in into.items()})
-        object.__setattr__(self, "_by_name", {k: tuple(sorted(v)) for k, v in by_name.items()})
-        object.__setattr__(self, "_postorder", tuple(post))
-        object.__setattr__(self, "_leaves", tuple(i for i in self._node_ids if not children[i]))
+        return tuple(post)
 
-    # -- structure ---------------------------------------------------------
+    @cached_property
+    def _paths(self) -> dict[str, tuple[str, ...]]:
+        paths: dict[str, tuple[str, ...]] = {}
+        for x in reversed(self.postorder):  # every parent before its children
+            parent = self._node[x].parent
+            paths[x] = (x,) if parent is None else paths[parent] + (x,)
+        return paths
+
+    @cached_property
+    def _name_paths(self) -> dict[str, tuple[str, ...]]:
+        return {x: self.path_names(path) for x, path in self._paths.items()}
+
+    @cached_property
+    def _ancestors(self) -> dict[str, tuple[str, ...]]:
+        return {x: path[-2::-1] for x, path in self._paths.items()}  # parent first
 
     def node(self, node_id: str) -> PlanNode:
         return self._node[node_id]
-
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return self._node_ids
-
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        return self._leaves
-
-    @property
-    def postorder(self) -> tuple[str, ...]:
-        """Every node id with children listed before their parent."""
-        return self._postorder
 
     def children(self, node_id: str) -> tuple[str, ...]:
         return self._children[node_id]
@@ -299,32 +283,39 @@ class TeamOrientedProgram:
 
     def ancestors(self, node_id: str) -> tuple[str, ...]:
         """Strict ancestors from parent up to the root."""
-        if self._ancestors is None:
-            self._fill_root_paths()
         return self._ancestors[node_id]
 
     def path_to(self, node_id: str) -> tuple[str, ...]:
         """Node ids from the root down to ``node_id`` inclusive."""
-        if self._paths is None:
-            self._fill_root_paths()
         return self._paths[node_id]
 
     def name_path(self, node_id: str) -> tuple[str, ...]:
         """Plan names from the root down to ``node_id`` inclusive."""
-        if self._name_paths is None:
-            self._fill_root_paths()
         return self._name_paths[node_id]
 
     def path_names(self, path) -> tuple[str, ...]:
         return tuple([self._node[x].name for x in path])
 
-    def _fill_root_paths(self):
-        """Every node's root path, plan-name path and ancestors, on first use."""
-        paths, names, ancestors = _root_path_tables(self)
-        # idempotent: a racing thread writes equal tables
-        object.__setattr__(self, "_paths", paths)
-        object.__setattr__(self, "_name_paths", names)
-        object.__setattr__(self, "_ancestors", ancestors)
+    @cached_property
+    def leaves_by_team(self) -> dict[str, tuple[str, ...]]:
+        """Each team's candidate leaves: those it or an ancestor team owns, else every leaf."""
+        chain = self.team_hierarchy.ancestors_or_self
+        return {team: tuple(x for x in self.leaves if self._node[x].team in chain(team))
+                or self.leaves for team, _ in self.team_hierarchy.teams}
+
+    # -- the forward step --------------------------------------------------
+
+    @cached_property
+    def _first_child_groups(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        node, groups = self._node, {}
+        for x, first in self._first_children.items():
+            if first and self.team_mode:
+                tops = topmost_teams(self.team_hierarchy, {node[c].team for c in first})
+                groups[x] = tuple(tuple(c for c in first if node[c].team == team)
+                                  for team in sorted(tops))
+            else:
+                groups[x] = (first,) if first else ()
+        return groups
 
     def first_child_groups(self, x: str) -> tuple[tuple[str, ...], ...]:
         """x's first children, one member tuple per parallel group.
@@ -332,22 +323,92 @@ class TeamOrientedProgram:
         In team mode each topmost team among the first children's owners is
         one group, in team order, holding the first children that team owns;
         a first child of a team nested under another group's team is in no
-        group.  Otherwise all first children form one group.  Built on x's
-        first query and kept on the program.
+        group.  Otherwise all first children form one group.
         """
-        groups = self._groups.get(x)
-        if groups is None:
-            first, node = self._first_children[x], self._node
-            if not first:
-                groups = ()
-            elif self.team_mode:
-                tops = topmost_teams(self.team_hierarchy, {node[c].team for c in first})
-                groups = tuple(tuple(c for c in first if node[c].team == team)
-                               for team in sorted(tops))
+        return self._first_child_groups[x]
+
+    @cached_property
+    def forward(self):
+        """The forward step as one function of the prior (active, blocked) dicts.
+
+        The generator walks the program in postorder and writes one
+        straight-line statement per update, over locals ``a<i>`` and ``b<i>``
+        (node i's next active and blocked mass, starting from the prior's) and
+        ``o<i>`` (the mass node i sheds).  Every float operation is the one the
+        step has always made, in the same order, so exact ties between leaves
+        break as they always have.  Leaf hazards read the prior state, so they
+        all come first.  Each topmost team acting on a node's edges (one team
+        outside team mode) sends the node's full shed mass along its own edges;
+        a TERMINATE edge divides it among the parent's groups.  Updates that
+        are always zero are left out: teams with ``eta <= 0``, edges with a
+        factor of exactly 0, and nodes that never shed (a leaf with hazard 0, an
+        internal node no TERMINATE edge feeds), since adding 0.0 leaves a finite
+        mass unchanged.  Factors of exactly 1 and splits into one share are not
+        written either, as they change no bit.  Every inlined constant is
+        finite, so ``repr`` writes it exactly.
+        """
+        ids, h = self.node_ids, self.team_hierarchy
+        n = {x: i for i, x in enumerate(ids)}
+        body: list[str] = []
+        sheds: set[str] = set()
+        for x in self.leaves:
+            rate = hazard(self.node(x).rate)
+            if rate:
+                body.append(f"o{n[x]} = a{n[x]} * {rate!r}")
+                sheds.add(x)
+
+        def down(x: str, rho: str, depth: int):  # propagate_down, unrolled
+            for group in self.first_child_groups(x):
+                share = rho
+                if len(group) > 1:
+                    share = f"s{depth}"
+                    body.append(f"{share} = {rho} / {len(group)}")
+                for c in group:
+                    body.append(f"a{n[c]} += {share}")
+                    down(c, share, depth + 1)
+
+        for x in self.postorder:
+            if x not in sheds:
+                continue
+            i, parent, outgoing = n[x], self.node(x).parent, self.out_transitions(x)
+            if self.team_mode:
+                acting = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
+                teams = [[t for t in outgoing if is_allowed(t, team, h)] for team in acting]
             else:
-                groups = (first,)
-            self._groups[x] = groups  # idempotent: equal tuples
-        return groups
+                teams = [outgoing] if outgoing else []
+            etas = [sum((1.0 - t.mu) * t.pi for t in edges) for edges in teams]
+            for eta, edges in zip(etas, teams):
+                if eta <= 0.0:
+                    continue
+                for t in edges:
+                    silent = 1.0 - t.mu
+                    if silent == 0.0 or t.pi == 0.0:
+                        continue
+                    factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
+                    body.append(f"r = o{i}{factors}")
+                    if t.dst != TERMINATE:
+                        body.append(f"a{n[t.dst]} += r")
+                        down(t.dst, "r", 0)
+                    elif parent is None:
+                        body.append(f"b{i} += r")  # program complete
+                    else:
+                        groups = len(self.first_child_groups(parent))
+                        flow = "r" if groups == 1 else f"r / {groups}"
+                        body.append(f"o{n[parent]} {'+=' if parent in sheds else '='} {flow}")
+                        sheds.add(parent)
+            keep = 1.0 - (sum(etas) / len(etas) if etas else 0.0)
+            if keep != 0.0:
+                body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
+            body.append(f"a{i} -= o{i}")
+        a = ", ".join(f"a{i}" for i in range(len(ids)))
+        b = ", ".join(f"b{i}" for i in range(len(ids)))
+        a_out = ", ".join(f"{x!r}: a{i}" for x, i in n.items())
+        b_out = ", ".join(f"{x!r}: b{i}" for x, i in n.items())
+        src = "\n    ".join(["def forward(A, B):", f"{a} = get(A)", f"{b} = get(B)", *body,
+                             f"return {{{a_out}}}, {{{b_out}}}"])
+        scope = {"get": itemgetter(*ids)}
+        exec(compile(src, f"<forward step of {self.root!r}>", "exec"), scope)
+        return scope["forward"]
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """Strip team restrictions for the per-agent recognizer baseline.

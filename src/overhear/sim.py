@@ -477,6 +477,8 @@ def state_changes(trace: GroundTruthTrace) -> int:
 def checkpoints(trace: GroundTruthTrace, messages, delay: int = 0
                 ) -> list[tuple[int, dict[str, tuple[tuple[str, ...], bool]]]]:
     """Exchange checkpoints: one per distinct message tick, plus a grace delay."""
+    if delay < 0:
+        raise SimulationError(f"checkpoint delay must be nonnegative, got {delay}")
     out = []
     for tick in sorted({m.tick for m in messages}):
         cp = min(tick + delay, trace.ticks - 1)

@@ -8,7 +8,9 @@ the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
 A quiet tick is ``belief.propagate_forward``, the engine both layouts share;
-this module holds the evidence and rescale steps.
+this module holds the evidence and rescale steps.  Like every program table,
+the team -> candidate-leaves table that most-likely queries read is built by
+the program itself (``TeamOrientedProgram.leaves_by_team``).
 """
 
 from __future__ import annotations
@@ -179,22 +181,11 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
 
 
 def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
-    """Leaves owned by ``team`` or an ancestor team, else every leaf.
-
-    Built on a team's first query and kept on the program.
-    """
-    leaves = p._team_leaves.get(team)
-    if leaves is None:
-        if not p.team_hierarchy.has_team(team):
-            raise MonitoringError(f"unknown unit '{team}'")
-        leaves = _collect_team_leaves(p, team)
-        p._team_leaves[team] = leaves  # idempotent: equal tuples
-    return leaves
-
-
-def _collect_team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
-    chain = p.team_hierarchy.ancestors_or_self(team)
-    return tuple(leaf for leaf in p.leaves if p.node(leaf).team in chain) or p.leaves
+    """Leaves owned by ``team`` or an ancestor team, else every leaf."""
+    try:
+        return p.leaves_by_team[team]
+    except KeyError:
+        raise MonitoringError(f"unknown unit '{team}'") from None
 
 
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple[str, ...]:

@@ -13,13 +13,13 @@ import time
 
 import numpy as np
 
-from overhear.belief import hazard, init_beliefs, propagate_forward
+from overhear.belief import init_beliefs, propagate_forward
 from overhear.cli import run_command
 from overhear.harness import (bench_scalability, engine_vector, evaluate_run,
                               exact_filter, hypothesis_count_curve, replay_single)
 from overhear.ingest import (INIT, TERM, ObservedMessage, apply_loss, format_log,
                              parse_kqml_log, parse_log)
-from overhear.model import program_from_document
+from overhear.model import hazard, program_from_document
 from overhear.progen import flatten_mu, random_program, team_program
 from overhear.sim import SimConfig, simulate
 from overhear.social import coherent_hypotheses, count_hypotheses, learn_comm_model

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from overhear.belief import (MonitoringError, VisitCounter, _evidence_scratch,
-                             apply_messages, array_overseer_tick, hazard, init_beliefs,
+                             apply_messages, array_overseer_tick, init_beliefs,
                              most_likely_state, propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
-from overhear.model import program_from_document
+from overhear.model import hazard, program_from_document
 from overhear.progen import random_program
 
 

@@ -1,7 +1,9 @@
-"""Property tests: program and trace loaders raise only their documented error
-types, and traces survive a text round trip."""
+"""Property tests: program, trace, log, KQML and communication-model loaders
+raise only their documented error types, and traces survive a text round
+trip."""
 
 import copy
+import pathlib
 import string
 
 import pytest
@@ -9,10 +11,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from overhear.ingest import IngestError, parse_kqml_log, parse_log
 from overhear.model import ProgramError, program_from_document, program_to_document
 from overhear.progen import team_program
 from overhear.sim import (GroundTruthTrace, SimulationError, format_trace,
                           parse_trace)
+from overhear.social import parse_comm_model
 
 _BASE = program_to_document(team_program(0))
 _NAMES = sorted({e["name"] for e in _BASE["teams"]} | {e["name"] for e in _BASE["agents"]}
@@ -83,32 +87,61 @@ def test_trace_text_round_trip(trace):
     assert parse_trace(format_trace(trace)) == trace
 
 
+# Values that loaders must reject or take in their stride: negative, huge and
+# non-numeric numbers, empty tokens, comment and separator characters, and
+# keywords of the formats in the wrong place.
+_ODD_TOKENS = ["-1", "x", "99999999999", "9" * 5000, "", "a/b!", "##", "nan", "1e999",
+               "INIT", "PLAN", ":team", "constant"]
+
+
 @st.composite
-def _mutated_trace_text(draw):
-    lines = format_trace(draw(_traces())).splitlines()
+def _mutated(draw, text: str) -> str:
+    """Up to three line edits of ``text``: drop, repeat, replace one token,
+    keep only the first token (so a ':field' line loses its value), or
+    replace the whole line."""
+    lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["drop", "repeat", "token", "line"]))
+        op = draw(st.sampled_from(["drop", "repeat", "token", "truncate", "line"]))
         if op == "drop":
             del lines[i]
         elif op == "repeat":
             lines.insert(i, lines[i])
         elif op == "token":
             parts = lines[i].split() or [""]
-            parts[draw(st.integers(0, len(parts) - 1))] = draw(
-                st.sampled_from(["-1", "x", "99999999999", "9" * 5000, "", "a/b!", "##"]))
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
             lines[i] = " ".join(parts)
+        elif op == "truncate":
+            lines[i] = " ".join(lines[i].split()[:1])
         else:
             lines[i] = draw(st.text(max_size=12))
-        if not lines:
-            break
     return "\n".join(lines)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_mutated_trace_text(), st.text(max_size=40)))
+@given(st.one_of(_traces().map(format_trace).flatmap(_mutated), st.text(max_size=40)))
 def test_fuzzed_trace_text_raises_only_simulation_error(text):
     try:
         parse_trace(text)
     except SimulationError:
+        pass
+
+
+_LOG = "0 a1 ALPHA INIT mission\n3 a1 ALPHA TERM scout  # comment\n\n3 b2 BRAVO INIT hold\n"
+_KQML = (pathlib.Path(__file__).parent / "data" / "sample_kqml.log").read_text()
+_COMM = "CONFIDENCE 0.9\nPLAN scout INIT\n# learned\nPLAN hold TERM\n"
+
+
+@pytest.mark.parametrize("parse,base", [(parse_log, _LOG), (parse_kqml_log, _KQML),
+                                        (parse_comm_model, _COMM)],
+                         ids=["parse_log", "parse_kqml_log", "parse_comm_model"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_message_loaders_raise_only_ingest_error(parse, base, data):
+    text = data.draw(st.one_of(_mutated(base), st.text(max_size=40)))
+    try:
+        parse(text)
+    except IngestError:
         pass

@@ -137,6 +137,18 @@ def test_kqml_missing_content():
                           "  :team X 1 kqml_word\n")
 
 
+@pytest.mark.parametrize("field", ["sender", "team"])
+def test_kqml_empty_sender_or_team_named(field):
+    # the field is there but holds no word to take as the name
+    fields = {"team": "X 1 kqml_word", "sender": "a1 2 kqml_word", field: ""}
+    record = ("Log Message Received; Fri Sep 17 18:27:54 1999:\n"
+              "  :content a1 establish-commitment p 1 kqml_string\n"
+              + "".join(f"  :{key} {value}\n" for key, value in fields.items()))
+    for parse in (parse_kqml_record, parse_kqml_log):
+        with pytest.raises(IngestError, match=f"empty :{field} field"):
+            parse(record)
+
+
 def _fuzz_corpus(n, seed=0):
     rng = random.Random(seed)
     pool = ["alpha", "b-2", "TEAM_auto2", "x.y", "determine-number-of-helos",

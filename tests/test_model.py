@@ -8,6 +8,7 @@ from overhear.model import (ProgramError, TERMINATE, hazard, is_allowed, load_pr
                             program_from_document, program_to_document,
                             serialize_program, topmost_teams)
 from overhear.progen import grow_team, random_program, team_program
+from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_leaves
 
 
@@ -293,3 +294,19 @@ def _brute_groups(p, x):
     owners = {p.node(c).team for c in first}
     tops = [t for t in owners if not any(u in _brute_chain(h, t)[1:] for u in owners)]
     return tuple(tuple(c for c in first if p.node(c).team == t) for t in sorted(tops))
+
+
+def test_warm_tables_leave_equality_and_hash_alone():
+    # derived tables are cached properties in the instance __dict__, outside
+    # the dataclass fields that equality, hashing and repr read
+    warm = team_program(0)
+    rec = make_recognizer(warm, "yoyo")
+    rec.step([])
+    {u: rec.path(u) for u in rec.teams}
+    fresh = load_program(serialize_program(warm), team_mode=True)
+    assert {"forward", "_name_paths", "leaves_by_team"} <= set(vars(warm))
+    assert "forward" not in vars(fresh)
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert "_chain" in vars(warm.team_hierarchy)
+    assert warm.team_hierarchy == fresh.team_hierarchy
+    assert hash(warm.team_hierarchy) == hash(fresh.team_hierarchy)

@@ -2,9 +2,8 @@ import statistics
 
 import pytest
 
-from overhear.belief import hazard
 from overhear.ingest import TERM
-from overhear.model import program_from_document
+from overhear.model import hazard, program_from_document
 from overhear.progen import team_program
 from overhear.sim import (ALWAYS, NEVER, SimConfig, SimulationError, checkpoints,
                           format_trace, parse_trace, simulate, state_changes)
@@ -199,6 +198,15 @@ def test_checkpoints_delay_and_clipping(evac_team):
         assert t1 == min(t0 + 1, trace.ticks - 1)
         assert s0 == trace.steps[t0]
         assert s1 == trace.steps[t1]
+
+
+@pytest.mark.parametrize("delay", [-1, -200])
+def test_checkpoints_reject_negative_delay(evac_team, delay):
+    # a checkpoint must not come before its message or before the trace
+    trace, log = simulate(evac_team, SimConfig(seed=7, ticks=120, team_mode=True))
+    assert log
+    with pytest.raises(SimulationError, match=f"delay must be nonnegative, got {delay}$"):
+        checkpoints(trace, log, delay)
 
 
 def test_message_rate_calibration():

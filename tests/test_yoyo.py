@@ -1,6 +1,5 @@
 import pytest
 
-from overhear import belief, model, yoyo
 from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
                              propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -288,12 +287,12 @@ def test_quiet_tick_visits_bounded():
     assert counter.visits == 10 * len(tp.node_ids)
 
 
-def test_quiet_ticks_reuse_groups_and_kernels(monkeypatch):
-    # one warm-up tick and one query per unit fill the first-child groups the
-    # engine needs, compile each program's forward kernel once and build the
-    # hierarchy, path and team-leaf tables; 50 more quiet ticks, each queried
-    # for every unit, in either layout must neither regroup first children,
-    # compile again nor rebuild a table
+def test_quiet_ticks_reuse_groups_and_kernels():
+    # every derived table is a cached property of the program or its team
+    # hierarchy, kept in the instance's __dict__; one warm-up tick and one
+    # query per unit build the groups, the forward kernel, the path and
+    # team-leaf tables, and 50 more queried quiet ticks in any layout must
+    # neither add a table nor replace one
     tp = team_program(0)
     recognizers = [make_recognizer(tp, "yoyo"), make_recognizer(tp, "array"),
                    make_recognizer(tp, "array", coherent=True)]
@@ -307,27 +306,11 @@ def test_quiet_ticks_reuse_groups_and_kernels(monkeypatch):
         rec.step([])
         warm.append(query(rec))
     programs = [tp] + [rec.view for rec in recognizers[1:]]
-    kernels = [q._forward for q in programs]
-    assert all(kernels)
-    groups = [dict(q._groups) for q in programs]
-
-    def recomputed(*args):
-        raise AssertionError("team structure recomputed during a quiet tick")
-
-    def recompiled(*args):
-        raise AssertionError("forward kernel compiled again during a quiet tick")
-
-    def rebuilt(*args):
-        raise AssertionError("structure table rebuilt by a query")
-
-    # the group builder's and the compiler's helpers
-    monkeypatch.setattr(model, "topmost_teams", recomputed)
-    monkeypatch.setattr(belief, "topmost_teams", recomputed)
-    monkeypatch.setattr(belief, "is_allowed", recomputed)
-    monkeypatch.setattr(belief, "_compile_forward", recompiled)
-    monkeypatch.setattr(model, "_team_tables", rebuilt)
-    monkeypatch.setattr(model, "_root_path_tables", rebuilt)
-    monkeypatch.setattr(yoyo, "_collect_team_leaves", rebuilt)
+    for q in programs:
+        assert {"forward", "_first_child_groups", "_paths", "_name_paths",
+                "leaves_by_team"} <= set(vars(q))
+    owners = [o for q in programs for o in (q, q.team_hierarchy)]
+    tables = [dict(vars(o)) for o in owners]
     for rec, first in zip(recognizers, warm):
         counter = VisitCounter()
         for _ in range(50):
@@ -337,8 +320,9 @@ def test_quiet_ticks_reuse_groups_and_kernels(monkeypatch):
             assert all(path[0] == "mission" for path in paths.values())
         beliefs = 1 if rec is recognizers[0] else len(rec.agents)
         assert counter.visits == 50 * len(tp.node_ids) * beliefs
-    assert [q._forward for q in programs] == kernels
-    assert [q._groups for q in programs] == groups
+    for o, before in zip(owners, tables):
+        assert vars(o).keys() == before.keys()
+        assert all(vars(o)[k] is v for k, v in before.items())
 
 
 def _leak_doc():
