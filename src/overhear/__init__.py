@@ -7,7 +7,7 @@ The package splits into:
 - belief: single-agent probabilistic recognizer (one belief array per agent)
 - social: coherence counting, role filters, learned communication models
 - yoyo: team recognizer sharing one plan hierarchy across the whole team
-- recognizer: one step/query interface over both recognizer layouts
+- recognizer: one interface and one monitor loop over both recognizer layouts
 - sim: seeded team simulator producing ground-truth traces and logs
 - harness: exact oracle, run scoring, hypothesis counting, scalability bench
 - progen: program generators for tests and experiments
@@ -18,7 +18,7 @@ error types; everything else is imported from its module.
 """
 
 from .model import ProgramError, load_program_path
-from .ingest import IngestError, messages_by_tick
+from .ingest import IngestError
 from .belief import MonitoringError
 from .social import learn_comm_model
 from .recognizer import make_recognizer
@@ -28,7 +28,7 @@ from .harness import evaluate_run
 __all__ = [
     "IngestError", "MonitoringError", "ProgramError", "SimConfig", "SimulationError",
     "evaluate_run", "learn_comm_model", "load_program_path", "make_recognizer",
-    "messages_by_tick", "simulate",
+    "simulate",
 ]
 
 __version__ = "0.1.0"

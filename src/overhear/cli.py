@@ -9,6 +9,11 @@ One binary, six subcommands:
     evaluate    score a recognizer against a ground-truth trace
     bench       recognizer scalability table across team sizes
 
+``recognize``, ``evaluate`` and ``bench`` drive the recognizer's one monitor
+loop (``replay``) and report on its ``units``.  ``recognize``'s line ``t`` and
+``evaluate``'s checkpoint at tick ``t`` read one belief, which has seen ticks
+``0..t``.
+
 Exit status: 0 on success, 1 on file or validation errors (diagnostic on
 stderr), 2 on bad flags (argparse usage text).  Identical arguments always
 produce byte-identical outputs.
@@ -22,7 +27,7 @@ import sys
 
 from .belief import MonitoringError
 from .harness import bench_scalability, evaluate_run, render_bench, render_report
-from .ingest import IngestError, apply_loss, format_log, messages_by_tick, parse_log
+from .ingest import IngestError, apply_loss, format_log, parse_log
 from .model import ProgramError, load_program_path
 from .progen import flatten_mu
 from .recognizer import make_recognizer
@@ -112,30 +117,22 @@ def _cmd_recognize(args) -> int:
     log = parse_log(_read(args.log))
     ticks = args.ticks if args.ticks is not None else (
         (max(m.tick for m in log) + 2) if log else _default_ticks())
-    by_tick = messages_by_tick(log)
     rec = make_recognizer(p, args.mode, args.coherent)
-    units = rec.teams if args.mode == "yoyo" else rec.agents
-    lines = []
-    for t in range(ticks):
-        rec.step(by_tick.get(t, ()))
-        for unit in units:
-            lines.append(f"{t} {unit} {'/'.join(rec.path(unit))}")
-    _emit("".join(line + "\n" for line in lines), args.out)
+    _emit("".join(f"{t} {unit} {'/'.join(rec.path(unit))}\n"
+                  for t in rec.replay(log, ticks) for unit in rec.units), args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     p = load_program_path(args.program, team_mode=args.team_mode)
-    rec = None
     if args.flat_mu is not None:
-        rec = flatten_mu(p, args.flat_mu)
+        p = flatten_mu(p, args.flat_mu)
     trace = parse_trace(_read(args.truth))
     log = parse_log(_read(args.log))
     if args.loss is not None:
         log = apply_loss(log, args.loss, args.loss_seed)
     report = evaluate_run(p, trace, log, mode=args.mode, coherent=args.coherent,
-                          comm_model=_load_comm(args),
-                          recognizer_program=rec, delay=args.delay)
+                          comm_model=_load_comm(args), delay=args.delay)
     _emit(render_report(report), args.out)
     return 0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
+from .belief import (BeliefState, MonitoringError, PROB_FLOOR,
                      _prune_redundant_ancestors, apply_messages, init_beliefs, propagate_forward)
 from .ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from .model import TERMINATE, TeamOrientedProgram, hazard
@@ -233,37 +233,29 @@ def score_run(hypotheses, truths, units=None) -> RunReport:
 
 # --- replay runners -----------------------------------------------------------
 
-def _team_truth(p: TeamOrientedProgram, step, team: str) -> tuple[str, ...]:
+def _unit_truth(p: TeamOrientedProgram, step, unit: str) -> tuple[str, ...]:
+    """An agent's true path, or the one path a team's members all share."""
     h = p.team_hierarchy
-    paths = {step[a][0] for a in h.members(team)}
+    paths = {step[a][0] for a in (h.members(unit) if h.has_team(unit) else (unit,))}
     if len(paths) != 1:
         raise MonitoringError(
-            f"members of '{team}' disagree in the ground truth; run is not coherent")
+            f"members of '{unit}' disagree in the ground truth; run is not coherent")
     return next(iter(paths))
-
-
-def _checkpoint_map(trace: GroundTruthTrace, messages, delay: int):
-    seen = {}
-    for tick, step in truth_checkpoints(trace, messages, delay):
-        seen.setdefault(tick, step)
-    return dict(sorted(seen.items()))
 
 
 def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
                  mode: str = "yoyo", coherent: bool | None = True,
                  comm_model: CommModel | None = None,
-                 recognizer_program: TeamOrientedProgram | None = None,
                  delay: int = 1, hypotheses_out: list | None = None) -> RunReport:
     """Replay a log against ground truth and score checkpoint hypotheses.
 
-    Coherent runs score each populated leaf team, others each agent;
-    ``coherent=None`` takes the layout's default (see ``make_recognizer``).
-    ``recognizer_program`` lets the monitor run on a degraded copy of the
-    program (e.g. flattened message probabilities) while truth comes from
-    the real one; ``comm_model`` rewrites its message probabilities first.
-    Each checkpoint lies ``delay`` ticks after its exchange.  A negative
-    delay, or a trace that lacks one of the program's agents, raises
-    ``MonitoringError``.
+    The recognizer's ``replay`` runs the log; each of its ``units`` is scored
+    at every checkpoint, ``delay`` ticks after an exchange.  ``coherent=None``
+    takes the layout's default (see ``make_recognizer``).  The recognizer
+    runs on ``p`` after ``comm_model`` rewrites its message probabilities;
+    truth reads only ``p``'s team hierarchy, so ``p`` may be a degraded copy
+    of the real program (e.g. ``flatten_mu``).  A negative delay, or a trace
+    that lacks one of the program's agents, raises ``MonitoringError``.
     """
     if delay < 0:
         raise MonitoringError(f"checkpoint delay must be nonnegative, got {delay}")
@@ -271,37 +263,28 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     for agent in p.team_hierarchy.agent_names:
         if agent not in traced:
             raise MonitoringError(f"truth trace has no state for agent '{agent}'")
-    rec = recognizer_program or p
     if comm_model is not None:
-        rec = apply_comm_model(rec, comm_model)
-    recognizer = make_recognizer(rec, mode, coherent)
-    coherent = recognizer.coherent
-    counter = VisitCounter()
-    cps = _checkpoint_map(trace, messages, delay)
-    by_tick = messages_by_tick(messages)
+        p = apply_comm_model(p, comm_model)
+    recognizer = make_recognizer(p, mode, coherent)
+    units = recognizer.units
+    cps = dict(truth_checkpoints(trace, messages, delay))
     last = max(cps) if cps else 0
-    units = recognizer.teams if coherent else recognizer.agents
 
     hypotheses = []
     truths = []
-    for t in range(1, last + 1):
-        recognizer.step(by_tick.get(t, []), counter)
+    for t in recognizer.replay(messages, last + 1):
         if t in cps:
             hypotheses.append({u: recognizer.path(u) for u in units})
-            if coherent:
-                truths.append({team: _team_truth(p, cps[t], team) for team in units})
-            else:
-                truths.append({a: cps[t][a][0] for a in units})
+            truths.append({u: _unit_truth(p, cps[t], u) for u in units})
 
     if hypotheses_out is not None:
         hypotheses_out.extend(hypotheses)
     report = score_run(hypotheses, truths, units)
-    report.visits = counter.visits
+    report.visits = recognizer.counter.visits
     report.hypothesis_counts = tuple(
-        hypothesis_count_curve(rec, messages,
-                               rules=comm_model, up_to_tick=last))
+        hypothesis_count_curve(p, messages, rules=comm_model, up_to_tick=last))
     # Scoring has only the temporal engine; the key keeps reports comparable.
-    report.config = {"mode": mode, "temporal": 1, "coherent": int(coherent),
+    report.config = {"mode": mode, "temporal": 1, "coherent": int(recognizer.coherent),
                      "comm": int(comm_model is not None), "delay": delay,
                      "seed": trace.seed}
     return report
@@ -406,11 +389,10 @@ def bench_scalability(base: TeamOrientedProgram, agent_counts,
         row = {"agents": n}
         for mode in MODES:
             recognizer = make_recognizer(p, mode)
-            counter = VisitCounter()
-            for _ in range(ticks):
-                recognizer.step([], counter)
+            for _ in recognizer.replay((), ticks + 1):  # tick 0 is the initial belief
+                pass
             row[f"{mode}_nodes"] = recognizer.state_nodes
-            row[f"{mode}_visits"] = counter.visits
+            row[f"{mode}_visits"] = recognizer.counter.visits
         rows.append(row)
     return rows
 

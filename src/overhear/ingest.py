@@ -201,19 +201,24 @@ def _kqml_message(stamp: float, fields: dict[str, str], epoch: float,
 
 
 def parse_kqml_log(text: str, *, tick_seconds: float = 1.0) -> list[ObservedMessage]:
-    """Parse a stream of KQML records; ticks are relative to the first record."""
-    blocks: list[list[str]] = []
-    for raw in text.splitlines():
+    """Parse a stream of KQML records; ticks are relative to the first record.
+
+    Errors start ``record N (line L):``, L being the record's first line."""
+    blocks: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.strip().startswith("Log Message Received"):
-            blocks.append([raw])
+            blocks.append((lineno, [raw]))
         elif blocks and raw.strip():
-            blocks[-1].append(raw)
+            blocks[-1][1].append(raw)
     messages: list[ObservedMessage] = []
     epoch = None
-    for block in blocks:
-        stamp, fields = _parse_kqml_fields("\n".join(block))
-        epoch = stamp if epoch is None else epoch
-        messages.append(_kqml_message(stamp, fields, epoch, tick_seconds))
+    for n, (lineno, block) in enumerate(blocks, start=1):
+        try:
+            stamp, fields = _parse_kqml_fields("\n".join(block))
+            epoch = stamp if epoch is None else epoch
+            messages.append(_kqml_message(stamp, fields, epoch, tick_seconds))
+        except IngestError as exc:
+            raise IngestError(f"record {n} (line {lineno}): {exc}") from None
     return messages
 
 

@@ -15,9 +15,9 @@ program's are node -> plan, children, first children, transitions out and
 in, plan name -> nodes, the sorted node ids, the postorder, the leaves,
 every node's root path, plan-name path and ancestors, each node's parallel
 first-child groups (``first_child_groups``, the one place that decides which
-subteams run in parallel), each team's candidate leaves (``leaves_by_team``)
-and the compiled forward step (``forward``).  No other module writes to a
-program.
+subteams run in parallel), each team's candidate leaves (``leaves_by_team``),
+the compiled forward step (``forward``) and the single-agent view
+(``single_agent_view``).  No other module writes to a program.
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.
@@ -416,7 +416,12 @@ class TeamOrientedProgram:
         Team-mode programs normalize transition priors per team, so the
         union over teams can exceed 1 at a node.  The view renormalizes each
         node's priors over all of its outgoing edges and drops the team tags.
+        Built once, it is shared by every array recognizer over the program.
         """
+        return self._view
+
+    @cached_property
+    def _view(self) -> "TeamOrientedProgram":
         totals: dict[str, float] = {}
         for t in self.transitions:
             totals[t.src] = totals.get(t.src, 0.0) + t.pi

@@ -1,7 +1,7 @@
 """Seeded program generators for tests, calibration runs, and benchmarks.
 
 Two families: small single-agent programs with random branching, cycles, and
-optional duplicate plan names (for engine-vs-oracle equivalence sweeps), and
+occasional duplicate plan names (for engine-vs-oracle equivalence sweeps), and
 a fixed-shape team mission (parallel phases over three subteams) whose rates
 and message probabilities are calibrated so simulated runs overhear roughly
 one message per twenty individual state changes.
@@ -16,14 +16,14 @@ from .model import (TERMINATE, TeamOrientedProgram, program_from_document,
 
 
 def random_program(seed: int, max_nodes: int = 10,
-                   allow_completion: bool = True,
-                   duplicate_names: bool = True) -> TeamOrientedProgram:
+                   allow_completion: bool = True) -> TeamOrientedProgram:
     """Random small single-agent program.
 
     ``allow_completion=False`` removes TERMINATE edges from the root's own
     children, so total leaf-active plus blocked mass can never pool at the
-    root: useful for long conservation runs.  Duplicate plan names are only
-    ever placed in different root subtrees, never on one decomposition chain.
+    root: useful for long conservation runs.  Some programs give two nodes
+    in different root subtrees one plan name, never on one decomposition
+    chain.
     """
     rng = random.Random(seed)
     budget = rng.randint(4, max(4, max_nodes))
@@ -79,7 +79,7 @@ def random_program(seed: int, max_nodes: int = 10,
         if not children[nid]:
             rec["lambda"] = round(rng.uniform(0.05, 0.4), 3)
 
-    if duplicate_names and rng.random() < 0.3 and len(top) >= 2:
+    if rng.random() < 0.3 and len(top) >= 2:
         # Same plan name in two different root subtrees: legal ambiguity.
         a, b = rng.sample(top, 2)
         pick = lambda t: rng.choice(children[t] or [t])
@@ -103,15 +103,16 @@ def random_program(seed: int, max_nodes: int = 10,
 # and 4 parallel phases where each subteam runs its own task chain.  40 plans.
 _PHASE_CHAINS = {2: 3, 5: 2, 8: 2, 11: 2}  # parallel phase -> chain length
 _TEAM_SPEC = (("ALPHA", 4), ("BRAVO", 4), ("CHARLIE", 3))
+_ANNOUNCE = 0.95
 
 
-def team_program(seed: int = 0, chatter: float = 0.25,
-                 announce: float = 0.95) -> TeamOrientedProgram:
+def team_program(seed: int = 0, chatter: float = 0.25) -> TeamOrientedProgram:
     """Fixed-shape three-subteam mission with seeded rates.
 
-    ``announce`` is the message probability on phase transitions (the team's
-    reliable protocol traffic); ``chatter`` the one on within-team task
-    steps.  Phase order cycles forever, so runs of any length stay live.
+    Phase transitions are announced with probability ``_ANNOUNCE`` (the
+    team's reliable protocol traffic); ``chatter`` is the message
+    probability on within-team task steps.  Phase order cycles forever, so
+    runs of any length stay live.
     """
     rng = random.Random(seed)
     teams = [{"name": "TASK-FORCE"}]
@@ -153,7 +154,7 @@ def team_program(seed: int = 0, chatter: float = 0.25,
     for i, pid in enumerate(phase_ids):
         transitions.append({
             "from": pid, "to": phase_ids[(i + 1) % len(phase_ids)],
-            "pi": 1.0, "mu": announce, "teams": ["TASK-FORCE"],
+            "pi": 1.0, "mu": _ANNOUNCE, "teams": ["TASK-FORCE"],
         })
 
     doc = {"teams": teams, "agents": agents, "root": "p00",
@@ -161,15 +162,10 @@ def team_program(seed: int = 0, chatter: float = 0.25,
     return program_from_document(doc, team_mode=True)
 
 
-def grow_team(p: TeamOrientedProgram, extra: int,
-              team: str | None = None) -> TeamOrientedProgram:
-    """Same program with ``extra`` additional agents on one leaf team.
-
-    By default the first populated leaf team (sorted by name) is grown.
-    """
-    h = p.team_hierarchy
-    if team is None:
-        team = sorted(t for _, t in h.agents)[0]
+def grow_team(p: TeamOrientedProgram, extra: int) -> TeamOrientedProgram:
+    """Same program with ``extra`` additional agents on its first populated
+    leaf team (sorted by name)."""
+    team = min(t for _, t in p.team_hierarchy.agents)
     doc = program_to_document(p)
     for i in range(1, extra + 1):
         doc["agents"].append({"name": f"{team.lower()}-x{i}", "team": team})

@@ -1,10 +1,15 @@
-"""One interface over both recognizer layouts.
+"""One interface over both recognizer layouts, and the one monitor loop.
 
 ``make_recognizer`` checks a layout and coherence pair and returns a
-recognizer that ``recognize``, ``evaluate`` and ``bench`` all drive the same
-way: ``step(msgs, counter=None)`` advances it one tick, ``path(unit)`` gives
-the plan names on a unit's most likely root-to-leaf path, and ``teams`` and
-``agents`` list the populated leaf teams and the agents, sorted.
+recognizer that ``recognize``, ``evaluate`` and ``bench`` all drive through
+``replay(messages, ticks)``: it yields each tick ``t = 0..ticks-1`` once the
+messages heard at ``t`` are in.  Tick 0 is the initial belief, stepped only
+when it carries messages; every later tick is one ``step(msgs)``, and
+``counter`` (a ``VisitCounter``) counts the forward steps' node visits.
+``path(unit)`` gives the plan names on a unit's most likely root-to-leaf
+path.  ``teams`` and ``agents`` list the populated leaf teams and the
+agents, sorted; ``units``, what a monitor reports on, is the teams when
+coherent, else the agents.
 
 The shared layout keeps one belief over the plan and team hierarchies and
 answers for teams.  The array layout keeps one belief per agent over the
@@ -20,7 +25,9 @@ the message's tick; ``path`` raises it naming an unknown unit.
 
 from __future__ import annotations
 
-from .belief import MonitoringError, array_overseer_tick, init_beliefs, most_likely_state
+from .belief import (MonitoringError, VisitCounter, array_overseer_tick, init_beliefs,
+                     most_likely_state)
+from .ingest import messages_by_tick
 from .model import TeamOrientedProgram
 from .yoyo import team_init_beliefs, team_leaves, team_most_likely, yoyo_tick
 
@@ -33,6 +40,17 @@ class _Recognizer:
         self.coherent = coherent
         self.agents = h.agent_names
         self.teams = tuple(sorted({h.agent_team(a) for a in self.agents}))
+        self.units = self.teams if coherent else self.agents
+        self.counter = VisitCounter()
+
+    def replay(self, messages, ticks: int):
+        """Yield ``t = 0..ticks-1``, each once tick ``t``'s messages are in."""
+        by_tick = messages_by_tick(messages)
+        for t in range(ticks):
+            msgs = by_tick.get(t, ())
+            if t or msgs:
+                self.step(msgs)
+            yield t
 
 
 class SharedRecognizer(_Recognizer):
@@ -47,8 +65,8 @@ class SharedRecognizer(_Recognizer):
     def state_nodes(self) -> int:
         return len(self.belief.active) + self.p.team_hierarchy.size
 
-    def step(self, msgs, counter=None):
-        yoyo_tick(self.p, self.belief, msgs, counter)
+    def step(self, msgs):
+        yoyo_tick(self.p, self.belief, msgs, self.counter)
 
     def path(self, team: str) -> tuple[str, ...]:
         return self.p.name_path(team_most_likely(self.belief, self.p, team)[-1])
@@ -73,8 +91,8 @@ class ArrayRecognizer(_Recognizer):
             return list(h.members(m.team))  # sorted
         return [m.sender]
 
-    def step(self, msgs, counter=None):
-        array_overseer_tick(self.beliefs, self.programs, msgs, counter, self.recipients)
+    def step(self, msgs):
+        array_overseer_tick(self.beliefs, self.programs, msgs, self.counter, self.recipients)
 
     def path(self, unit: str) -> tuple[str, ...]:
         """An agent's own most likely path, or a team's from its members."""

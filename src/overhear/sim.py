@@ -67,9 +67,6 @@ class GroundTruthTrace:
     def ticks(self) -> int:
         return len(self.steps)
 
-    def at(self, tick: int, agent: str) -> tuple[tuple[str, ...], bool]:
-        return self.steps[tick][agent]
-
 
 def format_trace(trace: GroundTruthTrace) -> str:
     lines = [f"# seed {trace.seed}"]

@@ -183,20 +183,18 @@ def _ordering_runs():
                                             send_prob=0.3))
         _, sibling = simulate(tp, SimConfig(seed=seed + 100, ticks=900,
                                             team_mode=True, send_prob=0.3))
-        yield tp, rec, trace, log, sibling
+        yield rec, trace, log, sibling
 
 
 def test_c07_technique_ordering():
     t_only, ct, ctm = [], [], []
     strict = 0
-    for tp, rec, trace, log, sibling in _ordering_runs():
+    for rec, trace, log, sibling in _ordering_runs():
         model = learn_comm_model(sibling, confidence=1.0)
-        a_t = evaluate_run(tp, trace, log, mode="array", coherent=False,
-                           recognizer_program=rec).accuracy
-        a_ct = evaluate_run(tp, trace, log, mode="array", coherent=True,
-                            recognizer_program=rec).accuracy
-        a_ctm = evaluate_run(tp, trace, log, mode="array", coherent=True,
-                             comm_model=model, recognizer_program=rec).accuracy
+        a_t = evaluate_run(rec, trace, log, mode="array", coherent=False).accuracy
+        a_ct = evaluate_run(rec, trace, log, mode="array", coherent=True).accuracy
+        a_ctm = evaluate_run(rec, trace, log, mode="array", coherent=True,
+                             comm_model=model).accuracy
         t_only.append(a_t)
         ct.append(a_ct)
         ctm.append(a_ctm)
@@ -222,14 +220,13 @@ def test_c08_loss_degradation():
         _, sibling = simulate(tp, SimConfig(seed=seed + 100, ticks=900,
                                             team_mode=True, send_prob=0.3))
         model = learn_comm_model(sibling, confidence=0.9)
-        base = evaluate_run(tp, trace, log, mode="array", coherent=True,
-                            comm_model=model, recognizer_program=rec).accuracy
+        base = evaluate_run(rec, trace, log, mode="array", coherent=True,
+                            comm_model=model).accuracy
         accs = []
         for loss_seed in (0, 1, 2):
             lossy = apply_loss(log, 0.1, loss_seed)
-            accs.append(evaluate_run(tp, trace, lossy, mode="array",
-                                     coherent=True, comm_model=model,
-                                     recognizer_program=rec).accuracy)
+            accs.append(evaluate_run(rec, trace, lossy, mode="array",
+                                     coherent=True, comm_model=model).accuracy)
         drops.extend(base - a for a in accs)
         ranges.append(max(accs) - min(accs))
     mean_drop = statistics.mean(drops)

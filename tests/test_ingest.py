@@ -149,6 +149,18 @@ def test_kqml_empty_sender_or_team_named(field):
             parse(record)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (":team TEAM-ESCORT-FOLLOW 18 kqml_word", ":team", "record has an empty :team field"),
+    ("establish-commitment", "bogus-verb", "unknown content verb 'bogus-verb'"),
+])
+def test_kqml_log_errors_name_the_record(old, new, message):
+    text = KQML_SAMPLE.read_text()
+    assert text.count(old) == 1
+    with pytest.raises(IngestError) as err:
+        parse_kqml_log(text.replace(old, new))
+    assert str(err.value) == f"record 2 (line 12): {message}"
+
+
 def _fuzz_corpus(n, seed=0):
     rng = random.Random(seed)
     pool = ["alpha", "b-2", "TEAM_auto2", "x.y", "determine-number-of-helos",

@@ -2,13 +2,21 @@ import pytest
 
 from overhear.belief import MonitoringError, apply_messages
 from overhear.cli import run_command
+from overhear.harness import evaluate_run
 from overhear.ingest import TERM, ObservedMessage, format_log, parse_log
+from overhear.model import serialize_program
+from overhear.progen import team_program
 from overhear.recognizer import ArrayRecognizer, SharedRecognizer, make_recognizer
+from overhear.sim import SimConfig, checkpoints, simulate
 
 from conftest import DATA
 
 TEAM = str(DATA / "evac_team.json")
 AGENTS = ("escort1", "escort2", "transport1", "transport2")
+LAYOUTS = [("yoyo", None), ("array", False), ("array", True)]
+LAYOUT_FLAGS = {("yoyo", None): ["--mode", "yoyo"],
+                ("array", False): ["--mode", "array", "--no-coherent"],
+                ("array", True): ["--mode", "array", "--coherent"]}
 
 
 def _quiet(rec, ticks=5):
@@ -16,22 +24,47 @@ def _quiet(rec, ticks=5):
         rec.step([])
 
 
-@pytest.mark.parametrize("mode, coherent", [("yoyo", None), ("array", False),
-                                            ("array", True)])
+@pytest.mark.parametrize("mode, coherent", LAYOUTS)
 def test_unit_lists(evac_team, mode, coherent):
     rec = make_recognizer(evac_team, mode, coherent)
     assert rec.teams == ("ESCORT", "TRANSPORT")  # populated leaf teams only
     assert rec.agents == AGENTS
+    assert rec.units == (AGENTS if coherent is False else rec.teams)
     for unit in rec.teams + (rec.agents if mode == "array" else ()):
         assert rec.path(unit)[0] == "evacuate"
 
 
-@pytest.mark.parametrize("mode, coherent", [("yoyo", None), ("array", False),
-                                            ("array", True)])
+@pytest.mark.parametrize("mode, coherent", LAYOUTS)
 def test_path_of_unknown_unit(evac_team, mode, coherent):
     rec = make_recognizer(evac_team, mode, coherent)
     with pytest.raises(MonitoringError, match="unknown unit 'nobody'"):
         rec.path("nobody")
+
+
+@pytest.mark.parametrize("mode, coherent", LAYOUTS)
+def test_replay_steps_tick_zero_only_on_messages(evac_team, mode, coherent):
+    quiet = make_recognizer(evac_team, mode, coherent)
+    replay = quiet.replay([], 4)
+    assert next(replay) == 0
+    assert quiet.counter.visits == 0  # tick 0 is the initial belief
+    assert list(replay) == [1, 2, 3]
+    beliefs = 1 if mode == "yoyo" else len(AGENTS)
+    assert quiet.counter.visits == 3 * len(evac_team.node_ids) * beliefs
+
+    heard = make_recognizer(evac_team, mode, coherent)
+    stepped = make_recognizer(evac_team, mode, coherent)
+    msg = ObservedMessage(0, "escort1", "TASK-FORCE", TERM, "process-orders")
+    for t in heard.replay([msg], 3):
+        stepped.step([msg] if t == 0 else [])
+        assert {u: heard.path(u) for u in heard.units} == \
+            {u: stepped.path(u) for u in stepped.units}
+    assert heard.counter.visits == stepped.counter.visits
+
+
+def test_array_recognizers_share_one_view(evac_team):
+    first, second = make_recognizer(evac_team, "array"), make_recognizer(evac_team, "array")
+    assert first.view is second.view is evac_team.single_agent_view()
+    assert make_recognizer(evac_team, "array", coherent=True).view is first.view
 
 
 def test_layout_defaults_and_checks(evac_team, evac_mini_single):
@@ -80,8 +113,7 @@ def test_incoherent_routing_reaches_only_the_sender(evac_team):
                                                "process-orders")) == ["escort1"]
 
 
-@pytest.mark.parametrize("mode, coherent", [("yoyo", None), ("array", False),
-                                            ("array", True)])
+@pytest.mark.parametrize("mode, coherent", LAYOUTS)
 def test_unknown_sender_raises_with_its_tick(evac_team, mode, coherent):
     rec = make_recognizer(evac_team, mode, coherent)
     with pytest.raises(MonitoringError, match="tick 3 .*'stranger'"):
@@ -140,3 +172,58 @@ def test_yoyo_without_team_mode_is_rejected(run_with_stranger, capsys, command):
         argv += ["--truth", str(trace)]
     assert run_command(argv) == 1
     assert "needs a team program" in capsys.readouterr().err
+
+
+def _recognize(tmp_path, program, log, flags, *extra):
+    """``recognize``'s lines as {tick: {unit: path}}."""
+    out = tmp_path / "recognize.txt"
+    assert run_command(["recognize", "--program", str(program), "--team-mode", *flags,
+                        "--log", str(log), *extra, "--out", str(out)]) == 0
+    lines: dict[int, dict[str, str]] = {}
+    for line in out.read_text().splitlines():
+        tick, unit, path = line.split()
+        lines.setdefault(int(tick), {})[unit] = path
+    return lines
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["yoyo", "array", "coherent-array"])
+def test_tick_zero_message_reaches_both_commands(tmp_path, evac_team, layout):
+    # the log's first tick is 0 (as in every KQML log); evaluate must apply
+    # that message before its first checkpoint, as recognize does
+    trace, _ = simulate(evac_team, SimConfig(seed=7, ticks=20, team_mode=True))
+    log = [ObservedMessage(0, "escort1", "TASK-FORCE", TERM, "process-orders")]
+    log_path = tmp_path / "log.txt"
+    log_path.write_text(format_log(log))
+    mode, coherent = layout
+    hyps: list = []
+    evaluate_run(evac_team, trace, log, mode=mode, coherent=coherent, hypotheses_out=hyps)
+    lines = _recognize(tmp_path, TEAM, log_path, LAYOUT_FLAGS[layout])
+    assert len(hyps) == 1
+    assert lines[1] == {u: "/".join(path) for u, path in hyps[0].items()}
+    heard = "escort1" if layout == ("array", False) else "ESCORT"
+    assert lines[1][heard] == "evacuate/fly-flight-plan/travel"
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["yoyo", "array", "coherent-array"])
+def test_recognize_lines_match_evaluate_checkpoints(tmp_path, layout):
+    tp = team_program(0)
+    program = tmp_path / "team.json"
+    program.write_text(serialize_program(tp))
+    trace, log = simulate(tp, SimConfig(seed=3, ticks=200, team_mode=True, send_prob=0.6))
+    log_path = tmp_path / "log.txt"
+    log_path.write_text(format_log(log))
+    mode, coherent = layout
+    hyps: list = []
+    evaluate_run(tp, trace, log, mode=mode, coherent=coherent, hypotheses_out=hyps)
+    lines = _recognize(tmp_path, program, log_path, LAYOUT_FLAGS[layout])
+    ticks = sorted({tick for tick, _ in checkpoints(trace, log, 1)})
+    assert len(ticks) == len(hyps) > 10
+    for tick, hyp in zip(ticks, hyps):
+        assert lines[tick] == {u: "/".join(path) for u, path in hyp.items()}
+
+
+def test_coherent_array_recognize_prints_teams(tmp_path, run_with_stranger):
+    _, log, _, _ = run_with_stranger
+    lines = _recognize(tmp_path, TEAM, log, LAYOUT_FLAGS[("array", True)], "--ticks", "30")
+    assert sorted(lines) == list(range(30))
+    assert all(tuple(units) == ("ESCORT", "TRANSPORT") for units in lines.values())

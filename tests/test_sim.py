@@ -151,7 +151,6 @@ def test_team_trace_is_coherent():
     trace, _ = simulate(tp, SimConfig(seed=4, ticks=400, team_mode=True,
                                       send_prob=0.5))
     for t in range(0, trace.ticks, 25):
-        step = trace.at(t, "alpha1") if hasattr(trace, "at") else None
         # members of one leaf team always share their whole path
         for team in ("ALPHA", "BRAVO", "CHARLIE"):
             members = h.members(team)

@@ -312,14 +312,13 @@ def test_quiet_ticks_reuse_groups_and_kernels():
     owners = [o for q in programs for o in (q, q.team_hierarchy)]
     tables = [dict(vars(o)) for o in owners]
     for rec, first in zip(recognizers, warm):
-        counter = VisitCounter()
         for _ in range(50):
-            rec.step([], counter)
+            rec.step([])
             paths = query(rec)
             assert set(paths) == set(first)
             assert all(path[0] == "mission" for path in paths.values())
         beliefs = 1 if rec is recognizers[0] else len(rec.agents)
-        assert counter.visits == 50 * len(tp.node_ids) * beliefs
+        assert rec.counter.visits == 51 * len(tp.node_ids) * beliefs
     for o, before in zip(owners, tables):
         assert vars(o).keys() == before.keys()
         assert all(vars(o)[k] is v for k, v in before.items())
