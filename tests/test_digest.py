@@ -1,9 +1,10 @@
-"""Belief states pinned bit for bit across commits.
+"""Belief states pinned bit for bit across commits, one pin per layout.
 
-A fixed replay sweep hashes every belief state that both recognizer layouts
-produce, tick by tick.  A change to the engine that should not move any
-number (a faster forward step, say) must leave the digest unchanged; a
-reordered float sum that flips one exact tie between leaves changes it.
+A fixed replay sweep hashes every belief state that each recognizer layout
+produces, tick by tick.  A change to the engine that should not move any
+number (a faster forward step, say) must leave every pin unchanged; a
+reordered float sum that flips one exact tie between leaves changes the pin
+of each layout it reaches, and only those.
 """
 
 import hashlib
@@ -16,8 +17,11 @@ from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
 
 TICKS = 150
-LAYOUTS = (("yoyo", None), ("array", False), ("array", True))
-SWEEP_SHA256 = "4ff9316995504424d6ee9d94d9444cfb564f911ad66dd20db6c65215059136c0"
+SWEEP_SHA256 = {
+    ("yoyo", None): "ecfe753e0e32082719fe5696a5457f968ad2d521ba4ecb8c84e1fb7e51fbf9ae",
+    ("array", False): "c6435e973953ac21b1f19a5700c69deff7d004411b844c3a7d3844d312ebcb94",
+    ("array", True): "6f52b308a098400de329b19303b021f52e3edbb164e9c40e6dc6b0a0f672bf65",
+}
 
 
 def _hash_state(h, b):
@@ -28,9 +32,9 @@ def _hash_state(h, b):
         h.update(struct.pack(f"<{len(keys)}d", *(table[k] for k in keys)))
 
 
-def sweep_digest() -> str:
+def sweep_digest(mode: str, coherent: bool | None) -> str:
     """sha256 over every state of team_program(0..2) x 2 seeds x 150 ticks,
-    with and without a learned comm model, in yoyo, array and coherent array."""
+    with and without a learned comm model, as one layout steps through it."""
     h = hashlib.sha256()
     for prog in range(3):
         tp = team_program(prog)
@@ -41,22 +45,21 @@ def sweep_digest() -> str:
                                                 team_mode=True, send_prob=0.5))
             by_tick = messages_by_tick(log)
             for rec_program in (tp, apply_comm_model(tp, learn_comm_model(sibling))):
-                for mode, coherent in LAYOUTS:
-                    rec = make_recognizer(rec_program, mode, coherent)
-                    h.update(f"{prog}/{seed}/{mode}/{coherent}".encode())
-                    for t in range(TICKS):
-                        rec.step(by_tick.get(t, []))
-                        if mode == "yoyo":
-                            _hash_state(h, rec.belief)
-                        else:
-                            for agent in rec.agents:
-                                _hash_state(h, rec.beliefs[agent])
+                rec = make_recognizer(rec_program, mode, coherent)
+                h.update(f"{prog}/{seed}/{mode}/{coherent}".encode())
+                for t in range(TICKS):
+                    rec.step(by_tick.get(t, []))
+                    if mode == "yoyo":
+                        _hash_state(h, rec.belief)
+                    else:
+                        for agent in rec.agents:
+                            _hash_state(h, rec.beliefs[agent])
     return h.hexdigest()
 
 
 def test_belief_states_bit_identical():
-    assert sweep_digest() == SWEEP_SHA256
-
+    assert {layout: sweep_digest(*layout) for layout in SWEEP_SHA256} == SWEEP_SHA256
 
 if __name__ == "__main__":
-    print(sweep_digest())
+    for layout in SWEEP_SHA256:
+        print(layout, sweep_digest(*layout))
