@@ -16,6 +16,12 @@ the program's compiled kernel (``TeamOrientedProgram.forward``), one
 straight-line Python function over local variables; this module only calls
 it and never writes to a program.
 
+Nothing here clips a value.  Every mass stays at or above 0 exactly: the
+kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
+and an evidence commit only adds non-negative shares of normalized masses.
+A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
+Only the shared (yoyo) layout clips, in ``yoyo._clamp``.
+
 States are value objects; the update functions return fresh states and never
 mutate their input, so recognizer arrays can be stepped from worker threads
 as long as each agent's state is owned by one worker at a time.
@@ -59,16 +65,7 @@ class BeliefState:
 
 
 def _zeros(p: TeamOrientedProgram) -> dict[str, float]:
-    return dict.fromkeys(p.node_ids, 0.0)
-
-
-def _clamp(state: BeliefState):
-    for table in (state.active, state.blocked):
-        for k, v in table.items():
-            if v < 0.0:
-                table[k] = 0.0
-            elif v > 1.0:
-                table[k] = 1.0
+    return p.zeros.copy()
 
 
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
@@ -155,7 +152,6 @@ def _commit_evidence(scratch: dict[str, float], time: int,
         propagate_down(x, mass, nxt, p)
         for anc in p.ancestors(x):
             nxt.active[anc] += mass
-    _clamp(nxt)
     return nxt
 
 
@@ -175,9 +171,7 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     if counter is not None:
         counter.visit(len(p.postorder))
     active, blocked = p.forward(b.active, b.blocked)
-    nxt = BeliefState(b.time + 1, active, blocked)
-    _clamp(nxt)
-    return nxt
+    return BeliefState(b.time + 1, active, blocked)
 
 
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]:

@@ -13,10 +13,11 @@ and ``repr``.  The hierarchy's are the team -> parent, agent -> team,
 ancestor-or-self chain and members tables and the agent names.  The
 program's are node -> plan, children, first children, transitions out and
 in, plan name -> nodes, the sorted node ids, the postorder, the leaves,
-every node's root path, plan-name path and ancestors, each node's parallel
-first-child groups (``first_child_groups``, the one place that decides which
-subteams run in parallel), each team's candidate leaves (``leaves_by_team``),
-the compiled forward step (``forward``) and the single-agent view
+every node's root path, plan-name path and ancestors, the read-only zero
+table that fresh states copy (``zeros``), each node's parallel first-child
+groups (``first_child_groups``, the one place that decides which subteams
+run in parallel), each team's candidate leaves (``leaves_by_team``), the
+compiled forward step (``forward``) and the single-agent view
 (``single_agent_view``).  No other module writes to a program.
 
 A table is a pure function of the fields, so two threads racing on its first
@@ -31,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 TERMINATE = "TERMINATE"
 
@@ -346,6 +348,15 @@ class TeamOrientedProgram:
         mass unchanged.  Factors of exactly 1 and splits into one share are not
         written either, as they change no bit.  Every inlined constant is
         finite, so ``repr`` writes it exactly.
+
+        Mass stays at or above zero exactly, with no pass over the state.  A
+        leaf sheds at most its own prior mass, and a node's blocked share
+        ``keep = 1 - mean(eta)`` is taken as 0 when it rounds below 0.  Only
+        an internal node that sheds can round below zero: the sum of its
+        children's TERMINATE flows may exceed its active mass by an ulp, so
+        its active mass is floored at 0 in the returned dict, after every
+        update of the step has read it.  Rounding may leave a value an ulp
+        above 1; it is left as it is.
         """
         ids, h = self.node_ids, self.team_hierarchy
         n = {x: i for i, x in enumerate(ids)}
@@ -396,19 +407,25 @@ class TeamOrientedProgram:
                         flow = "r" if groups == 1 else f"r / {groups}"
                         body.append(f"o{n[parent]} {'+=' if parent in sheds else '='} {flow}")
                         sheds.add(parent)
-            keep = 1.0 - (sum(etas) / len(etas) if etas else 0.0)
+            keep = max(0.0, 1.0 - (sum(etas) / len(etas) if etas else 0.0))
             if keep != 0.0:
                 body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
             body.append(f"a{i} -= o{i}")
         a = ", ".join(f"a{i}" for i in range(len(ids)))
         b = ", ".join(f"b{i}" for i in range(len(ids)))
-        a_out = ", ".join(f"{x!r}: a{i}" for x, i in n.items())
+        a_out = ", ".join(f"{x!r}: 0.0 if a{i} < 0.0 else a{i}" if x in sheds and
+                          self._children[x] else f"{x!r}: a{i}" for x, i in n.items())
         b_out = ", ".join(f"{x!r}: b{i}" for x, i in n.items())
         src = "\n    ".join(["def forward(A, B):", f"{a} = get(A)", f"{b} = get(B)", *body,
                              f"return {{{a_out}}}, {{{b_out}}}"])
         scope = {"get": itemgetter(*ids)}
         exec(compile(src, f"<forward step of {self.root!r}>", "exec"), scope)
         return scope["forward"]
+
+    @cached_property
+    def zeros(self) -> MappingProxyType:
+        """A read-only table of 0.0 for every node id; copy it to get a fresh state table."""
+        return MappingProxyType(dict.fromkeys(self.node_ids, 0.0))
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """Strip team restrictions for the per-agent recognizer baseline.

@@ -8,18 +8,31 @@ the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
 A quiet tick is ``belief.propagate_forward``, the engine both layouts share;
-this module holds the evidence and rescale steps.  Like every program table,
+this module holds the evidence and rescale steps.  It is the one layout that
+clips: ``_clamp`` sets every value outside [0, 1] to the nearer bound after
+each quiet step and at the end of each evidence tick, because the evidence
+climb and the rescale do not conserve mass and can push a value well outside
+(ROADMAP item 2).  The clip is silent; with it, every value lies in [0, 1].  Like every program table,
 the team -> candidate-leaves table that most-likely queries read is built by
 the program itself (``TeamOrientedProgram.leaves_by_team``).
 """
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter, _clamp,
+from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
                      _prune_redundant_ancestors, _zeros, init_beliefs, propagate_down,
                      propagate_forward)
 from .ingest import INIT, ObservedMessage
 from .model import TERMINATE, TeamOrientedProgram, is_allowed
+
+
+def _clamp(state: BeliefState):
+    for table in (state.active, state.blocked):
+        for k, v in table.items():
+            if v < 0.0:
+                table[k] = 0.0
+            elif v > 1.0:
+                table[k] = 1.0
 
 
 def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
@@ -138,6 +151,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     if not msgs:
         nxt = propagate_forward(b, p, counter)
         b.time, b.active, b.blocked = nxt.time, nxt.active, nxt.blocked
+        _clamp(b)
         return
     initiated: dict[str, str] = {}
     terminated: dict[str, str] = {}
