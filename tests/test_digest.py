@@ -19,7 +19,7 @@ from overhear.social import apply_comm_model, learn_comm_model
 TICKS = 150
 SWEEP_SHA256 = {
     ("yoyo", None): "ecfe753e0e32082719fe5696a5457f968ad2d521ba4ecb8c84e1fb7e51fbf9ae",
-    ("array", False): "c6435e973953ac21b1f19a5700c69deff7d004411b844c3a7d3844d312ebcb94",
+    ("array", False): "f4a371ab635ef272a2d8d56f4b120f3d87ae1cf3e0fd63720c474f24f3abe0cd",
     ("array", True): "6f52b308a098400de329b19303b021f52e3edbb164e9c40e6dc6b0a0f672bf65",
 }
 
