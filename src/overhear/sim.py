@@ -461,16 +461,6 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
             messages)
 
 
-def state_changes(trace: GroundTruthTrace) -> int:
-    """Number of per-agent state changes across the trace."""
-    n = 0
-    for prev, cur in zip(trace.steps, trace.steps[1:]):
-        for agent in trace.agents:
-            if prev[agent] != cur[agent]:
-                n += 1
-    return n
-
-
 def checkpoints(trace: GroundTruthTrace, messages, delay: int = 0
                 ) -> list[tuple[int, dict[str, tuple[tuple[str, ...], bool]]]]:
     """Exchange checkpoints: one per distinct message tick, plus a grace delay."""

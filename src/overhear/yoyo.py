@@ -8,13 +8,15 @@ the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
 A quiet tick is ``belief.propagate_forward``, the engine both layouts share;
-this module holds the evidence and rescale steps.  It is the one layout that
-clips: ``_clamp`` sets every value outside [0, 1] to the nearer bound after
-each quiet step and at the end of each evidence tick, because the evidence
-climb and the rescale do not conserve mass and can push a value well outside
-(ROADMAP item 2).  The clip is silent; with it, every value lies in [0, 1].  Like every program table,
+this module holds the evidence and rescale steps.  Like every program table,
 the team -> candidate-leaves table that most-likely queries read is built by
 the program itself (``TeamOrientedProgram.leaves_by_team``).
+
+This is the one layout that clips.  The evidence climb and the rescale do
+not conserve mass and can push a value well outside [0, 1], so ``_clamp``
+silently sets each such value to the nearer bound, after every quiet step
+and at the end of every evidence tick; every value a tick leaves is in
+[0, 1].
 """
 
 from __future__ import annotations

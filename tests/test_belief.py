@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from overhear.belief import (MonitoringError, VisitCounter, _evidence_scratch,
+from overhear.belief import (MonitoringError, VisitCounter, _evidence_scratch, _zeros,
                              apply_messages, array_overseer_tick, init_beliefs,
                              most_likely_state, propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -37,6 +37,18 @@ def test_init_beliefs_first_child_chain(evac_mini_single):
     assert b.active["n1"] == 1.0
     assert all(b.active[x] == 0.0 for x in ("n2", "n3", "n4", "n5"))
     assert all(v == 0.0 for v in b.blocked.values())
+
+
+def test_zeros_copies_the_programs_read_only_table(evac_mini_single):
+    p = evac_mini_single
+    z = _zeros(p)
+    z[p.root] = 1.0
+    fresh = _zeros(p)
+    assert type(fresh) is dict and fresh is not z
+    assert list(fresh.items()) == [(x, 0.0) for x in p.node_ids]
+    with pytest.raises(TypeError):
+        p.zeros[p.root] = 1.0
+    assert p.zeros[p.root] == 0.0
 
 
 def test_propagate_down_uniform_split():

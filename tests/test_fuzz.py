@@ -1,19 +1,21 @@
 """Property tests: program, trace, log, KQML and communication-model loaders
-raise only their documented error types, and traces survive a text round
-trip."""
+raise only their documented error types, traces survive a text round trip,
+and the per-agent belief stays in [0, 1] without being clipped."""
 
 import copy
 import pathlib
+import random
 import string
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from overhear.ingest import IngestError, parse_kqml_log, parse_log
+from overhear.belief import apply_messages, init_beliefs, propagate_forward
+from overhear.ingest import INIT, TERM, IngestError, ObservedMessage, parse_kqml_log, parse_log
 from overhear.model import ProgramError, program_from_document, program_to_document
-from overhear.progen import team_program
+from overhear.progen import random_program, team_program
 from overhear.sim import (GroundTruthTrace, SimulationError, format_trace,
                           parse_trace)
 from overhear.social import parse_comm_model
@@ -145,3 +147,52 @@ def test_fuzzed_message_loaders_raise_only_ingest_error(parse, base, data):
         parse(text)
     except IngestError:
         pass
+
+
+def _stressed_program(seed: int, rate: float | None, silenced: int | None):
+    """random_program(seed, max_nodes=14), with every leaf's lambda set to
+    ``rate`` and, for a ``silenced`` seed, half its transitions' mu set to 0.
+
+    High rates and silent edges make the forward step round where it can:
+    hazards near 1 shed a leaf's whole mass, and a node whose edges are all
+    silent keeps a blocked share ``1 - sum(pi)`` that rounds to about -1e-16.
+    """
+    doc = program_to_document(random_program(seed, max_nodes=14))
+    for plan in doc["plans"]:
+        if rate is not None and "lambda" in plan:
+            plan["lambda"] = rate
+    if silenced is not None:
+        edges = doc["transitions"]
+        for t in random.Random(silenced).sample(edges, len(edges) // 2):
+            t["mu"] = 0.0
+    return program_from_document(doc)
+
+
+_ARRAY_PROGRAMS = st.one_of(
+    st.builds(_stressed_program, st.integers(0, 299), st.sampled_from([None, 5.0, 40.0, 1000.0]),
+              st.none() | st.integers(0, 3)),
+    st.integers(0, 6).map(lambda seed: team_program(seed).single_agent_view()))
+# a quiet tick, or one message of a kind about the n-th plan name
+_TICKS = st.lists(st.none() | st.none() | st.tuples(st.sampled_from([INIT, TERM]),
+                                                    st.integers(0, 99)), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARRAY_PROGRAMS, _TICKS)
+# the root's active mass rounds below 0 after 31 ticks unless the kernel floors it
+@example(_stressed_program(174, 40.0, 1), [None] * 40)
+# a leaf's blocked share rounds below 0 unless the kernel floors ``keep``
+@example(_stressed_program(213, 5.0, 1), [None])
+def test_array_belief_stays_in_bounds_unclipped(p, ticks):
+    names = sorted({n.name for n in p.plans})
+    b = init_beliefs(p)
+    for t, tick in enumerate(ticks, 1):
+        if tick is None:
+            b = propagate_forward(b, p)
+        else:
+            kind, i = tick
+            b = apply_messages(b, [ObservedMessage(t, "solo", "SOLO", kind,
+                                                   names[i % len(names)])], p)
+        for table in (b.active, b.blocked):
+            for x, v in table.items():
+                assert 0.0 <= v <= 1.0 + 1e-12, (t, x, v)

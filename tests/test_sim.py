@@ -6,7 +6,17 @@ from overhear.ingest import TERM
 from overhear.model import hazard, program_from_document
 from overhear.progen import team_program
 from overhear.sim import (ALWAYS, NEVER, SimConfig, SimulationError, checkpoints,
-                          format_trace, parse_trace, simulate, state_changes)
+                          format_trace, parse_trace, simulate)
+
+
+def state_changes(trace) -> int:
+    """Number of per-agent state changes across the trace."""
+    n = 0
+    for prev, cur in zip(trace.steps, trace.steps[1:]):
+        for agent in trace.agents:
+            if prev[agent] != cur[agent]:
+                n += 1
+    return n
 
 
 def _single_leaf(lam=0.2):
