@@ -169,12 +169,12 @@ def _stressed_program(seed: int, rate: float | None, silenced: int | None):
 
 
 _ARRAY_PROGRAMS = st.one_of(
-    st.builds(_stressed_program, st.integers(0, 299), st.sampled_from([None, 5.0, 40.0, 1000.0]),
-              st.none() | st.integers(0, 3)),
+    st.builds(_stressed_program, st.integers(0, 299),
+              st.sampled_from([None, 5.0, 40.0, 1000.0]), st.none() | st.integers(0, 3)),
     st.integers(0, 6).map(lambda seed: team_program(seed).single_agent_view()))
 # a quiet tick, or one message of a kind about the n-th plan name
-_TICKS = st.lists(st.none() | st.none() | st.tuples(st.sampled_from([INIT, TERM]),
-                                                    st.integers(0, 99)), max_size=60)
+_TICKS = st.lists(st.none() | st.tuples(st.sampled_from([INIT, TERM]), st.integers(0, 99)),
+                  max_size=60)
 
 
 @settings(max_examples=300, deadline=None)
