@@ -13,8 +13,10 @@ group is one parallel subteam, which makes the quiet tick of the shared
 (yoyo) layout; otherwise there is one group, and the step is the
 single-agent engine that the array layout runs once per agent.  It runs as
 the program's compiled kernel (``TeamOrientedProgram.forward``), one
-straight-line Python function over local variables; this module only calls
-it and never writes to a program.
+generated Python function over local variables: it copies the prior tables,
+runs each shedding node's updates only when the node sheds a nonzero mass,
+and writes back into the copies just the entries those updates changed.
+This module only calls it and never writes to a program.
 
 Nothing here clips a value.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
@@ -165,8 +167,10 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     the mean proportion that does, and climbs to the parent along TERMINATE
     edges.  The map is linear; with one team it conserves leaf-active plus
     blocked mass as long as no TERMINATE edge leaves the root's own children.
-    The step runs as p's compiled kernel (``TeamOrientedProgram.forward``);
-    it visits every node once.
+    The step runs as p's compiled kernel (``TeamOrientedProgram.forward``).
+    The counter takes one visit per node: a node that can shed is visited by
+    one test of its shed mass, and runs its updates only when that is
+    nonzero.
     """
     if counter is not None:
         counter.visit(len(p.postorder))

@@ -27,7 +27,9 @@ Mutable run state lives in the belief containers, not here.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import linecache
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -333,55 +335,79 @@ class TeamOrientedProgram:
     def forward(self):
         """The forward step as one function of the prior (active, blocked) dicts.
 
-        The generator walks the program in postorder and writes one
-        straight-line statement per update, over locals ``a<i>`` and ``b<i>``
-        (node i's next active and blocked mass, starting from the prior's) and
-        ``o<i>`` (the mass node i sheds).  Every float operation is the one the
-        step has always made, in the same order, so exact ties between leaves
-        break as they always have.  Leaf hazards read the prior state, so they
-        all come first.  Each topmost team acting on a node's edges (one team
-        outside team mode) sends the node's full shed mass along its own edges;
-        a TERMINATE edge divides it among the parent's groups.  Updates that
-        are always zero are left out: teams with ``eta <= 0``, edges with a
-        factor of exactly 0, and nodes that never shed (a leaf with hazard 0, an
-        internal node no TERMINATE edge feeds), since adding 0.0 leaves a finite
-        mass unchanged.  Factors of exactly 1 and splits into one share are not
-        written either, as they change no bit.  Every inlined constant is
-        finite, so ``repr`` writes it exactly.
+        It returns new dicts and leaves its arguments as they are.  The
+        generated function starts from copies of the prior tables, loads the
+        prior masses it reads into locals ``a<i>`` and ``b<i>`` (node i's
+        active and blocked mass), and computes ``o<i>``, the mass node i
+        sheds.  Leaf hazards read the prior state, so they all come first; an
+        internal node's shed sum starts at 0.0 and only grows by ``+=``.  The
+        generator then walks the program in postorder and writes one block per
+        shedding node, guarded by ``if o<i>:``, so a node that sheds nothing
+        costs one test.  A block that runs updates its locals, then writes
+        back into the copies exactly the nodes it updated.  Each topmost team
+        acting on a node's edges (one team outside team mode) sends the node's
+        full shed mass along its own edges; a TERMINATE edge divides it among
+        the parent's groups.  Every float operation is the one the step has
+        always made, in the same order, so exact ties between leaves break as
+        they always have.
+
+        Skipping is exact.  No state value is ever -0.0, and every shed mass
+        is a sum of products of non-negative values, so a skipped block would
+        only have added, subtracted or scaled an exact 0.0, which changes no
+        bit; likewise a shed sum that starts at 0.0 equals one that starts at
+        its first term.  Every write-back follows the updates it reads, so each
+        entry ends holding its node's last value.  Updates that are always
+        zero are not written at all: teams with ``eta <= 0``, edges with a
+        factor of exactly 0, and nodes that never shed (a leaf with hazard 0,
+        an internal node no TERMINATE edge feeds).  Factors of exactly 1 and
+        splits into one share are not written either, as they change no bit.
+        Every inlined constant is finite, so ``repr`` writes it exactly.
 
         Mass stays at or above zero exactly, with no pass over the state.  A
         leaf sheds at most its own prior mass, and a node's blocked share
         ``keep = 1 - mean(eta)`` is taken as 0 when it rounds below 0.  Only
         an internal node that sheds can round below zero: the sum of its
-        children's TERMINATE flows may exceed its active mass by an ulp, so
-        its active mass is floored at 0 in the returned dict, after every
-        update of the step has read it.  Rounding may leave a value an ulp
-        above 1; it is left as it is.
+        children's TERMINATE flows may exceed its active mass by an ulp.  So
+        the last statements of the step, after every block has read it, set
+        such a node's entry to 0.0 when its active mass is below 0.  Rounding
+        may leave a value an ulp above 1; it is left as it is.
+
+        The source is registered with ``linecache`` under a name unique to
+        it, so tracebacks, profilers and ``inspect.getsource`` show it.
         """
-        ids, h = self.node_ids, self.team_hierarchy
-        n = {x: i for i, x in enumerate(ids)}
-        body: list[str] = []
+        h = self.team_hierarchy
+        n = {x: i for i, x in enumerate(self.node_ids)}
+        shed: list[str] = []  # each o<i>, set before any block runs
+        blocks: list[str] = []
+        floors: list[str] = []  # for the internal nodes that shed
         sheds: set[str] = set()
+        read_a: set[str] = set()  # nodes whose prior active mass the step reads
+        read_b: set[str] = set()
         for x in self.leaves:
             rate = hazard(self.node(x).rate)
             if rate:
-                body.append(f"o{n[x]} = a{n[x]} * {rate!r}")
+                shed.append(f"o{n[x]} = a{n[x]} * {rate!r}")
                 sheds.add(x)
-
-        def down(x: str, rho: str, depth: int):  # propagate_down, unrolled
-            for group in self.first_child_groups(x):
-                share = rho
-                if len(group) > 1:
-                    share = f"s{depth}"
-                    body.append(f"{share} = {rho} / {len(group)}")
-                for c in group:
-                    body.append(f"a{n[c]} += {share}")
-                    down(c, share, depth + 1)
+                read_a.add(x)
 
         for x in self.postorder:
             if x not in sheds:
                 continue
             i, parent, outgoing = n[x], self.node(x).parent, self.out_transitions(x)
+            body: list[str] = []
+            new_a, new_b = {x}, set()  # the nodes this block updates and writes back
+
+            def down(y: str, rho: str, depth: int):  # propagate_down, unrolled
+                for group in self.first_child_groups(y):
+                    share = rho
+                    if len(group) > 1:
+                        share = f"s{depth}"
+                        body.append(f"{share} = {rho} / {len(group)}")
+                    for c in group:
+                        body.append(f"a{n[c]} += {share}")
+                        new_a.add(c)
+                        down(c, share, depth + 1)
+
             if self.team_mode:
                 acting = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
                 teams = [[t for t in outgoing if is_allowed(t, team, h)] for team in acting]
@@ -396,30 +422,50 @@ class TeamOrientedProgram:
                     if silent == 0.0 or t.pi == 0.0:
                         continue
                     factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
-                    body.append(f"r = o{i}{factors}")
+                    r = "r" if factors else f"o{i}"
+                    if factors:
+                        body.append(f"r = o{i}{factors}")
                     if t.dst != TERMINATE:
-                        body.append(f"a{n[t.dst]} += r")
-                        down(t.dst, "r", 0)
+                        body.append(f"a{n[t.dst]} += {r}")
+                        new_a.add(t.dst)
+                        down(t.dst, r, 0)
                     elif parent is None:
-                        body.append(f"b{i} += r")  # program complete
+                        body.append(f"b{i} += {r}")  # program complete
+                        new_b.add(x)
                     else:
                         groups = len(self.first_child_groups(parent))
-                        flow = "r" if groups == 1 else f"r / {groups}"
-                        body.append(f"o{n[parent]} {'+=' if parent in sheds else '='} {flow}")
-                        sheds.add(parent)
+                        flow = r if groups == 1 else f"{r} / {groups}"
+                        body.append(f"o{n[parent]} += {flow}")
+                        if parent not in sheds:
+                            sheds.add(parent)
+                            shed.append(f"o{n[parent]} = 0.0")
+                            floors.append(f"if a{n[parent]} < 0.0: NA[{parent!r}] = 0.0")
             keep = max(0.0, 1.0 - (sum(etas) / len(etas) if etas else 0.0))
             if keep != 0.0:
                 body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
+                new_b.add(x)
             body.append(f"a{i} -= o{i}")
-        a = ", ".join(f"a{i}" for i in range(len(ids)))
-        b = ", ".join(f"b{i}" for i in range(len(ids)))
-        a_out = ", ".join(f"{x!r}: 0.0 if a{i} < 0.0 else a{i}" if x in sheds and
-                          self._children[x] else f"{x!r}: a{i}" for x, i in n.items())
-        b_out = ", ".join(f"{x!r}: b{i}" for x, i in n.items())
-        src = "\n    ".join(["def forward(A, B):", f"{a} = get(A)", f"{b} = get(B)", *body,
-                             f"return {{{a_out}}}, {{{b_out}}}"])
-        scope = {"get": itemgetter(*ids)}
-        exec(compile(src, f"<forward step of {self.root!r}>", "exec"), scope)
+            body += [f"NA[{y!r}] = a{n[y]}" for y in sorted(new_a)]
+            body += [f"NB[{y!r}] = b{n[y]}" for y in sorted(new_b)]
+            blocks.append(f"if o{i}:\n        " + "\n        ".join(body))
+            read_a |= new_a
+            read_b |= new_b
+
+        scope: dict = {}
+
+        def unpack(prefix: str, table: str, read: set[str]) -> list[str]:
+            read = sorted(read)
+            if len(read) < 2:  # itemgetter of one key returns no tuple
+                return [f"{prefix}{n[x]} = {table}[{x!r}]" for x in read]
+            scope[f"get{table}"] = itemgetter(*read)
+            return [", ".join(f"{prefix}{n[x]}" for x in read) + f" = get{table}({table})"]
+
+        src = "\n    ".join(["def forward(A, B):", "NA = A.copy()", "NB = B.copy()",
+                             *unpack("a", "A", read_a), *unpack("b", "B", read_b),
+                             *shed, *blocks, *floors, "return NA, NB"]) + "\n"
+        filename = f"<forward step sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
+        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+        exec(compile(src, filename, "exec"), scope)
         return scope["forward"]
 
     @cached_property

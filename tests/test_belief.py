@@ -8,7 +8,7 @@ from overhear.belief import (MonitoringError, VisitCounter, _evidence_scratch, _
                              most_likely_state, propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import hazard, program_from_document
-from overhear.progen import random_program
+from overhear.progen import random_program, team_program
 
 
 def _chain(lam_a=0.05, mu=0.0, extra_leaf=False):
@@ -298,6 +298,29 @@ def test_visit_counter_counts_per_node():
     for _ in range(10):
         b = propagate_forward(b, p, counter)
     assert counter.visits == 10 * len(p.node_ids)
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["team", "single"])
+@pytest.mark.parametrize("seed", range(7))
+def test_forward_leaves_its_arguments_alone(seed, view):
+    p = team_program(seed)
+    if view:
+        p = p.single_agent_view()
+    b = init_beliefs(p)
+    for _ in range(8):  # spread mass over several phases
+        b = propagate_forward(b, p)
+    A, B = b.active, b.blocked
+    values = list(A.values()), list(B.values())
+    NA, NB = p.forward(A, B)
+    assert NA is not A and NB is not B
+    assert (list(A.values()), list(B.values())) == values
+    assert all(v is w for table, before in zip((A, B), values)
+               for v, w in zip(table.values(), before))
+    assert (NA, NB) != (A, B)  # the step did move mass
+    zeros = dict(p.zeros)
+    ones = dict.fromkeys(p.node_ids, 1.0)
+    for state in ((zeros, zeros), (zeros, ones)):  # all-zero, then all-blocked
+        assert p.forward(*state) == state
 
 
 def test_evidence_scratch_sums_to_one():

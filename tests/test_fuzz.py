@@ -1,8 +1,10 @@
 """Property tests: program, trace, log, KQML and communication-model loaders
 raise only their documented error types, traces survive a text round trip,
-and the per-agent belief stays in [0, 1] without being clipped."""
+the per-agent belief stays in [0, 1] without being clipped, and no belief
+value of either layout is ever -0.0."""
 
 import copy
+import math
 import pathlib
 import random
 import string
@@ -19,6 +21,7 @@ from overhear.progen import random_program, team_program
 from overhear.sim import (GroundTruthTrace, SimulationError, format_trace,
                           parse_trace)
 from overhear.social import parse_comm_model
+from overhear.yoyo import team_init_beliefs, yoyo_tick
 
 _BASE = program_to_document(team_program(0))
 _NAMES = sorted({e["name"] for e in _BASE["teams"]} | {e["name"] for e in _BASE["agents"]}
@@ -196,3 +199,29 @@ def test_array_belief_stays_in_bounds_unclipped(p, ticks):
         for table in (b.active, b.blocked):
             for x, v in table.items():
                 assert 0.0 <= v <= 1.0 + 1e-12, (t, x, v)
+                # the kernel skips nodes that shed 0.0, exact only with no -0.0
+                assert math.copysign(1.0, v) == 1.0, (t, x, v)
+
+
+_TEAM_PROGRAMS = tuple(team_program(seed) for seed in range(7))
+# a quiet tick, or up to three messages: (kind, n-th agent, n-th plan name)
+_TEAM_TICKS = st.lists(st.none() | st.lists(
+    st.tuples(st.sampled_from([INIT, TERM]), st.integers(0, 99), st.integers(0, 99)),
+    min_size=1, max_size=3), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_TEAM_PROGRAMS), _TEAM_TICKS)
+def test_shared_belief_stays_in_bounds_without_negative_zero(p, ticks):
+    names = sorted({n.name for n in p.plans})
+    agents = p.team_hierarchy.agents
+    b = team_init_beliefs(p)
+    for t, msgs in enumerate(ticks, 1):
+        heard = []
+        for kind, i, j in msgs or ():
+            agent, team = agents[i % len(agents)]
+            heard.append(ObservedMessage(t, agent, team, kind, names[j % len(names)]))
+        yoyo_tick(p, b, heard)
+        for table in (b.active, b.blocked):
+            for x, v in table.items():
+                assert 0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0, (t, x, v)

@@ -1,6 +1,8 @@
 import copy
+import inspect
 import json
 import random
+import traceback
 
 import pytest
 
@@ -310,3 +312,17 @@ def test_warm_tables_leave_equality_and_hash_alone():
     assert "_chain" in vars(warm.team_hierarchy)
     assert warm.team_hierarchy == fresh.team_hierarchy
     assert hash(warm.team_hierarchy) == hash(fresh.team_hierarchy)
+
+
+def test_forward_source_is_registered():
+    p = team_program(0)
+    view = p.single_agent_view()
+    for q in (p, view):
+        assert inspect.getsource(q.forward).startswith("def forward(A, B):\n")
+    assert inspect.getsource(p.forward) != inspect.getsource(view.forward)
+    # one name per source: an equal program's kernel shares it
+    assert (team_program(0).forward.__code__.co_filename
+            == p.forward.__code__.co_filename != view.forward.__code__.co_filename)
+    with pytest.raises(KeyError) as info:
+        p.forward({}, {})
+    assert "= getA(A)" in "".join(traceback.format_tb(info.value.__traceback__))

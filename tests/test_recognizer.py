@@ -113,6 +113,28 @@ def test_incoherent_routing_reaches_only_the_sender(evac_team):
                                                "process-orders")) == ["escort1"]
 
 
+def _bits(b):
+    return (b.time, [(x, v.hex()) for x, v in b.active.items()],
+            [(x, v.hex()) for x, v in b.blocked.items()])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("prog", range(7))
+def test_coherent_array_rows_stay_identical(prog, seed):
+    """Under coherence every member of a leaf team hears the same messages
+    from the same start, so each holds a belief bit-identical to the others'."""
+    p = team_program(prog)
+    ticks = 150
+    _, log = simulate(p, SimConfig(seed=seed, ticks=ticks, team_mode=True))
+    rec = make_recognizer(p, "array", True)
+    members = [p.team_hierarchy.members(team) for team in rec.teams]
+    assert all(len(team) > 1 for team in members)
+    for _ in rec.replay(log, ticks):
+        for team in members:
+            first = _bits(rec.beliefs[team[0]])
+            assert all(_bits(rec.beliefs[a]) == first for a in team[1:])
+
+
 @pytest.mark.parametrize("mode, coherent", LAYOUTS)
 def test_unknown_sender_raises_with_its_tick(evac_team, mode, coherent):
     rec = make_recognizer(evac_team, mode, coherent)
