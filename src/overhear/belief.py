@@ -34,11 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram
+from .model import TERMINATE, TeamOrientedProgram, TemporalTransition
 
 # Evidence posteriors below the floor are truncated to zero to stop dead
 # hypotheses from drifting along indefinitely.
 PROB_FLOOR = 1e-12
+
+# Leaf masses within this relative distance of the best one tie in
+# ``best_leaf``: ``propagate_down`` splits mass evenly, so exact ties are
+# common, and summation order must not decide between them.
+TIE_TOLERANCE = 1e-9
+_TIE_SCALE = 1.0 + TIE_TOLERANCE
 
 
 class MonitoringError(ValueError):
@@ -107,6 +113,17 @@ def _prune_redundant_ancestors(p: TeamOrientedProgram, nodes) -> list[str]:
     return sorted(x for x in nodes if not any(a in nodes for a in p.ancestors(x)))
 
 
+def credit_raw(raw: dict[str, float], t: TemporalTransition,
+               blocked: dict[str, float]):
+    """Add the raw evidence mass that ``t`` carries to ``raw[t.dst]``.
+
+    That mass is the source's blocked mass times the chance the transition is
+    announced (mu) and taken (pi); both layouts' evidence steps weigh their
+    candidates by it before normalizing.
+    """
+    raw[t.dst] = raw.get(t.dst, 0.0) + blocked[t.src] * t.mu * t.pi
+
+
 def _evidence_scratch(m: ObservedMessage, b: BeliefState,
                       p: TeamOrientedProgram) -> dict[str, float]:
     """Unnormalized-to-normalized evidence masses for one message."""
@@ -121,7 +138,7 @@ def _evidence_scratch(m: ObservedMessage, b: BeliefState,
         candidates = set(consistent)
         for x in consistent:
             for t in p.in_transitions(x):
-                raw[x] = raw.get(x, 0.0) + b.blocked[t.src] * t.mu * t.pi
+                credit_raw(raw, t, b.blocked)
     else:
         # Termination releases the named nodes' pending mass into successors.
         candidates = set()
@@ -130,7 +147,7 @@ def _evidence_scratch(m: ObservedMessage, b: BeliefState,
                 if t.dst == TERMINATE:
                     continue
                 candidates.add(t.dst)
-                raw[t.dst] = raw.get(t.dst, 0.0) + b.blocked[x] * t.mu * t.pi
+                credit_raw(raw, t, b.blocked)
     positive = [x for x in raw if raw[x] > 0.0]
     if positive:
         keep = _prune_redundant_ancestors(p, positive)
@@ -178,17 +195,36 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     return BeliefState(b.time + 1, active, blocked)
 
 
+def best_leaf(leaves, active: dict[str, float], blocked: dict[str, float]
+              ) -> tuple[str, float]:
+    """The leaf of ``leaves`` holding the most active+blocked mass, and that mass.
+
+    This is the one pick rule every most-likely query uses.  Leaves are
+    scanned in the given order (callers pass them sorted by id) and the first
+    is the initial pick; a later leaf replaces the pick only when its mass
+    exceeds the pick's by more than the relative ``TIE_TOLERANCE``.  Masses
+    that a reordered float sum could swap therefore tie, and a tie goes to the
+    earliest leaf; with no mass anywhere that is the first leaf.
+    """
+    best = leaves[0]
+    best_mass = active[best] + blocked[best]
+    bar = best_mass * _TIE_SCALE
+    for leaf in leaves:
+        mass = active[leaf] + blocked[leaf]
+        if mass > bar:
+            best, best_mass, bar = leaf, mass, mass * _TIE_SCALE
+    return best, best_mass
+
+
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]:
     """Root-to-leaf path of the leaf holding the most active+blocked mass.
 
-    Ties break toward the lowest node id.  Raises on an all-zero state.
+    The leaf is ``best_leaf``'s pick over every leaf, so masses within
+    ``TIE_TOLERANCE`` of each other tie toward the lowest node id.  Raises on
+    an all-zero state.
     """
-    best, best_mass = None, 0.0
-    for leaf in p.leaves:  # sorted by id
-        mass = b.active[leaf] + b.blocked[leaf]
-        if mass > best_mass:
-            best, best_mass = leaf, mass
-    if best is None:
+    best, mass = best_leaf(p.leaves, b.active, b.blocked)
+    if not mass > 0.0:
         raise MonitoringError("belief state carries no mass on any leaf")
     return p.path_to(best)
 

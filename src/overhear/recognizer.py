@@ -25,8 +25,8 @@ the message's tick; ``path`` raises it naming an unknown unit.
 
 from __future__ import annotations
 
-from .belief import (MonitoringError, VisitCounter, array_overseer_tick, init_beliefs,
-                     most_likely_state)
+from .belief import (MonitoringError, VisitCounter, array_overseer_tick, best_leaf,
+                     init_beliefs, most_likely_state)
 from .ingest import messages_by_tick
 from .model import TeamOrientedProgram
 from .yoyo import team_init_beliefs, team_leaves, team_most_likely, yoyo_tick
@@ -95,18 +95,21 @@ class ArrayRecognizer(_Recognizer):
         array_overseer_tick(self.beliefs, self.programs, msgs, self.counter, self.recipients)
 
     def path(self, unit: str) -> tuple[str, ...]:
-        """An agent's own most likely path, or a team's from its members."""
+        """An agent's own most likely path, or a team's from its members.
+
+        A team's leaf is ``best_leaf``'s pick over the team's candidate
+        leaves, by the mass its members hold there summed; like every
+        most-likely query, masses within ``TIE_TOLERANCE`` tie toward the
+        lowest node id, and with no mass anywhere the lowest id is the pick.
+        """
         view = self.view
         if unit in self.beliefs:
             return view.name_path(most_likely_state(self.beliefs[unit], view)[-1])
         candidates = team_leaves(view, unit)
-        members = view.team_hierarchy.members(unit)  # sorted
-        best, best_mass = None, -1.0
-        for x in candidates:
-            mass = sum(self.beliefs[a].active[x] + self.beliefs[a].blocked[x] for a in members)
-            if mass > best_mass + 1e-15:
-                best, best_mass = x, mass
-        return view.name_path(best)
+        members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
+        mass = {x: sum(b.active[x] + b.blocked[x] for b in members) for x in candidates}
+        # ``mass`` already holds active+blocked, so the blocked table is all zeros
+        return view.name_path(best_leaf(candidates, mass, view.zeros)[0])
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

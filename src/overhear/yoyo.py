@@ -22,8 +22,8 @@ and at the end of every evidence tick; every value a tick leaves is in
 from __future__ import annotations
 
 from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
-                     _prune_redundant_ancestors, _zeros, init_beliefs, propagate_down,
-                     propagate_forward)
+                     _prune_redundant_ancestors, _zeros, best_leaf, credit_raw, init_beliefs,
+                     propagate_down, propagate_forward)
 from .ingest import INIT, ObservedMessage
 from .model import TERMINATE, TeamOrientedProgram, is_allowed
 
@@ -108,7 +108,7 @@ def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
         cand_team.setdefault(x, p.node(x).team)
         for t in p.in_transitions(x):
             if is_allowed(t, team, h):
-                raw[x] = raw.get(x, 0.0) + b.blocked[t.src] * t.mu * t.pi
+                credit_raw(raw, t, b.blocked)
     for x in sorted(terminated):
         team = terminated[x]
         for t in p.out_transitions(x):
@@ -116,7 +116,7 @@ def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
                 continue
             if is_allowed(t, team, h):
                 cand_team.setdefault(t.dst, p.node(t.dst).team)
-                raw[t.dst] = raw.get(t.dst, 0.0) + b.blocked[x] * t.mu * t.pi
+                credit_raw(raw, t, b.blocked)
     if not cand_team:
         # Termination of a node with no announceable successor: keep the
         # named nodes as candidates rather than zeroing the whole belief.
@@ -205,11 +205,10 @@ def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
 
 
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
-    """Most likely root-to-leaf path among leaves the team can be executing."""
-    active, blocked = b.active, b.blocked
-    best, best_mass = None, -1.0
-    for leaf in team_leaves(p, team):
-        mass = active[leaf] + blocked[leaf]
-        if mass > best_mass:
-            best, best_mass = leaf, mass
-    return p.path_to(best)
+    """Most likely root-to-leaf path among leaves the team can be executing.
+
+    The leaf is ``belief.best_leaf``'s pick over ``team_leaves``: masses
+    within ``TIE_TOLERANCE`` tie toward the lowest node id, and with no mass
+    on any of them the lowest id is the pick.
+    """
+    return p.path_to(best_leaf(team_leaves(p, team), b.active, b.blocked)[0])

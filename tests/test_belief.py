@@ -1,17 +1,21 @@
+import functools
 import math
 import random
 
 import pytest
 
-from overhear.belief import (MonitoringError, VisitCounter, _evidence_scratch, _zeros,
-                             apply_messages, array_overseer_tick, init_beliefs,
-                             most_likely_state, propagate_down, propagate_forward)
+from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
+                             _evidence_scratch, _zeros, apply_messages, array_overseer_tick,
+                             init_beliefs, most_likely_state, propagate_down,
+                             propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import hazard, program_from_document
 from overhear.progen import random_program, team_program
+from overhear.recognizer import make_recognizer
+from overhear.yoyo import team_most_likely
 
 
-def _chain(lam_a=0.05, mu=0.0, extra_leaf=False):
+def _chain(lam_a=0.05, mu=0.0, extra_leaf=False, team_mode=False):
     plans = [
         {"id": "r", "name": "top", "team": "T"},
         {"id": "a", "name": "step-a", "team": "T", "parent": "r",
@@ -24,11 +28,13 @@ def _chain(lam_a=0.05, mu=0.0, extra_leaf=False):
                       "lambda": 0.0})
         trans = [{"from": "a", "to": "b", "pi": 0.5, "mu": mu},
                  {"from": "a", "to": "c", "pi": 0.5, "mu": mu}]
+    if team_mode:
+        trans = [{**t, "teams": ["T"]} for t in trans]
     return program_from_document({
         "teams": [{"name": "T", "parent": None}],
         "agents": [{"name": "solo", "team": "T"}],
         "root": "r", "plans": plans, "transitions": trans,
-    })
+    }, team_mode=team_mode)
 
 
 def test_init_beliefs_first_child_chain(evac_mini_single):
@@ -221,13 +227,113 @@ def test_term_before_init_in_one_tick(evac_team):
     assert out.time == b.time + 1
 
 
-def test_most_likely_tie_breaks_low_id():
-    p = _chain(lam_a=0.4, mu=0.0, extra_leaf=True)
-    b = init_beliefs(p)
-    for _ in range(300):
-        b = propagate_forward(b, p)
+# The three most-likely queries, each as a recognizer answers through it:
+# an agent's own belief, the shared belief of a team, and the summed beliefs
+# of a team's members.
+PICKERS = {
+    "most_likely_state": ("array", False, "solo"),
+    "team_most_likely": ("yoyo", True, "T"),
+    "array_team_path": ("array", True, "T"),
+}
+
+
+@pytest.mark.parametrize("caller", PICKERS)
+def test_most_likely_tie_breaks_low_id(caller):
+    mode, coherent, unit = PICKERS[caller]
+    rec = make_recognizer(_chain(lam_a=0.4, extra_leaf=True, team_mode=True), mode, coherent)
+    for _ in rec.replay((), 301):
+        pass
     # a has fully drained into b and c equally; lowest id wins the tie
-    assert most_likely_state(b, p) == ("r", "b")
+    assert rec.path(unit) == ("top", "step-b")
+
+
+@functools.cache
+def _flat_program(n=5):
+    """Team T of agents a1, a2 under root r, whose children are leaves l0..l<n-1>."""
+    return program_from_document({
+        "teams": [{"name": "T", "parent": None}],
+        "agents": [{"name": "a1", "team": "T"}, {"name": "a2", "team": "T"}],
+        "root": "r",
+        "plans": [{"id": "r", "name": "r", "team": "T"}] + [
+            {"id": f"l{i}", "name": f"l{i}", "team": "T", "parent": "r",
+             "first_child": i == 0, "lambda": 0.0} for i in range(n)],
+        "transitions": [],
+    }, team_mode=True)
+
+
+def _pick(caller, masses) -> str:
+    """The leaf ``caller`` picks when leaf ``l<i>`` holds ``masses[i]``.
+
+    Each mass is split into two exact halves: active and blocked of one state
+    for the single-state queries, one member's active and the other's blocked
+    for the summed team query.
+    """
+    p = _flat_program(len(masses))
+    first, second = (BeliefState(0, _zeros(p), _zeros(p)) for _ in range(2))
+    for leaf, mass in zip(p.leaves, masses):
+        first.active[leaf] = second.blocked[leaf] = mass / 2
+    if caller == "array_team_path":
+        rec = make_recognizer(p, "array", coherent=True)
+        rec.beliefs = {"a1": first, "a2": second}
+        return rec.path("T")[-1]
+    first.blocked.update(second.blocked)
+    if caller == "most_likely_state":
+        return most_likely_state(first, p)[-1]
+    return team_most_likely(first, p, "T")[-1]
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` ulps up (or ``-k`` down)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+T = 0.3
+PERTURBED = [k for k in range(-4, 5) if k]
+TIE_CASES = {
+    "exact": ([0.1, T, 0.1, T, 0.1], "l1"),
+    **{f"later{k:+d}ulp": ([0.1, T, 0.1, _ulps(T, k), 0.1], "l1") for k in PERTURBED},
+    **{f"earlier{k:+d}ulp": ([0.1, _ulps(T, k), 0.1, T, 0.1], "l1") for k in PERTURBED},
+    "drifting-chain": ([0.1, T, _ulps(T, 3), _ulps(T, 6), _ulps(T, 9)], "l1"),
+    "later-wins": ([0.1, T, 0.1, T * (1 + 10 * TIE_TOLERANCE), 0.1], "l3"),
+    "first-wins": ([T * (1 + 10 * TIE_TOLERANCE), T, 0.1, T, 0.1], "l0"),
+    "last-wins": ([0.0, 0.0, 0.0, 0.0, 1e-300], "l4"),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+@pytest.mark.parametrize("caller", PICKERS)
+def test_pick_rule_ties_within_tolerance(caller, case):
+    masses, want = TIE_CASES[case]
+    assert _pick(caller, masses) == want
+
+
+@pytest.mark.parametrize("caller", PICKERS)
+def test_pick_rule_on_an_all_zero_state(caller):
+    if caller == "most_likely_state":
+        with pytest.raises(MonitoringError, match="no mass"):
+            _pick(caller, [0.0] * 5)
+    else:
+        assert _pick(caller, [0.0] * 5) == "l0"
+
+
+@pytest.mark.parametrize("caller", PICKERS)
+def test_pick_is_the_lowest_id_of_the_top_group(caller):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        top = data.draw(st.sets(st.integers(0, 4), min_size=1), label="top")
+        t = data.draw(st.floats(1e-6, 1.0), label="T")
+        below = st.floats(0.0, t * (1 - 1e-6), exclude_max=True)
+        masses = [_ulps(t, data.draw(st.integers(-4, 4))) if i in top else data.draw(below)
+                  for i in range(5)]
+        assert _pick(caller, masses) == f"l{min(top)}"
+
+    check()
 
 
 def test_most_likely_rejects_empty():
