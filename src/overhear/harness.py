@@ -283,8 +283,7 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     report.visits = recognizer.counter.visits
     report.hypothesis_counts = tuple(
         hypothesis_count_curve(p, messages, rules=comm_model, up_to_tick=last))
-    # Scoring has only the temporal engine; the key keeps reports comparable.
-    report.config = {"mode": mode, "temporal": 1, "coherent": int(recognizer.coherent),
+    report.config = {"mode": mode, "coherent": int(recognizer.coherent),
                      "comm": int(comm_model is not None), "delay": delay,
                      "seed": trace.seed}
     return report
