@@ -48,6 +48,10 @@ class SimConfig:
             raise SimulationError("ticks must be positive")
         if not 0.0 <= self.send_prob <= 1.0:
             raise SimulationError("send_prob must lie in [0, 1]")
+        if self.fail_from < 0:
+            raise SimulationError(f"fail_from must be nonnegative, got {self.fail_from}")
+        if self.fail_ticks < 0:
+            raise SimulationError(f"fail_ticks must be nonnegative, got {self.fail_ticks}")
 
     def fails_at(self, agent: str, tick: int) -> bool:
         if self.fail_agent is None or agent != self.fail_agent:
@@ -423,7 +427,8 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
 
     Returns the ground-truth trace (state at the start of every tick) and
     the overheard message log, both fully determined by cfg.seed.  A
-    team-mode run needs a program loaded in team mode (``SimulationError``).
+    team-mode run needs a program loaded in team mode, and ``cfg.fail_agent``
+    must be one of the program's agents (``SimulationError``).
     """
     h = p.team_hierarchy
     agents = h.agent_names
@@ -433,6 +438,8 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
         # a team run forks into the program's parallel groups, and only a
         # team-mode program groups first children by team
         raise SimulationError("team-mode simulation needs a program loaded in team mode")
+    if cfg.fail_agent is not None and not h.has_agent(cfg.fail_agent):
+        raise SimulationError(f"fail agent '{cfg.fail_agent}' is not an agent of the program")
     steps: list[dict[str, tuple[tuple[str, ...], bool]]] = []
     messages: list[ObservedMessage] = []
     count = [0]

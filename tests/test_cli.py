@@ -58,6 +58,20 @@ def test_simulate_writes_parseable_outputs(tmp_path):
     assert all(0 <= m.tick < 150 for m in log)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--fail-agent", "nobody", "--fail-ticks", "10"], "fail agent 'nobody'"),
+    (["--fail-agent", "escort1", "--fail-from", "-3", "--fail-ticks", "10"], "fail_from"),
+    (["--fail-agent", "escort1", "--fail-ticks", "-10"], "fail_ticks"),
+], ids=["unknown-agent", "negative-from", "negative-ticks"])
+def test_simulate_rejects_an_outage_that_cannot_happen(tmp_path, capsys, flags, message):
+    rc = run_command(["simulate", "--program", TEAM, "--team-mode", "--seed", "4",
+                      "--ticks", "20", *flags, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("overhear simulate: error:") and message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_is_reproducible(tmp_path):
     a = _simulate(tmp_path / "a")
     b = _simulate(tmp_path / "b")

@@ -42,6 +42,23 @@ def test_config_validation():
         SimConfig(send_prob=1.5)
 
 
+@pytest.mark.parametrize("window", [{"fail_from": -1}, {"fail_ticks": -1},
+                                    {"fail_from": -5, "fail_ticks": 10}],
+                         ids=["from", "ticks", "from-with-length"])
+def test_config_rejects_negative_outage_window(window):
+    with pytest.raises(SimulationError, match="must be nonnegative"):
+        SimConfig(fail_agent="alpha1", **window)
+
+
+@pytest.mark.parametrize("team_mode", [False, True])
+def test_unknown_fail_agent_rejected(team_mode):
+    tp = team_program(0)
+    cfg = SimConfig(seed=9, ticks=50, team_mode=team_mode, fail_agent="nobody",
+                    fail_ticks=10)
+    with pytest.raises(SimulationError, match="fail agent 'nobody'"):
+        simulate(tp if team_mode else tp.single_agent_view(), cfg)
+
+
 def test_team_mode_needs_team_program(evac_team, evac_mini_single):
     # a program loaded without team mode has one group of all first
     # children, so it cannot drive a team run
