@@ -159,13 +159,20 @@ def parse_kqml_record(block: str, *, epoch: float | None = None,
     """Normalize one KQML broadcast record.
 
     Ticks count elapsed seconds since ``epoch`` (the record's own timestamp
-    when epoch is None), quantized by ``tick_seconds``.  The :content field
+    when epoch is None), quantized by ``tick_seconds``, which must be
+    positive; a record stamped before the epoch is an error.  The :content field
     is '<speaker> <verb> [constant] <plan> <trailing ...>'; the verb selects
     INIT or TERM and everything after the plan name is kept as opaque extra
     payload.
     """
+    _check_tick_seconds(tick_seconds)
     stamp, fields = _parse_kqml_fields(block)
     return _kqml_message(stamp, fields, stamp if epoch is None else epoch, tick_seconds)
+
+
+def _check_tick_seconds(tick_seconds: float):
+    if not tick_seconds > 0:
+        raise IngestError(f"tick_seconds must be positive, got {tick_seconds}")
 
 
 def _first_word(fields: dict[str, str], key: str, default: str | None = None) -> str:
@@ -196,6 +203,8 @@ def _kqml_message(stamp: float, fields: dict[str, str], epoch: float,
     plan, extra = rest[0], " ".join(rest[1:])
     sender = _first_word(fields, "sender", tokens[0])
     team = _first_word(fields, "team")
+    if stamp < epoch:
+        raise IngestError(f"record is stamped {epoch - stamp:g} s before the epoch")
     tick = int((stamp - epoch) / tick_seconds)
     return ObservedMessage(tick, sender, team, _VERB_KIND[verb], plan, extra=extra)
 
@@ -203,7 +212,10 @@ def _kqml_message(stamp: float, fields: dict[str, str], epoch: float,
 def parse_kqml_log(text: str, *, tick_seconds: float = 1.0) -> list[ObservedMessage]:
     """Parse a stream of KQML records; ticks are relative to the first record.
 
-    Errors start ``record N (line L):``, L being the record's first line."""
+    The first record's stamp is the epoch, so a later record stamped before
+    it is an error, as is a ``tick_seconds`` that is not positive.  Record
+    errors start ``record N (line L):``, L being the record's first line."""
+    _check_tick_seconds(tick_seconds)
     blocks: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.strip().startswith("Log Message Received"):

@@ -147,9 +147,11 @@ _COMM = "CONFIDENCE 0.9\nPLAN scout INIT\n# learned\nPLAN hold TERM\n"
 def test_fuzzed_message_loaders_raise_only_ingest_error(parse, base, data):
     text = data.draw(st.one_of(_mutated(base), st.text(max_size=40)))
     try:
-        parse(text)
+        out = parse(text)
     except IngestError:
-        pass
+        return
+    if parse is not parse_comm_model:
+        assert all(m.tick >= 0 for m in out)
 
 
 def _stressed_program(seed: int, rate: float | None, silenced: int | None):

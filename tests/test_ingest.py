@@ -1,5 +1,6 @@
 import calendar
 import datetime
+import math
 import pathlib
 import random
 import time
@@ -159,6 +160,26 @@ def test_kqml_log_errors_name_the_record(old, new, message):
     with pytest.raises(IngestError) as err:
         parse_kqml_log(text.replace(old, new))
     assert str(err.value) == f"record 2 (line 12): {message}"
+
+
+def test_kqml_record_stamped_before_the_first_is_rejected():
+    # swapped, the second record is stamped 161 s before the first one: its
+    # tick would be -161, a line parse_log rejects and replay would drop
+    first, second = KQML_SAMPLE.read_text().split("\n\n")
+    with pytest.raises(IngestError) as err:
+        parse_kqml_log(f"{second.rstrip()}\n\n{first}\n")
+    assert str(err.value) == "record 2 (line 12): record is stamped 161 s before the epoch"
+    with pytest.raises(IngestError, match="161 s before the epoch"):
+        parse_kqml_record(first, epoch=calendar.timegm((1999, 9, 17, 18, 30, 35)))
+
+
+@pytest.mark.parametrize("tick_seconds", [0.0, -60.0, math.nan])
+def test_kqml_tick_seconds_must_be_positive(tick_seconds):
+    text = KQML_SAMPLE.read_text()
+    for parse, arg in ((parse_kqml_log, text), (parse_kqml_log, ""),
+                       (parse_kqml_record, text.split("\n\n")[0])):
+        with pytest.raises(IngestError, match="tick_seconds must be positive"):
+            parse(arg, tick_seconds=tick_seconds)
 
 
 def _fuzz_corpus(n, seed=0):
