@@ -31,6 +31,7 @@ as long as each agent's state is owned by one worker at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ingest import INIT, TERM, ObservedMessage
@@ -195,9 +196,8 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     return BeliefState(b.time + 1, active, blocked)
 
 
-def best_leaf(leaves, active: dict[str, float], blocked: dict[str, float]
-              ) -> tuple[str, float]:
-    """The leaf of ``leaves`` holding the most active+blocked mass, and that mass.
+def best_leaf(leaves, active: dict[str, float], blocked: dict[str, float]) -> str:
+    """The leaf of ``leaves`` holding the most active+blocked mass.
 
     This is the one pick rule every most-likely query uses.  Leaves are
     scanned in the given order (callers pass them sorted by id) and the first
@@ -206,14 +206,12 @@ def best_leaf(leaves, active: dict[str, float], blocked: dict[str, float]
     that a reordered float sum could swap therefore tie, and a tie goes to the
     earliest leaf; with no mass anywhere that is the first leaf.
     """
-    best = leaves[0]
-    best_mass = active[best] + blocked[best]
-    bar = best_mass * _TIE_SCALE
+    best, bar = None, -math.inf
     for leaf in leaves:
         mass = active[leaf] + blocked[leaf]
         if mass > bar:
-            best, best_mass, bar = leaf, mass, mass * _TIE_SCALE
-    return best, best_mass
+            best, bar = leaf, mass * _TIE_SCALE
+    return best
 
 
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]:
@@ -223,8 +221,8 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]
     ``TIE_TOLERANCE`` of each other tie toward the lowest node id.  Raises on
     an all-zero state.
     """
-    best, mass = best_leaf(p.leaves, b.active, b.blocked)
-    if not mass > 0.0:
+    best = best_leaf(p.leaves, b.active, b.blocked)
+    if not b.active[best] + b.blocked[best] > 0.0:
         raise MonitoringError("belief state carries no mass on any leaf")
     return p.path_to(best)
 

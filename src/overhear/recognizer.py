@@ -97,10 +97,8 @@ class ArrayRecognizer(_Recognizer):
     def path(self, unit: str) -> tuple[str, ...]:
         """An agent's own most likely path, or a team's from its members.
 
-        A team's leaf is ``best_leaf``'s pick over the team's candidate
-        leaves, by the mass its members hold there summed; like every
-        most-likely query, masses within ``TIE_TOLERANCE`` tie toward the
-        lowest node id, and with no mass anywhere the lowest id is the pick.
+        A team's leaf is ``best_leaf``'s pick over its candidate leaves by
+        the members' summed masses, so near-ties go to the lowest node id.
         """
         view = self.view
         if unit in self.beliefs:
@@ -109,7 +107,7 @@ class ArrayRecognizer(_Recognizer):
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
         mass = {x: sum(b.active[x] + b.blocked[x] for b in members) for x in candidates}
         # ``mass`` already holds active+blocked, so the blocked table is all zeros
-        return view.name_path(best_leaf(candidates, mass, view.zeros)[0])
+        return view.name_path(best_leaf(candidates, mass, view.zeros))
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

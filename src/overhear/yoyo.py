@@ -207,8 +207,7 @@ def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
     """Most likely root-to-leaf path among leaves the team can be executing.
 
-    The leaf is ``belief.best_leaf``'s pick over ``team_leaves``: masses
-    within ``TIE_TOLERANCE`` tie toward the lowest node id, and with no mass
-    on any of them the lowest id is the pick.
+    The leaf is ``belief.best_leaf``'s pick, so near-ties, and a team with no
+    mass on any of its leaves, go to the lowest node id.
     """
-    return p.path_to(best_leaf(team_leaves(p, team), b.active, b.blocked)[0])
+    return p.path_to(best_leaf(team_leaves(p, team), b.active, b.blocked))
