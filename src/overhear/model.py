@@ -17,8 +17,11 @@ every node's root path, plan-name path and ancestors, the read-only zero
 table that fresh states copy (``zeros``), each node's parallel first-child
 groups (``first_child_groups``, the one place that decides which subteams
 run in parallel), each team's candidate leaves (``leaves_by_team``), the
-compiled forward step (``forward``) and the single-agent view
-(``single_agent_view``).  No other module writes to a program.
+shared layout's evidence structure (each team's open transitions
+``team_edges``, each node's climb ``evidence_climbs`` and each rescale's
+walk ``rescale_walks``), the compiled forward step (``forward``) and the
+single-agent view (``single_agent_view``).  No other module writes to a
+program.
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.
@@ -306,6 +309,99 @@ class TeamOrientedProgram:
         chain = self.team_hierarchy.ancestors_or_self
         return {team: tuple(x for x in self.leaves if self._node[x].team in chain(team))
                 or self.leaves for team, _ in self.team_hierarchy.teams}
+
+    # -- the shared layout's evidence tick ----------------------------------
+
+    @cached_property
+    def rescale_walks(self) -> dict[tuple[str, str], tuple]:
+        """The shared layout's rescale walks, keyed by (parent, evidencing team).
+
+        A rescale runs when evidence about ``team`` climbs into ``parent``
+        and ``parent``'s owner is ``team``'s parent team, so the keys are
+        every internal node with each child team of its owner.  The value
+        holds one ``(child, steps)`` segment per child of ``parent``, in id
+        order: the child's subtree in pre-order as ``(node, parent, split)``
+        steps, where ``parent`` is node's parent and ``split`` the size of
+        the first-child group under it that holds node (0 if none does).
+        A subtree owned by
+        ``team``, a subteam or an ancestor team is left out whole, with all
+        it holds, as the evidencing team executes those plans itself; a
+        child whose subtree is left out has no segment.  The rescale skips
+        the segment of the child the evidence came through.
+        """
+        h, node, children = self.team_hierarchy, self._node, self._children
+        split = {c: len(g) for groups in self._first_child_groups.values()
+                 for g in groups for c in g}
+        subteams: dict[str, list[str]] = {}
+        related = set()  # (a, b) when a covers b or b covers a
+        for team, parent in h.teams:
+            subteams.setdefault(parent, []).append(team)
+            for up in h.ancestors_or_self(team):
+                related |= {(team, up), (up, team)}
+
+        def visit(y: str, team: str, steps: list):
+            if (team, node[y].team) in related:
+                return
+            steps.append((y, node[y].parent, split.get(y, 0)))
+            for c in children[y]:
+                visit(c, team, steps)
+
+        walks = {}
+        for x in self.node_ids:
+            for team in subteams.get(node[x].team, ()) if children[x] else ():
+                segments = []
+                for c in children[x]:
+                    steps: list = []
+                    visit(c, team, steps)
+                    if steps:
+                        segments.append((c, tuple(steps)))
+                walks[x, team] = tuple(segments)
+        return walks
+
+    @cached_property
+    def evidence_climbs(self) -> dict[str, tuple[tuple[str, str, tuple], ...]]:
+        """Each node's climb to the root in the shared layout's evidence tick.
+
+        Evidence committed at node x climbs one ``(node, parent, walk)`` step
+        per ancestor.  The evidencing team starts as x's owner; a step into a
+        parent owned by that team's parent team rescales, its ``walk`` is
+        ``rescale_walks[parent, team]``, and the parent's owner becomes the
+        evidencing team.  Every other step's ``walk`` is ``()``.
+        """
+        parent_team, node, walks = self.team_hierarchy.parent_team, self._node, self.rescale_walks
+        climbs = {}
+        for x in self.node_ids:
+            team, y, steps = node[x].team, x, []
+            while (parent := node[y].parent) is not None:
+                walk = ()
+                if node[parent].team == parent_team(team):
+                    walk = walks[parent, team]
+                    team = node[parent].team
+                steps.append((y, parent, walk))
+                y = parent
+            climbs[x] = tuple(steps)
+        return climbs
+
+    @cached_property
+    def team_edges(self) -> dict[str, tuple[dict, dict]]:
+        """Each team's open transitions (``is_allowed``), as (into, out of) tables.
+
+        ``into[x]`` holds the transitions into node x and ``out[x]`` those
+        out of x into a plan, leaving TERMINATE edges out; both keep the
+        order of ``transitions``, and a node with none is absent.
+        """
+        h, edges = self.team_hierarchy, {}
+        for team, _ in h.teams:
+            chain = frozenset(h.ancestors_or_self(team))
+            into: dict[str, list] = {}
+            out: dict[str, list] = {}
+            for t in self.transitions:
+                if t.dst != TERMINATE and not chain.isdisjoint(t.teams):
+                    into.setdefault(t.dst, []).append(t)
+                    out.setdefault(t.src, []).append(t)
+            edges[team] = ({x: tuple(v) for x, v in into.items()},
+                           {x: tuple(v) for x, v in out.items()})
+        return edges
 
     # -- the forward step --------------------------------------------------
 

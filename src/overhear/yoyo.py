@@ -9,13 +9,21 @@ not with plans times agents.
 
 A quiet tick is ``belief.propagate_forward``, the engine both layouts share;
 this module holds the evidence and rescale steps.  Like every program table,
-the team -> candidate-leaves table that most-likely queries read is built by
-the program itself (``TeamOrientedProgram.leaves_by_team``).
+the structure those steps follow is built by the program itself, on the
+first evidence tick: each team's open transitions (``team_edges``), each
+node's climb to the root (``evidence_climbs``) and each rescale's walk
+(``rescale_walks``).  Only the mass arithmetic runs per tick.  The
+team -> candidate-leaves table that most-likely queries read is
+``TeamOrientedProgram.leaves_by_team``.
 
 This is the one layout that clips.  The evidence climb and the rescale do
-not conserve mass and can push a value well outside [0, 1], so ``_clamp``
-silently sets each such value to the nearer bound, after every quiet step
-and at the end of every evidence tick; every value a tick leaves is in
+not conserve mass and can push a value well outside [0, 1], so each such
+value is silently set to the nearer bound: by ``_clamp``, over the whole
+state, after every quiet step, and by ``_clamp_entries``, over the entries
+the tick wrote, at the end of every evidence tick.  The narrower clamp is
+exact.  An evidence tick builds its state on fresh zero tables and adds
+every entry it writes to its ``updated`` set, so every other entry is an
+exact 0.0, which a clamp leaves as it is.  Every value a tick leaves is in
 [0, 1].
 """
 
@@ -25,12 +33,23 @@ from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
                      _prune_redundant_ancestors, _zeros, best_leaf, credit_raw, init_beliefs,
                      propagate_down, propagate_forward)
 from .ingest import INIT, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, is_allowed
+from .model import TeamOrientedProgram
 
 
 def _clamp(state: BeliefState):
     for table in (state.active, state.blocked):
         for k, v in table.items():
+            if v < 0.0:
+                table[k] = 0.0
+            elif v > 1.0:
+                table[k] = 1.0
+
+
+def _clamp_entries(state: BeliefState, keys):
+    """``_clamp`` over the entries ``keys`` names only."""
+    for table in (state.active, state.blocked):
+        for k in keys:
+            v = table[k]
             if v < 0.0:
                 table[k] = 0.0
             elif v > 1.0:
@@ -47,42 +66,39 @@ def scale(parent: str, team: str, child: str, b: BeliefState, prior: BeliefState
     """Rescale parallel teams' subplans under ``parent`` to its new belief.
 
     ``child``'s subtree was just updated by evidence; ``prior`` is the state
-    the tick started from.  Plans owned by ``team``, its subteams, or its
-    ancestor teams are all executed by the evidencing team itself, so the
-    evidence already decided them; they are left alone.  Every subtree owned
-    by a team disjoint from ``team`` (a sibling executing in parallel) keeps
-    its prior share of its parent's prior active mass, reapplied to the
-    parent's new mass, parents before their children (pre-order).
+    the tick started from; ``parent``'s owner must be ``team``'s parent
+    team.  Plans owned by ``team``, its subteams, or its ancestor teams are
+    all executed by the evidencing team itself, so the evidence already
+    decided them; they are left alone.  Every subtree owned by a team
+    disjoint from ``team`` (a sibling executing in parallel) keeps its prior
+    share of its parent's prior active mass, reapplied to the parent's new
+    mass, parents before their children (pre-order).  The walk, which nodes
+    it visits and in what order, is the program's
+    ``rescale_walks[parent, team]``; only the mass arithmetic, and the
+    skip of the nodes already in ``updated``, run here.
     """
-    h = p.team_hierarchy
-    if updated is None:
-        updated = set()
+    _rescale(p.rescale_walks[parent, team], child, b, prior,
+             set() if updated is None else updated)
 
-    def walk(y: str):
-        if y == child:
-            return
-        yteam = p.node(y).team
-        if h.covers(team, yteam) or h.covers(yteam, team):
-            return  # the evidencing team executes these plans itself
-        if y not in updated:
-            par = p.node(y).parent
-            denom = prior.active.get(par, 0.0)
-            new_parent = b.active[par]
+
+def _rescale(walk, child: str, b: BeliefState, prior: BeliefState, updated: set[str]):
+    active, blocked, prior_active, prior_blocked = b.active, b.blocked, prior.active, prior.blocked
+    for top, steps in walk:
+        if top == child:
+            continue
+        for y, par, split in steps:
+            if y in updated:
+                continue
+            denom = prior_active[par]
+            new_parent = active[par]
             if denom > 0.0:
-                b.active[y] += (prior.active[y] / denom) * new_parent
-                b.blocked[y] += (prior.blocked[y] / denom) * new_parent
-            else:
+                active[y] += (prior_active[y] / denom) * new_parent
+                blocked[y] += (prior_blocked[y] / denom) * new_parent
+            elif split:
                 # No prior shape to preserve: spread the parent's new mass
                 # evenly over the first-child group that holds this node.
-                for group in p.first_child_groups(par):
-                    if y in group:
-                        b.active[y] += new_parent / len(group)
+                active[y] += new_parent / split
             updated.add(y)
-        for c in p.children(y):
-            walk(c)
-
-    for c in p.children(parent):
-        walk(c)
 
 
 def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str:
@@ -99,22 +115,23 @@ def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str:
 def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
                            initiated: dict[str, str], terminated: dict[str, str]
                            ) -> dict[str, float]:
-    """Evidence masses, normalized per owning team of the candidate nodes."""
-    h = p.team_hierarchy
+    """Evidence masses, normalized per owning team of the candidate nodes.
+
+    A message's candidates are reached along the transitions open to its
+    team, which the program lists once (``team_edges``).
+    """
+    edges = p.team_edges
     raw: dict[str, float] = {}
     cand_team: dict[str, str] = {}
     for x in sorted(initiated):
-        team = initiated[x]
         cand_team.setdefault(x, p.node(x).team)
-        for t in p.in_transitions(x):
-            if is_allowed(t, team, h):
-                credit_raw(raw, t, b.blocked)
+        into, _ = edges[initiated[x]]
+        for t in into.get(x, ()):
+            credit_raw(raw, t, b.blocked)
     for x in sorted(terminated):
-        team = terminated[x]
-        for t in p.out_transitions(x):
-            if t.dst == TERMINATE or t.dst in initiated:
-                continue
-            if is_allowed(t, team, h):
+        _, out = edges[terminated[x]]
+        for t in out.get(x, ()):
+            if t.dst not in initiated:
                 cand_team.setdefault(t.dst, p.node(t.dst).team)
                 credit_raw(raw, t, b.blocked)
     if not cand_team:
@@ -148,7 +165,10 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     With no messages this is the shared forward step.  Otherwise the
     batched messages are folded in together: committed evidence propagates
     down its subtree, climbs toward the root, and triggers a cross-team
-    rescale whenever the walk crosses into the parent team's plan.
+    rescale whenever the walk crosses into the parent team's plan.  The
+    climb's steps, and where it rescales, are the program's
+    ``evidence_climbs``; each step raises the parent to at least the
+    child's mass.  The tick then clamps only the entries it wrote.
     """
     if not msgs:
         nxt = propagate_forward(b, p, counter)
@@ -173,27 +193,22 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             target[x] = team
     scratch = _team_evidence_scratch(b, p, initiated, terminated)
 
-    h = p.team_hierarchy
     prior = BeliefState(b.time, b.active, b.blocked)
-    b.active, b.blocked = _zeros(p), _zeros(p)
+    active = b.active = _zeros(p)
+    b.blocked = _zeros(p)
     updated: set[str] = set()
+    climbs = p.evidence_climbs
     for x in sorted(scratch):
-        mass = scratch[x]
-        b.active[x] = max(b.active[x], mass)
+        active[x] = max(active[x], scratch[x])
         updated.add(x)
-        propagate_down(x, b.active[x], b, p, updated)
-        team = p.node(x).team
-        node = x
-        while p.node(node).parent is not None:
-            par = p.node(node).parent
-            b.active[par] = max(b.active[par], b.active[node])
+        propagate_down(x, active[x], b, p, updated)
+        for node, par, walk in climbs[x]:
+            active[par] = max(active[par], active[node])
             updated.add(par)
-            if p.node(par).team == h.parent_team(team):
-                scale(par, team, node, b, prior, p, updated)
-                team = p.node(par).team
-            node = par
+            if walk:
+                _rescale(walk, node, b, prior, updated)
     b.time += 1
-    _clamp(b)
+    _clamp_entries(b, updated)
 
 
 def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:

@@ -7,11 +7,13 @@ import traceback
 import pytest
 
 from overhear.model import (ProgramError, TERMINATE, hazard, is_allowed, load_program,
-                            program_from_document, program_to_document,
+                            load_program_path, program_from_document, program_to_document,
                             serialize_program, topmost_teams)
 from overhear.progen import grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_leaves
+
+from conftest import DATA
 
 
 def _mini_doc():
@@ -296,6 +298,102 @@ def _brute_groups(p, x):
     owners = {p.node(c).team for c in first}
     tops = [t for t in owners if not any(u in _brute_chain(h, t)[1:] for u in owners)]
     return tuple(tuple(c for c in first if p.node(c).team == t) for t in sorted(tops))
+
+
+def _brute_kids(p, x):
+    return [c for c in p.node_ids if p.node(c).parent == x]
+
+
+def _brute_walk(p, parent, team):
+    """The rescale walk as ``yoyo.scale`` once recursed it, node by node."""
+    h = p.team_hierarchy
+
+    def visit(y, steps):
+        yteam = p.node(y).team
+        if team in _brute_chain(h, yteam) or yteam in _brute_chain(h, team):
+            return
+        par = p.node(y).parent
+        split = [len(g) for g in _brute_groups(p, par) if y in g]
+        steps.append((y, par, split[0] if split else 0))
+        for c in _brute_kids(p, y):
+            visit(c, steps)
+
+    segments = []
+    for c in _brute_kids(p, parent):
+        steps = []
+        visit(c, steps)
+        if steps:
+            segments.append((c, tuple(steps)))
+    return tuple(segments)
+
+
+def _brute_climb(p, x):
+    h = p.team_hierarchy
+    team, steps = p.node(x).team, []
+    while p.node(x).parent is not None:
+        par = p.node(x).parent
+        walk = ()
+        if p.node(par).team == dict(h.teams)[team]:
+            walk = _brute_walk(p, par, team)
+            team = p.node(par).team
+        steps.append((x, par, walk))
+        x = par
+    return tuple(steps)
+
+
+def _nested_doc():
+    # evidence about LOW rescales LOW2's plan under s, then, now about MID,
+    # OTHER's subtree under m, whose first children o1 and o2 split one group
+    teams = {"TOP": None, "MID": "TOP", "OTHER": "TOP", "LOW": "MID", "LOW2": "MID"}
+    plans = [("m", "TOP", None, False), ("s", "MID", "m", True), ("o", "OTHER", "m", True),
+             ("o1", "OTHER", "o", True), ("o2", "OTHER", "o", True),
+             ("l", "LOW", "s", True), ("k", "LOW2", "s", True)]
+    return {
+        "teams": [{"name": t, "parent": parent} for t, parent in teams.items()],
+        "agents": [{"name": "a1", "team": "LOW"}, {"name": "a2", "team": "LOW2"},
+                   {"name": "a3", "team": "OTHER"}],
+        "root": "m",
+        "plans": [{"id": x, "name": x, "team": team,
+                   **({"parent": parent, "first_child": first} if parent else {}),
+                   **({"lambda": 0.2} if x in ("o1", "o2", "l", "k") else {})}
+                  for x, team, parent, first in plans],
+        "transitions": [{"from": "o1", "to": "o2", "pi": 1.0, "mu": 0.5, "teams": ["OTHER"]},
+                        {"from": "l", "to": "TERMINATE", "pi": 1.0, "mu": 0.5,
+                         "teams": ["LOW"]},
+                        {"from": "s", "to": "TERMINATE", "pi": 1.0, "mu": 0.5,
+                         "teams": ["MID"]}],
+    }
+
+
+_EVIDENCE_PROGRAMS = ([team_program(k) for k in range(7)]
+                      + [load_program_path(DATA / name, team_mode=True)
+                         for name in ("evac_team.json", "evac_mini.json")]
+                      + [program_from_document(_nested_doc(), team_mode=True)])
+
+
+@pytest.mark.parametrize("p", _EVIDENCE_PROGRAMS,
+                         ids=[f"team_program({k})" for k in range(7)]
+                         + ["evac_team", "evac_mini", "nested"])
+def test_evidence_tables_match_definitions(p):
+    h = p.team_hierarchy
+    walks = {(x, team): _brute_walk(p, x, team) for x in p.node_ids if _brute_kids(p, x)
+             for team, parent in h.teams if parent == p.node(x).team}
+    assert p.rescale_walks == walks
+    assert p.evidence_climbs == {x: _brute_climb(p, x) for x in p.node_ids}
+    for team, _ in h.teams:
+        into, out = p.team_edges[team]
+        for x in p.node_ids:
+            allowed = [t for t in p.transitions if t.dst != TERMINATE and is_allowed(t, team, h)]
+            assert into.get(x, ()) == tuple(t for t in allowed if t.dst == x)
+            assert out.get(x, ()) == tuple(t for t in allowed if t.src == x)
+        assert () not in into.values() and () not in out.values()
+
+
+def test_evidence_climb_rescales_at_each_team_boundary():
+    p = program_from_document(_nested_doc(), team_mode=True)
+    assert p.evidence_climbs["l"] == (
+        ("l", "s", (("k", (("k", "s", 1),)),)),
+        ("s", "m", (("o", (("o", "m", 1), ("o1", "o", 2), ("o2", "o", 2))),)))
 
 
 def test_warm_tables_leave_equality_and_hash_alone():
