@@ -49,6 +49,12 @@ def _default_ticks() -> int:
         raise SimulationError(f"{TICKS_ENV} must be an integer, got {raw!r}")
 
 
+def _positive_ticks(ticks: int) -> int:
+    if ticks < 1:
+        raise MonitoringError(f"ticks must be positive, got {ticks}")
+    return ticks
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -115,8 +121,8 @@ def _cmd_recognize(args) -> int:
     if model is not None:
         p = apply_comm_model(p, model)
     log = parse_log(_read(args.log))
-    ticks = args.ticks if args.ticks is not None else (
-        (max(m.tick for m in log) + 2) if log else _default_ticks())
+    ticks = _positive_ticks(args.ticks if args.ticks is not None else (
+        (max(m.tick for m in log) + 2) if log else _default_ticks()))
     rec = make_recognizer(p, args.mode, args.coherent)
     _emit("".join(f"{t} {unit} {'/'.join(rec.path(unit))}\n"
                   for t in rec.replay(log, ticks) for unit in rec.units), args.out)
@@ -143,7 +149,9 @@ def _cmd_bench(args) -> int:
     if not sep:
         raise MonitoringError(f"--agents wants MIN:MAX, got {args.agents!r}")
     counts = range(int(lo), int(hi) + 1)
-    rows = bench_scalability(p, counts, ticks=args.ticks)
+    if not counts:
+        raise MonitoringError(f"--agents range {args.agents!r} is empty")
+    rows = bench_scalability(p, counts, ticks=_positive_ticks(args.ticks))
     _emit(render_bench(rows), args.out)
     return 0
 

@@ -8,13 +8,15 @@ probabilistic model.  The rest of the module replays message logs through
 the recognizers, scores most-likely hypotheses against ground truth at
 checkpoints, produces hypothesis-count curves, and measures the size and
 per-tick work of both recognizer layouts.
+
+Only the oracle needs numpy, and it imports numpy inside its own functions,
+so no ``overhear`` command loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .belief import (BeliefState, MonitoringError, PROB_FLOOR,
                      _prune_redundant_ancestors, apply_messages, init_beliefs, propagate_forward)
@@ -23,6 +25,9 @@ from .model import TERMINATE, TeamOrientedProgram, hazard
 from .recognizer import MODES, make_recognizer
 from .sim import GroundTruthTrace, checkpoints as truth_checkpoints
 from .social import CommModel, apply_comm_model, learn_comm_model
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ORACLE_STATES = 64
 
@@ -48,6 +53,7 @@ def oracle_states(p: TeamOrientedProgram) -> list[tuple[str, str]]:
 
 
 def _oracle_kernel(p: TeamOrientedProgram, states) -> np.ndarray:
+    import numpy as np
     index = {s: i for i, s in enumerate(states)}
     K = np.zeros((len(states), len(states)))
 
@@ -86,6 +92,7 @@ def _oracle_kernel(p: TeamOrientedProgram, states) -> np.ndarray:
 
 def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
                      m: ObservedMessage) -> np.ndarray:
+    import numpy as np
     index = {s: i for i, s in enumerate(states)}
     named = p.nodes_named(m.plan)
     if not named:
@@ -131,6 +138,7 @@ def exact_filter(p: TeamOrientedProgram, ticks: int, messages=()):
     Message ticks apply the evidence update in place of the kernel, exactly
     as the recognizer does.
     """
+    import numpy as np
     states = oracle_states(p)
     K = _oracle_kernel(p, states)
     by_tick = messages_by_tick(messages)
@@ -173,6 +181,7 @@ def replay_single(p: TeamOrientedProgram, ticks: int, messages=()):
 
 def engine_vector(p: TeamOrientedProgram, states, b: BeliefState) -> np.ndarray:
     """Project an engine belief onto the oracle's state axis."""
+    import numpy as np
     v = np.zeros(len(states))
     for i, (kind, x) in enumerate(states):
         v[i] = b.active[x] if kind == "exec" else b.blocked[x]

@@ -262,6 +262,35 @@ def test_bench_rejects_bad_range(capsys):
     assert "MIN:MAX" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["recognize", "--program", TEAM, "--team-mode", "--ticks", "-3"], "ticks must be positive"),
+    (["recognize", "--program", TEAM, "--team-mode", "--ticks", "0"], "ticks must be positive"),
+    (["bench", "--program", TEAM, "--agents", "4:5", "--ticks", "-5"], "ticks must be positive"),
+    (["bench", "--program", TEAM, "--agents", "6:4"], "range '6:4' is empty"),
+])
+def test_runs_with_nothing_to_do_are_errors(tmp_path, capsys, argv, message):
+    if argv[0] == "recognize":
+        log = tmp_path / "log.txt"
+        log.write_text("")
+        argv = [*argv, "--log", str(log)]
+    rc = run_command(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"overhear {argv[0]}: error:")
+    assert message in captured.err
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the C1 oracle needs numpy; every command starts without it
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, overhear.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_ticks_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(TICKS_ENV, "37")
     out = tmp_path / "run"
