@@ -22,8 +22,8 @@ Nothing here clips a value.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
 and an evidence commit only adds non-negative shares of normalized masses.
 A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
-Only the shared (yoyo) layout clips, in ``yoyo._clamp`` and
-``yoyo._clamp_entries``.
+Only the shared (yoyo) layout clips, capping values at 1 in ``yoyo._clamp``
+and ``yoyo._clamp_entries``.
 
 States are value objects; the update functions return fresh states and never
 mutate their input, so recognizer arrays can be stepped from worker threads

@@ -186,11 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--comm-policy", choices=COMM_POLICIES, default=MU_SAMPLED,
                      help="announce transitions per mu, always, or never")
     sim.add_argument("--fail-agent", default=None,
-                     help="agent whose messages are dropped during the outage")
+                     help="agent whose messages are dropped during the outage "
+                          "(needs --fail-ticks)")
     sim.add_argument("--fail-from", type=int, default=0,
                      help="first tick of the outage window")
     sim.add_argument("--fail-ticks", type=int, default=0,
-                     help="outage length in ticks (0 disables)")
+                     help="outage length in ticks: above 0 with --fail-agent, "
+                          "0 (the default) without")
     sim.add_argument("--out", required=True,
                      help="directory for trace.txt and log.txt")
     sim.set_defaults(fn=_cmd_simulate)

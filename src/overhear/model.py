@@ -18,10 +18,16 @@ table that fresh states copy (``zeros``), each node's parallel first-child
 groups (``first_child_groups``, the one place that decides which subteams
 run in parallel), each team's candidate leaves (``leaves_by_team``), the
 shared layout's evidence structure (each team's open transitions
-``team_edges``, each node's climb ``evidence_climbs`` and each rescale's
-walk ``rescale_walks``), the compiled forward step (``forward``) and the
-single-agent view (``single_agent_view``).  No other module writes to a
+``team_edges`` and each node's climb ``evidence_climbs``, which holds the
+walk of every rescale it runs), the compiled forward step (``forward``) and
+the single-agent view (``single_agent_view``).  No other module writes to a
 program.
+
+Loading checks, besides schema, references and probability sums, two
+structural rules the recognizers rely on: a plan's team is its parent
+plan's team or one of that team's subteams, so the shared layout can
+decide where to rescale from plan ownership alone, and a transition other
+than TERMINATE joins two children of one parent.
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.
@@ -138,9 +144,6 @@ class TeamHierarchy:
 
     def has_agent(self, agent: str) -> bool:
         return agent in self._agent_team
-
-    def parent_team(self, team: str) -> str | None:
-        return self._parent[team]
 
     def agent_team(self, agent: str) -> str:
         return self._agent_team[agent]
@@ -313,71 +316,48 @@ class TeamOrientedProgram:
     # -- the shared layout's evidence tick ----------------------------------
 
     @cached_property
-    def rescale_walks(self) -> dict[tuple[str, str], tuple]:
-        """The shared layout's rescale walks, keyed by (parent, evidencing team).
+    def evidence_climbs(self) -> dict[str, tuple[tuple[str, str, tuple], ...]]:
+        """Each node's climb to the root in the shared layout's evidence tick.
 
-        A rescale runs when evidence about ``team`` climbs into ``parent``
-        and ``parent``'s owner is ``team``'s parent team, so the keys are
-        every internal node with each child team of its owner.  The value
-        holds one ``(child, steps)`` segment per child of ``parent``, in id
-        order: the child's subtree in pre-order as ``(node, parent, split)``
-        steps, where ``parent`` is node's parent and ``split`` the size of
-        the first-child group under it that holds node (0 if none does).
-        A subtree owned by
-        ``team``, a subteam or an ancestor team is left out whole, with all
-        it holds, as the evidencing team executes those plans itself; a
-        child whose subtree is left out has no segment.  The rescale skips
-        the segment of the child the evidence came through.
+        Evidence committed at node x climbs one ``(node, parent, walk)`` step
+        per ancestor.  A step into a parent owned by another team than node
+        rescales; every other step's ``walk`` is ``()``.  The loader nests
+        each plan's team at or under its parent plan's, so node's owner is
+        then a subteam of the parent's owner, and the walk visits the
+        parent's subtrees that node's owner does not execute itself.  It is
+        the pre-order ``(y, y's parent, split)`` steps of the parent's
+        children's subtrees, in id order, where ``split`` is the size of the
+        first-child group under y's parent that holds y (0 if none does).
+        A subtree owned by node's owner, a subteam or an ancestor team is
+        left out whole, with all it holds; node's own subtree is one of
+        them.  Walks are built once per (parent, owner) pair a climb uses.
         """
         h, node, children = self.team_hierarchy, self._node, self._children
         split = {c: len(g) for groups in self._first_child_groups.values()
                  for g in groups for c in g}
-        subteams: dict[str, list[str]] = {}
-        related = set()  # (a, b) when a covers b or b covers a
-        for team, parent in h.teams:
-            subteams.setdefault(parent, []).append(team)
-            for up in h.ancestors_or_self(team):
-                related |= {(team, up), (up, team)}
+        walks: dict[tuple[str, str], tuple] = {}
 
         def visit(y: str, team: str, steps: list):
-            if (team, node[y].team) in related:
+            if h.covers(team, node[y].team) or h.covers(node[y].team, team):
                 return
             steps.append((y, node[y].parent, split.get(y, 0)))
             for c in children[y]:
                 visit(c, team, steps)
 
-        walks = {}
-        for x in self.node_ids:
-            for team in subteams.get(node[x].team, ()) if children[x] else ():
-                segments = []
-                for c in children[x]:
-                    steps: list = []
+        def walk(parent: str, team: str) -> tuple:
+            if (parent, team) not in walks:
+                steps: list = []
+                for c in children[parent]:
                     visit(c, team, steps)
-                    if steps:
-                        segments.append((c, tuple(steps)))
-                walks[x, team] = tuple(segments)
-        return walks
+                walks[parent, team] = tuple(steps)
+            return walks[parent, team]
 
-    @cached_property
-    def evidence_climbs(self) -> dict[str, tuple[tuple[str, str, tuple], ...]]:
-        """Each node's climb to the root in the shared layout's evidence tick.
-
-        Evidence committed at node x climbs one ``(node, parent, walk)`` step
-        per ancestor.  The evidencing team starts as x's owner; a step into a
-        parent owned by that team's parent team rescales, its ``walk`` is
-        ``rescale_walks[parent, team]``, and the parent's owner becomes the
-        evidencing team.  Every other step's ``walk`` is ``()``.
-        """
-        parent_team, node, walks = self.team_hierarchy.parent_team, self._node, self.rescale_walks
         climbs = {}
         for x in self.node_ids:
-            team, y, steps = node[x].team, x, []
+            y, steps = x, []
             while (parent := node[y].parent) is not None:
-                walk = ()
-                if node[parent].team == parent_team(team):
-                    walk = walks[parent, team]
-                    team = node[parent].team
-                steps.append((y, parent, walk))
+                team = node[y].team
+                steps.append((y, parent, walk(parent, team) if node[parent].team != team else ()))
                 y = parent
             climbs[x] = tuple(steps)
         return climbs
@@ -737,6 +717,10 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
         if n.parent is not None:
             if n.parent not in plans:
                 raise ProgramError(f"unknown parent '{n.parent}'", f"plan '{n.id}'")
+            owner = plans[n.parent].team
+            if not hierarchy.covers(owner, n.team):
+                raise ProgramError(f"team '{n.team}' is neither '{owner}', the team of parent "
+                                   f"plan '{n.parent}', nor one of its subteams", f"plan '{n.id}'")
             children[n.parent].append(n.id)
     for pid, n in plans.items():
         hops, cur = 0, n.parent
@@ -769,6 +753,9 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
             raise ProgramError("unknown source plan", loc)
         if dst != TERMINATE and dst not in plans:
             raise ProgramError("destination must be a plan id or TERMINATE", loc)
+        if dst != TERMINATE and (plans[src].parent is None
+                                 or plans[src].parent != plans[dst].parent):
+            raise ProgramError("a transition must join two children of one parent", loc)
         pi = _require(entry, "pi", loc)
         mu = _require(entry, "mu", loc)
         for label, v in (("pi", pi), ("mu", mu)):

@@ -52,11 +52,14 @@ class SimConfig:
             raise SimulationError(f"fail_from must be nonnegative, got {self.fail_from}")
         if self.fail_ticks < 0:
             raise SimulationError(f"fail_ticks must be nonnegative, got {self.fail_ticks}")
+        if self.fail_ticks and self.fail_agent is None:
+            raise SimulationError("an outage of fail_ticks > 0 needs a fail_agent")
+        if self.fail_agent is not None and not self.fail_ticks:
+            raise SimulationError(f"fail agent '{self.fail_agent}' needs fail_ticks > 0")
 
     def fails_at(self, agent: str, tick: int) -> bool:
-        if self.fail_agent is None or agent != self.fail_agent:
-            return False
-        return self.fail_from <= tick < self.fail_from + self.fail_ticks
+        return (agent == self.fail_agent
+                and self.fail_from <= tick < self.fail_from + self.fail_ticks)
 
 
 @dataclass
@@ -148,10 +151,7 @@ def _trace_int(text: str, what: str, lineno: int) -> int:
 def _descend(p: TeamOrientedProgram, rng: random.Random, node_id: str) -> str:
     """Walk to a leaf, picking uniformly among first children at each level."""
     while not p.is_leaf(node_id):
-        first = p.first_children(node_id)
-        if not first:
-            raise SimulationError(f"node '{node_id}' has no first child to enter")
-        node_id = rng.choice(sorted(first))
+        node_id = rng.choice(sorted(p.first_children(node_id)))
     return node_id
 
 

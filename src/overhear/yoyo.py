@@ -10,17 +10,23 @@ not with plans times agents.
 A quiet tick is ``belief.propagate_forward``, the engine both layouts share;
 this module holds the evidence and rescale steps.  Like every program table,
 the structure those steps follow is built by the program itself, on the
-first evidence tick: each team's open transitions (``team_edges``), each
-node's climb to the root (``evidence_climbs``) and each rescale's walk
-(``rescale_walks``).  Only the mass arithmetic runs per tick.  The
+first evidence tick: each team's open transitions (``team_edges``) and each
+node's climb to the root (``evidence_climbs``), with the walk of every
+rescale the climb runs.  Only the mass arithmetic runs per tick.  The
 team -> candidate-leaves table that most-likely queries read is
 ``TeamOrientedProgram.leaves_by_team``.
 
+Plan ownership alone decides where to rescale: a climb step from a node
+into a parent owned by another team rescales the parent's subtrees that
+the node's owner does not execute itself, however many team levels lie
+between the two owners.
+
 This is the one layout that clips.  The evidence climb and the rescale do
-not conserve mass and can push a value well outside [0, 1], so each such
-value is silently set to the nearer bound: by ``_clamp``, over the whole
-state, after every quiet step, and by ``_clamp_entries``, over the entries
-the tick wrote, at the end of every evidence tick.  The narrower clamp is
+not conserve mass and can push a value above 1, so each such value is
+silently set to 1: by ``_clamp``, over the whole state, after every quiet
+step, and by ``_clamp_entries``, over the entries the tick wrote, at the
+end of every evidence tick.  No value is ever below 0 (``_clamp`` says
+why), so neither has a lower bound to enforce.  The narrower clamp is
 exact.  An evidence tick builds its state on fresh zero tables and adds
 every entry it writes to its ``updated`` set, so every other entry is an
 exact 0.0, which a clamp leaves as it is.  Every value a tick leaves is in
@@ -37,11 +43,16 @@ from .model import TeamOrientedProgram
 
 
 def _clamp(state: BeliefState):
+    """Cap every value of the state at 1.
+
+    No value is ever below 0, so there is no lower bound to enforce: the
+    forward step keeps non-negative mass non-negative (its kernel floors
+    the one place rounding could break that), and an evidence tick only
+    adds, multiplies, divides and takes the max of non-negative values.
+    """
     for table in (state.active, state.blocked):
         for k, v in table.items():
-            if v < 0.0:
-                table[k] = 0.0
-            elif v > 1.0:
+            if v > 1.0:
                 table[k] = 1.0
 
 
@@ -49,10 +60,7 @@ def _clamp_entries(state: BeliefState, keys):
     """``_clamp`` over the entries ``keys`` names only."""
     for table in (state.active, state.blocked):
         for k in keys:
-            v = table[k]
-            if v < 0.0:
-                table[k] = 0.0
-            elif v > 1.0:
+            if table[k] > 1.0:
                 table[k] = 1.0
 
 
@@ -61,44 +69,28 @@ def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     return init_beliefs(p)
 
 
-def scale(parent: str, team: str, child: str, b: BeliefState, prior: BeliefState,
-          p: TeamOrientedProgram, updated: set[str] | None = None):
-    """Rescale parallel teams' subplans under ``parent`` to its new belief.
+def _rescale(walk, b: BeliefState, prior: BeliefState, updated: set[str]):
+    """Rescale the subtrees a climb's ``walk`` visits to their parents' new belief.
 
-    ``child``'s subtree was just updated by evidence; ``prior`` is the state
-    the tick started from; ``parent``'s owner must be ``team``'s parent
-    team.  Plans owned by ``team``, its subteams, or its ancestor teams are
-    all executed by the evidencing team itself, so the evidence already
-    decided them; they are left alone.  Every subtree owned by a team
-    disjoint from ``team`` (a sibling executing in parallel) keeps its prior
-    share of its parent's prior active mass, reapplied to the parent's new
-    mass, parents before their children (pre-order).  The walk, which nodes
-    it visits and in what order, is the program's
-    ``rescale_walks[parent, team]``; only the mass arithmetic, and the
-    skip of the nodes already in ``updated``, run here.
+    ``prior`` is the state the tick started from.  Each visited node keeps
+    its prior share of its parent's prior active mass, reapplied to the
+    parent's new mass, parents before their children; a node already in
+    ``updated`` is left as the evidence set it.
     """
-    _rescale(p.rescale_walks[parent, team], child, b, prior,
-             set() if updated is None else updated)
-
-
-def _rescale(walk, child: str, b: BeliefState, prior: BeliefState, updated: set[str]):
     active, blocked, prior_active, prior_blocked = b.active, b.blocked, prior.active, prior.blocked
-    for top, steps in walk:
-        if top == child:
+    for y, par, split in walk:
+        if y in updated:
             continue
-        for y, par, split in steps:
-            if y in updated:
-                continue
-            denom = prior_active[par]
-            new_parent = active[par]
-            if denom > 0.0:
-                active[y] += (prior_active[y] / denom) * new_parent
-                blocked[y] += (prior_blocked[y] / denom) * new_parent
-            elif split:
-                # No prior shape to preserve: spread the parent's new mass
-                # evenly over the first-child group that holds this node.
-                active[y] += new_parent / split
-            updated.add(y)
+        denom = prior_active[par]
+        new_parent = active[par]
+        if denom > 0.0:
+            active[y] += (prior_active[y] / denom) * new_parent
+            blocked[y] += (prior_blocked[y] / denom) * new_parent
+        elif split:
+            # No prior shape to preserve: spread the parent's new mass
+            # evenly over the first-child group that holds this node.
+            active[y] += new_parent / split
+        updated.add(y)
 
 
 def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str:
@@ -165,7 +157,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     With no messages this is the shared forward step.  Otherwise the
     batched messages are folded in together: committed evidence propagates
     down its subtree, climbs toward the root, and triggers a cross-team
-    rescale whenever the walk crosses into the parent team's plan.  The
+    rescale whenever the climb steps into a plan another team owns.  The
     climb's steps, and where it rescales, are the program's
     ``evidence_climbs``; each step raises the parent to at least the
     child's mass.  The tick then clamps only the entries it wrote.
@@ -206,7 +198,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             active[par] = max(active[par], active[node])
             updated.add(par)
             if walk:
-                _rescale(walk, node, b, prior, updated)
+                _rescale(walk, b, prior, updated)
     b.time += 1
     _clamp_entries(b, updated)
 

@@ -6,9 +6,13 @@ import sys
 import pytest
 
 from overhear.cli import TICKS_ENV, run_command
+from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
+from overhear.model import load_program_path
+from overhear.progen import flatten_mu
+from overhear.recognizer import make_recognizer
 from overhear.sim import parse_trace
-from overhear.social import parse_comm_model
+from overhear.social import apply_comm_model, parse_comm_model
 
 from conftest import DATA
 
@@ -62,7 +66,9 @@ def test_simulate_writes_parseable_outputs(tmp_path):
     (["--fail-agent", "nobody", "--fail-ticks", "10"], "fail agent 'nobody'"),
     (["--fail-agent", "escort1", "--fail-from", "-3", "--fail-ticks", "10"], "fail_from"),
     (["--fail-agent", "escort1", "--fail-ticks", "-10"], "fail_ticks"),
-], ids=["unknown-agent", "negative-from", "negative-ticks"])
+    (["--fail-ticks", "10"], "needs a fail_agent"),
+    (["--fail-agent", "escort1"], "fail agent 'escort1' needs fail_ticks > 0"),
+], ids=["unknown-agent", "negative-from", "negative-ticks", "no-agent", "no-length"])
 def test_simulate_rejects_an_outage_that_cannot_happen(tmp_path, capsys, flags, message):
     rc = run_command(["simulate", "--program", TEAM, "--team-mode", "--seed", "4",
                       "--ticks", "20", *flags, "--out", str(tmp_path / "run")])
@@ -145,6 +151,47 @@ def test_recognize_default_ticks_follow_log(tmp_path):
     assert rc == 0
     lines = out_path.read_text().splitlines()
     assert len(lines) == (max(m.tick for m in log) + 2) * 2
+
+
+def _recognized(p, log_path, mode, ticks):
+    """What ``recognize`` prints for program ``p``, computed in process."""
+    rec = make_recognizer(p, mode)
+    return "".join(f"{t} {unit} {'/'.join(rec.path(unit))}\n"
+                   for t in rec.replay(parse_log(log_path.read_text()), ticks)
+                   for unit in rec.units)
+
+
+@pytest.mark.parametrize("mode", ["yoyo", "array"])
+def test_recognize_reads_the_program_through_flat_mu_and_comm(tmp_path, mode):
+    _, log_path = _simulate(tmp_path / "run")
+    model_path = tmp_path / "model.txt"
+    assert run_command(["learn", "--log", str(log_path), "--confidence", "0.05",
+                        "--out", str(model_path)]) == 0
+    p = load_program_path(TEAM, team_mode=True)
+    model = parse_comm_model(model_path.read_text())
+    outs = {}
+    for name, flags, q in [("plain", [], p),
+                           ("flat", ["--flat-mu", "0.05"], flatten_mu(p, 0.05)),
+                           ("comm", ["--comm", str(model_path)], apply_comm_model(p, model))]:
+        out_path = tmp_path / f"{name}.txt"
+        assert run_command(["recognize", "--program", TEAM, "--team-mode", "--mode", mode,
+                            "--log", str(log_path), "--ticks", "150", *flags,
+                            "--out", str(out_path)]) == 0
+        outs[name] = out_path.read_text()
+        assert outs[name] == _recognized(q, log_path, mode, 150)
+    assert outs["flat"] != outs["plain"] and outs["comm"] != outs["plain"]
+
+
+def test_evaluate_reads_the_program_through_flat_mu(tmp_path):
+    trace_path, log_path = _simulate(tmp_path / "run")
+    out_path = tmp_path / "report.txt"
+    assert run_command(["evaluate", "--program", TEAM, "--team-mode", "--flat-mu", "0.05",
+                        "--log", str(log_path), "--truth", str(trace_path),
+                        "--out", str(out_path)]) == 0
+    p = flatten_mu(load_program_path(TEAM, team_mode=True), 0.05)
+    report = evaluate_run(p, parse_trace(trace_path.read_text()),
+                          parse_log(log_path.read_text()), mode="yoyo", coherent=None)
+    assert out_path.read_text() == render_report(report)
 
 
 def test_evaluate_report_and_reproducibility(tmp_path):

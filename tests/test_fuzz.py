@@ -1,7 +1,8 @@
 """Property tests: program, trace, log, KQML and communication-model loaders
 raise only their documented error types, traces survive a text round trip,
-the per-agent belief stays in [0, 1] without being clipped, and no belief
-value of either layout is ever -0.0."""
+the per-agent belief stays in [0, 1] without being clipped, no belief
+value of either layout is ever -0.0, and no negative value reaches the
+shared layout's clamps, which only cap at 1."""
 
 import copy
 import math
@@ -14,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from overhear import yoyo
 from overhear.belief import apply_messages, init_beliefs, propagate_forward
 from overhear.ingest import INIT, TERM, IngestError, ObservedMessage, parse_kqml_log, parse_log
 from overhear.model import ProgramError, program_from_document, program_to_document
@@ -227,3 +229,32 @@ def test_shared_belief_stays_in_bounds_without_negative_zero(p, ticks):
         for table in (b.active, b.blocked):
             for x, v in table.items():
                 assert 0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0, (t, x, v)
+
+
+def _checked_clamp(clamp, reached: list):
+    """``clamp``, first asserting that no value it is about to read is negative."""
+    def checked(state, *keys):
+        for table in (state.active, state.blocked):
+            for x in (keys[0] if keys else table):
+                assert table[x] >= 0.0, (clamp.__name__, x, table[x])
+        reached.append(clamp.__name__)
+        return clamp(state, *keys)
+    return checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_TEAM_PROGRAMS), _TEAM_TICKS)
+def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
+    # both clamps only cap at 1, which is exact only if nothing below 0 reaches them
+    names = sorted({n.name for n in p.plans})
+    agents = p.team_hierarchy.agents
+    reached: list[str] = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(yoyo, "_clamp", _checked_clamp(yoyo._clamp, reached))
+        mp.setattr(yoyo, "_clamp_entries", _checked_clamp(yoyo._clamp_entries, reached))
+        b = team_init_beliefs(p)
+        for t, msgs in enumerate(ticks, 1):
+            heard = [ObservedMessage(t, *agents[i % len(agents)], kind, names[j % len(names)])
+                     for kind, i, j in msgs or ()]
+            yoyo_tick(p, b, heard)
+    assert len(reached) == len(ticks)

@@ -7,7 +7,7 @@ from overhear.harness import (MAX_ORACLE_STATES, bench_scalability, engine_vecto
                               evaluate_run, exact_filter, hypothesis_count_curve,
                               oracle_states, render_bench, render_report,
                               replay_single, score_run)
-from overhear.model import program_from_document
+from overhear.model import program_from_document, program_to_document
 from overhear.progen import random_program, team_program
 from overhear.sim import ALWAYS, SimConfig, simulate
 from overhear.social import learn_comm_model
@@ -82,6 +82,25 @@ def test_engine_tracks_oracle_through_messages():
     for v, b in zip(vectors, beliefs):
         worst = max(worst, float(np.max(np.abs(engine_vector(p, states, b) - v))))
     assert worst <= 1e-9
+
+
+def test_engine_tracks_oracle_when_the_root_terminates():
+    # C1's check on a program whose root carries a TERMINATE edge: a finished
+    # mission blocks the root in both the compiled step and the oracle
+    doc = program_to_document(_chain3())
+    doc["transitions"].append({"from": "r", "to": "TERMINATE", "pi": 1.0, "mu": 0.6})
+    p = program_from_document(doc)
+    for seed in range(5):
+        _, log = simulate(p, SimConfig(seed=seed, ticks=60, send_prob=0.6))
+        states, vectors = exact_filter(p, 60, log)
+        beliefs = replay_single(p, 60, log)
+        for v, b in zip(vectors, beliefs):
+            ev = engine_vector(p, states, b)
+            assert float(np.max(np.abs(ev - v))) <= 1e-9
+            order = np.argsort(v)
+            if v[order[-1]] - v[order[-2]] > 1e-6:
+                assert int(np.argmax(ev)) == int(order[-1])
+        assert beliefs[-1].blocked["r"] > 0.0
 
 
 def test_oracle_state_space_is_bounded():

@@ -185,6 +185,43 @@ def test_cyclic_parents_rejected():
         program_from_document(doc)
 
 
+@pytest.mark.parametrize("plan, team, named", [("n6", "TASK-FORCE", "n6"),
+                                               ("n3", "TRANSPORT", "n5")],
+                         ids=["ancestor-team", "sibling-team"])
+def test_plan_team_must_nest_under_its_parents(evac_team, plan, team, named):
+    # n2 (FLIGHT-TEAM) holds n6; n3 holds n4 (TRANSPORT) and n5 (ESCORT)
+    doc = program_to_document(evac_team)
+    next(e for e in doc["plans"] if e["id"] == plan)["team"] = team
+    with pytest.raises(ProgramError, match=rf"nor one of its subteams \[plan '{named}'\]"):
+        program_from_document(doc, team_mode=True)
+
+
+def _two_subtree_doc(extra):
+    # r's children x and y each hold one leaf, x1 and y1
+    plans = [("x", "r", True), ("y", "r", False), ("x1", "x", True), ("y1", "y", True)]
+    return {
+        "teams": [{"name": "T", "parent": None}],
+        "agents": [{"name": "a1", "team": "T"}],
+        "root": "r",
+        "plans": [{"id": "r", "name": "root", "team": "T"}]
+        + [{"id": x, "name": x, "team": "T", "parent": parent, "first_child": first,
+            **({"lambda": 0.2} if x.endswith("1") else {})} for x, parent, first in plans],
+        "transitions": [{"from": "x", "to": "y", "pi": 1.0, "mu": 0.5},
+                        {"from": "y1", "to": "TERMINATE", "pi": 1.0, "mu": 0.0}] + extra,
+    }
+
+
+@pytest.mark.parametrize("src, dst", [("x1", "y1"), ("x1", "x"), ("r", "r")],
+                         ids=["cousins", "child-to-parent", "root-loop"])
+def test_transition_must_join_children_of_one_parent(src, dst):
+    # an edge between plans that are not siblings moves mass from one
+    # subtree into another past their parents, and beliefs leave [0, 1]
+    program_from_document(_two_subtree_doc([]))
+    doc = _two_subtree_doc([{"from": src, "to": dst, "pi": 1.0, "mu": 0.5}])
+    with pytest.raises(ProgramError, match=rf"children of one parent \[transition {src}->{dst}\]"):
+        program_from_document(doc)
+
+
 def test_agent_must_sit_at_leaf_team(evac_team):
     doc = program_to_document(evac_team)
     doc["agents"].append({"name": "x", "team": "FLIGHT-TEAM"})
@@ -318,16 +355,18 @@ def _brute_walk(p, parent, team):
         for c in _brute_kids(p, y):
             visit(c, steps)
 
-    segments = []
+    steps = []
     for c in _brute_kids(p, parent):
-        steps = []
         visit(c, steps)
-        if steps:
-            segments.append((c, tuple(steps)))
-    return tuple(segments)
+    return tuple(steps)
 
 
 def _brute_climb(p, x):
+    """The climb as it once tracked an evidencing team, rescaling only into its parent team.
+
+    That rule agrees with ownership keying wherever each step up changes the
+    owner by at most one team level, as it does in every program here.
+    """
     h = p.team_hierarchy
     team, steps = p.node(x).team, []
     while p.node(x).parent is not None:
@@ -376,9 +415,6 @@ _EVIDENCE_PROGRAMS = ([team_program(k) for k in range(7)]
                          + ["evac_team", "evac_mini", "nested"])
 def test_evidence_tables_match_definitions(p):
     h = p.team_hierarchy
-    walks = {(x, team): _brute_walk(p, x, team) for x in p.node_ids if _brute_kids(p, x)
-             for team, parent in h.teams if parent == p.node(x).team}
-    assert p.rescale_walks == walks
     assert p.evidence_climbs == {x: _brute_climb(p, x) for x in p.node_ids}
     for team, _ in h.teams:
         into, out = p.team_edges[team]
@@ -392,8 +428,8 @@ def test_evidence_tables_match_definitions(p):
 def test_evidence_climb_rescales_at_each_team_boundary():
     p = program_from_document(_nested_doc(), team_mode=True)
     assert p.evidence_climbs["l"] == (
-        ("l", "s", (("k", (("k", "s", 1),)),)),
-        ("s", "m", (("o", (("o", "m", 1), ("o1", "o", 2), ("o2", "o", 2))),)))
+        ("l", "s", (("k", "s", 1),)),
+        ("s", "m", (("o", "m", 1), ("o1", "o", 2), ("o2", "o", 2))))
 
 
 def test_warm_tables_leave_equality_and_hash_alone():

@@ -50,6 +50,18 @@ def test_config_rejects_negative_outage_window(window):
         SimConfig(fail_agent="alpha1", **window)
 
 
+@pytest.mark.parametrize("outage, message", [
+    ({"fail_ticks": 10}, "needs a fail_agent"),
+    ({"fail_ticks": 10, "fail_from": 5}, "needs a fail_agent"),
+    ({"fail_agent": "alpha1"}, "fail agent 'alpha1' needs fail_ticks > 0"),
+    ({"fail_agent": "alpha1", "fail_from": 5}, "needs fail_ticks > 0"),
+], ids=["window", "placed-window", "agent", "placed-agent"])
+def test_config_rejects_half_an_outage(outage, message):
+    # either half alone would silently run no outage at all
+    with pytest.raises(SimulationError, match=message):
+        SimConfig(**outage)
+
+
 @pytest.mark.parametrize("team_mode", [False, True])
 def test_unknown_fail_agent_rejected(team_mode):
     tp = team_program(0)
@@ -200,6 +212,23 @@ def test_message_drop_window():
     kept_inside = [m for m in fail_log
                    if m.sender == "alpha1" and 50 <= m.tick < 350]
     assert kept_inside == []
+
+
+def test_agent_mode_outage_freezes_the_failed_agent():
+    p = team_program(0).single_agent_view()
+    base_trace, base_log = simulate(p, SimConfig(seed=3, ticks=200))
+    trace, log = simulate(p, SimConfig(seed=3, ticks=200, fail_agent="alpha1",
+                                       fail_from=40, fail_ticks=100))
+    # a failed agent neither acts nor reports; every other agent runs as before
+    assert [step["alpha1"] for step in trace.steps[40:141]] == [trace.steps[40]["alpha1"]] * 101
+    assert not [m for m in log if m.sender == "alpha1" and 40 <= m.tick < 140]
+    assert [m for m in log if m.sender != "alpha1"] == [m for m in base_log
+                                                         if m.sender != "alpha1"]
+    for agent in trace.agents:
+        if agent != "alpha1":
+            assert [s[agent] for s in trace.steps] == [s[agent] for s in base_trace.steps]
+    assert trace.steps[:41] == base_trace.steps[:41]
+    assert trace.steps[41:] != base_trace.steps[41:]
 
 
 def test_state_changes_counts_path_switches(evac_team):

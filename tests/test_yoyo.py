@@ -6,7 +6,7 @@ from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import program_from_document, program_to_document
 from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
-from overhear.yoyo import scale, team_init_beliefs, team_most_likely, yoyo_tick
+from overhear.yoyo import _rescale, team_init_beliefs, team_most_likely, yoyo_tick
 
 
 def _two_team_doc():
@@ -191,6 +191,12 @@ def test_sibling_team_keeps_prior_share_of_parent(two_team):
     assert b.active["ra"] / b.active["s"] == pytest.approx(share_before, abs=1e-9)
 
 
+def _rescale_into(parent, child, b, prior, p):
+    """The rescale a climb from ``child`` runs as it steps into ``parent``."""
+    (walk,) = [walk for _, par, walk in p.evidence_climbs[child] if par == parent]
+    _rescale(walk, b, prior, set())
+
+
 def test_scale_rescales_sibling_team_subtree(evac_mini):
     p = evac_mini
     # hand-built prior: landing-zone-maneuvers at 0.5, both tasks under it
@@ -198,7 +204,7 @@ def test_scale_rescales_sibling_team_subtree(evac_mini):
     prior.active.update({"n0": 1.0, "n3": 0.5, "n4": 0.5, "n5": 0.5})
     b = BeliefState(1, dict.fromkeys(p.node_ids, 0.0), dict.fromkeys(p.node_ids, 0.0))
     b.active.update({"n0": 1.0, "n3": 1.0, "n4": 1.0})
-    scale("n3", "TRANSPORT", "n4", b, prior, p)
+    _rescale_into("n3", "n4", b, prior, p)
     # ESCORT's subtree is re-aligned to the parent's new mass
     assert b.active["n5"] == pytest.approx(1.0)
 
@@ -216,7 +222,7 @@ def test_scale_prior_shares_are_preserved():
     prior.active.update({"m": 1.0, "s": 0.5, "la": 0.5, "ra": 0.25, "rb": 0.25})
     b = BeliefState(1, dict.fromkeys(p.node_ids, 0.0), dict.fromkeys(p.node_ids, 0.0))
     b.active.update({"m": 1.0, "s": 1.0, "la": 1.0})
-    scale("s", "LEFT", "la", b, prior, p)
+    _rescale_into("s", "la", b, prior, p)
     assert b.active["ra"] == pytest.approx(0.5)
     assert b.active["rb"] == pytest.approx(0.5)
     assert b.active["ra"] + b.active["rb"] == pytest.approx(b.active["s"])
@@ -235,6 +241,43 @@ def test_scale_skips_plans_of_ancestor_teams(evac_team):
     assert b.blocked["n1"] == 0.0
     assert b.active["n6"] == pytest.approx(1.0)
     assert team_most_likely(b, p, "ESCORT") == ("n0", "n2", "n6")
+
+
+def _skip_level_doc(left_owner):
+    """``_two_team_doc`` with LEFT's agents in a new subteam LEFT1 and LEFT's
+    plans owned by ``left_owner``."""
+    doc = _two_team_doc()
+    doc["teams"].append({"name": "LEFT1", "parent": "LEFT"})
+    for agent in doc["agents"]:
+        if agent["team"] == "LEFT":
+            agent["team"] = "LEFT1"
+    for plan in doc["plans"]:
+        if plan["team"] == "LEFT":
+            plan["team"] = left_owner
+    for t in doc["transitions"]:
+        if t["teams"] == ["LEFT"]:
+            t["teams"] = [left_owner]
+    return doc
+
+
+def test_rescale_crosses_a_skipped_team_level():
+    # split-work (TF) runs LEFT1's and RIGHT's plans in parallel, two team
+    # levels apart: evidence about LEFT1's plan rescales RIGHT's subtree
+    # exactly as it does when LEFT, one level below TF, owns the plan
+    right = {}
+    for owner in ("LEFT", "LEFT1"):
+        p = program_from_document(_skip_level_doc(owner), team_mode=True)
+        b = team_init_beliefs(p)
+        for _ in range(6):
+            yoyo_tick(p, b, [])
+        yoyo_tick(p, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
+        for _ in range(4):
+            yoyo_tick(p, b, [])
+        share_before = b.active["ra"] / b.active["s"]
+        yoyo_tick(p, b, [ObservedMessage(11, "l2", owner, TERM, "left-a")])
+        assert b.active["ra"] / b.active["s"] == pytest.approx(share_before, abs=1e-9)
+        right[owner] = (b.active["ra"], b.blocked["ra"])
+    assert right["LEFT1"] == right["LEFT"]
 
 
 def test_term_of_sink_keeps_named_nodes(two_team):
@@ -261,6 +304,20 @@ def test_parallel_sibling_mass_matches_parent(two_team):
     right = b.active["ra"] + b.blocked["ra"]
     assert left == pytest.approx(b.active["s"], abs=1e-9)
     assert right == pytest.approx(b.active["s"], abs=1e-9)
+
+
+def test_unknown_message_team_reads_as_senders_team(two_team):
+    # a team the program does not know falls back to the sender's leaf team
+    final = {}
+    for team in ("LEFT", "NO-SUCH-TEAM", "RIGHT"):
+        b = team_init_beliefs(two_team)
+        for _ in range(6):
+            yoyo_tick(two_team, b, [])
+        yoyo_tick(two_team, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
+        yoyo_tick(two_team, b, [ObservedMessage(7, "l2", team, TERM, "left-a")])
+        final[team] = (b.active, b.blocked)
+    assert final["NO-SUCH-TEAM"] == final["LEFT"]
+    assert final["RIGHT"] != final["LEFT"]  # the team the message names matters
 
 
 def test_unknown_plan_diagnostic(two_team):
