@@ -180,12 +180,12 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
                       counter: VisitCounter | None = None) -> BeliefState:
     """Advance one tick with no observation.
 
-    Leaves shed mass at their termination hazard.  Each team acting on a
-    node's outgoing transitions sends the full shed mass along its own
-    edges: mass follows edges that need no message, parks as ``blocked`` in
-    the mean proportion that does, and climbs to the parent along TERMINATE
-    edges.  The map is linear; with one team it conserves leaf-active plus
-    blocked mass as long as no TERMINATE edge leaves the root's own children.
+    Leaves shed mass at their termination hazard.  The team executing a
+    node takes its outgoing transitions: shed mass follows edges that need
+    no message, parks as ``blocked`` in the proportion that does, and climbs
+    to the parent along TERMINATE edges.  The map is linear; with one
+    first-child group per node it conserves leaf-active plus blocked mass
+    as long as no TERMINATE edge leaves the root's own children.
     The step runs as p's compiled kernel (``TeamOrientedProgram.forward``).
     The counter takes one visit per node: a node that can shed is visited by
     one test of its shed mass, and runs its updates only when that is

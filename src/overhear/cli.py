@@ -162,7 +162,7 @@ def _cmd_bench(args) -> int:
 def _add_program(sub, required=True):
     sub.add_argument("--program", required=required, help="program document (JSON)")
     sub.add_argument("--team-mode", action="store_true",
-                     help="load the program with team-level transition tags")
+                     help="load the program in team mode: subteams run in parallel")
 
 
 def _add_out(sub, help_text="output file (default stdout)"):

@@ -23,11 +23,17 @@ walk of every rescale it runs), the compiled forward step (``forward``) and
 the single-agent view (``single_agent_view``).  No other module writes to a
 program.
 
-Loading checks, besides schema, references and probability sums, two
-structural rules the recognizers rely on: a plan's team is its parent
-plan's team or one of that team's subteams, so the shared layout can
-decide where to rescale from plan ownership alone, and a transition other
-than TERMINATE joins two children of one parent.
+A transition is taken by the team that executes its source plan, in both
+modes; the simulator and both recognizers share that one rule.  Loading
+checks, besides schema and references:
+
+- each plan's outgoing ``pi`` sums to 1;
+- a transition's ``teams``, an optional restatement of that rule, is
+  absent, ``[]`` or exactly ``[<source plan's team>]``;
+- a plan's team is its parent plan's team or one of that team's subteams,
+  so the shared layout can decide where to rescale from plan ownership
+  alone;
+- a transition other than TERMINATE joins two children of one parent.
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.
@@ -40,7 +46,7 @@ import hashlib
 import json
 import linecache
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
@@ -82,15 +88,13 @@ class TemporalTransition:
     ``dst`` is a plan id, or TERMINATE for an edge that completes the parent.
     ``pi`` is the prior probability the edge is taken on termination of
     ``src``; ``mu`` the probability that taking it is announced in a message.
-    ``teams`` lists the teams allowed to take the edge (may be empty for
-    single-agent programs).
+    The team that executes ``src`` takes the edge.
     """
 
     src: str
     dst: str
     pi: float
     mu: float
-    teams: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -173,12 +177,6 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
         if not any(u != t and h.covers(u, t) for u in teams):
             chosen.add(t)
     return chosen
-
-
-def is_allowed(t: TemporalTransition, team: str, h: TeamHierarchy) -> bool:
-    """A transition is open to ``team`` when it lists the team or an ancestor."""
-    chain = h.ancestors_or_self(team)
-    return any(listed in chain for listed in t.teams)
 
 
 @dataclass(frozen=True)
@@ -273,9 +271,6 @@ class TeamOrientedProgram:
     def node(self, node_id: str) -> PlanNode:
         return self._node[node_id]
 
-    def children(self, node_id: str) -> tuple[str, ...]:
-        return self._children[node_id]
-
     def first_children(self, node_id: str) -> tuple[str, ...]:
         return self._first_children[node_id]
 
@@ -364,19 +359,20 @@ class TeamOrientedProgram:
 
     @cached_property
     def team_edges(self) -> dict[str, tuple[dict, dict]]:
-        """Each team's open transitions (``is_allowed``), as (into, out of) tables.
+        """Each team's open transitions, as (into, out of) tables.
 
-        ``into[x]`` holds the transitions into node x and ``out[x]`` those
-        out of x into a plan, leaving TERMINATE edges out; both keep the
-        order of ``transitions``, and a node with none is absent.
+        A transition is open to a team when the owner of its source plan is
+        that team or one of its ancestors.  ``into[x]`` holds the
+        transitions into node x and ``out[x]`` those out of x into a plan,
+        leaving TERMINATE edges out; both keep the order of
+        ``transitions``, and a node with none is absent.
         """
-        h, edges = self.team_hierarchy, {}
+        h, node, edges = self.team_hierarchy, self._node, {}
         for team, _ in h.teams:
-            chain = frozenset(h.ancestors_or_self(team))
             into: dict[str, list] = {}
             out: dict[str, list] = {}
             for t in self.transitions:
-                if t.dst != TERMINATE and not chain.isdisjoint(t.teams):
+                if t.dst != TERMINATE and h.covers(node[t.src].team, team):
                     into.setdefault(t.dst, []).append(t)
                     out.setdefault(t.src, []).append(t)
             edges[team] = ({x: tuple(v) for x, v in into.items()},
@@ -420,12 +416,12 @@ class TeamOrientedProgram:
         generator then walks the program in postorder and writes one block per
         shedding node, guarded by ``if o<i>:``, so a node that sheds nothing
         costs one test.  A block that runs updates its locals, then writes
-        back into the copies exactly the nodes it updated.  Each topmost team
-        acting on a node's edges (one team outside team mode) sends the node's
-        full shed mass along its own edges; a TERMINATE edge divides it among
-        the parent's groups.  Every float operation is the one the step has
-        always made, in the same order, so exact ties between leaves break as
-        they always have.
+        back into the copies exactly the nodes it updated.  The team
+        executing a node takes all of its edges, so the node's shed mass
+        goes along each of them, and a TERMINATE edge divides it among the
+        parent's groups.  Every float operation is the one the step has
+        always made, in the same order, so exact ties between leaves break
+        as they always have.
 
         Skipping is exact.  No state value is ever -0.0, and every shed mass
         is a sum of products of non-negative values, so a skipped block would
@@ -433,7 +429,7 @@ class TeamOrientedProgram:
         bit; likewise a shed sum that starts at 0.0 equals one that starts at
         its first term.  Every write-back follows the updates it reads, so each
         entry ends holding its node's last value.  Updates that are always
-        zero are not written at all: teams with ``eta <= 0``, edges with a
+        zero are not written at all: nodes with ``eta <= 0``, edges with a
         factor of exactly 0, and nodes that never shed (a leaf with hazard 0,
         an internal node no TERMINATE edge feeds).  Factors of exactly 1 and
         splits into one share are not written either, as they change no bit.
@@ -441,7 +437,7 @@ class TeamOrientedProgram:
 
         Mass stays at or above zero exactly, with no pass over the state.  A
         leaf sheds at most its own prior mass, and a node's blocked share
-        ``keep = 1 - mean(eta)`` is taken as 0 when it rounds below 0.  Only
+        ``keep = 1 - eta`` is taken as 0 when it rounds below 0.  Only
         an internal node that sheds can round below zero: the sum of its
         children's TERMINATE flows may exceed its active mass by an ulp.  So
         the last statements of the step, after every block has read it, set
@@ -451,7 +447,6 @@ class TeamOrientedProgram:
         The source is registered with ``linecache`` under a name unique to
         it, so tracebacks, profilers and ``inspect.getsource`` show it.
         """
-        h = self.team_hierarchy
         n = {x: i for i, x in enumerate(self.node_ids)}
         shed: list[str] = []  # each o<i>, set before any block runs
         blocks: list[str] = []
@@ -484,39 +479,31 @@ class TeamOrientedProgram:
                         new_a.add(c)
                         down(c, share, depth + 1)
 
-            if self.team_mode:
-                acting = sorted(topmost_teams(h, {team for t in outgoing for team in t.teams}))
-                teams = [[t for t in outgoing if is_allowed(t, team, h)] for team in acting]
-            else:
-                teams = [outgoing] if outgoing else []
-            etas = [sum((1.0 - t.mu) * t.pi for t in edges) for edges in teams]
-            for eta, edges in zip(etas, teams):
-                if eta <= 0.0:
+            eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
+            for t in outgoing if eta > 0.0 else ():  # eta 0: no edge carries mass
+                silent = 1.0 - t.mu
+                if silent == 0.0 or t.pi == 0.0:
                     continue
-                for t in edges:
-                    silent = 1.0 - t.mu
-                    if silent == 0.0 or t.pi == 0.0:
-                        continue
-                    factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
-                    r = "r" if factors else f"o{i}"
-                    if factors:
-                        body.append(f"r = o{i}{factors}")
-                    if t.dst != TERMINATE:
-                        body.append(f"a{n[t.dst]} += {r}")
-                        new_a.add(t.dst)
-                        down(t.dst, r, 0)
-                    elif parent is None:
-                        body.append(f"b{i} += {r}")  # program complete
-                        new_b.add(x)
-                    else:
-                        groups = len(self.first_child_groups(parent))
-                        flow = r if groups == 1 else f"{r} / {groups}"
-                        body.append(f"o{n[parent]} += {flow}")
-                        if parent not in sheds:
-                            sheds.add(parent)
-                            shed.append(f"o{n[parent]} = 0.0")
-                            floors.append(f"if a{n[parent]} < 0.0: NA[{parent!r}] = 0.0")
-            keep = max(0.0, 1.0 - (sum(etas) / len(etas) if etas else 0.0))
+                factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
+                r = "r" if factors else f"o{i}"
+                if factors:
+                    body.append(f"r = o{i}{factors}")
+                if t.dst != TERMINATE:
+                    body.append(f"a{n[t.dst]} += {r}")
+                    new_a.add(t.dst)
+                    down(t.dst, r, 0)
+                elif parent is None:
+                    body.append(f"b{i} += {r}")  # program complete
+                    new_b.add(x)
+                else:
+                    groups = len(self.first_child_groups(parent))
+                    flow = r if groups == 1 else f"{r} / {groups}"
+                    body.append(f"o{n[parent]} += {flow}")
+                    if parent not in sheds:
+                        sheds.add(parent)
+                        shed.append(f"o{n[parent]} = 0.0")
+                        floors.append(f"if a{n[parent]} < 0.0: NA[{parent!r}] = 0.0")
+            keep = max(0.0, 1.0 - eta)
             if keep != 0.0:
                 body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
                 new_b.add(x)
@@ -550,27 +537,17 @@ class TeamOrientedProgram:
         return MappingProxyType(dict.fromkeys(self.node_ids, 0.0))
 
     def single_agent_view(self) -> "TeamOrientedProgram":
-        """Strip team restrictions for the per-agent recognizer baseline.
+        """The program with team mode off, for the per-agent recognizer baseline.
 
-        Team-mode programs normalize transition priors per team, so the
-        union over teams can exceed 1 at a node.  The view renormalizes each
-        node's priors over all of its outgoing edges and drops the team tags.
-        Built once, it is shared by every array recognizer over the program.
+        It has the same plans and transitions; only the first-child groups
+        differ, one group per node.  Built once, it is shared by every array
+        recognizer over the program.
         """
         return self._view
 
     @cached_property
     def _view(self) -> "TeamOrientedProgram":
-        totals: dict[str, float] = {}
-        for t in self.transitions:
-            totals[t.src] = totals.get(t.src, 0.0) + t.pi
-        flat = tuple(
-            TemporalTransition(t.src, t.dst, t.pi / totals[t.src] if totals[t.src] > 0 else 0.0,
-                               t.mu, ())
-            for t in self.transitions
-        )
-        return TeamOrientedProgram(self.plans, flat, self.team_hierarchy, self.root,
-                                   team_mode=False)
+        return replace(self, team_mode=False)
 
 
 # -- document loading -------------------------------------------------------
@@ -761,19 +738,12 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
         for label, v in (("pi", pi), ("mu", mu)):
             if not _is_number(v) or not 0.0 <= v <= 1.0:
                 raise ProgramError(f"{label} must be a probability in [0, 1]", loc)
-        teams = entry.get("teams", [])
-        if not isinstance(teams, list):
-            raise ProgramError("teams must be a list", loc)
-        for team in teams:
-            if not isinstance(team, str):
-                raise ProgramError(f"teams must hold strings, not {type(team).__name__}", loc)
-            if not hierarchy.has_team(team):
-                raise ProgramError(f"unknown team '{team}'", loc)
-        if team_mode and not teams:
-            raise ProgramError("team-mode programs need teams on every transition", loc)
-        transitions.append(TemporalTransition(src, dst, float(pi), float(mu),
-                                              tuple(sorted(set(teams)))))
-    transitions.sort(key=lambda t: (t.src, t.dst, t.teams))
+        owner = plans[src].team
+        if entry.get("teams", []) not in ([], [owner]):
+            raise ProgramError(f"teams must be omitted, [] or ['{owner}'], the team of "
+                               f"source plan '{src}'", loc)
+        transitions.append(TemporalTransition(src, dst, float(pi), float(mu)))
+    transitions.sort(key=lambda t: (t.src, t.dst))
 
     program = TeamOrientedProgram(
         plans=tuple(plans[pid] for pid in sorted(plans)),
@@ -782,27 +752,16 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
         root=root,
         team_mode=team_mode,
     )
-    _validate_pi_sums(program, team_mode)
+    _validate_pi_sums(program)
     return program
 
 
-def _validate_pi_sums(p: TeamOrientedProgram, team_mode: bool):
+def _validate_pi_sums(p: TeamOrientedProgram):
     for x in p.node_ids:
         out = p.out_transitions(x)
-        if not out:
-            continue
-        if team_mode:
-            listed = {team for t in out for team in t.teams}
-            for team in sorted(listed):
-                total = sum(t.pi for t in out if is_allowed(t, team, p.team_hierarchy))
-                if abs(total - 1.0) > SUM_TOL:
-                    raise ProgramError(
-                        f"outgoing pi for team '{team}' sums to {total:.6g}, expected 1",
-                        f"plan '{x}'")
-        else:
-            total = sum(t.pi for t in out)
-            if abs(total - 1.0) > SUM_TOL:
-                raise ProgramError(f"outgoing pi sums to {total:.6g}, expected 1", f"plan '{x}'")
+        total = sum(t.pi for t in out)
+        if out and abs(total - 1.0) > SUM_TOL:
+            raise ProgramError(f"outgoing pi sums to {total:.6g}, expected 1", f"plan '{x}'")
 
 
 def load_program(text: str, *, team_mode: bool = False) -> TeamOrientedProgram:
@@ -837,7 +796,7 @@ def program_to_document(p: TeamOrientedProgram) -> dict:
         doc["plans"].append(entry)
     for t in p.transitions:
         doc["transitions"].append({"from": t.src, "to": t.dst, "pi": t.pi, "mu": t.mu,
-                                   "teams": list(t.teams)})
+                                   "teams": [p.node(t.src).team]})
     return doc
 
 

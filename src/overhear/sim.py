@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, hazard, is_allowed
+from .model import TERMINATE, TeamOrientedProgram, hazard
 
 MU_SAMPLED = "MU_SAMPLED"
 ALWAYS = "ALWAYS"
@@ -155,11 +155,8 @@ def _descend(p: TeamOrientedProgram, rng: random.Random, node_id: str) -> str:
     return node_id
 
 
-def _sample_transition(p: TeamOrientedProgram, rng: random.Random, node_id: str,
-                       team: str | None):
+def _sample_transition(p: TeamOrientedProgram, rng: random.Random, node_id: str):
     ts = p.out_transitions(node_id)
-    if team is not None:
-        ts = [t for t in ts if is_allowed(t, team, p.team_hierarchy)]
     if not ts:
         return None
     total = sum(t.pi for t in ts)
@@ -216,7 +213,7 @@ class _AgentRun:
         return self.p.name_path(self.node), self.kind != _EXEC
 
     def _cascade(self, cfg: SimConfig, node_id: str, out: list[int]) -> None:
-        t = _sample_transition(self.p, self.rng, node_id, None)
+        t = _sample_transition(self.p, self.rng, node_id)
         if t is None:
             self.kind, self.node = _STUCK, node_id
             return
@@ -261,7 +258,11 @@ class _AgentRun:
 # --- team execution ----------------------------------------------------------
 
 class _Group:
-    """One parallel branch: a sibling team working under a shared parent."""
+    """One parallel branch: a sibling team working under a shared parent.
+
+    A group that is not ``done`` and has no ``current`` plan is stuck: its
+    plan ``last`` had no transition out, so it stays blocked there.
+    """
 
     __slots__ = ("team", "owner", "current", "pending", "pending_src", "last", "done")
 
@@ -330,7 +331,7 @@ class _TeamRun:
                     break
             if match is None:
                 return p.name_path(a.plan), False
-            if match.done:
+            if match.done or match.current is None:  # complete, or stuck
                 return p.name_path(match.last or a.plan), True
             if match.pending is not None:
                 return p.name_path(match.pending_src or a.plan), True
@@ -346,13 +347,13 @@ class _TeamRun:
             self._terminate(cfg, owner, out)
 
     def _terminate(self, cfg: SimConfig, active: _Active, out: list[int]) -> None:
-        t = _sample_transition(self.p, self.rng, active.plan,
-                               self.p.node(active.plan).team)
+        t = _sample_transition(self.p, self.rng, active.plan)
         g = active.group
         if t is None:
-            # No outgoing transition: this branch simply stops here.
+            # No outgoing transition: like an agent run's _STUCK, the group
+            # stays blocked at this plan and never completes its owner.
             if g is not None:
-                g.done, g.last, g.current = True, active.plan, None
+                g.last, g.current = active.plan, None
             else:
                 self.finished = True
             return

@@ -92,12 +92,12 @@ def apply_comm_model(p: TeamOrientedProgram, model: CommModel) -> TeamOrientedPr
     rewritten = []
     for t in p.transitions:
         if t.dst == TERMINATE:
-            rewritten.append(TemporalTransition(t.src, t.dst, t.pi, 0.0, t.teams))
+            rewritten.append(TemporalTransition(t.src, t.dst, t.pi, 0.0))
             continue
         predicted = (model.predicts(p.node(t.src).name, TERM)
                      or model.predicts(p.node(t.dst).name, INIT))
         mu = model.confidence if predicted else DEFAULT_UNPREDICTED_MU
-        rewritten.append(TemporalTransition(t.src, t.dst, t.pi, mu, t.teams))
+        rewritten.append(TemporalTransition(t.src, t.dst, t.pi, mu))
     return TeamOrientedProgram(p.plans, tuple(rewritten), p.team_hierarchy, p.root,
                                team_mode=p.team_mode)
 

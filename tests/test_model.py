@@ -6,9 +6,9 @@ import traceback
 
 import pytest
 
-from overhear.model import (ProgramError, TERMINATE, hazard, is_allowed, load_program,
-                            load_program_path, program_from_document, program_to_document,
-                            serialize_program, topmost_teams)
+from overhear.model import (ProgramError, TERMINATE, hazard, load_program, load_program_path,
+                            program_from_document, program_to_document, serialize_program,
+                            topmost_teams)
 from overhear.progen import grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_leaves
@@ -61,16 +61,6 @@ def test_hierarchy_queries(evac_team):
     assert topmost_teams(h, ["TRANSPORT", "ESCORT", "FLIGHT-TEAM"]) == {"FLIGHT-TEAM"}
 
 
-def test_is_allowed(evac_mini):
-    h = evac_mini.team_hierarchy
-    (t,) = [t for t in evac_mini.transitions if t.src == "n1"]
-    assert is_allowed(t, "TASK-FORCE", h)
-    assert is_allowed(t, "ESCORT", h)  # subteam of the tagged team
-    (t4,) = [t for t in evac_mini.transitions if t.src == "n4"]
-    assert is_allowed(t4, "TRANSPORT", h)
-    assert not is_allowed(t4, "ESCORT", h)
-
-
 def test_document_round_trip(evac_team):
     doc = program_to_document(evac_team)
     again = program_from_document(doc, team_mode=True)
@@ -100,13 +90,10 @@ def test_plan_order_does_not_matter():
 def test_single_agent_view(evac_team):
     view = evac_team.single_agent_view()
     assert not view.team_mode
-    assert view.node("n4").team == "TRANSPORT"  # plan ownership survives
-    for t in view.transitions:
-        assert t.teams == ()
-    for x in view.node_ids:
-        out = view.out_transitions(x)
-        if out:
-            assert sum(t.pi for t in out) == pytest.approx(1.0)
+    assert view.plans == evac_team.plans  # plan ownership survives
+    assert view.transitions == evac_team.transitions
+    assert view.first_child_groups("n3") == (("n4", "n5"),)
+    assert evac_team.first_child_groups("n3") == (("n5",), ("n4",))
 
 
 def test_duplicate_plan_names_allowed():
@@ -155,7 +142,12 @@ def test_duplicate_plan_names_allowed():
      "'name' must be a string, not int [agents[0]]"),
     (lambda d: d.update({"root": {"id": "r"}}), "'root' must be a string, not dict"),
     (lambda d: d["transitions"][0].update({"teams": [["T"]]}),
-     "teams must hold strings, not list"),
+     "teams must be omitted, [] or ['T']"),
+    # a flat-mode document follows the transition rule too
+    (lambda d: (d["teams"].append({"name": "U", "parent": "T"}),
+                d["agents"][0].update({"team": "U"}),
+                d["transitions"][0].update({"teams": ["U"]})),
+     "teams must be omitted, [] or ['T'], the team of source plan 'a' [transition a->b]"),
     (lambda d: d["transitions"][0].update({"to": None}), "'to' must be a string"),
     (lambda d: d["plans"][1].update({"lambda": 10 ** 400}),
      "lambda must be a nonnegative number [plan 'a']"),
@@ -229,21 +221,27 @@ def test_agent_must_sit_at_leaf_team(evac_team):
         program_from_document(doc, team_mode=True)
 
 
-def test_team_mode_needs_transition_teams():
-    doc = _mini_doc()
-    with pytest.raises(ProgramError, match="teams on every transition"):
-        program_from_document(doc, team_mode=True)
-    # and the very same document is fine in single mode
-    program_from_document(doc)
+def test_team_mode_transition_teams_are_optional(evac_team):
+    # a transition's team is its source plan's, so a tag only restates it
+    doc = program_to_document(evac_team)
+    for t in doc["transitions"]:
+        del t["teams"]
+    untagged = program_from_document(doc, team_mode=True)
+    assert untagged == evac_team
+    assert serialize_program(untagged) == serialize_program(evac_team)
+    for t in doc["transitions"]:
+        t["teams"] = []
+    assert program_from_document(doc, team_mode=True) == evac_team
 
 
-def test_team_mode_pi_sums_are_per_team(evac_team):
+def test_pi_sums_are_per_plan(evac_team):
     doc = program_to_document(evac_team)
     doc["transitions"].append({"from": "n6", "to": "n6", "pi": 1.0, "mu": 0.1,
-                               "teams": ["TRANSPORT"]})
-    # TRANSPORT's options from n6 sum to 2 (the TERMINATE is FLIGHT-TEAM wide)
-    with pytest.raises(ProgramError, match="sums to 2"):
-        program_from_document(doc, team_mode=True)
+                               "teams": ["FLIGHT-TEAM"]})
+    # n6's options, its TERMINATE and the new loop, sum to 2 in either mode
+    for team_mode in (False, True):
+        with pytest.raises(ProgramError, match=r"sums to 2, expected 1 \[plan 'n6'\]"):
+            program_from_document(doc, team_mode=team_mode)
 
 
 def test_load_program_reports_json_errors():
@@ -419,7 +417,8 @@ def test_evidence_tables_match_definitions(p):
     for team, _ in h.teams:
         into, out = p.team_edges[team]
         for x in p.node_ids:
-            allowed = [t for t in p.transitions if t.dst != TERMINATE and is_allowed(t, team, h)]
+            allowed = [t for t in p.transitions
+                       if t.dst != TERMINATE and p.node(t.src).team in _brute_chain(h, team)]
             assert into.get(x, ()) == tuple(t for t in allowed if t.dst == x)
             assert out.get(x, ()) == tuple(t for t in allowed if t.src == x)
         assert () not in into.values() and () not in out.values()

@@ -276,3 +276,38 @@ def test_message_rate_calibration():
     for r in ratios:
         assert 10.0 <= r <= 30.0
     assert 15.0 <= statistics.mean(ratios) <= 25.0
+
+
+def _dead_end_split(dead_end_rate, task_rate):
+    """``split`` (TF) runs LEFT's ``left-dead-end``, which has no transition
+    out, beside RIGHT's ``right-task``, which completes; then ``after``."""
+    return program_from_document({
+        "teams": [{"name": "TF", "parent": None}, {"name": "LEFT", "parent": "TF"},
+                  {"name": "RIGHT", "parent": "TF"}],
+        "agents": [{"name": "l1", "team": "LEFT"}, {"name": "r1", "team": "RIGHT"}],
+        "root": "m",
+        "plans": [
+            {"id": "m", "name": "mission", "team": "TF"},
+            {"id": "split", "name": "split", "team": "TF", "parent": "m", "first_child": True},
+            {"id": "after", "name": "after", "team": "TF", "parent": "m", "lambda": 0.1},
+            {"id": "dead", "name": "left-dead-end", "team": "LEFT", "parent": "split",
+             "first_child": True, "lambda": dead_end_rate},
+            {"id": "task", "name": "right-task", "team": "RIGHT", "parent": "split",
+             "first_child": True, "lambda": task_rate},
+        ],
+        "transitions": [{"from": "task", "to": "TERMINATE", "pi": 1.0, "mu": 0.0},
+                        {"from": "split", "to": "after", "pi": 1.0, "mu": 0.0}],
+    }, team_mode=True)
+
+
+@pytest.mark.parametrize("dead_end_rate, task_rate", [(5.0, 0.1), (0.1, 5.0)],
+                         ids=["dead-end-first", "dead-end-last"])
+def test_stuck_group_never_completes_its_parent(dead_end_rate, task_rate):
+    # a group whose plan has no way out is stuck there, blocked, as an agent
+    # run is: it never counts toward its parent's completion, in either order
+    p = _dead_end_split(dead_end_rate, task_rate)
+    for seed in range(20):
+        trace, _ = simulate(p, SimConfig(seed=seed, ticks=300, team_mode=True))
+        assert all(s[a][0] != ("mission", "after") for s in trace.steps for a in s)
+        assert trace.steps[-1] == {"l1": (("mission", "split", "left-dead-end"), True),
+                                   "r1": (("mission", "split", "right-task"), True)}

@@ -3,7 +3,7 @@ import pytest
 from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
                              propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
-from overhear.model import program_from_document, program_to_document
+from overhear.model import ProgramError, program_from_document, program_to_document
 from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import _rescale, team_init_beliefs, team_most_likely, yoyo_tick
@@ -82,9 +82,9 @@ def test_team_init(evac_mini):
     assert b.active["n4"] == 0.0
 
 
-def test_forward_duplicates_to_parallel_successors():
-    # one source with a LEFT-only and a RIGHT-only successor: both receive
-    # the full outgoing mass, not a split
+def test_transitions_tagged_for_other_teams_are_rejected():
+    # TF's plan start cannot hand one edge to LEFT and another to RIGHT: the
+    # team that executes a plan takes its transitions
     doc = {
         "teams": [{"name": "TF", "parent": None},
                   {"name": "LEFT", "parent": "TF"},
@@ -105,12 +105,9 @@ def test_forward_duplicates_to_parallel_successors():
             {"from": "a", "to": "r", "pi": 1.0, "mu": 0.0, "teams": ["RIGHT"]},
         ],
     }
-    p = program_from_document(doc, team_mode=True)
-    b = team_init_beliefs(p)
-    for _ in range(60):
-        b = propagate_forward(b, p)
-    assert b.active["l"] == pytest.approx(1.0, abs=1e-6)
-    assert b.active["r"] == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(ProgramError, match=r"\['TF'\], the team of source plan 'a' "
+                                           r"\[transition a->l\]$"):
+        program_from_document(doc, team_mode=True)
 
 
 def test_forward_splits_within_team(two_team):
