@@ -30,7 +30,7 @@ from .harness import bench_scalability, evaluate_run, render_bench, render_repor
 from .ingest import IngestError, apply_loss, format_log, parse_log
 from .model import ProgramError, load_program_path
 from .progen import flatten_mu
-from .recognizer import make_recognizer
+from .recognizer import MODES, make_recognizer
 from .sim import (COMM_POLICIES, MU_SAMPLED, SimConfig, SimulationError,
                   format_trace, parse_trace, simulate)
 from .social import (apply_comm_model, format_comm_model, learn_comm_model,
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sp.add_parser("recognize", help="emit per-tick most-likely states")
     _add_program(rec)
     rec.add_argument("--log", required=True, help="message log to stream")
-    rec.add_argument("--mode", choices=("array", "yoyo"), default="array",
+    rec.add_argument("--mode", choices=MODES, default="array",
                      help="recognizer structure")
     rec.add_argument("--ticks", type=int, default=None,
                      help="ticks to replay (default: last message tick + 2)")
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program(ev)
     ev.add_argument("--log", required=True, help="message log")
     ev.add_argument("--truth", required=True, help="ground-truth trace file")
-    ev.add_argument("--mode", choices=("array", "yoyo"), default="yoyo",
+    ev.add_argument("--mode", choices=MODES, default="yoyo",
                     help="recognizer structure")
     ev.add_argument("--coherent", action=argparse.BooleanOptionalAction,
                     default=None,

@@ -6,6 +6,12 @@ per-agent execution (every agent walks its own copy of the plan tree) and
 team execution (one shared run in which sibling teams advance in parallel
 and exactly one member of the acting team announces each transition).
 
+Both modes keep one run state.  A unit (an agent run, or one parallel group
+of a team run) executes its plan while its ``pending`` is None.  Otherwise
+it is blocked at that plan, and ``pending`` says why: the transition it
+waits to announce, ``_DONE`` (the plan completed its parent, or the root
+completed) or ``_NO_EXIT`` (the plan has no transition out).
+
 Timeline convention, chosen to match the belief engine: a leaf that
 terminates during tick t is recorded as blocked from tick t+1 on, the
 announcement (if any) is observed at tick t+1, and the successor starts
@@ -186,98 +192,86 @@ def _make_message(rng: random.Random, tick: int, sender: str, team: str,
     return ObservedMessage(tick, sender, team, INIT, p.node(t.dst).name)
 
 
-# --- single-agent execution -------------------------------------------------
+# --- execution (the run-state rule is in the module docstring) --------------
 
-_EXEC = "exec"
-_BLOCKED = "blocked"
-_STUCK = "stuck"
-_END = "end"
+# Tested with ``is``: ``==`` against a pending transition would run its
+# dataclass ``__eq__``.
+_DONE = "done"
+_NO_EXIT = "no exit"
 
 
 class _AgentRun:
     """One agent stepping through its own copy of the plan tree."""
 
-    __slots__ = ("name", "p", "rng", "kind", "node", "pending")
+    __slots__ = ("name", "p", "cfg", "rng", "node", "pending", "count")
 
-    def __init__(self, name: str, p: TeamOrientedProgram, rng: random.Random):
+    def __init__(self, name: str, p: TeamOrientedProgram, cfg: SimConfig):
         self.name = name
         self.p = p
-        self.rng = rng
-        self.kind = _EXEC
-        self.node = _descend(p, rng, p.root)
+        self.cfg = cfg
+        self.rng = random.Random(f"{cfg.seed}:{name}")
+        self.node = _descend(p, self.rng, p.root)
         self.pending = None
+        self.count = 0  # transitions taken
 
     def truth(self) -> tuple[tuple[str, ...], bool]:
-        if self.kind == _END:
-            return self.p.name_path(self.p.root), True
-        return self.p.name_path(self.node), self.kind != _EXEC
+        return self.p.name_path(self.node), self.pending is not None
 
-    def _cascade(self, cfg: SimConfig, node_id: str, out: list[int]) -> None:
+    def _end_plan(self, node_id: str) -> None:
+        """The plan ``node_id`` finished: take a transition out, or block there."""
+        self.node = node_id
         t = _sample_transition(self.p, self.rng, node_id)
         if t is None:
-            self.kind, self.node = _STUCK, node_id
-            return
-        if _wants_announce(cfg, self.rng, t.mu):
-            self.kind, self.node, self.pending = _BLOCKED, node_id, t
-            return
-        self._resolve(cfg, node_id, t, out)
+            self.pending = _NO_EXIT
+        elif _wants_announce(self.cfg, self.rng, t.mu):
+            self.pending = t
+        else:
+            self._resolve(t)
 
-    def _resolve(self, cfg: SimConfig, node_id: str, t, out: list[int]) -> None:
+    def _resolve(self, t) -> None:
         # Counted here, not at sampling: a transition still waiting on its
         # announcement has not moved the state machine yet.
-        out[0] += 1
-        if t.dst == TERMINATE:
-            parent = self.p.node(node_id).parent
-            if parent is None:
-                self.kind = _END
-            else:
-                self._cascade(cfg, parent, out)
+        self.count += 1
+        if t.dst != TERMINATE:
+            self.node, self.pending = _descend(self.p, self.rng, t.dst), None
+        elif (parent := self.p.node(self.node).parent) is None:
+            self.pending = _DONE
         else:
-            self.kind = _EXEC
-            self.node = _descend(self.p, self.rng, t.dst)
-            self.pending = None
+            self._end_plan(parent)
 
-    def step(self, cfg: SimConfig, tick: int, out: list[int]) -> ObservedMessage | None:
+    def step(self, tick: int) -> ObservedMessage | None:
         """Advance one tick; returns the message sent during it, if any."""
-        msg = None
-        if self.kind == _BLOCKED:
-            if self.rng.random() < cfg.send_prob:
-                msg = _make_message(self.rng, tick, self.name,
-                                    self.p.node(self.node).team, self.p,
-                                    self.node, self.pending)
-                t, src = self.pending, self.node
-                self.pending = None
-                self._resolve(cfg, src, t, out)
-        elif self.kind == _EXEC:
-            node = self.p.node(self.node)
-            if self.rng.random() < hazard(node.rate or 0.0):
-                self._cascade(cfg, self.node, out)
+        t = self.pending
+        if t is None:
+            if self.rng.random() < hazard(self.p.node(self.node).rate or 0.0):
+                self._end_plan(self.node)
+            return None
+        if t is _DONE or t is _NO_EXIT or self.rng.random() >= self.cfg.send_prob:
+            return None
+        msg = _make_message(self.rng, tick, self.name, self.p.node(self.node).team,
+                            self.p, self.node, t)
+        self._resolve(t)
         return msg
 
-
-# --- team execution ----------------------------------------------------------
 
 class _Group:
     """One parallel branch: a sibling team working under a shared parent.
 
-    A group that is not ``done`` and has no ``current`` plan is stuck: its
-    plan ``last`` had no transition out, so it stays blocked there.
+    ``current`` is the group's plan instance: executing while ``pending`` is
+    None, else blocked there.
     """
 
-    __slots__ = ("team", "owner", "current", "pending", "pending_src", "last", "done")
+    __slots__ = ("team", "owner", "current", "pending")
 
     def __init__(self, team: str, owner: "_Active"):
         self.team = team
         self.owner = owner
-        self.current: _Active | None = None
+        self.current: _Active  # set by _TeamRun._spawn
         self.pending = None
-        self.pending_src: str | None = None
-        self.last: str | None = None
-        self.done = False
 
 
 class _Active:
-    """A plan instance currently on some team's execution stack."""
+    """A plan instance on some team's execution stack."""
 
     __slots__ = ("plan", "group", "groups")
 
@@ -288,137 +282,109 @@ class _Active:
 
 
 class _TeamRun:
-    def __init__(self, p: TeamOrientedProgram, rng: random.Random):
-        self.p = p
-        self.rng = rng
-        self.root: _Active | None = self._spawn(p.root, None)
-        self.finished = False
+    """One shared run of the whole team.  The root plan instance is the one
+    unit that is no group; the run's own ``pending`` is its state."""
 
-    def _spawn(self, plan: str, group: _Group | None) -> "_Active":
+    def __init__(self, p: TeamOrientedProgram, cfg: SimConfig):
+        self.p = p
+        self.cfg = cfg
+        self.rng = random.Random(cfg.seed)
+        self.root = self._spawn(p.root, None)
+        self.pending = None
+        self.count = 0  # transitions taken
+
+    def _spawn(self, plan: str, group: _Group | None) -> _Active:
         node = _Active(plan, group)
         for members in self.p.first_child_groups(plan):  # each sorted, one team
             g = _Group(self.p.node(members[0]).team, node)
-            child = self.rng.choice(members)
-            g.current = self._spawn(child, g)
+            g.current = self._spawn(self.rng.choice(members), g)
             node.groups.append(g)
         return node
-
-    def _walk_groups(self) -> list[_Group]:
-        found: list[_Group] = []
-
-        def visit(a: _Active):
-            for g in a.groups:
-                found.append(g)
-                if g.current is not None and not g.done:
-                    visit(g.current)
-
-        if self.root is not None:
-            visit(self.root)
-        return found
 
     def truth(self, team: str) -> tuple[tuple[str, ...], bool]:
         """The state of every agent on leaf team ``team``."""
         p = self.p
-        chain = p.team_hierarchy.ancestors_or_self(team)
-        if self.finished or self.root is None:
+        if self.pending is not None:
             return p.name_path(p.root), True
+        chain = p.team_hierarchy.ancestors_or_self(team)
         a = self.root
         while True:
-            match = None
             for g in a.groups:
                 if g.team in chain:
-                    match = g
                     break
-            if match is None:
+            else:
                 return p.name_path(a.plan), False
-            if match.done or match.current is None:  # complete, or stuck
-                return p.name_path(match.last or a.plan), True
-            if match.pending is not None:
-                return p.name_path(match.pending_src or a.plan), True
-            a = match.current
+            a = g.current
+            if g.pending is not None:
+                return p.name_path(a.plan), True
 
-    def _complete(self, cfg: SimConfig, group: _Group, src: str, out: list[int]) -> None:
-        group.done = True
-        group.last = src
-        group.current = None
-        group.pending = None
-        owner = group.owner
-        if all(g.done for g in owner.groups):
-            self._terminate(cfg, owner, out)
+    def _frontier(self, a: _Active, leaves: list[_Active], waiting: list[_Group]) -> None:
+        """Collect, in walk order, the executing leaves under ``a`` and the
+        groups there that wait to announce."""
+        if not a.groups:  # a non-leaf plan has a first child, so a group
+            leaves.append(a)
+        for g in a.groups:
+            t = g.pending
+            if t is None:
+                self._frontier(g.current, leaves, waiting)
+            elif t is not _DONE and t is not _NO_EXIT:
+                waiting.append(g)
 
-    def _terminate(self, cfg: SimConfig, active: _Active, out: list[int]) -> None:
-        t = _sample_transition(self.p, self.rng, active.plan)
-        g = active.group
-        if t is None:
-            # No outgoing transition: like an agent run's _STUCK, the group
-            # stays blocked at this plan and never completes its owner.
-            if g is not None:
-                g.last, g.current = active.plan, None
-            else:
-                self.finished = True
-            return
-        if _wants_announce(cfg, self.rng, t.mu):
-            if g is None:
-                # The root announces into the void; treat as final.
-                self.finished = True
-                return
-            g.pending, g.pending_src = t, active.plan
-            return
-        self._resolve(cfg, g, active.plan, t, out)
-
-    def _resolve(self, cfg: SimConfig, g: _Group | None, src: str, t, out: list[int]) -> None:
-        out[0] += 1
-        if t.dst == TERMINATE:
-            if g is None:
-                self.finished = True
-            else:
-                self._complete(cfg, g, src, out)
+    def _end_plan(self, a: _Active) -> None:
+        """``a``'s plan finished: its unit takes a transition out, or blocks."""
+        t = _sample_transition(self.p, self.rng, a.plan)
+        g = a.group
+        if g is None:
+            # The root ends the run.  Its announcement would go into the
+            # void, so only a silent edge out of it is counted.
+            if t is not None and not _wants_announce(self.cfg, self.rng, t.mu):
+                self.count += 1
+            self.pending = _NO_EXIT if t is None else _DONE
+        elif t is None:
+            g.pending = _NO_EXIT  # never completes its owner
+        elif _wants_announce(self.cfg, self.rng, t.mu):
+            g.pending = t
         else:
-            if g is None:
-                self.root = self._spawn(t.dst, None)
-            else:
-                g.pending, g.pending_src = None, None
-                g.current = self._spawn(t.dst, g)
+            self._resolve(g, t)
 
-    def _exec_leaves(self) -> list[_Active]:
-        leaves: list[_Active] = []
-
-        def visit(a: _Active):
-            if not a.groups:
-                if self.p.is_leaf(a.plan):
-                    leaves.append(a)
+    def _resolve(self, g: _Group, t) -> None:
+        self.count += 1
+        if t.dst != TERMINATE:
+            g.pending, g.current = None, self._spawn(t.dst, g)
+            return
+        g.pending = _DONE
+        owner = g.owner
+        for sibling in owner.groups:
+            if sibling.pending is not _DONE:
                 return
-            for g in a.groups:
-                if not g.done and g.pending is None and g.current is not None:
-                    visit(g.current)
+        self._end_plan(owner)
 
-        if self.root is not None and not self.finished:
-            visit(self.root)
-        return leaves
-
-    def step(self, cfg: SimConfig, tick: int, out: list[int]) -> list[ObservedMessage]:
+    def step(self, tick: int) -> list[ObservedMessage]:
         msgs: list[ObservedMessage] = []
-        h = self.p.team_hierarchy
-        hazards = self._exec_leaves()
+        if self.pending is not None:
+            return msgs
+        p, cfg, rng = self.p, self.cfg, self.rng
+        h = p.team_hierarchy
+        leaves: list[_Active] = []
+        waiting: list[_Group] = []
+        self._frontier(self.root, leaves, waiting)
         # Pending announcements first: the group stays blocked until one
         # member of the acting team gets a word in.
-        for g in sorted(self._walk_groups(), key=lambda g: g.pending_src or ""):
-            if g.pending is None or g.done:
+        waiting.sort(key=lambda g: g.current.plan)
+        for g in waiting:
+            if rng.random() >= cfg.send_prob:
                 continue
-            if self.rng.random() >= cfg.send_prob:
-                continue
-            src = g.pending_src
-            team = self.p.node(src).team
+            src = g.current.plan
+            team = p.node(src).team
             members = h.members(team) or h.agent_names  # both sorted
-            sender = self.rng.choice(members)
-            msg = _make_message(self.rng, tick, sender, team, self.p, src, g.pending)
+            sender = rng.choice(members)
+            msg = _make_message(rng, tick, sender, team, p, src, g.pending)
             if not cfg.fails_at(sender, tick):
                 msgs.append(msg)
-            self._resolve(cfg, g, src, g.pending, out)
-        for leaf in hazards:
-            node = self.p.node(leaf.plan)
-            if self.rng.random() < hazard(node.rate or 0.0):
-                self._terminate(cfg, leaf, out)
+            self._resolve(g, g.pending)
+        for leaf in leaves:
+            if rng.random() < hazard(p.node(leaf.plan).rate or 0.0):
+                self._end_plan(leaf)
         return msgs
 
 
@@ -443,29 +409,29 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
         raise SimulationError(f"fail agent '{cfg.fail_agent}' is not an agent of the program")
     steps: list[dict[str, tuple[tuple[str, ...], bool]]] = []
     messages: list[ObservedMessage] = []
-    count = [0]
     if cfg.team_mode:
-        run = _TeamRun(p, random.Random(cfg.seed))
+        run = _TeamRun(p, cfg)
         leaf_teams = sorted({t for _, t in h.agents})
         for tick in range(cfg.ticks):
             # an agent's state depends only on its leaf team: one walk per team
             truth = {team: run.truth(team) for team in leaf_teams}
             steps.append({a: truth[t] for a, t in h.agents})
-            for m in run.step(cfg, tick, count):
-                messages.append(m)
+            messages += run.step(tick)
+        count = run.count
     else:
-        runs = {a: _AgentRun(a, p, random.Random(f"{cfg.seed}:{a}")) for a in agents}
+        runs = [_AgentRun(a, p, cfg) for a in agents]
         for tick in range(cfg.ticks):
-            steps.append({a: runs[a].truth() for a in agents})
-            for a in agents:
-                if cfg.fails_at(a, tick):
+            steps.append({run.name: run.truth() for run in runs})
+            for run in runs:
+                if cfg.fails_at(run.name, tick):
                     continue  # a failed agent neither acts nor reports
-                m = runs[a].step(cfg, tick, count)
+                m = run.step(tick)
                 if m is not None:
                     messages.append(m)
+        count = sum(run.count for run in runs)
     messages.sort(key=lambda m: (m.tick, m.sender, m.kind, m.plan))
     return (GroundTruthTrace(seed=cfg.seed, agents=agents, steps=steps,
-                             transition_count=count[0]),
+                             transition_count=count),
             messages)
 
 

@@ -110,13 +110,15 @@ def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
     """Evidence masses, normalized per owning team of the candidate nodes.
 
     A message's candidates are reached along the transitions open to its
-    team, which the program lists once (``team_edges``).
+    team, which the program lists once (``team_edges``).  Each team's
+    candidates are summed and written in id order, so the masses do not
+    depend on the interpreter's string hashing.
     """
     edges = p.team_edges
     raw: dict[str, float] = {}
-    cand_team: dict[str, str] = {}
+    cands: set[str] = set()
     for x in sorted(initiated):
-        cand_team.setdefault(x, p.node(x).team)
+        cands.add(x)
         into, _ = edges[initiated[x]]
         for t in into.get(x, ()):
             credit_raw(raw, t, b.blocked)
@@ -124,18 +126,16 @@ def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
         _, out = edges[terminated[x]]
         for t in out.get(x, ()):
             if t.dst not in initiated:
-                cand_team.setdefault(t.dst, p.node(t.dst).team)
+                cands.add(t.dst)
                 credit_raw(raw, t, b.blocked)
-    if not cand_team:
+    if not cands:
         # Termination of a node with no announceable successor: keep the
         # named nodes as candidates rather than zeroing the whole belief.
-        for x in sorted(terminated):
-            cand_team[x] = p.node(x).team
-    keep = set(_prune_redundant_ancestors(p, cand_team))
+        cands.update(terminated)
     scratch: dict[str, float] = {}
     by_team: dict[str, list[str]] = {}
-    for x in keep:
-        by_team.setdefault(cand_team[x], []).append(x)
+    for x in _prune_redundant_ancestors(p, cands):  # sorted
+        by_team.setdefault(p.node(x).team, []).append(x)
     # Evidence about different teams does not compete: normalize per team.
     for team, members in sorted(by_team.items()):
         total = sum(raw.get(x, 0.0) for x in members)

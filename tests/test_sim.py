@@ -311,3 +311,48 @@ def test_stuck_group_never_completes_its_parent(dead_end_rate, task_rate):
         assert all(s[a][0] != ("mission", "after") for s in trace.steps for a in s)
         assert trace.steps[-1] == {"l1": (("mission", "split", "left-dead-end"), True),
                                    "r1": (("mission", "split", "right-task"), True)}
+
+
+def _root_edge(mu):
+    """``mission`` runs ``task`` and then takes its own TERMINATE edge, whose
+    announcement probability is ``mu``."""
+    return program_from_document({
+        "teams": [{"name": "T", "parent": None}],
+        "agents": [{"name": n, "team": "T"} for n in ("t1", "t2", "t3")],
+        "root": "m",
+        "plans": [{"id": "m", "name": "mission", "team": "T"},
+                  {"id": "task", "name": "task", "team": "T", "parent": "m",
+                   "first_child": True, "lambda": 0.3}],
+        "transitions": [{"from": "task", "to": "TERMINATE", "pi": 1.0, "mu": 0.0},
+                        {"from": "m", "to": "TERMINATE", "pi": 1.0, "mu": mu}],
+    }, team_mode=True)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_team_run_root_edge_ends_the_run(mu):
+    # the root's own edge completes the run at once: announced, it goes into
+    # the void, with no message and no count; silent, it is counted
+    for seed in range(10):
+        trace, log = simulate(_root_edge(mu), SimConfig(seed=seed, ticks=80, team_mode=True))
+        assert log == []
+        assert trace.transition_count == (1 if mu else 2)
+        end = next(t for t, s in enumerate(trace.steps) if s["t1"][0] == ("mission",))
+        assert all(s == dict.fromkeys(("t1", "t2", "t3"), (("mission",), True))
+                   for s in trace.steps[end:])
+        assert all(s["t1"] == (("mission", "task"), False) for s in trace.steps[:end])
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_agent_run_root_edge_is_announced_like_any_other(mu):
+    # each agent takes the root edge after its task; announced, it costs a
+    # blocked tick at the root and one TERM; either way it is counted
+    for seed in range(10):
+        trace, log = simulate(_root_edge(mu), SimConfig(seed=seed, ticks=80))
+        assert trace.transition_count == 6
+        assert [(m.sender, m.kind, m.plan) for m in sorted(log, key=lambda m: m.sender)] == (
+            [(a, TERM, "mission") for a in ("t1", "t2", "t3")] if mu else [])
+        for a in trace.agents:
+            end = next(t for t, s in enumerate(trace.steps) if s[a][0] == ("mission",))
+            assert all(s[a] == (("mission",), True) for s in trace.steps[end:])
+            sent = [m.tick for m in log if m.sender == a]
+            assert sent == ([end] if mu else [])

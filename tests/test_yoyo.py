@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
@@ -423,3 +428,49 @@ def test_terminate_flow_divides_by_first_child_groups():
         assert all(b.active[x] == pytest.approx(0.0, abs=1e-9) for x in internal)
     assert {u: shared.path(u) for u in shared.teams} == {u: array.path(u) for u in array.teams}
     assert tp.first_child_groups("phase") == (("a-step",), ("b-step",))
+
+
+# One team: ``start`` moves to one of b1..b5 with unequal pi, announced with
+# mu 0.7.  A TERM of ``start`` makes all five candidates of one team, so the
+# evidence tick normalizes over five raw masses.
+_HASH_ORDER_SCRIPT = """
+from overhear.ingest import TERM, ObservedMessage
+from overhear.model import program_from_document
+from overhear.recognizer import make_recognizer
+pis = (0.11, 0.23, 0.17, 0.29, 0.20)
+p = program_from_document({
+    "teams": [{"name": "T", "parent": None}],
+    "agents": [{"name": "t1", "team": "T"}],
+    "root": "r",
+    "plans": [{"id": "r", "name": "root", "team": "T"},
+              {"id": "a", "name": "start", "team": "T", "parent": "r",
+               "first_child": True, "lambda": 0.3}]
+             + [{"id": f"b{i}", "name": f"b{i}", "team": "T", "parent": "r", "lambda": 0.2}
+                for i in range(1, 6)],
+    "transitions": [{"from": "a", "to": f"b{i}", "pi": pi, "mu": 0.7}
+                    for i, pi in enumerate(pis, 1)]
+                   + [{"from": f"b{i}", "to": "TERMINATE", "pi": 1.0, "mu": 0.0}
+                      for i in range(1, 6)],
+}, team_mode=True)
+rec = make_recognizer(p, "yoyo")
+for _ in range(7):
+    rec.step([])
+rec.step([ObservedMessage(7, "t1", "T", TERM, "start")])
+print(" ".join(rec.belief.active[f"b{i}"].hex() for i in range(1, 6)))
+"""
+
+
+def test_evidence_tick_does_not_depend_on_string_hashing():
+    # the evidence tick sums each team's candidates in id order; summed in
+    # set order, these five masses came out in three bit patterns over
+    # hash seeds 0-11
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in range(6):
+        done = subprocess.run([sys.executable, "-c", _HASH_ORDER_SCRIPT],
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       PYTHONHASHSEED=str(seed)),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
