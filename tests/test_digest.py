@@ -17,7 +17,7 @@ import struct
 
 from overhear.ingest import format_log, messages_by_tick
 from overhear.model import load_program_path, program_from_document
-from overhear.progen import team_program
+from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import (ALWAYS, MU_SAMPLED, NEVER, SimConfig, format_trace,
                           simulate)
@@ -26,10 +26,23 @@ from overhear.social import apply_comm_model, learn_comm_model
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
 
 TICKS = 150
+RANDOM_PROGRAMS = 40
+# (corpus, layout, coherent) -> sha256 of every state the layout steps through
 SWEEP_SHA256 = {
-    ("yoyo", None): "ecfe753e0e32082719fe5696a5457f968ad2d521ba4ecb8c84e1fb7e51fbf9ae",
-    ("array", False): "f4a371ab635ef272a2d8d56f4b120f3d87ae1cf3e0fd63720c474f24f3abe0cd",
-    ("array", True): "6f52b308a098400de329b19303b021f52e3edbb164e9c40e6dc6b0a0f672bf65",
+    ("team_program", "yoyo", None):
+        "ecfe753e0e32082719fe5696a5457f968ad2d521ba4ecb8c84e1fb7e51fbf9ae",
+    ("team_program", "array", False):
+        "f4a371ab635ef272a2d8d56f4b120f3d87ae1cf3e0fd63720c474f24f3abe0cd",
+    ("team_program", "array", True):
+        "6f52b308a098400de329b19303b021f52e3edbb164e9c40e6dc6b0a0f672bf65",
+    ("nested", "yoyo", None):
+        "b043cf8176ccf10b1105d85cd5b7ba3a90f5a61b23dae60c0e920c6a83311b4e",
+    ("nested", "array", False):
+        "4bfa195d6b40916bf215ab7908546e2b374998b536aaf752085923969e43d605",
+    ("nested", "array", True):
+        "72ae5b855fa8dc0efb7bc7b24bf2185247d4ed3bb0f3fda6c1b0fa9864512970",
+    ("random_program", "array", False):
+        "ccf468c182562f10818a95635e0c78639ed19f8a7f582d6f8557b6510a9da7d6",
 }
 
 SIM_SHA256 = "bea8b88384fc33b0aab6bb4f35d892dd302954e25fefabded98fd622e8ee2ac8"
@@ -44,17 +57,36 @@ def _hash_state(h, b):
         h.update(struct.pack(f"<{len(keys)}d", *(table[k] for k in keys)))
 
 
-def sweep_digest(mode: str, coherent: bool | None) -> str:
-    """sha256 over every state of team_program(0..2) x 2 seeds x 150 ticks,
+def sweep_programs(corpus: str) -> tuple[list, bool]:
+    """The corpus's programs, and whether its logs come from team-mode runs.
+
+    ``team_program(0..2)`` varies only the rates of one shape: one team
+    level, every pi 1.  ``nested`` adds a second team level (evac_team and a
+    climb that skips one, ``root_edge_program("LEFT1")``), a TERMINATE edge
+    out of the root, and internal nodes that shed and so get the kernel's
+    floors.  ``random_program`` adds pi < 1, duplicate plan names and
+    completing roots, replayed from agent-mode runs.
+    """
+    if corpus == "team_program":
+        return [team_program(k) for k in range(3)], True
+    if corpus == "nested":
+        return [load_program_path(DATA / f"{name}.json", team_mode=True)
+                for name in ("evac_team", "evac_mini")] + [
+                    root_edge_program(), root_edge_program("LEFT1")], True
+    return [random_program(k) for k in range(RANDOM_PROGRAMS)], False
+
+
+def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:
+    """sha256 over every state of the corpus's programs x 2 seeds x 150 ticks,
     with and without a learned comm model, as one layout steps through it."""
+    programs, team_mode = sweep_programs(corpus)
     h = hashlib.sha256()
-    for prog in range(3):
-        tp = team_program(prog)
+    for prog, tp in enumerate(programs):
         for seed in range(2):
-            _, log = simulate(tp, SimConfig(seed=seed, ticks=TICKS, team_mode=True,
+            _, log = simulate(tp, SimConfig(seed=seed, ticks=TICKS, team_mode=team_mode,
                                             send_prob=0.5))
             _, sibling = simulate(tp, SimConfig(seed=seed + 100, ticks=TICKS,
-                                                team_mode=True, send_prob=0.5))
+                                                team_mode=team_mode, send_prob=0.5))
             by_tick = messages_by_tick(log)
             for rec_program in (tp, apply_comm_model(tp, learn_comm_model(sibling))):
                 rec = make_recognizer(rec_program, mode, coherent)
@@ -69,23 +101,28 @@ def sweep_digest(mode: str, coherent: bool | None) -> str:
     return h.hexdigest()
 
 
-def root_edge_program():
+def root_edge_program(left: str = "LEFT"):
     """``mission`` has a TERMINATE edge of its own (mu 0.5).  Its first child
     ``split`` runs LEFT beside RIGHT; LEFT starts at ``left-task``, which
-    completes, or at ``left-dead-end``, which has no transition out."""
+    completes, or at ``left-dead-end``, which has no transition out.
+
+    ``left="LEFT1"`` moves LEFT's agents and plans into LEFT1, a subteam of
+    LEFT, so evidence about them climbs into ``split`` past a team level
+    that owns no plan."""
+    subteam = [{"name": "LEFT1", "parent": "LEFT"}] if left == "LEFT1" else []
     return program_from_document({
         "teams": [{"name": "TF", "parent": None}, {"name": "LEFT", "parent": "TF"},
-                  {"name": "RIGHT", "parent": "TF"}],
-        "agents": [{"name": "l1", "team": "LEFT"}, {"name": "l2", "team": "LEFT"},
+                  {"name": "RIGHT", "parent": "TF"}, *subteam],
+        "agents": [{"name": "l1", "team": left}, {"name": "l2", "team": left},
                    {"name": "r1", "team": "RIGHT"}],
         "root": "m",
         "plans": [
             {"id": "m", "name": "mission", "team": "TF"},
             {"id": "split", "name": "split", "team": "TF", "parent": "m", "first_child": True},
             {"id": "after", "name": "after", "team": "TF", "parent": "m", "lambda": 0.1},
-            {"id": "lt", "name": "left-task", "team": "LEFT", "parent": "split",
+            {"id": "lt", "name": "left-task", "team": left, "parent": "split",
              "first_child": True, "lambda": 0.2},
-            {"id": "dead", "name": "left-dead-end", "team": "LEFT", "parent": "split",
+            {"id": "dead", "name": "left-dead-end", "team": left, "parent": "split",
              "first_child": True, "lambda": 0.3},
             {"id": "rt", "name": "right-task", "team": "RIGHT", "parent": "split",
              "first_child": True, "lambda": 0.15},
@@ -127,7 +164,7 @@ def sim_digest() -> str:
 
 
 def test_belief_states_bit_identical():
-    assert {layout: sweep_digest(*layout) for layout in SWEEP_SHA256} == SWEEP_SHA256
+    assert {key: sweep_digest(*key) for key in SWEEP_SHA256} == SWEEP_SHA256
 
 
 def test_simulator_output_bit_identical():
@@ -135,6 +172,6 @@ def test_simulator_output_bit_identical():
 
 
 if __name__ == "__main__":
-    for layout in SWEEP_SHA256:
-        print(layout, sweep_digest(*layout))
+    for key in SWEEP_SHA256:
+        print(key, sweep_digest(*key))
     print("sim", sim_digest())
