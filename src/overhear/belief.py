@@ -1,11 +1,19 @@
 """Belief engine over a plan hierarchy, shared by both recognizer layouts.
 
-Per plan node the engine keeps two masses: ``active`` (the agent is executing
-the node, or a descendant for internal nodes) and ``blocked`` (the node has
+Per plan node the engine keeps two masses: active (the agent is executing
+the node, or a descendant for internal nodes) and blocked (the node has
 terminated but no successor has begun, typically because the announcing
 message has not been seen yet).  Ticks without an observed message apply a
 linear forward propagation driven by leaf termination rates; ticks with a
 message collapse the state onto the nodes consistent with it.
+
+A state holds the two masses as plain lists, ``act`` and ``blk``, with one
+entry per node in ``node_ids`` order; the engine names a node by that
+position (``TeamOrientedProgram.index``) and reads only the program's
+position-keyed tables.  Node ids appear at the boundary alone: a query
+returns a root path of ids, and ``BeliefState.active`` and ``.blocked`` are
+read-only id-keyed views of the lists (``b.active["p12"]``), for readers
+outside the engine.
 
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.first_child_groups``).  On a team-mode program a
@@ -13,7 +21,7 @@ group is one parallel subteam, which makes the quiet tick of the shared
 (yoyo) layout; otherwise there is one group, and the step is the
 single-agent engine that the array layout runs once per agent.  It runs as
 the program's compiled kernel (``TeamOrientedProgram.forward``), one
-generated Python function over local variables: it copies the prior tables,
+generated Python function over local variables: it copies the prior lists,
 runs each shedding node's updates only when the node sheds a nonzero mass,
 and writes back into the copies just the entries those updates changed.
 This module only calls it and never writes to a program.
@@ -33,10 +41,11 @@ as long as each agent's state is owned by one worker at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TERMINATE, TeamOrientedProgram, TemporalTransition
+from .model import TeamOrientedProgram
 
 # Evidence posteriors below the floor are truncated to zero to stop dead
 # hypotheses from drifting along indefinitely.
@@ -65,91 +74,127 @@ class VisitCounter:
         self.visits += n
 
 
-@dataclass
+class _IdView(Mapping):
+    """One belief table, read by node id; it follows the list it wraps."""
+
+    __slots__ = ("_index", "_table")
+
+    def __init__(self, index: dict[str, int], table: list[float]):
+        self._index, self._table = index, table
+
+    def __getitem__(self, x: str) -> float:
+        return self._table[self._index[x]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
+@dataclass(slots=True)
 class BeliefState:
-    """Belief over a plan state at a given tick."""
+    """Belief over a plan state at a given tick.
+
+    ``act`` and ``blk`` hold the active and blocked mass of every node, in
+    ``node_ids`` order; ``index`` is the program's node id -> position table.
+    ``active`` and ``blocked`` are read-only views of the two lists keyed by
+    node id, made anew on each access so they follow a replaced list.
+    """
 
     time: int
-    active: dict[str, float]
-    blocked: dict[str, float]
+    act: list[float]
+    blk: list[float]
+    index: dict[str, int] = field(repr=False, compare=False)
+
+    @property
+    def active(self) -> Mapping[str, float]:
+        return _IdView(self.index, self.act)
+
+    @property
+    def blocked(self) -> Mapping[str, float]:
+        return _IdView(self.index, self.blk)
 
 
-def _zeros(p: TeamOrientedProgram) -> dict[str, float]:
-    return p.zeros.copy()
+def _zeros(p: TeamOrientedProgram) -> list[float]:
+    return list(p.zeros)
 
 
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
-    """All mass on the root and, through first children, on the initial leaves."""
-    b = BeliefState(0, _zeros(p), _zeros(p))
-    b.active[p.root] = 1.0
-    propagate_down(p.root, 1.0, b, p)
-    return b
+    """All mass on the root and, through first children, on the initial leaves.
+
+    The state copies the program's ``initial`` tables, built once per program.
+    """
+    active, blocked = p.initial
+    return BeliefState(0, list(active), list(blocked), p.index)
 
 
-def propagate_down(x: str, rho: float, b: BeliefState, p: TeamOrientedProgram,
-                   updated: set[str] | None = None):
-    """Credit ``rho`` to x's first children, recursively.
+def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgram,
+                   updated: set[int] | None = None):
+    """Credit ``rho`` to the first children of the node at position x, recursively.
 
     Each first-child group gets the full ``rho`` (parallel subteams carry
-    duplicated mass) and splits it evenly among its members.  Mutates
-    ``b.active`` in place, and adds every credited node to ``updated`` when
-    given; callers pass the state under construction.
+    duplicated mass) and splits it evenly among its members.  Mutates the
+    ``active`` table in place, and adds every credited position to
+    ``updated`` when given; callers pass the table under construction.
     """
-    for group in p.first_child_groups(x):
+    for group in p.groups_at[x]:
         share = rho / len(group)
         for c in group:
-            b.active[c] += share
+            active[c] += share
             if updated is not None:
                 updated.add(c)
-            propagate_down(c, share, b, p, updated)
+            propagate_down(c, share, active, p, updated)
 
 
-def _prune_redundant_ancestors(p: TeamOrientedProgram, nodes) -> list[str]:
-    """Keep only the deepest node of any decomposition chain in ``nodes``.
+def _prune_redundant_ancestors(p: TeamOrientedProgram, nodes) -> list[int]:
+    """Keep only the deepest node of any decomposition chain in ``nodes``, sorted.
 
-    A message naming both an ancestor and its descendant carries no extra
-    information in the ancestor: its activity is implied, so it must not
-    compete in normalization.
+    Nodes are positions, so sorted is id order.  A message naming both an
+    ancestor and its descendant carries no extra information in the
+    ancestor: its activity is implied, so it must not compete in
+    normalization.
     """
     nodes = set(nodes)
-    return sorted(x for x in nodes if not any(a in nodes for a in p.ancestors(x)))
+    ancestors = p.ancestors_at
+    return sorted(x for x in nodes if not any(a in nodes for a in ancestors[x]))
 
 
-def credit_raw(raw: dict[str, float], t: TemporalTransition,
-               blocked: dict[str, float]):
-    """Add the raw evidence mass that ``t`` carries to ``raw[t.dst]``.
+def credit_raw(raw: dict[int, float], edge: tuple[int, int, float, float],
+               blocked: list[float]):
+    """Add the raw evidence mass that a ``(src, dst, mu, pi)`` edge carries to ``raw[dst]``.
 
     That mass is the source's blocked mass times the chance the transition is
     announced (mu) and taken (pi); both layouts' evidence steps weigh their
     candidates by it before normalizing.
     """
-    raw[t.dst] = raw.get(t.dst, 0.0) + blocked[t.src] * t.mu * t.pi
+    src, dst, mu, pi = edge
+    raw[dst] = raw.get(dst, 0.0) + blocked[src] * mu * pi
 
 
 def _evidence_scratch(m: ObservedMessage, b: BeliefState,
-                      p: TeamOrientedProgram) -> dict[str, float]:
-    """Unnormalized-to-normalized evidence masses for one message."""
-    consistent = p.nodes_named(m.plan)
+                      p: TeamOrientedProgram) -> dict[int, float]:
+    """Unnormalized-to-normalized evidence masses for one message, by position."""
+    consistent = p.named_index.get(m.plan, ())
     if not consistent:
         raise MonitoringError(
             f"message at tick {m.tick} names plan '{m.plan}' which matches no node")
-    raw: dict[str, float] = {}
+    raw: dict[int, float] = {}
     if m.kind == INIT:
         # Mass enters each consistent node from predecessors stuck awaiting
         # the announcement of their outgoing transition.
         candidates = set(consistent)
         for x in consistent:
-            for t in p.in_transitions(x):
-                credit_raw(raw, t, b.blocked)
+            for edge in p.into_at[x]:
+                credit_raw(raw, edge, b.blk)
     else:
-        # Termination releases the named nodes' pending mass into successors.
+        # Termination releases the named nodes' pending mass into successors
+        # (``out_at`` leaves TERMINATE edges out).
         candidates = set()
         for x in consistent:
-            for t in p.out_transitions(x):
-                if t.dst == TERMINATE:
-                    continue
-                candidates.add(t.dst)
-                credit_raw(raw, t, b.blocked)
+            for edge in p.out_at[x]:
+                candidates.add(edge[1])
+                credit_raw(raw, edge, b.blk)
     positive = [x for x in raw if raw[x] > 0.0]
     if positive:
         keep = _prune_redundant_ancestors(p, positive)
@@ -164,15 +209,16 @@ def _evidence_scratch(m: ObservedMessage, b: BeliefState,
     return {x: v for x, v in scratch.items() if v >= PROB_FLOOR}
 
 
-def _commit_evidence(scratch: dict[str, float], time: int,
+def _commit_evidence(scratch: dict[int, float], time: int,
                      p: TeamOrientedProgram) -> BeliefState:
-    nxt = BeliefState(time, _zeros(p), _zeros(p))
+    nxt = BeliefState(time, _zeros(p), _zeros(p), p.index)
+    active, ancestors = nxt.act, p.ancestors_at
     for x in sorted(scratch):
         mass = scratch[x]
-        nxt.active[x] += mass
-        propagate_down(x, mass, nxt, p)
-        for anc in p.ancestors(x):
-            nxt.active[anc] += mass
+        active[x] += mass
+        propagate_down(x, mass, active, p)
+        for anc in ancestors[x]:
+            active[anc] += mass
     return nxt
 
 
@@ -193,15 +239,17 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     """
     if counter is not None:
         counter.visit(len(p.postorder))
-    active, blocked = p.forward(b.active, b.blocked)
-    return BeliefState(b.time + 1, active, blocked)
+    active, blocked = p.forward(b.act, b.blk)
+    return BeliefState(b.time + 1, active, blocked, b.index)
 
 
-def best_leaf(leaves, active: dict[str, float], blocked: dict[str, float]) -> str:
+def best_leaf(leaves, active, blocked) -> int:
     """The leaf of ``leaves`` holding the most active+blocked mass.
 
     This is the one pick rule every most-likely query uses.  Leaves are
-    scanned in the given order (callers pass them sorted by id) and the first
+    positions, and ``active`` and ``blocked`` tables indexed by them.  Leaves
+    are scanned in the given order (callers pass them ascending, so in id
+    order) and the first
     is the initial pick; a later leaf replaces the pick only when its mass
     exceeds the pick's by more than the relative ``TIE_TOLERANCE``.  Masses
     that a reordered float sum could swap therefore tie, and a tie goes to the
@@ -222,10 +270,10 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]
     ``TIE_TOLERANCE`` of each other tie toward the lowest node id.  Raises on
     an all-zero state.
     """
-    best = best_leaf(p.leaves, b.active, b.blocked)
-    if not b.active[best] + b.blocked[best] > 0.0:
+    best = best_leaf(p.leaf_index, b.act, b.blk)
+    if not b.act[best] + b.blk[best] > 0.0:
         raise MonitoringError("belief state carries no mass on any leaf")
-    return p.path_to(best)
+    return p.paths_at[best]
 
 
 def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram) -> BeliefState:

@@ -90,6 +90,11 @@ def _oracle_kernel(p: TeamOrientedProgram, states) -> np.ndarray:
     return K
 
 
+def _prune_ids(p: TeamOrientedProgram, nodes) -> list[str]:
+    """``_prune_redundant_ancestors`` over node ids, which it takes as positions."""
+    return [p.node_ids[i] for i in _prune_redundant_ancestors(p, {p.index[x] for x in nodes})]
+
+
 def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
                      m: ObservedMessage) -> np.ndarray:
     import numpy as np
@@ -113,11 +118,11 @@ def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
                 raw[t.dst] = raw.get(t.dst, 0.0) + v[index[("blocked", x)]] * t.mu * t.pi
     positive = [y for y in raw if raw[y] > 0.0]
     if positive:
-        keep = _prune_redundant_ancestors(p, positive)
+        keep = _prune_ids(p, positive)
         total = sum(raw[y] for y in keep)
         scratch = {y: raw[y] / total for y in keep}
     else:
-        fallback = _prune_redundant_ancestors(p, base or set(named))
+        fallback = _prune_ids(p, base or set(named))
         scratch = {y: 1.0 / len(fallback) for y in fallback}
     out = np.zeros(len(states))
     for y, mass in scratch.items():

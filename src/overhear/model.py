@@ -13,15 +13,22 @@ and ``repr``.  The hierarchy's are the team -> parent, agent -> team,
 ancestor-or-self chain and members tables and the agent names.  The
 program's are node -> plan, children, first children, transitions out and
 in, plan name -> nodes, the sorted node ids, the postorder, the leaves,
-every node's root path, plan-name path and ancestors, the read-only zero
-table that fresh states copy (``zeros``), each node's parallel first-child
-groups (``first_child_groups``, the one place that decides which subteams
-run in parallel), each team's candidate leaves (``leaves_by_team``), the
-shared layout's evidence structure (each team's open transitions
-``team_edges`` and each node's climb ``evidence_climbs``, which holds the
-walk of every rescale it runs), the compiled forward step (``forward``) and
-the single-agent view (``single_agent_view``).  No other module writes to a
-program.
+every node's root path and plan-name path, each node's parallel
+first-child groups by id (``first_child_groups``) and the single-agent view
+(``single_agent_view``).  No other module writes to a program.
+
+A belief table is a list with one entry per node, in ``node_ids`` order, so
+the tables the belief engine reads name a node by that position, its
+``index``: the first-child groups (``groups_at``, the one place that
+decides which subteams run in parallel), ancestors, leaves and root paths by
+position, the transitions into and out of each node as ``(src, dst, mu,
+pi)`` edges of positions, plan name -> positions, each node's owner, the
+zero table (``zeros``), the initial state (``initial``), each team's
+candidate leaves (``leaves_by_team``), the shared layout's evidence
+structure (each team's open transitions ``team_edges`` and each node's
+climb ``evidence_climbs``, which holds the walk of every rescale it runs)
+and the compiled forward step (``forward``).  They are built on first use,
+so loading a program pays for none of them.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -49,7 +56,6 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
-from types import MappingProxyType
 
 TERMINATE = "TERMINATE"
 
@@ -264,10 +270,6 @@ class TeamOrientedProgram:
     def _name_paths(self) -> dict[str, tuple[str, ...]]:
         return {x: self.path_names(path) for x, path in self._paths.items()}
 
-    @cached_property
-    def _ancestors(self) -> dict[str, tuple[str, ...]]:
-        return {x: path[-2::-1] for x, path in self._paths.items()}  # parent first
-
     def node(self, node_id: str) -> PlanNode:
         return self._node[node_id]
 
@@ -286,14 +288,6 @@ class TeamOrientedProgram:
     def nodes_named(self, name: str) -> tuple[str, ...]:
         return self._by_name.get(name, ())
 
-    def ancestors(self, node_id: str) -> tuple[str, ...]:
-        """Strict ancestors from parent up to the root."""
-        return self._ancestors[node_id]
-
-    def path_to(self, node_id: str) -> tuple[str, ...]:
-        """Node ids from the root down to ``node_id`` inclusive."""
-        return self._paths[node_id]
-
     def name_path(self, node_id: str) -> tuple[str, ...]:
         """Plan names from the root down to ``node_id`` inclusive."""
         return self._name_paths[node_id]
@@ -301,22 +295,111 @@ class TeamOrientedProgram:
     def path_names(self, path) -> tuple[str, ...]:
         return tuple([self._node[x].name for x in path])
 
+    # -- the belief engine's tables, by node position -----------------------
+
     @cached_property
-    def leaves_by_team(self) -> dict[str, tuple[str, ...]]:
-        """Each team's candidate leaves: those it or an ancestor team owns, else every leaf."""
-        chain = self.team_hierarchy.ancestors_or_self
-        return {team: tuple(x for x in self.leaves if self._node[x].team in chain(team))
-                or self.leaves for team, _ in self.team_hierarchy.teams}
+    def index(self) -> dict[str, int]:
+        """Each node id's position in ``node_ids``, which is its entry in a belief table."""
+        return dict(zip(self.node_ids, range(len(self.node_ids))))
+
+    @cached_property
+    def leaf_index(self) -> tuple[int, ...]:
+        """The leaves' positions, ascending, so in id order."""
+        index = self.index
+        return tuple(index[x] for x in self.leaves)
+
+    @cached_property
+    def groups_at(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each node's ``first_child_groups``, by position.
+
+        This is the table the groups are built in; ``first_child_groups``
+        names the same members by id.
+        """
+        h, node, index, groups = self.team_hierarchy, self._node, self.index, []
+        for x in self.node_ids:
+            first = self._first_children[x]
+            if first and self.team_mode:
+                tops = topmost_teams(h, {node[c].team for c in first})
+                groups.append(tuple(tuple(index[c] for c in first if node[c].team == team)
+                                    for team in sorted(tops)))
+            else:
+                groups.append((tuple(index[c] for c in first),) if first else ())
+        return tuple(groups)
+
+    @cached_property
+    def ancestors_at(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's strict ancestors from parent up to the root, by position."""
+        index = self.index
+        return tuple(tuple(index[a] for a in path[-2::-1]) for path in self.paths_at)
+
+    @cached_property
+    def paths_at(self) -> tuple[tuple[str, ...], ...]:
+        """Each position's root path as node ids: the engine's answer to a query."""
+        return tuple(self._paths[x] for x in self.node_ids)
+
+    @cached_property
+    def owner_at(self) -> tuple[str, ...]:
+        """The team that owns each node, by position."""
+        return tuple(self._node[x].team for x in self.node_ids)
+
+    def _edges(self, transitions) -> tuple[tuple[int, int, float, float], ...]:
+        index = self.index
+        return tuple((index[t.src], index[t.dst], t.mu, t.pi) for t in transitions)
+
+    @cached_property
+    def into_at(self) -> tuple[tuple[tuple[int, int, float, float], ...], ...]:
+        """The ``(src, dst, mu, pi)`` edges into each node, in ``transitions`` order."""
+        return tuple(self._edges(self._into[x]) for x in self.node_ids)
+
+    @cached_property
+    def out_at(self) -> tuple[tuple[tuple[int, int, float, float], ...], ...]:
+        """The edges out of each node into a plan, leaving TERMINATE edges out."""
+        return tuple(self._edges([t for t in self._out[x] if t.dst != TERMINATE])
+                     for x in self.node_ids)
+
+    @cached_property
+    def named_index(self) -> dict[str, tuple[int, ...]]:
+        """Plan name -> the positions of the nodes it names, ascending."""
+        index = self.index
+        return {name: tuple(index[x] for x in ids) for name, ids in self._by_name.items()}
+
+    @cached_property
+    def zeros(self) -> tuple[float, ...]:
+        """0.0 for every node, by position; ``list`` it to get a fresh state table."""
+        return (0.0,) * len(self.node_ids)
+
+    @cached_property
+    def initial(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The initial (active, blocked) tables, which ``belief.init_beliefs`` copies.
+
+        All mass is on the root and, through first children, on the initial
+        leaves; the descent runs once per program, not once per state.
+        """
+        from .belief import propagate_down  # the engine module imports this one
+        active = list(self.zeros)
+        root = self.index[self.root]
+        active[root] = 1.0
+        propagate_down(root, 1.0, active, self)
+        return tuple(active), self.zeros
+
+    @cached_property
+    def leaves_by_team(self) -> dict[str, tuple[int, ...]]:
+        """Each team's candidate leaves by position: those it or an ancestor
+        team owns, else every leaf."""
+        chain, owner = self.team_hierarchy.ancestors_or_self, self.owner_at
+        return {team: tuple(i for i in self.leaf_index if owner[i] in chain(team))
+                or self.leaf_index for team, _ in self.team_hierarchy.teams}
 
     # -- the shared layout's evidence tick ----------------------------------
 
     @cached_property
-    def evidence_climbs(self) -> dict[str, tuple[tuple[str, str, tuple], ...]]:
-        """Each node's climb to the root in the shared layout's evidence tick.
+    def evidence_climbs(self) -> tuple[tuple[tuple[int, int, tuple], ...], ...]:
+        """Each node's climb to the root in the shared layout's evidence tick, by position.
 
         Evidence committed at node x climbs one ``(node, parent, walk)`` step
-        per ancestor.  A step into a parent owned by another team than node
-        rescales; every other step's ``walk`` is ``()``.  The loader nests
+        per ancestor, every node a position.  A step into a parent owned by
+        another team than node rescales; every other step's ``walk`` is
+        ``()``.  The loader nests
         each plan's team at or under its parent plan's, so node's owner is
         then a subteam of the parent's owner, and the walk visits the
         parent's subtrees that node's owner does not execute itself.  It is
@@ -327,7 +410,7 @@ class TeamOrientedProgram:
         left out whole, with all it holds; node's own subtree is one of
         them.  Walks are built once per (parent, owner) pair a climb uses.
         """
-        h, node, children = self.team_hierarchy, self._node, self._children
+        h, node, children, index = self.team_hierarchy, self._node, self._children, self.index
         split = {c: len(g) for groups in self._first_child_groups.values()
                  for g in groups for c in g}
         walks: dict[tuple[str, str], tuple] = {}
@@ -335,7 +418,7 @@ class TeamOrientedProgram:
         def visit(y: str, team: str, steps: list):
             if h.covers(team, node[y].team) or h.covers(node[y].team, team):
                 return
-            steps.append((y, node[y].parent, split.get(y, 0)))
+            steps.append((index[y], index[node[y].parent], split.get(y, 0)))
             for c in children[y]:
                 visit(c, team, steps)
 
@@ -347,51 +430,46 @@ class TeamOrientedProgram:
                 walks[parent, team] = tuple(steps)
             return walks[parent, team]
 
-        climbs = {}
+        climbs = []
         for x in self.node_ids:
             y, steps = x, []
             while (parent := node[y].parent) is not None:
                 team = node[y].team
-                steps.append((y, parent, walk(parent, team) if node[parent].team != team else ()))
+                steps.append((index[y], index[parent],
+                              walk(parent, team) if node[parent].team != team else ()))
                 y = parent
-            climbs[x] = tuple(steps)
-        return climbs
+            climbs.append(tuple(steps))
+        return tuple(climbs)
 
     @cached_property
     def team_edges(self) -> dict[str, tuple[dict, dict]]:
-        """Each team's open transitions, as (into, out of) tables.
+        """Each team's open transitions, as (into, out of) tables keyed by position.
 
         A transition is open to a team when the owner of its source plan is
-        that team or one of its ancestors.  ``into[x]`` holds the
-        transitions into node x and ``out[x]`` those out of x into a plan,
-        leaving TERMINATE edges out; both keep the order of
+        that team or one of its ancestors.  ``into[x]`` holds the ``(src,
+        dst, mu, pi)`` edges into node x and ``out[x]`` those out of x into
+        a plan, leaving TERMINATE edges out; both keep the order of
         ``transitions``, and a node with none is absent.
         """
-        h, node, edges = self.team_hierarchy, self._node, {}
+        h, node, index, edges = self.team_hierarchy, self._node, self.index, {}
         for team, _ in h.teams:
-            into: dict[str, list] = {}
-            out: dict[str, list] = {}
+            into: dict[int, list] = {}
+            out: dict[int, list] = {}
             for t in self.transitions:
                 if t.dst != TERMINATE and h.covers(node[t.src].team, team):
-                    into.setdefault(t.dst, []).append(t)
-                    out.setdefault(t.src, []).append(t)
-            edges[team] = ({x: tuple(v) for x, v in into.items()},
-                           {x: tuple(v) for x, v in out.items()})
+                    into.setdefault(index[t.dst], []).append(t)
+                    out.setdefault(index[t.src], []).append(t)
+            edges[team] = ({x: self._edges(v) for x, v in into.items()},
+                           {x: self._edges(v) for x, v in out.items()})
         return edges
 
     # -- the forward step --------------------------------------------------
 
     @cached_property
     def _first_child_groups(self) -> dict[str, tuple[tuple[str, ...], ...]]:
-        node, groups = self._node, {}
-        for x, first in self._first_children.items():
-            if first and self.team_mode:
-                tops = topmost_teams(self.team_hierarchy, {node[c].team for c in first})
-                groups[x] = tuple(tuple(c for c in first if node[c].team == team)
-                                  for team in sorted(tops))
-            else:
-                groups[x] = (first,) if first else ()
-        return groups
+        ids = self.node_ids
+        return {x: tuple(tuple(ids[c] for c in group) for group in groups)
+                for x, groups in zip(ids, self.groups_at)}
 
     def first_child_groups(self, x: str) -> tuple[tuple[str, ...], ...]:
         """x's first children, one member tuple per parallel group.
@@ -405,13 +483,14 @@ class TeamOrientedProgram:
 
     @cached_property
     def forward(self):
-        """The forward step as one function of the prior (active, blocked) dicts.
+        """The forward step as one function of the prior (active, blocked) lists.
 
-        It returns new dicts and leaves its arguments as they are.  The
-        generated function starts from copies of the prior tables, loads the
-        prior masses it reads into locals ``a<i>`` and ``b<i>`` (node i's
-        active and blocked mass), and computes ``o<i>``, the mass node i
-        sheds.  Leaf hazards read the prior state, so they all come first; an
+        Both are belief tables, indexed by node position.  It returns new
+        lists and leaves its arguments as they are.  The generated function
+        starts from copies of the prior tables, loads the prior masses it
+        reads into locals ``a<i>`` and ``b<i>`` (the active and blocked mass
+        of the node at position i) with one ``itemgetter`` per table, and
+        computes ``o<i>``, the mass node i sheds.  Leaf hazards read the prior state, so they all come first; an
         internal node's shed sum starts at 0.0 and only grows by ``+=``.  The
         generator then walks the program in postorder and writes one block per
         shedding node, guarded by ``if o<i>:``, so a node that sheds nothing
@@ -447,7 +526,7 @@ class TeamOrientedProgram:
         The source is registered with ``linecache`` under a name unique to
         it, so tracebacks, profilers and ``inspect.getsource`` show it.
         """
-        n = {x: i for i, x in enumerate(self.node_ids)}
+        n = self.index
         shed: list[str] = []  # each o<i>, set before any block runs
         blocks: list[str] = []
         floors: list[str] = []  # for the internal nodes that shed
@@ -502,14 +581,14 @@ class TeamOrientedProgram:
                     if parent not in sheds:
                         sheds.add(parent)
                         shed.append(f"o{n[parent]} = 0.0")
-                        floors.append(f"if a{n[parent]} < 0.0: NA[{parent!r}] = 0.0")
+                        floors.append(f"if a{n[parent]} < 0.0: NA[{n[parent]}] = 0.0")
             keep = max(0.0, 1.0 - eta)
             if keep != 0.0:
                 body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
                 new_b.add(x)
             body.append(f"a{i} -= o{i}")
-            body += [f"NA[{y!r}] = a{n[y]}" for y in sorted(new_a)]
-            body += [f"NB[{y!r}] = b{n[y]}" for y in sorted(new_b)]
+            body += [f"NA[{n[y]}] = a{n[y]}" for y in sorted(new_a)]
+            body += [f"NB[{n[y]}] = b{n[y]}" for y in sorted(new_b)]
             blocks.append(f"if o{i}:\n        " + "\n        ".join(body))
             read_a |= new_a
             read_b |= new_b
@@ -517,24 +596,19 @@ class TeamOrientedProgram:
         scope: dict = {}
 
         def unpack(prefix: str, table: str, read: set[str]) -> list[str]:
-            read = sorted(read)
+            read = sorted(n[x] for x in read)
             if len(read) < 2:  # itemgetter of one key returns no tuple
-                return [f"{prefix}{n[x]} = {table}[{x!r}]" for x in read]
+                return [f"{prefix}{i} = {table}[{i}]" for i in read]
             scope[f"get{table}"] = itemgetter(*read)
-            return [", ".join(f"{prefix}{n[x]}" for x in read) + f" = get{table}({table})"]
+            return [", ".join(f"{prefix}{i}" for i in read) + f" = get{table}({table})"]
 
-        src = "\n    ".join(["def forward(A, B):", "NA = A.copy()", "NB = B.copy()",
+        src = "\n    ".join(["def forward(A, B):", "NA = A[:]", "NB = B[:]",
                              *unpack("a", "A", read_a), *unpack("b", "B", read_b),
                              *shed, *blocks, *floors, "return NA, NB"]) + "\n"
         filename = f"<forward step sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
         linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
         exec(compile(src, filename, "exec"), scope)
         return scope["forward"]
-
-    @cached_property
-    def zeros(self) -> MappingProxyType:
-        """A read-only table of 0.0 for every node id; copy it to get a fresh state table."""
-        return MappingProxyType(dict.fromkeys(self.node_ids, 0.0))
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

@@ -63,7 +63,7 @@ class SharedRecognizer(_Recognizer):
 
     @property
     def state_nodes(self) -> int:
-        return len(self.belief.active) + self.p.team_hierarchy.size
+        return len(self.belief.act) + self.p.team_hierarchy.size
 
     def step(self, msgs):
         yoyo_tick(self.p, self.belief, msgs, self.counter)
@@ -83,7 +83,7 @@ class ArrayRecognizer(_Recognizer):
 
     @property
     def state_nodes(self) -> int:
-        return sum(len(b.active) for b in self.beliefs.values())
+        return sum(len(b.act) for b in self.beliefs.values())
 
     def recipients(self, m) -> list[str]:
         h = self.view.team_hierarchy
@@ -105,9 +105,9 @@ class ArrayRecognizer(_Recognizer):
             return view.name_path(most_likely_state(self.beliefs[unit], view)[-1])
         candidates = team_leaves(view, unit)
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
-        mass = {x: sum(b.active[x] + b.blocked[x] for b in members) for x in candidates}
+        mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates}
         # ``mass`` already holds active+blocked, so the blocked table is all zeros
-        return view.name_path(best_leaf(candidates, mass, view.zeros))
+        return view.name_path(view.node_ids[best_leaf(candidates, mass, view.zeros)])
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

@@ -12,9 +12,10 @@ this module holds the evidence and rescale steps.  Like every program table,
 the structure those steps follow is built by the program itself, on the
 first evidence tick: each team's open transitions (``team_edges``) and each
 node's climb to the root (``evidence_climbs``), with the walk of every
-rescale the climb runs.  Only the mass arithmetic runs per tick.  The
-team -> candidate-leaves table that most-likely queries read is
-``TeamOrientedProgram.leaves_by_team``.
+rescale the climb runs.  Only the mass arithmetic runs per tick, on the
+state's ``act`` and ``blk`` lists, and every node these steps name is a
+position in them.  The team -> candidate-leaves table that most-likely
+queries read is ``TeamOrientedProgram.leaves_by_team``.
 
 Plan ownership alone decides where to rescale: a climb step from a node
 into a parent owned by another team rescales the parent's subtrees that
@@ -25,7 +26,9 @@ This is the one layout that clips.  The evidence climb and the rescale do
 not conserve mass and can push a value above 1, so each such value is
 silently set to 1: by ``_clamp``, over the whole state, after every quiet
 step, and by ``_clamp_entries``, over the entries the tick wrote, at the
-end of every evidence tick.  No value is ever below 0 (``_clamp`` says
+end of every evidence tick.  ``_clamp`` walks a table only when its
+``max`` exceeds 1, which is exact: no value is NaN, so the max exceeds 1
+exactly when some entry does.  No value is ever below 0 (``_clamp`` says
 why), so neither has a lower bound to enforce.  The narrower clamp is
 exact.  An evidence tick builds its state on fresh zero tables and adds
 every entry it writes to its ``updated`` set, so every other entry is an
@@ -49,19 +52,21 @@ def _clamp(state: BeliefState):
     forward step keeps non-negative mass non-negative (its kernel floors
     the one place rounding could break that), and an evidence tick only
     adds, multiplies, divides and takes the max of non-negative values.
+    A table whose max is at most 1 is left without a walk.
     """
-    for table in (state.active, state.blocked):
-        for k, v in table.items():
-            if v > 1.0:
-                table[k] = 1.0
+    for table in (state.act, state.blk):
+        if max(table) > 1.0:
+            for i, v in enumerate(table):
+                if v > 1.0:
+                    table[i] = 1.0
 
 
 def _clamp_entries(state: BeliefState, keys):
-    """``_clamp`` over the entries ``keys`` names only."""
-    for table in (state.active, state.blocked):
-        for k in keys:
-            if table[k] > 1.0:
-                table[k] = 1.0
+    """``_clamp`` over the positions ``keys`` names only."""
+    for table in (state.act, state.blk):
+        for i in keys:
+            if table[i] > 1.0:
+                table[i] = 1.0
 
 
 def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
@@ -69,7 +74,7 @@ def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     return init_beliefs(p)
 
 
-def _rescale(walk, b: BeliefState, prior: BeliefState, updated: set[str]):
+def _rescale(walk, b: BeliefState, prior: BeliefState, updated: set[int]):
     """Rescale the subtrees a climb's ``walk`` visits to their parents' new belief.
 
     ``prior`` is the state the tick started from.  Each visited node keeps
@@ -77,7 +82,7 @@ def _rescale(walk, b: BeliefState, prior: BeliefState, updated: set[str]):
     parent's new mass, parents before their children; a node already in
     ``updated`` is left as the evidence set it.
     """
-    active, blocked, prior_active, prior_blocked = b.active, b.blocked, prior.active, prior.blocked
+    active, blocked, prior_active, prior_blocked = b.act, b.blk, prior.act, prior.blk
     for y, par, split in walk:
         if y in updated:
             continue
@@ -105,37 +110,37 @@ def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str:
 
 
 def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
-                           initiated: dict[str, str], terminated: dict[str, str]
-                           ) -> dict[str, float]:
-    """Evidence masses, normalized per owning team of the candidate nodes.
+                           initiated: dict[int, str], terminated: dict[int, str]
+                           ) -> dict[int, float]:
+    """Evidence masses by position, normalized per owning team of the candidate nodes.
 
     A message's candidates are reached along the transitions open to its
     team, which the program lists once (``team_edges``).  Each team's
     candidates are summed and written in id order, so the masses do not
     depend on the interpreter's string hashing.
     """
-    edges = p.team_edges
-    raw: dict[str, float] = {}
-    cands: set[str] = set()
+    edges, blocked, owner = p.team_edges, b.blk, p.owner_at
+    raw: dict[int, float] = {}
+    cands: set[int] = set()
     for x in sorted(initiated):
         cands.add(x)
         into, _ = edges[initiated[x]]
-        for t in into.get(x, ()):
-            credit_raw(raw, t, b.blocked)
+        for edge in into.get(x, ()):
+            credit_raw(raw, edge, blocked)
     for x in sorted(terminated):
         _, out = edges[terminated[x]]
-        for t in out.get(x, ()):
-            if t.dst not in initiated:
-                cands.add(t.dst)
-                credit_raw(raw, t, b.blocked)
+        for edge in out.get(x, ()):
+            if edge[1] not in initiated:
+                cands.add(edge[1])
+                credit_raw(raw, edge, blocked)
     if not cands:
         # Termination of a node with no announceable successor: keep the
         # named nodes as candidates rather than zeroing the whole belief.
         cands.update(terminated)
-    scratch: dict[str, float] = {}
-    by_team: dict[str, list[str]] = {}
+    scratch: dict[int, float] = {}
+    by_team: dict[str, list[int]] = {}
     for x in _prune_redundant_ancestors(p, cands):  # sorted
-        by_team.setdefault(p.node(x).team, []).append(x)
+        by_team.setdefault(owner[x], []).append(x)
     # Evidence about different teams does not compete: normalize per team.
     for team, members in sorted(by_team.items()):
         total = sum(raw.get(x, 0.0) for x in members)
@@ -164,15 +169,15 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     """
     if not msgs:
         nxt = propagate_forward(b, p, counter)
-        b.time, b.active, b.blocked = nxt.time, nxt.active, nxt.blocked
+        b.time, b.act, b.blk = nxt.time, nxt.act, nxt.blk
         _clamp(b)
         return
-    initiated: dict[str, str] = {}
-    terminated: dict[str, str] = {}
+    initiated: dict[int, str] = {}
+    terminated: dict[int, str] = {}
     seen: set[tuple[str, str]] = set()
     for m in sorted(msgs, key=lambda m: (m.kind, m.plan, m.sender)):
         team = _resolve_message_team(m, p)
-        nodes = p.nodes_named(m.plan)
+        nodes = p.named_index.get(m.plan, ())
         if not nodes:
             raise MonitoringError(
                 f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
@@ -185,15 +190,15 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             target[x] = team
     scratch = _team_evidence_scratch(b, p, initiated, terminated)
 
-    prior = BeliefState(b.time, b.active, b.blocked)
-    active = b.active = _zeros(p)
-    b.blocked = _zeros(p)
-    updated: set[str] = set()
+    prior = BeliefState(b.time, b.act, b.blk, b.index)
+    active = b.act = _zeros(p)
+    b.blk = _zeros(p)
+    updated: set[int] = set()
     climbs = p.evidence_climbs
     for x in sorted(scratch):
         active[x] = max(active[x], scratch[x])
         updated.add(x)
-        propagate_down(x, active[x], b, p, updated)
+        propagate_down(x, active[x], active, p, updated)
         for node, par, walk in climbs[x]:
             active[par] = max(active[par], active[node])
             updated.add(par)
@@ -203,8 +208,8 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     _clamp_entries(b, updated)
 
 
-def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
-    """Leaves owned by ``team`` or an ancestor team, else every leaf."""
+def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:
+    """Positions of the leaves owned by ``team`` or an ancestor team, else of every leaf."""
     try:
         return p.leaves_by_team[team]
     except KeyError:
@@ -217,4 +222,4 @@ def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple
     The leaf is ``belief.best_leaf``'s pick, so near-ties, and a team with no
     mass on any of its leaves, go to the lowest node id.
     """
-    return p.path_to(best_leaf(team_leaves(p, team), b.active, b.blocked))
+    return p.paths_at[best_leaf(team_leaves(p, team), b.act, b.blk)]

@@ -47,14 +47,33 @@ def test_init_beliefs_first_child_chain(evac_mini_single):
 
 def test_zeros_copies_the_programs_read_only_table(evac_mini_single):
     p = evac_mini_single
+    root = p.index[p.root]
     z = _zeros(p)
-    z[p.root] = 1.0
+    z[root] = 1.0
     fresh = _zeros(p)
-    assert type(fresh) is dict and fresh is not z
-    assert list(fresh.items()) == [(x, 0.0) for x in p.node_ids]
+    assert type(fresh) is list and fresh is not z
+    assert fresh == [0.0] * len(p.node_ids)
     with pytest.raises(TypeError):
-        p.zeros[p.root] = 1.0
-    assert p.zeros[p.root] == 0.0
+        p.zeros[root] = 1.0
+    assert p.zeros[root] == 0.0
+
+
+def test_state_views_read_the_lists_by_node_id(evac_mini_single):
+    p = evac_mini_single
+    b = init_beliefs(p)
+    assert list(b.active) == list(b.blocked) == list(p.node_ids)
+    assert dict(b.active) == dict(zip(p.node_ids, b.act))
+    assert dict(b.blocked) == dict(zip(p.node_ids, b.blk))
+    assert [p.index[x] for x in p.node_ids] == list(range(len(p.node_ids)))
+    with pytest.raises(TypeError):
+        b.active[p.root] = 0.5
+    with pytest.raises(KeyError):
+        b.blocked["no-such-node"]
+    b.act[p.index[p.root]] = 0.5
+    assert b.active[p.root] == 0.5
+    assert init_beliefs(p).active[p.root] == 1.0  # each state copies the start tables
+    b.act = _zeros(p)  # a view follows the list the state holds when it is read
+    assert b.active[p.root] == 0.0
 
 
 def test_propagate_down_uniform_split():
@@ -76,16 +95,14 @@ def test_propagate_down_uniform_split():
         "transitions": [],
     })
     b = init_beliefs(p)
-    for v in (b.active, b.blocked):
-        for k in v:
-            v[k] = 0.0
-    propagate_down("r", 0.4, b, p)
+    b.act[:] = b.blk[:] = p.zeros
+    propagate_down(p.index["r"], 0.4, b.act, p)
     assert b.active["a"] == pytest.approx(0.2)
     assert b.active["b"] == pytest.approx(0.2)
     assert b.active["a1"] == pytest.approx(0.1)
     assert b.active["a2"] == pytest.approx(0.1)
     before = dict(b.active)
-    propagate_down("a1", 0.4, b, p)  # leaf: no-op
+    propagate_down(p.index["a1"], 0.4, b.act, p)  # leaf: no-op
     assert b.active == before
 
 
@@ -160,8 +177,8 @@ def test_evidence_posterior_ratio():
         ],
     })
     b = init_beliefs(p)
-    b.blocked["w1"] = 0.3
-    b.blocked["w2"] = 0.1
+    b.blk[p.index["w1"]] = 0.3
+    b.blk[p.index["w2"]] = 0.1
     m = ObservedMessage(0, "solo", "T", INIT, "shared-step")
     b2 = apply_messages(b, [m], p)
     assert b2.active["x1"] == pytest.approx(0.75)
@@ -269,14 +286,14 @@ def _pick(caller, masses) -> str:
     for the summed team query.
     """
     p = _flat_program(len(masses))
-    first, second = (BeliefState(0, _zeros(p), _zeros(p)) for _ in range(2))
+    first, second = (BeliefState(0, _zeros(p), _zeros(p), p.index) for _ in range(2))
     for leaf, mass in zip(p.leaves, masses):
-        first.active[leaf] = second.blocked[leaf] = mass / 2
+        first.act[p.index[leaf]] = second.blk[p.index[leaf]] = mass / 2
     if caller == "array_team_path":
         rec = make_recognizer(p, "array", coherent=True)
         rec.beliefs = {"a1": first, "a2": second}
         return rec.path("T")[-1]
-    first.blocked.update(second.blocked)
+    first.blk[:] = second.blk
     if caller == "most_likely_state":
         return most_likely_state(first, p)[-1]
     return team_most_likely(first, p, "T")[-1]
@@ -339,8 +356,7 @@ def test_pick_is_the_lowest_id_of_the_top_group(caller):
 def test_most_likely_rejects_empty():
     p = _chain()
     b = init_beliefs(p)
-    for k in b.active:
-        b.active[k] = 0.0
+    b.act[:] = p.zeros
     with pytest.raises(MonitoringError):
         most_likely_state(b, p)
 
@@ -415,16 +431,16 @@ def test_forward_leaves_its_arguments_alone(seed, view):
     b = init_beliefs(p)
     for _ in range(8):  # spread mass over several phases
         b = propagate_forward(b, p)
-    A, B = b.active, b.blocked
-    values = list(A.values()), list(B.values())
+    A, B = b.act, b.blk
+    values = list(A), list(B)
     NA, NB = p.forward(A, B)
     assert NA is not A and NB is not B
-    assert (list(A.values()), list(B.values())) == values
+    assert (list(A), list(B)) == values
     assert all(v is w for table, before in zip((A, B), values)
-               for v, w in zip(table.values(), before))
+               for v, w in zip(table, before))
     assert (NA, NB) != (A, B)  # the step did move mass
-    zeros = dict(p.zeros)
-    ones = dict.fromkeys(p.node_ids, 1.0)
+    zeros = list(p.zeros)
+    ones = [1.0] * len(p.node_ids)
     for state in ((zeros, zeros), (zeros, ones)):  # all-zero, then all-blocked
         assert p.forward(*state) == state
 

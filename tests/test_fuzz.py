@@ -234,8 +234,8 @@ def test_shared_belief_stays_in_bounds_without_negative_zero(p, ticks):
 def _checked_clamp(clamp, reached: list):
     """``clamp``, first asserting that no value it is about to read is negative."""
     def checked(state, *keys):
-        for table in (state.active, state.blocked):
-            for x in (keys[0] if keys else table):
+        for table in (state.act, state.blk):
+            for x in (keys[0] if keys else range(len(table))):
                 assert table[x] >= 0.0, (clamp.__name__, x, table[x])
         reached.append(clamp.__name__)
         return clamp(state, *keys)

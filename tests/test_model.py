@@ -37,8 +37,8 @@ def test_basic_structure(evac_mini):
     p = evac_mini
     assert p.root == "n0"
     assert set(p.leaves) == {"n1", "n2", "n4", "n5"}
-    assert p.path_to("n4") == ("n0", "n3", "n4")
-    assert p.path_names(p.path_to("n4")) == ("evacuate", "landing-zone-maneuvers",
+    assert p.paths_at[p.index["n4"]] == ("n0", "n3", "n4")
+    assert p.path_names(p.paths_at[p.index["n4"]]) == ("evacuate", "landing-zone-maneuvers",
                                              "transport-ops")
     # children before parents
     order = {x: i for i, x in enumerate(p.postorder)}
@@ -311,16 +311,38 @@ def test_structure_tables_match_definitions(p):
         for other in teams:
             assert h.covers(other, team) == (other in chain)
         owned = [x for x in p.leaves if p.node(x).team in chain]
-        assert team_leaves(p, team) == tuple(owned or p.leaves)
+        assert _ids(p, team_leaves(p, team)) == tuple(owned or p.leaves)
     assert h.members("no-such-team") == ()
-    for x in p.node_ids:
+    assert _ids(p, p.leaf_index) == p.leaves
+    for i, x in enumerate(p.node_ids):
         path = _brute_path(p, x)
-        assert p.path_to(x) == path
-        assert p.ancestors(x) == tuple(reversed(path[:-1]))
+        assert p.index[x] == i
+        assert p.paths_at[i] == path
+        assert _ids(p, p.ancestors_at[i]) == tuple(reversed(path[:-1]))
         assert p.name_path(x) == tuple(p.node(y).name for y in path)
+        assert p.owner_at[i] == p.node(x).team
+    for name in {n.name for n in p.plans}:
+        assert _ids(p, p.named_index[name]) == p.nodes_named(name)
     for q in (p, p.single_agent_view()):
-        for x in q.node_ids:
+        for i, x in enumerate(q.node_ids):
             assert q.first_child_groups(x) == _brute_groups(q, x)
+            assert tuple(_ids(q, g) for g in q.groups_at[i]) == _brute_groups(q, x)
+
+
+def _ids(p, positions):
+    return tuple(p.node_ids[i] for i in positions)
+
+
+def _edge(p, t):
+    """A transition as the engine's tables hold it: (src, dst, mu, pi), by position."""
+    return (p.index[t.src], p.index[t.dst], t.mu, t.pi)
+
+
+def _climb_ids(p, climb):
+    """An ``evidence_climbs`` entry with every position written as its node id."""
+    ids = p.node_ids
+    return tuple((ids[node], ids[par], tuple((ids[y], ids[q], split) for y, q, split in walk))
+                 for node, par, walk in climb)
 
 
 def _brute_groups(p, x):
@@ -413,20 +435,27 @@ _EVIDENCE_PROGRAMS = ([team_program(k) for k in range(7)]
                          + ["evac_team", "evac_mini", "nested"])
 def test_evidence_tables_match_definitions(p):
     h = p.team_hierarchy
-    assert p.evidence_climbs == {x: _brute_climb(p, x) for x in p.node_ids}
+    assert (tuple(_climb_ids(p, climb) for climb in p.evidence_climbs)
+            == tuple(_brute_climb(p, x) for x in p.node_ids))
+    for x in p.node_ids:
+        i = p.index[x]
+        assert p.into_at[i] == tuple(_edge(p, t) for t in p.in_transitions(x))
+        assert p.out_at[i] == tuple(_edge(p, t) for t in p.out_transitions(x)
+                                    if t.dst != TERMINATE)
     for team, _ in h.teams:
         into, out = p.team_edges[team]
         for x in p.node_ids:
             allowed = [t for t in p.transitions
                        if t.dst != TERMINATE and p.node(t.src).team in _brute_chain(h, team)]
-            assert into.get(x, ()) == tuple(t for t in allowed if t.dst == x)
-            assert out.get(x, ()) == tuple(t for t in allowed if t.src == x)
+            i = p.index[x]
+            assert into.get(i, ()) == tuple(_edge(p, t) for t in allowed if t.dst == x)
+            assert out.get(i, ()) == tuple(_edge(p, t) for t in allowed if t.src == x)
         assert () not in into.values() and () not in out.values()
 
 
 def test_evidence_climb_rescales_at_each_team_boundary():
     p = program_from_document(_nested_doc(), team_mode=True)
-    assert p.evidence_climbs["l"] == (
+    assert _climb_ids(p, p.evidence_climbs[p.index["l"]]) == (
         ("l", "s", (("k", "s", 1),)),
         ("s", "m", (("o", "m", 1), ("o1", "o", 2), ("o2", "o", 2))))
 
@@ -456,6 +485,6 @@ def test_forward_source_is_registered():
     # one name per source: an equal program's kernel shares it
     assert (team_program(0).forward.__code__.co_filename
             == p.forward.__code__.co_filename != view.forward.__code__.co_filename)
-    with pytest.raises(KeyError) as info:
-        p.forward({}, {})
+    with pytest.raises(IndexError) as info:
+        p.forward([], [])
     assert "= getA(A)" in "".join(traceback.format_tb(info.value.__traceback__))

@@ -54,10 +54,8 @@ def two_team():
 
 def test_down_duplicates_across_teams(evac_mini):
     b = team_init_beliefs(evac_mini)
-    for v in (b.active, b.blocked):
-        for k in v:
-            v[k] = 0.0
-    propagate_down("n3", 0.6, b, evac_mini)
+    b.act[:] = b.blk[:] = evac_mini.zeros
+    propagate_down(evac_mini.index["n3"], 0.6, b.act, evac_mini)
     # one first child per team group: each team gets the full mass
     assert b.active["n4"] == pytest.approx(0.6)
     assert b.active["n5"] == pytest.approx(0.6)
@@ -71,10 +69,8 @@ def test_down_splits_within_one_team():
                                "mu": 0.0, "teams": ["LEFT"]})
     p = program_from_document(doc, team_mode=True)
     b = team_init_beliefs(p)
-    for v in (b.active, b.blocked):
-        for k in v:
-            v[k] = 0.0
-    propagate_down("s", 0.6, b, p)
+    b.act[:] = b.blk[:] = p.zeros
+    propagate_down(p.index["s"], 0.6, b.act, p)
     assert b.active["la"] == pytest.approx(0.3)
     assert b.active["la2"] == pytest.approx(0.3)
     assert b.active["ra"] == pytest.approx(0.6)
@@ -195,17 +191,24 @@ def test_sibling_team_keeps_prior_share_of_parent(two_team):
 
 def _rescale_into(parent, child, b, prior, p):
     """The rescale a climb from ``child`` runs as it steps into ``parent``."""
-    (walk,) = [walk for _, par, walk in p.evidence_climbs[child] if par == parent]
+    (walk,) = [walk for _, par, walk in p.evidence_climbs[p.index[child]]
+               if par == p.index[parent]]
     _rescale(walk, b, prior, set())
+
+
+def _state(p, time, active):
+    """A state holding ``active``, node id -> mass, and 0.0 everywhere else."""
+    b = BeliefState(time, list(p.zeros), list(p.zeros), p.index)
+    for x, mass in active.items():
+        b.act[p.index[x]] = mass
+    return b
 
 
 def test_scale_rescales_sibling_team_subtree(evac_mini):
     p = evac_mini
     # hand-built prior: landing-zone-maneuvers at 0.5, both tasks under it
-    prior = BeliefState(0, dict.fromkeys(p.node_ids, 0.0), dict.fromkeys(p.node_ids, 0.0))
-    prior.active.update({"n0": 1.0, "n3": 0.5, "n4": 0.5, "n5": 0.5})
-    b = BeliefState(1, dict.fromkeys(p.node_ids, 0.0), dict.fromkeys(p.node_ids, 0.0))
-    b.active.update({"n0": 1.0, "n3": 1.0, "n4": 1.0})
+    prior = _state(p, 0, {"n0": 1.0, "n3": 0.5, "n4": 0.5, "n5": 0.5})
+    b = _state(p, 1, {"n0": 1.0, "n3": 1.0, "n4": 1.0})
     _rescale_into("n3", "n4", b, prior, p)
     # ESCORT's subtree is re-aligned to the parent's new mass
     assert b.active["n5"] == pytest.approx(1.0)
@@ -220,10 +223,8 @@ def test_scale_prior_shares_are_preserved():
     doc["transitions"].append({"from": "rb", "to": "TERMINATE", "pi": 1.0,
                                "mu": 0.0, "teams": ["RIGHT"]})
     p = program_from_document(doc, team_mode=True)
-    prior = BeliefState(0, dict.fromkeys(p.node_ids, 0.0), dict.fromkeys(p.node_ids, 0.0))
-    prior.active.update({"m": 1.0, "s": 0.5, "la": 0.5, "ra": 0.25, "rb": 0.25})
-    b = BeliefState(1, dict.fromkeys(p.node_ids, 0.0), dict.fromkeys(p.node_ids, 0.0))
-    b.active.update({"m": 1.0, "s": 1.0, "la": 1.0})
+    prior = _state(p, 0, {"m": 1.0, "s": 0.5, "la": 0.5, "ra": 0.25, "rb": 0.25})
+    b = _state(p, 1, {"m": 1.0, "s": 1.0, "la": 1.0})
     _rescale_into("s", "la", b, prior, p)
     assert b.active["ra"] == pytest.approx(0.5)
     assert b.active["rb"] == pytest.approx(0.5)
