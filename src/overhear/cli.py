@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from .belief import MonitoringError
@@ -66,11 +67,13 @@ def _emit(text: str, out: str | None):
     else:
         # Write over the old bytes, then cut what is left of them.  Opening
         # with "w" truncates first, and on ext4 truncating a file whose
-        # blocks are already on disk waits for the disk (about 40 ms).
+        # blocks are already on disk waits for the disk (about 40 ms).  Only
+        # a regular file has old bytes; a device, pipe or FIFO cannot be cut.
         with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
-            fh.truncate()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _load_comm(args):

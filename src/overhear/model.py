@@ -28,7 +28,9 @@ candidate leaves (``leaves_by_team``), the shared layout's evidence
 structure (each team's open transitions ``team_edges`` and each node's
 climb ``evidence_climbs``, which holds the walk of every rescale it runs)
 and the compiled forward step (``forward``).  They are built on first use,
-so loading a program pays for none of them.
+so loading a program pays for none of them.  The forward step's function is
+compiled once per distinct generated source and kept in a bounded
+module-level cache, so programs whose sources are equal share one function.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -43,8 +45,11 @@ checks, besides schema and references:
 - a transition other than TERMINATE joins two children of one parent.
 
 A table is a pure function of the fields, so two threads racing on its first
-use build equal tables, and instances are safe to share across threads.
-Mutable run state lives in the belief containers, not here.
+use build equal tables, and instances are safe to share across threads.  So
+is a kernel shared by programs with equal source: it touches nothing but its
+arguments and the lists it returns, and two threads compiling one source at
+once get equal functions.  Mutable run state lives in the belief containers,
+not here.
 """
 
 from __future__ import annotations
@@ -54,8 +59,7 @@ import json
 import linecache
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, lru_cache
 
 TERMINATE = "TERMINATE"
 
@@ -183,6 +187,21 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
         if not any(u != t and h.covers(u, t) for u in teams):
             chosen.add(t)
     return chosen
+
+
+@lru_cache(maxsize=64)
+def _compile_forward(src: str):
+    """The ``forward`` function that the generated module source ``src`` defines.
+
+    Keyed on the text, never on the program: a team program and its
+    single-agent view compare equal but generate different sources.  The
+    cache keeps the 64 most recently used functions.
+    """
+    filename = f"<forward step sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    scope: dict = {}
+    exec(compile(src, filename, "exec"), scope)
+    return scope["forward"]
 
 
 @dataclass(frozen=True)
@@ -523,8 +542,13 @@ class TeamOrientedProgram:
         such a node's entry to 0.0 when its active mass is below 0.  Rounding
         may leave a value an ulp above 1; it is left as it is.
 
-        The source is registered with ``linecache`` under a name unique to
-        it, so tracebacks, profilers and ``inspect.getsource`` show it.
+        The source, its ``itemgetter`` definitions included, defines the
+        function alone, so ``_compile_forward`` compiles it only when no equal
+        source is in its cache: equal programs share one function, and a
+        program and its single-agent view, which compare equal, get their
+        own.  On a compile the source is registered with ``linecache`` under
+        a name unique to it, so tracebacks, profilers and
+        ``inspect.getsource`` show it.
         """
         n = self.index
         shed: list[str] = []  # each o<i>, set before any block runs
@@ -593,22 +617,20 @@ class TeamOrientedProgram:
             read_a |= new_a
             read_b |= new_b
 
-        scope: dict = {}
+        getters: list[str] = []  # module-level lines above ``def forward``
 
         def unpack(prefix: str, table: str, read: set[str]) -> list[str]:
             read = sorted(n[x] for x in read)
             if len(read) < 2:  # itemgetter of one key returns no tuple
                 return [f"{prefix}{i} = {table}[{i}]" for i in read]
-            scope[f"get{table}"] = itemgetter(*read)
+            getters.append(f"get{table} = itemgetter({', '.join(map(str, read))})")
             return [", ".join(f"{prefix}{i}" for i in read) + f" = get{table}({table})"]
 
-        src = "\n    ".join(["def forward(A, B):", "NA = A[:]", "NB = B[:]",
-                             *unpack("a", "A", read_a), *unpack("b", "B", read_b),
-                             *shed, *blocks, *floors, "return NA, NB"]) + "\n"
-        filename = f"<forward step sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
-        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-        exec(compile(src, filename, "exec"), scope)
-        return scope["forward"]
+        body = ["NA = A[:]", "NB = B[:]", *unpack("a", "A", read_a),
+                *unpack("b", "B", read_b), *shed, *blocks, *floors, "return NA, NB"]
+        return _compile_forward("\n".join(
+            ["from operator import itemgetter", *getters, "def forward(A, B):",
+             *(f"    {line}" for line in body)]) + "\n")
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

@@ -8,7 +8,7 @@ import pytest
 from overhear.cli import TICKS_ENV, run_command
 from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
-from overhear.model import load_program_path
+from overhear.model import _compile_forward, load_program_path
 from overhear.progen import flatten_mu
 from overhear.recognizer import make_recognizer
 from overhear.sim import parse_trace
@@ -236,6 +236,21 @@ def test_evaluate_with_loss_and_model(tmp_path):
     assert "config comm 1" in out_path.read_text()
 
 
+def test_evaluate_runs_share_one_kernel(tmp_path):
+    # each run builds a fresh comm-applied program; equal programs generate
+    # one kernel source, compiled once per process
+    trace_path, log_path = _simulate(tmp_path / "run")
+    model_path = tmp_path / "model.txt"
+    assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0
+    argv = ["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
+            "--truth", str(trace_path), "--comm", str(model_path)]
+    _compile_forward.cache_clear()
+    for name in ("first.txt", "second.txt"):
+        assert run_command([*argv, "--out", str(tmp_path / name)]) == 0
+    assert _compile_forward.cache_info().misses == 1
+    assert (tmp_path / "first.txt").read_bytes() == (tmp_path / "second.txt").read_bytes()
+
+
 @pytest.mark.parametrize("mode", ["yoyo", "array"])
 def test_evaluate_rejects_trace_without_program_agents(tmp_path, capsys, mode):
     # a truth trace for other agents must be a clean error, not a KeyError
@@ -291,6 +306,21 @@ def test_output_files_are_rewritten_whole(tmp_path):
     assert run_command(["learn", "--log", str(log_path), "--out", str(link)]) == 0
     assert link.is_symlink()
     assert out.read_text() == model
+
+
+def test_out_may_be_a_device_or_a_pipe():
+    argv = [sys.executable, "-m", "overhear.cli", "bench", "--program", TEAM,
+            "--agents", "4:5", "--ticks", "5"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [subprocess.run([*argv, *extra], env=env, stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE, timeout=60)
+            for extra in ((), ("--out", os.devnull), ("--out", "/dev/stdout"))]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == b""
+    assert runs[0].stdout.startswith(b"agents ")
+    assert runs[1].stdout == b""
+    assert runs[2].stdout == runs[0].stdout
 
 
 def test_bench_table(tmp_path, capsys):

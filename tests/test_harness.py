@@ -7,7 +7,7 @@ from overhear.harness import (MAX_ORACLE_STATES, bench_scalability, engine_vecto
                               evaluate_run, exact_filter, hypothesis_count_curve,
                               oracle_states, render_bench, render_report,
                               replay_single, score_run)
-from overhear.model import program_from_document, program_to_document
+from overhear.model import _compile_forward, program_from_document, program_to_document
 from overhear.progen import random_program, team_program
 from overhear.sim import ALWAYS, SimConfig, simulate
 from overhear.social import learn_comm_model
@@ -290,6 +290,14 @@ def test_bench_scalability_layout_sizes(evac_team):
         assert row["yoyo_visits"] == 10 * np_
     with pytest.raises(MonitoringError, match="shrink"):
         bench_scalability(evac_team, [3])
+
+
+def test_bench_scalability_compiles_one_kernel_per_layout():
+    # growing the team adds agents, which never change a kernel, so every
+    # size shares the team program's kernel and its view's
+    _compile_forward.cache_clear()
+    bench_scalability(team_program(0), range(11, 21), ticks=2)
+    assert _compile_forward.cache_info().misses == 2
 
 
 def test_render_bench_layout(evac_team):

@@ -6,11 +6,12 @@ import traceback
 
 import pytest
 
-from overhear.model import (ProgramError, TERMINATE, hazard, load_program, load_program_path,
-                            program_from_document, program_to_document, serialize_program,
-                            topmost_teams)
-from overhear.progen import grow_team, random_program, team_program
+from overhear.model import (ProgramError, TERMINATE, _compile_forward, hazard, load_program,
+                            load_program_path, program_from_document, program_to_document,
+                            serialize_program, topmost_teams)
+from overhear.progen import flatten_mu, grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
+from overhear.social import INIT, CommModel, apply_comm_model
 from overhear.yoyo import team_leaves
 
 from conftest import DATA
@@ -485,6 +486,35 @@ def test_forward_source_is_registered():
     # one name per source: an equal program's kernel shares it
     assert (team_program(0).forward.__code__.co_filename
             == p.forward.__code__.co_filename != view.forward.__code__.co_filename)
+    # and so does the function itself, compiled once per process
+    text = serialize_program(p)
+    assert (load_program(text, team_mode=True).forward
+            is load_program(text, team_mode=True).forward is p.forward)
     with pytest.raises(IndexError) as info:
         p.forward([], [])
     assert "= getA(A)" in "".join(traceback.format_tb(info.value.__traceback__))
+
+
+def test_forward_is_shared_only_by_equal_sources():
+    p = team_program(0)
+    announced = p.node(p.transitions[0].dst).name
+    variants = [p.single_agent_view(), flatten_mu(p, 0.05),
+                apply_comm_model(p, CommModel(frozenset({(announced, INIT)}), 0.9))]
+    # the view compares equal to the program, yet steps differently
+    assert variants[0] == p
+    kernels = [p.forward, *(q.forward for q in variants)]
+    assert len({id(f) for f in kernels}) == len(kernels)
+    assert len({inspect.getsource(f) for f in kernels}) == len(kernels)
+
+
+def test_forward_cache_is_bounded():
+    size = _compile_forward.cache_info().maxsize
+    p = team_program(0)
+    first = p.forward
+    # size distinct kernels, each one flat message probability
+    for k in range(size):
+        flatten_mu(p, (k + 1) / (size + 2)).forward
+    before = _compile_forward.cache_info().misses
+    again = team_program(0).forward
+    assert _compile_forward.cache_info().misses == before + 1
+    assert again is not first and inspect.getsource(again) == inspect.getsource(first)
