@@ -9,10 +9,15 @@ of each layout it reaches, and only those.
 A second sweep hashes the simulator's own output (trace text, log text and
 transition count) in both modes, so a refactor of the simulator that should
 not move one random draw must leave ``SIM_SHA256`` unchanged.
+
+A third pin, ``KERNEL_SHA256``, hashes each program's compiled forward
+step on seeded tables that no run reaches, so a rewrite of the kernel
+generator must keep every floor and every zero-skip exact.
 """
 
 import hashlib
 import pathlib
+import random
 import struct
 
 from overhear.ingest import format_log, messages_by_tick
@@ -47,6 +52,10 @@ SWEEP_SHA256 = {
 
 SIM_SHA256 = "bea8b88384fc33b0aab6bb4f35d892dd302954e25fefabded98fd622e8ee2ac8"
 SIM_TICKS = 150
+
+# sha256 of every program's kernel (and its view's) on arbitrary tables
+KERNEL_SHA256 = "c692f933bd40772ff1f5ca370ad4a17400b41a04914be6673453e97a38e96fe6"
+KERNEL_STATES = 50
 
 
 def _hash_state(h, b):
@@ -163,6 +172,40 @@ def sim_digest() -> str:
     return h.hexdigest()
 
 
+def _tables(rng: random.Random, kind: str, size: int) -> list[float]:
+    if kind == "uniform":
+        return [rng.random() for _ in range(size)]
+    if kind == "sparse":  # mostly exact zeros, so most blocks skip
+        return [rng.random() if rng.random() < 0.3 else 0.0 for _ in range(size)]
+    if kind == "subnormal":  # about half below the smallest normal float
+        return [rng.random() * 4e-308 for _ in range(size)]
+    return [1.0 + rng.random() for _ in range(size)]  # every entry above 1
+
+
+def kernel_digest() -> str:
+    """sha256 over ``forward``'s output, as ``float.hex``, on seeded tables.
+
+    The replay sweep only visits states reachable from the initial belief;
+    here every program of the three sweep corpora, and its single-agent
+    view, steps ``KERNEL_STATES`` tables of each kind: uniform in [0, 1),
+    sparse with exact zeros, near-subnormal, and every entry above 1.  So
+    the floors and the zero-skips run under masses no run produces.
+    """
+    h = hashlib.sha256()
+    for corpus in ("team_program", "nested", "random_program"):
+        for prog, p in enumerate(sweep_programs(corpus)[0]):
+            for view, q in enumerate((p, p.single_agent_view())):
+                rng = random.Random(f"{corpus}/{prog}/{view}")
+                size = len(q.node_ids)
+                for kind in ("uniform", "sparse", "subnormal", "over"):
+                    for _ in range(KERNEL_STATES):
+                        active, blocked = q.forward(_tables(rng, kind, size),
+                                                    _tables(rng, kind, size))
+                        h.update(f"{corpus}/{prog}/{view}/{kind}\n".encode())
+                        h.update(" ".join(map(float.hex, [*active, *blocked])).encode())
+    return h.hexdigest()
+
+
 def test_belief_states_bit_identical():
     assert {key: sweep_digest(*key) for key in SWEEP_SHA256} == SWEEP_SHA256
 
@@ -171,7 +214,12 @@ def test_simulator_output_bit_identical():
     assert sim_digest() == SIM_SHA256
 
 
+def test_kernel_output_bit_identical():
+    assert kernel_digest() == KERNEL_SHA256
+
+
 if __name__ == "__main__":
     for key in SWEEP_SHA256:
         print(key, sweep_digest(*key))
     print("sim", sim_digest())
+    print("kernel", kernel_digest())
