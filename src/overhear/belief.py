@@ -16,15 +16,15 @@ read-only id-keyed views of the lists (``b.active["p12"]``), for readers
 outside the engine.
 
 Mass entering a node is copied into each of its first-child groups
-(``TeamOrientedProgram.first_child_groups``).  On a team-mode program a
-group is one parallel subteam, which makes the quiet tick of the shared
-(yoyo) layout; otherwise there is one group, and the step is the
-single-agent engine that the array layout runs once per agent.  It runs as
-the program's compiled kernel (``TeamOrientedProgram.forward``), one
-generated Python function over local variables: it copies the prior lists,
-runs each shedding node's updates only when the node sheds a nonzero mass,
-and writes back into the copies just the entries those updates changed.
-This module only calls it and never writes to a program.
+(``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
+parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
+otherwise there is one group, and the step is the single-agent engine that
+the array layout runs once per agent.  It runs as the program's compiled
+kernel (``TeamOrientedProgram.forward``), one generated Python function
+over local variables: it unpacks both prior lists into locals, runs each
+shedding node's updates only when the node sheds a nonzero mass, and
+returns two new lists built from the locals.  This module only calls it
+and never writes to a program.
 
 Nothing here clips a value.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),

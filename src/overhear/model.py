@@ -13,8 +13,7 @@ and ``repr``.  The hierarchy's are the team -> parent, agent -> team,
 ancestor-or-self chain and members tables and the agent names.  The
 program's are node -> plan, children, first children, transitions out and
 in, plan name -> nodes, the sorted node ids, the postorder, the leaves,
-every node's root path and plan-name path, each node's parallel
-first-child groups by id (``first_child_groups``) and the single-agent view
+every node's root path and plan-name path, and the single-agent view
 (``single_agent_view``).  No other module writes to a program.
 
 A belief table is a list with one entry per node, in ``node_ids`` order, so
@@ -27,10 +26,12 @@ zero table (``zeros``), the initial state (``initial``), each team's
 candidate leaves (``leaves_by_team``), the shared layout's evidence
 structure (each team's open transitions ``team_edges`` and each node's
 climb ``evidence_climbs``, which holds the walk of every rescale it runs)
-and the compiled forward step (``forward``).  They are built on first use,
-so loading a program pays for none of them.  The forward step's function is
-compiled once per distinct generated source and kept in a bounded
-module-level cache, so programs whose sources are equal share one function.
+and the compiled forward step (``forward``), one generated function over
+locals that unpacks both tables and returns new lists.  They are built on
+first use, so loading a program pays for none of them.  The forward step's
+function is compiled once per distinct generated source and kept in a
+bounded module-level cache, so programs whose sources are equal share one
+function; a source stays in ``linecache`` only while its kernel is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -189,19 +190,36 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
     return chosen
 
 
+class _Kernel:
+    """A compiled forward step and its source's ``linecache`` entry.
+
+    Only ``_compile_forward``'s cache holds a kernel, so the entry is
+    dropped when the kernel leaves the cache, and ``linecache`` holds no
+    more sources than the cache holds functions.
+    """
+
+    def __init__(self, src: str):
+        self.filename = f"<forward step sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
+        self.entry = (len(src), None, src.splitlines(True), self.filename)
+        linecache.cache[self.filename] = self.entry
+        scope: dict = {}
+        exec(compile(src, self.filename, "exec"), scope)
+        self.forward = scope["forward"]
+
+    def __del__(self, cache=linecache.cache):
+        if cache.get(self.filename) is self.entry:  # not re-registered since
+            del cache[self.filename]
+
+
 @lru_cache(maxsize=64)
-def _compile_forward(src: str):
-    """The ``forward`` function that the generated module source ``src`` defines.
+def _compile_forward(src: str) -> _Kernel:
+    """The kernel that the generated source ``src`` defines.
 
     Keyed on the text, never on the program: a team program and its
     single-agent view compare equal but generate different sources.  The
-    cache keeps the 64 most recently used functions.
+    cache keeps the 64 most recently used kernels.
     """
-    filename = f"<forward step sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
-    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    scope: dict = {}
-    exec(compile(src, filename, "exec"), scope)
-    return scope["forward"]
+    return _Kernel(src)
 
 
 @dataclass(frozen=True)
@@ -329,10 +347,13 @@ class TeamOrientedProgram:
 
     @cached_property
     def groups_at(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Each node's ``first_child_groups``, by position.
+        """Each node's first children by position, one tuple per parallel group.
 
-        This is the table the groups are built in; ``first_child_groups``
-        names the same members by id.
+        This is the one place that decides which subteams run in parallel.
+        In team mode each topmost team among the first children's owners is
+        one group, in team order, holding the first children that team owns;
+        a first child of a team nested under another group's team is in no
+        group.  Otherwise all first children form one group.
         """
         h, node, index, groups = self.team_hierarchy, self._node, self.index, []
         for x in self.node_ids:
@@ -430,8 +451,8 @@ class TeamOrientedProgram:
         them.  Walks are built once per (parent, owner) pair a climb uses.
         """
         h, node, children, index = self.team_hierarchy, self._node, self._children, self.index
-        split = {c: len(g) for groups in self._first_child_groups.values()
-                 for g in groups for c in g}
+        ids = self.node_ids
+        split = {ids[c]: len(g) for groups in self.groups_at for g in groups for c in g}
         walks: dict[tuple[str, str], tuple] = {}
 
         def visit(y: str, team: str, steps: list):
@@ -485,101 +506,80 @@ class TeamOrientedProgram:
     # -- the forward step --------------------------------------------------
 
     @cached_property
-    def _first_child_groups(self) -> dict[str, tuple[tuple[str, ...], ...]]:
-        ids = self.node_ids
-        return {x: tuple(tuple(ids[c] for c in group) for group in groups)
-                for x, groups in zip(ids, self.groups_at)}
-
-    def first_child_groups(self, x: str) -> tuple[tuple[str, ...], ...]:
-        """x's first children, one member tuple per parallel group.
-
-        In team mode each topmost team among the first children's owners is
-        one group, in team order, holding the first children that team owns;
-        a first child of a team nested under another group's team is in no
-        group.  Otherwise all first children form one group.
-        """
-        return self._first_child_groups[x]
-
-    @cached_property
     def forward(self):
         """The forward step as one function of the prior (active, blocked) lists.
 
         Both are belief tables, indexed by node position.  It returns new
-        lists and leaves its arguments as they are.  The generated function
-        starts from copies of the prior tables, loads the prior masses it
-        reads into locals ``a<i>`` and ``b<i>`` (the active and blocked mass
-        of the node at position i) with one ``itemgetter`` per table, and
-        computes ``o<i>``, the mass node i sheds.  Leaf hazards read the prior state, so they all come first; an
-        internal node's shed sum starts at 0.0 and only grows by ``+=``.  The
-        generator then walks the program in postorder and writes one block per
-        shedding node, guarded by ``if o<i>:``, so a node that sheds nothing
-        costs one test.  A block that runs updates its locals, then writes
-        back into the copies exactly the nodes it updated.  The team
-        executing a node takes all of its edges, so the node's shed mass
-        goes along each of them, and a TERMINATE edge divides it among the
-        parent's groups.  Every float operation is the one the step has
-        always made, in the same order, so exact ties between leaves break
-        as they always have.
+        lists and leaves its arguments as they are; a table of the wrong
+        length raises ``ValueError``.  The generated function unpacks every
+        entry of both tables into locals, ``a<i>`` and ``b<i>`` (the active
+        and blocked mass of the node at position i), one statement per
+        table, and computes ``o<i>``, the mass node i sheds.  Leaf hazards
+        read the prior state, so they all come first; an internal node's
+        shed sum starts at 0.0 and only grows by ``+=``.  The generator then
+        walks the program in postorder and writes one block per shedding
+        node, guarded by ``if o<i>:``, so a node that sheds nothing costs
+        one test.  A block updates locals only, and the function returns
+        two list displays of the locals' last values.  The team executing a
+        node takes all of its edges, so the node's shed mass goes along
+        each of them, and a TERMINATE edge divides it among the parent's
+        groups.  Every float operation is the one the step has always made,
+        in the same order, so exact ties between leaves break as they
+        always have.
 
         Skipping is exact.  No state value is ever -0.0, and every shed mass
         is a sum of products of non-negative values, so a skipped block would
         only have added, subtracted or scaled an exact 0.0, which changes no
         bit; likewise a shed sum that starts at 0.0 equals one that starts at
-        its first term.  Every write-back follows the updates it reads, so each
-        entry ends holding its node's last value.  Updates that are always
-        zero are not written at all: nodes with ``eta <= 0``, edges with a
-        factor of exactly 0, and nodes that never shed (a leaf with hazard 0,
-        an internal node no TERMINATE edge feeds).  Factors of exactly 1 and
-        splits into one share are not written either, as they change no bit.
-        Every inlined constant is finite, so ``repr`` writes it exactly.
+        its first term.  Updates that are always zero are not written at
+        all: nodes with ``eta <= 0``, edges with a factor of exactly 0, and
+        nodes that never shed (a leaf with hazard 0, an internal node no
+        TERMINATE edge feeds).  Factors of exactly 1 and splits into one
+        share are not written either, as they change no bit.  Every inlined
+        constant is finite, so ``repr`` writes it exactly.
 
         Mass stays at or above zero exactly, with no pass over the state.  A
         leaf sheds at most its own prior mass, and a node's blocked share
         ``keep = 1 - eta`` is taken as 0 when it rounds below 0.  Only
         an internal node that sheds can round below zero: the sum of its
         children's TERMINATE flows may exceed its active mass by an ulp.  So
-        the last statements of the step, after every block has read it, set
-        such a node's entry to 0.0 when its active mass is below 0.  Rounding
+        such a node's entry in the returned active list reads ``0.0 if a<i>
+        < 0.0 else a<i>``, floored after every block has read it.  Rounding
         may leave a value an ulp above 1; it is left as it is.
 
-        The source, its ``itemgetter`` definitions included, defines the
-        function alone, so ``_compile_forward`` compiles it only when no equal
-        source is in its cache: equal programs share one function, and a
-        program and its single-agent view, which compare equal, get their
-        own.  On a compile the source is registered with ``linecache`` under
-        a name unique to it, so tracebacks, profilers and
-        ``inspect.getsource`` show it.
+        The source defines the function alone, so ``_compile_forward``
+        compiles it only when no equal source is in its cache: equal
+        programs share one function, and a program and its single-agent
+        view, which compare equal, get their own.  A compiled source is
+        registered with ``linecache`` under a name unique to it while its
+        kernel is cached, so tracebacks, profilers and ``inspect.getsource``
+        show it.
         """
-        n = self.index
+        n, groups_at = self.index, self.groups_at
         shed: list[str] = []  # each o<i>, set before any block runs
         blocks: list[str] = []
-        floors: list[str] = []  # for the internal nodes that shed
-        sheds: set[str] = set()
-        read_a: set[str] = set()  # nodes whose prior active mass the step reads
-        read_b: set[str] = set()
+        sheds: set[int] = set()
+        floored: set[int] = set()  # the internal nodes that shed
         for x in self.leaves:
             rate = hazard(self.node(x).rate)
             if rate:
                 shed.append(f"o{n[x]} = a{n[x]} * {rate!r}")
-                sheds.add(x)
-                read_a.add(x)
+                sheds.add(n[x])
 
         for x in self.postorder:
-            if x not in sheds:
+            i = n[x]
+            if i not in sheds:
                 continue
-            i, parent, outgoing = n[x], self.node(x).parent, self.out_transitions(x)
-            body: list[str] = []
-            new_a, new_b = {x}, set()  # the nodes this block updates and writes back
+            parent, outgoing, body = self.node(x).parent, self.out_transitions(x), []
 
-            def down(y: str, rho: str, depth: int):  # propagate_down, unrolled
-                for group in self.first_child_groups(y):
+            def down(y: int, rho: str, depth: int):  # propagate_down, unrolled
+                for group in groups_at[y]:
                     share = rho
                     if len(group) > 1:
                         share = f"s{depth}"
                         body.append(f"{share} = {rho} / {len(group)}")
                     for c in group:
-                        body.append(f"a{n[c]} += {share}")
-                        new_a.add(c)
+                        body.append(f"a{c} += {share}")
                         down(c, share, depth + 1)
 
             eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
@@ -593,44 +593,28 @@ class TeamOrientedProgram:
                     body.append(f"r = o{i}{factors}")
                 if t.dst != TERMINATE:
                     body.append(f"a{n[t.dst]} += {r}")
-                    new_a.add(t.dst)
-                    down(t.dst, r, 0)
+                    down(n[t.dst], r, 0)
                 elif parent is None:
                     body.append(f"b{i} += {r}")  # program complete
-                    new_b.add(x)
                 else:
-                    groups = len(self.first_child_groups(parent))
-                    flow = r if groups == 1 else f"{r} / {groups}"
-                    body.append(f"o{n[parent]} += {flow}")
-                    if parent not in sheds:
-                        sheds.add(parent)
-                        shed.append(f"o{n[parent]} = 0.0")
-                        floors.append(f"if a{n[parent]} < 0.0: NA[{n[parent]}] = 0.0")
+                    j, groups = n[parent], len(groups_at[n[parent]])
+                    body.append(f"o{j} += " + (r if groups == 1 else f"{r} / {groups}"))
+                    if j not in sheds:
+                        sheds.add(j)
+                        floored.add(j)
+                        shed.append(f"o{j} = 0.0")
             keep = max(0.0, 1.0 - eta)
             if keep != 0.0:
                 body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
-                new_b.add(x)
             body.append(f"a{i} -= o{i}")
-            body += [f"NA[{n[y]}] = a{n[y]}" for y in sorted(new_a)]
-            body += [f"NB[{n[y]}] = b{n[y]}" for y in sorted(new_b)]
             blocks.append(f"if o{i}:\n        " + "\n        ".join(body))
-            read_a |= new_a
-            read_b |= new_b
 
-        getters: list[str] = []  # module-level lines above ``def forward``
-
-        def unpack(prefix: str, table: str, read: set[str]) -> list[str]:
-            read = sorted(n[x] for x in read)
-            if len(read) < 2:  # itemgetter of one key returns no tuple
-                return [f"{prefix}{i} = {table}[{i}]" for i in read]
-            getters.append(f"get{table} = itemgetter({', '.join(map(str, read))})")
-            return [", ".join(f"{prefix}{i}" for i in read) + f" = get{table}({table})"]
-
-        body = ["NA = A[:]", "NB = B[:]", *unpack("a", "A", read_a),
-                *unpack("b", "B", read_b), *shed, *blocks, *floors, "return NA, NB"]
+        size = range(len(n))
+        active = (f"0.0 if a{i} < 0.0 else a{i}" if i in floored else f"a{i}" for i in size)
+        body = ["".join(f"a{i}, " for i in size) + "= A", "".join(f"b{i}, " for i in size) + "= B",
+                *shed, *blocks, f"return [{', '.join(active)}], [{', '.join(f'b{i}' for i in size)}]"]
         return _compile_forward("\n".join(
-            ["from operator import itemgetter", *getters, "def forward(A, B):",
-             *(f"    {line}" for line in body)]) + "\n")
+            ["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n").forward
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

@@ -294,10 +294,10 @@ class _TeamRun:
         self.count = 0  # transitions taken
 
     def _spawn(self, plan: str, group: _Group | None) -> _Active:
-        node = _Active(plan, group)
-        for members in self.p.first_child_groups(plan):  # each sorted, one team
-            g = _Group(self.p.node(members[0]).team, node)
-            g.current = self._spawn(self.rng.choice(members), g)
+        node, p = _Active(plan, group), self.p
+        for members in p.groups_at[p.index[plan]]:  # each ascending, one team
+            g = _Group(p.owner_at[members[0]], node)
+            g.current = self._spawn(p.node_ids[self.rng.choice(members)], g)
             node.groups.append(g)
         return node
 

@@ -182,6 +182,10 @@ def test_evaluate_run_validates_options(evac_team):
         evaluate_run(evac_team, trace, log, mode="yoyo", coherent=False)
     with pytest.raises(MonitoringError, match="delay must be nonnegative, got -1"):
         evaluate_run(evac_team, trace, log, delay=-1)
+    # an agent-mode run lets a team's members part ways, so no team path is true
+    trace, log = simulate(evac_team, SimConfig(seed=2, ticks=150, send_prob=0.5))
+    with pytest.raises(MonitoringError, match="disagree in the ground truth; run is not coherent"):
+        evaluate_run(evac_team, trace, log, mode="yoyo")
 
 
 def test_evaluate_run_report_shape(evac_team):

@@ -132,6 +132,13 @@ def test_kqml_bad_stamps_rejected(stamp, message):
         parse_kqml_record(_stamped(stamp))
 
 
+def test_kqml_record_without_stamp_rejected():
+    # parse_kqml_log starts a record at each stamp, so only a lone record can lack one
+    with pytest.raises(IngestError, match="missing its 'Log Message Received' timestamp"):
+        parse_kqml_record("  :content a1 establish-commitment p 1 kqml_string\n"
+                          "  :team X 1 kqml_word\n")
+
+
 def test_kqml_missing_content():
     with pytest.raises(IngestError, match="content"):
         parse_kqml_record("Log Message Received; Fri Sep 17 18:27:54 1999:\n"
@@ -153,6 +160,9 @@ def test_kqml_empty_sender_or_team_named(field):
 @pytest.mark.parametrize("old, new, message", [
     (":team TEAM-ESCORT-FOLLOW 18 kqml_word", ":team", "record has an empty :team field"),
     ("establish-commitment", "bogus-verb", "unknown content verb 'bogus-verb'"),
+    ("establish-commitment prepare-to-execute-mission\n    58 kqml_string",
+     "establish-commitment constant",
+     "content 'TEAM_auto2 establish-commitment constant' carries no plan name"),
 ])
 def test_kqml_log_errors_name_the_record(old, new, message):
     text = KQML_SAMPLE.read_text()

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+import linecache
 import random
 import traceback
 
@@ -93,8 +94,9 @@ def test_single_agent_view(evac_team):
     assert not view.team_mode
     assert view.plans == evac_team.plans  # plan ownership survives
     assert view.transitions == evac_team.transitions
-    assert view.first_child_groups("n3") == (("n4", "n5"),)
-    assert evac_team.first_child_groups("n3") == (("n5",), ("n4",))
+    n3 = view.index["n3"]
+    assert [_ids(view, g) for g in view.groups_at[n3]] == [("n4", "n5")]
+    assert [_ids(evac_team, g) for g in evac_team.groups_at[n3]] == [("n5",), ("n4",)]
 
 
 def test_duplicate_plan_names_allowed():
@@ -129,6 +131,13 @@ def test_duplicate_plan_names_allowed():
     (lambda d: d["agents"][0].update({"team": "NOPE"}), "unknown team"),
     (lambda d: d["agents"][0].update({"name": "T"}), "name of a team"),
     (lambda d: d["teams"].append({"name": "X", "parent": None}), "exactly one root"),
+    (lambda d: d["teams"].append({"name": "T", "parent": None}), "duplicate team 'T'"),
+    (lambda d: d["teams"].append({"name": "U", "parent": "NOPE"}),
+     "team 'U' names unknown parent 'NOPE'"),
+    (lambda d: d["agents"].append({"name": "a1", "team": "T"}), "duplicate agent 'a1'"),
+    (lambda d: d["plans"][2].update({"parent": "zz"}), "unknown parent 'zz' [plan 'b']"),
+    (lambda d: d["plans"][2].pop("parent"), "only the root plan may omit a parent"),
+    (lambda d: d["transitions"][0].update({"from": "zz"}), "unknown source plan"),
     # wrong types once escaped as a bare TypeError, and an integer lambda too
     # large for a float as an OverflowError on the first forward step
     (lambda d: d.update({"teams": 5}), "'teams' must be a list, not int [document]"),
@@ -172,10 +181,18 @@ def test_cyclic_parents_rejected():
     doc["plans"][2]["parent"] = "a"
     with pytest.raises(ProgramError, match="cyclic"):
         program_from_document(doc)
+    # a root team, so the check that runs is the cycle check, not the root count
     doc = _mini_doc()
-    doc["teams"] = [{"name": "T", "parent": "U"}, {"name": "U", "parent": "T"}]
-    with pytest.raises(ProgramError):
+    doc["teams"] = [{"name": "R", "parent": None}, {"name": "T", "parent": "U"},
+                    {"name": "U", "parent": "T"}]
+    with pytest.raises(ProgramError, match="team parent chain of 'T' is cyclic"):
         program_from_document(doc)
+
+
+def test_document_must_be_an_object():
+    for text in ("[]", "3", '"program"'):
+        with pytest.raises(ProgramError, match="program document must be a JSON object"):
+            load_program(text)
 
 
 @pytest.mark.parametrize("plan, team, named", [("n6", "TASK-FORCE", "n6"),
@@ -326,7 +343,6 @@ def test_structure_tables_match_definitions(p):
         assert _ids(p, p.named_index[name]) == p.nodes_named(name)
     for q in (p, p.single_agent_view()):
         for i, x in enumerate(q.node_ids):
-            assert q.first_child_groups(x) == _brute_groups(q, x)
             assert tuple(_ids(q, g) for g in q.groups_at[i]) == _brute_groups(q, x)
 
 
@@ -490,9 +506,12 @@ def test_forward_source_is_registered():
     text = serialize_program(p)
     assert (load_program(text, team_mode=True).forward
             is load_program(text, team_mode=True).forward is p.forward)
-    with pytest.raises(IndexError) as info:
-        p.forward([], [])
-    assert "= getA(A)" in "".join(traceback.format_tb(info.value.__traceback__))
+    # a table of the wrong length fails in the unpack line, which the
+    # traceback shows from the registered source
+    for active in ([], [0.0] * (len(p.node_ids) + 1)):
+        with pytest.raises(ValueError) as info:
+            p.forward(active, list(p.zeros))
+        assert ", = A" in "".join(traceback.format_tb(info.value.__traceback__))
 
 
 def test_forward_is_shared_only_by_equal_sources():
@@ -518,3 +537,16 @@ def test_forward_cache_is_bounded():
     again = team_program(0).forward
     assert _compile_forward.cache_info().misses == before + 1
     assert again is not first and inspect.getsource(again) == inspect.getsource(first)
+
+
+def test_forward_sources_leave_linecache_with_their_kernels():
+    size = _compile_forward.cache_info().maxsize
+    p = team_program(0)
+    mus = [(k + 1) / (size + 12) for k in range(size + 10)]
+    for mu in mus:
+        flatten_mu(p, mu).forward
+    sources = [name for name in linecache.cache if name.startswith("<forward step ")]
+    assert len(sources) == size == _compile_forward.cache_info().currsize
+    # the last kernel compiled is still cached, and so is its source
+    last = flatten_mu(p, mus[-1]).forward
+    assert inspect.getsource(last).startswith("def forward(A, B):\n")

@@ -3,7 +3,7 @@ import statistics
 import pytest
 
 from overhear.ingest import TERM
-from overhear.model import hazard, program_from_document
+from overhear.model import hazard, program_from_document, program_to_document
 from overhear.progen import team_program
 from overhear.sim import (ALWAYS, NEVER, SimConfig, SimulationError, checkpoints,
                           format_trace, parse_trace, simulate)
@@ -71,6 +71,12 @@ def test_unknown_fail_agent_rejected(team_mode):
         simulate(tp if team_mode else tp.single_agent_view(), cfg)
 
 
+def test_program_without_agents_rejected():
+    doc = {**program_to_document(_single_leaf()), "agents": []}
+    with pytest.raises(SimulationError, match="program has no agents to simulate"):
+        simulate(program_from_document(doc), SimConfig(seed=1, ticks=10))
+
+
 def test_team_mode_needs_team_program(evac_team, evac_mini_single):
     # a program loaded without team mode has one group of all first
     # children, so it cannot drive a team run
@@ -117,6 +123,7 @@ def test_parse_trace_rejects_missing_agent(evac_team):
     ("-1 a p\n", "line 1: tick -1 is negative"),
     ("0 a p\n-1 a p\n", "line 2: tick -1 is negative"),
     ("0 a p\n0 a q\n", "line 2: agent 'a' already has a state at tick 0"),
+    ("0 a p\n2 a p\n", "line 2: tick 2 is past the trace's 2 lines"),
 ])
 def test_parse_trace_rejects_bad_lines(text, message):
     with pytest.raises(SimulationError, match=message):

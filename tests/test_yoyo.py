@@ -367,7 +367,7 @@ def test_quiet_ticks_reuse_groups_and_kernels():
         warm.append(query(rec))
     programs = [tp] + [rec.view for rec in recognizers[1:]]
     for q in programs:
-        assert {"forward", "_first_child_groups", "_paths", "_name_paths",
+        assert {"forward", "groups_at", "_paths", "_name_paths",
                 "leaves_by_team"} <= set(vars(q))
     owners = [o for q in programs for o in (q, q.team_hierarchy)]
     tables = [dict(vars(o)) for o in owners]
@@ -428,7 +428,8 @@ def test_terminate_flow_divides_by_first_child_groups():
         assert b.blocked["mission"] == pytest.approx(1.0, abs=1e-9)
         assert all(b.active[x] == pytest.approx(0.0, abs=1e-9) for x in internal)
     assert {u: shared.path(u) for u in shared.teams} == {u: array.path(u) for u in array.teams}
-    assert tp.first_child_groups("phase") == (("a-step",), ("b-step",))
+    assert [tuple(tp.node_ids[c] for c in g) for g in tp.groups_at[tp.index["phase"]]] == [
+        ("a-step",), ("b-step",)]
 
 
 # One team: ``start`` moves to one of b1..b5 with unequal pi, announced with
