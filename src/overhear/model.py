@@ -451,14 +451,13 @@ class TeamOrientedProgram:
         them.  Walks are built once per (parent, owner) pair a climb uses.
         """
         h, node, children, index = self.team_hierarchy, self._node, self._children, self.index
-        ids = self.node_ids
-        split = {ids[c]: len(g) for groups in self.groups_at for g in groups for c in g}
+        split = {c: len(g) for groups in self.groups_at for g in groups for c in g}
         walks: dict[tuple[str, str], tuple] = {}
 
         def visit(y: str, team: str, steps: list):
             if h.covers(team, node[y].team) or h.covers(node[y].team, team):
                 return
-            steps.append((index[y], index[node[y].parent], split.get(y, 0)))
+            steps.append((index[y], index[node[y].parent], split.get(index[y], 0)))
             for c in children[y]:
                 visit(c, team, steps)
 
@@ -609,10 +608,10 @@ class TeamOrientedProgram:
             body.append(f"a{i} -= o{i}")
             blocks.append(f"if o{i}:\n        " + "\n        ".join(body))
 
-        size = range(len(n))
-        active = (f"0.0 if a{i} < 0.0 else a{i}" if i in floored else f"a{i}" for i in size)
-        body = ["".join(f"a{i}, " for i in size) + "= A", "".join(f"b{i}, " for i in size) + "= B",
-                *shed, *blocks, f"return [{', '.join(active)}], [{', '.join(f'b{i}' for i in size)}]"]
+        at = range(len(n))
+        active = (f"0.0 if a{i} < 0.0 else a{i}" if i in floored else f"a{i}" for i in at)
+        body = ["".join(f"a{i}, " for i in at) + "= A", "".join(f"b{i}, " for i in at) + "= B",
+                *shed, *blocks, f"return [{', '.join(active)}], [{', '.join(f'b{i}' for i in at)}]"]
         return _compile_forward("\n".join(
             ["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n").forward
 

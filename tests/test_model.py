@@ -508,9 +508,9 @@ def test_forward_source_is_registered():
             is load_program(text, team_mode=True).forward is p.forward)
     # a table of the wrong length fails in the unpack line, which the
     # traceback shows from the registered source
-    for active in ([], [0.0] * (len(p.node_ids) + 1)):
+    for table in ([], [0.0] * (len(p.node_ids) + 1)):
         with pytest.raises(ValueError) as info:
-            p.forward(active, list(p.zeros))
+            p.forward(table, table)
         assert ", = A" in "".join(traceback.format_tb(info.value.__traceback__))
 
 
