@@ -8,7 +8,9 @@ of each layout it reaches, and only those.
 
 A second sweep hashes the simulator's own output (trace text, log text and
 transition count) in both modes, so a refactor of the simulator that should
-not move one random draw must leave ``SIM_SHA256`` unchanged.
+not move one random draw must leave ``SIM_SHA256`` unchanged.  It is split
+in two: ``SIM_MOVED_SHA256`` holds the agent-mode runs that an outage or a
+TERMINATE edge out of the root reaches, and ``SIM_SHA256`` every other run.
 
 A third pin, ``KERNEL_SHA256``, hashes each program's compiled forward
 step on seeded tables that no run reaches, so a rewrite of the kernel
@@ -50,7 +52,8 @@ SWEEP_SHA256 = {
         "ccf468c182562f10818a95635e0c78639ed19f8a7f582d6f8557b6510a9da7d6",
 }
 
-SIM_SHA256 = "bea8b88384fc33b0aab6bb4f35d892dd302954e25fefabded98fd622e8ee2ac8"
+SIM_SHA256 = "9bfe566a4808e27250ff62b5931eb958c40cc3cb285db408ce208a03ea3ce6ac"
+SIM_MOVED_SHA256 = "2e8e2755b06fac8b0b76c4f7130667caa6e38b75804d9afbc0299e155d0b92d8"
 SIM_TICKS = 150
 
 # sha256 of every program's kernel (and its view's) on arbitrary tables
@@ -144,31 +147,45 @@ def root_edge_program(left: str = "LEFT"):
     }, team_mode=True)
 
 
-def sim_digest() -> str:
-    """sha256 over the trace text, log text and transition count of every
-    run in a fixed sweep: team_program(0..2), evac_team, evac_mini and
-    ``root_edge_program`` x both modes x comm policy, send probability and
-    outage x 2 seeds x 150 ticks."""
-    programs = [team_program(i) for i in range(3)]
-    programs += [load_program_path(DATA / f"{name}.json", team_mode=True)
-                 for name in ("evac_team", "evac_mini")]
-    programs.append(root_edge_program())
-    h = hashlib.sha256()
-    for i, p in enumerate(programs):
+def sim_runs(moved: bool):
+    """The simulator sweep's runs, as (label, program, SimConfig) pairs.
+
+    ``moved=False`` gives the runs that the outage and root-edge rules do not
+    reach: every team-mode run of ``team_program(0..2)`` and the ``nested``
+    corpus, and every agent-mode run without an outage of the programs
+    without a TERMINATE edge out of the root, ``team_program(0..2)``,
+    evac_team, evac_mini and ``random_program(0..39)``.  ``moved=True`` gives
+    the rest of the agent-mode runs: those with an outage, and every run of
+    the two ``root_edge_program``s.  Each cell runs 2 seeds x 150 ticks.
+    """
+    team, nested = sweep_programs("team_program")[0], sweep_programs("nested")[0]
+    plain = team + nested[:2] + sweep_programs("random_program")[0]  # no root edge
+    if moved:
+        cells = [(p, False, 4) for p in plain] + [(p, False, k) for p in nested[2:]
+                                                  for k in range(5)]
+    else:
+        cells = [(p, True, k) for p in team + nested for k in range(5)] + [
+            (p, False, k) for p in plain for k in range(4)]
+    for i, (p, team_mode, k) in enumerate(cells):
         outage = {"fail_agent": p.team_hierarchy.agent_names[0],
                   "fail_from": 20, "fail_ticks": 40}
-        settings = [{"comm_policy": MU_SAMPLED}, {"comm_policy": MU_SAMPLED, "send_prob": 0.5},
-                    {"comm_policy": ALWAYS, "send_prob": 0.5}, {"comm_policy": NEVER},
-                    {"comm_policy": MU_SAMPLED, "send_prob": 0.5, **outage}]
-        for team_mode in (False, True):
-            for k, setting in enumerate(settings):
-                for seed in range(2):
-                    trace, log = simulate(p, SimConfig(seed=seed, ticks=SIM_TICKS,
-                                                       team_mode=team_mode, **setting))
-                    h.update(f"{i}/{team_mode}/{k}/{seed}/{trace.transition_count}\n"
-                             .encode())
-                    h.update(format_trace(trace).encode())
-                    h.update(format_log(log).encode())
+        setting = [{"comm_policy": MU_SAMPLED}, {"comm_policy": MU_SAMPLED, "send_prob": 0.5},
+                   {"comm_policy": ALWAYS, "send_prob": 0.5}, {"comm_policy": NEVER},
+                   {"comm_policy": MU_SAMPLED, "send_prob": 0.5, **outage}][k]
+        for seed in range(2):
+            yield f"{i}/{team_mode}/{k}/{seed}", p, SimConfig(
+                seed=seed, ticks=SIM_TICKS, team_mode=team_mode, **setting)
+
+
+def sim_digest(moved: bool = False) -> str:
+    """sha256 over the trace text, log text and transition count of every
+    run ``sim_runs(moved)`` gives."""
+    h = hashlib.sha256()
+    for label, p, cfg in sim_runs(moved):
+        trace, log = simulate(p, cfg)
+        h.update(f"{label}/{trace.transition_count}\n".encode())
+        h.update(format_trace(trace).encode())
+        h.update(format_log(log).encode())
     return h.hexdigest()
 
 
@@ -214,6 +231,10 @@ def test_simulator_output_bit_identical():
     assert sim_digest() == SIM_SHA256
 
 
+def test_simulator_outage_and_root_edge_output_bit_identical():
+    assert sim_digest(moved=True) == SIM_MOVED_SHA256
+
+
 def test_kernel_output_bit_identical():
     assert kernel_digest() == KERNEL_SHA256
 
@@ -222,4 +243,5 @@ if __name__ == "__main__":
     for key in SWEEP_SHA256:
         print(key, sweep_digest(*key))
     print("sim", sim_digest())
+    print("sim moved", sim_digest(moved=True))
     print("kernel", kernel_digest())
