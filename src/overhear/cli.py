@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--comm-policy", choices=COMM_POLICIES, default=MU_SAMPLED,
                      help="announce transitions per mu, always, or never")
     sim.add_argument("--fail-agent", default=None,
-                     help="agent whose messages are dropped during the outage "
-                          "(needs --fail-ticks)")
+                     help="agent whose messages are lost during the outage; in "
+                          "both modes it keeps running (needs --fail-ticks)")
     sim.add_argument("--fail-from", type=int, default=0,
                      help="first tick of the outage window")
     sim.add_argument("--fail-ticks", type=int, default=0,

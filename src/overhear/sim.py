@@ -1,16 +1,28 @@
 """Ground-truth simulator for team-oriented programs.
 
 Executes a program tick by tick and emits the coordination messages an
-overhearer would catch.  Two modes mirror the two recognizers: independent
-per-agent execution (every agent walks its own copy of the plan tree) and
-team execution (one shared run in which sibling teams advance in parallel
-and exactly one member of the acting team announces each transition).
+overhearer would catch.  Two modes mirror the two recognizers.  A team-mode
+run is one shared run in which sibling teams advance in parallel, and a
+member of the acting team, drawn at random, sends each announcement.  An
+agent-mode run is that run once per agent over the single-agent view, with
+its own random stream (seeded ``f"{seed}:{agent}"``) and the agent as the
+sender of every message.
 
-Both modes keep one run state.  A unit (an agent run, or one parallel group
-of a team run) executes its plan while its ``pending`` is None.  Otherwise
-it is blocked at that plan, and ``pending`` says why: the transition it
-waits to announce, ``_DONE`` (the plan completed its parent, or the root
-completed) or ``_NO_EXIT`` (the plan has no transition out).
+A run is a tree of units.  A unit descends from its plan through each node
+whose first children form one group, picking one member uniformly, down to
+a leaf or to a node of several groups, where it forks one unit per group;
+so an agent's run, where every node has one group, is a single unit.  A
+unit executes its plan while its ``pending`` is None.  Otherwise it is
+blocked there, and ``pending`` says why: the transition it waits to
+announce, ``_DONE`` (its plan completed the node it was forked at, or the
+root completed) or ``_NO_EXIT`` (the plan has no transition out).  A plan
+that completes its parent ends the parent, up through the nodes the unit
+descended through; a fork node ends when all its units are ``_DONE``.
+
+In both modes a TERMINATE edge out of the root ends the run: announced, it
+is neither sent nor counted; silent, it is counted.  And an outage loses
+the failed agent's messages during it and nothing else, so the trace is the
+one the run gives without it.
 
 Timeline convention, chosen to match the belief engine: a leaf that
 terminates during tick t is recorded as blocked from tick t+1 on, the
@@ -154,13 +166,6 @@ def _trace_int(text: str, what: str, lineno: int) -> int:
                               f"got {text!r}") from None
 
 
-def _descend(p: TeamOrientedProgram, rng: random.Random, node_id: str) -> str:
-    """Walk to a leaf, picking uniformly among first children at each level."""
-    while not p.is_leaf(node_id):
-        node_id = rng.choice(sorted(p.first_children(node_id)))
-    return node_id
-
-
 def _sample_transition(p: TeamOrientedProgram, rng: random.Random, node_id: str):
     ts = p.out_transitions(node_id)
     if not ts:
@@ -200,192 +205,154 @@ _DONE = "done"
 _NO_EXIT = "no exit"
 
 
-class _AgentRun:
-    """One agent stepping through its own copy of the plan tree."""
+class _Unit:
+    """One line of execution: it executes, forks at, or is blocked at ``plan``.
 
-    __slots__ = ("name", "p", "cfg", "rng", "node", "pending", "count")
-
-    def __init__(self, name: str, p: TeamOrientedProgram, cfg: SimConfig):
-        self.name = name
-        self.p = p
-        self.cfg = cfg
-        self.rng = random.Random(f"{cfg.seed}:{name}")
-        self.node = _descend(p, self.rng, p.root)
-        self.pending = None
-        self.count = 0  # transitions taken
-
-    def truth(self) -> tuple[tuple[str, ...], bool]:
-        return self.p.name_path(self.node), self.pending is not None
-
-    def _end_plan(self, node_id: str) -> None:
-        """The plan ``node_id`` finished: take a transition out, or block there."""
-        self.node = node_id
-        t = _sample_transition(self.p, self.rng, node_id)
-        if t is None:
-            self.pending = _NO_EXIT
-        elif _wants_announce(self.cfg, self.rng, t.mu):
-            self.pending = t
-        else:
-            self._resolve(t)
-
-    def _resolve(self, t) -> None:
-        # Counted here, not at sampling: a transition still waiting on its
-        # announcement has not moved the state machine yet.
-        self.count += 1
-        if t.dst != TERMINATE:
-            self.node, self.pending = _descend(self.p, self.rng, t.dst), None
-        elif (parent := self.p.node(self.node).parent) is None:
-            self.pending = _DONE
-        else:
-            self._end_plan(parent)
-
-    def step(self, tick: int) -> ObservedMessage | None:
-        """Advance one tick; returns the message sent during it, if any."""
-        t = self.pending
-        if t is None:
-            if self.rng.random() < hazard(self.p.node(self.node).rate or 0.0):
-                self._end_plan(self.node)
-            return None
-        if t is _DONE or t is _NO_EXIT or self.rng.random() >= self.cfg.send_prob:
-            return None
-        msg = _make_message(self.rng, tick, self.name, self.p.node(self.node).team,
-                            self.p, self.node, t)
-        self._resolve(t)
-        return msg
-
-
-class _Group:
-    """One parallel branch: a sibling team working under a shared parent.
-
-    ``current`` is the group's plan instance: executing while ``pending`` is
-    None, else blocked there.
+    ``owner`` forked it for a group of ``team``.  ``_Run._descend`` sets the
+    rest: ``units``, the units forked at ``plan``, one per group there, and
+    for a leaf, its hazard ``chance``.
     """
 
-    __slots__ = ("team", "owner", "current", "pending")
+    __slots__ = ("plan", "pending", "owner", "team", "units", "chance")
 
-    def __init__(self, team: str, owner: "_Active"):
-        self.team = team
+    def __init__(self, owner: "_Unit | None", team: str | None):
         self.owner = owner
-        self.current: _Active  # set by _TeamRun._spawn
-        self.pending = None
+        self.team = team
 
 
-class _Active:
-    """A plan instance on some team's execution stack."""
+class _Run:
+    """One run of a program: the whole team's, or one agent's over the
+    single-agent view, with that agent as the fixed ``sender``."""
 
-    __slots__ = ("plan", "group", "groups")
-
-    def __init__(self, plan: str, group: _Group | None):
-        self.plan = plan
-        self.group = group
-        self.groups: list[_Group] = []
-
-
-class _TeamRun:
-    """One shared run of the whole team.  The root plan instance is the one
-    unit that is no group; the run's own ``pending`` is its state."""
-
-    def __init__(self, p: TeamOrientedProgram, cfg: SimConfig):
+    def __init__(self, p: TeamOrientedProgram, cfg: SimConfig, rng: random.Random,
+                 sender: str | None):
         self.p = p
         self.cfg = cfg
-        self.rng = random.Random(cfg.seed)
-        self.root = self._spawn(p.root, None)
-        self.pending = None
+        self.rng = rng
+        self.sender = sender
         self.count = 0  # transitions taken
+        self.root = self._descend(_Unit(None, None), p.index[p.root])
+        # Kept until a step changes the state: the executing leaves and the
+        # units waiting to announce, in plan order, and each chain's truth.
+        self.frontier: tuple[list[_Unit], list[_Unit]] | None = None
+        self.truths: dict = {}
 
-    def _spawn(self, plan: str, group: _Group | None) -> _Active:
-        node, p = _Active(plan, group), self.p
-        for members in p.groups_at[p.index[plan]]:  # each ascending, one team
-            g = _Group(p.owner_at[members[0]], node)
-            g.current = self._spawn(p.node_ids[self.rng.choice(members)], g)
-            node.groups.append(g)
-        return node
+    def _descend(self, u: _Unit, plan: int) -> _Unit:
+        """Start ``u`` at ``plan``: down through every node with one group,
+        picking uniformly among its members, then one unit per group."""
+        groups_at, owner_at, choice = self.p.groups_at, self.p.owner_at, self.rng.choice
+        while len(groups := groups_at[plan]) == 1:
+            plan = choice(groups[0])
+        u.plan, u.pending = plan, None
+        if groups:
+            u.units = [self._descend(_Unit(u, owner_at[g[0]]), choice(g)) for g in groups]
+        else:
+            u.units = []
+            u.chance = hazard(self.p.node(self.p.node_ids[plan]).rate or 0.0)
+        return u
 
-    def truth(self, team: str) -> tuple[tuple[str, ...], bool]:
-        """The state of every agent on leaf team ``team``."""
-        p = self.p
-        if self.pending is not None:
-            return p.name_path(p.root), True
-        chain = p.team_hierarchy.ancestors_or_self(team)
-        a = self.root
+    def truth(self, chain) -> tuple[tuple[str, ...], bool]:
+        """The state of an agent that follows the groups of the teams in ``chain``."""
+        state = self.truths.get(chain)
+        if state is None:
+            state = self.truths[chain] = self._walk(chain)
+        return state
+
+    def _walk(self, chain) -> tuple[tuple[str, ...], bool]:
+        p, u = self.p, self.root
+        groups_at, owner_at = p.groups_at, p.owner_at
         while True:
-            for g in a.groups:
-                if g.team in chain:
+            # the topmost node of u's own descent whose one group the agent
+            # does not follow; the descent starts below u's owner's plan
+            at, top = u.plan, -1 if u.owner is None else u.owner.plan
+            for y in p.ancestors_at[u.plan]:
+                if y == top:
+                    break
+                if owner_at[groups_at[y][0][0]] not in chain:
+                    at = y
+            if at != u.plan or u.pending is not None:  # blocked only at its own plan
+                return p.name_path(p.node_ids[at]), at == u.plan
+            for v in u.units:
+                if v.team in chain:
+                    u = v
                     break
             else:
-                return p.name_path(a.plan), False
-            a = g.current
-            if g.pending is not None:
-                return p.name_path(a.plan), True
+                return p.name_path(p.node_ids[at]), False
 
-    def _frontier(self, a: _Active, leaves: list[_Active], waiting: list[_Group]) -> None:
-        """Collect, in walk order, the executing leaves under ``a`` and the
-        groups there that wait to announce."""
-        if not a.groups:  # a non-leaf plan has a first child, so a group
-            leaves.append(a)
-        for g in a.groups:
-            t = g.pending
-            if t is None:
-                self._frontier(g.current, leaves, waiting)
-            elif t is not _DONE and t is not _NO_EXIT:
-                waiting.append(g)
+    def _frontier(self, u: _Unit, leaves: list[_Unit], waiting: list[_Unit]) -> None:
+        """Collect the executing leaves and waiting units under ``u``, in walk order."""
+        t = u.pending
+        if t is None:
+            if not u.units:  # a non-leaf plan has a first child, so a group
+                leaves.append(u)
+            for v in u.units:
+                self._frontier(v, leaves, waiting)
+        elif t is not _DONE and t is not _NO_EXIT:
+            waiting.append(u)
 
-    def _end_plan(self, a: _Active) -> None:
-        """``a``'s plan finished: its unit takes a transition out, or blocks."""
-        t = _sample_transition(self.p, self.rng, a.plan)
-        g = a.group
-        if g is None:
-            # The root ends the run.  Its announcement would go into the
-            # void, so only a silent edge out of it is counted.
-            if t is not None and not _wants_announce(self.cfg, self.rng, t.mu):
-                self.count += 1
-            self.pending = _NO_EXIT if t is None else _DONE
-        elif t is None:
-            g.pending = _NO_EXIT  # never completes its owner
-        elif _wants_announce(self.cfg, self.rng, t.mu):
-            g.pending = t
+    def _end_plan(self, u: _Unit) -> None:
+        """``u``'s plan finished: ``u`` takes a transition out, or blocks."""
+        p = self.p
+        t = _sample_transition(p, self.rng, p.node_ids[u.plan])
+        if t is None:
+            u.pending = _NO_EXIT  # never completes its owner
+        elif not _wants_announce(self.cfg, self.rng, t.mu):
+            self._resolve(u, t)
+        elif p.ancestors_at[u.plan]:
+            u.pending = t
         else:
-            self._resolve(g, t)
+            u.pending = _DONE  # the root's announcement would go into the void
 
-    def _resolve(self, g: _Group, t) -> None:
+    def _resolve(self, u: _Unit, t) -> None:
+        # Counted here, not at sampling: a transition still waiting on its
+        # announcement has not moved the run yet.
         self.count += 1
+        p = self.p
         if t.dst != TERMINATE:
-            g.pending, g.current = None, self._spawn(t.dst, g)
+            self._descend(u, p.index[t.dst])
             return
-        g.pending = _DONE
-        owner = g.owner
-        for sibling in owner.groups:
-            if sibling.pending is not _DONE:
-                return
-        self._end_plan(owner)
+        up = p.ancestors_at[u.plan]
+        if not up:
+            u.pending = _DONE  # the root completed
+        elif u.owner is None or up[0] != u.owner.plan:
+            u.plan = up[0]  # the parent u descended through completed
+            self._end_plan(u)
+        else:
+            u.pending = _DONE
+            if all(v.pending is _DONE for v in u.owner.units):
+                self._end_plan(u.owner)
 
-    def step(self, tick: int) -> list[ObservedMessage]:
-        msgs: list[ObservedMessage] = []
-        if self.pending is not None:
-            return msgs
+    def step(self, tick: int, msgs: list[ObservedMessage]) -> None:
+        """Advance one tick, appending the messages sent during it to ``msgs``."""
         p, cfg, rng = self.p, self.cfg, self.rng
-        h = p.team_hierarchy
-        leaves: list[_Active] = []
-        waiting: list[_Group] = []
-        self._frontier(self.root, leaves, waiting)
-        # Pending announcements first: the group stays blocked until one
+        if self.frontier is None:
+            leaves: list[_Unit] = []
+            waiting: list[_Unit] = []
+            self._frontier(self.root, leaves, waiting)
+            if len(waiting) > 1:
+                waiting.sort(key=lambda u: u.plan)
+            self.frontier = leaves, waiting
+        leaves, waiting = self.frontier
+        # Pending announcements first: the unit stays blocked until one
         # member of the acting team gets a word in.
-        waiting.sort(key=lambda g: g.current.plan)
-        for g in waiting:
+        for u in waiting:
             if rng.random() >= cfg.send_prob:
                 continue
-            src = g.current.plan
-            team = p.node(src).team
-            members = h.members(team) or h.agent_names  # both sorted
-            sender = rng.choice(members)
-            msg = _make_message(rng, tick, sender, team, p, src, g.pending)
+            src = p.node_ids[u.plan]
+            team = p.owner_at[u.plan]
+            h = p.team_hierarchy  # a team's run draws the sender, sorted lists both
+            sender = self.sender or rng.choice(h.members(team) or h.agent_names)
+            msg = _make_message(rng, tick, sender, team, p, src, u.pending)
             if not cfg.fails_at(sender, tick):
                 msgs.append(msg)
-            self._resolve(g, g.pending)
-        for leaf in leaves:
-            if rng.random() < hazard(p.node(leaf.plan).rate or 0.0):
-                self._end_plan(leaf)
-        return msgs
+            self._resolve(u, u.pending)
+            self.frontier = None
+        for u in leaves:
+            if rng.random() < u.chance:
+                self._end_plan(u)
+                self.frontier = None
+        if self.frontier is None:
+            self.truths.clear()
 
 
 def simulate(p: TeamOrientedProgram, cfg: SimConfig
@@ -409,29 +376,21 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
         raise SimulationError(f"fail agent '{cfg.fail_agent}' is not an agent of the program")
     steps: list[dict[str, tuple[tuple[str, ...], bool]]] = []
     messages: list[ObservedMessage] = []
+    # each agent's run, and the teams whose groups it follows there
     if cfg.team_mode:
-        run = _TeamRun(p, cfg)
-        leaf_teams = sorted({t for _, t in h.agents})
-        for tick in range(cfg.ticks):
-            # an agent's state depends only on its leaf team: one walk per team
-            truth = {team: run.truth(team) for team in leaf_teams}
-            steps.append({a: truth[t] for a, t in h.agents})
-            messages += run.step(tick)
-        count = run.count
+        runs = [_Run(p, cfg, random.Random(cfg.seed), None)]
+        follows = {a: (runs[0], h.ancestors_or_self(team)) for a, team in h.agents}
     else:
-        runs = [_AgentRun(a, p, cfg) for a in agents]
-        for tick in range(cfg.ticks):
-            steps.append({run.name: run.truth() for run in runs})
-            for run in runs:
-                if cfg.fails_at(run.name, tick):
-                    continue  # a failed agent neither acts nor reports
-                m = run.step(tick)
-                if m is not None:
-                    messages.append(m)
-        count = sum(run.count for run in runs)
+        view, every = p.single_agent_view(), frozenset(team for team, _ in h.teams)
+        runs = [_Run(view, cfg, random.Random(f"{cfg.seed}:{a}"), a) for a in agents]
+        follows = {run.sender: (run, every) for run in runs}
+    for tick in range(cfg.ticks):
+        steps.append({a: run.truth(chain) for a, (run, chain) in follows.items()})
+        for run in runs:
+            run.step(tick, messages)
     messages.sort(key=lambda m: (m.tick, m.sender, m.kind, m.plan))
     return (GroundTruthTrace(seed=cfg.seed, agents=agents, steps=steps,
-                             transition_count=count),
+                             transition_count=sum(run.count for run in runs)),
             messages)
 
 
