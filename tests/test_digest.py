@@ -53,7 +53,7 @@ SWEEP_SHA256 = {
 }
 
 SIM_SHA256 = "9bfe566a4808e27250ff62b5931eb958c40cc3cb285db408ce208a03ea3ce6ac"
-SIM_MOVED_SHA256 = "2e8e2755b06fac8b0b76c4f7130667caa6e38b75804d9afbc0299e155d0b92d8"
+SIM_MOVED_SHA256 = "2db5e45f1d3ee4810753a2ef67f317dfc4fc56c3f3639125a460d87f8ee56c8e"
 SIM_TICKS = 150
 
 # sha256 of every program's kernel (and its view's) on arbitrary tables
