@@ -59,6 +59,7 @@ import hashlib
 import json
 import linecache
 import math
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -658,6 +659,20 @@ def _string(entry: dict, key: str, loc: str, optional: bool = False) -> str | No
     raise ProgramError(f"'{key}' must be a string, not {type(value).__name__}", loc)
 
 
+# A trace line is 'tick agent plan/plan[!]' and a log line 'tick agent team
+# kind plan', split on whitespace, and '#' starts a log comment.
+_UNWRITABLE = re.compile(r"[\s/!#]")
+
+
+def _name(entry: dict, loc: str) -> str:
+    """entry["name"], a string that a trace or log line can carry as one field."""
+    name = _string(entry, "name", loc)
+    if not name or _UNWRITABLE.search(name):
+        raise ProgramError(f"name {name!r} is empty or holds whitespace, '/', '!' or '#', "
+                           "which a trace or log line cannot carry", loc)
+    return name
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -686,7 +701,7 @@ def _load_hierarchy(doc: dict) -> TeamHierarchy:
         if not isinstance(entry, dict):
             raise ProgramError("team entry must be an object", loc)
         _reject_unknown(entry, _TEAM_KEYS, loc)
-        name = _string(entry, "name", loc)
+        name = _name(entry, loc)
         if name in seen:
             raise ProgramError(f"duplicate team '{name}'", loc)
         seen[name] = _string(entry, "parent", loc, optional=True)
@@ -712,7 +727,7 @@ def _load_hierarchy(doc: dict) -> TeamHierarchy:
         if not isinstance(entry, dict):
             raise ProgramError("agent entry must be an object", loc)
         _reject_unknown(entry, _AGENT_KEYS, loc)
-        name = _string(entry, "name", loc)
+        name = _name(entry, loc)
         team = _string(entry, "team", loc)
         if name in agents:
             raise ProgramError(f"duplicate agent '{name}'", loc)
@@ -754,7 +769,7 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
             raise ProgramError("first_child must be true or false", loc)
         plans[pid] = PlanNode(
             id=pid,
-            name=_string(entry, "name", loc),
+            name=_name(entry, loc),
             team=team,
             parent=_string(entry, "parent", loc, optional=True),
             is_first_child=first_child,

@@ -166,6 +166,14 @@ def test_duplicate_plan_names_allowed():
      "first_child must be true or false [plan 'b']"),
     (lambda d: d["plans"][1].update({"lambda": True}), "lambda must be a nonnegative number"),
     (lambda d: d["transitions"][0].update({"pi": True}), "pi must be a probability"),
+    # a name a trace or log line cannot carry: read back as another path, or
+    # as a line that does not parse
+    (lambda d: d["plans"][1].update({"name": "a/b"}), "name 'a/b' is empty or holds"),
+    (lambda d: d["plans"][1].update({"name": "done!"}), "cannot carry [plan 'a']"),
+    (lambda d: d["plans"][2].update({"name": ""}), "name '' is empty"),
+    (lambda d: d["plans"][2].update({"name": "tab\there"}), "name 'tab\\there'"),
+    (lambda d: d["agents"][0].update({"name": "agent one"}), "cannot carry [agents[0]]"),
+    (lambda d: d["teams"][0].update({"name": "T#1"}), "name 'T#1' is empty or holds"),
 ])
 def test_validation_rejects(mutate, fragment):
     doc = _mini_doc()
