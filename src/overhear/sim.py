@@ -340,7 +340,7 @@ class _Run:
                 continue
             src = p.node_ids[u.plan]
             team = p.owner_at[u.plan]
-            h = p.team_hierarchy  # a team's run draws the sender, sorted lists both
+            h = p.team_hierarchy  # a team's run draws the sender from a sorted list
             sender = self.sender or rng.choice(h.members(team) or h.agent_names)
             msg = _make_message(rng, tick, sender, team, p, src, u.pending)
             if not cfg.fails_at(sender, tick):
