@@ -43,7 +43,9 @@ checks, besides schema and references:
 - a plan's team is its parent plan's team or one of that team's subteams,
   so the shared layout can decide where to rescale from plan ownership
   alone;
-- a transition other than TERMINATE joins two children of one parent.
+- a transition other than TERMINATE joins two children of one parent;
+- every plan, team and agent name fits one field of a trace or log line:
+  it is not empty and holds no whitespace, ``/``, ``!`` or ``#``.
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.  So
