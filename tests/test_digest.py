@@ -1,7 +1,9 @@
 """Belief states and simulator output pinned bit for bit across commits.
 
 A fixed replay sweep hashes every belief state that each recognizer layout
-produces, tick by tick.  A change to the engine that should not move any
+produces, tick by tick.  Its quantized corpora replay logs whose ticks are
+divided by ``QUANTUM``, so one tick often holds several messages for one
+agent or team, which the raw logs almost never do.  A change to the engine that should not move any
 number (a faster forward step, say) must leave every pin unchanged; a
 reordered float sum that flips one exact tie between leaves changes the pin
 of each layout it reaches, and only those.
@@ -17,6 +19,7 @@ step on seeded tables that no run reaches, so a rewrite of the kernel
 generator must keep every floor and every zero-skip exact.
 """
 
+import dataclasses
 import hashlib
 import pathlib
 import random
@@ -34,6 +37,11 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "da
 
 TICKS = 150
 RANDOM_PROGRAMS = 40
+# quantized corpus -> (corpus whose programs it replays, team-mode logs); its
+# logs' ticks are divided by QUANTUM
+QUANTIZED = {"team_program//5": ("team_program", True),
+             "team_program/agent//5": ("team_program", False)}
+QUANTUM = 5
 # (corpus, layout, coherent) -> sha256 of every state the layout steps through
 SWEEP_SHA256 = {
     ("team_program", "yoyo", None):
@@ -50,6 +58,12 @@ SWEEP_SHA256 = {
         "72ae5b855fa8dc0efb7bc7b24bf2185247d4ed3bb0f3fda6c1b0fa9864512970",
     ("random_program", "array", False):
         "ccf468c182562f10818a95635e0c78639ed19f8a7f582d6f8557b6510a9da7d6",
+    ("team_program//5", "yoyo", None):
+        "2c0a8f3a6a5bf2bf5d5442260e4c6cb17a04206482673f15310b5e4241fae2a3",
+    ("team_program/agent//5", "array", False):
+        "2715f29f981c53c8bb0c35aea996edf646381115b47bdae25276eea3e4631b4f",
+    ("team_program//5", "array", True):
+        "730656db7baaadb6c864b5b6dff7ed555e87ec33c1d2c052c37a5121491fde21",
 }
 
 SIM_SHA256 = "9bfe566a4808e27250ff62b5931eb958c40cc3cb285db408ce208a03ea3ce6ac"
@@ -72,6 +86,9 @@ def _hash_state(h, b):
 def sweep_programs(corpus: str) -> tuple[list, bool]:
     """The corpus's programs, and whether its logs come from team-mode runs.
 
+    A ``QUANTIZED`` corpus gives the programs of the corpus it names, with
+    the log mode it names.
+
     ``team_program(0..2)`` varies only the rates of one shape: one team
     level, every pi 1.  ``nested`` adds a second team level (evac_team and a
     climb that skips one, ``root_edge_program("LEFT1")``), a TERMINATE edge
@@ -79,6 +96,9 @@ def sweep_programs(corpus: str) -> tuple[list, bool]:
     floors.  ``random_program`` adds pi < 1, duplicate plan names and
     completing roots, replayed from agent-mode runs.
     """
+    if corpus in QUANTIZED:
+        base, team_mode = QUANTIZED[corpus]
+        return sweep_programs(base)[0], team_mode
     if corpus == "team_program":
         return [team_program(k) for k in range(3)], True
     if corpus == "nested":
@@ -90,8 +110,11 @@ def sweep_programs(corpus: str) -> tuple[list, bool]:
 
 def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:
     """sha256 over every state of the corpus's programs x 2 seeds x 150 ticks,
-    with and without a learned comm model, as one layout steps through it."""
+    with and without a learned comm model, as one layout steps through it.
+    A ``QUANTIZED`` corpus replays each log with its ticks divided by
+    ``QUANTUM``; the comm model still learns from the raw sibling log."""
     programs, team_mode = sweep_programs(corpus)
+    quantum = QUANTUM if corpus in QUANTIZED else 1
     h = hashlib.sha256()
     for prog, tp in enumerate(programs):
         for seed in range(2):
@@ -99,7 +122,8 @@ def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:
                                             send_prob=0.5))
             _, sibling = simulate(tp, SimConfig(seed=seed + 100, ticks=TICKS,
                                                 team_mode=team_mode, send_prob=0.5))
-            by_tick = messages_by_tick(log)
+            by_tick = messages_by_tick(
+                [dataclasses.replace(m, tick=m.tick // quantum) for m in log])
             for rec_program in (tp, apply_comm_model(tp, learn_comm_model(sibling))):
                 rec = make_recognizer(rec_program, mode, coherent)
                 h.update(f"{prog}/{seed}/{mode}/{coherent}".encode())
