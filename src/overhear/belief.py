@@ -7,6 +7,12 @@ message has not been seen yet).  Ticks without an observed message apply a
 linear forward propagation driven by leaf termination rates; ticks with a
 message collapse the state onto the nodes consistent with it.
 
+What a tick's messages are evidence for is one function for both layouts,
+``evidence``; the program's mode alone decides which transitions a message
+opens and which candidates share a normalizer.  The array layout commits
+evidence one message at a time (``apply_messages``), the shared layout in
+``yoyo.yoyo_tick``.
+
 A state holds the two masses as plain lists, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
 position (``TeamOrientedProgram.index``) and reads only the program's
@@ -43,6 +49,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .ingest import INIT, TERM, ObservedMessage
 from .model import TeamOrientedProgram
@@ -148,65 +155,93 @@ def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgr
 
 
 def _prune_redundant_ancestors(p: TeamOrientedProgram, nodes) -> list[int]:
-    """Keep only the deepest node of any decomposition chain in ``nodes``, sorted.
+    """Keep only the topmost node of any decomposition chain in ``nodes``, sorted.
 
-    Nodes are positions, so sorted is id order.  A message naming both an
-    ancestor and its descendant carries no extra information in the
-    ancestor: its activity is implied, so it must not compete in
-    normalization.
+    Nodes are positions, so sorted is id order.  A node is dropped when one
+    of its ancestors is also in ``nodes``: committing the ancestor already
+    spreads its mass down over the descendant, so the two must not compete
+    in normalization.
     """
     nodes = set(nodes)
     ancestors = p.ancestors_at
-    return sorted(x for x in nodes if not any(a in nodes for a in ancestors[x]))
+    return sorted(x for x in nodes if nodes.isdisjoint(ancestors[x]))
 
 
-def credit_raw(raw: dict[int, float], edge: tuple[int, int, float, float],
-               blocked: list[float]):
-    """Add the raw evidence mass that a ``(src, dst, mu, pi)`` edge carries to ``raw[dst]``.
+def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str | None:
+    """The ``team_edges`` key of the transitions a message opens: in team mode
+    its team, else its sender's; in the single-agent view None, which opens all."""
+    if not p.team_mode:
+        return None
+    h = p.team_hierarchy
+    if m.team and h.has_team(m.team):
+        return m.team
+    if h.has_agent(m.sender):
+        return h.agent_team(m.sender)
+    raise MonitoringError(
+        f"message at tick {m.tick} carries unknown team '{m.team}' and unknown "
+        f"sender '{m.sender}'")
 
-    That mass is the source's blocked mass times the chance the transition is
-    announced (mu) and taken (pi); both layouts' evidence steps weigh their
-    candidates by it before normalizing.
+
+_MESSAGE_ORDER = attrgetter("kind", "plan", "sender")
+
+
+def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
+    """What one tick's messages are evidence for: a mass per position.
+
+    The messages are one set of INIT targets and TERM sources, so a repeat
+    adds nothing, and each opens its team's transitions (``team_edges``).
+    The candidates are the INIT targets and the TERM sources' successors,
+    else the TERM sources; an edge credits its source's prior blocked mass
+    times mu times pi, and an INIT target takes credit only from its edges
+    in.  Each unit (``unit_at``) splits a mass of 1 over its candidates: the
+    credited ones by credit, or all evenly when none is (the surprise
+    fallback), less any with an ancestor among such candidates of any unit
+    (``_prune_redundant_ancestors``), dropping shares below ``PROB_FLOOR``.
+    Positions go in id order, so no mass depends on string hashing.
     """
-    src, dst, mu, pi = edge
-    raw[dst] = raw.get(dst, 0.0) + blocked[src] * mu * pi
-
-
-def _evidence_scratch(m: ObservedMessage, b: BeliefState,
-                      p: TeamOrientedProgram) -> dict[int, float]:
-    """Unnormalized-to-normalized evidence masses for one message, by position."""
-    consistent = p.named_index.get(m.plan, ())
-    if not consistent:
-        raise MonitoringError(
-            f"message at tick {m.tick} names plan '{m.plan}' which matches no node")
-    raw: dict[int, float] = {}
-    if m.kind == INIT:
-        # Mass enters each consistent node from predecessors stuck awaiting
-        # the announcement of their outgoing transition.
-        candidates = set(consistent)
-        for x in consistent:
-            for edge in p.into_at[x]:
-                credit_raw(raw, edge, b.blk)
-    else:
-        # Termination releases the named nodes' pending mass into successors
-        # (``out_at`` leaves TERMINATE edges out).
-        candidates = set()
-        for x in consistent:
-            for edge in p.out_at[x]:
-                candidates.add(edge[1])
-                credit_raw(raw, edge, b.blk)
-    positive = [x for x in raw if raw[x] > 0.0]
-    if positive:
-        keep = _prune_redundant_ancestors(p, positive)
-        total = sum(raw[x] for x in keep)
-        scratch = {x: raw[x] / total for x in keep}
-    else:
-        # Surprise message: no pending mass anywhere.  Fall back to an even
-        # split over the consistent targets; for TERM that means the named
-        # nodes' successors when any exist.
-        base = _prune_redundant_ancestors(p, candidates or set(consistent))
-        scratch = {x: 1.0 / len(base) for x in base}
-    return {x: v for x, v in scratch.items() if v >= PROB_FLOOR}
+    initiated: dict[int, str | None] = {}
+    terminated: dict[int, str | None] = {}
+    for m in sorted(msgs, key=_MESSAGE_ORDER):
+        team = _resolve_message_team(m, p)
+        nodes = p.named_index.get(m.plan)
+        if not nodes:
+            raise MonitoringError(
+                f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
+                f"either the program is stale or the team is acting incoherently")
+        target = initiated if m.kind == INIT else terminated
+        for x in nodes:
+            target.setdefault(x, team)
+    edges, blocked = p.team_edges, b.blk
+    raw: dict[int, float] = {}  # candidate -> credit
+    for x, team in sorted(initiated.items()):
+        raw[x] = 0.0
+        for src, _, mu, pi in edges[team][0].get(x, ()):
+            raw[x] += blocked[src] * mu * pi
+    for x, team in sorted(terminated.items()):
+        for src, dst, mu, pi in edges[team][1].get(x, ()):
+            if dst not in initiated:
+                raw[dst] = raw.get(dst, 0.0) + blocked[src] * mu * pi
+    if not raw:
+        raw = dict.fromkeys(terminated, 0.0)
+    unit_at = p.unit_at
+    credited = set()
+    for x, c in raw.items():
+        if c > 0.0:
+            credited.add(unit_at[x])
+    weight: dict[int, float] = {}  # a unit with no credit weighs its candidates evenly
+    for x, c in raw.items():
+        if c > 0.0 or unit_at[x] not in credited:
+            weight[x] = c or 1.0
+    keep = _prune_redundant_ancestors(p, weight)
+    total: dict[str | None, float] = {}
+    for x in keep:
+        total[unit_at[x]] = total.get(unit_at[x], 0.0) + weight[x]
+    scratch: dict[int, float] = {}
+    for x in keep:
+        mass = weight[x] / total[unit_at[x]]
+        if mass >= PROB_FLOOR:
+            scratch[x] = mass
+    return scratch
 
 
 def _commit_evidence(scratch: dict[int, float], time: int,
@@ -281,7 +316,7 @@ def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram) -> BeliefState:
     ordered = sorted(msgs, key=lambda m: (0 if m.kind == TERM else 1, m.plan, m.sender))
     state = b
     for m in ordered:
-        state = _commit_evidence(_evidence_scratch(m, state, p), b.time + 1, p)
+        state = _commit_evidence(evidence(state, p, [m]), b.time + 1, p)
     return state
 
 

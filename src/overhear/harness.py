@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .belief import (BeliefState, MonitoringError, PROB_FLOOR,
-                     _prune_redundant_ancestors, apply_messages, init_beliefs, propagate_forward)
+from .belief import BeliefState, MonitoringError, PROB_FLOOR
 from .ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from .model import TERMINATE, TeamOrientedProgram, hazard
 from .recognizer import MODES, make_recognizer
@@ -90,9 +89,18 @@ def _oracle_kernel(p: TeamOrientedProgram, states) -> np.ndarray:
     return K
 
 
-def _prune_ids(p: TeamOrientedProgram, nodes) -> list[str]:
-    """``_prune_redundant_ancestors`` over node ids, which it takes as positions."""
-    return [p.node_ids[i] for i in _prune_redundant_ancestors(p, {p.index[x] for x in nodes})]
+def _oracle_prune(p: TeamOrientedProgram, nodes) -> list[str]:
+    """The ids in ``nodes`` with no ancestor in ``nodes``, sorted: the engine's
+    pruning rule, restated on parent chains so that C1 checks it too."""
+    nodes = set(nodes)
+
+    def covered(x: str) -> bool:
+        while (x := p.node(x).parent) is not None:
+            if x in nodes:
+                return True
+        return False
+
+    return sorted(x for x in nodes if not covered(x))
 
 
 def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
@@ -118,11 +126,11 @@ def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
                 raw[t.dst] = raw.get(t.dst, 0.0) + v[index[("blocked", x)]] * t.mu * t.pi
     positive = [y for y in raw if raw[y] > 0.0]
     if positive:
-        keep = _prune_ids(p, positive)
+        keep = _oracle_prune(p, positive)
         total = sum(raw[y] for y in keep)
         scratch = {y: raw[y] / total for y in keep}
     else:
-        fallback = _prune_ids(p, base or set(named))
+        fallback = _oracle_prune(p, base or set(named))
         scratch = {y: 1.0 / len(fallback) for y in fallback}
     out = np.zeros(len(states))
     for y, mass in scratch.items():
@@ -167,21 +175,6 @@ def exact_filter(p: TeamOrientedProgram, ticks: int, messages=()):
             v = v @ K
         vectors.append(v)
     return states, vectors
-
-
-def replay_single(p: TeamOrientedProgram, ticks: int, messages=()):
-    """Belief-engine states per tick on the same schedule as exact_filter."""
-    by_tick = messages_by_tick(messages)
-    b = init_beliefs(p)
-    out = [b]
-    for t in range(1, ticks + 1):
-        msgs = by_tick.get(t, [])
-        if msgs:
-            b = apply_messages(b, msgs, p)
-        else:
-            b = propagate_forward(b, p)
-        out.append(b)
-    return out
 
 
 def engine_vector(p: TeamOrientedProgram, states, b: BeliefState) -> np.ndarray:

@@ -20,13 +20,13 @@ A belief table is a list with one entry per node, in ``node_ids`` order, so
 the tables the belief engine reads name a node by that position, its
 ``index``: the first-child groups (``groups_at``, the one place that
 decides which subteams run in parallel), ancestors, leaves and root paths by
-position, the transitions into and out of each node as ``(src, dst, mu,
-pi)`` edges of positions, plan name -> positions, each node's owner, the
-zero table (``zeros``), the initial state (``initial``), each team's
-candidate leaves (``leaves_by_team``), the shared layout's evidence
-structure (each team's open transitions ``team_edges`` and each node's
-climb ``evidence_climbs``, which holds the walk of every rescale it runs)
-and the compiled forward step (``forward``), one generated function over
+position, plan name -> positions, each node's owner, the zero table
+(``zeros``), the initial state (``initial``), each team's candidate leaves
+(``leaves_by_team``), the evidence tables that ``belief.evidence`` reads in
+both modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
+``team_edges``, and each node's normalizing unit, ``unit_at``), the shared
+layout's climb (``evidence_climbs``, which holds the walk of every rescale
+it runs) and the compiled forward step (``forward``), one generated function over
 locals that unpacks both tables and returns new lists.  They are built on
 first use, so loading a program pays for none of them.  The forward step's
 function is compiled once per distinct generated source and kept in a
@@ -385,21 +385,6 @@ class TeamOrientedProgram:
         """The team that owns each node, by position."""
         return tuple(self._node[x].team for x in self.node_ids)
 
-    def _edges(self, transitions) -> tuple[tuple[int, int, float, float], ...]:
-        index = self.index
-        return tuple((index[t.src], index[t.dst], t.mu, t.pi) for t in transitions)
-
-    @cached_property
-    def into_at(self) -> tuple[tuple[tuple[int, int, float, float], ...], ...]:
-        """The ``(src, dst, mu, pi)`` edges into each node, in ``transitions`` order."""
-        return tuple(self._edges(self._into[x]) for x in self.node_ids)
-
-    @cached_property
-    def out_at(self) -> tuple[tuple[tuple[int, int, float, float], ...], ...]:
-        """The edges out of each node into a plan, leaving TERMINATE edges out."""
-        return tuple(self._edges([t for t in self._out[x] if t.dst != TERMINATE])
-                     for x in self.node_ids)
-
     @cached_property
     def named_index(self) -> dict[str, tuple[int, ...]]:
         """Plan name -> the positions of the nodes it names, ascending."""
@@ -484,26 +469,34 @@ class TeamOrientedProgram:
         return tuple(climbs)
 
     @cached_property
-    def team_edges(self) -> dict[str, tuple[dict, dict]]:
+    def team_edges(self) -> dict[str | None, tuple[dict, dict]]:
         """Each team's open transitions, as (into, out of) tables keyed by position.
 
-        A transition is open to a team when the owner of its source plan is
-        that team or one of its ancestors.  ``into[x]`` holds the ``(src,
-        dst, mu, pi)`` edges into node x and ``out[x]`` those out of x into
-        a plan, leaving TERMINATE edges out; both keep the order of
-        ``transitions``, and a node with none is absent.
+        In team mode a transition is open to a team when its source plan's
+        owner is that team or an ancestor; the single-agent view has one
+        agent execute every plan, so its one key, None, opens them all.
+        ``into[x]`` and ``out[x]`` hold the ``(src, dst, mu, pi)`` edges into
+        and out of node x, TERMINATE edges left out, in ``transitions``
+        order; a node with none is absent.
         """
         h, node, index, edges = self.team_hierarchy, self._node, self.index, {}
-        for team, _ in h.teams:
+        for team in [team for team, _ in h.teams] if self.team_mode else [None]:
             into: dict[int, list] = {}
             out: dict[int, list] = {}
             for t in self.transitions:
-                if t.dst != TERMINATE and h.covers(node[t.src].team, team):
-                    into.setdefault(index[t.dst], []).append(t)
-                    out.setdefault(index[t.src], []).append(t)
-            edges[team] = ({x: self._edges(v) for x, v in into.items()},
-                           {x: self._edges(v) for x, v in out.items()})
+                if t.dst != TERMINATE and (team is None or h.covers(node[t.src].team, team)):
+                    edge = (index[t.src], index[t.dst], t.mu, t.pi)
+                    into.setdefault(edge[1], []).append(edge)
+                    out.setdefault(edge[0], []).append(edge)
+            edges[team] = ({x: tuple(v) for x, v in into.items()},
+                           {x: tuple(v) for x, v in out.items()})
         return edges
+
+    @cached_property
+    def unit_at(self) -> tuple[str | None, ...]:
+        """Each node's evidence normalizer, by position: its owning team in
+        team mode, and one unit, None, for all nodes in the single-agent view."""
+        return self.owner_at if self.team_mode else (None,) * len(self.node_ids)
 
     # -- the forward step --------------------------------------------------
 

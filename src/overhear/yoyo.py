@@ -7,14 +7,13 @@ by walking up to the common parent and rescaling the other teams' subtrees to
 the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
-A quiet tick is ``belief.propagate_forward``, the engine both layouts share;
-this module holds the evidence and rescale steps.  Like every program table,
-the structure those steps follow is built by the program itself, on the
-first evidence tick: each team's open transitions (``team_edges``) and each
-node's climb to the root (``evidence_climbs``), with the walk of every
-rescale the climb runs.  Only the mass arithmetic runs per tick, on the
-state's ``act`` and ``blk`` lists, and every node these steps name is a
-position in them.  The team -> candidate-leaves table that most-likely
+A quiet tick is ``belief.propagate_forward`` and what a tick's messages are
+evidence for is ``belief.evidence``, both shared by the two layouts; this
+module commits that evidence and rescales.  The structure those steps
+follow is a program table like every other: each node's climb to the root
+(``evidence_climbs``), with the walk of every rescale the climb runs.  Only
+the mass arithmetic runs per tick, on the state's ``act`` and ``blk``
+lists, and every node these steps name is a position in them.  The team -> candidate-leaves table that most-likely
 queries read is ``TeamOrientedProgram.leaves_by_team``.
 
 Plan ownership alone decides where to rescale: a climb step from a node
@@ -38,10 +37,8 @@ exact 0.0, which a clamp leaves as it is.  Every value a tick leaves is in
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, PROB_FLOOR, VisitCounter,
-                     _prune_redundant_ancestors, _zeros, best_leaf, credit_raw, init_beliefs,
-                     propagate_down, propagate_forward)
-from .ingest import INIT, ObservedMessage
+from .belief import (BeliefState, MonitoringError, VisitCounter, _zeros, best_leaf, evidence,
+                     init_beliefs, propagate_down, propagate_forward)
 from .model import TeamOrientedProgram
 
 
@@ -98,98 +95,24 @@ def _rescale(walk, b: BeliefState, prior: BeliefState, updated: set[int]):
         updated.add(y)
 
 
-def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str:
-    h = p.team_hierarchy
-    if m.team and h.has_team(m.team):
-        return m.team
-    if h.has_agent(m.sender):
-        return h.agent_team(m.sender)
-    raise MonitoringError(
-        f"message at tick {m.tick} carries unknown team '{m.team}' and unknown "
-        f"sender '{m.sender}'")
-
-
-def _team_evidence_scratch(b: BeliefState, p: TeamOrientedProgram,
-                           initiated: dict[int, str], terminated: dict[int, str]
-                           ) -> dict[int, float]:
-    """Evidence masses by position, normalized per owning team of the candidate nodes.
-
-    A message's candidates are reached along the transitions open to its
-    team, which the program lists once (``team_edges``).  Each team's
-    candidates are summed and written in id order, so the masses do not
-    depend on the interpreter's string hashing.
-    """
-    edges, blocked, owner = p.team_edges, b.blk, p.owner_at
-    raw: dict[int, float] = {}
-    cands: set[int] = set()
-    for x in sorted(initiated):
-        cands.add(x)
-        into, _ = edges[initiated[x]]
-        for edge in into.get(x, ()):
-            credit_raw(raw, edge, blocked)
-    for x in sorted(terminated):
-        _, out = edges[terminated[x]]
-        for edge in out.get(x, ()):
-            if edge[1] not in initiated:
-                cands.add(edge[1])
-                credit_raw(raw, edge, blocked)
-    if not cands:
-        # Termination of a node with no announceable successor: keep the
-        # named nodes as candidates rather than zeroing the whole belief.
-        cands.update(terminated)
-    scratch: dict[int, float] = {}
-    by_team: dict[str, list[int]] = {}
-    for x in _prune_redundant_ancestors(p, cands):  # sorted
-        by_team.setdefault(owner[x], []).append(x)
-    # Evidence about different teams does not compete: normalize per team.
-    for team, members in sorted(by_team.items()):
-        total = sum(raw.get(x, 0.0) for x in members)
-        if total > 0.0:
-            for x in members:
-                v = raw.get(x, 0.0) / total
-                if v >= PROB_FLOOR:
-                    scratch[x] = v
-        else:
-            for x in members:
-                scratch[x] = 1.0 / len(members)
-    return scratch
-
-
 def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
 
     With no messages this is the shared forward step.  Otherwise the
-    batched messages are folded in together: committed evidence propagates
-    down its subtree, climbs toward the root, and triggers a cross-team
-    rescale whenever the climb steps into a plan another team owns.  The
-    climb's steps, and where it rescales, are the program's
-    ``evidence_climbs``; each step raises the parent to at least the
-    child's mass.  The tick then clamps only the entries it wrote.
+    tick's messages are one observation (``belief.evidence``), committed at
+    once: each mass propagates down its subtree, climbs toward the root, and
+    triggers a cross-team rescale whenever the climb steps into a plan
+    another team owns.  The climb's steps, and where it rescales, are the
+    program's ``evidence_climbs``; each step raises the parent to at least
+    the child's mass.  The tick then clamps only the entries it wrote.
     """
     if not msgs:
         nxt = propagate_forward(b, p, counter)
         b.time, b.act, b.blk = nxt.time, nxt.act, nxt.blk
         _clamp(b)
         return
-    initiated: dict[int, str] = {}
-    terminated: dict[int, str] = {}
-    seen: set[tuple[str, str]] = set()
-    for m in sorted(msgs, key=lambda m: (m.kind, m.plan, m.sender)):
-        team = _resolve_message_team(m, p)
-        nodes = p.named_index.get(m.plan, ())
-        if not nodes:
-            raise MonitoringError(
-                f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
-                f"either the program is stale or the team is acting incoherently")
-        if (m.kind, m.plan) in seen:
-            continue  # duplicate announcements of one event merge
-        seen.add((m.kind, m.plan))
-        target = initiated if m.kind == INIT else terminated
-        for x in nodes:
-            target[x] = team
-    scratch = _team_evidence_scratch(b, p, initiated, terminated)
-
+    scratch = evidence(b, p, msgs)
     prior = BeliefState(b.time, b.act, b.blk, b.index)
     active = b.act = _zeros(p)
     b.blk = _zeros(p)

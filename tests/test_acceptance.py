@@ -16,11 +16,12 @@ import numpy as np
 from overhear.belief import init_beliefs, propagate_forward
 from overhear.cli import run_command
 from overhear.harness import (bench_scalability, engine_vector, evaluate_run,
-                              exact_filter, hypothesis_count_curve, replay_single)
+                              exact_filter, hypothesis_count_curve)
 from overhear.ingest import (INIT, TERM, ObservedMessage, apply_loss, format_log,
                              parse_kqml_log, parse_log)
 from overhear.model import hazard, program_from_document
 from overhear.progen import flatten_mu, random_program, team_program
+from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import coherent_hypotheses, count_hypotheses, learn_comm_model
 
@@ -57,7 +58,8 @@ def test_c01_oracle_equivalence():
         for seed in range(20):
             _, log = simulate(p, SimConfig(seed=seed, ticks=100, send_prob=0.5))
             states, vectors = exact_filter(p, 100, log)
-            beliefs = replay_single(p, 100, log)
+            rec = make_recognizer(p, "array")  # one agent, "solo"
+            beliefs = [rec.beliefs["solo"] for _ in rec.replay(log, 101)]
             for v, b in zip(vectors, beliefs):
                 ev = engine_vector(p, states, b)
                 worst = max(worst, float(np.max(np.abs(ev - v))))

@@ -5,14 +5,14 @@ import random
 import pytest
 
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
-                             _evidence_scratch, _zeros, apply_messages, array_overseer_tick,
-                             init_beliefs, most_likely_state, propagate_down,
+                             _prune_redundant_ancestors, _zeros, apply_messages,
+                             array_overseer_tick, evidence, init_beliefs, most_likely_state, propagate_down,
                              propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
-from overhear.yoyo import team_most_likely
+from overhear.yoyo import team_most_likely, yoyo_tick
 
 
 def _chain(lam_a=0.05, mu=0.0, extra_leaf=False, team_mode=False):
@@ -446,6 +446,7 @@ def test_forward_leaves_its_arguments_alone(seed, view):
 
 
 def test_evidence_scratch_sums_to_one():
+    # the array layout: one message on a single-agent program, one unit
     rng = random.Random(21)
     for _ in range(20):
         p = random_program(rng.randrange(100_000))
@@ -455,7 +456,33 @@ def test_evidence_scratch_sums_to_one():
         names = sorted({p.node(x).name for x in p.node_ids})
         m = ObservedMessage(b.time, "solo", "SOLO", INIT, rng.choice(names))
         try:
-            scratch = _evidence_scratch(m, b, p)
+            scratch = evidence(b, p, [m])
         except MonitoringError:
             continue  # named the root: no in-transitions and no fallback base
         assert sum(scratch.values()) == pytest.approx(1.0, abs=1e-9)
+    # the shared layout: several messages on one tick, one unit per owning team
+    for _ in range(40):
+        p = team_program(rng.randrange(7))
+        h = p.team_hierarchy
+        b = init_beliefs(p)
+        for _ in range(rng.randrange(1, 60)):
+            yoyo_tick(p, b, [])
+        names = sorted({p.node(x).name for x in p.node_ids})
+        msgs = [ObservedMessage(b.time, a, h.agent_team(a), rng.choice((INIT, TERM)),
+                                rng.choice(names))
+                for a in rng.choices(h.agent_names, k=rng.randrange(1, 6))]
+        sums: dict[str, float] = {}
+        for x, mass in evidence(b, p, msgs).items():
+            sums[p.owner_at[x]] = sums.get(p.owner_at[x], 0.0) + mass
+        assert sums
+        assert all(v == pytest.approx(1.0, abs=1e-9) for v in sums.values())
+
+
+def test_prune_keeps_the_topmost_node_of_a_chain():
+    # phase-05 is bravo-05-step1's parent: committing it already spreads
+    # mass down to the step, so the step is the one dropped
+    p = team_program(2)
+    (phase,), (step,) = p.named_index["phase-05"], p.named_index["bravo-05-step1"]
+    assert p.ancestors_at[step][0] == phase
+    assert _prune_redundant_ancestors(p, {phase, step}) == [phase]
+    assert _prune_redundant_ancestors(p, {step}) == [step]

@@ -5,10 +5,10 @@ from overhear.belief import MonitoringError, VisitCounter
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.harness import (MAX_ORACLE_STATES, bench_scalability, engine_vector,
                               evaluate_run, exact_filter, hypothesis_count_curve,
-                              oracle_states, render_bench, render_report,
-                              replay_single, score_run)
+                              oracle_states, render_bench, render_report, score_run)
 from overhear.model import _compile_forward, program_from_document, program_to_document
 from overhear.progen import random_program, team_program
+from overhear.recognizer import make_recognizer
 from overhear.sim import ALWAYS, SimConfig, simulate
 from overhear.social import learn_comm_model
 
@@ -21,6 +21,12 @@ def _solo_doc(plans, transitions):
         "plans": [{"id": "r", "name": "top", "team": "T"}] + plans,
         "transitions": transitions,
     })
+
+
+def _engine_beliefs(p, ticks, log=()):
+    """The array layout's belief of the one agent, "solo", after each tick 0..ticks."""
+    rec = make_recognizer(p, "array")
+    return [rec.beliefs["solo"] for _ in rec.replay(log, ticks + 1)]
 
 
 def _chain3(mu=0.7):
@@ -68,7 +74,7 @@ def test_oracle_even_split_between_successors():
     assert vectors[-1][ib] == pytest.approx(0.5, abs=1e-6)
     assert vectors[-1][ic] == pytest.approx(0.5, abs=1e-6)
     # the belief engine lands on the same split
-    beliefs = replay_single(p, 100)
+    beliefs = _engine_beliefs(p, 100)
     assert beliefs[-1].active["b"] == pytest.approx(0.5, abs=1e-6)
     assert beliefs[-1].active["c"] == pytest.approx(0.5, abs=1e-6)
 
@@ -77,7 +83,7 @@ def test_engine_tracks_oracle_through_messages():
     p = _chain3()
     _, log = simulate(p, SimConfig(seed=3, ticks=50, send_prob=0.6))
     states, vectors = exact_filter(p, 50, log)
-    beliefs = replay_single(p, 50, log)
+    beliefs = _engine_beliefs(p, 50, log)
     worst = 0.0
     for v, b in zip(vectors, beliefs):
         worst = max(worst, float(np.max(np.abs(engine_vector(p, states, b) - v))))
@@ -93,7 +99,7 @@ def test_engine_tracks_oracle_when_the_root_terminates():
     for seed in range(5):
         _, log = simulate(p, SimConfig(seed=seed, ticks=60, send_prob=0.6))
         states, vectors = exact_filter(p, 60, log)
-        beliefs = replay_single(p, 60, log)
+        beliefs = _engine_beliefs(p, 60, log)
         for v, b in zip(vectors, beliefs):
             ev = engine_vector(p, states, b)
             assert float(np.max(np.abs(ev - v))) <= 1e-9
@@ -320,7 +326,7 @@ def test_oracle_matches_engine_on_random_programs():
         for seed in range(3):
             _, log = simulate(p, SimConfig(seed=seed, ticks=40, send_prob=0.5))
             states, vectors = exact_filter(p, 40, log)
-            beliefs = replay_single(p, 40, log)
+            beliefs = _engine_beliefs(p, 40, log)
             for v, b in zip(vectors, beliefs):
                 err = float(np.max(np.abs(engine_vector(p, states, b) - v)))
                 assert err <= 1e-9

@@ -462,20 +462,21 @@ def test_evidence_tables_match_definitions(p):
     h = p.team_hierarchy
     assert (tuple(_climb_ids(p, climb) for climb in p.evidence_climbs)
             == tuple(_brute_climb(p, x) for x in p.node_ids))
-    for x in p.node_ids:
-        i = p.index[x]
-        assert p.into_at[i] == tuple(_edge(p, t) for t in p.in_transitions(x))
-        assert p.out_at[i] == tuple(_edge(p, t) for t in p.out_transitions(x)
-                                    if t.dst != TERMINATE)
-    for team, _ in h.teams:
-        into, out = p.team_edges[team]
-        for x in p.node_ids:
-            allowed = [t for t in p.transitions
-                       if t.dst != TERMINATE and p.node(t.src).team in _brute_chain(h, team)]
-            i = p.index[x]
-            assert into.get(i, ()) == tuple(_edge(p, t) for t in allowed if t.dst == x)
-            assert out.get(i, ()) == tuple(_edge(p, t) for t in allowed if t.src == x)
-        assert () not in into.values() and () not in out.values()
+    # the single-agent view's one key, None, opens every transition
+    view = p.single_agent_view()
+    for q, teams in ((p, [team for team, _ in h.teams]), (view, [None])):
+        assert list(q.team_edges) == teams
+        for team in teams:
+            into, out = q.team_edges[team]
+            allowed = [t for t in p.transitions if t.dst != TERMINATE
+                       and (team is None or p.node(t.src).team in _brute_chain(h, team))]
+            for x in p.node_ids:
+                i = p.index[x]
+                assert into.get(i, ()) == tuple(_edge(p, t) for t in allowed if t.dst == x)
+                assert out.get(i, ()) == tuple(_edge(p, t) for t in allowed if t.src == x)
+            assert () not in into.values() and () not in out.values()
+    assert p.unit_at == tuple(p.node(x).team for x in p.node_ids)
+    assert view.unit_at == (None,) * len(p.node_ids)
 
 
 def test_evidence_climb_rescales_at_each_team_boundary():

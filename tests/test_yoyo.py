@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -7,10 +8,11 @@ import pytest
 
 from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
                              propagate_forward)
-from overhear.ingest import INIT, TERM, ObservedMessage
+from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from overhear.model import ProgramError, program_from_document, program_to_document
 from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
+from overhear.sim import SimConfig, simulate
 from overhear.yoyo import _rescale, team_init_beliefs, team_most_likely, yoyo_tick
 
 
@@ -321,6 +323,29 @@ def test_unknown_message_team_reads_as_senders_team(two_team):
         final[team] = (b.active, b.blocked)
     assert final["NO-SUCH-TEAM"] == final["LEFT"]
     assert final["RIGHT"] != final["LEFT"]  # the team the message names matters
+
+
+def test_each_team_keeps_its_own_evidence_in_a_crowded_tick():
+    # A team-mode run of team_program(2) whose log, quantized by five ticks,
+    # puts raw ticks 40-44 on tick 8: INIT and TERM of phase-04, and TERM of
+    # BRAVO's and CHARLIE's step 0 in phase-05.  The TERM of phase-04 makes
+    # phase-05 a candidate with no credit (phase-04 held no blocked mass);
+    # it must not prune the step-1 plans that BRAVO's and CHARLIE's
+    # messages credit, since the truth one tick later is on both.
+    p = team_program(2)
+    trace, log = simulate(p, SimConfig(seed=2, ticks=50, team_mode=True, send_prob=0.6))
+    by_tick = messages_by_tick([dataclasses.replace(m, tick=m.tick // 5) for m in log])
+    assert sorted((m.kind, m.plan) for m in by_tick[8]) == [
+        (INIT, "phase-04"), (TERM, "bravo-05-step0"), (TERM, "charlie-05-step0"),
+        (TERM, "phase-04")]
+    rec = make_recognizer(p, "yoyo")
+    for t in range(9):
+        rec.step(by_tick.get(t, []))
+    for team in ("bravo", "charlie"):
+        (step1,) = p.nodes_named(f"{team}-05-step1")
+        assert rec.belief.active[step1] == 1.0
+        for t in (45, 46):
+            assert trace.steps[t][f"{team}1"][0] == ("mission", "phase-05", f"{team}-05-step1")
 
 
 def test_unknown_plan_diagnostic(two_team):
