@@ -26,12 +26,13 @@ position, plan name -> positions, each node's owner, the zero table
 both modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
 ``team_edges``, and each node's normalizing unit, ``unit_at``), the shared
 layout's climb (``evidence_climbs``, which holds the walk of every rescale
-it runs) and the compiled forward step (``forward``), one generated function over
-locals that unpacks both tables and returns new lists.  They are built on
-first use, so loading a program pays for none of them.  The forward step's
-function is compiled once per distinct generated source and kept in a
-bounded module-level cache, so programs whose sources are equal share one
-function; a source stays in ``linecache`` only while its kernel is cached.
+it runs) and the compiled forward step (``forward``), one generated
+function over locals that unpacks both tables and returns new lists.  They
+are built on first use, so loading a program pays for none of them.  The
+forward step's function is compiled once per distinct generated source and
+kept in a bounded module-level cache, so programs whose sources are equal
+share one function; a source stays in ``linecache`` only while its kernel
+is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -480,7 +481,8 @@ class TeamOrientedProgram:
         order; a node with none is absent.
         """
         h, node, index, edges = self.team_hierarchy, self._node, self.index, {}
-        for team in [team for team, _ in h.teams] if self.team_mode else [None]:
+        teams = [team for team, _ in h.teams] if self.team_mode else [None]
+        for team in teams:
             into: dict[int, list] = {}
             out: dict[int, list] = {}
             for t in self.transitions:

@@ -13,8 +13,9 @@ module commits that evidence and rescales.  The structure those steps
 follow is a program table like every other: each node's climb to the root
 (``evidence_climbs``), with the walk of every rescale the climb runs.  Only
 the mass arithmetic runs per tick, on the state's ``act`` and ``blk``
-lists, and every node these steps name is a position in them.  The team -> candidate-leaves table that most-likely
-queries read is ``TeamOrientedProgram.leaves_by_team``.
+lists, and every node these steps name is a position in them.  The team ->
+candidate-leaves table that most-likely queries read is
+``TeamOrientedProgram.leaves_by_team``.
 
 Plan ownership alone decides where to rescale: a climb step from a node
 into a parent owned by another team rescales the parent's subtrees that

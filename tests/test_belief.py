@@ -6,8 +6,8 @@ import pytest
 
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
                              _prune_redundant_ancestors, _zeros, apply_messages,
-                             array_overseer_tick, evidence, init_beliefs, most_likely_state, propagate_down,
-                             propagate_forward)
+                             array_overseer_tick, evidence, init_beliefs, most_likely_state,
+                             propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import hazard, program_from_document
 from overhear.progen import random_program, team_program
