@@ -17,14 +17,22 @@ TERMINATE edge out of the root reaches, and ``SIM_SHA256`` every other run.
 A third pin, ``KERNEL_SHA256``, hashes each program's compiled forward
 step on seeded tables that no run reaches, so a rewrite of the kernel
 generator must keep every floor and every zero-skip exact.
+
+Two more pin what the program builds and counts: ``TABLES_SHA256`` hashes
+the kernel's generated source and the engine's position-keyed tables, so a
+rewrite of how the tables are derived must build every one the same, and
+``HYPOTHESIS_SHA256`` hashes the hypothesis-count curves, which no belief
+state reaches.
 """
 
 import dataclasses
 import hashlib
+import inspect
 import pathlib
 import random
 import struct
 
+from overhear.harness import hypothesis_count_curve
 from overhear.ingest import format_log, messages_by_tick
 from overhear.model import load_program_path, program_from_document
 from overhear.progen import random_program, team_program
@@ -73,6 +81,11 @@ SIM_TICKS = 150
 # sha256 of every program's kernel (and its view's) on arbitrary tables
 KERNEL_SHA256 = "c692f933bd40772ff1f5ca370ad4a17400b41a04914be6673453e97a38e96fe6"
 KERNEL_STATES = 50
+
+# sha256 of every table program's kernel source and position-keyed tables,
+# and of its hypothesis-count curves
+TABLES_SHA256 = "39ed50680af8f72793cd84896bdae9f22f56e53892683ba6ab5582e81b185381"
+HYPOTHESIS_SHA256 = "ea3923a3d4d1761b1fefa3c5c47846b8cf574570ff0455d12057029f20552cd9"
 
 
 def _hash_state(h, b):
@@ -247,6 +260,45 @@ def kernel_digest() -> str:
     return h.hexdigest()
 
 
+def table_programs() -> list:
+    """``team_program(0..6)``, ``random_program(0..39)``, evac_team and
+    evac_mini; each is hashed with its single-agent view."""
+    return ([team_program(k) for k in range(7)]
+            + [random_program(k) for k in range(RANDOM_PROGRAMS)]
+            + sweep_programs("nested")[0][:2])
+
+
+def tables_digest() -> str:
+    """sha256 over the generated kernel source and the engine's tables of
+    every ``table_programs()`` program and its single-agent view."""
+    h = hashlib.sha256()
+    for prog, p in enumerate(table_programs()):
+        for view, q in enumerate((p, p.single_agent_view())):
+            h.update(f"{prog}/{view}\n".encode())
+            h.update(inspect.getsource(q.forward).encode())
+            for table in (q.groups_at, q.evidence_climbs, q.team_edges, q.ancestors_at,
+                          q.paths_at, q.leaves_by_team, q.named_index):
+                h.update(repr(table).encode())
+    return h.hexdigest()
+
+
+def hypothesis_digest() -> str:
+    """sha256 over ``hypothesis_count_curve`` of every ``table_programs()``
+    program on its own log (seeds 0-2, team-mode runs of team-mode
+    programs), with no rules and with rules learned from that log, each
+    with ``online`` off and on."""
+    h = hashlib.sha256()
+    for prog, p in enumerate(table_programs()):
+        for seed in range(3):
+            _, log = simulate(p, SimConfig(seed=seed, ticks=TICKS, team_mode=p.team_mode,
+                                           send_prob=0.5))
+            for rules in (None, learn_comm_model(log)):
+                for online in (False, True):
+                    curve = hypothesis_count_curve(p, log, rules=rules, online=online)
+                    h.update(f"{prog}/{seed}/{rules is None}/{online}:{curve}\n".encode())
+    return h.hexdigest()
+
+
 def test_belief_states_bit_identical():
     assert {key: sweep_digest(*key) for key in SWEEP_SHA256} == SWEEP_SHA256
 
@@ -263,9 +315,19 @@ def test_kernel_output_bit_identical():
     assert kernel_digest() == KERNEL_SHA256
 
 
+def test_program_tables_bit_identical():
+    assert tables_digest() == TABLES_SHA256
+
+
+def test_hypothesis_counts_bit_identical():
+    assert hypothesis_digest() == HYPOTHESIS_SHA256
+
+
 if __name__ == "__main__":
     for key in SWEEP_SHA256:
         print(key, sweep_digest(*key))
     print("sim", sim_digest())
     print("sim moved", sim_digest(moved=True))
     print("kernel", kernel_digest())
+    print("tables", tables_digest())
+    print("hypotheses", hypothesis_digest())
