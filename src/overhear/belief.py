@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .ingest import INIT, TERM, ObservedMessage
 from .model import TeamOrientedProgram
@@ -182,7 +181,9 @@ def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str | N
         f"sender '{m.sender}'")
 
 
-_MESSAGE_ORDER = attrgetter("kind", "plan", "sender")
+def _message_order(m: ObservedMessage) -> tuple:
+    """The order a tick's messages are read in: TERM before INIT, then by plan and sender."""
+    return (0 if m.kind == TERM else 1, m.plan, m.sender)
 
 
 def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
@@ -201,7 +202,7 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     """
     initiated: dict[int, str | None] = {}
     terminated: dict[int, str | None] = {}
-    for m in sorted(msgs, key=_MESSAGE_ORDER):
+    for m in sorted(msgs, key=_message_order):
         team = _resolve_message_team(m, p)
         nodes = p.named_index.get(m.plan)
         if not nodes:
@@ -313,9 +314,8 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]
 
 def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram) -> BeliefState:
     """Fold several same-tick messages into one time step, TERM before INIT."""
-    ordered = sorted(msgs, key=lambda m: (0 if m.kind == TERM else 1, m.plan, m.sender))
     state = b
-    for m in ordered:
+    for m in sorted(msgs, key=_message_order):
         state = _commit_evidence(evidence(state, p, [m]), b.time + 1, p)
     return state
 
