@@ -33,8 +33,13 @@ MAX_ORACLE_STATES = 64
 
 # --- exact filtering over the enumerated state space -------------------------
 
-def _leafdist(p: TeamOrientedProgram, x: str, acc, weight: float = 1.0):
-    first = p.first_children(x)
+def _parent(p: TeamOrientedProgram, x: int) -> int | None:
+    parent = p.plans[x].parent
+    return None if parent is None else p.index[parent]
+
+
+def _leafdist(p: TeamOrientedProgram, x: int, acc, weight: float = 1.0):
+    first = [c for c in p.children_at[x] if p.plans[c].is_first_child]
     if not first:
         acc[x] = acc.get(x, 0.0) + weight
         return
@@ -42,9 +47,10 @@ def _leafdist(p: TeamOrientedProgram, x: str, acc, weight: float = 1.0):
         _leafdist(p, c, acc, weight / len(first))
 
 
-def oracle_states(p: TeamOrientedProgram) -> list[tuple[str, str]]:
-    """("exec", leaf) states then ("blocked", node) states, in program order."""
-    states = [("exec", x) for x in p.leaves] + [("blocked", x) for x in p.node_ids]
+def oracle_states(p: TeamOrientedProgram) -> list[tuple[str, int]]:
+    """("exec", leaf) states then ("blocked", node) states, nodes by position."""
+    states = ([("exec", x) for x in p.leaf_index]
+              + [("blocked", x) for x in range(len(p.node_ids))])
     if len(states) > MAX_ORACLE_STATES:
         raise MonitoringError(
             f"oracle state space has {len(states)} states, limit {MAX_ORACLE_STATES}")
@@ -56,8 +62,8 @@ def _oracle_kernel(p: TeamOrientedProgram, states) -> np.ndarray:
     index = {s: i for i, s in enumerate(states)}
     K = np.zeros((len(states), len(states)))
 
-    def cascade(row: int, x: str, q: float):
-        ts = p.out_transitions(x)
+    def cascade(row: int, x: int, q: float):
+        ts = p.out_at[x]
         if not ts:
             K[row, index[("blocked", x)]] += q
             return
@@ -68,34 +74,34 @@ def _oracle_kernel(p: TeamOrientedProgram, states) -> np.ndarray:
             if silent == 0.0:
                 continue
             if t.dst == TERMINATE:
-                parent = p.node(x).parent
+                parent = _parent(p, x)
                 if parent is None:
                     K[row, index[("blocked", x)]] += silent
                 else:
                     cascade(row, parent, silent)
             else:
-                dist: dict[str, float] = {}
-                _leafdist(p, t.dst, dist)
+                dist: dict[int, float] = {}
+                _leafdist(p, p.index[t.dst], dist)
                 for leaf, share in dist.items():
                     K[row, index[("exec", leaf)]] += silent * share
     for i, (kind, x) in enumerate(states):
         if kind == "blocked":
             K[i, i] = 1.0
         else:
-            h = hazard(p.node(x).rate)
+            h = hazard(p.plans[x].rate)
             K[i, i] += 1.0 - h
             if h > 0.0:
                 cascade(i, x, h)
     return K
 
 
-def _oracle_prune(p: TeamOrientedProgram, nodes) -> list[str]:
-    """The ids in ``nodes`` with no ancestor in ``nodes``, sorted: the engine's
-    pruning rule, restated on parent chains so that C1 checks it too."""
+def _oracle_prune(p: TeamOrientedProgram, nodes) -> list[int]:
+    """The positions in ``nodes`` with no ancestor in ``nodes``, sorted: the
+    engine's pruning rule, restated on parent chains so that C1 checks it too."""
     nodes = set(nodes)
 
-    def covered(x: str) -> bool:
-        while (x := p.node(x).parent) is not None:
+    def covered(x: int) -> bool:
+        while (x := _parent(p, x)) is not None:
             if x in nodes:
                 return True
         return False
@@ -107,23 +113,25 @@ def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
                      m: ObservedMessage) -> np.ndarray:
     import numpy as np
     index = {s: i for i, s in enumerate(states)}
-    named = p.nodes_named(m.plan)
+    named = [x for x, n in enumerate(p.plans) if n.name == m.plan]
     if not named:
         raise MonitoringError(f"oracle: message names unknown plan '{m.plan}'")
-    raw: dict[str, float] = {}
+    raw: dict[int, float] = {}
     if m.kind == INIT:
         base = set(named)
-        for y in named:
-            for t in p.in_transitions(y):
-                raw[y] = raw.get(y, 0.0) + v[index[("blocked", t.src)]] * t.mu * t.pi
+        for t in p.transitions:
+            if t.dst != TERMINATE and (y := p.index[t.dst]) in base:
+                blocked = v[index[("blocked", p.index[t.src])]]
+                raw[y] = raw.get(y, 0.0) + blocked * t.mu * t.pi
     else:
         base = set()
         for x in named:
-            for t in p.out_transitions(x):
+            for t in p.out_at[x]:
                 if t.dst == TERMINATE:
                     continue
-                base.add(t.dst)
-                raw[t.dst] = raw.get(t.dst, 0.0) + v[index[("blocked", x)]] * t.mu * t.pi
+                y = p.index[t.dst]
+                base.add(y)
+                raw[y] = raw.get(y, 0.0) + v[index[("blocked", x)]] * t.mu * t.pi
     positive = [y for y in raw if raw[y] > 0.0]
     if positive:
         keep = _oracle_prune(p, positive)
@@ -136,7 +144,7 @@ def _oracle_evidence(p: TeamOrientedProgram, states, v: np.ndarray,
     for y, mass in scratch.items():
         if mass < PROB_FLOOR:
             continue
-        dist: dict[str, float] = {}
+        dist: dict[int, float] = {}
         _leafdist(p, y, dist)
         for leaf, share in dist.items():
             out[index[("exec", leaf)]] += mass * share
@@ -157,20 +165,16 @@ def exact_filter(p: TeamOrientedProgram, ticks: int, messages=()):
     by_tick = messages_by_tick(messages)
     v = np.zeros(len(states))
     index = {s: i for i, s in enumerate(states)}
-    dist: dict[str, float] = {}
-    _leafdist(p, p.root, dist)
+    dist: dict[int, float] = {}
+    _leafdist(p, p.index[p.root], dist)
     for leaf, share in dist.items():
         v[index[("exec", leaf)]] = share
     vectors = [v]
     for t in range(1, ticks + 1):
         msgs = by_tick.get(t, [])
         if msgs:
-            cur = v
-            ordered = sorted(msgs, key=lambda m: (0 if m.kind == TERM else 1,
-                                                  m.plan, m.sender))
-            for m in ordered:
-                cur = _oracle_evidence(p, states, cur, m)
-            v = cur
+            for m in sorted(msgs, key=lambda m: (0 if m.kind == TERM else 1, m.plan, m.sender)):
+                v = _oracle_evidence(p, states, v, m)
         else:
             v = v @ K
         vectors.append(v)
@@ -182,7 +186,7 @@ def engine_vector(p: TeamOrientedProgram, states, b: BeliefState) -> np.ndarray:
     import numpy as np
     v = np.zeros(len(states))
     for i, (kind, x) in enumerate(states):
-        v[i] = b.active[x] if kind == "exec" else b.blocked[x]
+        v[i] = b.act[x] if kind == "exec" else b.blk[x]
     return v
 
 
@@ -298,55 +302,49 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
 
 # --- hypothesis counting (no temporal probabilities) ---------------------------
 
-def _silent_closure(p: TeamOrientedProgram, start: set[str],
-                    rules: CommModel | None) -> set[str]:
-    """Nodes possibly current after any number of unannounced steps.
+def _silent_closure(p: TeamOrientedProgram, start: set[int],
+                    rules: CommModel | None) -> set[int]:
+    """Positions of the nodes possibly current after any number of unannounced steps.
 
     A transition the communication model predicts an announcement for
     cannot have fired silently, so the closure stops there; unpredicted
     TERMINATE edges hand control to the parent's own transitions.
     """
-
-    def predicted(t) -> bool:
-        if rules is None:
-            return False
-        if rules.predicts(p.node(t.src).name, TERM):
-            return True
-        return t.dst != TERMINATE and rules.predicts(p.node(t.dst).name, INIT)
-
-    current: set[str] = set()
-    stepped: set[str] = set()
-    work: list[tuple[str, str]] = [("enter", x) for x in sorted(start)]
+    plans, index = p.plans, p.index
+    current: set[int] = set()
+    stepped: set[int] = set()
+    work: list[tuple[str, int]] = [("enter", x) for x in sorted(start)]
     while work:
         op, x = work.pop()
         if op == "enter":
             if x in current:
                 continue
             current.add(x)
-            for c in p.first_children(x):
-                work.append(("enter", c))
+            for c in p.children_at[x]:
+                if plans[c].is_first_child:
+                    work.append(("enter", c))
             work.append(("step", x))
             continue
         if x in stepped:
             continue
         stepped.add(x)
-        for t in p.out_transitions(x):
-            if predicted(t):
-                continue
-            if t.dst == TERMINATE:
-                parent = p.node(x).parent
-                if parent is not None:
-                    work.append(("step", parent))
-            else:
-                work.append(("enter", t.dst))
+        if rules is not None and rules.predicts(plans[x].name, TERM):
+            continue  # every edge out of x is predicted
+        for t in p.out_at[x]:
+            if t.dst != TERMINATE:
+                y = index[t.dst]
+                if rules is None or not rules.predicts(plans[y].name, INIT):
+                    work.append(("enter", y))
+            elif p.ancestors_at[x]:  # the parent's own transitions
+                work.append(("step", p.ancestors_at[x][0]))
     return current
 
 
-def _anchor(p: TeamOrientedProgram, m: ObservedMessage) -> set[str]:
-    named = p.nodes_named(m.plan)
+def _anchor(p: TeamOrientedProgram, m: ObservedMessage) -> set[int]:
+    named = p.named_index.get(m.plan, ())
     if m.kind == INIT:
         return set(named)
-    succ = {t.dst for x in named for t in p.out_transitions(x) if t.dst != TERMINATE}
+    succ = {p.index[t.dst] for x in named for t in p.out_at[x] if t.dst != TERMINATE}
     return succ or set(named)
 
 
@@ -376,7 +374,7 @@ def hypothesis_count_curve(p: TeamOrientedProgram, messages,
         if not joined:
             joined = set().union(*anchors)
         possible = _silent_closure(p, joined, active_rules)
-        counts.append(sum(1 for x in possible if p.is_leaf(x)))
+        counts.append(sum(1 for x in possible if not p.children_at[x]))
     return counts
 
 

@@ -10,29 +10,33 @@ Every derived table of ``TeamHierarchy`` and ``TeamOrientedProgram`` is a
 ``functools.cached_property``: built whole from the dataclass fields on first
 use, kept in the instance's ``__dict__`` and left out of equality, hashing
 and ``repr``.  The hierarchy's are the team -> parent, agent -> team,
-ancestor-or-self chain and members tables and the agent names.  The
-program's are node -> plan, children, first children, transitions out and
-in, plan name -> nodes, the sorted node ids, the postorder, the leaves,
-every node's root path and plan-name path, and the single-agent view
-(``single_agent_view``).  No other module writes to a program.
+ancestor-or-self chain and members tables and the agent names.  No other
+module writes to a program.
 
-A belief table is a list with one entry per node, in ``node_ids`` order, so
-the tables the belief engine reads name a node by that position, its
-``index``: the first-child groups (``groups_at``, the one place that
-decides which subteams run in parallel), ancestors, leaves and root paths by
-position, plan name -> positions, each node's owner, the zero table
-(``zeros``), the initial state (``initial``), each team's candidate leaves
-(``leaves_by_team``), the evidence tables that ``belief.evidence`` reads in
-both modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
-``team_edges``, and each node's normalizing unit, ``unit_at``), the shared
-layout's climb (``evidence_climbs``, which holds the walk of every rescale
-it runs) and the compiled forward step (``forward``), one generated
-function over locals that unpacks both tables and returns new lists.  They
-are built on first use, so loading a program pays for none of them.  The
-forward step's function is compiled once per distinct generated source and
-kept in a bounded module-level cache, so programs whose sources are equal
-share one function; a source stays in ``linecache`` only while its kernel
-is cached.
+The program has one table layer, keyed by a node's position in ``plans``,
+which the loader sorts by id: a belief table is a list with one entry per
+node in that order, so every table names a node by its position, and
+positions ascend in id order.  The tables are each node's children
+(``children_at``), transitions out (``out_at``), ancestors, root path as
+ids (``paths_at``) and as plan names (``name_paths_at``), owner and
+first-child groups (``groups_at``, the one place that decides which
+subteams run in parallel); the postorder and the leaves; plan name ->
+positions (``named_index``); the zero table (``zeros``), the initial state
+(``initial``) and each team's candidate leaves (``leaves_by_team``); the
+evidence tables that ``belief.evidence`` reads in both modes (each team's
+open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``, and each
+node's normalizing unit, ``unit_at``); the shared layout's climb
+(``evidence_climbs``, which holds the walk of every rescale it runs); and
+the compiled forward step (``forward``), one generated function over
+locals that unpacks both tables and returns new lists.  They are built on
+first use, so loading a program pays for none of them.  Node ids remain
+only at the document and query boundary: ``node_ids`` and ``index`` map
+between ids and positions, ``node(id)`` reads a plan record, and
+``name_path``, ``path_names`` and ``paths_at`` answer queries in ids and
+names.  The forward step's function is compiled once per distinct
+generated source and kept in a bounded module-level cache, so programs
+whose sources are equal share one function; a source stays in
+``linecache`` only while its kernel is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -236,118 +240,97 @@ class TeamOrientedProgram:
     root: str
     team_mode: bool = field(default=False, compare=False)
 
-    # -- structure ---------------------------------------------------------
-
-    @cached_property
-    def _node(self) -> dict[str, PlanNode]:
-        return {n.id: n for n in self.plans}
-
-    @cached_property
-    def _children(self) -> dict[str, tuple[str, ...]]:
-        children: dict[str, list[str]] = {x: [] for x in self._node}
-        for n in self.plans:
-            if n.parent is not None:
-                children[n.parent].append(n.id)
-        return {x: tuple(sorted(v)) for x, v in children.items()}
-
-    @cached_property
-    def _first_children(self) -> dict[str, tuple[str, ...]]:
-        node = self._node
-        return {x: tuple(c for c in kids if node[c].is_first_child)
-                for x, kids in self._children.items()}
-
-    @cached_property
-    def _out(self) -> dict[str, tuple[TemporalTransition, ...]]:
-        out: dict[str, list[TemporalTransition]] = {x: [] for x in self._node}
-        for t in self.transitions:
-            out[t.src].append(t)
-        return {x: tuple(v) for x, v in out.items()}
-
-    @cached_property
-    def _into(self) -> dict[str, tuple[TemporalTransition, ...]]:
-        into: dict[str, list[TemporalTransition]] = {x: [] for x in self._node}
-        for t in self.transitions:
-            if t.dst != TERMINATE:
-                into[t.dst].append(t)
-        return {x: tuple(v) for x, v in into.items()}
-
-    @cached_property
-    def _by_name(self) -> dict[str, tuple[str, ...]]:
-        by_name: dict[str, list[str]] = {}
-        for n in self.plans:
-            by_name.setdefault(n.name, []).append(n.id)
-        return {k: tuple(sorted(v)) for k, v in by_name.items()}
+    # -- structure, by node position ---------------------------------------
 
     @cached_property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._node))
-
-    @cached_property
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(x for x in self.node_ids if not self._children[x])
-
-    @cached_property
-    def postorder(self) -> tuple[str, ...]:
-        """Every node id with children listed before their parent."""
-        post: list[str] = []
-
-        def walk(x: str):
-            for c in self._children[x]:
-                walk(c)
-            post.append(x)
-
-        walk(self.root)
-        return tuple(post)
-
-    @cached_property
-    def _paths(self) -> dict[str, tuple[str, ...]]:
-        paths: dict[str, tuple[str, ...]] = {}
-        for x in reversed(self.postorder):  # every parent before its children
-            parent = self._node[x].parent
-            paths[x] = (x,) if parent is None else paths[parent] + (x,)
-        return paths
-
-    @cached_property
-    def _name_paths(self) -> dict[str, tuple[str, ...]]:
-        return {x: self.path_names(path) for x, path in self._paths.items()}
-
-    def node(self, node_id: str) -> PlanNode:
-        return self._node[node_id]
-
-    def first_children(self, node_id: str) -> tuple[str, ...]:
-        return self._first_children[node_id]
-
-    def is_leaf(self, node_id: str) -> bool:
-        return not self._children[node_id]
-
-    def out_transitions(self, node_id: str) -> tuple[TemporalTransition, ...]:
-        return self._out[node_id]
-
-    def in_transitions(self, node_id: str) -> tuple[TemporalTransition, ...]:
-        return self._into[node_id]
-
-    def nodes_named(self, name: str) -> tuple[str, ...]:
-        return self._by_name.get(name, ())
-
-    def name_path(self, node_id: str) -> tuple[str, ...]:
-        """Plan names from the root down to ``node_id`` inclusive."""
-        return self._name_paths[node_id]
-
-    def path_names(self, path) -> tuple[str, ...]:
-        return tuple([self._node[x].name for x in path])
-
-    # -- the belief engine's tables, by node position -----------------------
+        """Every node id in ``plans`` order, which the loader sorts by id."""
+        return tuple(n.id for n in self.plans)
 
     @cached_property
     def index(self) -> dict[str, int]:
         """Each node id's position in ``node_ids``, which is its entry in a belief table."""
         return dict(zip(self.node_ids, range(len(self.node_ids))))
 
+    def node(self, node_id: str) -> PlanNode:
+        return self.plans[self.index[node_id]]
+
+    @cached_property
+    def children_at(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children by position, ascending."""
+        index, children = self.index, [[] for _ in self.plans]
+        for i, n in enumerate(self.plans):
+            if n.parent is not None:
+                children[index[n.parent]].append(i)
+        return tuple(map(tuple, children))
+
+    @cached_property
+    def out_at(self) -> tuple[tuple[TemporalTransition, ...], ...]:
+        """Each node's transitions out, by position, in ``transitions`` order."""
+        index, out = self.index, [[] for _ in self.plans]
+        for t in self.transitions:
+            out[index[t.src]].append(t)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def postorder(self) -> tuple[int, ...]:
+        """Every node's position, children listed before their parent."""
+        post: list[int] = []
+
+        def walk(i: int):
+            for c in self.children_at[i]:
+                walk(c)
+            post.append(i)
+
+        walk(self.index[self.root])
+        return tuple(post)
+
     @cached_property
     def leaf_index(self) -> tuple[int, ...]:
         """The leaves' positions, ascending, so in id order."""
+        return tuple(i for i, kids in enumerate(self.children_at) if not kids)
+
+    @cached_property
+    def paths_at(self) -> tuple[tuple[str, ...], ...]:
+        """Each position's root path as node ids: the engine's answer to a query."""
+        index, paths = self.index, [()] * len(self.plans)
+        for i in reversed(self.postorder):  # every parent before its children
+            n = self.plans[i]
+            paths[i] = (n.id,) if n.parent is None else paths[index[n.parent]] + (n.id,)
+        return tuple(paths)
+
+    @cached_property
+    def name_paths_at(self) -> tuple[tuple[str, ...], ...]:
+        """Each position's root path as plan names, as traces and queries write it."""
+        return tuple(map(self.path_names, self.paths_at))
+
+    def name_path(self, node_id: str) -> tuple[str, ...]:
+        """Plan names from the root down to ``node_id`` inclusive."""
+        return self.name_paths_at[self.index[node_id]]
+
+    def path_names(self, path) -> tuple[str, ...]:
+        """The plan names of a path of node ids."""
+        plans, index = self.plans, self.index
+        return tuple([plans[index[x]].name for x in path])
+
+    @cached_property
+    def ancestors_at(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's strict ancestors from parent up to the root, by position."""
         index = self.index
-        return tuple(index[x] for x in self.leaves)
+        return tuple(tuple(index[a] for a in path[-2::-1]) for path in self.paths_at)
+
+    @cached_property
+    def owner_at(self) -> tuple[str, ...]:
+        """The team that owns each node, by position."""
+        return tuple(n.team for n in self.plans)
+
+    @cached_property
+    def named_index(self) -> dict[str, tuple[int, ...]]:
+        """Plan name -> the positions of the nodes it names, ascending."""
+        named: dict[str, list[int]] = {}
+        for i, n in enumerate(self.plans):
+            named.setdefault(n.name, []).append(i)
+        return {name: tuple(v) for name, v in named.items()}
 
     @cached_property
     def groups_at(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -359,38 +342,16 @@ class TeamOrientedProgram:
         a first child of a team nested under another group's team is in no
         group.  Otherwise all first children form one group.
         """
-        h, node, index, groups = self.team_hierarchy, self._node, self.index, []
-        for x in self.node_ids:
-            first = self._first_children[x]
+        h, plans, owner, groups = self.team_hierarchy, self.plans, self.owner_at, []
+        for kids in self.children_at:
+            first = [c for c in kids if plans[c].is_first_child]
             if first and self.team_mode:
-                tops = topmost_teams(h, {node[c].team for c in first})
-                groups.append(tuple(tuple(index[c] for c in first if node[c].team == team)
+                tops = topmost_teams(h, {owner[c] for c in first})
+                groups.append(tuple(tuple(c for c in first if owner[c] == team)
                                     for team in sorted(tops)))
             else:
-                groups.append((tuple(index[c] for c in first),) if first else ())
+                groups.append((tuple(first),) if first else ())
         return tuple(groups)
-
-    @cached_property
-    def ancestors_at(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's strict ancestors from parent up to the root, by position."""
-        index = self.index
-        return tuple(tuple(index[a] for a in path[-2::-1]) for path in self.paths_at)
-
-    @cached_property
-    def paths_at(self) -> tuple[tuple[str, ...], ...]:
-        """Each position's root path as node ids: the engine's answer to a query."""
-        return tuple(self._paths[x] for x in self.node_ids)
-
-    @cached_property
-    def owner_at(self) -> tuple[str, ...]:
-        """The team that owns each node, by position."""
-        return tuple(self._node[x].team for x in self.node_ids)
-
-    @cached_property
-    def named_index(self) -> dict[str, tuple[int, ...]]:
-        """Plan name -> the positions of the nodes it names, ascending."""
-        index = self.index
-        return {name: tuple(index[x] for x in ids) for name, ids in self._by_name.items()}
 
     @cached_property
     def zeros(self) -> tuple[float, ...]:
@@ -439,32 +400,31 @@ class TeamOrientedProgram:
         left out whole, with all it holds; node's own subtree is one of
         them.  Walks are built once per (parent, owner) pair a climb uses.
         """
-        h, node, children, index = self.team_hierarchy, self._node, self._children, self.index
+        h, owner, children = self.team_hierarchy, self.owner_at, self.children_at
         split = {c: len(g) for groups in self.groups_at for g in groups for c in g}
-        walks: dict[tuple[str, str], tuple] = {}
+        walks: dict[tuple[int, str], tuple] = {}
 
-        def visit(y: str, team: str, steps: list):
-            if h.covers(team, node[y].team) or h.covers(node[y].team, team):
+        def visit(y: int, parent: int, team: str, steps: list):
+            if h.covers(team, owner[y]) or h.covers(owner[y], team):
                 return
-            steps.append((index[y], index[node[y].parent], split.get(index[y], 0)))
+            steps.append((y, parent, split.get(y, 0)))
             for c in children[y]:
-                visit(c, team, steps)
+                visit(c, y, team, steps)
 
-        def walk(parent: str, team: str) -> tuple:
+        def walk(parent: int, team: str) -> tuple:
             if (parent, team) not in walks:
                 steps: list = []
                 for c in children[parent]:
-                    visit(c, team, steps)
+                    visit(c, parent, team, steps)
                 walks[parent, team] = tuple(steps)
             return walks[parent, team]
 
         climbs = []
-        for x in self.node_ids:
+        for x, ancestors in enumerate(self.ancestors_at):
             y, steps = x, []
-            while (parent := node[y].parent) is not None:
-                team = node[y].team
-                steps.append((index[y], index[parent],
-                              walk(parent, team) if node[parent].team != team else ()))
+            for parent in ancestors:
+                team = owner[y]
+                steps.append((y, parent, walk(parent, team) if owner[parent] != team else ()))
                 y = parent
             climbs.append(tuple(steps))
         return tuple(climbs)
@@ -480,13 +440,13 @@ class TeamOrientedProgram:
         and out of node x, TERMINATE edges left out, in ``transitions``
         order; a node with none is absent.
         """
-        h, node, index, edges = self.team_hierarchy, self._node, self.index, {}
+        h, owner, index, edges = self.team_hierarchy, self.owner_at, self.index, {}
         teams = [team for team, _ in h.teams] if self.team_mode else [None]
         for team in teams:
             into: dict[int, list] = {}
             out: dict[int, list] = {}
             for t in self.transitions:
-                if t.dst != TERMINATE and (team is None or h.covers(node[t.src].team, team)):
+                if t.dst != TERMINATE and (team is None or h.covers(owner[index[t.src]], team)):
                     edge = (index[t.src], index[t.dst], t.mu, t.pi)
                     into.setdefault(edge[1], []).append(edge)
                     out.setdefault(edge[0], []).append(edge)
@@ -557,17 +517,16 @@ class TeamOrientedProgram:
         blocks: list[str] = []
         sheds: set[int] = set()
         floored: set[int] = set()  # the internal nodes that shed
-        for x in self.leaves:
-            rate = hazard(self.node(x).rate)
+        for i in self.leaf_index:
+            rate = hazard(self.plans[i].rate)
             if rate:
-                shed.append(f"o{n[x]} = a{n[x]} * {rate!r}")
-                sheds.add(n[x])
+                shed.append(f"o{i} = a{i} * {rate!r}")
+                sheds.add(i)
 
-        for x in self.postorder:
-            i = n[x]
+        for i in self.postorder:
             if i not in sheds:
                 continue
-            parent, outgoing, body = self.node(x).parent, self.out_transitions(x), []
+            up, outgoing, body = self.ancestors_at[i], self.out_at[i], []
 
             def down(y: int, rho: str, depth: int):  # propagate_down, unrolled
                 for group in groups_at[y]:
@@ -591,10 +550,10 @@ class TeamOrientedProgram:
                 if t.dst != TERMINATE:
                     body.append(f"a{n[t.dst]} += {r}")
                     down(n[t.dst], r, 0)
-                elif parent is None:
+                elif not up:
                     body.append(f"b{i} += {r}")  # program complete
                 else:
-                    j, groups = n[parent], len(groups_at[n[parent]])
+                    j, groups = up[0], len(groups_at[up[0]])
                     body.append(f"o{j} += " + (r if groups == 1 else f"{r} / {groups}"))
                     if j not in sheds:
                         sheds.add(j)
@@ -848,8 +807,7 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
 
 
 def _validate_pi_sums(p: TeamOrientedProgram):
-    for x in p.node_ids:
-        out = p.out_transitions(x)
+    for x, out in zip(p.node_ids, p.out_at):
         total = sum(t.pi for t in out)
         if out and abs(total - 1.0) > SUM_TOL:
             raise ProgramError(f"outgoing pi sums to {total:.6g}, expected 1", f"plan '{x}'")

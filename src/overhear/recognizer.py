@@ -107,7 +107,7 @@ class ArrayRecognizer(_Recognizer):
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
         mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates}
         # ``mass`` already holds active+blocked, so the blocked table is all zeros
-        return view.name_path(view.node_ids[best_leaf(candidates, mass, view.zeros)])
+        return view.name_paths_at[best_leaf(candidates, mass, view.zeros)]
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

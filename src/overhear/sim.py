@@ -166,8 +166,8 @@ def _trace_int(text: str, what: str, lineno: int) -> int:
                               f"got {text!r}") from None
 
 
-def _sample_transition(p: TeamOrientedProgram, rng: random.Random, node_id: str):
-    ts = p.out_transitions(node_id)
+def _sample_transition(p: TeamOrientedProgram, rng: random.Random, plan: int):
+    ts = p.out_at[plan]
     if not ts:
         return None
     total = sum(t.pi for t in ts)
@@ -189,11 +189,11 @@ def _wants_announce(cfg: SimConfig, rng: random.Random, mu: float) -> bool:
 
 
 def _make_message(rng: random.Random, tick: int, sender: str, team: str,
-                  p: TeamOrientedProgram, src: str, t) -> ObservedMessage:
+                  p: TeamOrientedProgram, t) -> ObservedMessage:
     # One announcement per transition; a terminating edge can only name its
     # source, otherwise the kind is an even coin between the two endpoints.
     if t.dst == TERMINATE or rng.random() < 0.5:
-        return ObservedMessage(tick, sender, team, TERM, p.node(src).name)
+        return ObservedMessage(tick, sender, team, TERM, p.node(t.src).name)
     return ObservedMessage(tick, sender, team, INIT, p.node(t.dst).name)
 
 
@@ -248,7 +248,7 @@ class _Run:
             u.units = [self._descend(_Unit(u, owner_at[g[0]]), choice(g)) for g in groups]
         else:
             u.units = []
-            u.chance = hazard(self.p.node(self.p.node_ids[plan]).rate or 0.0)
+            u.chance = hazard(self.p.plans[plan].rate or 0.0)
         return u
 
     def truth(self, chain) -> tuple[tuple[str, ...], bool]:
@@ -271,13 +271,13 @@ class _Run:
                 if owner_at[groups_at[y][0][0]] not in chain:
                     at = y
             if at != u.plan or u.pending is not None:  # blocked only at its own plan
-                return p.name_path(p.node_ids[at]), at == u.plan
+                return p.name_paths_at[at], at == u.plan
             for v in u.units:
                 if v.team in chain:
                     u = v
                     break
             else:
-                return p.name_path(p.node_ids[at]), False
+                return p.name_paths_at[at], False
 
     def _frontier(self, u: _Unit, leaves: list[_Unit], waiting: list[_Unit]) -> None:
         """Collect the executing leaves and waiting units under ``u``, in walk order."""
@@ -293,7 +293,7 @@ class _Run:
     def _end_plan(self, u: _Unit) -> None:
         """``u``'s plan finished: ``u`` takes a transition out, or blocks."""
         p = self.p
-        t = _sample_transition(p, self.rng, p.node_ids[u.plan])
+        t = _sample_transition(p, self.rng, u.plan)
         if t is None:
             u.pending = _NO_EXIT  # never completes its owner
         elif not _wants_announce(self.cfg, self.rng, t.mu):
@@ -338,11 +338,10 @@ class _Run:
         for u in waiting:
             if rng.random() >= cfg.send_prob:
                 continue
-            src = p.node_ids[u.plan]
             team = p.owner_at[u.plan]
             h = p.team_hierarchy  # a team's run draws the sender from a sorted list
             sender = self.sender or rng.choice(h.members(team) or h.agent_names)
-            msg = _make_message(rng, tick, sender, team, p, src, u.pending)
+            msg = _make_message(rng, tick, sender, team, p, u.pending)
             if not cfg.fails_at(sender, tick):
                 msgs.append(msg)
             self._resolve(u, u.pending)

@@ -7,6 +7,12 @@ from overhear.model import load_program_path
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
 
 
+def brute_leaves(p) -> tuple[str, ...]:
+    """The ids of the plans that no plan names as its parent, sorted."""
+    parents = {n.parent for n in p.plans}
+    return tuple(sorted(n.id for n in p.plans if n.id not in parents))
+
+
 @pytest.fixture
 def evac_mini():
     return load_program_path(DATA / "evac_mini.json", team_mode=True)

@@ -25,7 +25,7 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import coherent_hypotheses, count_hypotheses, learn_comm_model
 
-from conftest import DATA
+from conftest import DATA, brute_leaves
 from test_ingest import KQML_SAMPLE
 
 CRITERION_LINES = []
@@ -98,7 +98,7 @@ def test_c03_mass_conservation():
         b = init_beliefs(p)
         for _ in range(1000):
             b = propagate_forward(b, p)
-            total = (sum(b.active[x] for x in p.leaves)
+            total = (sum(b.active[x] for x in brute_leaves(p))
                      + sum(b.blocked.values()))
             worst = max(worst, abs(total - 1.0))
     ok = worst <= 1e-9
@@ -249,7 +249,7 @@ def test_c09_learning_curve_ordering():
     online = hypothesis_count_curve(tp, log, online=True)
     pointwise = all(a <= n for a, n in zip(after, none))
     between = sum(1 for a, o, n in zip(after, online, none) if a <= o <= n)
-    started_wide = none[0] == sum(1 for x in tp.node_ids if tp.is_leaf(x))
+    started_wide = none[0] == len(brute_leaves(tp))
     ok = (len(none) >= 10 and pointwise and started_wide
           and between >= 0.8 * len(none))
     _record(9, "learning curve ordering", ok,

@@ -14,6 +14,8 @@ from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_most_likely, yoyo_tick
 
+from conftest import brute_leaves
+
 
 def _chain(lam_a=0.05, mu=0.0, extra_leaf=False, team_mode=False):
     plans = [
@@ -145,11 +147,11 @@ def test_mass_conservation_random_programs():
     rng = random.Random(7)
     for _ in range(10):
         p = random_program(rng.randrange(100_000), allow_completion=False)
-        b = init_beliefs(p)
-        start = sum(b.active[x] for x in p.leaves) + sum(b.blocked.values())
+        b, leaves = init_beliefs(p), brute_leaves(p)
+        start = sum(b.active[x] for x in leaves) + sum(b.blocked.values())
         for _ in range(200):
             b = propagate_forward(b, p)
-            mass = sum(b.active[x] for x in p.leaves) + sum(b.blocked.values())
+            mass = sum(b.active[x] for x in leaves) + sum(b.blocked.values())
             assert mass == pytest.approx(start, abs=1e-9)
 
 
@@ -287,7 +289,7 @@ def _pick(caller, masses) -> str:
     """
     p = _flat_program(len(masses))
     first, second = (BeliefState(0, _zeros(p), _zeros(p), p.index) for _ in range(2))
-    for leaf, mass in zip(p.leaves, masses):
+    for leaf, mass in zip(brute_leaves(p), masses):
         first.act[p.index[leaf]] = second.blk[p.index[leaf]] = mass / 2
     if caller == "array_team_path":
         rec = make_recognizer(p, "array", coherent=True)

@@ -51,7 +51,7 @@ def test_oracle_idle_leaf_stays_put():
     p = _solo_doc([{"id": "a", "name": "only", "team": "T", "parent": "r",
                     "first_child": True, "lambda": 0.0}], [])
     states, vectors = exact_filter(p, 25)
-    i = states.index(("exec", "a"))
+    i = states.index(("exec", p.index["a"]))
     for v in vectors:
         assert v[i] == pytest.approx(1.0)
         assert v.sum() == pytest.approx(1.0)
@@ -70,7 +70,7 @@ def test_oracle_even_split_between_successors():
     ]
     p = _solo_doc(plans, transitions)
     states, vectors = exact_filter(p, 100)
-    ib, ic = states.index(("exec", "b")), states.index(("exec", "c"))
+    ib, ic = states.index(("exec", p.index["b"])), states.index(("exec", p.index["c"]))
     assert vectors[-1][ib] == pytest.approx(0.5, abs=1e-6)
     assert vectors[-1][ic] == pytest.approx(0.5, abs=1e-6)
     # the belief engine lands on the same split
@@ -107,6 +107,33 @@ def test_engine_tracks_oracle_when_the_root_terminates():
             if v[order[-1]] - v[order[-2]] > 1e-6:
                 assert int(np.argmax(ev)) == int(order[-1])
         assert beliefs[-1].blocked["r"] > 0.0
+
+
+def test_engine_tracks_oracle_when_evidence_names_a_chain():
+    # plan name x sits on b and on b2, b's non-first child; at tick 6 both
+    # hold credit (blocked a feeds b, blocked b1 feeds b2), so evidence must
+    # prune b2 under its ancestor b in the engine as in the oracle
+    plans = [
+        {"id": "a", "name": "a", "team": "T", "parent": "r",
+         "first_child": True, "lambda": 0.3},
+        {"id": "b", "name": "x", "team": "T", "parent": "r"},
+        {"id": "b1", "name": "b1", "team": "T", "parent": "b",
+         "first_child": True, "lambda": 0.4},
+        {"id": "b2", "name": "x", "team": "T", "parent": "b", "lambda": 0.2},
+    ]
+    transitions = [
+        {"from": "a", "to": "b", "pi": 1.0, "mu": 0.5},
+        {"from": "b1", "to": "b2", "pi": 1.0, "mu": 0.5},
+        {"from": "b", "to": "a", "pi": 1.0, "mu": 0.5},
+        {"from": "b2", "to": "TERMINATE", "pi": 1.0, "mu": 0.0},
+    ]
+    p = _solo_doc(plans, transitions)
+    log = [ObservedMessage(tick=6, sender="solo", team="T", kind=INIT, plan="x")]
+    states, vectors = exact_filter(p, 10, log)
+    beliefs = _engine_beliefs(p, 10, log)
+    assert beliefs[5].blocked["a"] > 0.0 and beliefs[5].blocked["b1"] > 0.0
+    for v, b in zip(vectors, beliefs):
+        assert float(np.max(np.abs(engine_vector(p, states, b) - v))) <= 1e-9
 
 
 def test_oracle_state_space_is_bounded():

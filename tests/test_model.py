@@ -15,7 +15,7 @@ from overhear.recognizer import make_recognizer
 from overhear.social import INIT, CommModel, apply_comm_model
 from overhear.yoyo import team_leaves
 
-from conftest import DATA
+from conftest import DATA, brute_leaves
 
 
 def _mini_doc():
@@ -38,12 +38,12 @@ def _mini_doc():
 def test_basic_structure(evac_mini):
     p = evac_mini
     assert p.root == "n0"
-    assert set(p.leaves) == {"n1", "n2", "n4", "n5"}
+    assert _ids(p, p.leaf_index) == ("n1", "n2", "n4", "n5")
     assert p.paths_at[p.index["n4"]] == ("n0", "n3", "n4")
     assert p.path_names(p.paths_at[p.index["n4"]]) == ("evacuate", "landing-zone-maneuvers",
                                              "transport-ops")
     # children before parents
-    order = {x: i for i, x in enumerate(p.postorder)}
+    order = {p.node_ids[x]: i for i, x in enumerate(p.postorder)}
     for x in p.node_ids:
         parent = p.node(x).parent
         if parent is not None:
@@ -108,8 +108,8 @@ def test_duplicate_plan_names_allowed():
         {"from": "a", "to": "c", "pi": 0.5, "mu": 0.5},
     ]
     p = program_from_document(doc)
-    assert p.nodes_named("second") == ("b", "c")
-    assert p.nodes_named("nothing") == ()
+    assert _ids(p, p.named_index["second"]) == ("b", "c")
+    assert "nothing" not in p.named_index
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -293,7 +293,7 @@ def test_temporal_cycles_are_legal():
         {"from": "b", "to": "a", "pi": 1.0, "mu": 0.5},
     ]
     p = program_from_document(doc)
-    assert len(p.out_transitions("b")) == 1
+    assert len(p.out_at[p.index["b"]]) == 1
 
 
 def test_cycles_allowed_by_generator():
@@ -336,19 +336,26 @@ def test_structure_tables_match_definitions(p):
                                         if team in _brute_chain(h, t))
         for other in teams:
             assert h.covers(other, team) == (other in chain)
-        owned = [x for x in p.leaves if p.node(x).team in chain]
-        assert _ids(p, team_leaves(p, team)) == tuple(owned or p.leaves)
+        owned = [x for x in brute_leaves(p) if p.node(x).team in chain]
+        assert _ids(p, team_leaves(p, team)) == tuple(owned or brute_leaves(p))
     assert h.members("no-such-team") == ()
-    assert _ids(p, p.leaf_index) == p.leaves
+    assert p.node_ids == tuple(sorted(n.id for n in p.plans))
+    assert _ids(p, p.leaf_index) == brute_leaves(p)
+    assert _ids(p, p.postorder) == _brute_postorder(p, p.root)
     for i, x in enumerate(p.node_ids):
         path = _brute_path(p, x)
         assert p.index[x] == i
+        assert p.node(x).id == x
+        assert _ids(p, p.children_at[i]) == tuple(_brute_kids(p, x))
+        assert p.out_at[i] == tuple(t for t in p.transitions if t.src == x)
         assert p.paths_at[i] == path
         assert _ids(p, p.ancestors_at[i]) == tuple(reversed(path[:-1]))
-        assert p.name_path(x) == tuple(p.node(y).name for y in path)
+        assert p.name_paths_at[i] == tuple(p.node(y).name for y in path)
+        assert p.name_path(x) == p.name_paths_at[i]
         assert p.owner_at[i] == p.node(x).team
     for name in {n.name for n in p.plans}:
-        assert _ids(p, p.named_index[name]) == p.nodes_named(name)
+        assert _ids(p, p.named_index[name]) == tuple(sorted(n.id for n in p.plans
+                                                            if n.name == name))
     for q in (p, p.single_agent_view()):
         for i, x in enumerate(q.node_ids):
             assert tuple(_ids(q, g) for g in q.groups_at[i]) == _brute_groups(q, x)
@@ -384,6 +391,10 @@ def _brute_groups(p, x):
 
 def _brute_kids(p, x):
     return [c for c in p.node_ids if p.node(c).parent == x]
+
+
+def _brute_postorder(p, x):
+    return tuple(y for c in _brute_kids(p, x) for y in _brute_postorder(p, c)) + (x,)
 
 
 def _brute_walk(p, parent, team):
@@ -494,7 +505,7 @@ def test_warm_tables_leave_equality_and_hash_alone():
     rec.step([])
     {u: rec.path(u) for u in rec.teams}
     fresh = load_program(serialize_program(warm), team_mode=True)
-    assert {"forward", "_name_paths", "leaves_by_team"} <= set(vars(warm))
+    assert {"forward", "name_paths_at", "leaves_by_team"} <= set(vars(warm))
     assert "forward" not in vars(fresh)
     assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
     assert "_chain" in vars(warm.team_hierarchy)

@@ -15,6 +15,8 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.yoyo import _rescale, team_init_beliefs, team_most_likely, yoyo_tick
 
+from conftest import brute_leaves
+
 
 def _two_team_doc():
     """Root with one joint phase, then a parallel split over two teams."""
@@ -342,7 +344,7 @@ def test_each_team_keeps_its_own_evidence_in_a_crowded_tick():
     for t in range(9):
         rec.step(by_tick.get(t, []))
     for team in ("bravo", "charlie"):
-        (step1,) = p.nodes_named(f"{team}-05-step1")
+        (step1,) = [n.id for n in p.plans if n.name == f"{team}-05-step1"]
         assert rec.belief.active[step1] == 1.0
         for t in (45, 46):
             assert trace.steps[t][f"{team}1"][0] == ("mission", "phase-05", f"{team}-05-step1")
@@ -392,7 +394,7 @@ def test_quiet_ticks_reuse_groups_and_kernels():
         warm.append(query(rec))
     programs = [tp] + [rec.view for rec in recognizers[1:]]
     for q in programs:
-        assert {"forward", "groups_at", "_paths", "_name_paths",
+        assert {"forward", "groups_at", "paths_at", "name_paths_at",
                 "leaves_by_team"} <= set(vars(q))
     owners = [o for q in programs for o in (q, q.team_hierarchy)]
     tables = [dict(vars(o)) for o in owners]
@@ -448,7 +450,7 @@ def test_terminate_flow_divides_by_first_child_groups():
     for _ in range(200):
         shared.step([])
         array.step([])
-    internal = [x for x in tp.node_ids if not tp.is_leaf(x)]
+    internal = [x for x in tp.node_ids if x not in brute_leaves(tp)]
     for b in [shared.belief] + list(array.beliefs.values()):
         assert b.blocked["mission"] == pytest.approx(1.0, abs=1e-9)
         assert all(b.active[x] == pytest.approx(0.0, abs=1e-9) for x in internal)
