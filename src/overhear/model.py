@@ -232,7 +232,10 @@ def _compile_forward(src: str) -> _Kernel:
 
 @dataclass(frozen=True)
 class TeamOrientedProgram:
-    """Validated plan + team hierarchy with structural indexes."""
+    """Validated plan + team hierarchy with structural indexes.
+
+    ``plans`` is sorted by id, as the loader builds it, so a node's position
+    is also its rank by id."""
 
     plans: tuple[PlanNode, ...]
     transitions: tuple[TemporalTransition, ...]
