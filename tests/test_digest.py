@@ -8,6 +8,12 @@ number (a faster forward step, say) must leave every pin unchanged; a
 reordered float sum that flips one exact tie between leaves changes the pin
 of each layout it reaches, and only those.
 
+The same replay hashes what a monitor reads off those states: every unit's
+``rec.path`` after every tick, and each team's ``team_most_likely`` (shared
+layout) or each agent's ``most_likely_state`` (array layout) through
+``path_names``, as a streaming monitor asks for them.  ``QUERY_SHA256``
+pins these answers, so a faster query must name every pick the same.
+
 A second sweep hashes the simulator's own output (trace text, log text and
 transition count) in both modes, so a refactor of the simulator that should
 not move one random draw must leave ``SIM_SHA256`` unchanged.  It is split
@@ -26,12 +32,14 @@ state reaches.
 """
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import pathlib
 import random
 import struct
 
+from overhear.belief import most_likely_state
 from overhear.harness import hypothesis_count_curve
 from overhear.ingest import format_log, messages_by_tick
 from overhear.model import load_program_path, program_from_document
@@ -40,6 +48,7 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import (ALWAYS, MU_SAMPLED, NEVER, SimConfig, format_trace,
                           simulate)
 from overhear.social import apply_comm_model, learn_comm_model
+from overhear.yoyo import team_most_likely
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
 
@@ -72,6 +81,30 @@ SWEEP_SHA256 = {
         "2715f29f981c53c8bb0c35aea996edf646381115b47bdae25276eea3e4631b4f",
     ("team_program//5", "array", True):
         "730656db7baaadb6c864b5b6dff7ed555e87ec33c1d2c052c37a5121491fde21",
+}
+
+# (corpus, layout, coherent) -> sha256 of every answer read off those states
+QUERY_SHA256 = {
+    ("team_program", "yoyo", None):
+        "7ee88bf1250c1fa24ab3f301c385744f2cdfae484f1e45aeececdeb36a165b23",
+    ("team_program", "array", False):
+        "43ecbc1715d0a932f15e4232c4874b37b0f4cf817aca8a9caf4623fceda54bdb",
+    ("team_program", "array", True):
+        "3899a0e66fef140eede3bb04b48e8028bf8b7ceda8b87e19becc7b2df590783a",
+    ("nested", "yoyo", None):
+        "1b9d56b752a58bed52bc597c93cf14e691c1ba17317dcbb460409e7540395049",
+    ("nested", "array", False):
+        "9a67b4540ab8426e7939d11053f5ad504f58a39cdaeee4bcb61b06c97527bd78",
+    ("nested", "array", True):
+        "e262a86e8b5f849f1bd9093b7a0e0de4d2b6cd2b6893654383ed21ecb13531fb",
+    ("random_program", "array", False):
+        "9e4c61d7009d48c0c1030f8a4600d4ef284f0933dd2045685c062fcdcbe5f852",
+    ("team_program//5", "yoyo", None):
+        "596385b20aaae0e7908a7b0735e02c832aaecac1c7ec7422be116298835f9754",
+    ("team_program/agent//5", "array", False):
+        "80ac922152350c425977b0558ba5607f63fa5193f6c1ccea22bc20247d63ba52",
+    ("team_program//5", "array", True):
+        "3f109757be5237f30eea151c4e7bc204d133cc1039b40fa693c1aa1e11612de4",
 }
 
 SIM_SHA256 = "9bfe566a4808e27250ff62b5931eb958c40cc3cb285db408ce208a03ea3ce6ac"
@@ -121,14 +154,30 @@ def sweep_programs(corpus: str) -> tuple[list, bool]:
     return [random_program(k) for k in range(RANDOM_PROGRAMS)], False
 
 
-def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:
+def _hash_answers(h, rec, mode: str):
+    """Every unit's ``rec.path``, then each team's (shared layout) or each
+    agent's (array layout) most likely path through ``path_names``."""
+    paths = [rec.path(unit) for unit in rec.units]
+    if mode == "yoyo":
+        p, b = rec.p, rec.belief
+        paths += [p.path_names(team_most_likely(b, p, team)) for team in rec.teams]
+    else:
+        view = rec.view
+        paths += [view.path_names(most_likely_state(rec.beliefs[agent], view))
+                  for agent in rec.agents]
+    h.update("".join("/".join(path) + "\n" for path in paths).encode())
+
+
+@functools.cache
+def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, str]:
     """sha256 over every state of the corpus's programs x 2 seeds x 150 ticks,
-    with and without a learned comm model, as one layout steps through it.
+    with and without a learned comm model, as one layout steps through it,
+    and sha256 over the answers read off each of those states.
     A ``QUANTIZED`` corpus replays each log with its ticks divided by
     ``QUANTUM``; the comm model still learns from the raw sibling log."""
     programs, team_mode = sweep_programs(corpus)
     quantum = QUANTUM if corpus in QUANTIZED else 1
-    h = hashlib.sha256()
+    h, answers = hashlib.sha256(), hashlib.sha256()
     for prog, tp in enumerate(programs):
         for seed in range(2):
             _, log = simulate(tp, SimConfig(seed=seed, ticks=TICKS, team_mode=team_mode,
@@ -139,7 +188,9 @@ def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:
                 [dataclasses.replace(m, tick=m.tick // quantum) for m in log])
             for rec_program in (tp, apply_comm_model(tp, learn_comm_model(sibling))):
                 rec = make_recognizer(rec_program, mode, coherent)
-                h.update(f"{prog}/{seed}/{mode}/{coherent}".encode())
+                label = f"{prog}/{seed}/{mode}/{coherent}".encode()
+                h.update(label)
+                answers.update(label)
                 for t in range(TICKS):
                     rec.step(by_tick.get(t, []))
                     if mode == "yoyo":
@@ -147,7 +198,18 @@ def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:
                     else:
                         for agent in rec.agents:
                             _hash_state(h, rec.beliefs[agent])
-    return h.hexdigest()
+                    _hash_answers(answers, rec, mode)
+    return h.hexdigest(), answers.hexdigest()
+
+
+def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:
+    """The state half of ``sweep_digests``."""
+    return sweep_digests(corpus, mode, coherent)[0]
+
+
+def query_digest(corpus: str, mode: str, coherent: bool | None) -> str:
+    """The answer half of ``sweep_digests``, from the same replay."""
+    return sweep_digests(corpus, mode, coherent)[1]
 
 
 def root_edge_program(left: str = "LEFT"):
@@ -303,6 +365,10 @@ def test_belief_states_bit_identical():
     assert {key: sweep_digest(*key) for key in SWEEP_SHA256} == SWEEP_SHA256
 
 
+def test_query_answers_bit_identical():
+    assert {key: query_digest(*key) for key in SWEEP_SHA256} == QUERY_SHA256
+
+
 def test_simulator_output_bit_identical():
     assert sim_digest() == SIM_SHA256
 
@@ -326,6 +392,8 @@ def test_hypothesis_counts_bit_identical():
 if __name__ == "__main__":
     for key in SWEEP_SHA256:
         print(key, sweep_digest(*key))
+    for key in SWEEP_SHA256:
+        print("query", key, query_digest(*key))
     print("sim", sim_digest())
     print("sim moved", sim_digest(moved=True))
     print("kernel", kernel_digest())
