@@ -29,8 +29,16 @@ the array layout runs once per agent.  It runs as the program's compiled
 kernel (``TeamOrientedProgram.forward``), one generated Python function
 over local variables: it unpacks both prior lists into locals, runs each
 shedding node's updates only when the node sheds a nonzero mass, and
-returns two new lists built from the locals.  This module only calls it
-and never writes to a program.
+returns two new lists built from the locals.  ``propagate_forward`` calls
+it for the array layout; the shared layout's quiet tick calls it on its
+state's own lists.
+
+A most-likely query is compiled too.  The pick rule is one generated
+function per leaf tuple (``model._compile_scan``), with one unrolled test
+per leaf, held on the program over every leaf (``best_leaf``, which
+``most_likely_state`` calls) and over each team's candidate leaves
+(``team_best_leaf``).  This module only calls the program's functions and
+never writes to a program.
 
 Nothing here clips a value.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
@@ -46,22 +54,15 @@ as long as each agent's state is owned by one worker at a time.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TeamOrientedProgram
+from .model import TIE_TOLERANCE, TeamOrientedProgram
 
 # Evidence posteriors below the floor are truncated to zero to stop dead
 # hypotheses from drifting along indefinitely.
 PROB_FLOOR = 1e-12
-
-# Leaf masses within this relative distance of the best one tie in
-# ``best_leaf``: ``propagate_down`` splits mass evenly, so exact ties are
-# common, and summation order must not decide between them.
-TIE_TOLERANCE = 1e-9
-_TIE_SCALE = 1.0 + TIE_TOLERANCE
 
 
 class MonitoringError(ValueError):
@@ -279,34 +280,15 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     return BeliefState(b.time + 1, active, blocked, b.index)
 
 
-def best_leaf(leaves, active, blocked) -> int:
-    """The leaf of ``leaves`` holding the most active+blocked mass.
-
-    This is the one pick rule every most-likely query uses.  Leaves are
-    positions, and ``active`` and ``blocked`` tables indexed by them.  Leaves
-    are scanned in the given order (callers pass them ascending, so in id
-    order) and the first
-    is the initial pick; a later leaf replaces the pick only when its mass
-    exceeds the pick's by more than the relative ``TIE_TOLERANCE``.  Masses
-    that a reordered float sum could swap therefore tie, and a tie goes to the
-    earliest leaf; with no mass anywhere that is the first leaf.
-    """
-    best, bar = None, -math.inf
-    for leaf in leaves:
-        mass = active[leaf] + blocked[leaf]
-        if mass > bar:
-            best, bar = leaf, mass * _TIE_SCALE
-    return best
-
-
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]:
     """Root-to-leaf path of the leaf holding the most active+blocked mass.
 
-    The leaf is ``best_leaf``'s pick over every leaf, so masses within
-    ``TIE_TOLERANCE`` of each other tie toward the lowest node id.  Raises on
-    an all-zero state.
+    The leaf is the program's compiled pick over every leaf
+    (``TeamOrientedProgram.best_leaf``), so masses within ``TIE_TOLERANCE``
+    of each other tie toward the lowest node id.  Raises on an all-zero
+    state.
     """
-    best = best_leaf(p.leaf_index, b.act, b.blk)
+    best = p.best_leaf(b.act, b.blk)
     if not b.act[best] + b.blk[best] > 0.0:
         raise MonitoringError("belief state carries no mass on any leaf")
     return p.paths_at[best]

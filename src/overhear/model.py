@@ -26,17 +26,20 @@ positions (``named_index``); the zero table (``zeros``), the initial state
 evidence tables that ``belief.evidence`` reads in both modes (each team's
 open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``, and each
 node's normalizing unit, ``unit_at``); the shared layout's climb
-(``evidence_climbs``, which holds the walk of every rescale it runs); and
-the compiled forward step (``forward``), one generated function over
-locals that unpacks both tables and returns new lists.  They are built on
-first use, so loading a program pays for none of them.  Node ids remain
-only at the document and query boundary: ``node_ids`` and ``index`` map
-between ids and positions, ``node(id)`` reads a plan record, and
-``name_path``, ``path_names`` and ``paths_at`` answer queries in ids and
-names.  The forward step's function is compiled once per distinct
-generated source and kept in a bounded module-level cache, so programs
-whose sources are equal share one function; a source stays in
-``linecache`` only while its kernel is cached.
+(``evidence_climbs``, which holds the walk of every rescale it runs); the
+compiled forward step (``forward``), one generated function over locals
+that unpacks both tables and returns new lists; and the compiled
+most-likely pick over every leaf (``best_leaf``) and over each team's
+candidate leaves (``team_best_leaf``), one generated scan per leaf tuple.
+They are built on first use, so loading a program pays for none of them.
+Node ids remain only at the document and query boundary: ``node_ids`` and
+``index`` map between ids and positions, ``node(id)`` reads a plan record,
+and ``name_path``, ``path_names`` and ``paths_at`` answer queries in ids
+and names; ``path_names`` names a root path with one lookup.  The forward
+step's function is compiled once per distinct generated source, and a
+scan once per leaf tuple, each kept in a bounded module-level cache, so
+programs whose sources (or leaves) are equal share one function; a source
+stays in ``linecache`` only while its function is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -56,8 +59,8 @@ A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.  So
 is a kernel shared by programs with equal source: it touches nothing but its
 arguments and the lists it returns, and two threads compiling one source at
-once get equal functions.  Mutable run state lives in the belief containers,
-not here.
+once get equal functions.  A scan only reads its arguments.  Mutable run
+state lives in the belief containers, not here.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ TERMINATE = "TERMINATE"
 
 # Tolerance for probability-sum validation.
 SUM_TOL = 1e-9
+
+# Leaf masses within this relative distance of the best one tie in a
+# most-likely pick (``_compile_scan``): ``belief.propagate_down`` splits mass
+# evenly, so exact ties are common, and summation order must not decide
+# between them.
+TIE_TOLERANCE = 1e-9
 
 
 class ProgramError(ValueError):
@@ -199,20 +208,21 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
 
 
 class _Kernel:
-    """A compiled forward step and its source's ``linecache`` entry.
+    """A compiled generated function and its source's ``linecache`` entry.
 
-    Only ``_compile_forward``'s cache holds a kernel, so the entry is
-    dropped when the kernel leaves the cache, and ``linecache`` holds no
-    more sources than the cache holds functions.
+    ``src`` defines one function, ``name``; ``label`` names the kind of
+    function in the source's file name.  Only a compile cache holds a
+    kernel, so the entry is dropped when the kernel leaves its cache, and
+    ``linecache`` holds no more sources than the caches hold functions.
     """
 
-    def __init__(self, src: str):
-        self.filename = f"<forward step sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
+    def __init__(self, src: str, name: str, label: str):
+        self.filename = f"<{label} sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
         self.entry = (len(src), None, src.splitlines(True), self.filename)
         linecache.cache[self.filename] = self.entry
         scope: dict = {}
         exec(compile(src, self.filename, "exec"), scope)
-        self.forward = scope["forward"]
+        self.function = scope[name]
 
     def __del__(self, cache=linecache.cache):
         if cache.get(self.filename) is self.entry:  # not re-registered since
@@ -227,7 +237,43 @@ def _compile_forward(src: str) -> _Kernel:
     single-agent view compare equal but generate different sources.  The
     cache keeps the 64 most recently used kernels.
     """
-    return _Kernel(src)
+    return _Kernel(src, "forward", "forward step")
+
+
+@lru_cache(maxsize=256)
+def _compile_scan(leaves: tuple[int, ...]) -> _Kernel:
+    """The compiled pick rule over ``leaves``, a non-empty tuple of positions.
+
+    This is the one pick rule every most-likely query uses: the leaf
+    holding the most active+blocked mass.  The generated ``scan(A, B)``
+    reads the ``active`` and ``blocked`` tables, lists or position-keyed
+    dicts.  It scans the leaves in the given order, one unrolled block per
+    leaf (callers pass them ascending, so in id order), and the first is
+    the initial pick; a later leaf replaces the pick only when its mass
+    exceeds the pick's by more than the relative ``TIE_TOLERANCE``:
+
+        m = A[i] + B[i]
+        if m > bar:
+            k, bar = i, m * <1 + TIE_TOLERANCE>
+
+    Masses that a reordered float sum could swap therefore tie, and a tie
+    goes to the earliest leaf; with no mass anywhere that is the first
+    leaf.  The scan returns the picked position.  No table holds NaN, so
+    the first leaf needs no test.
+
+    The source is a function of the leaf tuple alone, so the cache is keyed
+    on it: programs with equal leaf tuples, such as every comm-applied copy
+    of one program, share one scan and never generate it again.  The cache
+    keeps the 256 most recently used scans, registered with ``linecache``
+    like the forward kernels.
+    """
+    first, *rest = leaves
+    scale = repr(1.0 + TIE_TOLERANCE)
+    body = [f"k, bar = {first}, (A[{first}] + B[{first}]) * {scale}"]
+    for i in rest:
+        body += [f"m = A[{i}] + B[{i}]", "if m > bar:", f"    k, bar = {i}, m * {scale}"]
+    return _Kernel("\n".join(["def scan(A, B):", *(f"    {line}" for line in body),
+                              "    return k"]) + "\n", "scan", "leaf scan")
 
 
 @dataclass(frozen=True)
@@ -305,14 +351,29 @@ class TeamOrientedProgram:
     @cached_property
     def name_paths_at(self) -> tuple[tuple[str, ...], ...]:
         """Each position's root path as plan names, as traces and queries write it."""
-        return tuple(map(self.path_names, self.paths_at))
+        return tuple(map(self._names, self.paths_at))
+
+    @cached_property
+    def _names_by_path(self) -> dict[tuple[str, ...], tuple[str, ...]]:
+        """Every root path of ids -> its plan names."""
+        return dict(zip(self.paths_at, self.name_paths_at))
 
     def name_path(self, node_id: str) -> tuple[str, ...]:
         """Plan names from the root down to ``node_id`` inclusive."""
         return self.name_paths_at[self.index[node_id]]
 
     def path_names(self, path) -> tuple[str, ...]:
-        """The plan names of a path of node ids."""
+        """The plan names of a path of node ids.
+
+        A root path, which is what every query returns, is one lookup;
+        any other path is named id by id.
+        """
+        try:
+            return self._names_by_path[path]
+        except (KeyError, TypeError):  # not a root path, or an unhashable one
+            return self._names(path)
+
+    def _names(self, path) -> tuple[str, ...]:
         plans, index = self.plans, self.index
         return tuple([plans[index[x]].name for x in path])
 
@@ -382,6 +443,18 @@ class TeamOrientedProgram:
         chain, owner = self.team_hierarchy.ancestors_or_self, self.owner_at
         return {team: tuple(i for i in self.leaf_index if owner[i] in chain(team))
                 or self.leaf_index for team, _ in self.team_hierarchy.teams}
+
+    @cached_property
+    def best_leaf(self):
+        """The pick rule over every leaf (``_compile_scan``): a function of
+        the (active, blocked) tables that returns the picked leaf's position."""
+        return _compile_scan(self.leaf_index).function
+
+    @cached_property
+    def team_best_leaf(self) -> dict:
+        """Each team's pick rule over its candidate leaves (``leaves_by_team``)."""
+        return {team: _compile_scan(leaves).function
+                for team, leaves in self.leaves_by_team.items()}
 
     # -- the shared layout's evidence tick ----------------------------------
 
@@ -573,7 +646,7 @@ class TeamOrientedProgram:
         body = ["".join(f"a{i}, " for i in at) + "= A", "".join(f"b{i}, " for i in at) + "= B",
                 *shed, *blocks, f"return [{', '.join(active)}], [{', '.join(f'b{i}' for i in at)}]"]
         return _compile_forward("\n".join(
-            ["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n").forward
+            ["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n").function
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

@@ -25,8 +25,8 @@ the message's tick; ``path`` raises it naming an unknown unit.
 
 from __future__ import annotations
 
-from .belief import (MonitoringError, VisitCounter, array_overseer_tick, best_leaf,
-                     init_beliefs, most_likely_state)
+from .belief import (MonitoringError, VisitCounter, array_overseer_tick, init_beliefs,
+                     most_likely_state)
 from .ingest import messages_by_tick
 from .model import TeamOrientedProgram
 from .yoyo import team_init_beliefs, team_leaves, team_most_likely, yoyo_tick
@@ -69,7 +69,7 @@ class SharedRecognizer(_Recognizer):
         yoyo_tick(self.p, self.belief, msgs, self.counter)
 
     def path(self, team: str) -> tuple[str, ...]:
-        return self.p.name_path(team_most_likely(self.belief, self.p, team)[-1])
+        return self.p.path_names(team_most_likely(self.belief, self.p, team))
 
 
 class ArrayRecognizer(_Recognizer):
@@ -97,17 +97,17 @@ class ArrayRecognizer(_Recognizer):
     def path(self, unit: str) -> tuple[str, ...]:
         """An agent's own most likely path, or a team's from its members.
 
-        A team's leaf is ``best_leaf``'s pick over its candidate leaves by
-        the members' summed masses, so near-ties go to the lowest node id.
+        A team's leaf is its compiled pick (``team_best_leaf``) over the
+        members' summed masses, so near-ties go to the lowest node id.
         """
         view = self.view
         if unit in self.beliefs:
-            return view.name_path(most_likely_state(self.beliefs[unit], view)[-1])
+            return view.path_names(most_likely_state(self.beliefs[unit], view))
         candidates = team_leaves(view, unit)
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
         mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates}
         # ``mass`` already holds active+blocked, so the blocked table is all zeros
-        return view.name_paths_at[best_leaf(candidates, mass, view.zeros)]
+        return view.name_paths_at[view.team_best_leaf[unit](mass, view.zeros)]
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

@@ -7,15 +7,17 @@ by walking up to the common parent and rescaling the other teams' subtrees to
 the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
-A quiet tick is ``belief.propagate_forward`` and what a tick's messages are
-evidence for is ``belief.evidence``, both shared by the two layouts; this
-module commits that evidence and rescales.  The structure those steps
-follow is a program table like every other: each node's climb to the root
-(``evidence_climbs``), with the walk of every rescale the climb runs.  Only
+A quiet tick calls the program's compiled forward kernel
+(``TeamOrientedProgram.forward``, the step ``belief.propagate_forward``
+runs) directly on the state's lists, and what a tick's messages are
+evidence for is ``belief.evidence``; both are shared by the two layouts,
+and this module commits that evidence and rescales.  The structure those
+steps follow is a program table like every other: each node's climb to the
+root (``evidence_climbs``), with the walk of every rescale the climb runs.  Only
 the mass arithmetic runs per tick, on the state's ``act`` and ``blk``
-lists, and every node these steps name is a position in them.  The team ->
-candidate-leaves table that most-likely queries read is
-``TeamOrientedProgram.leaves_by_team``.
+lists, and every node these steps name is a position in them.  A team's
+most-likely query is its compiled pick over its candidate leaves
+(``TeamOrientedProgram.team_best_leaf`` over ``leaves_by_team``).
 
 Plan ownership alone decides where to rescale: a climb step from a node
 into a parent owned by another team rescales the parent's subtrees that
@@ -38,8 +40,8 @@ exact 0.0, which a clamp leaves as it is.  Every value a tick leaves is in
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, VisitCounter, _zeros, best_leaf, evidence,
-                     init_beliefs, propagate_down, propagate_forward)
+from .belief import (BeliefState, MonitoringError, VisitCounter, _zeros, evidence,
+                     init_beliefs, propagate_down)
 from .model import TeamOrientedProgram
 
 
@@ -100,17 +102,21 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
 
-    With no messages this is the shared forward step.  Otherwise the
-    tick's messages are one observation (``belief.evidence``), committed at
-    once: each mass propagates down its subtree, climbs toward the root, and
-    triggers a cross-team rescale whenever the climb steps into a plan
-    another team owns.  The climb's steps, and where it rescales, are the
-    program's ``evidence_climbs``; each step raises the parent to at least
-    the child's mass.  The tick then clamps only the entries it wrote.
+    With no messages this is the shared forward step: the program's
+    kernel on the state's lists, counted as ``propagate_forward`` counts
+    it, then ``_clamp``.  Otherwise the tick's messages are one observation
+    (``belief.evidence``), committed at once: each mass propagates down its
+    subtree, climbs toward the root, and triggers a cross-team rescale
+    whenever the climb steps into a plan another team owns.  The climb's
+    steps, and where it rescales, are the program's ``evidence_climbs``;
+    each step raises the parent to at least the child's mass.  The tick
+    then clamps only the entries it wrote.
     """
-    if not msgs:
-        nxt = propagate_forward(b, p, counter)
-        b.time, b.act, b.blk = nxt.time, nxt.act, nxt.blk
+    if not msgs:  # belief.propagate_forward, on the state's own lists
+        if counter is not None:
+            counter.visit(len(p.postorder))
+        b.act, b.blk = p.forward(b.act, b.blk)
+        b.time += 1
         _clamp(b)
         return
     scratch = evidence(b, p, msgs)
@@ -132,18 +138,23 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     _clamp_entries(b, updated)
 
 
-def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:
-    """Positions of the leaves owned by ``team`` or an ancestor team, else of every leaf."""
+def _team_entry(table: dict, team: str):
     try:
-        return p.leaves_by_team[team]
+        return table[team]
     except KeyError:
         raise MonitoringError(f"unknown unit '{team}'") from None
+
+
+def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:
+    """Positions of the leaves owned by ``team`` or an ancestor team, else of every leaf."""
+    return _team_entry(p.leaves_by_team, team)
 
 
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
     """Most likely root-to-leaf path among leaves the team can be executing.
 
-    The leaf is ``belief.best_leaf``'s pick, so near-ties, and a team with no
-    mass on any of its leaves, go to the lowest node id.
+    The leaf is the team's compiled pick over ``team_leaves(p, team)``
+    (``TeamOrientedProgram.team_best_leaf``), so near-ties, and a team with
+    no mass on any of its leaves, go to the lowest node id.
     """
-    return p.paths_at[best_leaf(team_leaves(p, team), b.act, b.blk)]
+    return p.paths_at[_team_entry(p.team_best_leaf, team)(b.act, b.blk)]

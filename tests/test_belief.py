@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import random
 
@@ -9,12 +10,14 @@ from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitC
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
-from overhear.model import hazard, program_from_document
+from overhear.model import _compile_scan, hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
+from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import team_most_likely, yoyo_tick
 
 from conftest import brute_leaves
+from test_digest import table_programs
 
 
 def _chain(lam_a=0.05, mu=0.0, extra_leaf=False, team_mode=False):
@@ -353,6 +356,75 @@ def test_pick_is_the_lowest_id_of_the_top_group(caller):
         assert _pick(caller, masses) == f"l{min(top)}"
 
     check()
+
+
+def _reference_pick(leaves, active, blocked):
+    """The pick rule as a plain loop over ``leaves``: the generated scans must agree."""
+    best, bar = None, -math.inf
+    for leaf in leaves:
+        mass = active[leaf] + blocked[leaf]
+        if mass > bar:
+            best, bar = leaf, mass * (1.0 + TIE_TOLERANCE)
+    return best
+
+
+def _planted(rng: random.Random, leaves, size: int) -> tuple[list, list]:
+    """Random tables whose leaves hold near-ties of one top mass: within 4 ulps,
+    and 10 ``TIE_TOLERANCE``s above and below it, each split into two exact halves."""
+    active = [rng.random() for _ in range(size)]
+    blocked = [rng.random() * rng.choice((0.0, 1.0)) for _ in range(size)]
+    top = 1.0 + rng.random()
+    near = [_ulps(top, k) for k in range(-4, 5)] + [top * (1 + 10 * TIE_TOLERANCE),
+                                                    top * (1 - 10 * TIE_TOLERANCE)]
+    for leaf in rng.sample(leaves, min(len(leaves), rng.randint(1, 6))):
+        active[leaf] = blocked[leaf] = rng.choice(near) / 2
+    return active, blocked
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scan_matches_the_reference_loop_on_planted_ties(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        size = rng.randint(1, 60)
+        leaves = tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
+        scan = _compile_scan(leaves).function
+        active, blocked = _planted(rng, leaves, size)
+        assert scan(active, blocked) == _reference_pick(leaves, active, blocked)
+        # a dict of summed masses against a zero table, as a coherent array team pick reads
+        mass = {x: active[x] + blocked[x] for x in leaves}
+        zeros = (0.0,) * size
+        assert scan(mass, zeros) == _reference_pick(leaves, mass, zeros)
+
+
+def test_scan_matches_the_reference_loop_on_zero_tables_and_single_leaves():
+    for size in (1, 2, 7):
+        zeros = [0.0] * size
+        for leaves in [(x,) for x in range(size)] + [tuple(range(size))]:
+            scan = _compile_scan(leaves).function
+            assert scan(zeros, zeros) == _reference_pick(leaves, zeros, zeros) == leaves[0]
+    assert _compile_scan((3,)).function([0.0, 0.0, 0.0, 0.5], [0.0] * 4) == 3
+
+
+def test_program_scans_match_the_reference_loop():
+    rng = random.Random(0)
+    for p in table_programs():
+        for q in (p, p.single_agent_view()):
+            size = len(q.node_ids)
+            picks = [(q.leaf_index, q.best_leaf)] + [
+                (q.leaves_by_team[team], q.team_best_leaf[team]) for team in q.leaves_by_team]
+            for leaves, scan in picks:
+                for _ in range(5):
+                    active, blocked = _planted(rng, list(leaves), size)
+                    assert scan(active, blocked) == _reference_pick(leaves, active, blocked)
+
+
+def test_scans_are_shared_by_leaf_tuple():
+    p = team_program(0)
+    q = apply_comm_model(p, learn_comm_model([]))
+    assert q is not p and q.best_leaf is p.best_leaf
+    assert q.team_best_leaf == p.team_best_leaf
+    assert p.single_agent_view().best_leaf is p.best_leaf
+    assert inspect.getsource(p.best_leaf).startswith("def scan(A, B):\n")
 
 
 def test_most_likely_rejects_empty():
