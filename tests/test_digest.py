@@ -121,8 +121,8 @@ TABLES_SHA256 = "39ed50680af8f72793cd84896bdae9f22f56e53892683ba6ab5582e81b18538
 HYPOTHESIS_SHA256 = "ea3923a3d4d1761b1fefa3c5c47846b8cf574570ff0455d12057029f20552cd9"
 
 
-def _hash_state(h, b):
-    h.update(struct.pack("<q", b.time))
+def _hash_state(h, b, steps: int):
+    h.update(struct.pack("<q", steps))
     for table in (b.active, b.blocked):
         keys = sorted(table)
         h.update("\0".join(keys).encode())
@@ -194,10 +194,10 @@ def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, s
                 for t in range(TICKS):
                     rec.step(by_tick.get(t, []))
                     if mode == "yoyo":
-                        _hash_state(h, rec.belief)
+                        _hash_state(h, rec.belief, t + 1)
                     else:
                         for agent in rec.agents:
-                            _hash_state(h, rec.beliefs[agent])
+                            _hash_state(h, rec.beliefs[agent], t + 1)
                     _hash_answers(answers, rec, mode)
     return h.hexdigest(), answers.hexdigest()
 
