@@ -37,19 +37,6 @@ from .sim import (COMM_POLICIES, MU_SAMPLED, SimConfig, SimulationError,
 from .social import (apply_comm_model, format_comm_model, learn_comm_model,
                      parse_comm_model)
 
-TICKS_ENV = "OVERHEAR_TICKS"
-
-
-def _default_ticks() -> int:
-    raw = os.environ.get(TICKS_ENV)
-    if raw is None:
-        return 200
-    try:
-        return int(raw)
-    except ValueError:
-        raise SimulationError(f"{TICKS_ENV} must be an integer, got {raw!r}")
-
-
 def _positive_ticks(ticks: int) -> int:
     if ticks < 1:
         raise MonitoringError(f"ticks must be positive, got {ticks}")
@@ -125,7 +112,7 @@ def _cmd_recognize(args) -> int:
         p = apply_comm_model(p, model)
     log = parse_log(_read(args.log))
     ticks = _positive_ticks(args.ticks if args.ticks is not None else (
-        (max(m.tick for m in log) + 2) if log else _default_ticks()))
+        (max(m.tick for m in log) + 2) if log else 200))
     rec = make_recognizer(p, args.mode, args.coherent)
     _emit("".join(f"{t} {unit} {'/'.join(rec.path(unit))}\n"
                   for t in rec.replay(log, ticks) for unit in rec.units), args.out)
@@ -182,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sp.add_parser("simulate", help="run the simulator, write trace + log")
     _add_program(sim)
     sim.add_argument("--seed", type=int, required=True, help="simulation seed")
-    sim.add_argument("--ticks", type=int, default=None,
-                     help=f"run length (default ${TICKS_ENV} or 200)")
+    sim.add_argument("--ticks", type=int, default=200,
+                     help="run length (default 200)")
     sim.add_argument("--send-prob", type=float, default=1.0,
                      help="per-tick chance a blocked sender speaks")
     sim.add_argument("--comm-policy", choices=COMM_POLICIES, default=MU_SAMPLED,
@@ -222,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--mode", choices=MODES, default="array",
                      help="recognizer structure")
     rec.add_argument("--ticks", type=int, default=None,
-                     help="ticks to replay (default: last message tick + 2)")
+                     help="ticks to replay (default: last message tick + 2, "
+                          "or 200 on an empty log)")
     rec.add_argument("--coherent", action=argparse.BooleanOptionalAction,
                      default=None,
                      help="route team messages to every member "
@@ -270,8 +258,6 @@ def run_command(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "ticks", None) is None and args.subcommand == "simulate":
-            args.ticks = _default_ticks()
         return args.fn(args)
     except (ProgramError, IngestError, MonitoringError, SimulationError,
             OSError, ValueError) as exc:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from overhear.cli import TICKS_ENV, run_command
+from overhear.cli import run_command
 from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
 from overhear.model import _compile_forward, load_program_path
@@ -366,23 +366,6 @@ def test_cli_import_leaves_numpy_out():
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
-
-
-def test_ticks_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(TICKS_ENV, "37")
-    out = tmp_path / "run"
-    rc = run_command(["simulate", "--program", TEAM, "--team-mode",
-                      "--seed", "1", "--out", str(out)])
-    assert rc == 0
-    assert parse_trace((out / "trace.txt").read_text()).ticks == 37
-
-
-def test_ticks_env_var_rejects_junk(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(TICKS_ENV, "soon")
-    rc = run_command(["simulate", "--program", TEAM, "--team-mode",
-                      "--seed", "1", "--out", str(tmp_path / "run")])
-    assert rc == 1
-    assert "must be an integer" in capsys.readouterr().err
 
 
 @pytest.fixture
