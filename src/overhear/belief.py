@@ -21,6 +21,12 @@ returns a root path of ids, and ``BeliefState.active`` and ``.blocked`` are
 read-only id-keyed views of the lists (``b.active["p12"]``), for readers
 outside the engine.
 
+Both layouts step a state in place.  ``init_beliefs`` alone builds one;
+``propagate_forward``, ``apply_messages``, ``array_overseer_tick`` and
+``yoyo.yoyo_tick`` replace its ``act`` and ``blk`` with new lists and
+return None, so a caller holds one state object for the whole run and
+copies the lists to keep a tick's masses.
+
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
 parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
@@ -30,8 +36,7 @@ kernel (``TeamOrientedProgram.forward``), one generated Python function
 over local variables: it unpacks both prior lists into locals, runs each
 shedding node's updates only when the node sheds a nonzero mass, and
 returns two new lists built from the locals.  ``propagate_forward`` calls
-it for the array layout; the shared layout's quiet tick calls it on its
-state's own lists.
+it, and is the quiet tick of both layouts.
 
 A most-likely query is compiled too.  The pick rule is one generated
 function per leaf tuple (``model._compile_scan``), with one unrolled test
@@ -46,10 +51,6 @@ and an evidence commit only adds non-negative shares of normalized masses.
 A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
 Only the shared (yoyo) layout clips, capping values at 1 in ``yoyo._clamp``
 and ``yoyo._clamp_entries``.
-
-States are value objects; the update functions return fresh states and never
-mutate their input, so recognizer arrays can be stepped from worker threads
-as long as each agent's state is owned by one worker at a time.
 """
 
 from __future__ import annotations
@@ -101,15 +102,15 @@ class _IdView(Mapping):
 
 @dataclass(slots=True)
 class BeliefState:
-    """Belief over a plan state at a given tick.
+    """Belief over a plan state, stepped in place.
 
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
     ``node_ids`` order; ``index`` is the program's node id -> position table.
-    ``active`` and ``blocked`` are read-only views of the two lists keyed by
-    node id, made anew on each access so they follow a replaced list.
+    A step replaces both lists with new ones.  ``active`` and ``blocked``
+    are read-only views of the two lists keyed by node id, made anew on
+    each access so they follow a replaced list.
     """
 
-    time: int
     act: list[float]
     blk: list[float]
     index: dict[str, int] = field(repr=False, compare=False)
@@ -123,17 +124,13 @@ class BeliefState:
         return _IdView(self.index, self.blk)
 
 
-def _zeros(p: TeamOrientedProgram) -> list[float]:
-    return list(p.zeros)
-
-
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     """All mass on the root and, through first children, on the initial leaves.
 
     The state copies the program's ``initial`` tables, built once per program.
     """
     active, blocked = p.initial
-    return BeliefState(0, list(active), list(blocked), p.index)
+    return BeliefState(list(active), list(blocked), p.index)
 
 
 def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgram,
@@ -246,22 +243,21 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     return scratch
 
 
-def _commit_evidence(scratch: dict[int, float], time: int,
-                     p: TeamOrientedProgram) -> BeliefState:
-    nxt = BeliefState(time, _zeros(p), _zeros(p), p.index)
-    active, ancestors = nxt.act, p.ancestors_at
+def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedProgram):
+    """Replace b's lists with ``scratch`` committed on fresh zero tables."""
+    active, ancestors = list(p.zeros), p.ancestors_at
     for x in sorted(scratch):
         mass = scratch[x]
         active[x] += mass
         propagate_down(x, mass, active, p)
         for anc in ancestors[x]:
             active[anc] += mass
-    return nxt
+    b.act, b.blk = active, list(p.zeros)
 
 
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
-                      counter: VisitCounter | None = None) -> BeliefState:
-    """Advance one tick with no observation.
+                      counter: VisitCounter | None = None):
+    """Advance b one tick with no observation, in place.
 
     Leaves shed mass at their termination hazard.  The team executing a
     node takes its outgoing transitions: shed mass follows edges that need
@@ -276,8 +272,7 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     """
     if counter is not None:
         counter.visit(len(p.postorder))
-    active, blocked = p.forward(b.act, b.blk)
-    return BeliefState(b.time + 1, active, blocked, b.index)
+    b.act, b.blk = p.forward(b.act, b.blk)
 
 
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]:
@@ -294,12 +289,10 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]
     return p.paths_at[best]
 
 
-def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram) -> BeliefState:
-    """Fold several same-tick messages into one time step, TERM before INIT."""
-    state = b
+def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram):
+    """Fold several same-tick messages into b in place, one at a time, TERM before INIT."""
     for m in sorted(msgs, key=_message_order):
-        state = _commit_evidence(evidence(state, p, [m]), b.time + 1, p)
-    return state
+        _commit_evidence(b, evidence(b, p, [m]), p)
 
 
 def array_overseer_tick(beliefs: dict[str, BeliefState],
@@ -312,8 +305,8 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
     forward propagation.  By default a message updates only its sender's
     recognizer; pass ``recipients`` (message -> iterable of agent names) to
     widen that, e.g. to the sending team under a coherence assumption.
-    ``beliefs`` maps agent name to state and is updated in place;
-    ``programs`` maps agent name to that agent's plan view.
+    ``beliefs`` maps agent name to state, and each state is stepped in
+    place; ``programs`` maps agent name to that agent's plan view.
     """
     inbox: dict[str, list[ObservedMessage]] = {}
     for m in msgs:
@@ -323,8 +316,8 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
                 raise MonitoringError(
                     f"message at tick {m.tick} routed to unknown agent '{agent}'")
             inbox.setdefault(agent, []).append(m)
-    for agent in beliefs:
+    for agent, b in beliefs.items():
         if agent in inbox:
-            beliefs[agent] = apply_messages(beliefs[agent], inbox[agent], programs[agent])
+            apply_messages(b, inbox[agent], programs[agent])
         else:
-            beliefs[agent] = propagate_forward(beliefs[agent], programs[agent], counter)
+            propagate_forward(b, programs[agent], counter)

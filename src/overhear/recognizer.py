@@ -29,7 +29,7 @@ from .belief import (MonitoringError, VisitCounter, array_overseer_tick, init_be
                      most_likely_state)
 from .ingest import messages_by_tick
 from .model import TeamOrientedProgram
-from .yoyo import team_init_beliefs, team_leaves, team_most_likely, yoyo_tick
+from .yoyo import team_leaves, team_most_likely, yoyo_tick
 
 MODES = ("array", "yoyo")
 
@@ -59,7 +59,7 @@ class SharedRecognizer(_Recognizer):
     def __init__(self, p: TeamOrientedProgram):
         super().__init__(p, True)
         self.p = p
-        self.belief = team_init_beliefs(p)
+        self.belief = init_beliefs(p)
 
     @property
     def state_nodes(self) -> int:

@@ -7,15 +7,15 @@ by walking up to the common parent and rescaling the other teams' subtrees to
 the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
-A quiet tick calls the program's compiled forward kernel
-(``TeamOrientedProgram.forward``, the step ``belief.propagate_forward``
-runs) directly on the state's lists, and what a tick's messages are
-evidence for is ``belief.evidence``; both are shared by the two layouts,
-and this module commits that evidence and rescales.  The structure those
-steps follow is a program table like every other: each node's climb to the
-root (``evidence_climbs``), with the walk of every rescale the climb runs.  Only
-the mass arithmetic runs per tick, on the state's ``act`` and ``blk``
-lists, and every node these steps name is a position in them.  A team's
+A quiet tick is ``belief.propagate_forward``, and what a tick's messages
+are evidence for is ``belief.evidence``; both are shared by the two
+layouts, and this module commits that evidence and rescales.  As in the
+array layout, a tick steps the state in place, replacing its ``act`` and
+``blk`` with new lists.  The structure those steps follow is a program
+table like every other: each node's climb to the root
+(``evidence_climbs``), with the walk of every rescale the climb runs.
+Only the mass arithmetic runs per tick, and every node these steps name
+is a position in the state's lists.  A team's
 most-likely query is its compiled pick over its candidate leaves
 (``TeamOrientedProgram.team_best_leaf`` over ``leaves_by_team``).
 
@@ -40,8 +40,8 @@ exact 0.0, which a clamp leaves as it is.  Every value a tick leaves is in
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, VisitCounter, _zeros, evidence,
-                     init_beliefs, propagate_down)
+from .belief import (BeliefState, MonitoringError, VisitCounter, evidence, init_beliefs,
+                     propagate_down, propagate_forward)
 from .model import TeamOrientedProgram
 
 
@@ -70,19 +70,20 @@ def _clamp_entries(state: BeliefState, keys):
 
 
 def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
-    """Full mass on the root and on every topmost team's first-child chain."""
+    """``belief.init_beliefs`` under the name perfbench calls; nothing in ``overhear`` does."""
     return init_beliefs(p)
 
 
-def _rescale(walk, b: BeliefState, prior: BeliefState, updated: set[int]):
+def _rescale(walk, b: BeliefState, prior_active: list[float], prior_blocked: list[float],
+             updated: set[int]):
     """Rescale the subtrees a climb's ``walk`` visits to their parents' new belief.
 
-    ``prior`` is the state the tick started from.  Each visited node keeps
-    its prior share of its parent's prior active mass, reapplied to the
-    parent's new mass, parents before their children; a node already in
-    ``updated`` is left as the evidence set it.
+    ``prior_active`` and ``prior_blocked`` are the lists the tick started
+    from.  Each visited node keeps its prior share of its parent's prior
+    active mass, reapplied to the parent's new mass, parents before their
+    children; a node already in ``updated`` is left as the evidence set it.
     """
-    active, blocked, prior_active, prior_blocked = b.act, b.blk, prior.act, prior.blk
+    active, blocked = b.act, b.blk
     for y, par, split in walk:
         if y in updated:
             continue
@@ -102,27 +103,23 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
 
-    With no messages this is the shared forward step: the program's
-    kernel on the state's lists, counted as ``propagate_forward`` counts
-    it, then ``_clamp``.  Otherwise the tick's messages are one observation
-    (``belief.evidence``), committed at once: each mass propagates down its
-    subtree, climbs toward the root, and triggers a cross-team rescale
-    whenever the climb steps into a plan another team owns.  The climb's
-    steps, and where it rescales, are the program's ``evidence_climbs``;
-    each step raises the parent to at least the child's mass.  The tick
-    then clamps only the entries it wrote.
+    With no messages this is ``belief.propagate_forward``, then ``_clamp``.
+    Otherwise the tick's messages are one observation (``belief.evidence``),
+    committed at once on fresh lists: each mass propagates down its subtree,
+    climbs toward the root, and triggers a cross-team rescale whenever the
+    climb steps into a plan another team owns.  The climb's steps, and
+    where it rescales, are the program's ``evidence_climbs``; each step
+    raises the parent to at least the child's mass.  The tick then clamps
+    only the entries it wrote.
     """
-    if not msgs:  # belief.propagate_forward, on the state's own lists
-        if counter is not None:
-            counter.visit(len(p.postorder))
-        b.act, b.blk = p.forward(b.act, b.blk)
-        b.time += 1
+    if not msgs:
+        propagate_forward(b, p, counter)
         _clamp(b)
         return
     scratch = evidence(b, p, msgs)
-    prior = BeliefState(b.time, b.act, b.blk, b.index)
-    active = b.act = _zeros(p)
-    b.blk = _zeros(p)
+    prior_active, prior_blocked = b.act, b.blk
+    active = b.act = list(p.zeros)
+    b.blk = list(p.zeros)
     updated: set[int] = set()
     climbs = p.evidence_climbs
     for x in sorted(scratch):
@@ -133,8 +130,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             active[par] = max(active[par], active[node])
             updated.add(par)
             if walk:
-                _rescale(walk, b, prior, updated)
-    b.time += 1
+                _rescale(walk, b, prior_active, prior_blocked, updated)
     _clamp_entries(b, updated)
 
 

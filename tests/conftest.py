@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from overhear.belief import BeliefState
 from overhear.model import load_program_path
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
@@ -11,6 +12,11 @@ def brute_leaves(p) -> tuple[str, ...]:
     """The ids of the plans that no plan names as its parent, sorted."""
     parents = {n.parent for n in p.plans}
     return tuple(sorted(n.id for n in p.plans if n.id not in parents))
+
+
+def snapshot(b: BeliefState) -> BeliefState:
+    """A copy of state b, which the steps that later move b leave as it is."""
+    return BeliefState(list(b.act), list(b.blk), b.index)
 
 
 @pytest.fixture

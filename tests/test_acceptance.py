@@ -25,7 +25,7 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import coherent_hypotheses, count_hypotheses, learn_comm_model
 
-from conftest import DATA, brute_leaves
+from conftest import DATA, brute_leaves, snapshot
 from test_ingest import KQML_SAMPLE
 
 CRITERION_LINES = []
@@ -59,7 +59,7 @@ def test_c01_oracle_equivalence():
             _, log = simulate(p, SimConfig(seed=seed, ticks=100, send_prob=0.5))
             states, vectors = exact_filter(p, 100, log)
             rec = make_recognizer(p, "array")  # one agent, "solo"
-            beliefs = [rec.beliefs["solo"] for _ in rec.replay(log, 101)]
+            beliefs = [snapshot(rec.beliefs["solo"]) for _ in rec.replay(log, 101)]
             for v, b in zip(vectors, beliefs):
                 ev = engine_vector(p, states, b)
                 worst = max(worst, float(np.max(np.abs(ev - v))))
@@ -85,7 +85,7 @@ def test_c02_analytic_decay():
     b = init_beliefs(p)
     worst = 0.0
     for k in range(1, 1001):
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
         worst = max(worst, abs(b.active["a"] - math.exp(-0.05 * k)))
     ok = worst <= 1e-9
     _record(2, "analytic decay", ok, f"max_error={worst:.2e} over 1000 ticks")
@@ -97,7 +97,7 @@ def test_c03_mass_conservation():
         p = random_program(100 + pid, allow_completion=False)
         b = init_beliefs(p)
         for _ in range(1000):
-            b = propagate_forward(b, p)
+            propagate_forward(b, p)
             total = (sum(b.active[x] for x in brute_leaves(p))
                      + sum(b.blocked.values()))
             worst = max(worst, abs(total - 1.0))
@@ -118,7 +118,7 @@ def test_c04_full_block_special_case():
     worst = 0.0
     leaked = 0.0
     for k in range(1, 301):
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
         worst = max(worst, abs(b.blocked["a"] - (1.0 - math.exp(-lam * k))))
         leaked = max(leaked, b.active["b"])
     ok = worst <= 1e-12 and leaked == 0.0

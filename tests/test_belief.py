@@ -6,7 +6,7 @@ import random
 import pytest
 
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
-                             _prune_redundant_ancestors, _zeros, apply_messages,
+                             _prune_redundant_ancestors, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -53,9 +53,9 @@ def test_init_beliefs_first_child_chain(evac_mini_single):
 def test_zeros_copies_the_programs_read_only_table(evac_mini_single):
     p = evac_mini_single
     root = p.index[p.root]
-    z = _zeros(p)
+    z = list(p.zeros)
     z[root] = 1.0
-    fresh = _zeros(p)
+    fresh = list(p.zeros)
     assert type(fresh) is list and fresh is not z
     assert fresh == [0.0] * len(p.node_ids)
     with pytest.raises(TypeError):
@@ -77,7 +77,7 @@ def test_state_views_read_the_lists_by_node_id(evac_mini_single):
     b.act[p.index[p.root]] = 0.5
     assert b.active[p.root] == 0.5
     assert init_beliefs(p).active[p.root] == 1.0  # each state copies the start tables
-    b.act = _zeros(p)  # a view follows the list the state holds when it is read
+    b.act = list(p.zeros)  # a view follows the list the state holds when it is read
     assert b.active[p.root] == 0.0
 
 
@@ -115,25 +115,23 @@ def test_exponential_decay_closed_form():
     p = _chain(lam_a=0.05, mu=0.0)
     b = init_beliefs(p)
     for k in range(1, 1001):
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
         assert abs(b.active["a"] - math.exp(-0.05 * k)) <= 1e-9
-    assert b.time == 1000
 
 
 def test_lambda_zero_is_identity():
     p = _chain(lam_a=0.0)
     b = init_beliefs(p)
-    b2 = propagate_forward(b, p)
-    assert b2.active == b.active
-    assert b2.blocked == b.blocked
-    assert b2.time == b.time + 1
+    before = list(b.act), list(b.blk)
+    propagate_forward(b, p)
+    assert (b.act, b.blk) == before
 
 
 def test_eta_zero_blocks_everything():
     p = _chain(lam_a=0.3, mu=1.0, extra_leaf=True)
     b = init_beliefs(p)
     for k in range(1, 200):
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
         assert b.active["b"] == 0.0
         assert b.active["c"] == 0.0
         assert b.active["a"] == pytest.approx((1 - hazard(0.3)) ** k, abs=1e-12)
@@ -153,7 +151,7 @@ def test_mass_conservation_random_programs():
         b, leaves = init_beliefs(p), brute_leaves(p)
         start = sum(b.active[x] for x in leaves) + sum(b.blocked.values())
         for _ in range(200):
-            b = propagate_forward(b, p)
+            propagate_forward(b, p)
             mass = sum(b.active[x] for x in leaves) + sum(b.blocked.values())
             assert mass == pytest.approx(start, abs=1e-9)
 
@@ -185,22 +183,21 @@ def test_evidence_posterior_ratio():
     b.blk[p.index["w1"]] = 0.3
     b.blk[p.index["w2"]] = 0.1
     m = ObservedMessage(0, "solo", "T", INIT, "shared-step")
-    b2 = apply_messages(b, [m], p)
-    assert b2.active["x1"] == pytest.approx(0.75)
-    assert b2.active["x2"] == pytest.approx(0.25)
-    assert b2.active["r"] == pytest.approx(1.0)
-    assert b2.active["w1"] == 0.0
-    assert b2.time == b.time + 1
+    apply_messages(b, [m], p)
+    assert b.active["x1"] == pytest.approx(0.75)
+    assert b.active["x2"] == pytest.approx(0.25)
+    assert b.active["r"] == pytest.approx(1.0)
+    assert b.active["w1"] == 0.0
 
 
 def test_evidence_commits_full_path(evac_team):
     p = evac_team.single_agent_view()
     b = init_beliefs(p)
     for _ in range(5):
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
     assert b.blocked["n1"] > 0
     m = ObservedMessage(5, "escort1", "TASK-FORCE", INIT, "fly-flight-plan")
-    b = apply_messages(b, [m], p)
+    apply_messages(b, [m], p)
     assert b.active["n2"] == pytest.approx(1.0)
     assert b.active["n6"] == pytest.approx(1.0)  # first child follows
     assert b.active["n0"] == pytest.approx(1.0)
@@ -212,9 +209,9 @@ def test_term_message_moves_mass_to_successors(evac_team):
     p = evac_team.single_agent_view()
     b = init_beliefs(p)
     for _ in range(5):
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
     m = ObservedMessage(5, "escort1", "TASK-FORCE", TERM, "process-orders")
-    b = apply_messages(b, [m], p)
+    apply_messages(b, [m], p)
     assert b.active["n2"] == pytest.approx(1.0)
     assert b.active["n6"] == pytest.approx(1.0)
 
@@ -231,22 +228,20 @@ def test_surprise_message_falls_back_to_uniform(evac_mini_single):
     p = evac_mini_single
     b = init_beliefs(p)
     m = ObservedMessage(0, "escort1", "ESCORT", INIT, "fly-flight-plan")
-    b2 = apply_messages(b, [m], p)
-    assert b2.active["n2"] == pytest.approx(1.0)
+    apply_messages(b, [m], p)
+    assert b.active["n2"] == pytest.approx(1.0)
 
 
 def test_term_before_init_in_one_tick(evac_team):
     p = evac_team.single_agent_view()
     b = init_beliefs(p)
     for _ in range(5):
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
     msgs = [ObservedMessage(5, "a", "TASK-FORCE", INIT, "fly-flight-plan"),
             ObservedMessage(5, "a", "TASK-FORCE", TERM, "process-orders")]
-    out = apply_messages(b, msgs, p)
-    # TERM processed first, INIT second: both land on fly-flight-plan,
-    # and the whole batch advances the clock a single tick
-    assert out.active["n2"] == pytest.approx(1.0)
-    assert out.time == b.time + 1
+    apply_messages(b, msgs, p)
+    # TERM processed first, INIT second: both land on fly-flight-plan
+    assert b.active["n2"] == pytest.approx(1.0)
 
 
 # The three most-likely queries, each as a recognizer answers through it:
@@ -291,7 +286,7 @@ def _pick(caller, masses) -> str:
     for the summed team query.
     """
     p = _flat_program(len(masses))
-    first, second = (BeliefState(0, _zeros(p), _zeros(p), p.index) for _ in range(2))
+    first, second = (BeliefState(list(p.zeros), list(p.zeros), p.index) for _ in range(2))
     for leaf, mass in zip(brute_leaves(p), masses):
         first.act[p.index[leaf]] = second.blk[p.index[leaf]] = mass / 2
     if caller == "array_team_path":
@@ -446,7 +441,26 @@ def test_array_tick_dispatch(evac_mini):
     # evidence reached only the sender; everyone else kept decaying
     assert beliefs["escort1"].active["n2"] == pytest.approx(1.0)
     assert beliefs["escort2"].active["n2"] < 1.0
-    assert beliefs["escort1"].time == beliefs["escort2"].time
+
+
+def test_ticks_step_the_callers_states_in_place(evac_mini):
+    # both layouts keep each state object and give it new lists, on a quiet
+    # tick and on an evidence tick
+    view = evac_mini.single_agent_view()
+    agents = sorted(evac_mini.team_hierarchy.agent_names)
+    beliefs = {a: init_beliefs(view) for a in agents}
+    programs = {a: view for a in agents}
+    shared = init_beliefs(evac_mini)
+    states = [shared, *beliefs.values()]
+    msg = ObservedMessage(1, "escort1", "ESCORT", TERM, "process-orders")
+    for msgs in ([], [msg]):
+        lists = [(s.act, s.blk) for s in states]
+        array_overseer_tick(beliefs, programs, msgs)
+        yoyo_tick(evac_mini, shared, msgs)
+        assert all(beliefs[a] is s for a, s in zip(agents, states[1:]))
+        for s, (act, blk) in zip(states, lists):
+            assert s.act is not act and s.blk is not blk
+    assert beliefs["escort1"].active["n2"] == pytest.approx(1.0)
 
 
 def test_array_tick_routing_override(evac_mini):
@@ -491,7 +505,7 @@ def test_visit_counter_counts_per_node():
     b = init_beliefs(p)
     counter = VisitCounter()
     for _ in range(10):
-        b = propagate_forward(b, p, counter)
+        propagate_forward(b, p, counter)
     assert counter.visits == 10 * len(p.node_ids)
 
 
@@ -503,7 +517,7 @@ def test_forward_leaves_its_arguments_alone(seed, view):
         p = p.single_agent_view()
     b = init_beliefs(p)
     for _ in range(8):  # spread mass over several phases
-        b = propagate_forward(b, p)
+        propagate_forward(b, p)
     A, B = b.act, b.blk
     values = list(A), list(B)
     NA, NB = p.forward(A, B)
@@ -523,11 +537,11 @@ def test_evidence_scratch_sums_to_one():
     rng = random.Random(21)
     for _ in range(20):
         p = random_program(rng.randrange(100_000))
-        b = init_beliefs(p)
-        for _ in range(rng.randrange(1, 30)):
-            b = propagate_forward(b, p)
+        b, ticks = init_beliefs(p), rng.randrange(1, 30)
+        for _ in range(ticks):
+            propagate_forward(b, p)
         names = sorted({p.node(x).name for x in p.node_ids})
-        m = ObservedMessage(b.time, "solo", "SOLO", INIT, rng.choice(names))
+        m = ObservedMessage(ticks, "solo", "SOLO", INIT, rng.choice(names))
         try:
             scratch = evidence(b, p, [m])
         except MonitoringError:
@@ -537,11 +551,11 @@ def test_evidence_scratch_sums_to_one():
     for _ in range(40):
         p = team_program(rng.randrange(7))
         h = p.team_hierarchy
-        b = init_beliefs(p)
-        for _ in range(rng.randrange(1, 60)):
+        b, ticks = init_beliefs(p), rng.randrange(1, 60)
+        for _ in range(ticks):
             yoyo_tick(p, b, [])
         names = sorted({p.node(x).name for x in p.node_ids})
-        msgs = [ObservedMessage(b.time, a, h.agent_team(a), rng.choice((INIT, TERM)),
+        msgs = [ObservedMessage(ticks, a, h.agent_team(a), rng.choice((INIT, TERM)),
                                 rng.choice(names))
                 for a in rng.choices(h.agent_names, k=rng.randrange(1, 6))]
         sums: dict[str, float] = {}

@@ -23,7 +23,7 @@ from overhear.progen import random_program, team_program
 from overhear.sim import (GroundTruthTrace, SimulationError, format_trace,
                           parse_trace)
 from overhear.social import parse_comm_model
-from overhear.yoyo import team_init_beliefs, yoyo_tick
+from overhear.yoyo import yoyo_tick
 
 _BASE = program_to_document(team_program(0))
 _NAMES = sorted({e["name"] for e in _BASE["teams"]} | {e["name"] for e in _BASE["agents"]}
@@ -195,11 +195,11 @@ def test_array_belief_stays_in_bounds_unclipped(p, ticks):
     b = init_beliefs(p)
     for t, tick in enumerate(ticks, 1):
         if tick is None:
-            b = propagate_forward(b, p)
+            propagate_forward(b, p)
         else:
             kind, i = tick
-            b = apply_messages(b, [ObservedMessage(t, "solo", "SOLO", kind,
-                                                   names[i % len(names)])], p)
+            apply_messages(b, [ObservedMessage(t, "solo", "SOLO", kind,
+                                               names[i % len(names)])], p)
         for table in (b.active, b.blocked):
             for x, v in table.items():
                 assert 0.0 <= v <= 1.0 + 1e-12, (t, x, v)
@@ -219,7 +219,7 @@ _TEAM_TICKS = st.lists(st.none() | st.lists(
 def test_shared_belief_stays_in_bounds_without_negative_zero(p, ticks):
     names = sorted({n.name for n in p.plans})
     agents = p.team_hierarchy.agents
-    b = team_init_beliefs(p)
+    b = init_beliefs(p)
     for t, msgs in enumerate(ticks, 1):
         heard = []
         for kind, i, j in msgs or ():
@@ -252,7 +252,7 @@ def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(yoyo, "_clamp", _checked_clamp(yoyo._clamp, reached))
         mp.setattr(yoyo, "_clamp_entries", _checked_clamp(yoyo._clamp_entries, reached))
-        b = team_init_beliefs(p)
+        b = init_beliefs(p)
         for t, msgs in enumerate(ticks, 1):
             heard = [ObservedMessage(t, *agents[i % len(agents)], kind, names[j % len(names)])
                      for kind, i, j in msgs or ()]

@@ -12,6 +12,8 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import ALWAYS, SimConfig, simulate
 from overhear.social import learn_comm_model
 
+from conftest import snapshot
+
 
 def _solo_doc(plans, transitions):
     return program_from_document({
@@ -26,7 +28,7 @@ def _solo_doc(plans, transitions):
 def _engine_beliefs(p, ticks, log=()):
     """The array layout's belief of the one agent, "solo", after each tick 0..ticks."""
     rec = make_recognizer(p, "array")
-    return [rec.beliefs["solo"] for _ in rec.replay(log, ticks + 1)]
+    return [snapshot(rec.beliefs["solo"]) for _ in rec.replay(log, ticks + 1)]
 
 
 def _chain3(mu=0.7):

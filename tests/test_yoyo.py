@@ -13,7 +13,7 @@ from overhear.model import ProgramError, program_from_document, program_to_docum
 from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
-from overhear.yoyo import _rescale, team_init_beliefs, team_most_likely, yoyo_tick
+from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
 from conftest import brute_leaves
 
@@ -57,7 +57,7 @@ def two_team():
 
 
 def test_down_duplicates_across_teams(evac_mini):
-    b = team_init_beliefs(evac_mini)
+    b = init_beliefs(evac_mini)
     b.act[:] = b.blk[:] = evac_mini.zeros
     propagate_down(evac_mini.index["n3"], 0.6, b.act, evac_mini)
     # one first child per team group: each team gets the full mass
@@ -72,7 +72,7 @@ def test_down_splits_within_one_team():
     doc["transitions"].append({"from": "la2", "to": "TERMINATE", "pi": 1.0,
                                "mu": 0.0, "teams": ["LEFT"]})
     p = program_from_document(doc, team_mode=True)
-    b = team_init_beliefs(p)
+    b = init_beliefs(p)
     b.act[:] = b.blk[:] = p.zeros
     propagate_down(p.index["s"], 0.6, b.act, p)
     assert b.active["la"] == pytest.approx(0.3)
@@ -81,7 +81,7 @@ def test_down_splits_within_one_team():
 
 
 def test_team_init(evac_mini):
-    b = team_init_beliefs(evac_mini)
+    b = init_beliefs(evac_mini)
     assert b.active["n0"] == 1.0
     assert b.active["n1"] == 1.0
     assert b.active["n4"] == 0.0
@@ -128,21 +128,21 @@ def test_forward_splits_within_team(two_team):
     for t in doc["transitions"]:
         t["teams"] = ["TF"]
     mono = program_from_document(doc, team_mode=True)
-    b_team = team_init_beliefs(mono)
+    b_team = init_beliefs(mono)
     b_single = init_beliefs(sp)
     for _ in range(40):
         yoyo_tick(mono, b_team, [])
-        b_single = propagate_forward(b_single, sp)
+        propagate_forward(b_single, sp)
     for x in mono.node_ids:
         assert b_team.active[x] == b_single.active[x]
         assert b_team.blocked[x] == b_single.blocked[x]
 
 
 def test_no_message_tick_is_forward_only(two_team):
-    a = team_init_beliefs(two_team)
-    b = team_init_beliefs(two_team)
+    a = init_beliefs(two_team)
+    b = init_beliefs(two_team)
     yoyo_tick(two_team, a, [])
-    b = propagate_forward(b, two_team)
+    propagate_forward(b, two_team)
     assert a.active == b.active
     assert a.blocked == b.blocked
 
@@ -154,7 +154,7 @@ def test_duplicate_messages_merge(two_team):
              ObservedMessage(6, "r1", "TF", TERM, "joint-prep")]
     states = []
     for msgs in (msgs1, msgs3):
-        b = team_init_beliefs(two_team)
+        b = init_beliefs(two_team)
         for _ in range(6):
             yoyo_tick(two_team, b, [])
         yoyo_tick(two_team, b, msgs)
@@ -164,7 +164,7 @@ def test_duplicate_messages_merge(two_team):
 
 
 def test_evidence_lights_up_parallel_subtrees(two_team):
-    b = team_init_beliefs(two_team)
+    b = init_beliefs(two_team)
     for _ in range(6):
         yoyo_tick(two_team, b, [])
     yoyo_tick(two_team, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
@@ -180,7 +180,7 @@ def test_evidence_lights_up_parallel_subtrees(two_team):
 def test_sibling_team_keeps_prior_share_of_parent(two_team):
     # LEFT finishing left-a re-aligns RIGHT's subtree to the parent's new
     # belief, preserving RIGHT's share of the parent rather than its shape
-    b = team_init_beliefs(two_team)
+    b = init_beliefs(two_team)
     for _ in range(6):
         yoyo_tick(two_team, b, [])
     yoyo_tick(two_team, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
@@ -197,12 +197,12 @@ def _rescale_into(parent, child, b, prior, p):
     """The rescale a climb from ``child`` runs as it steps into ``parent``."""
     (walk,) = [walk for _, par, walk in p.evidence_climbs[p.index[child]]
                if par == p.index[parent]]
-    _rescale(walk, b, prior, set())
+    _rescale(walk, b, prior.act, prior.blk, set())
 
 
-def _state(p, time, active):
+def _state(p, active):
     """A state holding ``active``, node id -> mass, and 0.0 everywhere else."""
-    b = BeliefState(time, list(p.zeros), list(p.zeros), p.index)
+    b = BeliefState(list(p.zeros), list(p.zeros), p.index)
     for x, mass in active.items():
         b.act[p.index[x]] = mass
     return b
@@ -211,8 +211,8 @@ def _state(p, time, active):
 def test_scale_rescales_sibling_team_subtree(evac_mini):
     p = evac_mini
     # hand-built prior: landing-zone-maneuvers at 0.5, both tasks under it
-    prior = _state(p, 0, {"n0": 1.0, "n3": 0.5, "n4": 0.5, "n5": 0.5})
-    b = _state(p, 1, {"n0": 1.0, "n3": 1.0, "n4": 1.0})
+    prior = _state(p, {"n0": 1.0, "n3": 0.5, "n4": 0.5, "n5": 0.5})
+    b = _state(p, {"n0": 1.0, "n3": 1.0, "n4": 1.0})
     _rescale_into("n3", "n4", b, prior, p)
     # ESCORT's subtree is re-aligned to the parent's new mass
     assert b.active["n5"] == pytest.approx(1.0)
@@ -227,8 +227,8 @@ def test_scale_prior_shares_are_preserved():
     doc["transitions"].append({"from": "rb", "to": "TERMINATE", "pi": 1.0,
                                "mu": 0.0, "teams": ["RIGHT"]})
     p = program_from_document(doc, team_mode=True)
-    prior = _state(p, 0, {"m": 1.0, "s": 0.5, "la": 0.5, "ra": 0.25, "rb": 0.25})
-    b = _state(p, 1, {"m": 1.0, "s": 1.0, "la": 1.0})
+    prior = _state(p, {"m": 1.0, "s": 0.5, "la": 0.5, "ra": 0.25, "rb": 0.25})
+    b = _state(p, {"m": 1.0, "s": 1.0, "la": 1.0})
     _rescale_into("s", "la", b, prior, p)
     assert b.active["ra"] == pytest.approx(0.5)
     assert b.active["rb"] == pytest.approx(0.5)
@@ -239,7 +239,7 @@ def test_scale_skips_plans_of_ancestor_teams(evac_team):
     # after FLIGHT-TEAM evidence, the TASK-FORCE-owned predecessor must not
     # be resurrected from the prior
     p = evac_team
-    b = team_init_beliefs(p)
+    b = init_beliefs(p)
     for _ in range(5):
         yoyo_tick(p, b, [])
     yoyo_tick(p, b, [ObservedMessage(5, "escort1", "TASK-FORCE", TERM,
@@ -274,7 +274,7 @@ def test_rescale_crosses_a_skipped_team_level():
     right = {}
     for owner in ("LEFT", "LEFT1"):
         p = program_from_document(_skip_level_doc(owner), team_mode=True)
-        b = team_init_beliefs(p)
+        b = init_beliefs(p)
         for _ in range(6):
             yoyo_tick(p, b, [])
         yoyo_tick(p, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
@@ -288,7 +288,7 @@ def test_rescale_crosses_a_skipped_team_level():
 
 
 def test_term_of_sink_keeps_named_nodes(two_team):
-    b = team_init_beliefs(two_team)
+    b = init_beliefs(two_team)
     for _ in range(6):
         yoyo_tick(two_team, b, [])
     yoyo_tick(two_team, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
@@ -303,7 +303,7 @@ def test_term_of_sink_keeps_named_nodes(two_team):
 def test_parallel_sibling_mass_matches_parent(two_team):
     # while no sibling mass has drained off through completions, every
     # evidence step leaves the parallel subtrees carrying the parent's mass
-    b = team_init_beliefs(two_team)
+    b = init_beliefs(two_team)
     for _ in range(6):
         yoyo_tick(two_team, b, [])
     yoyo_tick(two_team, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
@@ -317,7 +317,7 @@ def test_unknown_message_team_reads_as_senders_team(two_team):
     # a team the program does not know falls back to the sender's leaf team
     final = {}
     for team in ("LEFT", "NO-SUCH-TEAM", "RIGHT"):
-        b = team_init_beliefs(two_team)
+        b = init_beliefs(two_team)
         for _ in range(6):
             yoyo_tick(two_team, b, [])
         yoyo_tick(two_team, b, [ObservedMessage(6, "l1", "TF", TERM, "joint-prep")])
@@ -352,7 +352,7 @@ def test_each_team_keeps_its_own_evidence_in_a_crowded_tick():
 
 def test_unknown_plan_diagnostic(two_team):
     from overhear.belief import MonitoringError
-    b = team_init_beliefs(two_team)
+    b = init_beliefs(two_team)
     with pytest.raises(MonitoringError, match="incoherently"):
         yoyo_tick(two_team, b, [ObservedMessage(0, "l1", "TF", INIT, "no-plan")])
 
@@ -362,12 +362,12 @@ def test_state_size_independent_of_agents():
     doc = program_to_document(tp)
     doc["agents"].append({"name": "extra", "team": "ALPHA"})
     bigger = program_from_document(doc, team_mode=True)
-    assert len(team_init_beliefs(tp).active) == len(team_init_beliefs(bigger).active)
+    assert len(init_beliefs(tp).active) == len(init_beliefs(bigger).active)
 
 
 def test_quiet_tick_visits_bounded():
     tp = team_program(0)
-    b = team_init_beliefs(tp)
+    b = init_beliefs(tp)
     counter = VisitCounter()
     for _ in range(10):
         yoyo_tick(tp, b, [], counter)
