@@ -35,11 +35,11 @@ They are built on first use, so loading a program pays for none of them.
 Node ids remain only at the document and query boundary: ``node_ids`` and
 ``index`` map between ids and positions, ``node(id)`` reads a plan record,
 and ``name_path``, ``path_names`` and ``paths_at`` answer queries in ids
-and names; ``path_names`` names a root path with one lookup.  The forward
-step's function is compiled once per distinct generated source, and a
-scan once per leaf tuple, each kept in a bounded module-level cache, so
-programs whose sources (or leaves) are equal share one function; a source
-stays in ``linecache`` only while its function is cached.
+and names.  The forward step's function is compiled once per distinct set
+of the fields it reads, and a scan once per leaf tuple, each in a bounded
+module-level cache, so programs equal in those (or in leaves) share one
+function and a hit generates no source; a source stays in ``linecache``
+only while its function is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -57,8 +57,8 @@ checks, besides schema and references:
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.  So
-is a kernel shared by programs with equal source: it touches nothing but its
-arguments and the lists it returns, and two threads compiling one source at
+is a kernel shared by programs with equal fields: it touches nothing but its
+arguments and the lists it returns, and two threads compiling one key at
 once get equal functions.  A scan only reads its arguments.  Mutable run
 state lives in the belief containers, not here.
 """
@@ -210,14 +210,16 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
 class _Kernel:
     """A compiled generated function and its source's ``linecache`` entry.
 
-    ``src`` defines one function, ``name``; ``label`` names the kind of
-    function in the source's file name.  Only a compile cache holds a
-    kernel, so the entry is dropped when the kernel leaves its cache, and
-    ``linecache`` holds no more sources than the caches hold functions.
+    ``src`` defines one function, ``name``.  The file name holds ``label``,
+    the source's sha1 and the kernel's id, so kernels of equal source (the
+    forward kernels of programs that differ in plan names, say) keep one
+    entry each.  Only a compile cache holds a kernel, so the entry is dropped
+    when the kernel leaves its cache, and ``linecache`` holds no more
+    sources than the caches hold functions.
     """
 
     def __init__(self, src: str, name: str, label: str):
-        self.filename = f"<{label} sha1:{hashlib.sha1(src.encode()).hexdigest()}>"
+        self.filename = f"<{label} sha1:{hashlib.sha1(src.encode()).hexdigest()} at {id(self):#x}>"
         self.entry = (len(src), None, src.splitlines(True), self.filename)
         linecache.cache[self.filename] = self.entry
         scope: dict = {}
@@ -230,14 +232,19 @@ class _Kernel:
 
 
 @lru_cache(maxsize=64)
-def _compile_forward(src: str) -> _Kernel:
-    """The kernel that the generated source ``src`` defines.
+def _compile_forward(plans, transitions, root, teams, team_mode) -> _Kernel:
+    """The forward kernel of every program with these fields, the ones
+    ``TeamOrientedProgram._forward_source`` reads: a miss compiles the
+    source of a program built from them, and a hit generates nothing.
 
-    Keyed on the text, never on the program: a team program and its
-    single-agent view compare equal but generate different sources.  The
-    cache keeps the 64 most recently used kernels.
+    Equal keys give equal source: the loader stores ``mu`` and ``pi`` as
+    floats, and an int rate, or a -0.0 ``mu``, ``pi`` or rate, writes the
+    text of the equal float.  ``team_mode`` is in the key, as a program and
+    its single-agent view compare equal but step differently.  Agents are
+    not: the groups read only the team tree, so a grown team shares its kernel.
     """
-    return _Kernel(src, "forward", "forward step")
+    p = TeamOrientedProgram(plans, transitions, TeamHierarchy(teams, ()), root, team_mode)
+    return _Kernel(p._forward_source(), "forward", "forward step")
 
 
 @lru_cache(maxsize=256)
@@ -362,16 +369,9 @@ class TeamOrientedProgram:
         """Plan names from the root down to ``node_id`` inclusive."""
         return self.name_paths_at[self.index[node_id]]
 
-    def path_names(self, path) -> tuple[str, ...]:
-        """The plan names of a path of node ids.
-
-        A root path, which is what every query returns, is one lookup;
-        any other path is named id by id.
-        """
-        try:
-            return self._names_by_path[path]
-        except (KeyError, TypeError):  # not a root path, or an unhashable one
-            return self._names(path)
+    def path_names(self, path: tuple[str, ...]) -> tuple[str, ...]:
+        """The plan names of a root path of ids (``paths_at``), in one lookup."""
+        return self._names_by_path[path]
 
     def _names(self, path) -> tuple[str, ...]:
         plans, index = self.plans, self.index
@@ -580,14 +580,15 @@ class TeamOrientedProgram:
         < 0.0 else a<i>``, floored after every block has read it.  Rounding
         may leave a value an ulp above 1; it is left as it is.
 
-        The source defines the function alone, so ``_compile_forward``
-        compiles it only when no equal source is in its cache: equal
-        programs share one function, and a program and its single-agent
-        view, which compare equal, get their own.  A compiled source is
-        registered with ``linecache`` under a name unique to it while its
-        kernel is cached, so tracebacks, profilers and ``inspect.getsource``
-        show it.
+        ``_compile_forward`` generates the source (``_forward_source``) only
+        for fields not in its cache, and keeps it in ``linecache`` while its
+        kernel is cached, for tracebacks, profilers and ``inspect.getsource``.
         """
+        return _compile_forward(self.plans, self.transitions, self.root,
+                                self.team_hierarchy.teams, self.team_mode).function
+
+    def _forward_source(self) -> str:
+        """The source of ``forward``'s function, generated from the fields."""
         n, groups_at = self.index, self.groups_at
         shed: list[str] = []  # each o<i>, set before any block runs
         blocks: list[str] = []
@@ -645,8 +646,7 @@ class TeamOrientedProgram:
         active = (f"0.0 if a{i} < 0.0 else a{i}" if i in floored else f"a{i}" for i in at)
         body = ["".join(f"a{i}, " for i in at) + "= A", "".join(f"b{i}, " for i in at) + "= B",
                 *shed, *blocks, f"return [{', '.join(active)}], [{', '.join(f'b{i}' for i in at)}]"]
-        return _compile_forward("\n".join(
-            ["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n").function
+        return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.
@@ -707,6 +707,13 @@ def _name(entry: dict, loc: str) -> str:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def probability(value, label: str, loc: str = "") -> float:
+    """``value`` as a float if it is a number in [0, 1] and not a bool (NaN fails)."""
+    if not _is_number(value) or not 0.0 <= value <= 1.0:
+        raise ProgramError(f"{label} must be a probability in [0, 1]", loc)
+    return float(value)
 
 
 def _nonnegative_number(v) -> bool:
@@ -859,16 +866,13 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
         if dst != TERMINATE and (plans[src].parent is None
                                  or plans[src].parent != plans[dst].parent):
             raise ProgramError("a transition must join two children of one parent", loc)
-        pi = _require(entry, "pi", loc)
-        mu = _require(entry, "mu", loc)
-        for label, v in (("pi", pi), ("mu", mu)):
-            if not _is_number(v) or not 0.0 <= v <= 1.0:
-                raise ProgramError(f"{label} must be a probability in [0, 1]", loc)
+        pi = probability(_require(entry, "pi", loc), "pi", loc)
+        mu = probability(_require(entry, "mu", loc), "mu", loc)
         owner = plans[src].team
         if entry.get("teams", []) not in ([], [owner]):
             raise ProgramError(f"teams must be omitted, [] or ['{owner}'], the team of "
                                f"source plan '{src}'", loc)
-        transitions.append(TemporalTransition(src, dst, float(pi), float(mu)))
+        transitions.append(TemporalTransition(src, dst, pi, mu))
     transitions.sort(key=lambda t: (t.src, t.dst))
 
     program = TeamOrientedProgram(

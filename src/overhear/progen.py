@@ -10,8 +10,9 @@ one message per twenty individual state changes.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from .model import (TERMINATE, TeamOrientedProgram, program_from_document,
+from .model import (TERMINATE, TeamOrientedProgram, probability, program_from_document,
                     program_to_document)
 
 
@@ -174,13 +175,11 @@ def grow_team(p: TeamOrientedProgram, extra: int) -> TeamOrientedProgram:
 
 def flatten_mu(p: TeamOrientedProgram, value: float) -> TeamOrientedProgram:
     """Copy of the program with every announceable transition's message
-    probability replaced by ``value``.
+    probability replaced by ``value``, which ``model.probability`` checks.
 
     Models a monitor that knows the plan structure but not the team's
     communication protocol; TERMINATE edges stay silent.
     """
-    doc = program_to_document(p)
-    for t in doc["transitions"]:
-        if t["to"] != TERMINATE:
-            t["mu"] = value
-    return program_from_document(doc, team_mode=p.team_mode)
+    mu = probability(value, "flat mu")
+    return replace(p, transitions=tuple(t if t.dst == TERMINATE else replace(t, mu=mu)
+                                        for t in p.transitions))

@@ -9,10 +9,10 @@ announced in predictable messages (a rote-learned communication model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ingest import INIT, TERM, IngestError
-from .model import TeamOrientedProgram, TemporalTransition
+from .model import TERMINATE, TeamOrientedProgram, TemporalTransition
 
 # Transitions the communication model says nothing about keep a small chance
 # of being announced anyway.
@@ -79,27 +79,23 @@ def learn_comm_model(messages, model: CommModel | None = None,
 
 
 def apply_comm_model(p: TeamOrientedProgram, model: CommModel) -> TeamOrientedProgram:
-    """Rewrite transition announcement probabilities from learned rules.
+    """A copy of ``p`` whose announcement probabilities come from learned rules.
 
     Every transition entering a plan with an INIT rule, or leaving a plan
     with a TERM rule, is expected to be announced with the model's
     confidence; all other transitions fall back to ``DEFAULT_UNPREDICTED_MU``.
     Completion edges stay silent (mu 0): programs never announce TERMINATE
-    itself, only the transition out of the finished plan.
+    itself, only the transition out of the finished plan.  The copy differs
+    from ``p`` in ``mu`` alone.
     """
-    from .model import TERMINATE
-
-    rewritten = []
-    for t in p.transitions:
+    def mu(t: TemporalTransition) -> float:
         if t.dst == TERMINATE:
-            rewritten.append(TemporalTransition(t.src, t.dst, t.pi, 0.0))
-            continue
+            return 0.0
         predicted = (model.predicts(p.node(t.src).name, TERM)
                      or model.predicts(p.node(t.dst).name, INIT))
-        mu = model.confidence if predicted else DEFAULT_UNPREDICTED_MU
-        rewritten.append(TemporalTransition(t.src, t.dst, t.pi, mu))
-    return TeamOrientedProgram(p.plans, tuple(rewritten), p.team_hierarchy, p.root,
-                               team_mode=p.team_mode)
+        return model.confidence if predicted else DEFAULT_UNPREDICTED_MU
+
+    return replace(p, transitions=tuple(replace(t, mu=mu(t)) for t in p.transitions))
 
 
 def format_comm_model(model: CommModel) -> str:

@@ -194,6 +194,15 @@ def test_evaluate_reads_the_program_through_flat_mu(tmp_path):
     assert out_path.read_text() == render_report(report)
 
 
+@pytest.mark.parametrize("value", ["1.5", "nan"])
+def test_evaluate_rejects_a_flat_mu_that_is_no_probability(tmp_path, capsys, value):
+    trace_path, log_path = _simulate(tmp_path / "run")
+    assert run_command(["evaluate", "--program", TEAM, "--team-mode", "--flat-mu", value,
+                        "--log", str(log_path), "--truth", str(trace_path)]) == 1
+    assert capsys.readouterr().err == ("overhear evaluate: error: "
+                                       "flat mu must be a probability in [0, 1]\n")
+
+
 def test_evaluate_report_and_reproducibility(tmp_path):
     trace_path, log_path = _simulate(tmp_path / "run")
     outs = []
@@ -237,8 +246,8 @@ def test_evaluate_with_loss_and_model(tmp_path):
 
 
 def test_evaluate_runs_share_one_kernel(tmp_path):
-    # each run builds a fresh comm-applied program; equal programs generate
-    # one kernel source, compiled once per process
+    # each run builds a fresh comm-applied program; equal programs share one
+    # kernel, generated and compiled once per process
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"
     assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0

@@ -4,12 +4,13 @@ import json
 import linecache
 import random
 import traceback
+from dataclasses import replace
 
 import pytest
 
-from overhear.model import (ProgramError, TERMINATE, _compile_forward, hazard, load_program,
-                            load_program_path, program_from_document, program_to_document,
-                            serialize_program, topmost_teams)
+from overhear.model import (ProgramError, TERMINATE, TeamOrientedProgram, _compile_forward, hazard,
+                            load_program, load_program_path, program_from_document,
+                            program_to_document, serialize_program, topmost_teams)
 from overhear.progen import flatten_mu, grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.social import INIT, CommModel, apply_comm_model
@@ -556,7 +557,9 @@ def test_forward_cache_is_bounded():
     before = _compile_forward.cache_info().misses
     again = team_program(0).forward
     assert _compile_forward.cache_info().misses == before + 1
-    assert again is not first and inspect.getsource(again) == inspect.getsource(first)
+    assert again is not first and inspect.getsource(again) == p._forward_source()
+    # the evicted kernel's source left linecache with it
+    assert first.__code__.co_filename not in linecache.cache
 
 
 def test_forward_sources_leave_linecache_with_their_kernels():
@@ -570,3 +573,104 @@ def test_forward_sources_leave_linecache_with_their_kernels():
     # the last kernel compiled is still cached, and so is its source
     last = flatten_mu(p, mus[-1]).forward
     assert inspect.getsource(last).startswith("def forward(A, B):\n")
+
+
+def test_kernels_of_one_source_keep_their_own_source():
+    # programs that differ only in plan names generate one source under two
+    # keys; the kernel left cached keeps its source when the other is dropped
+    _compile_forward.cache_clear()
+    p = team_program(0)
+    renamed = replace(p, plans=tuple(replace(n, name=f"{n.name}-x") for n in p.plans))
+    kept, dropped = p.forward, renamed.forward
+    assert kept is not dropped and inspect.getsource(kept) == inspect.getsource(dropped)
+    size = _compile_forward.cache_info().maxsize
+    assert team_program(0).forward is kept  # now the most recently used
+    for k in range(size - 1):
+        flatten_mu(p, (k + 1) / (size + 3)).forward
+    assert dropped.__code__.co_filename not in linecache.cache
+    assert inspect.getsource(kept).startswith("def forward(A, B):\n")
+
+
+def _family(p):
+    """p and its copies by ``dataclasses.replace``: its single-agent view, a
+    flat-mu copy and a comm-applied copy, in that order."""
+    comm = CommModel(frozenset({(p.plans[-1].name, INIT)}), 0.9)
+    return [p, p.single_agent_view(), flatten_mu(p, 0.05), apply_comm_model(p, comm)]
+
+
+_KERNEL_FAMILIES = {
+    **{f"team_program({k})": lambda k=k: _family(team_program(k)) for k in range(7)},
+    **{name: lambda name=name: _family(load_program_path(DATA / f"{name}.json", team_mode=True))
+       for name in ("evac_team", "evac_mini")},
+    "random_program(0..39)": lambda: [random_program(k) for k in range(40)],
+    "grown-1011": lambda: [team_program(0), grow_team(team_program(0), 1000)],
+}
+
+# the tables that read mu or team_mode, and two that read the structure alone
+_COPIED_TABLES = ("out_at", "groups_at", "initial", "evidence_climbs", "team_edges", "unit_at",
+                  "name_paths_at", "leaves_by_team")
+
+
+@pytest.mark.parametrize("family", _KERNEL_FAMILIES)
+def test_forward_kernel_is_keyed_on_the_fields_it_reads(family):
+    # each program in a family may find its kernel cached under the key of
+    # one before it; the kernel must still be the one its own fields generate
+    for q in _KERNEL_FAMILIES[family]():
+        assert inspect.getsource(q.forward) == q._forward_source()
+        # a copy by replace is the program a fresh load builds, tables and kernel
+        fresh = load_program(serialize_program(q), team_mode=q.team_mode)
+        assert fresh == q and fresh.forward is q.forward
+        for table in _COPIED_TABLES:
+            assert getattr(fresh, table) == getattr(q, table), table
+
+
+def test_forward_hit_generates_no_source(monkeypatch):
+    p = team_program(0)
+    comm = CommModel(frozenset({(p.plans[-1].name, INIT)}), 0.9)
+    seen = (p.forward, apply_comm_model(p, comm).forward)
+    calls = []
+    generate = TeamOrientedProgram._forward_source
+    monkeypatch.setattr(TeamOrientedProgram, "_forward_source",
+                        lambda q: calls.append(q) or generate(q))
+    for _ in range(3):
+        assert (team_program(0).forward, apply_comm_model(p, comm).forward) == seen
+    # agents are not in the key: a grown team's kernel is its team's
+    assert grow_team(p, 1000).forward is p.forward
+    assert calls == []
+    # a miss generates once, from a program built from the key, with no agent
+    flatten_mu(p, 0.0123457).forward
+    assert len(calls) == 1 and calls[0].team_hierarchy.agents == ()
+
+
+def _mini(rate, mu):
+    doc = _mini_doc()
+    doc["plans"][1]["lambda"] = rate
+    doc["transitions"][0]["mu"] = mu
+    return program_from_document(doc)
+
+
+def test_equal_keys_generate_equal_source():
+    # the key compares numbers by value, so an int rate and a -0.0 mu share
+    # the kernel of the float rate and the 0.0 mu, and must write its text
+    p, q = _mini(1.0, 0.0), _mini(1, -0.0)
+    assert p == q and q.forward is p.forward
+    assert q._forward_source() == p._forward_source() == inspect.getsource(q.forward)
+
+
+@pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), True, "0.5", None, 10 ** 400],
+                         ids=["1.5", "-0.25", "nan", "True", "str", "None", "10**400"])
+def test_flatten_mu_takes_only_a_probability(value):
+    # the loader's rule for a pi or mu: a number in [0, 1], not a bool or NaN
+    with pytest.raises(ProgramError, match=r"^flat mu must be a probability in \[0, 1\]$"):
+        flatten_mu(team_program(0), value)
+
+
+def test_flatten_mu_sets_a_float_on_every_announceable_edge():
+    p = team_program(0)
+    for value in (0, 1, 0.25):
+        q = flatten_mu(p, value)
+        assert [(t.src, t.dst, t.pi) for t in q.transitions] == [
+            (t.src, t.dst, t.pi) for t in p.transitions]
+        assert [t.mu for t in q.transitions] == [
+            t.mu if t.dst == TERMINATE else value for t in p.transitions]
+        assert all(type(t.mu) is float for t in q.transitions)
