@@ -14,6 +14,12 @@ loop (``replay``) and report on its ``units``.  ``recognize``'s line ``t`` and
 ``evaluate``'s checkpoint at tick ``t`` read one belief, which has seen ticks
 ``0..t``.
 
+The grammar is built per subcommand: ``COMMANDS`` holds each one's help,
+the function that adds its arguments and its body, and ``build_parser``
+builds only the subparser that ``argv[0]`` names (every one when it names
+none), so a command pays for its own flags alone.  Help, usage and error
+text are those of the full grammar.
+
 Exit status: 0 on success, 1 on file or validation errors (diagnostic on
 stderr), 2 on bad flags (argparse usage text).  Identical arguments always
 produce byte-identical outputs.
@@ -159,14 +165,7 @@ def _add_out(sub, help_text="output file (default stdout)"):
     sub.add_argument("--out", default=None, help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="overhear",
-        description="Infer the execution state of an agent team from its "
-                    "overheard coordination messages.")
-    sp = ap.add_subparsers(dest="subcommand", required=True)
-
-    sim = sp.add_parser("simulate", help="run the simulator, write trace + log")
+def _simulate_args(sim):
     _add_program(sim)
     sim.add_argument("--seed", type=int, required=True, help="simulation seed")
     sim.add_argument("--ticks", type=int, default=200,
@@ -185,25 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
                           "0 (the default) without")
     sim.add_argument("--out", required=True,
                      help="directory for trace.txt and log.txt")
-    sim.set_defaults(fn=_cmd_simulate)
 
-    lrn = sp.add_parser("learn", help="build a communication model from logs")
+
+def _learn_args(lrn):
     lrn.add_argument("--log", action="append", required=True,
                      help="message log (repeatable)")
     lrn.add_argument("--confidence", type=float, default=None,
                      help="mu assigned to predicted announcements (default 1.0)")
     _add_out(lrn)
-    lrn.set_defaults(fn=_cmd_learn)
 
-    lose = sp.add_parser("lose", help="drop an exact fraction of a log")
+
+def _lose_args(lose):
     lose.add_argument("--log", required=True, help="message log to filter")
     lose.add_argument("--rate", type=float, required=True,
                       help="fraction of messages to drop")
     lose.add_argument("--seed", type=int, required=True, help="loss seed")
     _add_out(lose)
-    lose.set_defaults(fn=_cmd_lose)
 
-    rec = sp.add_parser("recognize", help="emit per-tick most-likely states")
+
+def _recognize_args(rec):
     _add_program(rec)
     rec.add_argument("--log", required=True, help="message log to stream")
     rec.add_argument("--mode", choices=MODES, default="array",
@@ -219,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--flat-mu", type=float, default=None,
                      help="replace every non-completion mu with this value")
     _add_out(rec)
-    rec.set_defaults(fn=_cmd_recognize)
 
-    ev = sp.add_parser("evaluate", help="score a recognizer against ground truth")
+
+def _evaluate_args(ev):
     _add_program(ev)
     ev.add_argument("--log", required=True, help="message log")
     ev.add_argument("--truth", required=True, help="ground-truth trace file")
@@ -240,22 +239,58 @@ def build_parser() -> argparse.ArgumentParser:
                     help="drop this fraction of the log before scoring")
     ev.add_argument("--loss-seed", type=int, default=0, help="loss seed")
     _add_out(ev)
-    ev.set_defaults(fn=_cmd_evaluate)
 
-    ben = sp.add_parser("bench", help="scalability table across team sizes")
+
+def _bench_args(ben):
     ben.add_argument("--program", required=True, help="team program document")
     ben.add_argument("--agents", default="11:20",
                      help="agent count range MIN:MAX inclusive (default 11:20)")
     ben.add_argument("--ticks", type=int, default=100,
                      help="quiet ticks to instrument per size")
     _add_out(ben)
-    ben.set_defaults(fn=_cmd_bench)
 
+
+# name -> (help, function that adds its arguments, body), in help order
+COMMANDS = {
+    "simulate": ("run the simulator, write trace + log", _simulate_args, _cmd_simulate),
+    "learn": ("build a communication model from logs", _learn_args, _cmd_learn),
+    "lose": ("drop an exact fraction of a log", _lose_args, _cmd_lose),
+    "recognize": ("emit per-tick most-likely states", _recognize_args, _cmd_recognize),
+    "evaluate": ("score a recognizer against ground truth", _evaluate_args, _cmd_evaluate),
+    "bench": ("scalability table across team sizes", _bench_args, _cmd_bench),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The grammar that parses ``argv``: when ``argv[0]`` names a subcommand,
+    only that subparser is built, since no other one ever sees the rest of
+    ``argv``; otherwise (help, no arguments, a typo) all of them are."""
+    ap = argparse.ArgumentParser(
+        prog="overhear",
+        description="Infer the execution state of an agent team from its "
+                    "overheard coordination messages.")
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        # The top-level parser still reports leftover arguments under its own
+        # usage line, which must name every subcommand as the full grammar
+        # does.  (A metavar also renames the argument in the errors about a
+        # missing or unknown subcommand, which cannot arise here.)
+        sp = ap.add_subparsers(dest="subcommand", required=True,
+                               metavar="{" + ",".join(COMMANDS) + "}")
+        names = (name,)
+    else:
+        sp = ap.add_subparsers(dest="subcommand", required=True)
+        names = COMMANDS
+    for name in names:
+        help_text, add_arguments, body = COMMANDS[name]
+        sub = sp.add_parser(name, help=help_text)
+        add_arguments(sub)
+        sub.set_defaults(fn=body)
     return ap
 
 
 def run_command(argv) -> int:
-    ap = build_parser()
+    ap = build_parser(argv)
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -82,7 +82,11 @@ class SimConfig:
 
 @dataclass
 class GroundTruthTrace:
-    """Per-tick, per-agent truth: (root-to-locus name path, blocked flag)."""
+    """Per-tick, per-agent truth: (root-to-locus name path, blocked flag).
+
+    Consecutive ticks may share one row dict (``simulate`` reuses a row until
+    a run moves), so treat every row as read-only.
+    """
     seed: int
     agents: tuple[str, ...]
     steps: list[dict[str, tuple[tuple[str, ...], bool]]]
@@ -94,18 +98,21 @@ class GroundTruthTrace:
 
 
 def format_trace(trace: GroundTruthTrace) -> str:
-    lines = [f"# seed {trace.seed}"]
+    parts = [f"# seed {trace.seed}\n"]
     paths: dict[tuple[tuple[str, ...], bool], str] = {}  # each distinct state once
+    row = cells = None
     for tick, step in enumerate(trace.steps):
-        stamp = f"{tick} "  # formatted once per tick, not once per line
-        for agent in trace.agents:
-            state = step[agent]
-            path = paths.get(state)
-            if path is None:
-                names, blocked = state
-                path = paths[state] = "/".join(names) + ("!" if blocked else "")
-            lines.append(f"{stamp}{agent} {path}")
-    return "\n".join(lines) + "\n"
+        if step is not row:  # a shared row is formatted once
+            row, cells = step, [""]  # the leading "" puts a stamp before the first cell
+            for agent in trace.agents:
+                state = step[agent]
+                path = paths.get(state)
+                if path is None:
+                    names, blocked = state
+                    path = paths[state] = "/".join(names) + ("!" if blocked else "")
+                cells.append(f"{agent} {path}\n")
+        parts.append(f"{tick} ".join(cells))
+    return "".join(parts)
 
 
 def parse_trace(text: str) -> GroundTruthTrace:
@@ -115,7 +122,7 @@ def parse_trace(text: str) -> GroundTruthTrace:
     agents: list[str] = []  # in order of first appearance
     seen: set[str] = set()
     states: dict[str, tuple[tuple[str, ...], bool]] = {}  # path text -> state
-    ticks: dict[str, int] = {}  # tick text -> checked tick
+    raw_tick = None  # the tick text of the block of lines being read
     lines = text.splitlines()
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
@@ -128,22 +135,21 @@ def parse_trace(text: str) -> GroundTruthTrace:
             continue
         if len(parts) != 3:
             raise SimulationError(f"trace line {lineno}: expected 'tick agent path'")
-        raw_tick, agent, path = parts
-        tick = ticks.get(raw_tick)
-        if tick is None:
+        if parts[0] != raw_tick:  # the first line of a block: look its tick up once
+            raw_tick = parts[0]
             tick = _trace_int(raw_tick, "tick", lineno)
             if tick < 0:
                 raise SimulationError(f"trace line {lineno}: tick {tick} is negative")
             if tick >= len(lines):  # ticks 0..tick would need more lines than there are
                 raise SimulationError(f"trace line {lineno}: tick {tick} is past the "
                                       f"trace's {len(lines)} lines")
-            ticks[raw_tick] = tick
+            while len(steps) <= tick:
+                steps.append({})
+            step = steps[tick]
+        _, agent, path = parts
         state = states.get(path)
         if state is None:
             state = states[path] = (tuple(path.rstrip("!").split("/")), path.endswith("!"))
-        while len(steps) <= tick:
-            steps.append({})
-        step = steps[tick]
         if agent in step:
             raise SimulationError(
                 f"trace line {lineno}: agent '{agent}' already has a state at tick {tick}")
@@ -384,7 +390,14 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
         runs = [_Run(view, cfg, random.Random(f"{cfg.seed}:{a}"), a) for a in agents]
         follows = {run.sender: (run, every) for run in runs}
     for tick in range(cfg.ticks):
-        steps.append({a: run.truth(chain) for a, (run, chain) in follows.items()})
+        # A run's truths are cleared exactly when it moves, so while every
+        # run still holds them the previous row is still the truth.  (A loop,
+        # not all() over a generator: agent-mode runs move on most ticks.)
+        for run in runs:
+            if not run.truths:
+                row = {a: r.truth(chain) for a, (r, chain) in follows.items()}
+                break
+        steps.append(row)
         for run in runs:
             run.step(tick, messages)
     messages.sort(key=lambda m: (m.tick, m.sender, m.kind, m.plan))

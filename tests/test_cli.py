@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from overhear.cli import run_command
+from overhear.cli import COMMANDS, build_parser, run_command
 from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
 from overhear.model import _compile_forward, load_program_path
@@ -43,6 +44,67 @@ def test_bad_flag_is_usage_error(capsys):
         run_command(["simulate", "--no-such-flag"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def _subparser(ap, name):
+    """The subparser that ``ap`` built for subcommand ``name``."""
+    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+# Each subcommand's required flags, with values that parse.
+_REQUIRED = {
+    "simulate": ["--program", TEAM, "--seed", "1", "--out", "run"],
+    "learn": ["--log", "log.txt"],
+    "lose": ["--log", "log.txt", "--rate", "0.5", "--seed", "1"],
+    "recognize": ["--program", TEAM, "--log", "log.txt"],
+    "evaluate": ["--program", TEAM, "--log", "log.txt", "--truth", "trace.txt"],
+    "bench": ["--program", TEAM],
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_grammar_built_alone_prints_the_full_grammars_text(name):
+    alone, full = build_parser([name]), build_parser()
+    assert alone.format_usage() == full.format_usage()
+    sub, full_sub = _subparser(alone, name), _subparser(full, name)
+    assert sub.format_usage() == full_sub.format_usage()
+    assert sub.format_help() == full_sub.format_help()
+    with pytest.raises(KeyError):  # and nothing else was built
+        _subparser(alone, next(other for other in COMMANDS if other != name))
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@pytest.mark.parametrize("case", ["bad-flag", "missing-required"])
+def test_grammar_built_alone_reports_the_full_grammars_errors(capsys, name, case):
+    # a bad flag after all required ones is reported by the top-level parser,
+    # under its own usage line; a missing flag by the subparser
+    argv = [name, *_REQUIRED[name], "--no-such-flag"] if case == "bad-flag" else [name]
+    errors = []
+    for ap in (build_parser(argv), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            ap.parse_args(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert ("unrecognized arguments: --no-such-flag" if case == "bad-flag"
+            else "the following arguments are required") in errors[0]
+
+
+def test_simulate_builds_only_its_own_grammar(tmp_path, monkeypatch):
+    # the top-level parser's -h, then simulate's subparser, and nothing more
+    simulate = _subparser(build_parser(), "simulate")
+    expected = ["-h"] + [a.option_strings[0] for a in simulate._actions]
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *names, **kwargs):
+        calls.append(names[0])
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    _simulate(tmp_path / "run")
+    assert calls == expected
 
 
 def test_missing_file_is_runtime_error(capsys):

@@ -79,17 +79,21 @@ _TOKEN = st.text(alphabet=string.ascii_letters + string.digits + "-_.#", min_siz
 
 
 @st.composite
-def _traces(draw):
+def _traces(draw, shared=False):
+    """A trace; when ``shared``, each row dict may stand for several
+    consecutive ticks, as ``simulate``'s rows do while no run moves."""
     agents = draw(st.lists(_TOKEN, min_size=1, max_size=4, unique=True))
     state = st.tuples(st.lists(_TOKEN, min_size=1, max_size=3).map(tuple), st.booleans())
     steps = draw(st.lists(st.fixed_dictionaries({a: state for a in agents}),
                           min_size=1, max_size=5))
+    if shared:
+        steps = [row for row in steps for _ in range(draw(st.integers(1, 4)))]
     return GroundTruthTrace(seed=draw(st.integers(-10 ** 6, 10 ** 6)),
                             agents=tuple(agents), steps=steps)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_traces())
+@given(st.one_of(_traces(), _traces(shared=True)))
 def test_trace_text_round_trip(trace):
     assert parse_trace(format_trace(trace)) == trace
 

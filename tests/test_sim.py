@@ -2,10 +2,11 @@ import statistics
 
 import pytest
 
+from overhear import sim
 from overhear.model import hazard, program_from_document, program_to_document
 from overhear.progen import team_program
-from overhear.sim import (ALWAYS, NEVER, SimConfig, SimulationError, checkpoints,
-                          format_trace, parse_trace, simulate)
+from overhear.sim import (ALWAYS, NEVER, GroundTruthTrace, SimConfig, SimulationError,
+                          checkpoints, format_trace, parse_trace, simulate)
 
 
 def state_changes(trace) -> int:
@@ -123,10 +124,61 @@ def test_parse_trace_rejects_missing_agent(evac_team):
     ("0 a p\n-1 a p\n", "line 2: tick -1 is negative"),
     ("0 a p\n0 a q\n", "line 2: agent 'a' already has a state at tick 0"),
     ("0 a p\n2 a p\n", "line 2: tick 2 is past the trace's 2 lines"),
+    # a tick's lines need not form one block, nor share one spelling
+    ("0 a p\n1 a p\n0 a q\n", "line 3: agent 'a' already has a state at tick 0"),
+    ("0 a p\n00 a q\n", "line 2: agent 'a' already has a state at tick 0"),
+    ("0 a p\n0 b p\n1 a p\n1 b p\n1 b q\n", "line 5: agent 'b' already has a state at tick 1"),
+    ("0 a p\n1 a p\n0 b p\n1 b p\n9 a p\n", "line 5: tick 9 is past the trace's 5 lines"),
 ])
 def test_parse_trace_rejects_bad_lines(text, message):
     with pytest.raises(SimulationError, match=message):
         parse_trace(text)
+
+
+def _reference_format(trace) -> str:
+    """``format_trace`` one line at a time."""
+    lines = [f"# seed {trace.seed}"]
+    for tick, step in enumerate(trace.steps):
+        for agent in trace.agents:
+            names, blocked = step[agent]
+            lines.append(f"{tick} {agent} {'/'.join(names)}{'!' if blocked else ''}")
+    return "\n".join(lines) + "\n"
+
+
+def _shared_row_runs():
+    """team_program(0) in team mode, and agent mode with an outage."""
+    tp = team_program(0)
+    for seed in (1, 2, 3):
+        yield tp, SimConfig(seed=seed, ticks=300, team_mode=True, send_prob=0.6)
+        yield tp.single_agent_view(), SimConfig(seed=seed, ticks=300, send_prob=0.6,
+                                                fail_agent="alpha1", fail_from=40,
+                                                fail_ticks=100)
+
+
+def test_shared_rows_hold_each_ticks_truth(monkeypatch):
+    # consecutive ticks share a row only while no run moves; a reference run
+    # that walks every truth afresh never fills a run's truths, so it builds
+    # a new row on every tick
+    runs = list(_shared_row_runs())
+    shared = [simulate(p, cfg) for p, cfg in runs]
+    monkeypatch.setattr(sim._Run, "truth", lambda run, chain: run._walk(chain))
+    for (p, cfg), (trace, log) in zip(runs, shared):
+        fresh, fresh_log = simulate(p, cfg)
+        assert len({id(row) for row in fresh.steps}) == fresh.ticks
+        assert trace == fresh and log == fresh_log
+        reused = [t for t in range(1, trace.ticks) if trace.steps[t] is trace.steps[t - 1]]
+        if cfg.team_mode:
+            assert reused
+        assert all(fresh.steps[t] == fresh.steps[t - 1] for t in reused)
+
+
+def test_format_trace_matches_the_per_line_reference():
+    for p, cfg in _shared_row_runs():
+        trace, _ = simulate(p, cfg)
+        assert format_trace(trace) == _reference_format(trace)
+    for trace in (GroundTruthTrace(seed=5, agents=(), steps=[{}, {}]),
+                  GroundTruthTrace(seed=-1, agents=("a",), steps=[])):
+        assert format_trace(trace) == _reference_format(trace)
 
 
 def test_never_policy_is_silent(evac_team):
