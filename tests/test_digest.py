@@ -111,8 +111,9 @@ SIM_SHA256 = "9bfe566a4808e27250ff62b5931eb958c40cc3cb285db408ce208a03ea3ce6ac"
 SIM_MOVED_SHA256 = "2db5e45f1d3ee4810753a2ef67f317dfc4fc56c3f3639125a460d87f8ee56c8e"
 SIM_TICKS = 150
 
-# sha256 of every program's kernel (and its view's) on arbitrary tables
-KERNEL_SHA256 = "c692f933bd40772ff1f5ca370ad4a17400b41a04914be6673453e97a38e96fe6"
+# sha256 of every program's kernel (and its view's) on arbitrary tables, team-mode
+# output capped at 1
+KERNEL_SHA256 = "a4220434f57d9b338dbca4bf4a1feb8294bf58e6fadf0037ab544682926ce6a9"
 KERNEL_STATES = 50
 
 # sha256 of every table program's kernel source and position-keyed tables,
@@ -298,6 +299,10 @@ def _tables(rng: random.Random, kind: str, size: int) -> list[float]:
     return [1.0 + rng.random() for _ in range(size)]  # every entry above 1
 
 
+def _capped(table: list[float]) -> list[float]:
+    return [1.0 if v > 1.0 else v for v in table]
+
+
 def kernel_digest() -> str:
     """sha256 over ``forward``'s output, as ``float.hex``, on seeded tables.
 
@@ -306,6 +311,10 @@ def kernel_digest() -> str:
     view, steps ``KERNEL_STATES`` tables of each kind: uniform in [0, 1),
     sparse with exact zeros, near-subnormal, and every entry above 1.  So
     the floors and the zero-skips run under masses no run produces.
+
+    A team-mode kernel's output is hashed capped at 1, as the shared
+    layout's quiet tick leaves it; the single-agent view's is hashed as
+    it is returned.
     """
     h = hashlib.sha256()
     for corpus in ("team_program", "nested", "random_program"):
@@ -317,6 +326,8 @@ def kernel_digest() -> str:
                     for _ in range(KERNEL_STATES):
                         active, blocked = q.forward(_tables(rng, kind, size),
                                                     _tables(rng, kind, size))
+                        if q.team_mode:
+                            active, blocked = _capped(active), _capped(blocked)
                         h.update(f"{corpus}/{prog}/{view}/{kind}\n".encode())
                         h.update(" ".join(map(float.hex, [*active, *blocked])).encode())
     return h.hexdigest()
