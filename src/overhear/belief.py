@@ -49,8 +49,9 @@ Nothing here clips a value.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
 and an evidence commit only adds non-negative shares of normalized masses.
 A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
-Only the shared (yoyo) layout clips, capping values at 1 in ``yoyo._clamp``
-and ``yoyo._clamp_entries``.
+Only the shared (yoyo) layout clips, capping values at 1: a team-mode
+program's kernel caps what its quiet step returns, and
+``yoyo._clamp_entries`` what an evidence tick wrote.
 """
 
 from __future__ import annotations
@@ -264,7 +265,9 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     no message, parks as ``blocked`` in the proportion that does, and climbs
     to the parent along TERMINATE edges.  The map is linear; with one
     first-child group per node it conserves leaf-active plus blocked mass
-    as long as no TERMINATE edge leaves the root's own children.
+    as long as no TERMINATE edge leaves the root's own children.  On a
+    team-mode program the linear step is then capped at 1, entry by entry,
+    which is the shared layout's whole quiet tick.
     The step runs as p's compiled kernel (``TeamOrientedProgram.forward``).
     The counter takes one visit per node: a node that can shed is visited by
     one test of its shed mass, and runs its updates only when that is

@@ -577,8 +577,13 @@ class TeamOrientedProgram:
         an internal node that sheds can round below zero: the sum of its
         children's TERMINATE flows may exceed its active mass by an ulp.  So
         such a node's entry in the returned active list reads ``0.0 if a<i>
-        < 0.0 else a<i>``, floored after every block has read it.  Rounding
-        may leave a value an ulp above 1; it is left as it is.
+        < 0.0 else a<i>``, floored after every block has read it.
+
+        A team-mode kernel, the shared layout's quiet tick, caps every entry
+        it returns at 1: it reads ``1.0 if v > 1.0 else v``, and a floored
+        entry ``1.0 if a<i> > 1.0 else 0.0 if a<i> < 0.0 else a<i>``.  The
+        single-agent view's kernel does not cap; rounding may leave one of
+        its values an ulp above 1, and it is left as it is.
 
         ``_compile_forward`` generates the source (``_forward_source``) only
         for fields not in its cache, and keeps it in ``linecache`` while its
@@ -643,9 +648,15 @@ class TeamOrientedProgram:
             blocks.append(f"if o{i}:\n        " + "\n        ".join(body))
 
         at = range(len(n))
-        active = (f"0.0 if a{i} < 0.0 else a{i}" if i in floored else f"a{i}" for i in at)
+
+        def entry(v: str, floor: bool = False) -> str:  # one returned value
+            text = f"0.0 if {v} < 0.0 else {v}" if floor else v
+            return f"1.0 if {v} > 1.0 else {text}" if self.team_mode else text
+
+        active = ", ".join(entry(f"a{i}", i in floored) for i in at)
+        blocked = ", ".join(entry(f"b{i}") for i in at)
         body = ["".join(f"a{i}, " for i in at) + "= A", "".join(f"b{i}, " for i in at) + "= B",
-                *shed, *blocks, f"return [{', '.join(active)}], [{', '.join(f'b{i}' for i in at)}]"]
+                *shed, *blocks, f"return [{active}], [{blocked}]"]
         return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
     def single_agent_view(self) -> "TeamOrientedProgram":

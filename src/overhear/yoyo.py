@@ -26,16 +26,17 @@ between the two owners.
 
 This is the one layout that clips.  The evidence climb and the rescale do
 not conserve mass and can push a value above 1, so each such value is
-silently set to 1: by ``_clamp``, over the whole state, after every quiet
-step, and by ``_clamp_entries``, over the entries the tick wrote, at the
-end of every evidence tick.  ``_clamp`` walks a table only when its
-``max`` exceeds 1, which is exact: no value is NaN, so the max exceeds 1
-exactly when some entry does.  No value is ever below 0 (``_clamp`` says
-why), so neither has a lower bound to enforce.  The narrower clamp is
-exact.  An evidence tick builds its state on fresh zero tables and adds
-every entry it writes to its ``updated`` set, so every other entry is an
-exact 0.0, which a clamp leaves as it is.  Every value a tick leaves is in
-[0, 1].
+silently set to 1: on a quiet tick by the team-mode forward kernel itself,
+which caps every entry it returns (``TeamOrientedProgram.forward``), and
+on an evidence tick by ``_clamp_entries``, over the entries the tick
+wrote, at its end.  No value is ever below 0, so neither has a lower
+bound to enforce: the forward step keeps non-negative mass non-negative
+(its kernel floors the one place rounding could break that), and an
+evidence tick only adds, multiplies, divides and takes the max of
+non-negative values.  The narrower clamp is exact.  An evidence tick
+builds its state on fresh zero tables and adds every entry it writes to
+its ``updated`` set, so every other entry is an exact 0.0, which a clamp
+leaves as it is.  Every value a tick leaves is in [0, 1].
 """
 
 from __future__ import annotations
@@ -45,24 +46,8 @@ from .belief import (BeliefState, MonitoringError, VisitCounter, evidence, init_
 from .model import TeamOrientedProgram
 
 
-def _clamp(state: BeliefState):
-    """Cap every value of the state at 1.
-
-    No value is ever below 0, so there is no lower bound to enforce: the
-    forward step keeps non-negative mass non-negative (its kernel floors
-    the one place rounding could break that), and an evidence tick only
-    adds, multiplies, divides and takes the max of non-negative values.
-    A table whose max is at most 1 is left without a walk.
-    """
-    for table in (state.act, state.blk):
-        if max(table) > 1.0:
-            for i, v in enumerate(table):
-                if v > 1.0:
-                    table[i] = 1.0
-
-
 def _clamp_entries(state: BeliefState, keys):
-    """``_clamp`` over the positions ``keys`` names only."""
+    """Cap the values at the positions ``keys`` names at 1."""
     for table in (state.act, state.blk):
         for i in keys:
             if table[i] > 1.0:
@@ -103,7 +88,8 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
 
-    With no messages this is ``belief.propagate_forward``, then ``_clamp``.
+    With no messages this is ``belief.propagate_forward`` alone, whose
+    team-mode kernel caps every value at 1.
     Otherwise the tick's messages are one observation (``belief.evidence``),
     committed at once on fresh lists: each mass propagates down its subtree,
     climbs toward the root, and triggers a cross-team rescale whenever the
@@ -114,7 +100,6 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     """
     if not msgs:
         propagate_forward(b, p, counter)
-        _clamp(b)
         return
     scratch = evidence(b, p, msgs)
     prior_active, prior_blocked = b.act, b.blk

@@ -111,14 +111,13 @@ SIM_SHA256 = "9bfe566a4808e27250ff62b5931eb958c40cc3cb285db408ce208a03ea3ce6ac"
 SIM_MOVED_SHA256 = "2db5e45f1d3ee4810753a2ef67f317dfc4fc56c3f3639125a460d87f8ee56c8e"
 SIM_TICKS = 150
 
-# sha256 of every program's kernel (and its view's) on arbitrary tables, team-mode
-# output capped at 1
+# sha256 of every program's kernel (and its view's) on arbitrary tables
 KERNEL_SHA256 = "a4220434f57d9b338dbca4bf4a1feb8294bf58e6fadf0037ab544682926ce6a9"
 KERNEL_STATES = 50
 
 # sha256 of every table program's kernel source and position-keyed tables,
 # and of its hypothesis-count curves
-TABLES_SHA256 = "39ed50680af8f72793cd84896bdae9f22f56e53892683ba6ab5582e81b185381"
+TABLES_SHA256 = "3ff3da1f8c5994ad1e94a14126146475caef98445de909d3ac141b464ebe42bf"
 HYPOTHESIS_SHA256 = "ea3923a3d4d1761b1fefa3c5c47846b8cf574570ff0455d12057029f20552cd9"
 
 
@@ -299,10 +298,6 @@ def _tables(rng: random.Random, kind: str, size: int) -> list[float]:
     return [1.0 + rng.random() for _ in range(size)]  # every entry above 1
 
 
-def _capped(table: list[float]) -> list[float]:
-    return [1.0 if v > 1.0 else v for v in table]
-
-
 def kernel_digest() -> str:
     """sha256 over ``forward``'s output, as ``float.hex``, on seeded tables.
 
@@ -312,9 +307,8 @@ def kernel_digest() -> str:
     sparse with exact zeros, near-subnormal, and every entry above 1.  So
     the floors and the zero-skips run under masses no run produces.
 
-    A team-mode kernel's output is hashed capped at 1, as the shared
-    layout's quiet tick leaves it; the single-agent view's is hashed as
-    it is returned.
+    A team-mode kernel caps what it returns at 1, and the single-agent
+    view's does not, so the pin covers both the cap and its absence.
     """
     h = hashlib.sha256()
     for corpus in ("team_program", "nested", "random_program"):
@@ -326,8 +320,6 @@ def kernel_digest() -> str:
                     for _ in range(KERNEL_STATES):
                         active, blocked = q.forward(_tables(rng, kind, size),
                                                     _tables(rng, kind, size))
-                        if q.team_mode:
-                            active, blocked = _capped(active), _capped(blocked)
                         h.update(f"{corpus}/{prog}/{view}/{kind}\n".encode())
                         h.update(" ".join(map(float.hex, [*active, *blocked])).encode())
     return h.hexdigest()

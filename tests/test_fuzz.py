@@ -1,8 +1,9 @@
 """Property tests: program, trace, log, KQML and communication-model loaders
 raise only their documented error types, traces survive a text round trip,
 the per-agent belief stays in [0, 1] without being clipped, no belief
-value of either layout is ever -0.0, and no negative value reaches the
-shared layout's clamps, which only cap at 1."""
+value of either layout is ever -0.0, no negative value reaches the
+shared layout's clips, which only cap at 1, and only a team-mode forward
+kernel caps what it returns."""
 
 import copy
 import math
@@ -235,30 +236,53 @@ def test_shared_belief_stays_in_bounds_without_negative_zero(p, ticks):
                 assert 0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0, (t, x, v)
 
 
-def _checked_clamp(clamp, reached: list):
-    """``clamp``, first asserting that no value it is about to read is negative."""
-    def checked(state, *keys):
+def _checked(step, reached: list, before: bool):
+    """``step``, asserting that no value it reads (``before``) or leaves is negative."""
+    def check(state, keys):
         for table in (state.act, state.blk):
-            for x in (keys[0] if keys else range(len(table))):
-                assert table[x] >= 0.0, (clamp.__name__, x, table[x])
-        reached.append(clamp.__name__)
-        return clamp(state, *keys)
+            for x in keys or range(len(table)):
+                assert table[x] >= 0.0, (step.__name__, x, table[x])
+
+    def checked(state, *args):
+        if before:
+            check(state, args[0])
+        step(state, *args)
+        if not before:
+            check(state, ())
+        reached.append(step.__name__)
     return checked
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_TEAM_PROGRAMS), _TEAM_TICKS)
 def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
-    # both clamps only cap at 1, which is exact only if nothing below 0 reaches them
+    # both clips only cap at 1, which is exact only if nothing below 0 reaches
+    # them: the quiet step's cap is in its kernel, so check what the step leaves
     names = sorted({n.name for n in p.plans})
     agents = p.team_hierarchy.agents
     reached: list[str] = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(yoyo, "_clamp", _checked_clamp(yoyo._clamp, reached))
-        mp.setattr(yoyo, "_clamp_entries", _checked_clamp(yoyo._clamp_entries, reached))
+        mp.setattr(yoyo, "propagate_forward", _checked(propagate_forward, reached, False))
+        mp.setattr(yoyo, "_clamp_entries", _checked(yoyo._clamp_entries, reached, True))
         b = init_beliefs(p)
         for t, msgs in enumerate(ticks, 1):
             heard = [ObservedMessage(t, *agents[i % len(agents)], kind, names[j % len(names)])
                      for kind, i, j in msgs or ()]
             yoyo_tick(p, b, heard)
     assert len(reached) == len(ticks)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(_TEAM_PROGRAMS), st.randoms(use_true_random=False))
+def test_only_the_team_mode_kernel_caps_at_one(p, rng):
+    # every entry above 1: the team-mode kernel caps all it returns, and the
+    # view's stays linear, so doubling its input doubles its output exactly
+    size = len(p.node_ids)
+    active, blocked = ([1.0 + rng.random() for _ in range(size)] for _ in range(2))
+    team_active, team_blocked = p.forward(active, blocked)
+    assert max(team_active + team_blocked) == 1.0
+    view = p.single_agent_view().forward
+    view_active, view_blocked = view(active, blocked)
+    assert max(view_active + view_blocked) > 1.0
+    doubled = view([2.0 * v for v in active], [2.0 * v for v in blocked])
+    assert doubled == ([2.0 * v for v in view_active], [2.0 * v for v in view_blocked])
