@@ -126,17 +126,17 @@ def parse_trace(text: str) -> GroundTruthTrace:
     lines = text.splitlines()
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0].startswith("#"):
-            comment = line.split("#", 1)[1].split()
-            if len(comment) == 2 and comment[0] == "seed":
-                seed = _trace_int(comment[1], "seed", lineno)
-            continue
-        if len(parts) != 3:
-            raise SimulationError(f"trace line {lineno}: expected 'tick agent path'")
-        if parts[0] != raw_tick:  # the first line of a block: look its tick up once
-            raw_tick = parts[0]
+        if len(parts) != 3 or parts[0] != raw_tick:  # not a line of the current block
+            if not parts:
+                continue
+            if parts[0].startswith("#"):
+                comment = line.split("#", 1)[1].split()
+                if len(comment) == 2 and comment[0] == "seed":
+                    seed = _trace_int(comment[1], "seed", lineno)
+                continue
+            if len(parts) != 3:
+                raise SimulationError(f"trace line {lineno}: expected 'tick agent path'")
+            raw_tick = parts[0]  # the first line of a block: look its tick up once
             tick = _trace_int(raw_tick, "tick", lineno)
             if tick < 0:
                 raise SimulationError(f"trace line {lineno}: tick {tick} is negative")
