@@ -244,14 +244,23 @@ def score_run(hypotheses, truths, units=None) -> RunReport:
 
 # --- replay runners -----------------------------------------------------------
 
-def _unit_truth(p: TeamOrientedProgram, step, unit: str) -> tuple[str, ...]:
-    """An agent's true path, or the one path a team's members all share."""
+def _unit_members(p: TeamOrientedProgram, unit: str) -> tuple[str, ...]:
+    """A team's agents, or an agent alone."""
     h = p.team_hierarchy
-    paths = {step[a][0] for a in (h.members(unit) if h.has_team(unit) else (unit,))}
-    if len(paths) != 1:
-        raise MonitoringError(
-            f"members of '{unit}' disagree in the ground truth; run is not coherent")
-    return next(iter(paths))
+    return h.members(unit) if h.has_team(unit) else (unit,)
+
+
+def _unit_truth(step, unit: str, members: tuple[str, ...]) -> tuple[str, ...]:
+    """The one true path the unit's ``members`` all share at ``step``."""
+    if members:
+        path = step[members[0]][0]
+        for agent in members:
+            if step[agent][0] != path:
+                break
+        else:
+            return path
+    raise MonitoringError(
+        f"members of '{unit}' disagree in the ground truth; run is not coherent")
 
 
 def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
@@ -281,12 +290,14 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     cps = dict(truth_checkpoints(trace, messages, delay))
     last = max(cps) if cps else 0
 
+    members = [(u, _unit_members(p, u)) for u in units]
+
     hypotheses = []
     truths = []
     for t in recognizer.replay(messages, last + 1):
         if t in cps:
             hypotheses.append({u: recognizer.path(u) for u in units})
-            truths.append({u: _unit_truth(p, cps[t], u) for u in units})
+            truths.append({u: _unit_truth(cps[t], u, m) for u, m in members})
 
     if hypotheses_out is not None:
         hypotheses_out.extend(hypotheses)
@@ -357,9 +368,11 @@ def hypothesis_count_curve(p: TeamOrientedProgram, messages,
     re-anchored on the exchange's messages and closed over transitions the
     communication model does not predict an announcement for.  ``online``
     grows the rule set from the messages seen so far instead of using the
-    full model from the start.
+    full model from the start.  Equal anchor sets under equal rules count
+    the same, so each such pair is closed once per call.
     """
     counts = []
+    memo: dict[tuple[frozenset[int], CommModel | None], int] = {}
     learned = CommModel(frozenset())
     for tick, batch in sorted(messages_by_tick(messages).items()):
         if up_to_tick is not None and tick > up_to_tick:
@@ -373,8 +386,11 @@ def hypothesis_count_curve(p: TeamOrientedProgram, messages,
         joined = set.intersection(*anchors) if anchors else set()
         if not joined:
             joined = set().union(*anchors)
-        possible = _silent_closure(p, joined, active_rules)
-        counts.append(sum(1 for x in possible if not p.children_at[x]))
+        key = (frozenset(joined), active_rules)
+        if key not in memo:
+            possible = _silent_closure(p, joined, active_rules)
+            memo[key] = sum(1 for x in possible if not p.children_at[x])
+        counts.append(memo[key])
     return counts
 
 
