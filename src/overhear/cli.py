@@ -141,10 +141,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bench(args) -> int:
     p = load_program_path(args.program, team_mode=True)
-    lo, sep, hi = args.agents.partition(":")
-    if not sep:
-        raise MonitoringError(f"--agents wants MIN:MAX, got {args.agents!r}")
-    counts = range(int(lo), int(hi) + 1)
+    try:
+        lo, hi = args.agents.split(":")
+        counts = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise MonitoringError(f"--agents wants MIN:MAX, got {args.agents!r}") from None
     if not counts:
         raise MonitoringError(f"--agents range {args.agents!r} is empty")
     rows = bench_scalability(p, counts, ticks=_positive_ticks(args.ticks))

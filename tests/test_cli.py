@@ -415,6 +415,8 @@ def test_bench_rejects_bad_range(capsys):
     (["recognize", "--program", TEAM, "--team-mode", "--ticks", "0"], "ticks must be positive"),
     (["bench", "--program", TEAM, "--agents", "4:5", "--ticks", "-5"], "ticks must be positive"),
     (["bench", "--program", TEAM, "--agents", "6:4"], "range '6:4' is empty"),
+    (["bench", "--program", TEAM, "--agents", "12:"], "--agents wants MIN:MAX, got '12:'"),
+    (["bench", "--program", TEAM, "--agents", "12:x"], "--agents wants MIN:MAX, got '12:x'"),
 ])
 def test_runs_with_nothing_to_do_are_errors(tmp_path, capsys, argv, message):
     if argv[0] == "recognize":
