@@ -244,14 +244,9 @@ def score_run(hypotheses, truths, units=None) -> RunReport:
 
 # --- replay runners -----------------------------------------------------------
 
-def _unit_members(p: TeamOrientedProgram, unit: str) -> tuple[str, ...]:
-    """A team's agents, or an agent alone."""
-    h = p.team_hierarchy
-    return h.members(unit) if h.has_team(unit) else (unit,)
-
-
 def _unit_truth(step, unit: str, members: tuple[str, ...]) -> tuple[str, ...]:
-    """The one true path the unit's ``members`` all share at ``step``."""
+    """The one true path the unit's ``members`` (a team's agents, or an agent
+    alone) all share at ``step``."""
     if members:
         path = step[members[0]][0]
         for agent in members:
@@ -290,7 +285,8 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     cps = dict(truth_checkpoints(trace, messages, delay))
     last = max(cps) if cps else 0
 
-    members = [(u, _unit_members(p, u)) for u in units]
+    h = p.team_hierarchy
+    members = [(u, h.members(u) if h.has_team(u) else (u,)) for u in units]
 
     hypotheses = []
     truths = []
