@@ -45,7 +45,7 @@ per leaf, held on the program over every leaf (``best_leaf``, which
 (``team_best_leaf``).  This module only calls the program's functions and
 never writes to a program.
 
-Nothing here clips a value.  Every mass stays at or above 0 exactly: the
+This module clips no value itself.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
 and an evidence commit only adds non-negative shares of normalized masses.
 A value may exceed 1 by rounding, by an ulp or so, and is left as it is.

@@ -33,10 +33,10 @@ wrote, at its end.  No value is ever below 0, so neither has a lower
 bound to enforce: the forward step keeps non-negative mass non-negative
 (its kernel floors the one place rounding could break that), and an
 evidence tick only adds, multiplies, divides and takes the max of
-non-negative values.  The narrower clamp is exact.  An evidence tick
-builds its state on fresh zero tables and adds every entry it writes to
-its ``updated`` set, so every other entry is an exact 0.0, which a clamp
-leaves as it is.  Every value a tick leaves is in [0, 1].
+non-negative values.  Capping only the written entries is exact.  An
+evidence tick builds its state on fresh zero tables and adds every entry
+it writes to its ``updated`` set, so every other entry is an exact 0.0,
+which a cap leaves as it is.  Every value a tick leaves is in [0, 1].
 """
 
 from __future__ import annotations
