@@ -117,7 +117,7 @@ KERNEL_STATES = 50
 
 # sha256 of every table program's kernel source and position-keyed tables,
 # and of its hypothesis-count curves
-TABLES_SHA256 = "3ff3da1f8c5994ad1e94a14126146475caef98445de909d3ac141b464ebe42bf"
+TABLES_SHA256 = "9019a54da9105ace78a011f64bf98b48d78e59bc8456a87fcdf0c684cce5eefb"
 HYPOTHESIS_SHA256 = "ea3923a3d4d1761b1fefa3c5c47846b8cf574570ff0455d12057029f20552cd9"
 
 
@@ -342,7 +342,7 @@ def tables_digest() -> str:
             h.update(f"{prog}/{view}\n".encode())
             h.update(inspect.getsource(q.forward).encode())
             for table in (q.groups_at, q.evidence_climbs, q.team_edges, q.ancestors_at,
-                          q.paths_at, q.leaves_by_team, q.named_index):
+                          q.name_paths_at, q.leaves_by_team, q.named_index):
                 h.update(repr(table).encode())
     return h.hexdigest()
 
