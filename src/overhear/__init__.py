@@ -4,8 +4,9 @@ The package splits into:
 
 - model: plan/team hierarchy documents and validation
 - ingest: message log formats (canonical + KQML) and loss filters
-- belief: single-agent probabilistic recognizer (one belief array per agent)
-- social: coherence counting, role filters, learned communication models
+- belief: the belief engine both recognizer layouts share (forward step,
+  evidence, most-likely query), and the array layout's per-agent tick
+- social: coherence counting, learned communication models
 - yoyo: team recognizer sharing one plan hierarchy across the whole team
 - recognizer: one interface and one monitor loop over both recognizer layouts
 - sim: seeded team simulator producing ground-truth traces and logs

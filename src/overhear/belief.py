@@ -16,10 +16,11 @@ evidence one message at a time (``apply_messages``), the shared layout in
 A state holds the two masses as plain lists, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
 position (``TeamOrientedProgram.index``) and reads only the program's
-position-keyed tables.  Node ids appear at the boundary alone: a query
-returns a root path of ids, and ``BeliefState.active`` and ``.blocked`` are
-read-only id-keyed views of the lists (``b.active["p12"]``), for readers
-outside the engine.
+position-keyed tables.  A query returns a leaf's position too, which
+``TeamOrientedProgram.path_names`` turns into plan names.  Node ids appear
+only at the document boundary: ``BeliefState.active`` and ``.blocked`` are
+read-only id-keyed snapshots of the lists (``b.active["p12"]``), for
+readers outside the engine.
 
 Both layouts step a state in place.  ``init_beliefs`` alone builds one;
 ``propagate_forward``, ``apply_messages``, ``array_overseer_tick`` and
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .ingest import INIT, TERM, ObservedMessage
 from .model import TIE_TOLERANCE, TeamOrientedProgram
@@ -83,24 +85,6 @@ class VisitCounter:
         self.visits += n
 
 
-class _IdView(Mapping):
-    """One belief table, read by node id; it follows the list it wraps."""
-
-    __slots__ = ("_index", "_table")
-
-    def __init__(self, index: dict[str, int], table: list[float]):
-        self._index, self._table = index, table
-
-    def __getitem__(self, x: str) -> float:
-        return self._table[self._index[x]]
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
 @dataclass(slots=True)
 class BeliefState:
     """Belief over a plan state, stepped in place.
@@ -108,8 +92,8 @@ class BeliefState:
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
     ``node_ids`` order; ``index`` is the program's node id -> position table.
     A step replaces both lists with new ones.  ``active`` and ``blocked``
-    are read-only views of the two lists keyed by node id, made anew on
-    each access so they follow a replaced list.
+    are read-only snapshots of the two lists keyed by node id, built on each
+    read, so a later step or write shows only in a later read.
     """
 
     act: list[float]
@@ -118,11 +102,11 @@ class BeliefState:
 
     @property
     def active(self) -> Mapping[str, float]:
-        return _IdView(self.index, self.act)
+        return MappingProxyType(dict(zip(self.index, self.act)))
 
     @property
     def blocked(self) -> Mapping[str, float]:
-        return _IdView(self.index, self.blk)
+        return MappingProxyType(dict(zip(self.index, self.blk)))
 
 
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
@@ -278,18 +262,18 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     b.act, b.blk = p.forward(b.act, b.blk)
 
 
-def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> tuple[str, ...]:
-    """Root-to-leaf path of the leaf holding the most active+blocked mass.
+def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
+    """The position of the leaf holding the most active+blocked mass.
 
     The leaf is the program's compiled pick over every leaf
     (``TeamOrientedProgram.best_leaf``), so masses within ``TIE_TOLERANCE``
-    of each other tie toward the lowest node id.  Raises on an all-zero
-    state.
+    of each other tie toward the lowest node id.  ``p.path_names`` of the
+    answer is its root path of plan names.  Raises on an all-zero state.
     """
     best = p.best_leaf(b.act, b.blk)
     if not b.act[best] + b.blk[best] > 0.0:
         raise MonitoringError("belief state carries no mass on any leaf")
-    return p.paths_at[best]
+    return best
 
 
 def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram):

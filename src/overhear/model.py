@@ -18,10 +18,10 @@ which the loader sorts by id: a belief table is a list with one entry per
 node in that order, so every table names a node by its position, and
 positions ascend in id order.  The tables are each node's children
 (``children_at``), transitions out (``out_at``), ancestors, root path as
-ids (``paths_at``) and as plan names (``name_paths_at``), owner and
-first-child groups (``groups_at``, the one place that decides which
-subteams run in parallel); the postorder and the leaves; plan name ->
-positions (``named_index``); the zero table (``zeros``), the initial state
+plan names (``name_paths_at``), owner and first-child groups
+(``groups_at``, the one place that decides which subteams run in
+parallel); the postorder and the leaves; plan name -> positions
+(``named_index``); the zero table (``zeros``), the initial state
 (``initial``) and each team's candidate leaves (``leaves_by_team``); the
 evidence tables that ``belief.evidence`` reads in both modes (each team's
 open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``, and each
@@ -32,11 +32,12 @@ that unpacks both tables and returns new lists; and the compiled
 most-likely pick over every leaf (``best_leaf``) and over each team's
 candidate leaves (``team_best_leaf``), one generated scan per leaf tuple.
 They are built on first use, so loading a program pays for none of them.
-Node ids remain only at the document and query boundary: ``node_ids`` and
-``index`` map between ids and positions, ``node(id)`` reads a plan record,
-and ``name_path``, ``path_names`` and ``paths_at`` answer queries in ids
-and names.  The forward step's function is compiled once per distinct set
-of the fields it reads, and a scan once per leaf tuple, each in a bounded
+Node ids remain only at the document boundary: ``node_ids`` and ``index``
+map between ids and positions, ``node(id)`` reads a plan record, and the
+transition records (``out_at``) name their plans by id.  A query answers
+with a leaf's position, and ``path_names`` gives its root path as plan
+names.  The forward step's function is compiled once per distinct set of
+the fields it reads, and a scan once per leaf tuple, each in a bounded
 module-level cache, so programs equal in those (or in leaves) share one
 function and a hit generates no source; a source stays in ``linecache``
 only while its function is cached.
@@ -347,41 +348,29 @@ class TeamOrientedProgram:
         return tuple(i for i, kids in enumerate(self.children_at) if not kids)
 
     @cached_property
-    def paths_at(self) -> tuple[tuple[str, ...], ...]:
-        """Each position's root path as node ids: the engine's answer to a query."""
-        index, paths = self.index, [()] * len(self.plans)
+    def ancestors_at(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's strict ancestors from parent up to the root, by position."""
+        plans, index, ancestors = self.plans, self.index, [()] * len(self.plans)
         for i in reversed(self.postorder):  # every parent before its children
-            n = self.plans[i]
-            paths[i] = (n.id,) if n.parent is None else paths[index[n.parent]] + (n.id,)
-        return tuple(paths)
+            parent = plans[i].parent
+            if parent is not None:
+                j = index[parent]
+                ancestors[i] = (j, *ancestors[j])
+        return tuple(ancestors)
 
     @cached_property
     def name_paths_at(self) -> tuple[tuple[str, ...], ...]:
         """Each position's root path as plan names, as traces and queries write it."""
-        return tuple(map(self._names, self.paths_at))
+        plans, index, paths = self.plans, self.index, [()] * len(self.plans)
+        for i in reversed(self.postorder):  # every parent before its children
+            n = plans[i]
+            paths[i] = (n.name,) if n.parent is None else (*paths[index[n.parent]], n.name)
+        return tuple(paths)
 
-    @cached_property
-    def _names_by_path(self) -> dict[tuple[str, ...], tuple[str, ...]]:
-        """Every root path of ids -> its plan names."""
-        return dict(zip(self.paths_at, self.name_paths_at))
-
-    def name_path(self, node_id: str) -> tuple[str, ...]:
-        """Plan names from the root down to ``node_id`` inclusive."""
-        return self.name_paths_at[self.index[node_id]]
-
-    def path_names(self, path: tuple[str, ...]) -> tuple[str, ...]:
-        """The plan names of a root path of ids (``paths_at``), in one lookup."""
-        return self._names_by_path[path]
-
-    def _names(self, path) -> tuple[str, ...]:
-        plans, index = self.plans, self.index
-        return tuple([plans[index[x]].name for x in path])
-
-    @cached_property
-    def ancestors_at(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's strict ancestors from parent up to the root, by position."""
-        index = self.index
-        return tuple(tuple(index[a] for a in path[-2::-1]) for path in self.paths_at)
+    def path_names(self, i: int) -> tuple[str, ...]:
+        """The plan names on the root path of the node at position i, which a
+        query (``belief.most_likely_state``, ``yoyo.team_most_likely``) returns."""
+        return self.name_paths_at[i]
 
     @cached_property
     def owner_at(self) -> tuple[str, ...]:

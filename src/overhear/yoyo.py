@@ -131,11 +131,12 @@ def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:
     return _team_entry(p.leaves_by_team, team)
 
 
-def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> tuple[str, ...]:
-    """Most likely root-to-leaf path among leaves the team can be executing.
+def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
+    """The position of the most likely leaf among those the team can be executing.
 
     The leaf is the team's compiled pick over ``team_leaves(p, team)``
     (``TeamOrientedProgram.team_best_leaf``), so near-ties, and a team with
-    no mass on any of its leaves, go to the lowest node id.
+    no mass on any of its leaves, go to the lowest node id.  ``p.path_names``
+    of the answer is its root path of plan names.
     """
-    return p.paths_at[_team_entry(p.team_best_leaf, team)(b.act, b.blk)]
+    return _team_entry(p.team_best_leaf, team)(b.act, b.blk)

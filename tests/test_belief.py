@@ -202,7 +202,7 @@ def test_evidence_commits_full_path(evac_team):
     assert b.active["n6"] == pytest.approx(1.0)  # first child follows
     assert b.active["n0"] == pytest.approx(1.0)
     assert b.active["n1"] == 0.0
-    assert most_likely_state(b, p) == ("n0", "n2", "n6")
+    assert most_likely_state(b, p) == p.index["n6"]
 
 
 def test_term_message_moves_mass_to_successors(evac_team):
@@ -295,8 +295,8 @@ def _pick(caller, masses) -> str:
         return rec.path("T")[-1]
     first.blk[:] = second.blk
     if caller == "most_likely_state":
-        return most_likely_state(first, p)[-1]
-    return team_most_likely(first, p, "T")[-1]
+        return p.node_ids[most_likely_state(first, p)]
+    return p.node_ids[team_most_likely(first, p, "T")]
 
 
 def _ulps(x: float, k: int) -> float:
@@ -427,6 +427,21 @@ def test_most_likely_rejects_empty():
     b.act[:] = p.zeros
     with pytest.raises(MonitoringError):
         most_likely_state(b, p)
+
+
+def test_queries_answer_with_a_candidate_leaf_position():
+    rng = random.Random(0)
+    for p in table_programs():
+        view = p.single_agent_view()
+        for _ in range(5):
+            b = BeliefState(*_planted(rng, p.leaf_index, len(p.node_ids)), p.index)
+            leaf = most_likely_state(b, view)
+            assert type(leaf) is int and leaf in view.leaf_index
+            assert view.path_names(leaf) == view.name_paths_at[leaf]
+            for team, leaves in p.leaves_by_team.items():
+                leaf = team_most_likely(b, p, team)
+                assert type(leaf) is int and leaf in leaves
+                assert p.path_names(leaf) == p.name_paths_at[leaf]
 
 
 def test_array_tick_dispatch(evac_mini):

@@ -40,9 +40,9 @@ def test_basic_structure(evac_mini):
     p = evac_mini
     assert p.root == "n0"
     assert _ids(p, p.leaf_index) == ("n1", "n2", "n4", "n5")
-    assert p.paths_at[p.index["n4"]] == ("n0", "n3", "n4")
-    assert p.path_names(p.paths_at[p.index["n4"]]) == ("evacuate", "landing-zone-maneuvers",
-                                             "transport-ops")
+    assert _ids(p, p.ancestors_at[p.index["n4"]]) == ("n3", "n0")
+    assert p.path_names(p.index["n4"]) == ("evacuate", "landing-zone-maneuvers",
+                                           "transport-ops")
     # children before parents
     order = {p.node_ids[x]: i for i, x in enumerate(p.postorder)}
     for x in p.node_ids:
@@ -349,10 +349,8 @@ def test_structure_tables_match_definitions(p):
         assert p.node(x).id == x
         assert _ids(p, p.children_at[i]) == tuple(_brute_kids(p, x))
         assert p.out_at[i] == tuple(t for t in p.transitions if t.src == x)
-        assert p.paths_at[i] == path
         assert _ids(p, p.ancestors_at[i]) == tuple(reversed(path[:-1]))
         assert p.name_paths_at[i] == tuple(p.node(y).name for y in path)
-        assert p.name_path(x) == p.name_paths_at[i]
         assert p.owner_at[i] == p.node(x).team
     for name in {n.name for n in p.plans}:
         assert _ids(p, p.named_index[name]) == tuple(sorted(n.id for n in p.plans

@@ -173,8 +173,8 @@ def test_evidence_lights_up_parallel_subtrees(two_team):
     assert b.active["la"] == pytest.approx(1.0)
     assert b.active["ra"] == pytest.approx(1.0)
     assert b.active["j"] == 0.0
-    assert team_most_likely(b, two_team, "LEFT") == ("m", "s", "la")
-    assert team_most_likely(b, two_team, "RIGHT") == ("m", "s", "ra")
+    assert team_most_likely(b, two_team, "LEFT") == two_team.index["la"]
+    assert team_most_likely(b, two_team, "RIGHT") == two_team.index["ra"]
 
 
 def test_sibling_team_keeps_prior_share_of_parent(two_team):
@@ -247,7 +247,7 @@ def test_scale_skips_plans_of_ancestor_teams(evac_team):
     assert b.active["n1"] == 0.0
     assert b.blocked["n1"] == 0.0
     assert b.active["n6"] == pytest.approx(1.0)
-    assert team_most_likely(b, p, "ESCORT") == ("n0", "n2", "n6")
+    assert team_most_likely(b, p, "ESCORT") == p.index["n6"]
 
 
 def _skip_level_doc(left_owner):
@@ -297,7 +297,7 @@ def test_term_of_sink_keeps_named_nodes(two_team):
     # right-a can only TERMINATE; announcing its end must not zero the state
     yoyo_tick(two_team, b, [ObservedMessage(10, "r1", "RIGHT", TERM, "right-a")])
     assert b.active["ra"] == pytest.approx(1.0)
-    assert team_most_likely(b, two_team, "RIGHT") == ("m", "s", "ra")
+    assert team_most_likely(b, two_team, "RIGHT") == two_team.index["ra"]
 
 
 def test_parallel_sibling_mass_matches_parent(two_team):
@@ -394,8 +394,7 @@ def test_quiet_ticks_reuse_groups_and_kernels():
         warm.append(query(rec))
     programs = [tp] + [rec.view for rec in recognizers[1:]]
     for q in programs:
-        assert {"forward", "groups_at", "paths_at", "name_paths_at",
-                "leaves_by_team"} <= set(vars(q))
+        assert {"forward", "groups_at", "name_paths_at", "leaves_by_team"} <= set(vars(q))
     owners = [o for q in programs for o in (q, q.team_hierarchy)]
     tables = [dict(vars(o)) for o in owners]
     for rec, first in zip(recognizers, warm):
