@@ -126,13 +126,15 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.loss_seed is not None and args.loss is None:
+        raise MonitoringError("--loss-seed has no effect without --loss")
     p = load_program_path(args.program, team_mode=args.team_mode)
     if args.flat_mu is not None:
         p = flatten_mu(p, args.flat_mu)
     trace = parse_trace(_read(args.truth))
     log = parse_log(_read(args.log))
     if args.loss is not None:
-        log = apply_loss(log, args.loss, args.loss_seed)
+        log = apply_loss(log, args.loss, args.loss_seed or 0)
     report = evaluate_run(p, trace, log, mode=args.mode, coherent=args.coherent,
                           comm_model=_load_comm(args), delay=args.delay)
     _emit(render_report(report), args.out)
@@ -160,6 +162,14 @@ def _add_program(sub, required=True):
     sub.add_argument("--program", required=required, help="program document (JSON)")
     sub.add_argument("--team-mode", action="store_true",
                      help="load the program in team mode: subteams run in parallel")
+
+
+def _add_mu_source(sub, flat_help: str):
+    # a communication model sets every mu, so a flat mu given with it would
+    # never reach the recognizer
+    mu = sub.add_mutually_exclusive_group()
+    mu.add_argument("--comm", default=None, help="communication model file")
+    mu.add_argument("--flat-mu", type=float, default=None, help=flat_help)
 
 
 def _add_out(sub, help_text="output file (default stdout)"):
@@ -215,9 +225,7 @@ def _recognize_args(rec):
                      default=None,
                      help="route team messages to every member "
                           "(default: on for yoyo, off for array)")
-    rec.add_argument("--comm", default=None, help="communication model file")
-    rec.add_argument("--flat-mu", type=float, default=None,
-                     help="replace every non-completion mu with this value")
+    _add_mu_source(rec, "replace every non-completion mu with this value")
     _add_out(rec)
 
 
@@ -231,14 +239,13 @@ def _evaluate_args(ev):
                     default=None,
                     help="apply the coherence heuristic "
                          "(default: on for yoyo, off for array)")
-    ev.add_argument("--comm", default=None, help="communication model file")
-    ev.add_argument("--flat-mu", type=float, default=None,
-                    help="degrade the recognizer's mu values to this constant")
+    _add_mu_source(ev, "degrade the recognizer's mu values to this constant")
     ev.add_argument("--delay", type=int, default=1,
                     help="checkpoint delay after each exchange")
     ev.add_argument("--loss", type=float, default=None,
                     help="drop this fraction of the log before scoring")
-    ev.add_argument("--loss-seed", type=int, default=0, help="loss seed")
+    ev.add_argument("--loss-seed", type=int, default=None,
+                    help="loss seed (default 0; needs --loss)")
     _add_out(ev)
 
 

@@ -265,6 +265,25 @@ def test_evaluate_rejects_a_flat_mu_that_is_no_probability(tmp_path, capsys, val
                                        "flat mu must be a probability in [0, 1]\n")
 
 
+@pytest.mark.parametrize("name", ["recognize", "evaluate"])
+def test_flat_mu_and_comm_are_exclusive(tmp_path, capsys, name):
+    # a communication model sets every mu, so the flat value would never be read
+    argv = [name, *_REQUIRED[name], "--comm", "model.txt", "--flat-mu", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and "--flat-mu: not allowed with argument --comm" in err
+
+
+def test_evaluate_rejects_a_loss_seed_without_loss(tmp_path, capsys):
+    trace_path, log_path = _simulate(tmp_path / "run")
+    assert run_command(["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
+                        "--truth", str(trace_path), "--loss-seed", "3"]) == 1
+    assert capsys.readouterr().err == ("overhear evaluate: error: "
+                                       "--loss-seed has no effect without --loss\n")
+
+
 def test_evaluate_report_and_reproducibility(tmp_path):
     trace_path, log_path = _simulate(tmp_path / "run")
     outs = []
