@@ -49,6 +49,18 @@ def format_log_line(m: ObservedMessage) -> str:
     return f"{m.tick} {m.sender} {m.team} {m.kind} {m.plan}"
 
 
+def decimal(text: str) -> int:
+    """``text`` as an int if it is ASCII decimal digits after an optional '-',
+    as ``format_log`` and ``format_trace`` write integers; else ValueError.
+
+    ``int`` alone would also read underscores, a '+' and non-ASCII digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_log_line(line: str, lineno: int = 0) -> ObservedMessage:
     parts = line.split()
     where = f"line {lineno}" if lineno else "line"
@@ -57,7 +69,7 @@ def parse_log_line(line: str, lineno: int = 0) -> ObservedMessage:
                           f"got {line!r}")
     tick_text, sender, team, kind, plan = parts
     try:
-        tick = int(tick_text)
+        tick = decimal(tick_text)
     except ValueError:
         raise IngestError(f"{where}: tick must be an integer, got {tick_text!r}") from None
     if tick < 0:

@@ -30,6 +30,9 @@ def test_parse_log_comments_and_blanks():
 @pytest.mark.parametrize("bad", [
     "x a T INIT go",         # non-integer tick
     "-1 a T INIT go",        # negative tick
+    "1_0 a T INIT go",       # underscore, which int() reads as 10
+    "+3 a T INIT go",        # plus sign
+    "\u0665 a T INIT go",    # Arabic-Indic five
     "1 a T WHAT go",         # unknown kind
     "1 a T INIT",            # short line
     "1 a T INIT go extra",   # long line

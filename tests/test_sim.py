@@ -120,6 +120,12 @@ def test_parse_trace_rejects_missing_agent(evac_team):
 @pytest.mark.parametrize("text, message", [
     ("0 a p\nx a p\n", "line 2: tick must be an integer"),
     ("# seed 7.5\n0 a p\n", "line 1: seed must be an integer"),
+    # ticks and seeds are ASCII decimal digits, as format_trace writes them
+    ("1_0 a p\n", "line 1: tick must be an integer"),
+    ("0 a p\n+1 a p\n", "line 2: tick must be an integer"),
+    ("\u0665 a p\n", "line 1: tick must be an integer"),
+    ("# seed 1_2\n0 a p\n", "line 1: seed must be an integer"),
+    ("# seed +5\n0 a p\n", "line 1: seed must be an integer"),
     ("-1 a p\n", "line 1: tick -1 is negative"),
     ("0 a p\n-1 a p\n", "line 2: tick -1 is negative"),
     ("0 a p\n0 a q\n", "line 2: agent 'a' already has a state at tick 0"),
