@@ -49,7 +49,7 @@ def format_log_line(m: ObservedMessage) -> str:
     return f"{m.tick} {m.sender} {m.team} {m.kind} {m.plan}"
 
 
-def decimal(text: str) -> int:
+def parse_decimal(text: str) -> int:
     """``text`` as an int if it is ASCII decimal digits after an optional '-',
     as ``format_log`` and ``format_trace`` write integers; else ValueError.
 
@@ -69,7 +69,7 @@ def parse_log_line(line: str, lineno: int = 0) -> ObservedMessage:
                           f"got {line!r}")
     tick_text, sender, team, kind, plan = parts
     try:
-        tick = decimal(tick_text)
+        tick = parse_decimal(tick_text)
     except ValueError:
         raise IngestError(f"{where}: tick must be an integer, got {tick_text!r}") from None
     if tick < 0:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .ingest import INIT, TERM, ObservedMessage, decimal
+from .ingest import INIT, TERM, ObservedMessage, parse_decimal
 from .model import TERMINATE, TeamOrientedProgram, hazard
 
 MU_SAMPLED = "MU_SAMPLED"
@@ -166,7 +166,7 @@ def parse_trace(text: str) -> GroundTruthTrace:
 
 def _trace_int(text: str, what: str, lineno: int) -> int:
     try:
-        return decimal(text)
+        return parse_decimal(text)
     except ValueError:
         raise SimulationError(f"trace line {lineno}: {what} must be an integer, "
                               f"got {text!r}") from None
