@@ -40,7 +40,7 @@ returns two new lists built from the locals.  ``propagate_forward`` calls
 it, and is the quiet tick of both layouts.
 
 A most-likely query is compiled too.  The pick rule is one generated
-function per leaf tuple (``model._compile_scan``), with one unrolled test
+function per leaf tuple (``compiled._compile_scan``), with one unrolled test
 per leaf, held on the program over every leaf (``best_leaf``, which
 ``most_likely_state`` calls) and over each team's candidate leaves
 (``team_best_leaf``).  This module only calls the program's functions and

@@ -36,11 +36,12 @@ Node ids remain only at the document boundary: ``node_ids`` and ``index``
 map between ids and positions, ``node(id)`` reads a plan record, and the
 transition records (``out_at``) name their plans by id.  A query answers
 with a leaf's position, and ``path_names`` gives its root path as plan
-names.  The forward step's function is compiled once per distinct set of
-the fields it reads, and a scan once per leaf tuple, each in a bounded
-module-level cache, so programs equal in those (or in leaves) share one
-function and a hit generates no source; a source stays in ``linecache``
-only while its function is cached.
+names.  The generated code lives in ``compiled``: the forward step's
+function is compiled once per distinct set of the fields it reads, and a
+scan once per leaf tuple, each in a bounded module-level cache there, so
+programs equal in those (or in leaves) share one function and a hit
+generates no source; a source stays in ``linecache`` only while its
+function is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -66,13 +67,11 @@ state lives in the belief containers, not here.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import linecache
 import math
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 TERMINATE = "TERMINATE"
 
@@ -80,7 +79,7 @@ TERMINATE = "TERMINATE"
 SUM_TOL = 1e-9
 
 # Leaf masses within this relative distance of the best one tie in a
-# most-likely pick (``_compile_scan``): ``belief.propagate_down`` splits mass
+# most-likely pick (``compiled._compile_scan``): ``belief.propagate_down`` splits mass
 # evenly, so exact ties are common, and summation order must not decide
 # between them.
 TIE_TOLERANCE = 1e-9
@@ -206,82 +205,6 @@ def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
         if not any(u != t and h.covers(u, t) for u in teams):
             chosen.add(t)
     return chosen
-
-
-class _Kernel:
-    """A compiled generated function and its source's ``linecache`` entry.
-
-    ``src`` defines one function, ``name``.  The file name holds ``label``,
-    the source's sha1 and the kernel's id, so kernels of equal source (the
-    forward kernels of programs that differ in plan names, say) keep one
-    entry each.  Only a compile cache holds a kernel, so the entry is dropped
-    when the kernel leaves its cache, and ``linecache`` holds no more
-    sources than the caches hold functions.
-    """
-
-    def __init__(self, src: str, name: str, label: str):
-        self.filename = f"<{label} sha1:{hashlib.sha1(src.encode()).hexdigest()} at {id(self):#x}>"
-        self.entry = (len(src), None, src.splitlines(True), self.filename)
-        linecache.cache[self.filename] = self.entry
-        scope: dict = {}
-        exec(compile(src, self.filename, "exec"), scope)
-        self.function = scope[name]
-
-    def __del__(self, cache=linecache.cache):
-        if cache.get(self.filename) is self.entry:  # not re-registered since
-            del cache[self.filename]
-
-
-@lru_cache(maxsize=64)
-def _compile_forward(plans, transitions, root, teams, team_mode) -> _Kernel:
-    """The forward kernel of every program with these fields, the ones
-    ``TeamOrientedProgram._forward_source`` reads: a miss compiles the
-    source of a program built from them, and a hit generates nothing.
-
-    Equal keys give equal source: the loader stores ``mu`` and ``pi`` as
-    floats, and an int rate, or a -0.0 ``mu``, ``pi`` or rate, writes the
-    text of the equal float.  ``team_mode`` is in the key, as a program and
-    its single-agent view compare equal but step differently.  Agents are
-    not: the groups read only the team tree, so a grown team shares its kernel.
-    """
-    p = TeamOrientedProgram(plans, transitions, TeamHierarchy(teams, ()), root, team_mode)
-    return _Kernel(p._forward_source(), "forward", "forward step")
-
-
-@lru_cache(maxsize=256)
-def _compile_scan(leaves: tuple[int, ...]) -> _Kernel:
-    """The compiled pick rule over ``leaves``, a non-empty tuple of positions.
-
-    This is the one pick rule every most-likely query uses: the leaf
-    holding the most active+blocked mass.  The generated ``scan(A, B)``
-    reads the ``active`` and ``blocked`` tables, lists or position-keyed
-    dicts.  It scans the leaves in the given order, one unrolled block per
-    leaf (callers pass them ascending, so in id order), and the first is
-    the initial pick; a later leaf replaces the pick only when its mass
-    exceeds the pick's by more than the relative ``TIE_TOLERANCE``:
-
-        m = A[i] + B[i]
-        if m > bar:
-            k, bar = i, m * <1 + TIE_TOLERANCE>
-
-    Masses that a reordered float sum could swap therefore tie, and a tie
-    goes to the earliest leaf; with no mass anywhere that is the first
-    leaf.  The scan returns the picked position.  No table holds NaN, so
-    the first leaf needs no test.
-
-    The source is a function of the leaf tuple alone, so the cache is keyed
-    on it: programs with equal leaf tuples, such as every comm-applied copy
-    of one program, share one scan and never generate it again.  The cache
-    keeps the 256 most recently used scans, registered with ``linecache``
-    like the forward kernels.
-    """
-    first, *rest = leaves
-    scale = repr(1.0 + TIE_TOLERANCE)
-    body = [f"k, bar = {first}, (A[{first}] + B[{first}]) * {scale}"]
-    for i in rest:
-        body += [f"m = A[{i}] + B[{i}]", "if m > bar:", f"    k, bar = {i}, m * {scale}"]
-    return _Kernel("\n".join(["def scan(A, B):", *(f"    {line}" for line in body),
-                              "    return k"]) + "\n", "scan", "leaf scan")
 
 
 @dataclass(frozen=True)
@@ -435,13 +358,15 @@ class TeamOrientedProgram:
 
     @cached_property
     def best_leaf(self):
-        """The pick rule over every leaf (``_compile_scan``): a function of
+        """The pick rule over every leaf (``compiled._compile_scan``): a function of
         the (active, blocked) tables that returns the picked leaf's position."""
+        from .compiled import _compile_scan  # which imports this module
         return _compile_scan(self.leaf_index).function
 
     @cached_property
     def team_best_leaf(self) -> dict:
         """Each team's pick rule over its candidate leaves (``leaves_by_team``)."""
+        from .compiled import _compile_scan
         return {team: _compile_scan(leaves).function
                 for team, leaves in self.leaves_by_team.items()}
 
@@ -574,79 +499,14 @@ class TeamOrientedProgram:
         single-agent view's kernel does not cap; rounding may leave one of
         its values an ulp above 1, and it is left as it is.
 
-        ``_compile_forward`` generates the source (``_forward_source``) only
-        for fields not in its cache, and keeps it in ``linecache`` while its
-        kernel is cached, for tracebacks, profilers and ``inspect.getsource``.
+        ``compiled._compile_forward`` generates the source
+        (``compiled.forward_source``) only for fields not in its cache, and
+        keeps it in ``linecache`` while its kernel is cached, for
+        tracebacks, profilers and ``inspect.getsource``.
         """
+        from .compiled import _compile_forward  # which imports this module
         return _compile_forward(self.plans, self.transitions, self.root,
                                 self.team_hierarchy.teams, self.team_mode).function
-
-    def _forward_source(self) -> str:
-        """The source of ``forward``'s function, generated from the fields."""
-        n, groups_at = self.index, self.groups_at
-        shed: list[str] = []  # each o<i>, set before any block runs
-        blocks: list[str] = []
-        sheds: set[int] = set()
-        floored: set[int] = set()  # the internal nodes that shed
-        for i in self.leaf_index:
-            rate = hazard(self.plans[i].rate)
-            if rate:
-                shed.append(f"o{i} = a{i} * {rate!r}")
-                sheds.add(i)
-
-        for i in self.postorder:
-            if i not in sheds:
-                continue
-            up, outgoing, body = self.ancestors_at[i], self.out_at[i], []
-
-            def down(y: int, rho: str, depth: int):  # propagate_down, unrolled
-                for group in groups_at[y]:
-                    share = rho
-                    if len(group) > 1:
-                        share = f"s{depth}"
-                        body.append(f"{share} = {rho} / {len(group)}")
-                    for c in group:
-                        body.append(f"a{c} += {share}")
-                        down(c, share, depth + 1)
-
-            eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
-            for t in outgoing if eta > 0.0 else ():  # eta 0: no edge carries mass
-                silent = 1.0 - t.mu
-                if silent == 0.0 or t.pi == 0.0:
-                    continue
-                factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
-                r = "r" if factors else f"o{i}"
-                if factors:
-                    body.append(f"r = o{i}{factors}")
-                if t.dst != TERMINATE:
-                    body.append(f"a{n[t.dst]} += {r}")
-                    down(n[t.dst], r, 0)
-                elif not up:
-                    body.append(f"b{i} += {r}")  # program complete
-                else:
-                    j, groups = up[0], len(groups_at[up[0]])
-                    body.append(f"o{j} += " + (r if groups == 1 else f"{r} / {groups}"))
-                    if j not in sheds:
-                        sheds.add(j)
-                        floored.add(j)
-                        shed.append(f"o{j} = 0.0")
-            keep = max(0.0, 1.0 - eta)
-            if keep != 0.0:
-                body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
-            body.append(f"a{i} -= o{i}")
-            blocks.append(f"if o{i}:\n        " + "\n        ".join(body))
-
-        at = range(len(n))
-
-        def entry(v: str, floor: bool = False) -> str:  # one returned value
-            text = f"0.0 if {v} < 0.0 else {v}" if floor else v
-            return f"1.0 if {v} > 1.0 else {text}" if self.team_mode else text
-
-        active = ", ".join(entry(f"a{i}", i in floored) for i in at)
-        blocked = ", ".join(entry(f"b{i}") for i in at)
-        body = ["".join(f"a{i}, " for i in at) + "= A", "".join(f"b{i}, " for i in at) + "= B",
-                *shed, *blocks, f"return [{active}], [{blocked}]"]
-        return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

@@ -10,7 +10,8 @@ from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitC
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              propagate_down, propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage
-from overhear.model import _compile_scan, hazard, program_from_document
+from overhear.compiled import _compile_scan
+from overhear.model import hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.social import apply_comm_model, learn_comm_model

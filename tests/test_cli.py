@@ -9,7 +9,8 @@ import pytest
 from overhear.cli import COMMANDS, build_parser, run_command
 from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
-from overhear.model import _compile_forward, load_program_path
+from overhear.compiled import _compile_forward
+from overhear.model import load_program_path
 from overhear.progen import flatten_mu
 from overhear.recognizer import make_recognizer
 from overhear.sim import parse_trace

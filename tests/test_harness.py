@@ -6,7 +6,8 @@ from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.harness import (MAX_ORACLE_STATES, bench_scalability, engine_vector,
                               evaluate_run, exact_filter, hypothesis_count_curve,
                               oracle_states, render_bench, render_report, score_run)
-from overhear.model import _compile_forward, program_from_document, program_to_document
+from overhear.compiled import _compile_forward
+from overhear.model import program_from_document, program_to_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import ALWAYS, SimConfig, simulate

@@ -8,9 +8,11 @@ from dataclasses import replace
 
 import pytest
 
-from overhear.model import (ProgramError, TERMINATE, TeamOrientedProgram, _compile_forward, hazard,
-                            load_program, load_program_path, program_from_document,
-                            program_to_document, serialize_program, topmost_teams)
+from overhear import compiled
+from overhear.compiled import _compile_forward, forward_source
+from overhear.model import (ProgramError, TERMINATE, hazard, load_program, load_program_path,
+                            program_from_document, program_to_document, serialize_program,
+                            topmost_teams)
 from overhear.progen import flatten_mu, grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.social import INIT, CommModel, apply_comm_model
@@ -555,7 +557,7 @@ def test_forward_cache_is_bounded():
     before = _compile_forward.cache_info().misses
     again = team_program(0).forward
     assert _compile_forward.cache_info().misses == before + 1
-    assert again is not first and inspect.getsource(again) == p._forward_source()
+    assert again is not first and inspect.getsource(again) == forward_source(p)
     # the evicted kernel's source left linecache with it
     assert first.__code__.co_filename not in linecache.cache
 
@@ -614,7 +616,7 @@ def test_forward_kernel_is_keyed_on_the_fields_it_reads(family):
     # each program in a family may find its kernel cached under the key of
     # one before it; the kernel must still be the one its own fields generate
     for q in _KERNEL_FAMILIES[family]():
-        assert inspect.getsource(q.forward) == q._forward_source()
+        assert inspect.getsource(q.forward) == forward_source(q)
         # a copy by replace is the program a fresh load builds, tables and kernel
         fresh = load_program(serialize_program(q), team_mode=q.team_mode)
         assert fresh == q and fresh.forward is q.forward
@@ -627,9 +629,8 @@ def test_forward_hit_generates_no_source(monkeypatch):
     comm = CommModel(frozenset({(p.plans[-1].name, INIT)}), 0.9)
     seen = (p.forward, apply_comm_model(p, comm).forward)
     calls = []
-    generate = TeamOrientedProgram._forward_source
-    monkeypatch.setattr(TeamOrientedProgram, "_forward_source",
-                        lambda q: calls.append(q) or generate(q))
+    generate = compiled.forward_source
+    monkeypatch.setattr(compiled, "forward_source", lambda q: calls.append(q) or generate(q))
     for _ in range(3):
         assert (team_program(0).forward, apply_comm_model(p, comm).forward) == seen
     # agents are not in the key: a grown team's kernel is its team's
@@ -652,7 +653,7 @@ def test_equal_keys_generate_equal_source():
     # the kernel of the float rate and the 0.0 mu, and must write its text
     p, q = _mini(1.0, 0.0), _mini(1, -0.0)
     assert p == q and q.forward is p.forward
-    assert q._forward_source() == p._forward_source() == inspect.getsource(q.forward)
+    assert forward_source(q) == forward_source(p) == inspect.getsource(q.forward)
 
 
 @pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), True, "0.5", None, 10 ** 400],
