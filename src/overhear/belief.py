@@ -169,6 +169,29 @@ def _message_order(m: ObservedMessage) -> tuple:
     return (0 if m.kind == TERM else 1, m.plan, m.sender)
 
 
+def _unknown_plan(m: ObservedMessage) -> MonitoringError:
+    return MonitoringError(
+        f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
+        f"either the program is stale or the team is acting incoherently")
+
+
+def _message_keys(p: TeamOrientedProgram, ordered) -> list[tuple]:
+    """Messages in ``_message_order`` as the keys of their compiled evidence.
+
+    Each message is ``(kind, plan, team)`` with its team resolved
+    (``_resolve_message_team``), so the single-agent view never reads a
+    sender.  Raises ``evidence``'s ``MonitoringError`` for the first
+    message whose team or plan is unknown, checked in ``evidence``'s order.
+    """
+    named, keys = p.named_index, []
+    for m in ordered:
+        team = _resolve_message_team(m, p)
+        if m.plan not in named:
+            raise _unknown_plan(m)
+        keys.append((m.kind, m.plan, team))
+    return keys
+
+
 def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     """What one tick's messages are evidence for: a mass per position.
 
@@ -189,9 +212,7 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
         team = _resolve_message_team(m, p)
         nodes = p.named_index.get(m.plan)
         if not nodes:
-            raise MonitoringError(
-                f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
-                f"either the program is stale or the team is acting incoherently")
+            raise _unknown_plan(m)
         target = initiated if m.kind == INIT else terminated
         for x in nodes:
             target.setdefault(x, team)
@@ -228,16 +249,30 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     return scratch
 
 
-def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedProgram):
-    """Replace b's lists with ``scratch`` committed on fresh zero tables."""
-    active, ancestors = list(p.zeros), p.ancestors_at
-    for x in sorted(scratch):
-        mass = scratch[x]
-        active[x] += mass
-        propagate_down(x, mass, active, p)
-        for anc in ancestors[x]:
-            active[anc] += mass
-    b.act, b.blk = active, list(p.zeros)
+def tick_evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
+    """``evidence(b, p, msgs)``, bit for bit, from the tick's compiled function.
+
+    The function is p's for the tick's signature, its ``_message_keys``,
+    from the bounded table ``TeamOrientedProgram.evidence_functions``,
+    which compiles it on the signature's first tick.
+    """
+    signature = tuple(_message_keys(p, sorted(msgs, key=_message_order)))
+    return p.evidence_functions.steps[signature].function(b.blk)
+
+
+def _commits(p: TeamOrientedProgram, msgs: list) -> list:
+    """Each message's compiled commit on p, TERM before INIT.
+
+    A commit is ``evidence`` of the message alone, committed on fresh zero
+    tables as a function of the prior blocked list: each mass is spread
+    down its node's first-child groups (``propagate_down``) and added to
+    every ancestor, and every blocked mass is 0.  Every message is checked
+    here, so a caller can look up all of a tick's commits before it steps
+    any state.
+    """
+    ordered = sorted(msgs, key=_message_order) if len(msgs) > 1 else msgs
+    commits = p.evidence_functions.commits
+    return [commits[key].function for key in _message_keys(p, ordered)]
 
 
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
@@ -277,9 +312,13 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
 
 
 def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram):
-    """Fold several same-tick messages into b in place, one at a time, TERM before INIT."""
-    for m in sorted(msgs, key=_message_order):
-        _commit_evidence(b, evidence(b, p, [m]), p)
+    """Fold several same-tick messages into b in place, one at a time, TERM before INIT.
+
+    Every message is checked before b changes, so a message that raises
+    leaves b as it was.
+    """
+    for commit in _commits(p, list(msgs)):
+        b.act, b.blk = commit(b.blk)
 
 
 def array_overseer_tick(beliefs: dict[str, BeliefState],
@@ -293,7 +332,9 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
     recognizer; pass ``recipients`` (message -> iterable of agent names) to
     widen that, e.g. to the sending team under a coherence assumption.
     ``beliefs`` maps agent name to state, and each state is stepped in
-    place; ``programs`` maps agent name to that agent's plan view.
+    place; ``programs`` maps agent name to that agent's plan view.  Every
+    message is routed and checked before any state is stepped, so a tick
+    that raises leaves every state as it was.
     """
     inbox: dict[str, list[ObservedMessage]] = {}
     for m in msgs:
@@ -303,8 +344,11 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
                 raise MonitoringError(
                     f"message at tick {m.tick} routed to unknown agent '{agent}'")
             inbox.setdefault(agent, []).append(m)
+    commits = {agent: _commits(programs[agent], inbox[agent])
+               for agent in beliefs if agent in inbox}
     for agent, b in beliefs.items():
-        if agent in inbox:
-            apply_messages(b, inbox[agent], programs[agent])
+        if agent in commits:
+            for commit in commits[agent]:
+                b.act, b.blk = commit(b.blk)
         else:
             propagate_forward(b, programs[agent], counter)

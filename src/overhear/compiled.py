@@ -1,9 +1,9 @@
-"""Generated code: the compiled forward step and the compiled leaf scans.
+"""Generated code: the compiled forward step, leaf scans and evidence step.
 
 Each generator writes Python source from a program's tables, and
 ``_Kernel`` compiles it and registers it with ``linecache``, so tracebacks,
 profilers and ``inspect.getsource`` show the generated text.  Each cache
-below is a bounded module-level ``lru_cache`` keyed on what its generator
+below is bounded, lives in this module and is keyed on what its generator
 reads, never on a program object: every program equal in those (a fresh
 load, a comm-applied copy) shares one function, and a hit generates no
 source.  A source stays in ``linecache`` only while its function is cached.
@@ -13,6 +13,11 @@ source.  A source stays in ``linecache`` only while its function is cached.
   reads.
 - ``_compile_scan``: the most-likely pick rule over a leaf tuple,
   ``TeamOrientedProgram.best_leaf`` and ``team_best_leaf``.
+- ``_evidence_table`` and ``evidence_source``: the evidence step,
+  ``TeamOrientedProgram.evidence_functions``, one table per set of the
+  fields it reads; in it one function per tick signature (the shared
+  layout's evidence) and one per message (the array layout's evidence and
+  commit), each kind held in a table of at most ``EVIDENCE_SIGNATURES``.
 
 ``model`` holds documents and tables and reaches this module only from the
 properties that return compiled functions.
@@ -24,7 +29,12 @@ import hashlib
 import linecache
 from functools import lru_cache
 
+from .belief import PROB_FLOOR
+from .ingest import INIT
 from .model import TERMINATE, TIE_TOLERANCE, TeamHierarchy, TeamOrientedProgram, hazard
+
+# The compiled evidence functions each table of ``EvidenceFunctions`` keeps.
+EVIDENCE_SIGNATURES = 256
 
 
 class _Kernel:
@@ -177,3 +187,148 @@ def _compile_scan(leaves: tuple[int, ...]) -> _Kernel:
         body += [f"m = A[{i}] + B[{i}]", "if m > bar:", f"    k, bar = {i}, m * {scale}"]
     return _Kernel("\n".join(["def scan(A, B):", *(f"    {line}" for line in body),
                               "    return k"]) + "\n", "scan", "leaf scan")
+
+
+class _Compiled(dict):
+    """A bounded table of compiled functions: a missing key compiles the
+    source ``generate(key)`` writes, and the table keeps the
+    ``EVIDENCE_SIGNATURES`` latest kernels, dropping the oldest first.  A
+    key whose source raises is not stored."""
+
+    def __init__(self, generate, label: str):
+        super().__init__()
+        self.generate, self.label = generate, label
+
+    def __missing__(self, key) -> _Kernel:
+        kernel = _Kernel(self.generate(key), "evidence", self.label)
+        while len(self) >= EVIDENCE_SIGNATURES:
+            self.pop(next(iter(self)), None)
+        self[key] = kernel
+        return kernel
+
+
+class EvidenceFunctions:
+    """The compiled evidence step of every program with one set of fields.
+
+    ``steps[signature]`` is the kernel of ``belief.evidence`` for a tick
+    signature, a tuple of ``(kind, plan, team)``; ``commits[(kind, plan,
+    team)]`` is the kernel of one message's evidence and its array commit.
+    Both are ``evidence_source``'s, each in a bounded table.
+    """
+
+    def __init__(self, p: TeamOrientedProgram):
+        self.steps = _Compiled(lambda signature: evidence_source(p, signature, False),
+                               "evidence step")
+        self.commits = _Compiled(lambda message: evidence_source(p, (message,), True),
+                                 "evidence commit")
+
+
+@lru_cache(maxsize=16)
+def _evidence_table(plans, transitions, root, teams, team_mode) -> EvidenceFunctions:
+    """The compiled evidence step of every program with these fields, the
+    ones ``evidence_source`` reads; ``TeamOrientedProgram.evidence_functions``
+    is this table.  It is keyed on fields, as ``_compile_forward`` is, so
+    every ``evaluate`` run's fresh load and comm-applied copy finds the
+    functions an earlier run compiled."""
+    return EvidenceFunctions(_key_program(plans, transitions, root, teams, team_mode))
+
+
+def _credit(src: int, mu: float, pi: float) -> str | None:
+    """The credit an edge gives, ``B[src] * mu * pi``; None when a factor is 0.
+
+    A factor of exactly 1 is not written, and a term with a zero factor is
+    an exact 0.0, which adds nothing to a non-negative sum."""
+    if mu == 0.0 or pi == 0.0:
+        return None
+    return f"B[{src}]" + "".join(f" * {f!r}" for f in (mu, pi) if f != 1.0)
+
+
+def evidence_source(p: TeamOrientedProgram, signature: tuple, commit: bool) -> str:
+    """The source of ``belief.evidence`` for one tick signature, straight-line.
+
+    ``signature`` is the tick's messages as ``(kind, plan, team)`` in
+    ``belief._message_order``, each team resolved (None in the single-agent
+    view), every plan a name in ``p.named_index``.  The generated
+    ``evidence(B)`` reads the prior blocked list and follows
+    ``belief.evidence`` step by step, in its float order:
+
+    - ``c<x> = B[s] * mu * pi + ...``, candidate x's credit, summed in
+      edge order (a sum from 0.0 equals one from its first term, as no
+      credit is -0.0);
+    - per unit, when no candidate is credited, every candidate's weight is
+      1.0 (the even fallback); otherwise an uncredited candidate keeps
+      weight 0.0, which stands for "not a candidate";
+    - a candidate with a weighted ancestor among the candidates gets weight
+      0.0 (the prune); which candidates lie on one chain is known here, so
+      only those tests are written;
+    - each unit's total sums its weights in position order, and a candidate
+      with weight keeps ``weight / total`` when it is at least
+      ``PROB_FLOOR``.  Adding a 0.0 weight to the total changes no bit.
+
+    It returns the ``{position: mass}`` dict that ``belief.evidence`` does.
+    With ``commit`` the function instead returns the array layout's new
+    (active, blocked) lists: each kept mass added to its node, spread down
+    its first-child groups with ``belief.propagate_down``'s successive
+    divisions (``_descend``) and added to each ancestor, candidates in
+    position order, on locals that start at 0.0; every blocked mass is 0.0.
+    """
+    initiated: dict[int, str | None] = {}
+    terminated: dict[int, str | None] = {}
+    for kind, plan, team in signature:
+        target = initiated if kind == INIT else terminated
+        for x in p.named_index[plan]:
+            target.setdefault(x, team)
+    edges = p.team_edges
+    terms: dict[int, list] = {}  # candidate -> its credit's terms, in the engine's order
+    for x, team in sorted(initiated.items()):
+        terms[x] = [_credit(src, mu, pi) for src, _, mu, pi in edges[team][0].get(x, ())]
+    for x, team in sorted(terminated.items()):
+        for src, dst, mu, pi in edges[team][1].get(x, ()):
+            if dst not in initiated:
+                terms.setdefault(dst, []).append(_credit(src, mu, pi))
+    if not terms:
+        terms = {x: [] for x in terminated}
+    candidates = sorted(terms)
+    units: dict = {}
+    for x in candidates:
+        units.setdefault(p.unit_at[x], []).append(x)
+
+    body = []
+    for x in candidates:
+        body.append(f"c{x} = " + (" + ".join(t for t in terms[x] if t) or "0.0"))
+    for xs in units.values():
+        fallback = " = ".join(f"c{x}" for x in xs) + " = 1.0"
+        credited = [f"c{x} > 0.0" for x in xs if any(terms[x])]
+        if credited:
+            body += [f"if not ({' or '.join(credited)}):", f"    {fallback}"]
+        else:
+            body.append(fallback)
+    for x in candidates:
+        above = [f"c{a} > 0.0" for a in p.ancestors_at[x] if a in terms]
+        if above:
+            body += [f"if {' or '.join(above)}:", f"    c{x} = 0.0"]
+    for k, xs in enumerate(units.values()):
+        body.append(f"t{k} = " + " + ".join(f"c{x}" for x in xs))
+
+    unit_of = {x: k for k, xs in enumerate(units.values()) for x in xs}
+    floor = repr(PROB_FLOOR)
+    touched: set[int] = set()
+    tail = [] if commit else ["E = {}"]
+    for x in candidates:
+        tail += [f"if c{x} > 0.0:", f"    m = c{x} / t{unit_of[x]}", f"    if m >= {floor}:"]
+        if not commit:
+            tail.append(f"        E[{x}] = m")
+            continue
+        adds = [f"a{x} += m"]
+        _descend(p.groups_at, x, "m", 0, adds)
+        adds += [f"a{a} += m" for a in p.ancestors_at[x]]
+        touched.update(int(line[1:line.index(" ")]) for line in adds if line[0] == "a")
+        tail += [f"        {line}" for line in adds]
+    if commit:
+        written = sorted(touched)
+        tail.insert(0, " = ".join(f"a{i}" for i in written) + " = 0.0")
+        tail += [f"A = [0.0] * {len(p.plans)}", *(f"A[{i}] = a{i}" for i in written),
+                 f"return A, [0.0] * {len(p.plans)}"]
+    else:
+        tail.append("return E")
+    return "\n".join(["def evidence(B):", *(f"    {line}" for line in body + tail)]) + "\n"

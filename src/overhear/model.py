@@ -450,6 +450,24 @@ class TeamOrientedProgram:
         team mode, and one unit, None, for all nodes in the single-agent view."""
         return self.owner_at if self.team_mode else (None,) * len(self.node_ids)
 
+    @cached_property
+    def evidence_functions(self):
+        """The compiled evidence step, shared by every program with equal fields.
+
+        ``steps[signature]`` is the kernel of ``belief.evidence`` for a
+        tick's messages as ``(kind, plan, team)``, straight-line code, and
+        ``commits[(kind, plan, team)]`` that of one message's evidence and
+        its array commit (``compiled.evidence_source``).
+        ``belief.tick_evidence`` and ``belief.apply_messages`` build the
+        keys and call them.  The table (``compiled._evidence_table``) is
+        keyed on the fields the generator reads, like ``forward``, and holds
+        a bounded set of kernels; a key compiles on its first message, so
+        loading a program or building a state compiles nothing.
+        """
+        from .compiled import _evidence_table  # which imports this module
+        return _evidence_table(self.plans, self.transitions, self.root,
+                               self.team_hierarchy.teams, self.team_mode)
+
     # -- the forward step --------------------------------------------------
 
     @cached_property

@@ -41,8 +41,8 @@ which a cap leaves as it is.  Every value a tick leaves is in [0, 1].
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, VisitCounter, evidence, init_beliefs,
-                     propagate_down, propagate_forward)
+from .belief import (BeliefState, MonitoringError, VisitCounter, init_beliefs, propagate_down,
+                     propagate_forward, tick_evidence)
 from .model import TeamOrientedProgram
 
 
@@ -101,7 +101,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     if not msgs:
         propagate_forward(b, p, counter)
         return
-    scratch = evidence(b, p, msgs)
+    scratch = tick_evidence(b, p, msgs)
     prior_active, prior_blocked = b.act, b.blk
     active = b.act = list(p.zeros)
     b.blk = list(p.zeros)

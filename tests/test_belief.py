@@ -9,8 +9,8 @@ from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitC
                              _prune_redundant_ancestors, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              propagate_down, propagate_forward)
-from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.compiled import _compile_scan
+from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
@@ -501,6 +501,30 @@ def test_array_tick_unknown_sender(evac_mini):
         array_overseer_tick(beliefs, {"escort1": view},
                             [ObservedMessage(0, "stranger", "ESCORT", INIT,
                                              "process-orders")])
+
+
+def test_a_failing_array_tick_steps_no_state():
+    # alpha1's message is good and alpha3's names no plan: the tick raises
+    # the reference's text before alpha1 takes evidence or alpha2 steps
+    p = team_program(0)
+    view = p.single_agent_view()
+    agents = p.team_hierarchy.agent_names
+    beliefs = {a: init_beliefs(view) for a in agents}
+    programs = {a: view for a in agents}
+    for _ in range(5):
+        array_overseer_tick(beliefs, programs, [])
+    bad = ObservedMessage(5, "alpha3", "ALPHA", TERM, "no-such-plan")
+    msgs = [ObservedMessage(5, "alpha1", "ALPHA", TERM, "phase-00"), bad]
+    lists = {a: (b.act, b.blk) for a, b in beliefs.items()}
+    values = {a: (list(act), list(blk)) for a, (act, blk) in lists.items()}
+    with pytest.raises(MonitoringError) as info:
+        array_overseer_tick(beliefs, programs, msgs)
+    with pytest.raises(MonitoringError) as reference:
+        evidence(beliefs["alpha3"], view, [bad])
+    assert str(info.value) == str(reference.value)
+    for a, b in beliefs.items():
+        assert (b.act, b.blk) == lists[a] and b.act is lists[a][0] and b.blk is lists[a][1]
+        assert (b.act, b.blk) == values[a]
 
 
 def test_silent_agents_stay_identical(evac_mini):

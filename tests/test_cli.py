@@ -9,6 +9,7 @@ import pytest
 from overhear.cli import COMMANDS, build_parser, run_command
 from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
+from overhear import compiled
 from overhear.compiled import _compile_forward
 from overhear.model import load_program_path
 from overhear.progen import flatten_mu
@@ -339,6 +340,28 @@ def test_evaluate_runs_share_one_kernel(tmp_path):
     for name in ("first.txt", "second.txt"):
         assert run_command([*argv, "--out", str(tmp_path / name)]) == 0
     assert _compile_forward.cache_info().misses == 1
+    assert (tmp_path / "first.txt").read_bytes() == (tmp_path / "second.txt").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["yoyo", "array"])
+def test_evaluate_runs_share_their_evidence_functions(tmp_path, monkeypatch, mode):
+    # each run loads a fresh program and a fresh comm-applied copy; their
+    # evidence functions are cached on fields, so a second run compiles none
+    trace_path, log_path = _simulate(tmp_path / "run")
+    model_path = tmp_path / "model.txt"
+    assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0
+    argv = ["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
+            "--truth", str(trace_path), "--comm", str(model_path), "--mode", mode]
+    generated = []
+    source = compiled.evidence_source
+    monkeypatch.setattr(compiled, "evidence_source",
+                        lambda *args: generated.append(args[1]) or source(*args))
+    compiled._evidence_table.cache_clear()
+    counts = []
+    for name in ("first.txt", "second.txt"):
+        assert run_command([*argv, "--out", str(tmp_path / name)]) == 0
+        counts.append(len(generated))
+    assert counts[0] > 0 and counts[1] == counts[0]
     assert (tmp_path / "first.txt").read_bytes() == (tmp_path / "second.txt").read_bytes()
 
 
