@@ -7,11 +7,17 @@ message has not been seen yet).  Ticks without an observed message apply a
 linear forward propagation driven by leaf termination rates; ticks with a
 message collapse the state onto the nodes consistent with it.
 
-What a tick's messages are evidence for is one function for both layouts,
+What a tick's messages are evidence for is one rule for both layouts,
 ``evidence``; the program's mode alone decides which transitions a message
-opens and which candidates share a normalizer.  The array layout commits
-evidence one message at a time (``apply_messages``), the shared layout in
-``yoyo.yoyo_tick``.
+opens and which candidates share a normalizer.  ``evidence`` is the
+readable reference, and no step calls it: both layouts run it compiled,
+one generated function per tick signature (the tick's messages as
+``(kind, plan, team)``), from a bounded table that ``compiled`` keeps per
+set of program fields (``TeamOrientedProgram.evidence_functions``).  The
+shared layout takes the masses (``tick_evidence``) and commits them in
+``yoyo.yoyo_tick``.  The array layout commits one message at a time
+(``apply_messages``), each with a generated function that also writes the
+commit as straight-line code.
 
 A state holds the two masses as plain lists, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
@@ -26,7 +32,9 @@ Both layouts step a state in place.  ``init_beliefs`` alone builds one;
 ``propagate_forward``, ``apply_messages``, ``array_overseer_tick`` and
 ``yoyo.yoyo_tick`` replace its ``act`` and ``blk`` with new lists and
 return None, so a caller holds one state object for the whole run and
-copies the lists to keep a tick's masses.
+copies the lists to keep a tick's masses.  Each checks every message (its
+team and its plan) before it replaces any list, so a step that raises
+leaves every state as it was.
 
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
@@ -169,6 +177,11 @@ def _message_order(m: ObservedMessage) -> tuple:
     return (0 if m.kind == TERM else 1, m.plan, m.sender)
 
 
+def _in_order(msgs: list) -> list:
+    """A tick's messages in ``_message_order``; one message needs no sort."""
+    return sorted(msgs, key=_message_order) if len(msgs) > 1 else msgs
+
+
 def _unknown_plan(m: ObservedMessage) -> MonitoringError:
     return MonitoringError(
         f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
@@ -249,14 +262,14 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     return scratch
 
 
-def tick_evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
+def tick_evidence(b: BeliefState, p: TeamOrientedProgram, msgs: list) -> dict[int, float]:
     """``evidence(b, p, msgs)``, bit for bit, from the tick's compiled function.
 
     The function is p's for the tick's signature, its ``_message_keys``,
     from the bounded table ``TeamOrientedProgram.evidence_functions``,
     which compiles it on the signature's first tick.
     """
-    signature = tuple(_message_keys(p, sorted(msgs, key=_message_order)))
+    signature = tuple(_message_keys(p, _in_order(msgs)))
     return p.evidence_functions.steps[signature].function(b.blk)
 
 
@@ -270,9 +283,8 @@ def _commits(p: TeamOrientedProgram, msgs: list) -> list:
     here, so a caller can look up all of a tick's commits before it steps
     any state.
     """
-    ordered = sorted(msgs, key=_message_order) if len(msgs) > 1 else msgs
     commits = p.evidence_functions.commits
-    return [commits[key].function for key in _message_keys(p, ordered)]
+    return [commits[key].function for key in _message_keys(p, _in_order(msgs))]
 
 
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,

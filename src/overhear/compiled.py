@@ -201,8 +201,8 @@ class _Compiled(dict):
 
     def __missing__(self, key) -> _Kernel:
         kernel = _Kernel(self.generate(key), "evidence", self.label)
-        while len(self) >= EVIDENCE_SIGNATURES:
-            self.pop(next(iter(self)), None)
+        for old in list(self)[:max(0, len(self) + 1 - EVIDENCE_SIGNATURES)]:  # the oldest
+            self.pop(old, None)
         self[key] = kernel
         return kernel
 
@@ -322,6 +322,7 @@ def evidence_source(p: TeamOrientedProgram, signature: tuple, commit: bool) -> s
         adds = [f"a{x} += m"]
         _descend(p.groups_at, x, "m", 0, adds)
         adds += [f"a{a} += m" for a in p.ancestors_at[x]]
+        # every line but a share's is ``a<i> += ...``
         touched.update(int(line[1:line.index(" ")]) for line in adds if line[0] == "a")
         tail += [f"        {line}" for line in adds]
     if commit:

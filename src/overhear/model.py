@@ -23,25 +23,28 @@ plan names (``name_paths_at``), owner and first-child groups
 parallel); the postorder and the leaves; plan name -> positions
 (``named_index``); the zero table (``zeros``), the initial state
 (``initial``) and each team's candidate leaves (``leaves_by_team``); the
-evidence tables that ``belief.evidence`` reads in both modes (each team's
-open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``, and each
-node's normalizing unit, ``unit_at``); the shared layout's climb
-(``evidence_climbs``, which holds the walk of every rescale it runs); the
-compiled forward step (``forward``), one generated function over locals
-that unpacks both tables and returns new lists; and the compiled
+evidence tables that ``belief.evidence`` and its generator read in both
+modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
+``team_edges``, and each node's normalizing unit, ``unit_at``); the shared
+layout's climb (``evidence_climbs``, which holds the walk of every rescale
+it runs); the compiled forward step (``forward``), one generated function
+over locals that unpacks both tables and returns new lists; the compiled
 most-likely pick over every leaf (``best_leaf``) and over each team's
-candidate leaves (``team_best_leaf``), one generated scan per leaf tuple.
+candidate leaves (``team_best_leaf``), one generated scan per leaf tuple;
+and the compiled evidence step (``evidence_functions``), one generated
+function per tick signature, compiled on the signature's first message.
 They are built on first use, so loading a program pays for none of them.
 Node ids remain only at the document boundary: ``node_ids`` and ``index``
 map between ids and positions, ``node(id)`` reads a plan record, and the
 transition records (``out_at``) name their plans by id.  A query answers
 with a leaf's position, and ``path_names`` gives its root path as plan
-names.  The generated code lives in ``compiled``: the forward step's
-function is compiled once per distinct set of the fields it reads, and a
-scan once per leaf tuple, each in a bounded module-level cache there, so
-programs equal in those (or in leaves) share one function and a hit
-generates no source; a source stays in ``linecache`` only while its
-function is cached.
+names.  The generated code and its caches live in ``compiled``: the
+forward step's function is compiled once per distinct set of the fields it
+reads, the evidence step's table is kept per such set and holds a bounded
+number of functions by signature, and a scan is compiled once per leaf
+tuple, each cache bounded and kept in that module, so programs equal in
+those fields (or in leaves) share one function and a hit generates no
+source; a source stays in ``linecache`` only while its function is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -61,8 +64,9 @@ A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.  So
 is a kernel shared by programs with equal fields: it touches nothing but its
 arguments and the lists it returns, and two threads compiling one key at
-once get equal functions.  A scan only reads its arguments.  Mutable run
-state lives in the belief containers, not here.
+once get equal functions.  A scan only reads its arguments, and an
+evidence function only its prior blocked list.  Mutable run state lives in
+the belief containers, not here.
 """
 
 from __future__ import annotations

@@ -8,15 +8,16 @@ the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
 A quiet tick is ``belief.propagate_forward``, and what a tick's messages
-are evidence for is ``belief.evidence``; both are shared by the two
-layouts, and this module commits that evidence and rescales.  As in the
-array layout, a tick steps the state in place, replacing its ``act`` and
-``blk`` with new lists.  The structure those steps follow is a program
-table like every other: each node's climb to the root
-(``evidence_climbs``), with the walk of every rescale the climb runs.
-Only the mass arithmetic runs per tick, and every node these steps name
-is a position in the state's lists.  A team's
-most-likely query is its compiled pick over its candidate leaves
+are evidence for is ``belief.tick_evidence``: ``belief.evidence``'s masses
+from the tick signature's compiled function, which ``compiled`` generates
+and caches per set of program fields.  This module commits that evidence
+and rescales, interpreted.  As in the array layout, a tick steps the state
+in place, replacing its ``act`` and ``blk`` with new lists.  The structure
+those steps follow is a program table like every other: each node's climb
+to the root (``evidence_climbs``), with the walk of every rescale the
+climb runs.  Only the mass arithmetic runs per tick, and every node these
+steps name is a position in the state's lists.  A team's most-likely
+query is its compiled pick over its candidate leaves
 (``TeamOrientedProgram.team_best_leaf`` over ``leaves_by_team``).
 
 Plan ownership alone decides where to rescale: a climb step from a node
@@ -90,13 +91,13 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
 
     With no messages this is ``belief.propagate_forward`` alone, whose
     team-mode kernel caps every value at 1.
-    Otherwise the tick's messages are one observation (``belief.evidence``),
-    committed at once on fresh lists: each mass propagates down its subtree,
-    climbs toward the root, and triggers a cross-team rescale whenever the
-    climb steps into a plan another team owns.  The climb's steps, and
-    where it rescales, are the program's ``evidence_climbs``; each step
-    raises the parent to at least the child's mass.  The tick then clamps
-    only the entries it wrote.
+    Otherwise the tick's messages are one observation (``belief.evidence``,
+    run compiled by ``belief.tick_evidence``), committed at once on fresh
+    lists: each mass propagates down its subtree, climbs toward the root,
+    and triggers a cross-team rescale whenever the climb steps into a plan
+    another team owns.  The climb's steps, and where it rescales, are the
+    program's ``evidence_climbs``; each step raises the parent to at least
+    the child's mass.  The tick then clamps only the entries it wrote.
     """
     if not msgs:
         propagate_forward(b, p, counter)

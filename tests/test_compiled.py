@@ -184,17 +184,19 @@ def test_compiled_evidence_is_keyed_on_fields_and_registered():
 
 
 def test_evidence_tables_are_bounded_and_release_their_sources(monkeypatch):
-    monkeypatch.setattr(compiled, "EVIDENCE_SIGNATURES", 3)
+    monkeypatch.setattr(compiled, "EVIDENCE_SIGNATURES", 6)
     p = team_program(0).single_agent_view()
     commits = p.evidence_functions.commits
     commits.clear()
-    names = ["phase-00", "phase-01", "phase-02", "phase-03", "phase-04"]
-    kernels = [commits[TERM, name, None] for name in names]
-    assert list(commits) == [(TERM, name, None) for name in names[-3:]]
-    for kernel in kernels[:2]:
+    keys = [(TERM, f"phase-{k:02}", None) for k in range(9)]
+    kernels = []
+    for n, key in enumerate(keys, 1):
+        kernels.append(commits[key])
+        assert list(commits) == keys[max(0, n - 6):n]  # the oldest leave first
+    for kernel in kernels[:3]:
         assert kernel.filename in linecache.cache  # still held here
     files = [kernel.filename for kernel in kernels]
     del kernels, kernel
-    assert [f in linecache.cache for f in files] == [False, False, True, True, True]
+    assert [f in linecache.cache for f in files] == [False] * 3 + [True] * 6
     commits.clear()
     assert not any(f in linecache.cache for f in files)
