@@ -17,13 +17,10 @@ from overhear import compiled
 from overhear.belief import (BeliefState, MonitoringError, _message_order, apply_messages,
                              evidence, init_beliefs, propagate_down, propagate_forward,
                              tick_evidence)
-from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
+from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.progen import team_program
-from overhear.recognizer import make_recognizer
-from overhear.sim import SimConfig, simulate
-from overhear.social import apply_comm_model, learn_comm_model
 
-from test_digest import QUANTIZED, QUANTUM, SWEEP_SHA256, TICKS, sweep_programs, table_programs
+from test_digest import SWEEP_SHA256, TICKS, sweep_replays, table_programs
 
 
 def _hex(masses: dict) -> list:
@@ -46,27 +43,11 @@ def _reference_commit(b, p, m) -> tuple[list, list]:
     return active, list(p.zeros)
 
 
-def _sweep_replays(corpus: str, mode: str, coherent):
-    """Each recognizer and tick-grouped log that ``sweep_digests`` replays."""
-    programs, team_mode = sweep_programs(corpus)
-    quantum = QUANTUM if corpus in QUANTIZED else 1
-    for tp in programs:
-        for seed in range(2):
-            _, log = simulate(tp, SimConfig(seed=seed, ticks=TICKS, team_mode=team_mode,
-                                            send_prob=0.5))
-            _, sibling = simulate(tp, SimConfig(seed=seed + 100, ticks=TICKS,
-                                                team_mode=team_mode, send_prob=0.5))
-            by_tick = messages_by_tick(
-                [dataclasses.replace(m, tick=m.tick // quantum) for m in log])
-            for rec_program in (tp, apply_comm_model(tp, learn_comm_model(sibling))):
-                yield make_recognizer(rec_program, mode, coherent), by_tick
-
-
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
 def test_compiled_evidence_equals_the_reference_on_every_sweep_tick(key):
     corpus, mode, coherent = key
     ticks = 0
-    for rec, by_tick in _sweep_replays(corpus, mode, coherent):
+    for _, rec, by_tick in sweep_replays(corpus, mode, coherent):
         for t in range(TICKS):
             msgs = by_tick.get(t, [])
             if mode == "yoyo" and msgs:

@@ -168,16 +168,13 @@ def _hash_answers(h, rec, mode: str):
     h.update("".join("/".join(path) + "\n" for path in paths).encode())
 
 
-@functools.cache
-def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, str]:
-    """sha256 over every state of the corpus's programs x 2 seeds x 150 ticks,
-    with and without a learned comm model, as one layout steps through it,
-    and sha256 over the answers read off each of those states.
+def sweep_replays(corpus: str, mode: str, coherent: bool | None):
+    """Each (label, recognizer, tick-grouped log) of the sweep: the corpus's
+    programs x 2 seeds x 150 ticks, with and without a learned comm model.
     A ``QUANTIZED`` corpus replays each log with its ticks divided by
     ``QUANTUM``; the comm model still learns from the raw sibling log."""
     programs, team_mode = sweep_programs(corpus)
     quantum = QUANTUM if corpus in QUANTIZED else 1
-    h, answers = hashlib.sha256(), hashlib.sha256()
     for prog, tp in enumerate(programs):
         for seed in range(2):
             _, log = simulate(tp, SimConfig(seed=seed, ticks=TICKS, team_mode=team_mode,
@@ -187,18 +184,26 @@ def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, s
             by_tick = messages_by_tick(
                 [dataclasses.replace(m, tick=m.tick // quantum) for m in log])
             for rec_program in (tp, apply_comm_model(tp, learn_comm_model(sibling))):
-                rec = make_recognizer(rec_program, mode, coherent)
-                label = f"{prog}/{seed}/{mode}/{coherent}".encode()
-                h.update(label)
-                answers.update(label)
-                for t in range(TICKS):
-                    rec.step(by_tick.get(t, []))
-                    if mode == "yoyo":
-                        _hash_state(h, rec.belief, t + 1)
-                    else:
-                        for agent in rec.agents:
-                            _hash_state(h, rec.beliefs[agent], t + 1)
-                    _hash_answers(answers, rec, mode)
+                yield (f"{prog}/{seed}/{mode}/{coherent}".encode(),
+                       make_recognizer(rec_program, mode, coherent), by_tick)
+
+
+@functools.cache
+def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, str]:
+    """sha256 over every state that one layout steps through in
+    ``sweep_replays``, and sha256 over the answers read off each of them."""
+    h, answers = hashlib.sha256(), hashlib.sha256()
+    for label, rec, by_tick in sweep_replays(corpus, mode, coherent):
+        h.update(label)
+        answers.update(label)
+        for t in range(TICKS):
+            rec.step(by_tick.get(t, []))
+            if mode == "yoyo":
+                _hash_state(h, rec.belief, t + 1)
+            else:
+                for agent in rec.agents:
+                    _hash_state(h, rec.beliefs[agent], t + 1)
+            _hash_answers(answers, rec, mode)
     return h.hexdigest(), answers.hexdigest()
 
 
