@@ -10,14 +10,16 @@ message collapse the state onto the nodes consistent with it.
 What a tick's messages are evidence for is one rule for both layouts,
 ``evidence``; the program's mode alone decides which transitions a message
 opens and which candidates share a normalizer.  ``evidence`` is the
-readable reference, and no step calls it: both layouts run it compiled,
+readable reference, and both layouts run it compiled once a key is hot:
 one generated function per tick signature (the tick's messages as
 ``(kind, plan, team)``), from a bounded table that ``compiled`` keeps per
-set of program fields (``TeamOrientedProgram.evidence_functions``).  The
-shared layout takes the masses (``tick_evidence``) and commits them in
-``yoyo.yoyo_tick``.  The array layout commits one message at a time
-(``apply_messages``), each with a generated function that also writes the
-commit as straight-line code.
+set of program fields (``TeamOrientedProgram.evidence_functions``) and
+fills on a key's ``compiled.COMPILE_AT``-th use; until then ``evidence``
+itself runs.  The shared layout takes the masses (``tick_evidence``) and
+commits them in ``yoyo.yoyo_tick``.  The array layout commits one message
+at a time (``apply_messages``), each with a generated function that also
+writes the commit as straight-line code, or while cold with ``evidence``
+and ``_commit_evidence``.
 
 A state holds the two masses as plain lists, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
@@ -177,32 +179,27 @@ def _message_order(m: ObservedMessage) -> tuple:
     return (0 if m.kind == TERM else 1, m.plan, m.sender)
 
 
-def _in_order(msgs: list) -> list:
-    """A tick's messages in ``_message_order``; one message needs no sort."""
-    return sorted(msgs, key=_message_order) if len(msgs) > 1 else msgs
-
-
 def _unknown_plan(m: ObservedMessage) -> MonitoringError:
     return MonitoringError(
         f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
         f"either the program is stale or the team is acting incoherently")
 
 
-def _message_keys(p: TeamOrientedProgram, ordered) -> list[tuple]:
-    """Messages in ``_message_order`` as the keys of their compiled evidence.
+def _message_keys(p: TeamOrientedProgram, msgs) -> list[tuple]:
+    """A tick's messages in ``_message_order``, each with its evidence key.
 
-    Each message is ``(kind, plan, team)`` with its team resolved
+    Each key is ``(kind, plan, team)`` with the team resolved
     (``_resolve_message_team``), so the single-agent view never reads a
     sender.  Raises ``evidence``'s ``MonitoringError`` for the first
     message whose team or plan is unknown, checked in ``evidence``'s order.
     """
-    named, keys = p.named_index, []
-    for m in ordered:
+    named, keyed = p.named_index, []
+    for m in sorted(msgs, key=_message_order):
         team = _resolve_message_team(m, p)
         if m.plan not in named:
             raise _unknown_plan(m)
-        keys.append((m.kind, m.plan, team))
-    return keys
+        keyed.append((m, (m.kind, m.plan, team)))
+    return keyed
 
 
 def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
@@ -263,28 +260,49 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
 
 
 def tick_evidence(b: BeliefState, p: TeamOrientedProgram, msgs: list) -> dict[int, float]:
-    """``evidence(b, p, msgs)``, bit for bit, from the tick's compiled function.
+    """``evidence(b, p, msgs)``, bit for bit, compiled once the tick's signature is hot.
 
-    The function is p's for the tick's signature, its ``_message_keys``,
-    from the bounded table ``TeamOrientedProgram.evidence_functions``,
-    which compiles it on the signature's first tick.
+    The signature is the tick's ``_message_keys``.  Its function comes from
+    the bounded table ``TeamOrientedProgram.evidence_functions``, which
+    compiles it on the signature's ``compiled.COMPILE_AT``-th use; until
+    then ``evidence`` runs.
     """
-    signature = tuple(_message_keys(p, _in_order(msgs)))
-    return p.evidence_functions.steps[signature].function(b.blk)
+    step = p.evidence_functions.step(tuple(key for _, key in _message_keys(p, msgs)))
+    return step(b.blk) if step else evidence(b, p, msgs)
 
 
-def _commits(p: TeamOrientedProgram, msgs: list) -> list:
-    """Each message's compiled commit on p, TERM before INIT.
+def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedProgram):
+    """Replace b's lists with ``scratch`` committed on fresh zero tables.
 
-    A commit is ``evidence`` of the message alone, committed on fresh zero
-    tables as a function of the prior blocked list: each mass is spread
-    down its node's first-child groups (``propagate_down``) and added to
-    every ancestor, and every blocked mass is 0.  Every message is checked
-    here, so a caller can look up all of a tick's commits before it steps
-    any state.
+    Each mass is spread down its node's first-child groups
+    (``propagate_down``) and added to every ancestor, and every blocked
+    mass is 0.  This is the reference the array layout's compiled commit
+    follows, and it runs while a message's key is cold.
     """
-    commits = p.evidence_functions.commits
-    return [commits[key].function for key in _message_keys(p, _in_order(msgs))]
+    active, ancestors = list(p.zeros), p.ancestors_at
+    for x in sorted(scratch):
+        mass = scratch[x]
+        active[x] += mass
+        propagate_down(x, mass, active, p)
+        for anc in ancestors[x]:
+            active[anc] += mass
+    b.act, b.blk = active, list(p.zeros)
+
+
+def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
+    """Commit each of ``_message_keys``' messages into b, one at a time.
+
+    A message runs its key's compiled commit, ``evidence`` of the message
+    alone committed as one function of the prior blocked list, or while
+    the key is cold ``evidence`` and ``_commit_evidence``.
+    """
+    commit = p.evidence_functions.commit
+    for m, key in keyed:
+        compiled = commit(key)
+        if compiled:
+            b.act, b.blk = compiled(b.blk)
+        else:
+            _commit_evidence(b, evidence(b, p, [m]), p)
 
 
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
@@ -329,8 +347,7 @@ def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram):
     Every message is checked before b changes, so a message that raises
     leaves b as it was.
     """
-    for commit in _commits(p, list(msgs)):
-        b.act, b.blk = commit(b.blk)
+    _commit_messages(b, p, _message_keys(p, msgs))
 
 
 def array_overseer_tick(beliefs: dict[str, BeliefState],
@@ -356,11 +373,10 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
                 raise MonitoringError(
                     f"message at tick {m.tick} routed to unknown agent '{agent}'")
             inbox.setdefault(agent, []).append(m)
-    commits = {agent: _commits(programs[agent], inbox[agent])
-               for agent in beliefs if agent in inbox}
+    keyed = {agent: _message_keys(programs[agent], inbox[agent])
+             for agent in beliefs if agent in inbox}
     for agent, b in beliefs.items():
-        if agent in commits:
-            for commit in commits[agent]:
-                b.act, b.blk = commit(b.blk)
+        if agent in keyed:
+            _commit_messages(b, programs[agent], keyed[agent])
         else:
             propagate_forward(b, programs[agent], counter)

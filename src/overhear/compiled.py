@@ -17,7 +17,9 @@ source.  A source stays in ``linecache`` only while its function is cached.
   ``TeamOrientedProgram.evidence_functions``, one table per set of the
   fields it reads; in it one function per tick signature (the shared
   layout's evidence) and one per message (the array layout's evidence and
-  commit), each kind held in a table of at most ``EVIDENCE_SIGNATURES``.
+  commit), each kind held in an ``lru_cache`` of at most
+  ``EVIDENCE_SIGNATURES``.  A key compiles on its ``COMPILE_AT``-th use, so
+  a signature a run meets a few times never pays a compile.
 
 ``model`` holds documents and tables and reaches this module only from the
 properties that return compiled functions.
@@ -28,13 +30,21 @@ from __future__ import annotations
 import hashlib
 import linecache
 from functools import lru_cache
+from itertools import count
 
 from .belief import PROB_FLOOR
 from .ingest import INIT
 from .model import TERMINATE, TIE_TOLERANCE, TeamHierarchy, TeamOrientedProgram, hazard
 
-# The compiled evidence functions each table of ``EvidenceFunctions`` keeps.
+# The keys each table of ``EvidenceFunctions`` counts, and the compiled
+# functions it keeps.
 EVIDENCE_SIGNATURES = 256
+# The use of a key that compiles its evidence function; the uses before it
+# run the interpreted ``belief.evidence``.  On team_program(0) a compile
+# takes 150-210 us and saves 3.5-6 us per later use, so by the 32nd use the
+# interpreted uses have cost about one compile, and a run pays at most about
+# twice the cheaper of the two; a one-shot ``evaluate`` compiles almost none.
+COMPILE_AT = 32
 
 
 class _Kernel:
@@ -189,38 +199,40 @@ def _compile_scan(leaves: tuple[int, ...]) -> _Kernel:
                               "    return k"]) + "\n", "scan", "leaf scan")
 
 
-class _Compiled(dict):
-    """A bounded table of compiled functions: a missing key compiles the
-    source ``generate(key)`` writes, and the table keeps the
-    ``EVIDENCE_SIGNATURES`` latest kernels, dropping the oldest first.  A
-    key whose source raises is not stored."""
+class _Tier:
+    """One kind of compiled evidence function, by key: interpreted until the
+    key's ``COMPILE_AT``-th use, then compiled from ``generate(key)``.
+
+    A key's uses and its kernel are each held in an ``lru_cache`` of at
+    most ``EVIDENCE_SIGNATURES`` keys, which evicts the least recently used
+    and stores no call that raises; a kernel leaving its cache takes its
+    ``linecache`` entry with it.
+    """
 
     def __init__(self, generate, label: str):
-        super().__init__()
-        self.generate, self.label = generate, label
+        self.uses = lru_cache(EVIDENCE_SIGNATURES)(lambda key: count(1))
+        self.kernel = lru_cache(EVIDENCE_SIGNATURES)(
+            lambda key: _Kernel(generate(key), "evidence", label))
 
-    def __missing__(self, key) -> _Kernel:
-        kernel = _Kernel(self.generate(key), "evidence", self.label)
-        for old in list(self)[:max(0, len(self) + 1 - EVIDENCE_SIGNATURES)]:  # the oldest
-            self.pop(old, None)
-        self[key] = kernel
-        return kernel
+    def __call__(self, key):
+        """key's compiled function, or None while the key is cold; counts a use."""
+        return self.kernel(key).function if next(self.uses(key)) >= COMPILE_AT else None
 
 
 class EvidenceFunctions:
     """The compiled evidence step of every program with one set of fields.
 
-    ``steps[signature]`` is the kernel of ``belief.evidence`` for a tick
-    signature, a tuple of ``(kind, plan, team)``; ``commits[(kind, plan,
-    team)]`` is the kernel of one message's evidence and its array commit.
-    Both are ``evidence_source``'s, each in a bounded table.
+    ``step(signature)`` is the function of ``belief.evidence`` for a tick
+    signature, a tuple of ``(kind, plan, team)``; ``commit((kind, plan,
+    team))`` is that of one message's evidence and its array commit.  Both
+    are ``evidence_source``'s, and each is None while its key is cold.
     """
 
     def __init__(self, p: TeamOrientedProgram):
-        self.steps = _Compiled(lambda signature: evidence_source(p, signature, False),
-                               "evidence step")
-        self.commits = _Compiled(lambda message: evidence_source(p, (message,), True),
-                                 "evidence commit")
+        self.step = _Tier(lambda signature: evidence_source(p, signature, False),
+                          "evidence step")
+        self.commit = _Tier(lambda message: evidence_source(p, (message,), True),
+                            "evidence commit")
 
 
 @lru_cache(maxsize=16)

@@ -32,7 +32,8 @@ over locals that unpacks both tables and returns new lists; the compiled
 most-likely pick over every leaf (``best_leaf``) and over each team's
 candidate leaves (``team_best_leaf``), one generated scan per leaf tuple;
 and the compiled evidence step (``evidence_functions``), one generated
-function per tick signature, compiled on the signature's first message.
+function per tick signature, compiled on the signature's
+``compiled.COMPILE_AT``-th use.
 They are built on first use, so loading a program pays for none of them.
 Node ids remain only at the document boundary: ``node_ids`` and ``index``
 map between ids and positions, ``node(id)`` reads a plan record, and the
@@ -458,15 +459,16 @@ class TeamOrientedProgram:
     def evidence_functions(self):
         """The compiled evidence step, shared by every program with equal fields.
 
-        ``steps[signature]`` is the kernel of ``belief.evidence`` for a
+        ``step(signature)`` is the function of ``belief.evidence`` for a
         tick's messages as ``(kind, plan, team)``, straight-line code, and
-        ``commits[(kind, plan, team)]`` that of one message's evidence and
-        its array commit (``compiled.evidence_source``).
-        ``belief.tick_evidence`` and ``belief.apply_messages`` build the
-        keys and call them.  The table (``compiled._evidence_table``) is
-        keyed on the fields the generator reads, like ``forward``, and holds
-        a bounded set of kernels; a key compiles on its first message, so
-        loading a program or building a state compiles nothing.
+        ``commit((kind, plan, team))`` that of one message's evidence and
+        its array commit (``compiled.evidence_source``); each is None
+        until the key's ``compiled.COMPILE_AT``-th use, while the caller
+        runs the interpreted step.  ``belief.tick_evidence`` and
+        ``belief.apply_messages`` build the keys and call them.  The table
+        (``compiled._evidence_table``) is keyed on the fields the generator
+        reads, like ``forward``, and holds a bounded set of kernels and use
+        counts, so loading a program or building a state compiles nothing.
         """
         from .compiled import _evidence_table  # which imports this module
         return _evidence_table(self.plans, self.transitions, self.root,

@@ -10,9 +10,10 @@ not with plans times agents.
 A quiet tick is ``belief.propagate_forward``, and what a tick's messages
 are evidence for is ``belief.tick_evidence``: ``belief.evidence``'s masses
 from the tick signature's compiled function, which ``compiled`` generates
-and caches per set of program fields.  This module commits that evidence
-and rescales, interpreted.  As in the array layout, a tick steps the state
-in place, replacing its ``act`` and ``blk`` with new lists.  The structure
+on the signature's ``COMPILE_AT``-th use and caches per set of program
+fields (``belief.evidence`` runs until then).  This module commits that
+evidence and rescales, interpreted.  As in the array layout, a tick steps
+the state in place, replacing its ``act`` and ``blk`` with new lists.  The structure
 those steps follow is a program table like every other: each node's climb
 to the root (``evidence_climbs``), with the walk of every rescale the
 climb runs.  Only the mass arithmetic runs per tick, and every node these

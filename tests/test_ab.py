@@ -20,11 +20,13 @@ def _generated() -> set:
     return {name for name in linecache.cache if name.startswith("<")}
 
 
-def test_ab_compares_a_tree_with_itself(capsys):
+def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     ab = _ab()
+    monkeypatch.setattr(ab, "REPEATS", 1)
+    monkeypatch.setattr(ab, "TICKS", 60)  # still quiet and evidence ticks in each replay
     sources = _generated()
     start = time.perf_counter()
-    report = ab.compare(ROOT, ROOT, rounds=2, repeats=1, ticks=60)
+    report = ab.compare(ROOT, ROOT, rounds=2)
     assert time.perf_counter() - start < 5.0
     assert set(report) == {f"{layout}.{workload}" for layout in ab.LAYOUTS
                            for workload in ("quiet_tick", "evidence_tick", "evaluate_run")}
@@ -36,7 +38,6 @@ def test_ab_compares_a_tree_with_itself(capsys):
     # both packages, and every source their caches compiled, are gone
     assert not [name for name in sys.modules if name.startswith(("ab_parent", "ab_change"))]
     assert _generated() <= sources
-    assert ab.main([str(ROOT), str(ROOT), "--rounds", "1", "--repeats", "1",
-                    "--ticks", "40"]) == 0
+    assert ab.main([str(ROOT), str(ROOT), "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[0] == "workload" and len(lines) == 1 + len(report)

@@ -346,7 +346,8 @@ def test_evaluate_runs_share_one_kernel(tmp_path):
 @pytest.mark.parametrize("mode", ["yoyo", "array"])
 def test_evaluate_runs_share_their_evidence_functions(tmp_path, monkeypatch, mode):
     # each run loads a fresh program and a fresh comm-applied copy; their
-    # evidence functions are cached on fields, so a second run compiles none
+    # evidence functions are cached on fields, so once the first run has
+    # compiled every key (on its first use, here) a second run compiles none
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"
     assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0
@@ -356,6 +357,7 @@ def test_evaluate_runs_share_their_evidence_functions(tmp_path, monkeypatch, mod
     source = compiled.evidence_source
     monkeypatch.setattr(compiled, "evidence_source",
                         lambda *args: generated.append(args[1]) or source(*args))
+    monkeypatch.setattr(compiled, "COMPILE_AT", 1)
     compiled._evidence_table.cache_clear()
     counts = []
     for name in ("first.txt", "second.txt"):

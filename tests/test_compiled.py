@@ -3,7 +3,9 @@
 ``belief.tick_evidence`` (the shared layout's evidence) and the array
 layout's compiled commit must give what the readable engine gives, bit for
 bit, on every evidence tick of every sweep corpus of ``test_digest``; and
-their tables must be bounded and keyed on program fields.
+their tables must be bounded and keyed on program fields.  The equality
+tests compile every key on its first use (``COMPILE_AT`` 1), so no tick
+runs the interpreted step they compare with.
 """
 
 import dataclasses
@@ -28,6 +30,12 @@ def _hex(masses: dict) -> list:
     return [(x, v.hex()) for x, v in masses.items()]
 
 
+@pytest.fixture
+def hot(monkeypatch):
+    """Every evidence key compiles on its first use."""
+    monkeypatch.setattr(compiled, "COMPILE_AT", 1)
+
+
 def _reference_commit(b, p, m) -> tuple[list, list]:
     """``evidence`` of one message committed on fresh zero tables, as the
     array layout commits it: each mass on its node, down its first-child
@@ -44,7 +52,7 @@ def _reference_commit(b, p, m) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
-def test_compiled_evidence_equals_the_reference_on_every_sweep_tick(key):
+def test_compiled_evidence_equals_the_reference_on_every_sweep_tick(key, hot):
     corpus, mode, coherent = key
     ticks = 0
     for _, rec, by_tick in sweep_replays(corpus, mode, coherent):
@@ -69,7 +77,7 @@ def test_compiled_evidence_equals_the_reference_on_every_sweep_tick(key):
     assert ticks > 0
 
 
-def test_compiled_evidence_equals_the_reference_on_planted_tables():
+def test_compiled_evidence_equals_the_reference_on_planted_tables(hot):
     # blocked masses spread over 16 orders of magnitude, with exact zeros,
     # reach the floor and the even fallback, which no sweep tick does
     rng = random.Random(31)
@@ -100,7 +108,7 @@ def _team_state(p, ticks=12):
     return b
 
 
-def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
+def test_the_first_sender_in_message_order_picks_a_shared_nodes_team(hot):
     # ALPHA executes alpha-02-step0, so a TERM of it opens its successor for
     # ALPHA but nothing for BRAVO, and the source falls back to itself; the
     # message read first (by sender) decides, in the reference and compiled
@@ -117,7 +125,7 @@ def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["team", "single"])
-def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
+def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view, hot):
     p = team_program(0)
     if view:
         p = p.single_agent_view()  # which reads no team, so NOBODY passes there
@@ -130,6 +138,7 @@ def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
              [ObservedMessage(7, "zed", "NOBODY", TERM, "phase-01"),
               ObservedMessage(7, "amy", "ALPHA", TERM, "no-such-plan")]]
     table = p.evidence_functions
+    tiers = (table.step.uses, table.step.kernel, table.commit.uses, table.commit.kernel)
     raised = 0
     for msgs in cases:
         try:
@@ -140,18 +149,18 @@ def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
             assert view and msgs[0].team == "NOBODY"
             continue
         raised += 1
-        steps, commits = dict(table.steps), dict(table.commits)
+        sizes = [tier.cache_info().currsize for tier in tiers]
         before = (b.act, b.blk)
         for step in (lambda: tick_evidence(b, p, msgs), lambda: apply_messages(b, msgs, p)):
             with pytest.raises(MonitoringError) as got:
                 step()
             assert str(got.value) == reference
         assert (b.act, b.blk) == before
-        assert dict(table.steps) == steps and dict(table.commits) == commits
+        assert [tier.cache_info().currsize for tier in tiers] == sizes
     assert raised == (3 if view else 4)
 
 
-def test_compiled_evidence_is_keyed_on_fields_and_registered():
+def test_compiled_evidence_is_keyed_on_fields_and_registered(hot):
     p = team_program(0)
     msgs = [ObservedMessage(3, "alpha1", "ALPHA", TERM, "phase-00")]
     fresh = team_program(0)
@@ -159,25 +168,47 @@ def test_compiled_evidence_is_keyed_on_fields_and_registered():
     assert p.single_agent_view().evidence_functions is not p.evidence_functions
     b = _team_state(p)
     tick_evidence(b, p, msgs)
-    kernel = p.evidence_functions.steps.get(((TERM, "phase-00", "ALPHA"),))
+    kernels = p.evidence_functions.step.kernel
+    hits = kernels.cache_info().hits
+    kernel = kernels(((TERM, "phase-00", "ALPHA"),))
+    assert kernels.cache_info().hits == hits + 1  # compiled by the tick
     assert inspect.getsource(kernel.function).startswith("def evidence(B):\n")
     assert kernel.filename in linecache.cache
+
+
+def test_a_key_runs_interpreted_until_its_compile_at_th_use(monkeypatch):
+    monkeypatch.setattr(compiled, "COMPILE_AT", 3)
+    compiled._evidence_table.cache_clear()  # fresh tables, no key used yet
+    p = team_program(0)
+    view = p.single_agent_view()
+    b, a = _team_state(p), _team_state(view)
+    msgs = [ObservedMessage(3, "alpha1", "ALPHA", TERM, "phase-00")]
+    got, states = [], []
+    for use in range(1, 5):
+        got.append(_hex(tick_evidence(b, p, msgs)))
+        state = dataclasses.replace(a)
+        apply_messages(state, msgs, view)
+        states.append([v.hex() for v in state.act + state.blk])
+        compiled_now = int(use >= 3)
+        assert p.evidence_functions.step.kernel.cache_info().currsize == compiled_now
+        assert view.evidence_functions.commit.kernel.cache_info().currsize == compiled_now
+    assert got == [_hex(evidence(b, p, msgs))] * 4
+    assert states == [states[0]] * 4
 
 
 def test_evidence_tables_are_bounded_and_release_their_sources(monkeypatch):
     monkeypatch.setattr(compiled, "EVIDENCE_SIGNATURES", 6)
     p = team_program(0).single_agent_view()
-    commits = p.evidence_functions.commits
-    commits.clear()
+    kernels = compiled.EvidenceFunctions(p).commit.kernel
     keys = [(TERM, f"phase-{k:02}", None) for k in range(9)]
-    kernels = []
-    for n, key in enumerate(keys, 1):
-        kernels.append(commits[key])
-        assert list(commits) == keys[max(0, n - 6):n]  # the oldest leave first
-    for kernel in kernels[:3]:
+    made = [kernels(key) for key in keys[:6]]
+    kernels(keys[0])  # now the most recently used, so keys[1] leaves first
+    made += [kernels(key) for key in keys[6:]]
+    assert kernels.cache_info().currsize == 6
+    for kernel in made:
         assert kernel.filename in linecache.cache  # still held here
-    files = [kernel.filename for kernel in kernels]
-    del kernels, kernel
-    assert [f in linecache.cache for f in files] == [False] * 3 + [True] * 6
-    commits.clear()
+    files = [kernel.filename for kernel in made]
+    del made, kernel
+    assert [f in linecache.cache for f in files] == [True] + [False] * 3 + [True] * 5
+    kernels.cache_clear()
     assert not any(f in linecache.cache for f in files)

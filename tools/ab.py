@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B timing of two source trees of overhear.
 
-    python3 tools/ab.py PARENT_DIR CHANGE_DIR [--rounds N] [--ticks T]
+    python3 tools/ab.py PARENT_DIR CHANGE_DIR [--rounds N]
 
 Each directory is a checkout of the repository; a parent commit's tree can
 be had without a network with ``git archive <rev> | tar -x -C PARENT_DIR``.
@@ -12,14 +12,14 @@ workload is built from each side's own modules:
 
 - ``<layout>.quiet_tick`` and ``<layout>.evidence_tick``: the mean time of
   a step without and with messages, over one replay of a seeded run of
-  ``team_program(0)``, for the shared layout (``yoyo``, a team-mode run)
-  and the array layout (``array``, an agent-mode run on the program loaded
-  without team mode, one belief per agent);
+  ``team_program(0)`` of ``TICKS`` ticks, for the shared layout (``yoyo``,
+  a team-mode run) and the array layout (``array``, an agent-mode run on
+  the program loaded without team mode, one belief per agent);
 - ``<layout>.evaluate_run``: one ``harness.evaluate_run`` of that run with
   a comm model learned from a second run, on a fresh program load.
 
 The sides run in alternating order for ``--rounds`` rounds, each workload
-best of ``--repeats`` per round.  For each workload the report gives each
+best of ``REPEATS`` per round.  For each workload the report gives each
 side's minimum, the median of the per-round ratios change/parent, the
 rounds the change won, and whether both sides gave equal outputs (the
 replay's final states, the rendered report).  Both sides share one
@@ -39,6 +39,10 @@ import time
 from pathlib import Path
 
 LAYOUTS = ("yoyo", "array")
+# Each workload's runs per round, of which a round takes the best.
+REPEATS = 3
+# Ticks of each replayed run.
+TICKS = 300
 
 
 def load_tree(tree: Path, name: str):
@@ -63,7 +67,7 @@ def unload(name: str):
 class Side:
     """One tree's modules and the inputs its workloads replay."""
 
-    def __init__(self, tree: Path, name: str, ticks: int):
+    def __init__(self, tree: Path, name: str):
         load_tree(tree, name)
         mod = {m: importlib.import_module(f"{name}.{m}")
                for m in ("harness", "model", "progen", "recognizer", "sim", "social")}
@@ -75,13 +79,13 @@ class Side:
             team_mode = layout == "yoyo"
             p = self.model.load_program(self.text, team_mode=team_mode)
             cfg = self.sim.SimConfig
-            trace, log = self.sim.simulate(p, cfg(seed=1, ticks=ticks, team_mode=team_mode))
-            _, train = self.sim.simulate(p, cfg(seed=2, ticks=ticks, team_mode=team_mode))
-            self.runs[layout] = (trace, log, self.social.learn_comm_model(train), ticks)
+            trace, log = self.sim.simulate(p, cfg(seed=1, ticks=TICKS, team_mode=team_mode))
+            _, train = self.sim.simulate(p, cfg(seed=2, ticks=TICKS, team_mode=team_mode))
+            self.runs[layout] = (trace, log, self.social.learn_comm_model(train))
 
     def replay(self, layout: str):
         """(quiet seconds per tick, evidence seconds per tick, final state)."""
-        _, log, _, ticks = self.runs[layout]
+        _, log, _ = self.runs[layout]
         p = self.model.load_program(self.text, team_mode=layout == "yoyo")
         rec = self.recognizer.make_recognizer(p, layout)
         by_tick = {}
@@ -89,7 +93,7 @@ class Side:
             by_tick.setdefault(m.tick, []).append(m)
         spent = {False: [0.0, 0], True: [0.0, 0]}
         clock = time.perf_counter
-        for t in range(1, ticks):
+        for t in range(1, TICKS):
             msgs = by_tick.get(t, [])
             start = clock()
             rec.step(msgs)
@@ -102,7 +106,7 @@ class Side:
 
     def evaluate(self, layout: str):
         """(seconds, rendered report)."""
-        trace, log, comm, _ = self.runs[layout]
+        trace, log, comm = self.runs[layout]
         start = time.perf_counter()
         p = self.model.load_program(self.text, team_mode=layout == "yoyo")
         report = self.harness.evaluate_run(p, trace, log, mode=layout, coherent=None,
@@ -110,29 +114,28 @@ class Side:
         return time.perf_counter() - start, self.harness.render_report(report)
 
 
-def measure(side: Side, repeats: int) -> dict:
-    """Each workload's best time of ``repeats``, and its output."""
+def measure(side: Side) -> dict:
+    """Each workload's best time of ``REPEATS``, and its output."""
     out = {}
     for layout in LAYOUTS:
-        runs = [side.replay(layout) for _ in range(repeats)]
+        runs = [side.replay(layout) for _ in range(REPEATS)]
         out[f"{layout}.quiet_tick"] = (min(r[0] for r in runs), runs[0][2])
         out[f"{layout}.evidence_tick"] = (min(r[1] for r in runs), runs[0][2])
-        evals = [side.evaluate(layout) for _ in range(repeats)]
+        evals = [side.evaluate(layout) for _ in range(REPEATS)]
         out[f"{layout}.evaluate_run"] = (min(e[0] for e in evals), evals[0][1])
     return out
 
 
-def compare(parent: Path, change: Path, rounds: int = 20, repeats: int = 3,
-            ticks: int = 300) -> dict:
+def compare(parent: Path, change: Path, rounds: int = 20) -> dict:
     """Per workload: each side's minimum seconds, the median and the range
     of the change/parent ratios, the rounds the change won, and whether
     every round gave equal outputs.  The two packages are unloaded after."""
     samples: dict = {}
     try:
-        sides = (Side(parent, "ab_parent", ticks), Side(change, "ab_change", ticks))
+        sides = (Side(parent, "ab_parent"), Side(change, "ab_change"))
         for r in range(rounds):
             order = (0, 1) if r % 2 == 0 else (1, 0)
-            got = {i: measure(sides[i], repeats) for i in order}
+            got = {i: measure(sides[i]) for i in order}
             for name in got[0]:
                 samples.setdefault(name, []).append((got[0][name], got[1][name]))
     finally:
@@ -156,12 +159,8 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--rounds", type=int, default=20)
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--ticks", type=int, default=300)
     args = ap.parse_args(argv)
-    if args.ticks < 40:
-        ap.error("--ticks must be at least 40, so that each replay has quiet and evidence ticks")
-    report = compare(args.parent, args.change, args.rounds, args.repeats, args.ticks)
+    report = compare(args.parent, args.change, args.rounds)
     print(f"{'workload':24} {'parent_min':>11} {'change_min':>11} {'ratio':>6} "
           f"{'range':>13} {'wins':>6} equal")
     for name, r in report.items():
