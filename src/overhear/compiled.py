@@ -27,7 +27,6 @@ properties that return compiled functions.
 
 from __future__ import annotations
 
-import hashlib
 import linecache
 from functools import lru_cache
 from itertools import count
@@ -50,16 +49,17 @@ COMPILE_AT = 32
 class _Kernel:
     """A compiled generated function and its source's ``linecache`` entry.
 
-    ``src`` defines one function, ``name``.  The file name holds ``label``,
-    the source's sha1 and the kernel's id, so kernels of equal source (the
-    forward kernels of programs that differ in plan names, say) keep one
-    entry each.  Only a compile cache holds a kernel, so the entry is dropped
-    when the kernel leaves its cache, and ``linecache`` holds no more
-    sources than the caches hold functions.
+    ``src`` defines one function, ``name``.  The file name holds ``label``
+    and the kernel's id, so kernels of equal source (the forward kernels of
+    programs that differ in plan names, say) keep one entry each; it hashes
+    no source, which would cost a one-shot command the ``hashlib`` import.
+    Only a compile cache holds a kernel, so the entry is dropped when the
+    kernel leaves its cache, and ``linecache`` holds no more sources than
+    the caches hold functions.
     """
 
     def __init__(self, src: str, name: str, label: str):
-        self.filename = f"<{label} sha1:{hashlib.sha1(src.encode()).hexdigest()} at {id(self):#x}>"
+        self.filename = f"<{label} at {id(self):#x}>"
         self.entry = (len(src), None, src.splitlines(True), self.filename)
         linecache.cache[self.filename] = self.entry
         scope: dict = {}
