@@ -11,14 +11,15 @@ from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitC
                              propagate_down, propagate_forward)
 from overhear.compiled import _compile_scan
 from overhear.ingest import INIT, TERM, ObservedMessage
-from overhear.model import hazard, program_from_document
+from overhear.model import TERMINATE, hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import team_most_likely, yoyo_tick
 
 from conftest import brute_leaves
-from test_digest import table_programs
+from test_digest import (KERNEL_STATES, TABLE_KINDS, digest_table, sweep_programs,
+                         table_programs)
 
 
 def _chain(lam_a=0.05, mu=0.0, extra_leaf=False, team_mode=False):
@@ -570,6 +571,61 @@ def test_forward_leaves_its_arguments_alone(seed, view):
     ones = [1.0] * len(p.node_ids)
     for state in ((zeros, zeros), (zeros, ones)):  # all-zero, then all-blocked
         assert p.forward(*state) == state
+
+
+def _reference_forward(p, active: list, blocked: list) -> tuple[list, list]:
+    """``p.forward``, interpreted node by node with no generated code.
+
+    Each leaf sheds its prior active mass times its hazard.  In postorder,
+    a node whose shed is nonzero sends it along every edge out, scaled by
+    the edge's silent share ``1 - mu`` and by ``pi``: to a successor and
+    down its first-child groups (``propagate_down``), out of the program
+    into the root's blocked mass, or into the parent's shed, divided among
+    the parent's groups.  The node keeps ``max(0, 1 - eta)`` of its shed
+    as blocked mass, and the shed leaves its active mass.  Every active
+    mass is then floored at 0, and in team mode every entry is capped at 1.
+    """
+    act, blk, index = list(active), list(blocked), p.index
+    shed = [0.0] * len(act)
+    for i in p.leaf_index:
+        shed[i] = active[i] * hazard(p.plans[i].rate)
+    for i in p.postorder:
+        o = shed[i]
+        if not o:
+            continue
+        eta = sum((1.0 - t.mu) * t.pi for t in p.out_at[i])
+        for t in p.out_at[i]:
+            r = o * (1.0 - t.mu) * t.pi
+            if t.dst != TERMINATE:
+                act[index[t.dst]] += r
+                propagate_down(index[t.dst], r, act, p)
+            elif not p.ancestors_at[i]:
+                blk[i] += r
+            else:
+                parent = p.ancestors_at[i][0]
+                shed[parent] += r / len(p.groups_at[parent])
+        blk[i] += o * max(0.0, 1.0 - eta)
+        act[i] -= o
+    act = [0.0 if v < 0.0 else v for v in act]
+    if p.team_mode:
+        return [min(v, 1.0) for v in act], [min(v, 1.0) for v in blk]
+    return act, blk
+
+
+@pytest.mark.parametrize("corpus", ["team_program", "nested", "random_program"])
+def test_forward_matches_the_reference_step(corpus):
+    """Both kernel shapes, on every sweep program and its single-agent view,
+    against ``_reference_forward`` bit for bit, on tables no run reaches."""
+    for prog, p in enumerate(sweep_programs(corpus)[0]):
+        for q in (p, p.single_agent_view()):
+            rng = random.Random(f"{corpus}/{prog}/{q.team_mode}")
+            size = len(q.node_ids)
+            for kind in TABLE_KINDS:
+                for _ in range(KERNEL_STATES):
+                    A, B = digest_table(rng, kind, size), digest_table(rng, kind, size)
+                    got, want = q.forward(A, B), _reference_forward(q, A, B)
+                    assert ([list(map(float.hex, t)) for t in got]
+                            == [list(map(float.hex, t)) for t in want]), (prog, kind)
 
 
 def test_evidence_scratch_sums_to_one():

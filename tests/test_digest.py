@@ -114,6 +114,8 @@ SIM_TICKS = 150
 # sha256 of every program's kernel (and its view's) on arbitrary tables
 KERNEL_SHA256 = "a4220434f57d9b338dbca4bf4a1feb8294bf58e6fadf0037ab544682926ce6a9"
 KERNEL_STATES = 50
+# the kinds of table ``digest_table`` draws
+TABLE_KINDS = ("uniform", "sparse", "subnormal", "over")
 
 # sha256 of every table program's kernel source and position-keyed tables,
 # and of its hypothesis-count curves
@@ -293,7 +295,8 @@ def sim_digest(moved: bool = False) -> str:
     return h.hexdigest()
 
 
-def _tables(rng: random.Random, kind: str, size: int) -> list[float]:
+def digest_table(rng: random.Random, kind: str, size: int) -> list[float]:
+    """A seeded belief table of one of ``TABLE_KINDS``."""
     if kind == "uniform":
         return [rng.random() for _ in range(size)]
     if kind == "sparse":  # mostly exact zeros, so most blocks skip
@@ -321,10 +324,10 @@ def kernel_digest() -> str:
             for view, q in enumerate((p, p.single_agent_view())):
                 rng = random.Random(f"{corpus}/{prog}/{view}")
                 size = len(q.node_ids)
-                for kind in ("uniform", "sparse", "subnormal", "over"):
+                for kind in TABLE_KINDS:
                     for _ in range(KERNEL_STATES):
-                        active, blocked = q.forward(_tables(rng, kind, size),
-                                                    _tables(rng, kind, size))
+                        active, blocked = q.forward(digest_table(rng, kind, size),
+                                                    digest_table(rng, kind, size))
                         h.update(f"{corpus}/{prog}/{view}/{kind}\n".encode())
                         h.update(" ".join(map(float.hex, [*active, *blocked])).encode())
     return h.hexdigest()
