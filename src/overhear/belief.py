@@ -44,10 +44,13 @@ parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
 otherwise there is one group, and the step is the single-agent engine that
 the array layout runs once per agent.  It runs as the program's compiled
 kernel (``TeamOrientedProgram.forward``), one generated Python function
-over local variables: it unpacks both prior lists into locals, runs each
-shedding node's updates only when the node sheds a nonzero mass, and
-returns two new lists built from the locals.  ``propagate_forward`` calls
-it, and is the quiet tick of both layouts.
+that runs each shedding node's updates only when the node sheds a nonzero
+mass and returns two new lists.  The single-agent view's kernel steps
+copies of the prior lists and tests each leaf's prior mass, so its cost
+follows the few leaves an agent's belief holds mass on; a team-mode
+kernel unpacks both lists into locals and returns two list displays, as
+it must cap every entry it returns.  ``propagate_forward`` calls it, and
+is the quiet tick of both layouts.
 
 A most-likely query is compiled too.  The pick rule is one generated
 function per leaf tuple (``compiled._compile_scan``), with one unrolled test
@@ -319,8 +322,8 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     which is the shared layout's whole quiet tick.
     The step runs as p's compiled kernel (``TeamOrientedProgram.forward``).
     The counter takes one visit per node: a node that can shed is visited by
-    one test of its shed mass, and runs its updates only when that is
-    nonzero.
+    one test, of its prior mass (a leaf of the single-agent view) or of its
+    shed mass, and runs its updates only when that is nonzero.
     """
     if counter is not None:
         counter.visit(len(p.postorder))

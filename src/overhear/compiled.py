@@ -10,7 +10,9 @@ source.  A source stays in ``linecache`` only while its function is cached.
 
 - ``_compile_forward`` and ``forward_source``: the forward (quiet) step,
   ``TeamOrientedProgram.forward``, one function per set of the fields it
-  reads.
+  reads.  The single-agent view's function steps list copies and tests
+  each leaf's prior mass, so a sparse belief runs few updates; a team-mode
+  function steps locals and returns capped list displays.
 - ``_compile_scan``: the most-likely pick rule over a leaf tuple,
   ``TeamOrientedProgram.best_leaf`` and ``team_best_leaf``.
 - ``_evidence_table`` and ``evidence_source``: the evidence step,
@@ -92,37 +94,51 @@ def _compile_forward(plans, transitions, root, teams, team_mode) -> _Kernel:
     return _Kernel(forward_source(p), "forward", "forward step")
 
 
-def _descend(groups_at, y: int, rho: str, depth: int, body: list[str]):
+def _descend(groups_at, y: int, rho: str, depth: int, body: list[str], slot: str = "a{}"):
     """``belief.propagate_down`` of the mass named ``rho`` from position y,
     unrolled into ``body``: each group's share is ``s<depth>``, a division
-    of its parent's share, written only for a group of more than one."""
+    of its parent's share, written only for a group of more than one.  A
+    share is added to ``slot`` formatted with the child's position."""
     for group in groups_at[y]:
         share = rho
         if len(group) > 1:
             share = f"s{depth}"
             body.append(f"{share} = {rho} / {len(group)}")
         for c in group:
-            body.append(f"a{c} += {share}")
-            _descend(groups_at, c, share, depth + 1, body)
+            body.append(f"{slot.format(c)} += {share}")
+            _descend(groups_at, c, share, depth + 1, body, slot)
 
 
 def forward_source(p: TeamOrientedProgram) -> str:
-    """The source of ``p.forward``'s function, generated from p's fields."""
-    n, groups_at = p.index, p.groups_at
-    shed: list[str] = []  # each o<i>, set before any block runs
+    """The source of ``p.forward``'s function, generated from p's fields.
+
+    Both shapes share the walk: one block per shedding node in postorder,
+    each guarded so that a node that sheds nothing costs one test.  A
+    team-mode kernel works on locals (``a<i>``, ``b<i>``), computes every
+    leaf's shed first and returns two capped list displays.  The single-agent
+    view's kernel works on list copies (``act``, ``blk``): a leaf's block
+    is guarded by its prior mass ``A[i]`` and computes its shed inside, so
+    a tick costs about one test per shedding leaf plus the blocks that run.
+    """
+    n, groups_at, team = p.index, p.groups_at, p.team_mode
+    act, blk = ("a{}", "b{}") if team else ("act[{}]", "blk[{}]")
+    shed: list[str] = []  # each o<i> set before any block runs
     blocks: list[str] = []
-    sheds: set[int] = set()
-    floored: set[int] = set()  # the internal nodes that shed
-    for i in p.leaf_index:
-        rate = hazard(p.plans[i].rate)
-        if rate:
-            shed.append(f"o{i} = a{i} * {rate!r}")
-            sheds.add(i)
+    rates = {i: hazard(p.plans[i].rate) for i in p.leaf_index}
+    sheds = {i for i, rate in rates.items() if rate}
+    floored: list[int] = []  # the internal nodes that shed
+    if team:
+        shed += [f"o{i} = a{i} * {rates[i]!r}" for i in p.leaf_index if i in sheds]
 
     for i in p.postorder:
         if i not in sheds:
             continue
         up, outgoing, body = p.ancestors_at[i], p.out_at[i], []
+        if team or i not in rates:
+            guard = f"if o{i}:"
+        else:  # the prior mass is read once, and o<i> only where it is nonzero
+            guard = f"if x := A[{i}]:"
+            body.append(f"o{i} = x * {rates[i]!r}")
         eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
         for t in outgoing if eta > 0.0 else ():  # eta 0: no edge carries mass
             silent = 1.0 - t.mu
@@ -133,33 +149,42 @@ def forward_source(p: TeamOrientedProgram) -> str:
             if factors:
                 body.append(f"r = o{i}{factors}")
             if t.dst != TERMINATE:
-                body.append(f"a{n[t.dst]} += {r}")
-                _descend(groups_at, n[t.dst], r, 0, body)
+                body.append(f"{act.format(n[t.dst])} += {r}")
+                _descend(groups_at, n[t.dst], r, 0, body, act)
             elif not up:
-                body.append(f"b{i} += {r}")  # program complete
+                body.append(f"{blk.format(i)} += {r}")  # program complete
             else:
                 j, groups = up[0], len(groups_at[up[0]])
                 body.append(f"o{j} += " + (r if groups == 1 else f"{r} / {groups}"))
                 if j not in sheds:
                     sheds.add(j)
-                    floored.add(j)
+                    floored.append(j)
                     shed.append(f"o{j} = 0.0")
         keep = max(0.0, 1.0 - eta)
         if keep != 0.0:
-            body.append(f"b{i} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
-        body.append(f"a{i} -= o{i}")
-        blocks.append(f"if o{i}:\n        " + "\n        ".join(body))
+            body.append(f"{blk.format(i)} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
+        body.append(f"{act.format(i)} -= o{i}")
+        blocks.append(f"{guard}\n        " + "\n        ".join(body))
 
-    at = range(len(n))
+    size = len(n)
+    if team:
+        def entry(v: str, floor: bool = False) -> str:  # one returned value
+            text = f"0.0 if {v} < 0.0 else {v}" if floor else v
+            return f"1.0 if {v} > 1.0 else {text}"
 
-    def entry(v: str, floor: bool = False) -> str:  # one returned value
-        text = f"0.0 if {v} < 0.0 else {v}" if floor else v
-        return f"1.0 if {v} > 1.0 else {text}" if p.team_mode else text
-
-    active = ", ".join(entry(f"a{i}", i in floored) for i in at)
-    blocked = ", ".join(entry(f"b{i}") for i in at)
-    body = ["".join(f"a{i}, " for i in at) + "= A", "".join(f"b{i}, " for i in at) + "= B",
-            *shed, *blocks, f"return [{active}], [{blocked}]"]
+        active = ", ".join(entry(f"a{i}", i in floored) for i in range(size))
+        blocked = ", ".join(entry(f"b{i}") for i in range(size))
+        head = ["".join(f"a{i}, " for i in range(size)) + "= A",
+                "".join(f"b{i}, " for i in range(size)) + "= B"]
+        tail = [f"return [{active}], [{blocked}]"]
+    else:
+        head = [f"if len(A) != {size} or len(B) != {size}:",
+                f"    raise ValueError(f'forward step of {size} nodes got tables of "
+                "{len(A)} and {len(B)} entries')",
+                "act = list(A)", "blk = list(B)"]
+        tail = [*(f"if act[{j}] < 0.0:\n        act[{j}] = 0.0" for j in floored),
+                "return act, blk"]
+    body = [*head, *shed, *blocks, *tail]
     return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
 

@@ -28,7 +28,8 @@ modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
 ``team_edges``, and each node's normalizing unit, ``unit_at``); the shared
 layout's climb (``evidence_climbs``, which holds the walk of every rescale
 it runs); the compiled forward step (``forward``), one generated function
-over locals that unpacks both tables and returns new lists; the compiled
+that returns new lists, stepping list copies in the single-agent view and
+locals in team mode; the compiled
 most-likely pick over every leaf (``best_leaf``) and over each team's
 candidate leaves (``team_best_leaf``), one generated scan per leaf tuple;
 and the compiled evidence step (``evidence_functions``), one generated
@@ -482,46 +483,66 @@ class TeamOrientedProgram:
 
         Both are belief tables, indexed by node position.  It returns new
         lists and leaves its arguments as they are; a table of the wrong
-        length raises ``ValueError``.  The generated function unpacks every
-        entry of both tables into locals, ``a<i>`` and ``b<i>`` (the active
-        and blocked mass of the node at position i), one statement per
-        table, and computes ``o<i>``, the mass node i sheds.  Leaf hazards
-        read the prior state, so they all come first; an internal node's
-        shed sum starts at 0.0 and only grows by ``+=``.  The generator then
-        walks the program in postorder and writes one block per shedding
-        node, guarded by ``if o<i>:``, so a node that sheds nothing costs
-        one test.  A block updates locals only, and the function returns
-        two list displays of the locals' last values.  The team executing a
-        node takes all of its edges, so the node's shed mass goes along
-        each of them, and a TERMINATE edge divides it among the parent's
-        groups.  Every float operation is the one the step has always made,
-        in the same order, so exact ties between leaves break as they
-        always have.
+        length raises ``ValueError``.  The function computes ``o<i>``, the
+        mass node i sheds: a leaf's is its prior active mass times its
+        hazard, and an internal node's is a sum that starts at 0.0 and only
+        grows by ``+=``.  The generator walks the program in postorder and
+        writes one block per shedding node, guarded so that a node that
+        sheds nothing costs one test.  The team executing a node takes all
+        of its edges, so the node's shed mass goes along each of them, and a
+        TERMINATE edge divides it among the parent's groups.  Every float
+        operation is the one the step has always made, in the same order, so
+        exact ties between leaves break as they always have.
+
+        The kernel has one of two shapes, chosen by ``team_mode``:
+
+        - The single-agent view's kernel, which the array layout runs once
+          per agent, works on list copies.  It checks both lengths, copies
+          the tables (``act = list(A)``, ``blk = list(B)``) and guards each
+          leaf's block by its prior mass, ``if x := A[i]:``, computing
+          ``o<i> = x * rate`` inside, so a leaf with no mass costs one
+          test and a leaf's shed never reads a copy an earlier block wrote.
+          An internal node's block is guarded by ``if o<i>:``.  A block
+          updates ``act[x]`` and ``blk[x]`` in place, and the floors below
+          are statements after the last block.  A per-agent belief holds
+          its mass on a few leaves (a message resets it to a point mass),
+          so a tick runs few blocks; on a belief with mass on most leaves
+          the list updates cost more than the locals shape's.
+        - A team-mode kernel, the shared layout's quiet tick, unpacks every
+          entry of both tables into locals, ``a<i>`` and ``b<i>`` (the
+          active and blocked mass of node i), one statement per table,
+          computes every leaf's shed first and guards each block by ``if
+          o<i>:``.  A block updates locals only, and the function returns
+          two list displays of the locals' last values, each capped at 1:
+          an entry reads ``1.0 if v > 1.0 else v``.  The cap is why this
+          kernel keeps the locals shape: it must cover every entry, and the
+          list shape with a cap pass, or with a cap on every written
+          entry, measured slower than these capped displays.
 
         Skipping is exact.  No state value is ever -0.0, and every shed mass
         is a sum of products of non-negative values, so a skipped block would
         only have added, subtracted or scaled an exact 0.0, which changes no
-        bit; likewise a shed sum that starts at 0.0 equals one that starts at
-        its first term.  Updates that are always zero are not written at
-        all: nodes with ``eta <= 0``, edges with a factor of exactly 0, and
-        nodes that never shed (a leaf with hazard 0, an internal node no
-        TERMINATE edge feeds).  Factors of exactly 1 and splits into one
-        share are not written either, as they change no bit.  Every inlined
-        constant is finite, so ``repr`` writes it exactly.
+        bit, and a block that runs on a leaf whose shed rounds to 0.0 does
+        only that; likewise a shed sum that starts at 0.0 equals one that
+        starts at its first term.  Updates that are always zero are not
+        written at all: nodes with ``eta <= 0``, edges with a factor of
+        exactly 0, and nodes that never shed (a leaf with hazard 0, an
+        internal node no TERMINATE edge feeds).  Factors of exactly 1 and
+        splits into one share are not written either, as they change no
+        bit.  Every inlined constant is finite, so ``repr`` writes it
+        exactly.
 
         Mass stays at or above zero exactly, with no pass over the state.  A
         leaf sheds at most its own prior mass, and a node's blocked share
         ``keep = 1 - eta`` is taken as 0 when it rounds below 0.  Only
         an internal node that sheds can round below zero: the sum of its
         children's TERMINATE flows may exceed its active mass by an ulp.  So
-        such a node's entry in the returned active list reads ``0.0 if a<i>
-        < 0.0 else a<i>``, floored after every block has read it.
-
-        A team-mode kernel, the shared layout's quiet tick, caps every entry
-        it returns at 1: it reads ``1.0 if v > 1.0 else v``, and a floored
-        entry ``1.0 if a<i> > 1.0 else 0.0 if a<i> < 0.0 else a<i>``.  The
-        single-agent view's kernel does not cap; rounding may leave one of
-        its values an ulp above 1, and it is left as it is.
+        such a node's active mass is floored at 0.0 after every block has
+        read it: ``if act[i] < 0.0: act[i] = 0.0`` in the single-agent
+        view's kernel, and ``1.0 if a<i> > 1.0 else 0.0 if a<i> < 0.0 else
+        a<i>`` in a team-mode kernel's display.  The single-agent view's
+        kernel does not cap; rounding may leave one of its values an ulp
+        above 1, and it is left as it is.
 
         ``compiled._compile_forward`` generates the source
         (``compiled.forward_source``) only for fields not in its cache, and

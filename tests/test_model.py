@@ -527,12 +527,15 @@ def test_forward_source_is_registered():
     text = serialize_program(p)
     assert (load_program(text, team_mode=True).forward
             is load_program(text, team_mode=True).forward is p.forward)
-    # a table of the wrong length fails in the unpack line, which the
-    # traceback shows from the registered source
-    for table in ([], [0.0] * (len(p.node_ids) + 1)):
-        with pytest.raises(ValueError) as info:
-            p.forward(table, table)
-        assert ", = A" in "".join(traceback.format_tb(info.value.__traceback__))
+    # a table of the wrong length fails in the team kernel's unpack lines and
+    # in the view kernel's length check, which the traceback shows from the
+    # registered source
+    for q, line in ((p, ", = "), (view, "raise ValueError(f'forward step of 40 nodes")):
+        for table in ([], [0.0] * (len(q.node_ids) + 1)):
+            for args in ((table, table), (list(q.zeros), table)):
+                with pytest.raises(ValueError) as info:
+                    q.forward(*args)
+                assert line in "".join(traceback.format_tb(info.value.__traceback__))
 
 
 def test_forward_is_shared_only_by_equal_sources():
