@@ -28,8 +28,9 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     start = time.perf_counter()
     report = ab.compare(ROOT, ROOT, rounds=2)
     assert time.perf_counter() - start < 5.0
+    workloads = ("quiet_tick", "evidence_tick", "evaluate_run", "stream")
     assert set(report) == {f"{layout}.{workload}" for layout in ab.LAYOUTS
-                           for workload in ("quiet_tick", "evidence_tick", "evaluate_run")}
+                           for workload in workloads}
     for row in report.values():
         assert row["equal"] and row["rounds"] == 2 and 0 <= row["wins"] <= 2
         assert row["parent_min"] > 0.0 and row["change_min"] > 0.0

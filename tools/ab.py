@@ -16,10 +16,15 @@ workload is built from each side's own modules:
   a team-mode run) and the array layout (``array``, an agent-mode run on
   the program loaded without team mode, one belief per agent);
 - ``<layout>.evaluate_run``: one ``harness.evaluate_run`` of that run with
-  a comm model learned from a second run, on a fresh program load.
+  a comm model learned from a second run, on a fresh program load;
+- ``<layout>.stream``: perfbench's streamed step, one tick plus every
+  unit's most-likely query (``path``), replaying that run on the program
+  with the learned comm model applied.  Each tick's time is its best of
+  ``REPEATS`` replays and the sample is the median over ticks, the
+  in-process counterpart of perfbench's ``tick_p50_us``.
 
 The sides run in alternating order for ``--rounds`` rounds, each workload
-best of ``REPEATS`` per round.  For each workload the report gives each
+best of ``REPEATS`` per round (per tick for ``stream``).  For each workload the report gives each
 side's minimum, the median of the per-round ratios change/parent, the
 rounds the change won, and whether both sides gave equal outputs (the
 replay's final states, the rendered report).  Both sides share one
@@ -70,7 +75,8 @@ class Side:
     def __init__(self, tree: Path, name: str):
         load_tree(tree, name)
         mod = {m: importlib.import_module(f"{name}.{m}")
-               for m in ("harness", "model", "progen", "recognizer", "sim", "social")}
+               for m in ("harness", "ingest", "model", "progen", "recognizer", "sim",
+                         "social")}
         self.__dict__.update(mod)
         base = self.progen.team_program(0)
         self.text = self.model.serialize_program(base)
@@ -104,6 +110,27 @@ class Side:
         final = [v for b in states for v in (*b.act, *b.blk)]
         return spent[False][0] / spent[False][1], spent[True][0] / spent[True][1], final
 
+    def stream(self, layout: str):
+        """(median over ticks of each step's best of ``REPEATS`` replays,
+        every answer of the last replay)."""
+        _, log, comm = self.runs[layout]
+        p = self.social.apply_comm_model(
+            self.model.load_program(self.text, team_mode=layout == "yoyo"), comm)
+        by_tick = self.ingest.messages_by_tick(log)
+        best = [float("inf")] * (TICKS - 1)
+        clock = time.perf_counter
+        for _ in range(REPEATS):
+            rec = self.recognizer.make_recognizer(p, layout)
+            answers = []
+            for t in range(1, TICKS):
+                msgs = by_tick.get(t, [])
+                start = clock()
+                rec.step(msgs)
+                paths = [rec.path(u) for u in rec.units]
+                best[t - 1] = min(best[t - 1], clock() - start)
+                answers.append(paths)
+        return statistics.median(best), answers
+
     def evaluate(self, layout: str):
         """(seconds, rendered report)."""
         trace, log, comm = self.runs[layout]
@@ -123,6 +150,7 @@ def measure(side: Side) -> dict:
         out[f"{layout}.evidence_tick"] = (min(r[1] for r in runs), runs[0][2])
         evals = [side.evaluate(layout) for _ in range(REPEATS)]
         out[f"{layout}.evaluate_run"] = (min(e[0] for e in evals), evals[0][1])
+        out[f"{layout}.stream"] = side.stream(layout)
     return out
 
 
