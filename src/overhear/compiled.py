@@ -112,13 +112,10 @@ def _descend(groups_at, y: int, rho: str, depth: int, body: list[str], slot: str
 def forward_source(p: TeamOrientedProgram) -> str:
     """The source of ``p.forward``'s function, generated from p's fields.
 
-    Both shapes share the walk: one block per shedding node in postorder,
-    each guarded so that a node that sheds nothing costs one test.  A
-    team-mode kernel works on locals (``a<i>``, ``b<i>``), computes every
-    leaf's shed first and returns two capped list displays.  The single-agent
-    view's kernel works on list copies (``act``, ``blk``): a leaf's block
-    is guarded by its prior mass ``A[i]`` and computes its shed inside, so
-    a tick costs about one test per shedding leaf plus the blocks that run.
+    Both shapes that ``TeamOrientedProgram.forward`` describes share the
+    walk, one guarded block per shedding node in postorder, and differ in
+    what a block writes to (list entries or locals), how a leaf's block is
+    guarded, and the head and tail around the blocks.
     """
     n, groups_at, team = p.index, p.groups_at, p.team_mode
     act, blk = ("a{}", "b{}") if team else ("act[{}]", "blk[{}]")
@@ -136,7 +133,7 @@ def forward_source(p: TeamOrientedProgram) -> str:
         up, outgoing, body = p.ancestors_at[i], p.out_at[i], []
         if team or i not in rates:
             guard = f"if o{i}:"
-        else:  # the prior mass is read once, and o<i> only where it is nonzero
+        else:  # read the prior mass once; compute o<i> only where it is nonzero
             guard = f"if x := A[{i}]:"
             body.append(f"o{i} = x * {rates[i]!r}")
         eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
