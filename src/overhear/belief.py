@@ -47,9 +47,11 @@ kernel (``TeamOrientedProgram.forward``), one generated Python function
 that runs each shedding node's updates only when the node sheds a nonzero
 mass and returns two new lists.  The single-agent view's kernel steps
 copies of the prior lists and tests each leaf's prior mass, so its cost
-follows the few leaves an agent's belief holds mass on; a team-mode
-kernel unpacks both lists into locals and returns two list displays, as
-it must cap every entry it returns.  ``propagate_forward`` calls it, and
+follows the leaves an agent's belief holds mass on (at most 5 of 35 on
+the ``solo-11-array`` benchmark workload; past about 10 of 35 it is
+slower than the locals shape); a team-mode kernel unpacks both lists
+into locals and returns two list displays, as it must cap every entry
+it returns.  ``propagate_forward`` calls it, and
 is the quiet tick of both layouts.
 
 A most-likely query is compiled too.  The pick rule is one generated

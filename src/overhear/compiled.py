@@ -11,8 +11,10 @@ source.  A source stays in ``linecache`` only while its function is cached.
 - ``_compile_forward`` and ``forward_source``: the forward (quiet) step,
   ``TeamOrientedProgram.forward``, one function per set of the fields it
   reads.  The single-agent view's function steps list copies and tests
-  each leaf's prior mass, so a sparse belief runs few updates; a team-mode
-  function steps locals and returns capped list displays.
+  each leaf's prior mass, so a sparse belief runs few updates (on the
+  35-leaf program of ``solo-11-array`` it is faster than the locals shape
+  up to about 10 leaves with mass, slower beyond); a team-mode function
+  steps locals and returns capped list displays.
 - ``_compile_scan``: the most-likely pick rule over a leaf tuple,
   ``TeamOrientedProgram.best_leaf`` and ``team_best_leaf``.
 - ``_evidence_table`` and ``evidence_source``: the evidence step,

@@ -504,10 +504,13 @@ class TeamOrientedProgram:
           test and a leaf's shed never reads a copy an earlier block wrote.
           An internal node's block is guarded by ``if o<i>:``.  A block
           updates ``act[x]`` and ``blk[x]`` in place, and the floors below
-          are statements after the last block.  A per-agent belief holds
-          its mass on a few leaves (a message resets it to a point mass),
-          so a tick runs few blocks; on a belief with mass on most leaves
-          the list updates cost more than the locals shape's.
+          are statements after the last block.  A leaf without mass costs
+          one test, so the shape pays off on sparse beliefs: on the
+          ``solo-11-array`` benchmark workload each agent's belief held
+          mass on at most 5 of 35 leaves (a message resets it to a point
+          mass).  On the same program the kernel is slower than the
+          locals shape once about 10 of 35 leaves hold mass (1.31x at 35
+          of 35), a case no benchmark workload runs yet.
         - A team-mode kernel, the shared layout's quiet tick, unpacks every
           entry of both tables into locals, ``a<i>`` and ``b<i>`` (the
           active and blocked mass of node i), one statement per table,

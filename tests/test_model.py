@@ -527,12 +527,13 @@ def test_forward_source_is_registered():
     text = serialize_program(p)
     assert (load_program(text, team_mode=True).forward
             is load_program(text, team_mode=True).forward is p.forward)
-    # a table of the wrong length fails in the team kernel's unpack lines and
-    # in the view kernel's length check, which the traceback shows from the
-    # registered source
-    for q, line in ((p, ", = "), (view, "raise ValueError(f'forward step of 40 nodes")):
+    # a table of the wrong length fails in the team kernel's unpack line of
+    # that table and in the view kernel's length check, which the traceback
+    # shows from the registered source
+    check = "raise ValueError(f'forward step of 40 nodes"
+    for q, lines in ((p, (", = A", ", = B")), (view, (check, check))):
         for table in ([], [0.0] * (len(q.node_ids) + 1)):
-            for args in ((table, table), (list(q.zeros), table)):
+            for args, line in zip(((table, table), (list(q.zeros), table)), lines):
                 with pytest.raises(ValueError) as info:
                     q.forward(*args)
                 assert line in "".join(traceback.format_tb(info.value.__traceback__))

@@ -24,10 +24,11 @@ workload is built from each side's own modules:
   in-process counterpart of perfbench's ``tick_p50_us``.
 
 The sides run in alternating order for ``--rounds`` rounds, each workload
-best of ``REPEATS`` per round (per tick for ``stream``).  For each workload the report gives each
-side's minimum, the median of the per-round ratios change/parent, the
-rounds the change won, and whether both sides gave equal outputs (the
-replay's final states, the rendered report).  Both sides share one
+best of ``REPEATS`` per round (per tick for ``stream``).  For each
+workload the report gives each side's minimum, the median of the
+per-round ratios change/parent, the rounds the change won, and whether
+both sides gave equal outputs (the replay's final states, the rendered
+report).  Both sides share one
 interpreter, allocator and collector, so a ratio is trustworthy only when
 its rounds agree.
 """
@@ -94,9 +95,7 @@ class Side:
         _, log, _ = self.runs[layout]
         p = self.model.load_program(self.text, team_mode=layout == "yoyo")
         rec = self.recognizer.make_recognizer(p, layout)
-        by_tick = {}
-        for m in log:
-            by_tick.setdefault(m.tick, []).append(m)
+        by_tick = self.ingest.messages_by_tick(log)
         spent = {False: [0.0, 0], True: [0.0, 0]}
         clock = time.perf_counter
         for t in range(1, TICKS):
