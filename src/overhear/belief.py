@@ -54,12 +54,22 @@ into locals and returns two list displays, as it must cap every entry
 it returns.  ``propagate_forward`` calls it, and
 is the quiet tick of both layouts.
 
-A most-likely query is compiled too.  The pick rule is one generated
-function per leaf tuple (``compiled._compile_scan``), with one unrolled test
-per leaf, held on the program over every leaf (``best_leaf``, which
-``most_likely_state`` calls) and over each team's candidate leaves
-(``team_best_leaf``).  This module only calls the program's functions and
-never writes to a program.
+A single-agent view's state also carries its live set
+(``BeliefState.live``), the leaves outside which every leaf holds exactly
+0.0; a team-mode state carries None, which means every leaf.
+``init_beliefs`` takes it from ``p.initial``, ``propagate_forward`` steps
+it with the program's ``next_live`` table (which follows the kernel's
+rules), and each commit sets it to the leaves under the committed
+candidates.  Whatever else puts mass on a leaf outside the set must set
+it to None.  A message resets a belief to a point mass, so the set stays
+short: on ``solo-11-array`` a median of 1 and at most 5 of 35 leaves.  A
+most-likely query (``most_likely_state``) runs the pick rule
+(``pick_leaf``) over the live set alone, interpreted; a leaf outside it
+holds 0.0, which never beats the pick, so it answers as a scan of every
+leaf would.  The shared layout's team queries run the rule compiled, one
+generated scan per team's candidate leaves
+(``TeamOrientedProgram.team_best_leaf``).  This module only calls the
+program's functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
@@ -96,9 +106,6 @@ class VisitCounter:
     def __init__(self):
         self.visits = 0
 
-    def visit(self, n: int = 1):
-        self.visits += n
-
 
 @dataclass(slots=True)
 class BeliefState:
@@ -109,11 +116,19 @@ class BeliefState:
     A step replaces both lists with new ones.  ``active`` and ``blocked``
     are read-only snapshots of the two lists keyed by node id, built on each
     read, so a later step or write shows only in a later read.
+
+    ``live`` is a sorted tuple of leaf positions outside which every leaf's
+    ``act`` and ``blk`` entry is exactly 0.0, so a query reads only those
+    leaves; it may name leaves without mass.  None means every leaf, and
+    team-mode states and hand-built ones carry None.  Each engine step that
+    replaces the lists keeps it; a writer that puts mass on a leaf outside
+    ``live`` must set it to None.
     """
 
     act: list[float]
     blk: list[float]
     index: dict[str, int] = field(repr=False, compare=False)
+    live: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def active(self) -> Mapping[str, float]:
@@ -127,10 +142,11 @@ class BeliefState:
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     """All mass on the root and, through first children, on the initial leaves.
 
-    The state copies the program's ``initial`` tables, built once per program.
+    The state copies the program's ``initial`` tables, built once per
+    program, and takes its live set, or None on a team-mode program.
     """
-    active, blocked = p.initial
-    return BeliefState(list(active), list(blocked), p.index)
+    active, blocked, live = p.initial
+    return BeliefState(list(active), list(blocked), p.index, None if p.team_mode else live)
 
 
 def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgram,
@@ -281,31 +297,36 @@ def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedP
 
     Each mass is spread down its node's first-child groups
     (``propagate_down``) and added to every ancestor, and every blocked
-    mass is 0.  This is the reference the array layout's compiled commit
-    follows, and it runs while a message's key is cold.
+    mass is 0.  The live set is the leaves among ``scratch``'s nodes and
+    those they spread to, or None on a team-mode program.  This is the
+    reference the array layout's compiled commit follows, and it runs while
+    a message's key is cold.
     """
-    active, ancestors = list(p.zeros), p.ancestors_at
+    active, ancestors, written = list(p.zeros), p.ancestors_at, set(scratch)
     for x in sorted(scratch):
         mass = scratch[x]
         active[x] += mass
-        propagate_down(x, mass, active, p)
+        propagate_down(x, mass, active, p, written)
         for anc in ancestors[x]:
             active[anc] += mass
     b.act, b.blk = active, list(p.zeros)
+    children = p.children_at
+    b.live = None if p.team_mode else tuple(sorted(x for x in written if not children[x]))
 
 
 def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
     """Commit each of ``_message_keys``' messages into b, one at a time.
 
     A message runs its key's compiled commit, ``evidence`` of the message
-    alone committed as one function of the prior blocked list, or while
-    the key is cold ``evidence`` and ``_commit_evidence``.
+    alone committed as one function of the prior blocked list that also
+    returns the key's live set, or while the key is cold ``evidence`` and
+    ``_commit_evidence``.
     """
     commit = p.evidence_functions.commit
     for m, key in keyed:
         compiled = commit(key)
         if compiled:
-            b.act, b.blk = compiled(b.blk)
+            b.act, b.blk, b.live = compiled(b.blk)
         else:
             _commit_evidence(b, evidence(b, p, [m]), p)
 
@@ -325,25 +346,52 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     The step runs as p's compiled kernel (``TeamOrientedProgram.forward``).
     The counter takes one visit per node: a node that can shed is visited by
     one test, of its prior mass (a leaf of the single-agent view) or of its
-    shed mass, and runs its updates only when that is nonzero.
+    shed mass, and runs its updates only when that is nonzero.  A live set
+    steps to ``p.next_live``'s; None stays None.
     """
     if counter is not None:
-        counter.visit(len(p.postorder))
+        counter.visits += len(p.postorder)
     b.act, b.blk = p.forward(b.act, b.blk)
+    live = b.live
+    if live is not None:
+        b.live = p.next_live[live]
+
+
+_TIE_SCALE = 1.0 + TIE_TOLERANCE
+
+
+def pick_leaf(leaves, A, B) -> int:
+    """The pick rule of ``compiled._compile_scan``, interpreted, over
+    ``leaves``, a non-empty sequence of ascending positions: the first is
+    the initial pick, and a later leaf replaces it only when its
+    ``A[i] + B[i]`` exceeds the pick's by more than the relative
+    ``TIE_TOLERANCE``.  A and B are lists or position-keyed dicts."""
+    k = leaves[0]
+    bar = (A[k] + B[k]) * _TIE_SCALE
+    for i in leaves[1:]:
+        m = A[i] + B[i]
+        if m > bar:
+            k, bar = i, m * _TIE_SCALE
+    return k
 
 
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     """The position of the leaf holding the most active+blocked mass.
 
-    The leaf is the program's compiled pick over every leaf
-    (``TeamOrientedProgram.best_leaf``), so masses within ``TIE_TOLERANCE``
-    of each other tie toward the lowest node id.  ``p.path_names`` of the
-    answer is its root path of plan names.  Raises on an all-zero state.
+    The leaf is ``pick_leaf`` over b's live set, or over every leaf when it
+    is None, so masses within ``TIE_TOLERANCE`` of each other tie toward
+    the lowest node id.  A leaf outside the live set holds 0.0, which never
+    beats a pick, so the answer is that of a pick over every leaf.
+    ``p.path_names`` of the answer is its root path of plan names.  Raises
+    on a state with no mass on any leaf.
     """
-    best = p.best_leaf(b.act, b.blk)
-    if not b.act[best] + b.blk[best] > 0.0:
-        raise MonitoringError("belief state carries no mass on any leaf")
-    return best
+    act, blk = b.act, b.blk
+    live = p.leaf_index if b.live is None else b.live
+    if live:
+        best = pick_leaf(live, act, blk)
+        if act[best] + blk[best] > 0.0:
+            return best
+    raise MonitoringError("belief state carries no mass on any leaf")
 
 
 def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram):
@@ -379,7 +427,7 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
                     f"message at tick {m.tick} routed to unknown agent '{agent}'")
             inbox.setdefault(agent, []).append(m)
     keyed = {agent: _message_keys(programs[agent], inbox[agent])
-             for agent in beliefs if agent in inbox}
+             for agent in beliefs if agent in inbox} if inbox else {}
     for agent, b in beliefs.items():
         if agent in keyed:
             _commit_messages(b, programs[agent], keyed[agent])

@@ -1,4 +1,5 @@
-"""Generated code: the compiled forward step, leaf scans and evidence step.
+"""Generated code: the compiled forward step, leaf scans and evidence step,
+and the live-set table that follows the forward step.
 
 Each generator writes Python source from a program's tables, and
 ``_Kernel`` compiles it and registers it with ``linecache``, so tracebacks,
@@ -15,8 +16,12 @@ source.  A source stays in ``linecache`` only while its function is cached.
   35-leaf program of ``solo-11-array`` it is faster than the locals shape
   up to about 10 leaves with mass, slower beyond); a team-mode function
   steps locals and returns capped list displays.
-- ``_compile_scan``: the most-likely pick rule over a leaf tuple,
-  ``TeamOrientedProgram.best_leaf`` and ``team_best_leaf``.
+- ``_next_live`` and ``NextLive``: which leaves the single-agent view's
+  forward step can give mass to, ``TeamOrientedProgram.next_live``, one
+  table per set of the fields ``forward_source`` reads, following its
+  rules; no source is generated.
+- ``_compile_scan``: the most-likely pick rule over a leaf tuple, each
+  team's candidate leaves in ``TeamOrientedProgram.team_best_leaf``.
 - ``_evidence_table`` and ``evidence_source``: the evidence step,
   ``TeamOrientedProgram.evidence_functions``, one table per set of the
   fields it reads; in it one function per tick signature (the shared
@@ -48,6 +53,8 @@ EVIDENCE_SIGNATURES = 256
 # interpreted uses have cost about one compile, and a run pays at most about
 # twice the cheaper of the two; a one-shot ``evaluate`` compiles almost none.
 COMPILE_AT = 32
+# The live sets a ``NextLive`` table holds before it starts over.
+LIVE_SETS = 1024
 
 
 class _Kernel:
@@ -111,6 +118,16 @@ def _descend(groups_at, y: int, rho: str, depth: int, body: list[str], slot: str
             _descend(groups_at, c, share, depth + 1, body, slot)
 
 
+def _carriers(outgoing) -> tuple[float, list]:
+    """eta, the share of a node's shed mass that its edges take silently, and
+    the edges that carry some of it: none when eta <= 0, and none whose
+    silent share (1 - mu) or pi is exactly 0, which would add an exact 0.0."""
+    eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
+    if not eta > 0.0:
+        return eta, []
+    return eta, [t for t in outgoing if 1.0 - t.mu != 0.0 and t.pi != 0.0]
+
+
 def forward_source(p: TeamOrientedProgram) -> str:
     """The source of ``p.forward``'s function, generated from p's fields.
 
@@ -138,12 +155,9 @@ def forward_source(p: TeamOrientedProgram) -> str:
         else:  # read the prior mass once; compute o<i> only where it is nonzero
             guard = f"if x := A[{i}]:"
             body.append(f"o{i} = x * {rates[i]!r}")
-        eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
-        for t in outgoing if eta > 0.0 else ():  # eta 0: no edge carries mass
-            silent = 1.0 - t.mu
-            if silent == 0.0 or t.pi == 0.0:
-                continue
-            factors = "".join(f" * {f!r}" for f in (silent, t.pi) if f != 1.0)
+        eta, carriers = _carriers(outgoing)
+        for t in carriers:
+            factors = "".join(f" * {f!r}" for f in (1.0 - t.mu, t.pi) if f != 1.0)
             r = "r" if factors else f"o{i}"
             if factors:
                 body.append(f"r = o{i}{factors}")
@@ -187,17 +201,82 @@ def forward_source(p: TeamOrientedProgram) -> str:
     return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
 
+class NextLive(dict):
+    """Each live set of the single-agent view mapped to the one after a forward step.
+
+    A live set (``belief.BeliefState.live``) is a sorted tuple of leaf
+    positions outside which every leaf's active and blocked mass is exactly
+    0.0.  ``next_live[live]`` is the live set after ``p.forward``: ``live``
+    and every leaf that the block of a leaf in it can write, by
+    ``forward_source``'s own rules.  A leaf with hazard 0 has no block, and
+    a block sends only along ``_carriers``' edges: into a sibling, which
+    writes it and every leaf ``_descend`` reaches from it, or along a
+    TERMINATE edge into the parent's block, which sends along its own.  A
+    leaf's guard reads its prior mass, so a leaf that gains mass in a step
+    writes nothing until the next.
+
+    A live set is looked up once per agent and quiet tick, so this is a dict
+    whose misses (``__missing__``) compute and store the answer; it holds at
+    most ``LIVE_SETS`` sets and starts over when full.  A one-shot
+    ``solo-11-array`` run meets 24, and a 3,000-tick agent-mode replay of
+    ``team_program(0)``, whose messages are sparser, about 400.  Every entry
+    is a function of the fields and its key, so threads that fill one entry
+    at once store equal sets.
+    """
+
+    def __init__(self, p: TeamOrientedProgram):
+        super().__init__()
+        n, children, groups_at, up = p.index, p.children_at, p.groups_at, p.ancestors_at
+
+        def under(y: int) -> set[int]:  # y if a leaf, and the leaves ``_descend`` reaches
+            leaves = set() if children[y] else {y}
+            for group in groups_at[y]:
+                for c in group:
+                    leaves |= under(c)
+            return leaves
+
+        def sends(i: int) -> set[int]:  # the leaves node i's block writes, i aside
+            leaves: set[int] = set()
+            for t in _carriers(p.out_at[i])[1]:
+                if t.dst != TERMINATE:
+                    leaves |= under(n[t.dst])
+                elif up[i]:
+                    leaves |= sends(up[i][0])
+            return leaves
+
+        self.writes = {i: frozenset(sends(i)) for i in p.leaf_index if hazard(p.plans[i].rate)}
+
+    def __missing__(self, live: tuple[int, ...]) -> tuple[int, ...]:
+        if len(self) >= LIVE_SETS:
+            self.clear()
+        after = self[live] = tuple(sorted(set(live).union(
+            *(self.writes.get(i, ()) for i in live))))
+        return after
+
+
+@lru_cache(maxsize=16)
+def _next_live(plans, transitions, root, teams, team_mode) -> NextLive:
+    """The live-set table of every program with these fields, the ones
+    ``forward_source`` reads; ``TeamOrientedProgram.next_live`` is this
+    table.  Like ``_evidence_table`` it is keyed on fields, so a fresh load
+    or a comm-applied copy finds the live sets an earlier run stepped."""
+    return NextLive(_key_program(plans, transitions, root, teams, team_mode))
+
+
 @lru_cache(maxsize=256)
 def _compile_scan(leaves: tuple[int, ...]) -> _Kernel:
     """The compiled pick rule over ``leaves``, a non-empty tuple of positions.
 
     This is the one pick rule every most-likely query uses: the leaf
-    holding the most active+blocked mass.  The generated ``scan(A, B)``
-    reads the ``active`` and ``blocked`` tables, lists or position-keyed
-    dicts.  It scans the leaves in the given order, one unrolled block per
-    leaf (callers pass them ascending, so in id order), and the first is
-    the initial pick; a later leaf replaces the pick only when its mass
-    exceeds the pick's by more than the relative ``TIE_TOLERANCE``:
+    holding the most active+blocked mass.  The shared layout's team picks
+    run it compiled; ``belief.pick_leaf`` runs it interpreted over a live
+    set, which is too short and varied to repay a compile.  The generated
+    ``scan(A, B)`` reads the ``active`` and ``blocked`` tables, lists or
+    position-keyed dicts.  It scans the leaves in the given order, one
+    unrolled block per leaf (callers pass them ascending, so in id order),
+    and the first is the initial pick; a later leaf replaces the pick only
+    when its mass exceeds the pick's by more than the relative
+    ``TIE_TOLERANCE``:
 
         m = A[i] + B[i]
         if m > bar:
@@ -307,6 +386,9 @@ def evidence_source(p: TeamOrientedProgram, signature: tuple, commit: bool) -> s
     its first-child groups with ``belief.propagate_down``'s successive
     divisions (``_descend``) and added to each ancestor, candidates in
     position order, on locals that start at 0.0; every blocked mass is 0.0.
+    It returns the live set too (``belief.BeliefState.live``): the leaves
+    under the signature's candidates, the same for every call, or None on a
+    team-mode program, whose states carry none.
     """
     initiated: dict[int, str | None] = {}
     terminated: dict[int, str | None] = {}
@@ -364,8 +446,9 @@ def evidence_source(p: TeamOrientedProgram, signature: tuple, commit: bool) -> s
     if commit:
         written = sorted(touched)
         tail.insert(0, " = ".join(f"a{i}" for i in written) + " = 0.0")
+        live = None if p.team_mode else tuple(i for i in written if not p.children_at[i])
         tail += [f"A = [0.0] * {len(p.plans)}", *(f"A[{i}] = a{i}" for i in written),
-                 f"return A, [0.0] * {len(p.plans)}"]
+                 f"return A, [0.0] * {len(p.plans)}, {live!r}"]
     else:
         tail.append("return E")
     return "\n".join(["def evidence(B):", *(f"    {line}" for line in body + tail)]) + "\n"

@@ -270,7 +270,9 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     runs on ``p`` after ``comm_model`` rewrites its message probabilities;
     truth reads only ``p``'s team hierarchy, so ``p`` may be a degraded copy
     of the real program (e.g. ``flatten_mu``).  A negative delay, or a trace
-    that lacks one of the program's agents, raises ``MonitoringError``.
+    that lacks one of the program's agents, raises ``MonitoringError``; so
+    does a message at or past the trace's end, naming the first in log
+    order, as it has no truth to score and the replay would never reach it.
     """
     if delay < 0:
         raise MonitoringError(f"checkpoint delay must be nonnegative, got {delay}")
@@ -278,6 +280,11 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     for agent in p.team_hierarchy.agent_names:
         if agent not in traced:
             raise MonitoringError(f"truth trace has no state for agent '{agent}'")
+    for m in messages:
+        if m.tick >= trace.ticks:
+            raise MonitoringError(
+                f"message at tick {m.tick} ({m.sender} {m.kind} {m.plan}) is past the "
+                f"truth trace's last tick, {trace.ticks - 1}")
     if comm_model is not None:
         p = apply_comm_model(p, comm_model)
     recognizer = make_recognizer(p, mode, coherent)

@@ -29,12 +29,11 @@ modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
 layout's climb (``evidence_climbs``, which holds the walk of every rescale
 it runs); the compiled forward step (``forward``), one generated function
 that returns new lists, stepping list copies in the single-agent view and
-locals in team mode; the compiled
-most-likely pick over every leaf (``best_leaf``) and over each team's
-candidate leaves (``team_best_leaf``), one generated scan per leaf tuple;
-and the compiled evidence step (``evidence_functions``), one generated
-function per tick signature, compiled on the signature's
-``compiled.COMPILE_AT``-th use.
+locals in team mode, and the leaves it can give mass to (``next_live``);
+the compiled most-likely pick over each team's candidate leaves
+(``team_best_leaf``), one generated scan per leaf tuple; and the compiled
+evidence step (``evidence_functions``), one generated function per tick
+signature, compiled on the signature's ``compiled.COMPILE_AT``-th use.
 They are built on first use, so loading a program pays for none of them.
 Node ids remain only at the document boundary: ``node_ids`` and ``index``
 map between ids and positions, ``node(id)`` reads a plan record, and the
@@ -42,11 +41,11 @@ transition records (``out_at``) name their plans by id.  A query answers
 with a leaf's position, and ``path_names`` gives its root path as plan
 names.  The generated code and its caches live in ``compiled``: the
 forward step's function is compiled once per distinct set of the fields it
-reads, the evidence step's table is kept per such set and holds a bounded
-number of functions by signature, and a scan is compiled once per leaf
-tuple, each cache bounded and kept in that module, so programs equal in
-those fields (or in leaves) share one function and a hit generates no
-source; a source stays in ``linecache`` only while its function is cached.
+reads, the evidence and live-set tables are kept per such set, and a
+scan is compiled once per leaf tuple, each cache bounded and kept in that
+module, so programs equal in those fields (or in leaves) share one function
+and a hit generates no source; a source stays in ``linecache`` only while
+its function is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -341,18 +340,18 @@ class TeamOrientedProgram:
         return (0.0,) * len(self.node_ids)
 
     @cached_property
-    def initial(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The initial (active, blocked) tables, which ``belief.init_beliefs`` copies.
+    def initial(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
+        """The initial (active, blocked) tables and live set, which ``belief.init_beliefs`` uses.
 
         All mass is on the root and, through first children, on the initial
-        leaves; the descent runs once per program, not once per state.
+        leaves, the live set; the descent runs once per program, not per state.
         """
         from .belief import propagate_down  # the engine module imports this one
         active = list(self.zeros)
         root = self.index[self.root]
         active[root] = 1.0
         propagate_down(root, 1.0, active, self)
-        return tuple(active), self.zeros
+        return tuple(active), self.zeros, tuple(i for i in self.leaf_index if active[i])
 
     @cached_property
     def leaves_by_team(self) -> dict[str, tuple[int, ...]]:
@@ -361,13 +360,6 @@ class TeamOrientedProgram:
         chain, owner = self.team_hierarchy.ancestors_or_self, self.owner_at
         return {team: tuple(i for i in self.leaf_index if owner[i] in chain(team))
                 or self.leaf_index for team, _ in self.team_hierarchy.teams}
-
-    @cached_property
-    def best_leaf(self):
-        """The pick rule over every leaf (``compiled._compile_scan``): a function of
-        the (active, blocked) tables that returns the picked leaf's position."""
-        from .compiled import _compile_scan  # which imports this module
-        return _compile_scan(self.leaf_index).function
 
     @cached_property
     def team_best_leaf(self) -> dict:
@@ -555,6 +547,14 @@ class TeamOrientedProgram:
         from .compiled import _compile_forward  # which imports this module
         return _compile_forward(self.plans, self.transitions, self.root,
                                 self.team_hierarchy.teams, self.team_mode).function
+
+    @cached_property
+    def next_live(self):
+        """Each live set mapped to the one after a forward step (``compiled.NextLive``),
+        shared like ``evidence_functions`` by every program with equal fields."""
+        from .compiled import _next_live
+        return _next_live(self.plans, self.transitions, self.root,
+                          self.team_hierarchy.teams, self.team_mode)
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

@@ -26,7 +26,7 @@ the message's tick; ``path`` raises it naming an unknown unit.
 from __future__ import annotations
 
 from .belief import (MonitoringError, VisitCounter, array_overseer_tick, init_beliefs,
-                     most_likely_state)
+                     most_likely_state, pick_leaf)
 from .ingest import messages_by_tick
 from .model import TeamOrientedProgram
 from .yoyo import team_leaves, team_most_likely, yoyo_tick
@@ -97,17 +97,28 @@ class ArrayRecognizer(_Recognizer):
     def path(self, unit: str) -> tuple[str, ...]:
         """An agent's own most likely path, or a team's from its members.
 
-        A team's leaf is its compiled pick (``team_best_leaf``) over the
-        members' summed masses, so near-ties go to the lowest node id.
+        A team's leaf is ``pick_leaf`` over the members' summed masses of
+        its candidate leaves that lie in some member's live set, so near-ties
+        go to the lowest node id; every other candidate sums to exactly 0.0.
+        With no such candidate, or no mass on any, it is the team's first
+        candidate, as a pick over every candidate would give.
         """
         view = self.view
         if unit in self.beliefs:
             return view.path_names(most_likely_state(self.beliefs[unit], view))
         candidates = team_leaves(view, unit)
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
-        mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates}
-        # ``mass`` already holds active+blocked, so the blocked table is all zeros
-        return view.name_paths_at[view.team_best_leaf[unit](mass, view.zeros)]
+        live = set()
+        for b in members:
+            live.update(candidates if b.live is None else b.live)
+        mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates if x in live}
+        best = candidates[0]
+        if mass:
+            # ``mass`` already holds active+blocked, so the blocked table is all zeros
+            pick = pick_leaf(tuple(mass), mass, view.zeros)
+            if mass[pick] > 0.0:
+                best = pick
+        return view.name_paths_at[best]
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

@@ -28,7 +28,7 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     start = time.perf_counter()
     report = ab.compare(ROOT, ROOT, rounds=2)
     assert time.perf_counter() - start < 5.0
-    workloads = ("quiet_tick", "evidence_tick", "evaluate_run", "stream")
+    workloads = ("quiet_tick", "evidence_tick", "evaluate_run", "stream", "query")
     assert set(report) == {f"{layout}.{workload}" for layout in ab.LAYOUTS
                            for workload in workloads}
     for row in report.values():

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from overhear import compiled
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
                              _prune_redundant_ancestors, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
-                             propagate_down, propagate_forward)
+                             pick_leaf, propagate_down, propagate_forward)
 from overhear.compiled import _compile_scan
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import TERMINATE, hazard, program_from_document
@@ -18,8 +19,8 @@ from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import team_most_likely, yoyo_tick
 
 from conftest import brute_leaves
-from test_digest import (KERNEL_STATES, TABLE_KINDS, digest_table, sweep_programs,
-                         table_programs)
+from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
+                         sweep_programs, sweep_replays, table_programs)
 
 
 def _chain(lam_a=0.05, mu=0.0, extra_leaf=False, team_mode=False):
@@ -386,11 +387,13 @@ def test_scan_matches_the_reference_loop_on_planted_ties(seed):
         leaves = tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
         scan = _compile_scan(leaves).function
         active, blocked = _planted(rng, leaves, size)
-        assert scan(active, blocked) == _reference_pick(leaves, active, blocked)
+        expected = _reference_pick(leaves, active, blocked)
+        assert scan(active, blocked) == pick_leaf(leaves, active, blocked) == expected
         # a dict of summed masses against a zero table, as a coherent array team pick reads
         mass = {x: active[x] + blocked[x] for x in leaves}
         zeros = (0.0,) * size
-        assert scan(mass, zeros) == _reference_pick(leaves, mass, zeros)
+        expected = _reference_pick(leaves, mass, zeros)
+        assert scan(mass, zeros) == pick_leaf(leaves, mass, zeros) == expected
 
 
 def test_scan_matches_the_reference_loop_on_zero_tables_and_single_leaves():
@@ -399,6 +402,7 @@ def test_scan_matches_the_reference_loop_on_zero_tables_and_single_leaves():
         for leaves in [(x,) for x in range(size)] + [tuple(range(size))]:
             scan = _compile_scan(leaves).function
             assert scan(zeros, zeros) == _reference_pick(leaves, zeros, zeros) == leaves[0]
+            assert pick_leaf(leaves, zeros, zeros) == leaves[0]
 
 
 def test_program_scans_match_the_reference_loop():
@@ -406,7 +410,7 @@ def test_program_scans_match_the_reference_loop():
     for p in table_programs():
         for q in (p, p.single_agent_view()):
             size = len(q.node_ids)
-            picks = [(q.leaf_index, q.best_leaf)] + [
+            picks = [(q.leaf_index, _compile_scan(q.leaf_index).function)] + [
                 (q.leaves_by_team[team], q.team_best_leaf[team]) for team in q.leaves_by_team]
             for leaves, scan in picks:
                 for _ in range(5):
@@ -417,10 +421,9 @@ def test_program_scans_match_the_reference_loop():
 def test_scans_are_shared_by_leaf_tuple():
     p = team_program(0)
     q = apply_comm_model(p, learn_comm_model([]))
-    assert q is not p and q.best_leaf is p.best_leaf
-    assert q.team_best_leaf == p.team_best_leaf
-    assert p.single_agent_view().best_leaf is p.best_leaf
-    assert inspect.getsource(p.best_leaf).startswith("def scan(A, B):\n")
+    assert q is not p and q.team_best_leaf == p.team_best_leaf
+    assert p.single_agent_view().team_best_leaf == p.team_best_leaf
+    assert inspect.getsource(p.team_best_leaf["ALPHA"]).startswith("def scan(A, B):\n")
 
 
 def test_most_likely_rejects_empty():
@@ -429,6 +432,112 @@ def test_most_likely_rejects_empty():
     b.act[:] = p.zeros
     with pytest.raises(MonitoringError):
         most_likely_state(b, p)
+    b.live = ()
+    with pytest.raises(MonitoringError, match="no mass on any leaf"):
+        most_likely_state(b, p)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_most_likely_reads_the_live_set_alone_on_planted_ties(seed):
+    # near-ties at the TIE_TOLERANCE boundary on the live leaves, some of
+    # which hold no mass, and exact zeros on every other leaf
+    rng = random.Random(seed)
+    for p in table_programs():
+        view = p.single_agent_view()
+        leaves, scan = view.leaf_index, _compile_scan(view.leaf_index).function
+        for _ in range(3):
+            live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 7)))))
+            active, blocked = _planted(rng, live, len(view.node_ids))
+            for x in leaves:
+                if x not in live or rng.random() < 0.2:
+                    active[x] = blocked[x] = 0.0
+            b = BeliefState(active, blocked, view.index, live)
+            expected = _reference_pick(leaves, active, blocked)
+            assert scan(active, blocked) == expected
+            if active[expected] + blocked[expected] > 0.0:
+                assert most_likely_state(b, view) == expected
+            else:
+                with pytest.raises(MonitoringError):
+                    most_likely_state(b, view)
+
+
+def _point_mass(p, x: int) -> list:
+    """An active table with all mass on node x and its ancestors, as a commit leaves it."""
+    active = list(p.zeros)
+    for y in (x, *p.ancestors_at[x]):
+        active[y] = 1.0
+    return active
+
+
+def test_next_live_names_the_leaves_a_point_mass_steps_to():
+    # the table against the kernel: one step from each leaf's point mass
+    # gives mass to exactly the leaves the table adds
+    for p in table_programs():
+        view = p.single_agent_view()
+        leaves = view.leaf_index
+        for x in leaves:
+            active, blocked = view.forward(_point_mass(view, x), list(view.zeros))
+            held = {y for y in leaves if active[y] or blocked[y]}
+            assert view.next_live[(x,)] == tuple(sorted(held | {x})), (p.root, x)
+
+
+def test_next_live_of_a_set_is_the_union_of_its_leaves_steps():
+    rng = random.Random(5)
+    for p in table_programs():
+        view = p.single_agent_view()
+        for _ in range(5):
+            leaves = view.leaf_index
+            live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 6)))))
+            after = set().union(*(view.next_live[(x,)] for x in live))
+            assert view.next_live[live] == tuple(sorted(after))
+
+
+def test_next_live_is_shared_by_fields_and_bounded(monkeypatch):
+    view = team_program(0).single_agent_view()
+    assert team_program(0).single_agent_view().next_live is view.next_live
+    assert team_program(0).next_live is not view.next_live
+    monkeypatch.setattr(compiled, "LIVE_SETS", 3)
+    table = compiled.NextLive(view)
+    for x in view.leaf_index[:7]:
+        assert table[(x,)] == view.next_live[(x,)]
+        assert 1 <= len(table) <= 3
+
+
+def test_init_and_commits_set_the_live_set():
+    p = team_program(0)
+    view = p.single_agent_view()
+    assert init_beliefs(p).live is None
+    b = init_beliefs(view)
+    assert b.live == tuple(x for x in view.leaf_index if b.act[x])
+    msg = ObservedMessage(3, "alpha1", "ALPHA", TERM, "phase-00")
+    apply_messages(b, [msg], view)  # a cold key: ``evidence`` and ``_commit_evidence``
+    assert b.live and b.live == tuple(x for x in view.leaf_index if b.act[x])
+    team = init_beliefs(p)
+    apply_messages(team, [msg], p)
+    assert team.live is None
+
+
+@pytest.mark.parametrize("compile_at", [1, 10**9], ids=["compiled", "cold"])
+@pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1] == "array"],
+                         ids=lambda key: "/".join(map(str, key)))
+def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, compile_at,
+                                                                  monkeypatch):
+    monkeypatch.setattr(compiled, "COMPILE_AT", compile_at)
+    states = 0
+    for _, rec, by_tick in sweep_replays(*key):
+        view = rec.view
+        leaves, scan = view.leaf_index, _compile_scan(view.leaf_index).function
+        for t in range(TICKS):
+            rec.step(by_tick.get(t, []))
+            for agent, b in rec.beliefs.items():
+                live = b.live
+                assert type(live) is tuple and list(live) == sorted(set(live))
+                held = [x for x in leaves if b.act[x] or b.blk[x]]
+                assert set(held) <= set(live), (key, t, agent)
+                if held:
+                    assert most_likely_state(b, view) == scan(b.act, b.blk), (key, t, agent)
+                states += 1
+    assert states > 0
 
 
 def test_queries_answer_with_a_candidate_leaf_position():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,23 @@ def test_evaluate_run_validates_options(evac_team):
     trace, log = simulate(evac_team, SimConfig(seed=2, ticks=150, send_prob=0.5))
     with pytest.raises(MonitoringError, match="disagree in the ground truth; run is not coherent"):
         evaluate_run(evac_team, trace, log, mode="yoyo")
+
+
+def test_evaluate_run_rejects_messages_past_the_trace():
+    # the replay stops at the trace's last tick, so a late message was once
+    # scored at a checkpoint clipped to that tick without ever being replayed
+    tp = team_program(0)
+    trace, log = simulate(tp, SimConfig(seed=0, ticks=60, team_mode=True))
+    assert len(log) > 3 and evaluate_run(tp, trace, log).exchanges > 0
+    late = log[:-3] + [dataclasses.replace(m, tick=m.tick + 500) for m in log[-3:]]
+    first = late[-3]
+    with pytest.raises(MonitoringError, match=(
+            rf"^message at tick {first.tick} \({first.sender} {first.kind} {first.plan}\) "
+            r"is past the truth trace's last tick, 59$")):
+        evaluate_run(tp, trace, late)
+    edge = log[:-1] + [dataclasses.replace(log[-1], tick=trace.ticks)]
+    with pytest.raises(MonitoringError, match=f"at tick {trace.ticks} "):
+        evaluate_run(tp, trace, edge)
 
 
 def test_evaluate_run_report_shape(evac_team):

@@ -10,6 +10,7 @@ from overhear.recognizer import ArrayRecognizer, SharedRecognizer, make_recogniz
 from overhear.sim import SimConfig, checkpoints, simulate
 
 from conftest import DATA, snapshot
+from test_digest import SWEEP_SHA256, TICKS, sweep_replays
 
 TEAM = str(DATA / "evac_team.json")
 AGENTS = ("escort1", "escort2", "transport1", "transport2")
@@ -133,6 +134,60 @@ def test_coherent_array_rows_stay_identical(prog, seed):
         for team in members:
             first = _bits(rec.beliefs[team[0]])
             assert all(_bits(rec.beliefs[a]) == first for a in team[1:])
+
+
+def _pick_over_every_candidate(rec, team: str) -> tuple[str, ...]:
+    """A coherent array team's path as the compiled pick over every candidate leaf."""
+    view = rec.view
+    members = [rec.beliefs[a] for a in view.team_hierarchy.members(team)]
+    mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in view.leaves_by_team[team]}
+    return view.name_paths_at[view.team_best_leaf[team](mass, view.zeros)]
+
+
+@pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1:] == ("array", True)],
+                         ids=lambda key: "/".join(map(str, key)))
+def test_coherent_array_team_path_is_the_pick_over_every_candidate(key):
+    answers = 0
+    for _, rec, by_tick in sweep_replays(*key):
+        for t in range(TICKS):
+            rec.step(by_tick.get(t, []))
+            for team in rec.teams:
+                assert rec.path(team) == _pick_over_every_candidate(rec, team), (key, t, team)
+                answers += 1
+    assert answers > 0
+
+
+def test_coherent_array_team_path_sums_the_members_live_candidates():
+    rec = make_recognizer(team_program(0), "array", coherent=True)
+    view, team = rec.view, "ALPHA"
+    candidates = view.leaves_by_team[team]
+    outside = [x for x in view.leaf_index if x not in candidates]
+    members = [rec.beliefs[a] for a in view.team_hierarchy.members(team)]
+
+    def put(b, masses: dict):
+        b.act, b.blk, b.live = list(view.zeros), list(view.zeros), tuple(sorted(masses))
+        for x, mass in masses.items():
+            b.act[x] = mass
+
+    def path():
+        answer = rec.path(team)
+        assert answer == _pick_over_every_candidate(rec, team)
+        return answer
+
+    for k, b in enumerate(members):
+        put(b, {outside[k]: 1.0})
+    # no candidate in any member's live set, or none with mass: the first candidate
+    assert path() == view.name_paths_at[candidates[0]]
+    put(members[0], {outside[0]: 1.0, candidates[-1]: 0.0})
+    assert path() == view.name_paths_at[candidates[0]]
+    # candidates live in different members are summed: 0.3 + 0.3 beats 0.5
+    x, y = candidates[-1], candidates[-2]
+    put(members[0], {x: 0.3, y: 0.5})
+    put(members[1], {x: 0.3})
+    assert path() == view.name_paths_at[x]
+    # a member without a live set counts every candidate
+    members[1].live = None
+    assert path() == view.name_paths_at[x]
 
 
 @pytest.mark.parametrize("mode, coherent", LAYOUTS)

@@ -21,16 +21,18 @@ workload is built from each side's own modules:
   unit's most-likely query (``path``), replaying that run on the program
   with the learned comm model applied.  Each tick's time is its best of
   ``REPEATS`` replays and the sample is the median over ticks, the
-  in-process counterpart of perfbench's ``tick_p50_us``.
+  in-process counterpart of perfbench's ``tick_p50_us``;
+- ``<layout>.query``: the queries of that same replay alone, every unit's
+  ``path`` on each tick's states, timed apart from the step, so the query
+  layer has a ratio of its own.
 
 The sides run in alternating order for ``--rounds`` rounds, each workload
-best of ``REPEATS`` per round (per tick for ``stream``).  For each
-workload the report gives each side's minimum, the median of the
+best of ``REPEATS`` per round (per tick for ``stream`` and ``query``).  For
+each workload the report gives each side's minimum, the median of the
 per-round ratios change/parent, the rounds the change won, and whether
 both sides gave equal outputs (the replay's final states, the rendered
-report).  Both sides share one
-interpreter, allocator and collector, so a ratio is trustworthy only when
-its rounds agree.
+report, the answers).  Both sides share one interpreter, allocator and
+collector, so a ratio is trustworthy only when its rounds agree.
 """
 
 from __future__ import annotations
@@ -111,12 +113,13 @@ class Side:
 
     def stream(self, layout: str):
         """(median over ticks of each step's best of ``REPEATS`` replays,
-        every answer of the last replay)."""
+        the same of its queries alone, every answer of the last replay)."""
         _, log, comm = self.runs[layout]
         p = self.social.apply_comm_model(
             self.model.load_program(self.text, team_mode=layout == "yoyo"), comm)
         by_tick = self.ingest.messages_by_tick(log)
         best = [float("inf")] * (TICKS - 1)
+        best_query = list(best)
         clock = time.perf_counter
         for _ in range(REPEATS):
             rec = self.recognizer.make_recognizer(p, layout)
@@ -125,10 +128,13 @@ class Side:
                 msgs = by_tick.get(t, [])
                 start = clock()
                 rec.step(msgs)
+                stepped = clock()
                 paths = [rec.path(u) for u in rec.units]
-                best[t - 1] = min(best[t - 1], clock() - start)
+                end = clock()
+                best[t - 1] = min(best[t - 1], end - start)
+                best_query[t - 1] = min(best_query[t - 1], end - stepped)
                 answers.append(paths)
-        return statistics.median(best), answers
+        return statistics.median(best), statistics.median(best_query), answers
 
     def evaluate(self, layout: str):
         """(seconds, rendered report)."""
@@ -149,7 +155,9 @@ def measure(side: Side) -> dict:
         out[f"{layout}.evidence_tick"] = (min(r[1] for r in runs), runs[0][2])
         evals = [side.evaluate(layout) for _ in range(REPEATS)]
         out[f"{layout}.evaluate_run"] = (min(e[0] for e in evals), evals[0][1])
-        out[f"{layout}.stream"] = side.stream(layout)
+        stream, query, answers = side.stream(layout)
+        out[f"{layout}.stream"] = (stream, answers)
+        out[f"{layout}.query"] = (query, answers)
     return out
 
 
