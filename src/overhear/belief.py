@@ -46,30 +46,30 @@ the array layout runs once per agent.  It runs as the program's compiled
 kernel (``TeamOrientedProgram.forward``), one generated Python function
 that runs each shedding node's updates only when the node sheds a nonzero
 mass and returns two new lists.  The single-agent view's kernel steps
-copies of the prior lists and tests each leaf's prior mass, so its cost
-follows the leaves an agent's belief holds mass on (at most 5 of 35 on
-the ``solo-11-array`` benchmark workload; past about 10 of 35 it is
-slower than the locals shape); a team-mode kernel unpacks both lists
-into locals and returns two list displays, as it must cap every entry
-it returns.  ``propagate_forward`` calls it, and
+copies of the prior lists and tests each leaf's prior mass; a team-mode
+kernel unpacks both lists into locals and returns two list displays, as
+it must cap every entry it returns.  ``propagate_forward`` calls it, and
 is the quiet tick of both layouts.
 
-A single-agent view's state also carries its live set
+Every state the engine builds carries its live set
 (``BeliefState.live``), the leaves outside which every leaf holds exactly
-0.0; a team-mode state carries None, which means every leaf.
-``init_beliefs`` takes it from ``p.initial``, ``propagate_forward`` steps
-it with the program's ``next_live`` table (which follows the kernel's
-rules), and each commit sets it to the leaves under the committed
-candidates.  Whatever else puts mass on a leaf outside the set must set
-it to None.  A message resets a belief to a point mass, so the set stays
-short: on ``solo-11-array`` a median of 1 and at most 5 of 35 leaves.  A
-most-likely query (``most_likely_state``) runs the pick rule
-(``pick_leaf``) over the live set alone, interpreted; a leaf outside it
-holds 0.0, which never beats the pick, so it answers as a scan of every
-leaf would.  The shared layout's team queries run the rule compiled, one
-generated scan per team's candidate leaves
-(``TeamOrientedProgram.team_best_leaf``).  This module only calls the
-program's functions and never writes to a program.
+0.0.  ``init_beliefs`` takes it from ``p.initial``, ``propagate_forward``
+steps it with the program's ``next_live`` table (which follows the
+kernel's rules), each array commit sets it to the leaves under the
+committed candidates, and ``yoyo.yoyo_tick`` to the leaves its evidence
+wrote.  Whatever else puts mass on a leaf outside the set must set it to
+None, which means every leaf.  A message resets a belief to a point mass
+or a few, so the set stays short: on ``solo-11-array`` a median of 1 and
+at most 5 of 35 leaves, on ``mission-11-yoyo`` a median of 3 and at most
+9.  Once a set is hot, ``next_live`` steps it with a kernel generated for
+the set alone (``compiled.NextLive``), which runs only its leaves' blocks
+and those of the nodes they feed.  A most-likely query
+(``most_likely_state``) runs the pick rule (``pick_leaf``) over the live
+set alone, interpreted; a leaf outside it holds 0.0, which never beats
+the pick, so it answers as a scan of every leaf would.  The shared
+layout's team queries run the rule compiled, one generated scan per
+team's candidate leaves (``TeamOrientedProgram.team_best_leaf``).  This
+module only calls the program's functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
@@ -99,7 +99,11 @@ class MonitoringError(ValueError):
 
 
 class VisitCounter:
-    """Counts node visits inside propagation loops (scalability probes)."""
+    """Counts the node visits of forward steps (scalability probes).
+
+    A step adds the nodes it covers, every node of the program, not the
+    tests it runs: a live kernel runs the blocks of a few leaves and
+    counts the same as the full kernel."""
 
     __slots__ = ("visits",)
 
@@ -119,10 +123,10 @@ class BeliefState:
 
     ``live`` is a sorted tuple of leaf positions outside which every leaf's
     ``act`` and ``blk`` entry is exactly 0.0, so a query reads only those
-    leaves; it may name leaves without mass.  None means every leaf, and
-    team-mode states and hand-built ones carry None.  Each engine step that
-    replaces the lists keeps it; a writer that puts mass on a leaf outside
-    ``live`` must set it to None.
+    leaves and the forward step runs only their blocks; it may name leaves
+    without mass.  None means every leaf, and only a hand-built state
+    carries it.  Each engine step that replaces the lists keeps it; a
+    writer that puts mass on a leaf outside ``live`` must set it to None.
     """
 
     act: list[float]
@@ -143,10 +147,10 @@ def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     """All mass on the root and, through first children, on the initial leaves.
 
     The state copies the program's ``initial`` tables, built once per
-    program, and takes its live set, or None on a team-mode program.
+    program, and takes its live set.
     """
     active, blocked, live = p.initial
-    return BeliefState(list(active), list(blocked), p.index, None if p.team_mode else live)
+    return BeliefState(list(active), list(blocked), p.index, live)
 
 
 def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgram,
@@ -298,7 +302,7 @@ def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedP
     Each mass is spread down its node's first-child groups
     (``propagate_down``) and added to every ancestor, and every blocked
     mass is 0.  The live set is the leaves among ``scratch``'s nodes and
-    those they spread to, or None on a team-mode program.  This is the
+    those they spread to.  This is the
     reference the array layout's compiled commit follows, and it runs while
     a message's key is cold.
     """
@@ -311,7 +315,7 @@ def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedP
             active[anc] += mass
     b.act, b.blk = active, list(p.zeros)
     children = p.children_at
-    b.live = None if p.team_mode else tuple(sorted(x for x in written if not children[x]))
+    b.live = tuple(sorted(x for x in written if not children[x]))
 
 
 def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
@@ -343,18 +347,26 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     as long as no TERMINATE edge leaves the root's own children.  On a
     team-mode program the linear step is then capped at 1, entry by entry,
     which is the shared layout's whole quiet tick.
-    The step runs as p's compiled kernel (``TeamOrientedProgram.forward``).
-    The counter takes one visit per node: a node that can shed is visited by
-    one test, of its prior mass (a leaf of the single-agent view) or of its
-    shed mass, and runs its updates only when that is nonzero.  A live set
-    steps to ``p.next_live``'s; None stays None.
+
+    A state with a live set steps by its entry in ``p.next_live``: the
+    next live set, and the live kernel compiled for the set once it is hot
+    (``compiled.NextLive``), which runs only the blocks of the set's leaves
+    and of the nodes they feed.  On every state the engine builds it gives
+    what p's full compiled kernel (``TeamOrientedProgram.forward``) gives,
+    bit for bit.  A state without a live set (None, a hand-built state)
+    steps by the full kernel and keeps None.  The counter takes one visit
+    per node of p, the nodes a step covers, whatever tests and blocks the
+    kernel that steps it runs.
     """
     if counter is not None:
         counter.visits += len(p.postorder)
-    b.act, b.blk = p.forward(b.act, b.blk)
     live = b.live
-    if live is not None:
-        b.live = p.next_live[live]
+    if live is None:
+        b.act, b.blk = p.forward(b.act, b.blk)
+    else:
+        after, forward = p.next_live[live]
+        b.act, b.blk = forward(b.act, b.blk)
+        b.live = after
 
 
 _TIE_SCALE = 1.0 + TIE_TOLERANCE

@@ -1,5 +1,5 @@
 """Generated code: the compiled forward step, leaf scans and evidence step,
-and the live-set table that follows the forward step.
+and the live-step table that steps each live set with a kernel of its own.
 
 Each generator writes Python source from a program's tables, and
 ``_Kernel`` compiles it and registers it with ``linecache``, so tracebacks,
@@ -16,10 +16,13 @@ source.  A source stays in ``linecache`` only while its function is cached.
   35-leaf program of ``solo-11-array`` it is faster than the locals shape
   up to about 10 leaves with mass, slower beyond); a team-mode function
   steps locals and returns capped list displays.
-- ``_next_live`` and ``NextLive``: which leaves the single-agent view's
-  forward step can give mass to, ``TeamOrientedProgram.next_live``, one
-  table per set of the fields ``forward_source`` reads, following its
-  rules; no source is generated.
+- ``_next_live`` and ``NextLive``: the live-step table,
+  ``TeamOrientedProgram.next_live``, one per set of the fields
+  ``forward_source`` reads.  It maps a live set to the next one, which
+  follows the forward step's rules, and to the function that steps it:
+  the full kernel until the set's ``LIVE_COMPILE_AT``-th use, then the
+  set's live kernel, ``forward_source(p, live)``, which holds only the
+  blocks the set's leaves can run, on list copies in either mode.
 - ``_compile_scan``: the most-likely pick rule over a leaf tuple, each
   team's candidate leaves in ``TeamOrientedProgram.team_best_leaf``.
 - ``_evidence_table`` and ``evidence_source``: the evidence step,
@@ -37,6 +40,7 @@ properties that return compiled functions.
 from __future__ import annotations
 
 import linecache
+import re
 from functools import lru_cache
 from itertools import count
 
@@ -55,6 +59,14 @@ EVIDENCE_SIGNATURES = 256
 COMPILE_AT = 32
 # The live sets a ``NextLive`` table holds before it starts over.
 LIVE_SETS = 1024
+# The use of a live set that compiles its live kernel; the uses before it
+# run the full kernel.  Generating and compiling a live kernel takes
+# 100-270 us, and it saves about 0.4 us per use over the single-agent
+# view's full kernel (solo-11-array) and 1.5 us over a team-mode one
+# (mission-11-yoyo), so by the 256th use the full kernel has cost about
+# one compile.  At ``COMPILE_AT`` a one-shot solo-11-array ``evaluate``
+# compiled 9 sets that its later uses never repaid.
+LIVE_COMPILE_AT = 256
 
 
 class _Kernel:
@@ -82,8 +94,11 @@ class _Kernel:
             del cache[self.filename]
 
 
+@lru_cache(maxsize=16)
 def _key_program(plans, transitions, root, teams, team_mode) -> TeamOrientedProgram:
-    """A program with these fields and no agent, which no generator reads."""
+    """A program with these fields and no agent, which no generator reads;
+    the forward kernel, the live-step table and the evidence table of one
+    set of fields share it, so its tables are built once for the three."""
     return TeamOrientedProgram(plans, transitions, TeamHierarchy(teams, ()), root, team_mode)
 
 
@@ -128,29 +143,43 @@ def _carriers(outgoing) -> tuple[float, list]:
     return eta, [t for t in outgoing if 1.0 - t.mu != 0.0 and t.pi != 0.0]
 
 
-def forward_source(p: TeamOrientedProgram) -> str:
-    """The source of ``p.forward``'s function, generated from p's fields.
+def forward_source(p: TeamOrientedProgram, live: tuple[int, ...] | None = None) -> str:
+    """The source of ``p.forward``'s function, generated from p's fields, or
+    with ``live`` that of the live kernel of one live set.
 
     Both shapes that ``TeamOrientedProgram.forward`` describes share the
     walk, one guarded block per shedding node in postorder, and differ in
     what a block writes to (list entries or locals), how a leaf's block is
     guarded, and the head and tail around the blocks.
+
+    ``live`` is a live set (``NextLive``), a sorted tuple of leaf positions.
+    Its kernel holds only the blocks of ``live``'s leaves and of the
+    internal nodes their TERMINATE edges reach, in the same postorder, with
+    the list shape's text and float order, so it steps every state whose
+    leaves outside ``live`` hold exactly 0.0 as ``p.forward`` does: a
+    left-out leaf's block would be skipped, and a left-out internal node's
+    shed would stay 0.0.  A team-mode live kernel steps list copies too,
+    caps at 1 only the entries its blocks add to and floors the internal
+    nodes it steps, as the full kernel does; it equals the full kernel on
+    states whose entries all lie in [0, 1], which the full kernel's cap
+    and floor leave as they are.
     """
     n, groups_at, team = p.index, p.groups_at, p.team_mode
-    act, blk = ("a{}", "b{}") if team else ("act[{}]", "blk[{}]")
+    unpack = team and live is None  # the locals shape
+    act, blk = ("a{}", "b{}") if unpack else ("act[{}]", "blk[{}]")
     shed: list[str] = []  # each o<i> set before any block runs
     blocks: list[str] = []
     rates = {i: hazard(p.plans[i].rate) for i in p.leaf_index}
-    sheds = {i for i, rate in rates.items() if rate}
+    sheds = {i for i, rate in rates.items() if rate and (live is None or i in live)}
     floored: list[int] = []  # the internal nodes that shed
-    if team:
+    if unpack:
         shed += [f"o{i} = a{i} * {rates[i]!r}" for i in p.leaf_index if i in sheds]
 
     for i in p.postorder:
         if i not in sheds:
             continue
         up, outgoing, body = p.ancestors_at[i], p.out_at[i], []
-        if team or i not in rates:
+        if unpack or i not in rates:
             guard = f"if o{i}:"
         else:  # read the prior mass once; compute o<i> only where it is nonzero
             guard = f"if x := A[{i}]:"
@@ -180,7 +209,7 @@ def forward_source(p: TeamOrientedProgram) -> str:
         blocks.append(f"{guard}\n        " + "\n        ".join(body))
 
     size = len(n)
-    if team:
+    if unpack:
         def entry(v: str, floor: bool = False) -> str:  # one returned value
             text = f"0.0 if {v} < 0.0 else {v}" if floor else v
             return f"1.0 if {v} > 1.0 else {text}"
@@ -195,33 +224,50 @@ def forward_source(p: TeamOrientedProgram) -> str:
                 f"    raise ValueError(f'forward step of {size} nodes got tables of "
                 "{len(A)} and {len(B)} entries')",
                 "act = list(A)", "blk = list(B)"]
-        tail = [*(f"if act[{j}] < 0.0:\n        act[{j}] = 0.0" for j in floored),
-                "return act, blk"]
+        tail = [f"if act[{j}] < 0.0:\n        act[{j}] = 0.0" for j in floored]
+        if team:  # cap each entry a block adds to; an entry it only lowers stays <= 1
+            writes = re.findall(r"((?:act|blk)\[(\d+)\]) ([-+])=", "\n".join(blocks))
+            added = {(v, int(i)) for v, i, op in writes if op == "+"}
+            tail = [f"if {v} > 1.0:\n        {v} = 1.0" for v, _ in sorted(
+                added, key=lambda w: (w[0][0], w[1]))] + tail
+        tail.append("return act, blk")
     body = [*head, *shed, *blocks, *tail]
     return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
 
 class NextLive(dict):
-    """Each live set of the single-agent view mapped to the one after a forward step.
+    """Each live set mapped to its forward step: the next live set, and the
+    function that steps a state holding it.
 
     A live set (``belief.BeliefState.live``) is a sorted tuple of leaf
     positions outside which every leaf's active and blocked mass is exactly
-    0.0.  ``next_live[live]`` is the live set after ``p.forward``: ``live``
-    and every leaf that the block of a leaf in it can write, by
-    ``forward_source``'s own rules.  A leaf with hazard 0 has no block, and
-    a block sends only along ``_carriers``' edges: into a sibling, which
-    writes it and every leaf ``_descend`` reaches from it, or along a
-    TERMINATE edge into the parent's block, which sends along its own.  A
-    leaf's guard reads its prior mass, so a leaf that gains mass in a step
-    writes nothing until the next.
+    0.0.  ``next_live[live]`` is ``(after, forward)``.  ``after`` is the
+    live set after ``p.forward``: ``live`` and every leaf that the block of
+    a leaf in it can write, by ``forward_source``'s own rules, group by
+    group in either mode.  A leaf with hazard 0 has no block, and a block
+    sends only along ``_carriers``' edges: into a sibling, which writes it
+    and every leaf ``_descend`` reaches from it, or along a TERMINATE edge
+    into the parent's block, which sends along its own.  A leaf's guard
+    reads its prior mass, so a leaf that gains mass in a step writes
+    nothing until the next.
 
-    A live set is looked up once per agent and quiet tick, so this is a dict
-    whose misses (``__missing__``) compute and store the answer; it holds at
-    most ``LIVE_SETS`` sets and starts over when full.  A one-shot
-    ``solo-11-array`` run meets 24, and a 3,000-tick agent-mode replay of
-    ``team_program(0)``, whose messages are sparser, about 400.  Every entry
-    is a function of the fields and its key, so threads that fill one entry
-    at once store equal sets.
+    ``forward`` is ``p.forward`` until the set's ``LIVE_COMPILE_AT``-th use,
+    which compiles ``forward_source(p, live)``, the live kernel, and swaps
+    it into the entry, so later uses call it with no count.  A set that
+    holds every shedding leaf keeps ``p.forward``: the live kernel would
+    run the same blocks, and in team mode on list copies, which at 35 of 35
+    leaves measured 1.36x the locals kernel.  The live kernel equals
+    ``p.forward`` on every state whose leaves outside the set hold 0.0 and,
+    in team mode, whose entries lie in [0, 1]; both layouts' states do.
+
+    A live set is looked up once per state and quiet tick, so this is a
+    dict whose misses (``__missing__``) compute and store the step; it
+    holds at most ``LIVE_SETS`` sets and starts over when full, dropping
+    their kernels.  A one-shot ``solo-11-array`` run meets 24 sets,
+    ``mission-11-yoyo`` 28, and a 3,000-tick agent-mode replay of
+    ``team_program(0)``, whose messages are sparser, about 400.  Every
+    entry is a function of the fields and its key, so threads that fill
+    or compile one entry at once store equal steps.
     """
 
     def __init__(self, p: TeamOrientedProgram):
@@ -245,21 +291,39 @@ class NextLive(dict):
             return leaves
 
         self.writes = {i: frozenset(sends(i)) for i in p.leaf_index if hazard(p.plans[i].rate)}
+        self.p = p
+        self.kernels: dict[tuple[int, ...], _Kernel] = {}  # what keeps each live kernel's source
 
-    def __missing__(self, live: tuple[int, ...]) -> tuple[int, ...]:
+    def __missing__(self, live: tuple[int, ...]) -> tuple:
         if len(self) >= LIVE_SETS:
             self.clear()
-        after = self[live] = tuple(sorted(set(live).union(
-            *(self.writes.get(i, ()) for i in live))))
-        return after
+            self.kernels.clear()
+        after = tuple(sorted(set(live).union(*(self.writes.get(i, ()) for i in live))))
+        full = self.p.forward
+        if self.writes.keys() <= set(live):
+            step = self[live] = (after, full)
+            return step
+        uses = count(1)
+
+        def cold(A, B):
+            if next(uses) < LIVE_COMPILE_AT:
+                return full(A, B)
+            kernel = self.kernels[live] = _Kernel(
+                forward_source(self.p, live), "forward", "live forward step")
+            self[live] = (after, kernel.function)
+            return kernel.function(A, B)
+
+        step = self[live] = (after, cold)
+        return step
 
 
 @lru_cache(maxsize=16)
 def _next_live(plans, transitions, root, teams, team_mode) -> NextLive:
-    """The live-set table of every program with these fields, the ones
+    """The live-step table of every program with these fields, the ones
     ``forward_source`` reads; ``TeamOrientedProgram.next_live`` is this
     table.  Like ``_evidence_table`` it is keyed on fields, so a fresh load
-    or a comm-applied copy finds the live sets an earlier run stepped."""
+    or a comm-applied copy finds the live sets, and the live kernels, that
+    an earlier run stepped."""
     return NextLive(_key_program(plans, transitions, root, teams, team_mode))
 
 
@@ -387,8 +451,7 @@ def evidence_source(p: TeamOrientedProgram, signature: tuple, commit: bool) -> s
     divisions (``_descend``) and added to each ancestor, candidates in
     position order, on locals that start at 0.0; every blocked mass is 0.0.
     It returns the live set too (``belief.BeliefState.live``): the leaves
-    under the signature's candidates, the same for every call, or None on a
-    team-mode program, whose states carry none.
+    under the signature's candidates, the same for every call.
     """
     initiated: dict[int, str | None] = {}
     terminated: dict[int, str | None] = {}
@@ -446,7 +509,7 @@ def evidence_source(p: TeamOrientedProgram, signature: tuple, commit: bool) -> s
     if commit:
         written = sorted(touched)
         tail.insert(0, " = ".join(f"a{i}" for i in written) + " = 0.0")
-        live = None if p.team_mode else tuple(i for i in written if not p.children_at[i])
+        live = tuple(i for i in written if not p.children_at[i])
         tail += [f"A = [0.0] * {len(p.plans)}", *(f"A[{i}] = a{i}" for i in written),
                  f"return A, [0.0] * {len(p.plans)}, {live!r}"]
     else:

@@ -29,7 +29,8 @@ modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
 layout's climb (``evidence_climbs``, which holds the walk of every rescale
 it runs); the compiled forward step (``forward``), one generated function
 that returns new lists, stepping list copies in the single-agent view and
-locals in team mode, and the leaves it can give mass to (``next_live``);
+locals in team mode, and the live-step table (``next_live``): the leaves
+it can give mass to, and a kernel generated for each hot live set;
 the compiled most-likely pick over each team's candidate leaves
 (``team_best_leaf``), one generated scan per leaf tuple; and the compiled
 evidence step (``evidence_functions``), one generated function per tick
@@ -41,7 +42,7 @@ transition records (``out_at``) name their plans by id.  A query answers
 with a leaf's position, and ``path_names`` gives its root path as plan
 names.  The generated code and its caches live in ``compiled``: the
 forward step's function is compiled once per distinct set of the fields it
-reads, the evidence and live-set tables are kept per such set, and a
+reads, the evidence and live-step tables are kept per such set, and a
 scan is compiled once per leaf tuple, each cache bounded and kept in that
 module, so programs equal in those fields (or in leaves) share one function
 and a hit generates no source; a source stays in ``linecache`` only while
@@ -539,6 +540,18 @@ class TeamOrientedProgram:
         kernel does not cap; rounding may leave one of its values an ulp
         above 1, and it is left as it is.
 
+        A hot live set steps by a kernel of its own (``next_live``,
+        ``compiled.forward_source(p, live)``): this function cut to the
+        blocks of the set's leaves and of the internal nodes their TERMINATE
+        edges reach, in the list shape in both modes.  A team-mode live
+        kernel caps only the entries its blocks add to and floors the
+        internal nodes it steps, so it equals this function on every state
+        whose leaves outside the set hold 0.0 and whose entries lie in
+        [0, 1], the states both layouts build.  On ``team_program(0)``, with
+        mass on every live leaf, it ran at 0.39x this function with 3 of 35
+        leaves live, 1.05x with 20 and 1.36x with 35, so a set of every
+        shedding leaf keeps this function.
+
         ``compiled._compile_forward`` generates the source
         (``compiled.forward_source``) only for fields not in its cache, and
         keeps it in ``linecache`` while its kernel is cached, for
@@ -550,8 +563,10 @@ class TeamOrientedProgram:
 
     @cached_property
     def next_live(self):
-        """Each live set mapped to the one after a forward step (``compiled.NextLive``),
-        shared like ``evidence_functions`` by every program with equal fields."""
+        """Each live set mapped to its forward step, the next live set and the
+        function that steps it: ``forward`` until the set is hot, then a
+        kernel generated for the set alone (``compiled.NextLive``).  Shared
+        like ``evidence_functions`` by every program with equal fields."""
         from .compiled import _next_live
         return _next_live(self.plans, self.transitions, self.root,
                           self.team_hierarchy.teams, self.team_mode)

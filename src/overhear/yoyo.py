@@ -7,13 +7,15 @@ by walking up to the common parent and rescaling the other teams' subtrees to
 the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
-A quiet tick is ``belief.propagate_forward``, and what a tick's messages
-are evidence for is ``belief.tick_evidence``: ``belief.evidence``'s masses
-from the tick signature's compiled function, which ``compiled`` generates
-on the signature's ``COMPILE_AT``-th use and caches per set of program
-fields (``belief.evidence`` runs until then).  This module commits that
-evidence and rescales, interpreted.  As in the array layout, a tick steps
-the state in place, replacing its ``act`` and ``blk`` with new lists.  The structure
+A quiet tick is ``belief.propagate_forward``, which steps the shared
+belief's live set (``BeliefState.live``) with the kernel compiled for it
+once it is hot.  What a tick's messages are evidence for is
+``belief.tick_evidence``: ``belief.evidence``'s masses from the tick
+signature's compiled function, which ``compiled`` generates on the
+signature's ``COMPILE_AT``-th use and caches per set of program fields
+(``belief.evidence`` runs until then).  This module commits that evidence
+and rescales, interpreted.  As in the array layout, a tick steps the state
+in place, replacing its ``act`` and ``blk`` with new lists.  The structure
 those steps follow is a program table like every other: each node's climb
 to the root (``evidence_climbs``), with the walk of every rescale the
 climb runs.  Only the mass arithmetic runs per tick, and every node these
@@ -29,16 +31,20 @@ between the two owners.
 This is the one layout that clips.  The evidence climb and the rescale do
 not conserve mass and can push a value above 1, so each such value is
 silently set to 1: on a quiet tick by the team-mode forward kernel itself,
-which caps every entry it returns (``TeamOrientedProgram.forward``), and
-on an evidence tick by ``_clamp_entries``, over the entries the tick
-wrote, at its end.  No value is ever below 0, so neither has a lower
+which caps every entry it returns (``TeamOrientedProgram.forward``), or a
+live set's kernel, which caps every entry its blocks add to, and on an
+evidence tick by ``_clamp_entries``, over the entries the tick wrote, at
+its end.  No value is ever below 0, so neither has a lower
 bound to enforce: the forward step keeps non-negative mass non-negative
 (its kernel floors the one place rounding could break that), and an
 evidence tick only adds, multiplies, divides and takes the max of
 non-negative values.  Capping only the written entries is exact.  An
 evidence tick builds its state on fresh zero tables and adds every entry
 it writes to its ``updated`` set, so every other entry is an exact 0.0,
-which a cap leaves as it is.  Every value a tick leaves is in [0, 1].
+which a cap leaves as it is.  Every value a tick leaves is in [0, 1], and
+every leaf outside the live set holds 0.0: an evidence tick sets the live
+set to the leaves among ``updated``.  On such states a live kernel equals
+the full one while capping only the entries it adds to.
 """
 
 from __future__ import annotations
@@ -91,14 +97,15 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     """Advance the shared belief one tick, in place.
 
     With no messages this is ``belief.propagate_forward`` alone, whose
-    team-mode kernel caps every value at 1.
+    team-mode kernels cap every value at 1.
     Otherwise the tick's messages are one observation (``belief.evidence``,
     run compiled by ``belief.tick_evidence``), committed at once on fresh
     lists: each mass propagates down its subtree, climbs toward the root,
     and triggers a cross-team rescale whenever the climb steps into a plan
     another team owns.  The climb's steps, and where it rescales, are the
     program's ``evidence_climbs``; each step raises the parent to at least
-    the child's mass.  The tick then clamps only the entries it wrote.
+    the child's mass.  The tick then clamps only the entries it wrote, and
+    its live set is the leaves among them.
     """
     if not msgs:
         propagate_forward(b, p, counter)
@@ -119,6 +126,8 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             if walk:
                 _rescale(walk, b, prior_active, prior_blocked, updated)
     _clamp_entries(b, updated)
+    children = p.children_at
+    b.live = tuple(sorted(i for i in updated if not children[i]))
 
 
 def _team_entry(table: dict, team: str):

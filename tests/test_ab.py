@@ -25,9 +25,20 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     monkeypatch.setattr(ab, "REPEATS", 1)
     monkeypatch.setattr(ab, "TICKS", 60)  # still quiet and evidence ticks in each replay
     sources = _generated()
+    calls = []
+    measure = ab.measure
+
+    def counted(side):
+        calls.append(side.harness.__package__)
+        return measure(side)
+
+    monkeypatch.setattr(ab, "measure", counted)
     start = time.perf_counter()
     report = ab.compare(ROOT, ROOT, rounds=2)
     assert time.perf_counter() - start < 5.0
+    # one untimed pass per side, then the timed rounds in alternating order
+    assert calls == ["ab_parent", "ab_change", "ab_parent", "ab_change", "ab_change",
+                     "ab_parent"]
     workloads = ("quiet_tick", "evidence_tick", "evaluate_run", "stream", "query")
     assert set(report) == {f"{layout}.{workload}" for layout in ab.LAYOUTS
                            for workload in workloads}

@@ -470,26 +470,26 @@ def _point_mass(p, x: int) -> list:
 
 
 def test_next_live_names_the_leaves_a_point_mass_steps_to():
-    # the table against the kernel: one step from each leaf's point mass
-    # gives mass to exactly the leaves the table adds
+    # the table against the kernel, in both modes: one step from each leaf's
+    # point mass gives mass to exactly the leaves the table adds
     for p in table_programs():
-        view = p.single_agent_view()
-        leaves = view.leaf_index
-        for x in leaves:
-            active, blocked = view.forward(_point_mass(view, x), list(view.zeros))
-            held = {y for y in leaves if active[y] or blocked[y]}
-            assert view.next_live[(x,)] == tuple(sorted(held | {x})), (p.root, x)
+        for q in (p, p.single_agent_view()):
+            leaves = q.leaf_index
+            for x in leaves:
+                active, blocked = q.forward(_point_mass(q, x), list(q.zeros))
+                held = {y for y in leaves if active[y] or blocked[y]}
+                assert q.next_live[(x,)][0] == tuple(sorted(held | {x})), (p.root, q, x)
 
 
 def test_next_live_of_a_set_is_the_union_of_its_leaves_steps():
     rng = random.Random(5)
     for p in table_programs():
-        view = p.single_agent_view()
-        for _ in range(5):
-            leaves = view.leaf_index
-            live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 6)))))
-            after = set().union(*(view.next_live[(x,)] for x in live))
-            assert view.next_live[live] == tuple(sorted(after))
+        for q in (p, p.single_agent_view()):
+            for _ in range(5):
+                leaves = q.leaf_index
+                live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 6)))))
+                after = set().union(*(q.next_live[(x,)][0] for x in live))
+                assert q.next_live[live][0] == tuple(sorted(after))
 
 
 def test_next_live_is_shared_by_fields_and_bounded(monkeypatch):
@@ -499,22 +499,19 @@ def test_next_live_is_shared_by_fields_and_bounded(monkeypatch):
     monkeypatch.setattr(compiled, "LIVE_SETS", 3)
     table = compiled.NextLive(view)
     for x in view.leaf_index[:7]:
-        assert table[(x,)] == view.next_live[(x,)]
+        assert table[(x,)][0] == view.next_live[(x,)][0]
         assert 1 <= len(table) <= 3
 
 
 def test_init_and_commits_set_the_live_set():
     p = team_program(0)
     view = p.single_agent_view()
-    assert init_beliefs(p).live is None
-    b = init_beliefs(view)
-    assert b.live == tuple(x for x in view.leaf_index if b.act[x])
     msg = ObservedMessage(3, "alpha1", "ALPHA", TERM, "phase-00")
-    apply_messages(b, [msg], view)  # a cold key: ``evidence`` and ``_commit_evidence``
-    assert b.live and b.live == tuple(x for x in view.leaf_index if b.act[x])
-    team = init_beliefs(p)
-    apply_messages(team, [msg], p)
-    assert team.live is None
+    for q in (p, view):  # both modes carry a live set
+        b = init_beliefs(q)
+        assert b.live == tuple(x for x in q.leaf_index if b.act[x])
+        apply_messages(b, [msg], q)  # a cold key: ``evidence`` and ``_commit_evidence``
+        assert b.live and b.live == tuple(x for x in q.leaf_index if b.act[x])
 
 
 @pytest.mark.parametrize("compile_at", [1, 10**9], ids=["compiled", "cold"])
@@ -523,6 +520,7 @@ def test_init_and_commits_set_the_live_set():
 def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, compile_at,
                                                                   monkeypatch):
     monkeypatch.setattr(compiled, "COMPILE_AT", compile_at)
+    monkeypatch.setattr(compiled, "LIVE_COMPILE_AT", compile_at)
     states = 0
     for _, rec, by_tick in sweep_replays(*key):
         view = rec.view

@@ -10,7 +10,7 @@ from overhear.cli import COMMANDS, build_parser, run_command
 from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
 from overhear import compiled
-from overhear.compiled import _compile_forward
+from overhear.compiled import _compile_forward, _key_program, _next_live
 from overhear.model import load_program_path
 from overhear.progen import flatten_mu
 from overhear.recognizer import make_recognizer
@@ -330,13 +330,16 @@ def test_evaluate_with_loss_and_model(tmp_path):
 
 def test_evaluate_runs_share_one_kernel(tmp_path):
     # each run builds a fresh comm-applied program; equal programs share one
-    # kernel, generated and compiled once per process
+    # kernel, generated and compiled once per process; the live-step table
+    # and the key program hold it, so fresh ones are the first to ask for it
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"
     assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0
     argv = ["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
             "--truth", str(trace_path), "--comm", str(model_path)]
     _compile_forward.cache_clear()
+    _next_live.cache_clear()
+    _key_program.cache_clear()
     for name in ("first.txt", "second.txt"):
         assert run_command([*argv, "--out", str(tmp_path / name)]) == 0
     assert _compile_forward.cache_info().misses == 1

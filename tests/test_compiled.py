@@ -1,16 +1,22 @@
-"""The compiled evidence step against its reference, ``belief.evidence``.
+"""The compiled evidence step against its reference, ``belief.evidence``,
+and each live set's forward kernel against the program's full kernel.
 
 ``belief.tick_evidence`` (the shared layout's evidence) and the array
 layout's compiled commit must give what the readable engine gives, bit for
 bit, on every evidence tick of every sweep corpus of ``test_digest``; and
-their tables must be bounded and keyed on program fields.  The equality
-tests compile every key on its first use (``COMPILE_AT`` 1), so no tick
-runs the interpreted step they compare with.
+their tables must be bounded and keyed on program fields.  Likewise a live
+kernel (``compiled.forward_source(p, live)``) must give what ``p.forward``
+gives on every state of those sweeps, in both layouts, and on planted
+tables with zeros outside the live set.  The equality tests compile every
+key and live set on its first use (``COMPILE_AT`` and ``LIVE_COMPILE_AT``
+1), so no tick runs the interpreted step or the full kernel they compare
+with.
 """
 
 import dataclasses
 import inspect
 import linecache
+import math
 import random
 
 import pytest
@@ -32,8 +38,9 @@ def _hex(masses: dict) -> list:
 
 @pytest.fixture
 def hot(monkeypatch):
-    """Every evidence key compiles on its first use."""
+    """Every evidence key and live set compiles on its first use."""
     monkeypatch.setattr(compiled, "COMPILE_AT", 1)
+    monkeypatch.setattr(compiled, "LIVE_COMPILE_AT", 1)
 
 
 def _reference_commit(b, p, m) -> tuple[list, list]:
@@ -212,3 +219,89 @@ def test_evidence_tables_are_bounded_and_release_their_sources(monkeypatch):
     assert [f in linecache.cache for f in files] == [True] + [False] * 3 + [True] * 5
     kernels.cache_clear()
     assert not any(f in linecache.cache for f in files)
+
+
+def _hexes(tables) -> list:
+    return [list(map(float.hex, table)) for table in tables]
+
+
+def _live_kernel(q, live):
+    """The function q's live-step table steps ``live`` with, compiled by a
+    first use (``hot``): the live kernel, or ``q.forward`` for a set that
+    holds every shedding leaf."""
+    table = q.next_live
+    table[live][1](list(q.zeros), list(q.zeros))
+    forward = table[live][1]
+    assert forward is q.forward or forward is table.kernels[live].function
+    return forward
+
+
+# entries of a planted table: exact 0 and 1, just below 1, subnormal
+_PLANTED = (0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, 2.0 ** -1060)
+
+
+def _planted_live(rng: random.Random, q, live) -> list:
+    """A table whose leaves outside ``live`` hold 0.0 and whose other
+    entries are ``_PLANTED`` values or uniform in [0, 1)."""
+    outside = set(q.leaf_index).difference(live)
+    return [0.0 if i in outside else rng.choice(_PLANTED) if rng.random() < 0.7
+            else rng.random() for i in range(len(q.node_ids))]
+
+
+@pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
+def test_live_kernels_equal_the_full_kernel_on_sweep_states_and_planted_tables(key, hot):
+    # every state a sweep replay steps, in both layouts, and for each live
+    # set the replay meets, planted tables that cap, floor and skip where
+    # no run does
+    corpus, mode, coherent = key
+    rng = random.Random("/".join(map(str, key)))
+    states = planted = 0
+    for _, rec, by_tick in sweep_replays(corpus, mode, coherent):
+        q, kernels = rec.p if mode == "yoyo" else rec.view, {}
+        for t in range(TICKS):
+            for b in [rec.belief] if mode == "yoyo" else rec.beliefs.values():
+                kernel = kernels.get(b.live)
+                if kernel is None:
+                    kernel = kernels[b.live] = _live_kernel(q, b.live)
+                    for _ in range(4):
+                        A, B = _planted_live(rng, q, b.live), _planted_live(rng, q, b.live)
+                        assert _hexes(kernel(A, B)) == _hexes(q.forward(A, B)), (key, b.live)
+                        planted += 1
+                assert _hexes(kernel(b.act, b.blk)) == _hexes(q.forward(b.act, b.blk)), (key, t)
+                states += 1
+            rec.step(by_tick.get(t, []))
+    assert states and planted
+
+
+def test_a_live_set_steps_by_the_full_kernel_until_its_compile_at_th_use(monkeypatch):
+    monkeypatch.setattr(compiled, "LIVE_COMPILE_AT", 3)
+    p = team_program(0)
+    for q in (p, p.single_agent_view()):
+        table = compiled.NextLive(q)
+        b = init_beliefs(q)
+        live, full = b.live, q.forward
+        for use in range(1, 5):
+            after, forward = table[live]
+            assert after == q.next_live[live][0] and (use < 3 or forward is not full)
+            assert _hexes(forward(b.act, b.blk)) == _hexes(full(b.act, b.blk))
+            assert len(table.kernels) == (use >= 3)
+        kernel = table.kernels[live]
+        assert table[live][1] is kernel.function
+        assert inspect.getsource(kernel.function) == compiled.forward_source(q, live)
+        # a set of every shedding leaf keeps the full kernel
+        assert table[q.leaf_index] == (q.leaf_index, full)
+
+
+def test_live_kernels_are_dropped_with_a_full_table(monkeypatch):
+    monkeypatch.setattr(compiled, "LIVE_COMPILE_AT", 1)
+    monkeypatch.setattr(compiled, "LIVE_SETS", 3)
+    view = team_program(0).single_agent_view()
+    table = compiled.NextLive(view)
+    entries = []  # each kernel's ``linecache`` entry, which a later kernel's name may reuse
+    for x in view.leaf_index[:5]:
+        table[(x,)][1](list(view.zeros), list(view.zeros))
+        kernel = table.kernels[(x,)]
+        entries.append((kernel.filename, kernel.entry))
+        assert len(table) <= 3 and table.kernels.keys() <= table.keys()
+    del kernel
+    assert [linecache.cache.get(f) is e for f, e in entries] == [False] * 3 + [True] * 2

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from overhear import compiled, yoyo
 from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
                              propagate_forward)
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
@@ -16,6 +17,7 @@ from overhear.sim import SimConfig, simulate
 from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
 from conftest import brute_leaves
+from test_digest import SWEEP_SHA256, TICKS, sweep_replays
 
 
 def _two_team_doc():
@@ -377,7 +379,7 @@ def test_quiet_tick_visits_bounded():
 def test_quiet_ticks_reuse_groups_and_kernels():
     # every derived table is a cached property of the program or its team
     # hierarchy, kept in the instance's __dict__; one warm-up tick and one
-    # query per unit build the groups, the forward kernel, the path and
+    # query per unit build the groups, the live-step table, the path and
     # team-leaf tables, and 50 more queried quiet ticks in any layout must
     # neither add a table nor replace one
     tp = team_program(0)
@@ -394,7 +396,7 @@ def test_quiet_ticks_reuse_groups_and_kernels():
         warm.append(query(rec))
     programs = [tp] + [rec.view for rec in recognizers[1:]]
     for q in programs:
-        assert {"forward", "groups_at", "name_paths_at", "leaves_by_team"} <= set(vars(q))
+        assert {"next_live", "groups_at", "name_paths_at", "leaves_by_team"} <= set(vars(q))
     owners = [o for q in programs for o in (q, q.team_hierarchy)]
     tables = [dict(vars(o)) for o in owners]
     for rec, first in zip(recognizers, warm):
@@ -502,3 +504,35 @@ def test_evidence_tick_does_not_depend_on_string_hashing():
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("compile_at", [1, 10**9], ids=["compiled", "cold"])
+@pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1] == "yoyo"],
+                         ids=lambda key: "/".join(map(str, key)))
+def test_every_yoyo_tick_keeps_the_live_kernels_conditions(key, compile_at, monkeypatch):
+    # a live kernel equals the full one on states whose leaves outside the
+    # live set hold exactly 0.0 and whose entries lie in [0, 1]; every
+    # quiet and evidence tick of the sweep leaves such a state
+    monkeypatch.setattr(compiled, "COMPILE_AT", compile_at)
+    monkeypatch.setattr(compiled, "LIVE_COMPILE_AT", compile_at)
+    written = []  # what each evidence tick wrote, ``updated``
+    clamp = yoyo._clamp_entries
+    monkeypatch.setattr(yoyo, "_clamp_entries",
+                        lambda state, keys: written.append(set(keys)) or clamp(state, keys))
+    states = 0
+    for _, rec, by_tick in sweep_replays(*key):
+        p, b = rec.p, rec.belief
+        for t in range(TICKS):
+            written.clear()
+            rec.step(by_tick.get(t, []))
+            live = b.live
+            assert type(live) is tuple and list(live) == sorted(set(live))
+            assert set(live) <= set(p.leaf_index)
+            if written:  # an evidence tick: the leaves it wrote
+                assert live == tuple(i for i in p.leaf_index if i in written[0]), (key, t)
+            outside = set(p.leaf_index).difference(live)
+            assert all(b.act[i] == b.blk[i] == 0.0 for i in outside), (key, t)
+            assert all(0.0 <= v <= 1.0 for v in b.act + b.blk), (key, t)
+            states += 1
+    assert states
+

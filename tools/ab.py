@@ -26,9 +26,14 @@ workload is built from each side's own modules:
   ``path`` on each tick's states, timed apart from the step, so the query
   layer has a ratio of its own.
 
-The sides run in alternating order for ``--rounds`` rounds, each workload
-best of ``REPEATS`` per round (per tick for ``stream`` and ``query``).  For
-each workload the report gives each side's minimum, the median of the
+Each side first runs every workload once, untimed, so that the timed
+rounds step warm keys and live sets: every compile cache is keyed on
+program fields, and a key compiles on its ``compiled.COMPILE_AT``-th use
+and a live set on its ``compiled.LIVE_COMPILE_AT``-th, so without this
+pass the first rounds would run them interpreted or on the full kernel.  The sides then run in
+alternating order for ``--rounds`` rounds, each workload best of
+``REPEATS`` per round (per tick for ``stream`` and ``query``).  For each
+workload the report gives each side's minimum, the median of the
 per-round ratios change/parent, the rounds the change won, and whether
 both sides gave equal outputs (the replay's final states, the rendered
 report, the answers).  Both sides share one interpreter, allocator and
@@ -168,6 +173,8 @@ def compare(parent: Path, change: Path, rounds: int = 20) -> dict:
     samples: dict = {}
     try:
         sides = (Side(parent, "ab_parent"), Side(change, "ab_change"))
+        for side in sides:  # untimed: warm each side's keys and live sets
+            measure(side)
         for r in range(rounds):
             order = (0, 1) if r % 2 == 0 else (1, 0)
             got = {i: measure(sides[i]) for i in order}
