@@ -21,22 +21,32 @@ at a time (``apply_messages``), each with a generated function that also
 writes the commit as straight-line code, or while cold with ``evidence``
 and ``_commit_evidence``.
 
-A state holds the two masses as plain lists, ``act`` and ``blk``, with one
+A state holds the two masses as two tables, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
 position (``TeamOrientedProgram.index``) and reads only the program's
 position-keyed tables.  A query returns a leaf's position too, which
 ``TeamOrientedProgram.path_names`` turns into plan names.  Node ids appear
 only at the document boundary: ``BeliefState.active`` and ``.blocked`` are
-read-only id-keyed snapshots of the lists (``b.active["p12"]``), for
+read-only id-keyed snapshots of the tables (``b.active["p12"]``), for
 readers outside the engine.
 
 Both layouts step a state in place.  ``init_beliefs`` alone builds one;
 ``propagate_forward``, ``apply_messages``, ``array_overseer_tick`` and
-``yoyo.yoyo_tick`` replace its ``act`` and ``blk`` with new lists and
+``yoyo.yoyo_tick`` replace its ``act`` and ``blk`` with new tables and
 return None, so a caller holds one state object for the whole run and
-copies the lists to keep a tick's masses.  Each checks every message (its
-team and its plan) before it replaces any list, so a step that raises
-leaves every state as it was.
+keeps a tick's masses by keeping its tables.  Each checks every message
+(its team and its plan) before it replaces any table, so a step that
+raises leaves every state as it was.
+
+The shared layout's tables are lists.  The array layout's are tuples,
+shared among agents and never written: ``array_overseer_tick``'s quiet
+step, ``apply_messages`` and ``most_likely_state`` look a state up in the
+program's step memo (``compiled.StepMemo``, ``p.next_live.memo``) by the
+identity of its tuples, so a step or query taken before from the same
+state is one dict lookup.  A commit result is interned by its exact bits,
+so agents that commit to equal values share one pair of tuples, and a
+state stepped from lists (a fresh ``init_beliefs``, a hand-built state)
+joins them the same way.  A state whose live set is None skips the memo.
 
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
@@ -117,9 +127,11 @@ class BeliefState:
 
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
     ``node_ids`` order; ``index`` is the program's node id -> position table.
-    A step replaces both lists with new ones.  ``active`` and ``blocked``
-    are read-only snapshots of the two lists keyed by node id, built on each
-    read, so a later step or write shows only in a later read.
+    A step replaces both tables with new ones: lists in the shared (yoyo)
+    layout, and in the array layout tuples that agents share and no one
+    writes, the step memo's keys.  ``active`` and ``blocked`` are read-only
+    snapshots of the two tables keyed by node id, built on each read, so a
+    later step or write shows only in a later read.
 
     ``live`` is a sorted tuple of leaf positions outside which every leaf's
     ``act`` and ``blk`` entry is exactly 0.0, so a query reads only those
@@ -129,8 +141,8 @@ class BeliefState:
     writer that puts mass on a leaf outside ``live`` must set it to None.
     """
 
-    act: list[float]
-    blk: list[float]
+    act: list[float] | tuple[float, ...]
+    blk: list[float] | tuple[float, ...]
     index: dict[str, int] = field(repr=False, compare=False)
     live: tuple[int, ...] | None = field(default=None, compare=False)
 
@@ -321,18 +333,62 @@ def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedP
 def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
     """Commit each of ``_message_keys``' messages into b, one at a time.
 
-    A message runs its key's compiled commit, ``evidence`` of the message
-    alone committed as one function of the prior blocked list that also
-    returns the key's live set, or while the key is cold ``evidence`` and
-    ``_commit_evidence``.
+    A commit reads only the prior blocked table, so one taken before from
+    the same tuple is a lookup in ``p.next_live.memo`` (``compiled.StepMemo``).
+    Otherwise the message runs its key's compiled commit, ``evidence`` of
+    the message alone committed as one function of the prior blocked list
+    that also returns the key's live set, or while the key is cold
+    ``evidence`` and ``_commit_evidence``; the result is interned, and
+    stored when the prior state holds tuples.  A state whose live set is
+    None skips the memo and keeps the lists the commit returns.
     """
-    commit = p.evidence_functions.commit
+    memo = p.next_live.memo
     for m, key in keyed:
-        compiled = commit(key)
+        blk, live = b.blk, b.live
+        hit = memo.commit.get((id(blk), key))
+        if hit is not None and hit[0] is blk and live is not None:
+            b.act, b.blk, b.live = hit[1]
+            continue
+        compiled = p.evidence_functions.commit(key)
         if compiled:
-            b.act, b.blk, b.live = compiled(b.blk)
+            b.act, b.blk, b.live = compiled(blk)
         else:
             _commit_evidence(b, evidence(b, p, [m]), p)
+        if live is not None:
+            memo.misses["commit"] += 1
+            step = (*memo.intern(b.act, b.blk), b.live)
+            b.act, b.blk, b.live = step
+            if type(blk) is tuple:
+                memo.store(memo.commit, (id(blk), key), (blk, step))
+
+
+def _is_tuples(b: BeliefState) -> bool:
+    return type(b.act) is tuple and type(b.blk) is tuple
+
+
+def _quiet_step(b: BeliefState, p: TeamOrientedProgram):
+    """The array layout's quiet step of b when ``p.next_live.memo`` holds none.
+
+    It is ``propagate_forward``'s step, bit for bit, as tuples.  From a
+    state of tuples it is stored, and needs no interning, as its source is
+    already one value; from lists (a fresh ``init_beliefs``, a hand-built
+    state) it is interned instead.  A state whose live set is None steps by
+    ``propagate_forward`` and keeps lists.
+    """
+    if b.live is None:
+        propagate_forward(b, p)
+        return
+    memo = p.next_live.memo
+    act, blk = b.act, b.blk
+    after, forward = p.next_live[b.live]
+    new_act, new_blk = forward(act, blk)
+    memo.misses["quiet"] += 1
+    if _is_tuples(b):
+        step = (tuple(new_act), tuple(new_blk), after)
+        memo.store(memo.quiet, id(act), (act, blk, step))
+    else:
+        step = (*memo.intern(new_act, new_blk), after)
+    b.act, b.blk, b.live = step
 
 
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
@@ -396,12 +452,22 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     beats a pick, so the answer is that of a pick over every leaf.
     ``p.path_names`` of the answer is its root path of plan names.  Raises
     on a state with no mass on any leaf.
+
+    An answer read before off the same tuples is looked up in
+    ``p.next_live.memo``; an answer off tuples with a live set is stored.
     """
     act, blk = b.act, b.blk
+    memo = p.next_live.memo
+    hit = memo.best.get(id(act))
+    if hit is not None and hit[0] is act and hit[1] is blk:
+        return hit[2]
     live = p.leaf_index if b.live is None else b.live
     if live:
         best = pick_leaf(live, act, blk)
         if act[best] + blk[best] > 0.0:
+            if b.live is not None and _is_tuples(b):
+                memo.misses["best"] += 1
+                memo.store(memo.best, id(act), (act, blk, best))
             return best
     raise MonitoringError("belief state carries no mass on any leaf")
 
@@ -429,6 +495,11 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
     place; ``programs`` maps agent name to that agent's plan view.  Every
     message is routed and checked before any state is stepped, so a tick
     that raises leaves every state as it was.
+
+    A quiet step taken before from the same tuples is looked up in the
+    program's step memo (``p.next_live.memo``), and any other runs
+    ``_quiet_step``.  The counter still takes every node of the program
+    per quiet step of each agent, looked up or computed.
     """
     inbox: dict[str, list[ObservedMessage]] = {}
     for m in msgs:
@@ -440,8 +511,19 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
             inbox.setdefault(agent, []).append(m)
     keyed = {agent: _message_keys(programs[agent], inbox[agent])
              for agent in beliefs if agent in inbox} if inbox else {}
+    last = None
     for agent, b in beliefs.items():
+        p = programs[agent]
         if agent in keyed:
-            _commit_messages(b, programs[agent], keyed[agent])
+            _commit_messages(b, p, keyed[agent])
+            continue
+        if p is not last:  # agents mostly share one program
+            last, quiet, nodes = p, p.next_live.memo.quiet, len(p.postorder)
+        if counter is not None:
+            counter.visits += nodes
+        act = b.act
+        hit = quiet.get(id(act))
+        if hit is not None and hit[0] is act and hit[1] is b.blk and b.live is not None:
+            b.act, b.blk, b.live = hit[2]
         else:
-            propagate_forward(b, programs[agent], counter)
+            _quiet_step(b, p)

@@ -22,7 +22,9 @@ source.  A source stays in ``linecache`` only while its function is cached.
   follows the forward step's rules, and to the function that steps it:
   the full kernel until the set's ``LIVE_COMPILE_AT``-th use, then the
   set's live kernel, ``forward_source(p, live)``, which holds only the
-  blocks the set's leaves can run, on list copies in either mode.
+  blocks the set's leaves can run, on list copies in either mode.  The
+  table also carries the array layout's step memo (``StepMemo``), whose
+  states are shared immutable tuples; the shared layout's stay lists.
 - ``_compile_scan``: the most-likely pick rule over a leaf tuple, each
   team's candidate leaves in ``TeamOrientedProgram.team_best_leaf``.
 - ``_evidence_table`` and ``evidence_source``: the evidence step,
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import linecache
 import re
+from array import array
 from functools import lru_cache
 from itertools import count
 
@@ -67,6 +70,8 @@ LIVE_SETS = 1024
 # one compile.  At ``COMPILE_AT`` a one-shot solo-11-array ``evaluate``
 # compiled 9 sets that its later uses never repaid.
 LIVE_COMPILE_AT = 256
+# The entries each table of a ``StepMemo`` holds before it starts over.
+MEMO_STATES = 4096
 
 
 class _Kernel:
@@ -235,6 +240,63 @@ def forward_source(p: TeamOrientedProgram, live: tuple[int, ...] | None = None) 
     return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
 
+class StepMemo:
+    """The array layout's steps of states already met, one entry per step.
+
+    An array-layout state (``belief.BeliefState``) holds its two tables as
+    tuples, which no step writes, so a state is a value and a step taken
+    from it once is a lookup after.  Each entry holds its key's tuples, so
+    no other object takes their id while it is a key, and a hit checks
+    ``is`` on them:
+
+    - ``quiet[id(act)]`` is ``(act, blk, (act', blk', live'))``, the
+      forward step of the state ``(act, blk)`` and its next live set;
+    - ``commit[(id(blk), key)]`` is ``(blk, (act', blk', live'))``, the
+      commit of one message, ``key`` its ``(kind, plan, team)``, which
+      reads only the prior blocked table;
+    - ``best[id(act)]`` is ``(act, blk, leaf)``, the most-likely leaf;
+    - ``interned`` maps the exact bits of a pair of tables to one pair of
+      tuples.  Commit results, and steps taken from lists, are interned, so
+      agents that start equal, or commit to equal values, share one pair
+      and step once; ``0.0`` and ``-0.0`` would be two keys, and no engine
+      state holds ``-0.0``.
+
+    A stored step is one the engine computed from the same values.  Its
+    live set may come from another route to those values (a cold commit's
+    is a subset of the compiled one's); any such set is valid for them.
+    Every table holds at most ``MEMO_STATES`` entries; a store into a full
+    one clears all four and counts an eviction.  ``misses`` counts the
+    steps computed and stored, by table; a hit counts nothing.
+    """
+
+    __slots__ = ("quiet", "commit", "best", "interned", "misses", "evictions")
+
+    def __init__(self):
+        self.quiet: dict[int, tuple] = {}
+        self.commit: dict[tuple, tuple] = {}
+        self.best: dict[int, tuple] = {}
+        self.interned: dict[bytes, tuple] = {}
+        self.misses = dict.fromkeys(("quiet", "commit", "best"), 0)
+        self.evictions = 0
+
+    def store(self, table: dict, key, entry):
+        """``table[key] = entry``, first clearing every table if ``table`` is full."""
+        if len(table) >= MEMO_STATES:
+            for full in (self.quiet, self.commit, self.best, self.interned):
+                full.clear()
+            self.evictions += 1
+        table[key] = entry
+
+    def intern(self, act, blk) -> tuple[tuple, tuple]:
+        """The one pair of tuples holding the exact bits of ``act`` and ``blk``."""
+        bits = array("d", act).tobytes() + array("d", blk).tobytes()
+        pair = self.interned.get(bits)
+        if pair is None:
+            pair = (tuple(act), tuple(blk))
+            self.store(self.interned, bits, pair)
+        return pair
+
+
 class NextLive(dict):
     """Each live set mapped to its forward step: the next live set, and the
     function that steps a state holding it.
@@ -268,6 +330,9 @@ class NextLive(dict):
     ``team_program(0)``, whose messages are sparser, about 400.  Every
     entry is a function of the fields and its key, so threads that fill
     or compile one entry at once store equal steps.
+
+    ``memo`` is the array layout's ``StepMemo`` for these fields; it has a
+    bound of its own and outlives a clear of the live sets.
     """
 
     def __init__(self, p: TeamOrientedProgram):
@@ -293,6 +358,7 @@ class NextLive(dict):
         self.writes = {i: frozenset(sends(i)) for i in p.leaf_index if hazard(p.plans[i].rate)}
         self.p = p
         self.kernels: dict[tuple[int, ...], _Kernel] = {}  # what keeps each live kernel's source
+        self.memo = StepMemo()
 
     def __missing__(self, live: tuple[int, ...]) -> tuple:
         if len(self) >= LIVE_SETS:

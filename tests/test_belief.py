@@ -624,7 +624,7 @@ def test_a_failing_array_tick_steps_no_state():
     bad = ObservedMessage(5, "alpha3", "ALPHA", TERM, "no-such-plan")
     msgs = [ObservedMessage(5, "alpha1", "ALPHA", TERM, "phase-00"), bad]
     lists = {a: (b.act, b.blk) for a, b in beliefs.items()}
-    values = {a: (list(act), list(blk)) for a, (act, blk) in lists.items()}
+    values = {a: (tuple(act), tuple(blk)) for a, (act, blk) in lists.items()}
     with pytest.raises(MonitoringError) as info:
         array_overseer_tick(beliefs, programs, msgs)
     with pytest.raises(MonitoringError) as reference:

@@ -24,15 +24,27 @@ workload is built from each side's own modules:
   in-process counterpart of perfbench's ``tick_p50_us``;
 - ``<layout>.query``: the queries of that same replay alone, every unit's
   ``path`` on each tick's states, timed apart from the step, so the query
-  layer has a ratio of its own.
+  layer has a ratio of its own;
+- ``<layout>.online``: the on-line case, a run that never repeats.  Each
+  round simulates a fresh run of ``ONLINE_TICKS`` ticks with a new seed,
+  clears every compile cache of the side's ``compiled`` module (and with
+  them the array layout's step memo, which hangs on a cached table), loads
+  the program afresh and replays the run once: each tick's step and every
+  unit's ``path``.  ``array.online_1011`` does the same for the array
+  layout on ``grow_team(team_program(0), CROWD)``, 1,011 agents, over
+  ``TICKS`` ticks.  After the table the report prints, per side and online
+  workload of the last round, the step memo's hit rates (where the side
+  has one) and the live kernels and evidence functions the replay compiled.
 
 Each side first runs every workload once, untimed, so that the timed
 rounds step warm keys and live sets: every compile cache is keyed on
 program fields, and a key compiles on its ``compiled.COMPILE_AT``-th use
 and a live set on its ``compiled.LIVE_COMPILE_AT``-th, so without this
-pass the first rounds would run them interpreted or on the full kernel.  The sides then run in
-alternating order for ``--rounds`` rounds, each workload best of
-``REPEATS`` per round (per tick for ``stream`` and ``query``).  For each
+pass the first rounds would run them interpreted or on the full kernel.
+The sides then run in alternating order for ``--rounds`` rounds, each
+workload best of ``REPEATS`` per round (per tick for ``stream`` and
+``query``), and then, as each online replay clears the caches the others
+keep warm, ``--rounds`` rounds of the online workloads alone.  For each
 workload the report gives each side's minimum, the median of the
 per-round ratios change/parent, the rounds the change won, and whether
 both sides gave equal outputs (the replay's final states, the rendered
@@ -56,6 +68,12 @@ LAYOUTS = ("yoyo", "array")
 REPEATS = 3
 # Ticks of each replayed run.
 TICKS = 300
+# Ticks of each online run, and the first online run's seed; a round adds
+# its number, so each round replays a run no round met before.
+ONLINE_TICKS = 3000
+ONLINE_SEED = 1000
+# Agents ``array.online_1011`` adds to team_program(0)'s 11.
+CROWD = 1000
 
 
 def load_tree(tree: Path, name: str):
@@ -83,8 +101,8 @@ class Side:
     def __init__(self, tree: Path, name: str):
         load_tree(tree, name)
         mod = {m: importlib.import_module(f"{name}.{m}")
-               for m in ("harness", "ingest", "model", "progen", "recognizer", "sim",
-                         "social")}
+               for m in ("compiled", "harness", "ingest", "model", "progen", "recognizer",
+                         "sim", "social")}
         self.__dict__.update(mod)
         base = self.progen.team_program(0)
         self.text = self.model.serialize_program(base)
@@ -141,6 +159,57 @@ class Side:
                 answers.append(paths)
         return statistics.median(best), statistics.median(best_query), answers
 
+    def online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None):
+        """(seconds, every answer and the final states, counts) of one cold
+        replay of a fresh run: ``ONLINE_TICKS`` ticks, or ``ticks``, of
+        ``team_program(0)`` grown by ``crowd`` agents."""
+        ticks = ticks or ONLINE_TICKS
+        team_mode = layout == "yoyo"
+
+        def program():
+            p = self.model.load_program(self.text, team_mode=team_mode)
+            return self.progen.grow_team(p, crowd) if crowd else p
+
+        _, log = self.sim.simulate(program(), self.sim.SimConfig(seed=seed, ticks=ticks,
+                                                                 team_mode=team_mode))
+        for cached in vars(self.compiled).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        rec = self.recognizer.make_recognizer(program(), layout)
+        by_tick = self.ingest.messages_by_tick(log)
+        answers = []
+        clock = time.perf_counter
+        start = clock()
+        for t in range(1, ticks):
+            rec.step(by_tick.get(t, []))
+            answers.append([rec.path(u) for u in rec.units])
+        seconds = clock() - start
+        states = [rec.belief] if team_mode else rec.beliefs.values()
+        answers.append([v for b in states for v in (*b.act, *b.blk)])
+        return seconds, answers, self.counts(rec, by_tick, ticks)
+
+    def counts(self, rec, by_tick, ticks: int) -> dict:
+        """What one replay of ``rec`` compiled, and the hit rates of the
+        array layout's step memo where this side has one: of the quiet
+        steps, the commits (one per message and recipient) and the queries,
+        the share that no step computed."""
+        q = rec.p if isinstance(rec, self.recognizer.SharedRecognizer) else rec.view
+        tables = q.evidence_functions
+        out = {"live kernels": len(q.next_live.kernels),
+               "evidence functions": sum(tier.kernel.cache_info().currsize
+                                         for tier in (tables.step, tables.commit))}
+        memo = getattr(q.next_live, "memo", None)
+        if memo is None or isinstance(rec, self.recognizer.SharedRecognizer):
+            return out
+        steps = {"quiet": rec.counter.visits // len(q.postorder),
+                 "commit": sum(len(rec.recipients(m)) for t in range(1, ticks)
+                               for m in by_tick.get(t, ())),
+                 "best": len(rec.units) * (ticks - 1)}
+        for kind, n in steps.items():
+            out[f"{kind} hits"] = 1.0 - memo.misses[kind] / n if n else None
+        out["evictions"] = memo.evictions
+        return out
+
     def evaluate(self, layout: str):
         """(seconds, rendered report)."""
         trace, log, comm = self.runs[layout]
@@ -166,6 +235,14 @@ def measure(side: Side) -> dict:
     return out
 
 
+def measure_online(side: Side, seed: int) -> dict:
+    """Each online workload's one time on the run of ``seed``, its output
+    and its counts."""
+    out = {f"{layout}.online": side.online(layout, seed) for layout in LAYOUTS}
+    out["array.online_1011"] = side.online("array", seed, CROWD, TICKS)
+    return out
+
+
 def compare(parent: Path, change: Path, rounds: int = 20) -> dict:
     """Per workload: each side's minimum seconds, the median and the range
     of the change/parent ratios, the rounds the change won, and whether
@@ -175,13 +252,17 @@ def compare(parent: Path, change: Path, rounds: int = 20) -> dict:
         sides = (Side(parent, "ab_parent"), Side(change, "ab_change"))
         for side in sides:  # untimed: warm each side's keys and live sets
             measure(side)
-        for r in range(rounds):
-            order = (0, 1) if r % 2 == 0 else (1, 0)
-            got = {i: measure(sides[i]) for i in order}
-            for name in got[0]:
-                samples.setdefault(name, []).append((got[0][name], got[1][name]))
+        # the online rounds last, as each clears the caches the others keep warm
+        phases = (lambda side, r: measure(side),
+                  lambda side, r: measure_online(side, ONLINE_SEED + r))
+        for phase in phases:
+            for r in range(rounds):
+                order = (0, 1) if r % 2 == 0 else (1, 0)
+                got = {i: phase(sides[i], r) for i in order}
+                for name in got[0]:
+                    samples.setdefault(name, []).append((got[0][name], got[1][name]))
     finally:
-        sides = got = None
+        sides = side = got = None
         unload("ab_parent")
         unload("ab_change")
     report = {}
@@ -193,6 +274,8 @@ def compare(parent: Path, change: Path, rounds: int = 20) -> dict:
                         "ratio_range": (min(ratios), max(ratios)),
                         "wins": sum(x < 1.0 for x in ratios), "rounds": len(ratios),
                         "equal": all(a[1] == c[1] for a, c in pairs)}
+        if len(pairs[-1][0]) > 2:  # an online workload's counts, of the last round
+            report[name]["counts"] = (pairs[-1][0][2], pairs[-1][1][2])
     return report
 
 
@@ -211,6 +294,11 @@ def main(argv=None) -> int:
         print(f"{name:24} {r['parent_min'] * scale:8.2f} {unit} {r['change_min'] * scale:8.2f} "
               f"{unit} {r['median_ratio']:6.3f} {lo:6.3f}-{hi:5.3f} "
               f"{r['wins']:>3}/{r['rounds']:<2} {r['equal']}")
+    for name, r in report.items():
+        for side, counts in zip(("parent", "change"), r.get("counts", ())):
+            print(f"{name} {side}: " + ", ".join(
+                f"{k} {v:.1%}" if isinstance(v, float) else f"{k} {v}"
+                for k, v in counts.items()))
     return 0
 
 
