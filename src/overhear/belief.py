@@ -38,15 +38,17 @@ keeps a tick's masses by keeping its tables.  Each checks every message
 (its team and its plan) before it replaces any table, so a step that
 raises leaves every state as it was.
 
-The shared layout's tables are lists.  The array layout's are tuples,
-shared among agents and never written: ``array_overseer_tick``'s quiet
-step, ``apply_messages`` and ``most_likely_state`` look a state up in the
-program's step memo (``compiled.StepMemo``, ``p.next_live.memo``) by the
-identity of its tuples, so a step or query taken before from the same
-state is one dict lookup.  A commit result is interned by its exact bits,
-so agents that commit to equal values share one pair of tuples, and a
-state stepped from lists (a fresh ``init_beliefs``, a hand-built state)
-joins them the same way.  A state whose live set is None skips the memo.
+In both layouts a stepped state's tables are tuples, which no step
+writes and states may share.  Every step and query looks a state up in
+the program's step memo (``compiled.StepMemo``, ``p.next_live.memo``) by
+the identity of its tuples, so one taken before from the same state is one
+dict lookup: the quiet step of both layouts (``quiet_step``), the array
+layout's commits (``apply_messages``) and ``most_likely_state``, and the
+shared layout's evidence tick and team query (``yoyo``).  An evidence
+result is interned by its exact bits, so states that commit to equal
+values share one pair of tuples, and a state stepped from lists (a fresh
+``init_beliefs``, a hand-built state) joins them the same way.  A state
+whose live set is None skips the memo and keeps lists.
 
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
@@ -59,21 +61,20 @@ mass and returns two new lists.  The single-agent view's kernel steps
 copies of the prior lists and tests each leaf's prior mass; a team-mode
 kernel unpacks both lists into locals and returns two list displays, as
 it must cap every entry it returns.  ``propagate_forward`` calls it, and
-is the quiet tick of both layouts.
+is the memo-free reference of ``quiet_step``.
 
 Every state the engine builds carries its live set
 (``BeliefState.live``), the leaves outside which every leaf holds exactly
-0.0.  ``init_beliefs`` takes it from ``p.initial``, ``propagate_forward``
+0.0.  ``init_beliefs`` takes it from ``p.initial``, the forward step
 steps it with the program's ``next_live`` table (which follows the
 kernel's rules), each array commit sets it to the leaves under the
 committed candidates, and ``yoyo.yoyo_tick`` to the leaves its evidence
 wrote.  Whatever else puts mass on a leaf outside the set must set it to
 None, which means every leaf.  A message resets a belief to a point mass
-or a few, so the set stays short: on ``solo-11-array`` a median of 1 and
-at most 5 of 35 leaves, on ``mission-11-yoyo`` a median of 3 and at most
-9.  Once a set is hot, ``next_live`` steps it with a kernel generated for
-the set alone (``compiled.NextLive``), which runs only its leaves' blocks
-and those of the nodes they feed.  A most-likely query
+or a few, so the set stays short.  Once a set is hot, ``next_live``
+steps it with a kernel generated for the set alone
+(``compiled.NextLive``), which runs only its leaves' blocks and those of
+the nodes they feed.  A most-likely query
 (``most_likely_state``) runs the pick rule (``pick_leaf``) over the live
 set alone, interpreted; a leaf outside it holds 0.0, which never beats
 the pick, so it answers as a scan of every leaf would.  The shared
@@ -109,11 +110,12 @@ class MonitoringError(ValueError):
 
 
 class VisitCounter:
-    """Counts the node visits of forward steps (scalability probes).
+    """Counts the node visits of quiet steps (scalability probes).
 
     A step adds the nodes it covers, every node of the program, not the
     tests it runs: a live kernel runs the blocks of a few leaves and
-    counts the same as the full kernel."""
+    counts the same as the full kernel, and a step looked up in the step
+    memo the same as one computed."""
 
     __slots__ = ("visits",)
 
@@ -127,9 +129,9 @@ class BeliefState:
 
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
     ``node_ids`` order; ``index`` is the program's node id -> position table.
-    A step replaces both tables with new ones: lists in the shared (yoyo)
-    layout, and in the array layout tuples that agents share and no one
-    writes, the step memo's keys.  ``active`` and ``blocked`` are read-only
+    In either layout a step replaces both tables with tuples that states
+    may share and no one writes, the step memo's keys (lists, for a state
+    whose live set is None).  ``active`` and ``blocked`` are read-only
     snapshots of the two tables keyed by node id, built on each read, so a
     later step or write shows only in a later read.
 
@@ -137,7 +139,7 @@ class BeliefState:
     ``act`` and ``blk`` entry is exactly 0.0, so a query reads only those
     leaves and the forward step runs only their blocks; it may name leaves
     without mass.  None means every leaf, and only a hand-built state
-    carries it.  Each engine step that replaces the lists keeps it; a
+    carries it.  Each engine step that replaces the tables keeps it; a
     writer that puts mass on a leaf outside ``live`` must set it to None.
     """
 
@@ -229,13 +231,25 @@ def _message_keys(p: TeamOrientedProgram, msgs) -> list[tuple]:
     (``_resolve_message_team``), so the single-agent view never reads a
     sender.  Raises ``evidence``'s ``MonitoringError`` for the first
     message whose team or plan is unknown, checked in ``evidence``'s order.
+
+    A key resolved without the sender is kept in ``p.next_live.memo.keys``
+    by the message's ``(kind, plan, team)``, so a later message with the
+    same fields is one lookup.  The memo is shared by programs whose agents
+    differ, so a team taken from the sender is resolved every time.
     """
-    named, keyed = p.named_index, []
-    for m in sorted(msgs, key=_message_order):
-        team = _resolve_message_team(m, p)
-        if m.plan not in named:
-            raise _unknown_plan(m)
-        keyed.append((m, (m.kind, m.plan, team)))
+    memo = p.next_live.memo
+    known, named, keyed = memo.keys, p.named_index, []
+    for m in sorted(msgs, key=_message_order) if len(msgs) > 1 else msgs:
+        fields = (m.kind, m.plan, m.team)
+        key = known.get(fields)
+        if key is None:
+            team = _resolve_message_team(m, p)
+            if m.plan not in named:
+                raise _unknown_plan(m)
+            key = (m.kind, m.plan, team)
+            if team is None or team == m.team:
+                memo.store(known, fields, key)
+        keyed.append((m, key))
     return keyed
 
 
@@ -296,15 +310,23 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     return scratch
 
 
-def tick_evidence(b: BeliefState, p: TeamOrientedProgram, msgs: list) -> dict[int, float]:
+def tick_signature(p: TeamOrientedProgram, msgs) -> tuple:
+    """The keys of a tick's ``_message_keys``, in order: what its evidence reads of it."""
+    return tuple(key for _, key in _message_keys(p, msgs))
+
+
+def tick_evidence(b: BeliefState, p: TeamOrientedProgram, msgs: list,
+                  signature: tuple | None = None) -> dict[int, float]:
     """``evidence(b, p, msgs)``, bit for bit, compiled once the tick's signature is hot.
 
-    The signature is the tick's ``_message_keys``.  Its function comes from
-    the bounded table ``TeamOrientedProgram.evidence_functions``, which
-    compiles it on the signature's ``compiled.COMPILE_AT``-th use; until
-    then ``evidence`` runs.
+    The signature is ``tick_signature(p, msgs)``, which a caller that has
+    it passes.  Its function comes from the bounded table
+    ``TeamOrientedProgram.evidence_functions``, which compiles it on the
+    signature's ``compiled.COMPILE_AT``-th use; until then ``evidence`` runs.
     """
-    step = p.evidence_functions.step(tuple(key for _, key in _message_keys(p, msgs)))
+    if signature is None:
+        signature = tick_signature(p, msgs)
+    step = p.evidence_functions.step(signature)
     return step(b.blk) if step else evidence(b, p, msgs)
 
 
@@ -366,34 +388,47 @@ def _is_tuples(b: BeliefState) -> bool:
     return type(b.act) is tuple and type(b.blk) is tuple
 
 
-def _quiet_step(b: BeliefState, p: TeamOrientedProgram):
-    """The array layout's quiet step of b when ``p.next_live.memo`` holds none.
+def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = None):
+    """Advance each of ``states``, beliefs over p, one tick with no
+    observation, in place: the quiet tick of both layouts.
 
-    It is ``propagate_forward``'s step, bit for bit, as tuples.  From a
-    state of tuples it is stored, and needs no interning, as its source is
-    already one value; from lists (a fresh ``init_beliefs``, a hand-built
-    state) it is interned instead.  A state whose live set is None steps by
-    ``propagate_forward`` and keeps lists.
+    It is ``propagate_forward``'s step, bit for bit, as tuples.  A step
+    taken before from the same tuples is a lookup in ``p.next_live.memo``.
+    Any other is computed: from a state of tuples it is stored, and needs
+    no interning, as its source is already one value; from lists (a fresh
+    ``init_beliefs``, a hand-built state) it is interned instead.  A state
+    whose live set is None steps by ``propagate_forward`` and keeps lists.
+    The counter takes one visit per node of p and state, the nodes a step
+    covers, whether the step is looked up or computed and whatever tests
+    and blocks the kernel that computes it runs.
     """
-    if b.live is None:
-        propagate_forward(b, p)
-        return
-    memo = p.next_live.memo
-    act, blk = b.act, b.blk
-    after, forward = p.next_live[b.live]
-    new_act, new_blk = forward(act, blk)
-    memo.misses["quiet"] += 1
-    if _is_tuples(b):
-        step = (tuple(new_act), tuple(new_blk), after)
-        memo.store(memo.quiet, id(act), (act, blk, step))
-    else:
-        step = (*memo.intern(new_act, new_blk), after)
-    b.act, b.blk, b.live = step
+    if counter is not None:
+        counter.visits += len(p.postorder) * len(states)
+    table = p.next_live
+    memo = table.memo
+    quiet = memo.quiet
+    for b in states:
+        act, blk, live = b.act, b.blk, b.live
+        hit = quiet.get(id(act))
+        if hit is not None and hit[0] is act and hit[1] is blk and live is not None:
+            b.act, b.blk, b.live = hit[2]
+            continue
+        if live is None:
+            propagate_forward(b, p)
+            continue
+        after, forward = table[live]
+        new_act, new_blk = forward(act, blk)
+        memo.misses["quiet"] += 1
+        if _is_tuples(b):
+            step = (tuple(new_act), tuple(new_blk), after)
+            memo.store(quiet, id(act), (act, blk, step))
+        else:
+            step = (*memo.intern(new_act, new_blk), after)
+        b.act, b.blk, b.live = step
 
 
-def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
-                      counter: VisitCounter | None = None):
-    """Advance b one tick with no observation, in place.
+def propagate_forward(b: BeliefState, p: TeamOrientedProgram):
+    """Advance b one tick with no observation, in place, with no memo.
 
     Leaves shed mass at their termination hazard.  The team executing a
     node takes its outgoing transitions: shed mass follows edges that need
@@ -401,8 +436,9 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     to the parent along TERMINATE edges.  The map is linear; with one
     first-child group per node it conserves leaf-active plus blocked mass
     as long as no TERMINATE edge leaves the root's own children.  On a
-    team-mode program the linear step is then capped at 1, entry by entry,
-    which is the shared layout's whole quiet tick.
+    team-mode program the linear step is then capped at 1, entry by entry.
+    This is the reference that ``quiet_step``, the quiet tick of both
+    layouts, follows bit for bit.
 
     A state with a live set steps by its entry in ``p.next_live``: the
     next live set, and the live kernel compiled for the set once it is hot
@@ -410,12 +446,8 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram,
     and of the nodes they feed.  On every state the engine builds it gives
     what p's full compiled kernel (``TeamOrientedProgram.forward``) gives,
     bit for bit.  A state without a live set (None, a hand-built state)
-    steps by the full kernel and keeps None.  The counter takes one visit
-    per node of p, the nodes a step covers, whatever tests and blocks the
-    kernel that steps it runs.
+    steps by the full kernel and keeps None.
     """
-    if counter is not None:
-        counter.visits += len(p.postorder)
     live = b.live
     if live is None:
         b.act, b.blk = p.forward(b.act, b.blk)
@@ -496,10 +528,9 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
     message is routed and checked before any state is stepped, so a tick
     that raises leaves every state as it was.
 
-    A quiet step taken before from the same tuples is looked up in the
-    program's step memo (``p.next_live.memo``), and any other runs
-    ``_quiet_step``.  The counter still takes every node of the program
-    per quiet step of each agent, looked up or computed.
+    Every other agent's state takes ``quiet_step``, with the agents that
+    share its program, so the counter takes every node of the program per
+    quiet step of each agent.
     """
     inbox: dict[str, list[ObservedMessage]] = {}
     for m in msgs:
@@ -511,19 +542,16 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
             inbox.setdefault(agent, []).append(m)
     keyed = {agent: _message_keys(programs[agent], inbox[agent])
              for agent in beliefs if agent in inbox} if inbox else {}
-    last = None
+    quiet, last = [], None  # runs of agents that share a program, stepped together
     for agent, b in beliefs.items():
         p = programs[agent]
         if agent in keyed:
             _commit_messages(b, p, keyed[agent])
             continue
-        if p is not last:  # agents mostly share one program
-            last, quiet, nodes = p, p.next_live.memo.quiet, len(p.postorder)
-        if counter is not None:
-            counter.visits += nodes
-        act = b.act
-        hit = quiet.get(id(act))
-        if hit is not None and hit[0] is act and hit[1] is b.blk and b.live is not None:
-            b.act, b.blk, b.live = hit[2]
-        else:
-            _quiet_step(b, p)
+        if p is not last and quiet:
+            quiet_step(last, quiet, counter)
+            quiet = []
+        last = p
+        quiet.append(b)
+    if quiet:
+        quiet_step(last, quiet, counter)

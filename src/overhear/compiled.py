@@ -12,10 +12,8 @@ source.  A source stays in ``linecache`` only while its function is cached.
 - ``_compile_forward`` and ``forward_source``: the forward (quiet) step,
   ``TeamOrientedProgram.forward``, one function per set of the fields it
   reads.  The single-agent view's function steps list copies and tests
-  each leaf's prior mass, so a sparse belief runs few updates (on the
-  35-leaf program of ``solo-11-array`` it is faster than the locals shape
-  up to about 10 leaves with mass, slower beyond); a team-mode function
-  steps locals and returns capped list displays.
+  each leaf's prior mass, so a sparse belief runs few updates; a team-mode
+  function steps locals and returns capped list displays.
 - ``_next_live`` and ``NextLive``: the live-step table,
   ``TeamOrientedProgram.next_live``, one per set of the fields
   ``forward_source`` reads.  It maps a live set to the next one, which
@@ -23,8 +21,8 @@ source.  A source stays in ``linecache`` only while its function is cached.
   the full kernel until the set's ``LIVE_COMPILE_AT``-th use, then the
   set's live kernel, ``forward_source(p, live)``, which holds only the
   blocks the set's leaves can run, on list copies in either mode.  The
-  table also carries the array layout's step memo (``StepMemo``), whose
-  states are shared immutable tuples; the shared layout's stay lists.
+  table also carries the step memo (``StepMemo``) of both layouts, whose
+  states are shared immutable tuples.
 - ``_compile_scan``: the most-likely pick rule over a leaf tuple, each
   team's candidate leaves in ``TeamOrientedProgram.team_best_leaf``.
 - ``_evidence_table`` and ``evidence_source``: the evidence step,
@@ -241,48 +239,59 @@ def forward_source(p: TeamOrientedProgram, live: tuple[int, ...] | None = None) 
 
 
 class StepMemo:
-    """The array layout's steps of states already met, one entry per step.
+    """The steps of states already met, one entry per step, in both layouts.
 
-    An array-layout state (``belief.BeliefState``) holds its two tables as
-    tuples, which no step writes, so a state is a value and a step taken
+    A state (``belief.BeliefState``) that a step built holds its two tables
+    as tuples, which no step writes, so a state is a value and a step taken
     from it once is a lookup after.  Each entry holds its key's tuples, so
     no other object takes their id while it is a key, and a hit checks
     ``is`` on them:
 
     - ``quiet[id(act)]`` is ``(act, blk, (act', blk', live'))``, the
-      forward step of the state ``(act, blk)`` and its next live set;
-    - ``commit[(id(blk), key)]`` is ``(blk, (act', blk', live'))``, the
-      commit of one message, ``key`` its ``(kind, plan, team)``, which
-      reads only the prior blocked table;
-    - ``best[id(act)]`` is ``(act, blk, leaf)``, the most-likely leaf;
+      forward step of the state ``(act, blk)`` and its next live set
+      (``belief.quiet_step``);
+    - ``commit`` holds evidence steps.  The array layout's
+      ``[(id(blk), key)]`` is ``(blk, (act', blk', live'))``, the commit of
+      one message, ``key`` its ``(kind, plan, team)``, which reads only the
+      prior blocked table.  The shared layout's ``[(id(act), signature)]``
+      is ``(act, blk, (act', blk', live'))``, the evidence tick of a tick
+      signature (``belief.tick_signature``), whose rescale reads both prior
+      tables;
+    - ``best`` holds most-likely answers: the array layout's ``[id(act)]``
+      is ``(act, blk, leaf)``, and the shared layout's ``[(id(act), team)]``
+      the same for one team;
     - ``interned`` maps the exact bits of a pair of tables to one pair of
-      tuples.  Commit results, and steps taken from lists, are interned, so
-      agents that start equal, or commit to equal values, share one pair
+      tuples.  Evidence results, and steps taken from lists, are interned,
+      so states that start equal, or commit to equal values, share one pair
       and step once; ``0.0`` and ``-0.0`` would be two keys, and no engine
-      state holds ``-0.0``.
+      state holds ``-0.0``;
+    - ``keys`` maps a message's ``(kind, plan, team)`` to its evidence key
+      (``belief._message_keys``).
 
     A stored step is one the engine computed from the same values.  Its
     live set may come from another route to those values (a cold commit's
     is a subset of the compiled one's); any such set is valid for them.
     Every table holds at most ``MEMO_STATES`` entries; a store into a full
-    one clears all four and counts an eviction.  ``misses`` counts the
-    steps computed and stored, by table; a hit counts nothing.
+    one clears them all and counts an eviction.  ``misses`` counts, by
+    kind, the steps computed from a state with a live set and the answers
+    stored; a hit counts nothing.
     """
 
-    __slots__ = ("quiet", "commit", "best", "interned", "misses", "evictions")
+    __slots__ = ("quiet", "commit", "best", "interned", "keys", "misses", "evictions")
 
     def __init__(self):
         self.quiet: dict[int, tuple] = {}
         self.commit: dict[tuple, tuple] = {}
-        self.best: dict[int, tuple] = {}
+        self.best: dict = {}
         self.interned: dict[bytes, tuple] = {}
+        self.keys: dict[tuple, tuple] = {}
         self.misses = dict.fromkeys(("quiet", "commit", "best"), 0)
         self.evictions = 0
 
     def store(self, table: dict, key, entry):
         """``table[key] = entry``, first clearing every table if ``table`` is full."""
         if len(table) >= MEMO_STATES:
-            for full in (self.quiet, self.commit, self.best, self.interned):
+            for full in (self.quiet, self.commit, self.best, self.interned, self.keys):
                 full.clear()
             self.evictions += 1
         table[key] = entry
@@ -317,22 +326,19 @@ class NextLive(dict):
     which compiles ``forward_source(p, live)``, the live kernel, and swaps
     it into the entry, so later uses call it with no count.  A set that
     holds every shedding leaf keeps ``p.forward``: the live kernel would
-    run the same blocks, and in team mode on list copies, which at 35 of 35
-    leaves measured 1.36x the locals kernel.  The live kernel equals
-    ``p.forward`` on every state whose leaves outside the set hold 0.0 and,
-    in team mode, whose entries lie in [0, 1]; both layouts' states do.
+    run the same blocks, and in team mode on list copies, slower than the
+    locals kernel on dense states.  The live kernel equals ``p.forward``
+    on every state whose leaves outside the set hold 0.0 and, in team
+    mode, whose entries lie in [0, 1]; both layouts' states do.
 
-    A live set is looked up once per state and quiet tick, so this is a
+    A live set is looked up once per computed quiet step, so this is a
     dict whose misses (``__missing__``) compute and store the step; it
     holds at most ``LIVE_SETS`` sets and starts over when full, dropping
-    their kernels.  A one-shot ``solo-11-array`` run meets 24 sets,
-    ``mission-11-yoyo`` 28, and a 3,000-tick agent-mode replay of
-    ``team_program(0)``, whose messages are sparser, about 400.  Every
-    entry is a function of the fields and its key, so threads that fill
-    or compile one entry at once store equal steps.
+    their kernels.  Every entry is a function of the fields and its key,
+    so threads that fill or compile one entry at once store equal steps.
 
-    ``memo`` is the array layout's ``StepMemo`` for these fields; it has a
-    bound of its own and outlives a clear of the live sets.
+    ``memo`` is the ``StepMemo`` of both layouts for these fields; it has
+    a bound of its own and outlives a clear of the live sets.
     """
 
     def __init__(self, p: TeamOrientedProgram):

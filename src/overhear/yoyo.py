@@ -7,21 +7,26 @@ by walking up to the common parent and rescaling the other teams' subtrees to
 the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
-A quiet tick is ``belief.propagate_forward``, which steps the shared
-belief's live set (``BeliefState.live``) with the kernel compiled for it
-once it is hot.  What a tick's messages are evidence for is
+A quiet tick is ``belief.quiet_step``, which steps the shared belief's
+live set (``BeliefState.live``) with the kernel compiled for it once it
+is hot.  What a tick's messages are evidence for is
 ``belief.tick_evidence``: ``belief.evidence``'s masses from the tick
 signature's compiled function, which ``compiled`` generates on the
 signature's ``COMPILE_AT``-th use and caches per set of program fields
 (``belief.evidence`` runs until then).  This module commits that evidence
-and rescales, interpreted.  As in the array layout, a tick steps the state
-in place, replacing its ``act`` and ``blk`` with new lists.  The structure
-those steps follow is a program table like every other: each node's climb
-to the root (``evidence_climbs``), with the walk of every rescale the
-climb runs.  Only the mass arithmetic runs per tick, and every node these
-steps name is a position in the state's lists.  A team's most-likely
-query is its compiled pick over its candidate leaves
+and rescales, interpreted.  The structure those steps follow is a program
+table like every other: each node's climb to the root
+(``evidence_climbs``), with the walk of every rescale the climb runs.
+Only the mass arithmetic runs per tick, and every node these steps name
+is a position in the state's tables.  A team's most-likely query is its
+compiled pick over its candidate leaves
 (``TeamOrientedProgram.team_best_leaf`` over ``leaves_by_team``).
+
+States are values here as in the array layout (``belief``): a tick steps
+the state in place, replacing its ``act`` and ``blk`` with tuples that no
+one writes, and the quiet tick, the evidence tick and the team query each
+look the state up in the program's step memo (``compiled.StepMemo``), so
+one taken before from the same tuples is a dict lookup.
 
 Plan ownership alone decides where to rescale: a climb step from a node
 into a parent owned by another team rescales the parent's subtrees that
@@ -50,7 +55,7 @@ the full one while capping only the entries it adds to.
 from __future__ import annotations
 
 from .belief import (BeliefState, MonitoringError, VisitCounter, init_beliefs, propagate_down,
-                     propagate_forward, tick_evidence)
+                     quiet_step, tick_evidence, tick_signature)
 from .model import TeamOrientedProgram
 
 
@@ -96,8 +101,8 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
 
-    With no messages this is ``belief.propagate_forward`` alone, whose
-    team-mode kernels cap every value at 1.
+    With no messages this is ``belief.quiet_step``, the quiet step of both
+    layouts, whose team-mode kernels cap every value at 1.
     Otherwise the tick's messages are one observation (``belief.evidence``,
     run compiled by ``belief.tick_evidence``), committed at once on fresh
     lists: each mass propagates down its subtree, climbs toward the root,
@@ -106,12 +111,26 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     program's ``evidence_climbs``; each step raises the parent to at least
     the child's mass.  The tick then clamps only the entries it wrote, and
     its live set is the leaves among them.
+
+    An evidence tick taken before from the same tuples and tick signature
+    (``belief.tick_signature``) is a lookup in ``p.next_live.memo``.  Any
+    other is computed as above, and its result interned and, when the
+    prior state held tuples, stored.  A state whose live set is None skips
+    the memo and keeps the lists the tick builds.
     """
     if not msgs:
-        propagate_forward(b, p, counter)
+        quiet_step(p, (b,), counter)
         return
-    scratch = tick_evidence(b, p, msgs)
-    prior_active, prior_blocked = b.act, b.blk
+    signature = tick_signature(p, msgs)
+    memo = p.next_live.memo
+    prior_active, prior_blocked, live = b.act, b.blk, b.live
+    key = (id(prior_active), signature)
+    hit = memo.commit.get(key)
+    if hit is not None and hit[0] is prior_active and hit[1] is prior_blocked \
+            and live is not None:
+        b.act, b.blk, b.live = hit[2]
+        return
+    scratch = tick_evidence(b, p, msgs, signature)
     active = b.act = list(p.zeros)
     b.blk = list(p.zeros)
     updated: set[int] = set()
@@ -128,6 +147,12 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     _clamp_entries(b, updated)
     children = p.children_at
     b.live = tuple(sorted(i for i in updated if not children[i]))
+    if live is not None:
+        memo.misses["commit"] += 1
+        step = (*memo.intern(b.act, b.blk), b.live)
+        b.act, b.blk, b.live = step
+        if type(prior_active) is tuple and type(prior_blocked) is tuple:
+            memo.store(memo.commit, key, (prior_active, prior_blocked, step))
 
 
 def _team_entry(table: dict, team: str):
@@ -149,5 +174,17 @@ def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
     (``TeamOrientedProgram.team_best_leaf``), so near-ties, and a team with
     no mass on any of its leaves, go to the lowest node id.  ``p.path_names``
     of the answer is its root path of plan names.
+
+    An answer read before off the same tuples is looked up in
+    ``p.next_live.memo``; an answer off tuples with a live set is stored.
     """
-    return _team_entry(p.team_best_leaf, team)(b.act, b.blk)
+    act, blk = b.act, b.blk
+    memo = p.next_live.memo
+    hit = memo.best.get((id(act), team))
+    if hit is not None and hit[0] is act and hit[1] is blk:
+        return hit[2]
+    best = _team_entry(p.team_best_leaf, team)(act, blk)
+    if b.live is not None and type(act) is tuple and type(blk) is tuple:
+        memo.misses["best"] += 1
+        memo.store(memo.best, (id(act), team), (act, blk, best))
+    return best

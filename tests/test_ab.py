@@ -63,7 +63,7 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
         for counts in report[name]["counts"]:
             assert counts["live kernels"] >= 0 and counts["evidence functions"] >= 0
             hits = [v for k, v in counts.items() if k.endswith(" hits")]
-            assert len(hits) == (0 if name.startswith("yoyo") else 3)
+            assert len(hits) == 3
             assert all(0.0 <= v <= 1.0 for v in hits)
     # both packages, and every source their caches compiled, are gone
     assert not [name for name in sys.modules if name.startswith(("ab_parent", "ab_change"))]

@@ -9,7 +9,7 @@ from overhear import compiled
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
                              _prune_redundant_ancestors, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
-                             pick_leaf, propagate_down, propagate_forward)
+                             pick_leaf, propagate_down, propagate_forward, quiet_step)
 from overhear.compiled import _compile_scan
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import TERMINATE, hazard, program_from_document
@@ -653,7 +653,7 @@ def test_visit_counter_counts_per_node():
     b = init_beliefs(p)
     counter = VisitCounter()
     for _ in range(10):
-        propagate_forward(b, p, counter)
+        quiet_step(p, [b], counter)
     assert counter.visits == 10 * len(p.node_ids)
 
 

@@ -350,7 +350,9 @@ def test_evaluate_runs_share_one_kernel(tmp_path):
 def test_evaluate_runs_share_their_evidence_functions(tmp_path, monkeypatch, mode):
     # each run loads a fresh program and a fresh comm-applied copy; their
     # evidence functions are cached on fields, so once the first run has
-    # compiled every key (on its first use, here) a second run compiles none
+    # compiled every key (on its first use, here) a second run compiles none.
+    # The step memo hangs on the live-step table and would answer the first
+    # run's evidence ticks from earlier tests, so it starts empty too.
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"
     assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0
@@ -362,6 +364,7 @@ def test_evaluate_runs_share_their_evidence_functions(tmp_path, monkeypatch, mod
                         lambda *args: generated.append(args[1]) or source(*args))
     monkeypatch.setattr(compiled, "COMPILE_AT", 1)
     compiled._evidence_table.cache_clear()
+    _next_live.cache_clear()
     counts = []
     for name in ("first.txt", "second.txt"):
         assert run_command([*argv, "--out", str(tmp_path / name)]) == 0

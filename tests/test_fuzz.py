@@ -236,32 +236,44 @@ def test_shared_belief_stays_in_bounds_without_negative_zero(p, ticks):
                 assert 0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0, (t, x, v)
 
 
-def _checked(step, reached: list):
-    """``step``, then asserting that no value of the state it leaves is negative."""
-    def checked(state, *args):
-        step(state, *args)
-        for table in (state.act, state.blk):
-            for x, v in enumerate(table):
-                assert v >= 0.0, (step.__name__, x, v)
+def _checked(step, reached: list, states=lambda state, *args: (state,)):
+    """``step``, then asserting that no value of the states it leaves is
+    negative; ``states`` picks them from the step's arguments."""
+    def checked(*args):
+        step(*args)
+        for state in states(*args):
+            for table in (state.act, state.blk):
+                for x, v in enumerate(table):
+                    assert v >= 0.0, (step.__name__, x, v)
         reached.append(step.__name__)
     return checked
+
+
+def _forget(memo):
+    """Empty every table of a step memo, so the next step is computed."""
+    for table in (memo.quiet, memo.commit, memo.best, memo.interned, memo.keys):
+        table.clear()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_TEAM_PROGRAMS), _TEAM_TICKS)
 def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
     # both clips only cap at 1, which is exact only if nothing below 0 reaches
-    # them; a cap moves no value below 1, so check what each capped step leaves
+    # them; a cap moves no value below 1, so check what each capped step
+    # leaves.  The step memo is emptied before every tick, so each tick is
+    # computed and reaches its clip rather than looking up a stored step.
     names = sorted({n.name for n in p.plans})
     agents = p.team_hierarchy.agents
     reached: list[str] = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(yoyo, "propagate_forward", _checked(propagate_forward, reached))
+        mp.setattr(yoyo, "quiet_step", _checked(yoyo.quiet_step, reached,
+                                                lambda p, states, *args: states))
         mp.setattr(yoyo, "_clamp_entries", _checked(yoyo._clamp_entries, reached))
         b = init_beliefs(p)
         for t, msgs in enumerate(ticks, 1):
             heard = [ObservedMessage(t, *agents[i % len(agents)], kind, names[j % len(names)])
                      for kind, i, j in msgs or ()]
+            _forget(p.next_live.memo)
             yoyo_tick(p, b, heard)
     assert len(reached) == len(ticks)
 

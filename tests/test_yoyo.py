@@ -381,7 +381,9 @@ def test_quiet_ticks_reuse_groups_and_kernels():
     # hierarchy, kept in the instance's __dict__; one warm-up tick and one
     # query per unit build the groups, the live-step table, the path and
     # team-leaf tables, and 50 more queried quiet ticks in any layout must
-    # neither add a table nor replace one
+    # neither add a table nor replace one; the step memo starts empty, so
+    # the warm-up computes its step and queries rather than looking them up
+    compiled._next_live.cache_clear()
     tp = team_program(0)
     recognizers = [make_recognizer(tp, "yoyo"), make_recognizer(tp, "array"),
                    make_recognizer(tp, "array", coherent=True)]

@@ -28,13 +28,14 @@ workload is built from each side's own modules:
 - ``<layout>.online``: the on-line case, a run that never repeats.  Each
   round simulates a fresh run of ``ONLINE_TICKS`` ticks with a new seed,
   clears every compile cache of the side's ``compiled`` module (and with
-  them the array layout's step memo, which hangs on a cached table), loads
+  them the step memo, which hangs on a cached table), loads
   the program afresh and replays the run once: each tick's step and every
   unit's ``path``.  ``array.online_1011`` does the same for the array
   layout on ``grow_team(team_program(0), CROWD)``, 1,011 agents, over
   ``TICKS`` ticks.  After the table the report prints, per side and online
-  workload of the last round, the step memo's hit rates (where the side
-  has one) and the live kernels and evidence functions the replay compiled.
+  workload of the last round, the step memo's hit rates (where the side's
+  layout uses one) and the live kernels and evidence functions the replay
+  compiled.
 
 Each side first runs every workload once, untimed, so that the timed
 rounds step warm keys and live sets: every compile cache is keyed on
@@ -189,21 +190,24 @@ class Side:
         return seconds, answers, self.counts(rec, by_tick, ticks)
 
     def counts(self, rec, by_tick, ticks: int) -> dict:
-        """What one replay of ``rec`` compiled, and the hit rates of the
-        array layout's step memo where this side has one: of the quiet
-        steps, the commits (one per message and recipient) and the queries,
-        the share that no step computed."""
-        q = rec.p if isinstance(rec, self.recognizer.SharedRecognizer) else rec.view
+        """What one replay of ``rec`` compiled, and the hit rates of its step
+        memo where this side's layout uses one (a replay that uses it misses
+        at least its first step): of the quiet steps, the evidence steps (one
+        per tick in the shared layout, one per message and recipient in the
+        array layout) and the queries, the share that no step computed."""
+        shared = isinstance(rec, self.recognizer.SharedRecognizer)
+        q = rec.p if shared else rec.view
         tables = q.evidence_functions
         out = {"live kernels": len(q.next_live.kernels),
                "evidence functions": sum(tier.kernel.cache_info().currsize
                                          for tier in (tables.step, tables.commit))}
         memo = getattr(q.next_live, "memo", None)
-        if memo is None or isinstance(rec, self.recognizer.SharedRecognizer):
+        if memo is None or not any(memo.misses.values()):
             return out
+        heard = [by_tick.get(t, ()) for t in range(1, ticks)]
         steps = {"quiet": rec.counter.visits // len(q.postorder),
-                 "commit": sum(len(rec.recipients(m)) for t in range(1, ticks)
-                               for m in by_tick.get(t, ())),
+                 "commit": sum(map(bool, heard)) if shared else
+                 sum(len(rec.recipients(m)) for msgs in heard for m in msgs),
                  "best": len(rec.units) * (ticks - 1)}
         for kind, n in steps.items():
             out[f"{kind} hits"] = 1.0 - memo.misses[kind] / n if n else None
