@@ -9,17 +9,10 @@ message collapse the state onto the nodes consistent with it.
 
 What a tick's messages are evidence for is one rule for both layouts,
 ``evidence``; the program's mode alone decides which transitions a message
-opens and which candidates share a normalizer.  ``evidence`` is the
-readable reference, and both layouts run it compiled once a key is hot:
-one generated function per tick signature (the tick's messages as
-``(kind, plan, team)``), from a bounded table that ``compiled`` keeps per
-set of program fields (``TeamOrientedProgram.evidence_functions``) and
-fills on a key's ``compiled.COMPILE_AT``-th use; until then ``evidence``
-itself runs.  The shared layout takes the masses (``tick_evidence``) and
-commits them in ``yoyo.yoyo_tick``.  The array layout commits one message
-at a time (``apply_messages``), each with a generated function that also
-writes the commit as straight-line code, or while cold with ``evidence``
-and ``_commit_evidence``.
+opens and which candidates share a normalizer.  The shared layout takes
+the masses of a whole tick and commits them in ``yoyo.yoyo_tick``.  The
+array layout commits one message at a time (``apply_messages``), each by
+``evidence`` of the message alone and ``_commit_evidence``.
 
 A state holds the two masses as two tables, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
@@ -40,7 +33,7 @@ raises leaves every state as it was.
 
 In both layouts a stepped state's tables are tuples, which no step
 writes and states may share.  Every step and query looks a state up in
-the program's step memo (``compiled.StepMemo``, ``p.next_live.memo``) by
+the program's step memo (``compiled.StepMemo``, ``p.compiled.memo``) by
 the identity of its tuples, so one taken before from the same state is one
 dict lookup: the quiet step of both layouts (``quiet_step``), the array
 layout's commits (``apply_messages``) and ``most_likely_state``, and the
@@ -66,21 +59,18 @@ is the memo-free reference of ``quiet_step``.
 Every state the engine builds carries its live set
 (``BeliefState.live``), the leaves outside which every leaf holds exactly
 0.0.  ``init_beliefs`` takes it from ``p.initial``, the forward step
-steps it with the program's ``next_live`` table (which follows the
-kernel's rules), each array commit sets it to the leaves under the
-committed candidates, and ``yoyo.yoyo_tick`` to the leaves its evidence
-wrote.  Whatever else puts mass on a leaf outside the set must set it to
-None, which means every leaf.  A message resets a belief to a point mass
-or a few, so the set stays short.  Once a set is hot, ``next_live``
-steps it with a kernel generated for the set alone
-(``compiled.NextLive``), which runs only its leaves' blocks and those of
-the nodes they feed.  A most-likely query
-(``most_likely_state``) runs the pick rule (``pick_leaf``) over the live
-set alone, interpreted; a leaf outside it holds 0.0, which never beats
-the pick, so it answers as a scan of every leaf would.  The shared
-layout's team queries run the rule compiled, one generated scan per
-team's candidate leaves (``TeamOrientedProgram.team_best_leaf``).  This
-module only calls the program's functions and never writes to a program.
+steps it by ``p.compiled.next_live`` (which follows the kernel's rules),
+each array commit sets it to the leaves its committed masses reach, and
+``yoyo.yoyo_tick`` to the leaves its evidence wrote.  Whatever else puts
+mass on a leaf outside the set must set it to None, which means every
+leaf.  A message resets a belief to a point mass or a few, so the set
+stays short.  A most-likely query (``most_likely_state``) runs the pick
+rule (``pick_leaf``) over the live set alone, interpreted; a leaf outside
+it holds 0.0, which never beats the pick, so it answers as a scan of
+every leaf would.  The shared layout's team queries run the rule
+compiled, one generated scan per team's candidate leaves
+(``TeamOrientedProgram.team_best_leaf``).  This module only calls the
+program's functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
@@ -113,9 +103,8 @@ class VisitCounter:
     """Counts the node visits of quiet steps (scalability probes).
 
     A step adds the nodes it covers, every node of the program, not the
-    tests it runs: a live kernel runs the blocks of a few leaves and
-    counts the same as the full kernel, and a step looked up in the step
-    memo the same as one computed."""
+    tests its kernel runs, and a step looked up in the step memo counts
+    the same as one computed."""
 
     __slots__ = ("visits",)
 
@@ -232,12 +221,12 @@ def _message_keys(p: TeamOrientedProgram, msgs) -> list[tuple]:
     sender.  Raises ``evidence``'s ``MonitoringError`` for the first
     message whose team or plan is unknown, checked in ``evidence``'s order.
 
-    A key resolved without the sender is kept in ``p.next_live.memo.keys``
+    A key resolved without the sender is kept in ``p.compiled.memo.keys``
     by the message's ``(kind, plan, team)``, so a later message with the
     same fields is one lookup.  The memo is shared by programs whose agents
     differ, so a team taken from the sender is resolved every time.
     """
-    memo = p.next_live.memo
+    memo = p.compiled.memo
     known, named, keyed = memo.keys, p.named_index, []
     for m in sorted(msgs, key=_message_order) if len(msgs) > 1 else msgs:
         fields = (m.kind, m.plan, m.team)
@@ -315,30 +304,13 @@ def tick_signature(p: TeamOrientedProgram, msgs) -> tuple:
     return tuple(key for _, key in _message_keys(p, msgs))
 
 
-def tick_evidence(b: BeliefState, p: TeamOrientedProgram, msgs: list,
-                  signature: tuple | None = None) -> dict[int, float]:
-    """``evidence(b, p, msgs)``, bit for bit, compiled once the tick's signature is hot.
-
-    The signature is ``tick_signature(p, msgs)``, which a caller that has
-    it passes.  Its function comes from the bounded table
-    ``TeamOrientedProgram.evidence_functions``, which compiles it on the
-    signature's ``compiled.COMPILE_AT``-th use; until then ``evidence`` runs.
-    """
-    if signature is None:
-        signature = tick_signature(p, msgs)
-    step = p.evidence_functions.step(signature)
-    return step(b.blk) if step else evidence(b, p, msgs)
-
-
 def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedProgram):
     """Replace b's lists with ``scratch`` committed on fresh zero tables.
 
     Each mass is spread down its node's first-child groups
     (``propagate_down``) and added to every ancestor, and every blocked
     mass is 0.  The live set is the leaves among ``scratch``'s nodes and
-    those they spread to.  This is the
-    reference the array layout's compiled commit follows, and it runs while
-    a message's key is cold.
+    those they spread to.  This is the array layout's commit.
     """
     active, ancestors, written = list(p.zeros), p.ancestors_at, set(scratch)
     for x in sorted(scratch):
@@ -356,26 +328,20 @@ def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
     """Commit each of ``_message_keys``' messages into b, one at a time.
 
     A commit reads only the prior blocked table, so one taken before from
-    the same tuple is a lookup in ``p.next_live.memo`` (``compiled.StepMemo``).
-    Otherwise the message runs its key's compiled commit, ``evidence`` of
-    the message alone committed as one function of the prior blocked list
-    that also returns the key's live set, or while the key is cold
-    ``evidence`` and ``_commit_evidence``; the result is interned, and
-    stored when the prior state holds tuples.  A state whose live set is
-    None skips the memo and keeps the lists the commit returns.
+    the same tuple is a lookup in ``p.compiled.memo`` (``compiled.StepMemo``).
+    Otherwise it is ``evidence`` of the message alone, committed by
+    ``_commit_evidence``; the result is interned, and stored when the prior
+    state holds tuples.  A state whose live set is None skips the memo and
+    keeps the lists the commit builds.
     """
-    memo = p.next_live.memo
+    memo = p.compiled.memo
     for m, key in keyed:
         blk, live = b.blk, b.live
         hit = memo.commit.get((id(blk), key))
         if hit is not None and hit[0] is blk and live is not None:
             b.act, b.blk, b.live = hit[1]
             continue
-        compiled = p.evidence_functions.commit(key)
-        if compiled:
-            b.act, b.blk, b.live = compiled(blk)
-        else:
-            _commit_evidence(b, evidence(b, p, [m]), p)
+        _commit_evidence(b, evidence(b, p, [m]), p)
         if live is not None:
             memo.misses["commit"] += 1
             step = (*memo.intern(b.act, b.blk), b.live)
@@ -393,19 +359,19 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
     observation, in place: the quiet tick of both layouts.
 
     It is ``propagate_forward``'s step, bit for bit, as tuples.  A step
-    taken before from the same tuples is a lookup in ``p.next_live.memo``.
-    Any other is computed: from a state of tuples it is stored, and needs
-    no interning, as its source is already one value; from lists (a fresh
-    ``init_beliefs``, a hand-built state) it is interned instead.  A state
-    whose live set is None steps by ``propagate_forward`` and keeps lists.
-    The counter takes one visit per node of p and state, the nodes a step
-    covers, whether the step is looked up or computed and whatever tests
-    and blocks the kernel that computes it runs.
+    taken before from the same tuples is a lookup in ``p.compiled.memo``.
+    Any other is computed by ``p.forward``: from a state of tuples it is
+    stored, and needs no interning, as its source is already one value;
+    from lists (a fresh ``init_beliefs``, a hand-built state) it is
+    interned instead.  A state whose live set is None steps by
+    ``propagate_forward`` and keeps lists.  The counter takes one visit per
+    node of p and state, the nodes a step covers, whether the step is
+    looked up or computed and whatever tests the kernel runs.
     """
     if counter is not None:
         counter.visits += len(p.postorder) * len(states)
-    table = p.next_live
-    memo = table.memo
+    compiled = p.compiled
+    memo = compiled.memo
     quiet = memo.quiet
     for b in states:
         act, blk, live = b.act, b.blk, b.live
@@ -416,8 +382,8 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
         if live is None:
             propagate_forward(b, p)
             continue
-        after, forward = table[live]
-        new_act, new_blk = forward(act, blk)
+        new_act, new_blk = compiled.forward(act, blk)
+        after = compiled.next_live(live)
         memo.misses["quiet"] += 1
         if _is_tuples(b):
             step = (tuple(new_act), tuple(new_blk), after)
@@ -440,21 +406,13 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram):
     This is the reference that ``quiet_step``, the quiet tick of both
     layouts, follows bit for bit.
 
-    A state with a live set steps by its entry in ``p.next_live``: the
-    next live set, and the live kernel compiled for the set once it is hot
-    (``compiled.NextLive``), which runs only the blocks of the set's leaves
-    and of the nodes they feed.  On every state the engine builds it gives
-    what p's full compiled kernel (``TeamOrientedProgram.forward``) gives,
-    bit for bit.  A state without a live set (None, a hand-built state)
-    steps by the full kernel and keeps None.
+    The step is p's compiled kernel (``TeamOrientedProgram.forward``), and
+    a state's live set steps to ``p.compiled.next_live`` of it.  A state
+    without a live set (None, a hand-built state) keeps None.
     """
-    live = b.live
-    if live is None:
-        b.act, b.blk = p.forward(b.act, b.blk)
-    else:
-        after, forward = p.next_live[live]
-        b.act, b.blk = forward(b.act, b.blk)
-        b.live = after
+    b.act, b.blk = p.forward(b.act, b.blk)
+    if b.live is not None:
+        b.live = p.compiled.next_live(b.live)
 
 
 _TIE_SCALE = 1.0 + TIE_TOLERANCE
@@ -486,10 +444,10 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     on a state with no mass on any leaf.
 
     An answer read before off the same tuples is looked up in
-    ``p.next_live.memo``; an answer off tuples with a live set is stored.
+    ``p.compiled.memo``; an answer off tuples with a live set is stored.
     """
     act, blk = b.act, b.blk
-    memo = p.next_live.memo
+    memo = p.compiled.memo
     hit = memo.best.get(id(act))
     if hit is not None and hit[0] is act and hit[1] is blk:
         return hit[2]

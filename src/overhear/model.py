@@ -23,30 +23,27 @@ plan names (``name_paths_at``), owner and first-child groups
 parallel); the postorder and the leaves; plan name -> positions
 (``named_index``); the zero table (``zeros``), the initial state
 (``initial``) and each team's candidate leaves (``leaves_by_team``); the
-evidence tables that ``belief.evidence`` and its generator read in both
-modes (each team's open transitions as ``(src, dst, mu, pi)`` edges,
-``team_edges``, and each node's normalizing unit, ``unit_at``); the shared
-layout's climb (``evidence_climbs``, which holds the walk of every rescale
-it runs); the compiled forward step (``forward``), one generated function
-that returns new lists, stepping list copies in the single-agent view and
-locals in team mode, and the live-step table (``next_live``): the leaves
-it can give mass to, and a kernel generated for each hot live set;
-the compiled most-likely pick over each team's candidate leaves
-(``team_best_leaf``), one generated scan per leaf tuple; and the compiled
-evidence step (``evidence_functions``), one generated function per tick
-signature, compiled on the signature's ``compiled.COMPILE_AT``-th use.
-They are built on first use, so loading a program pays for none of them.
-Node ids remain only at the document boundary: ``node_ids`` and ``index``
-map between ids and positions, ``node(id)`` reads a plan record, and the
+evidence tables that ``belief.evidence`` reads in both modes (each
+team's open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``,
+and each node's normalizing unit, ``unit_at``); the shared layout's climb
+(``evidence_climbs``, which holds the walk of every rescale it runs); the
+compiled object of the program's fields (``compiled``): the forward step
+(``forward``), one generated function that returns new lists, stepping
+list copies in the single-agent view and locals in team mode, the next
+live set of each live set, and the step memo of both layouts; and the
+compiled most-likely pick over each team's candidate leaves
+(``team_best_leaf``), one generated scan per leaf tuple.  They are built
+on first use, so loading a program pays for none of them.  Node ids
+remain only at the document boundary: ``node_ids`` and ``index`` map
+between ids and positions, ``node(id)`` reads a plan record, and the
 transition records (``out_at``) name their plans by id.  A query answers
 with a leaf's position, and ``path_names`` gives its root path as plan
 names.  The generated code and its caches live in ``compiled``: the
-forward step's function is compiled once per distinct set of the fields it
-reads, the evidence and live-step tables are kept per such set, and a
-scan is compiled once per leaf tuple, each cache bounded and kept in that
-module, so programs equal in those fields (or in leaves) share one function
-and a hit generates no source; a source stays in ``linecache`` only while
-its function is cached.
+compiled object is built once per distinct set of the fields its
+generator reads, and a scan once per leaf tuple, each cache bounded and
+kept in that module, so programs equal in those fields (or in leaves)
+share one object and a hit generates no source; a source stays in
+``linecache`` only while its function is cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -64,11 +61,11 @@ checks, besides schema and references:
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.  So
-is a kernel shared by programs with equal fields: it touches nothing but its
-arguments and the lists it returns, and two threads compiling one key at
-once get equal functions.  A scan only reads its arguments, and an
-evidence function only its prior blocked list.  Mutable run state lives in
-the belief containers, not here.
+is the compiled object shared by programs with equal fields: its kernel
+touches nothing but its arguments and the lists it returns, two threads
+compiling one key at once get equal objects, and every entry its memo
+stores is a function of the fields and the entry's key.  A scan only reads
+its arguments.  Mutable run state lives in the belief containers, not here.
 """
 
 from __future__ import annotations
@@ -449,26 +446,20 @@ class TeamOrientedProgram:
         team mode, and one unit, None, for all nodes in the single-agent view."""
         return self.owner_at if self.team_mode else (None,) * len(self.node_ids)
 
+    # -- the compiled step -------------------------------------------------
+
     @cached_property
-    def evidence_functions(self):
-        """The compiled evidence step, shared by every program with equal fields.
-
-        ``step(signature)`` is the function of ``belief.evidence`` for a
-        tick's messages as ``(kind, plan, team)``, straight-line code, and
-        ``commit((kind, plan, team))`` that of one message's evidence and
-        its array commit (``compiled.evidence_source``); each is None
-        until the key's ``compiled.COMPILE_AT``-th use, while the caller
-        runs the interpreted step.  ``belief.tick_evidence`` and
-        ``belief.apply_messages`` build the keys and call them.  The table
-        (``compiled._evidence_table``) is keyed on the fields the generator
-        reads, like ``forward``, and holds a bounded set of kernels and use
-        counts, so loading a program or building a state compiles nothing.
-        """
-        from .compiled import _evidence_table  # which imports this module
-        return _evidence_table(self.plans, self.transitions, self.root,
-                               self.team_hierarchy.teams, self.team_mode)
-
-    # -- the forward step --------------------------------------------------
+    def compiled(self):
+        """The compiled object of the program's fields, shared by every
+        program with equal plans, transitions, root, team tree and team mode
+        (``compiled.CompiledProgram``): the forward step (``forward``), the
+        next live set of each live set (``next_live``) and the step memo of
+        both layouts (``memo``).  ``compiled._compile`` builds it only for
+        fields not in its cache, so loading a program or building a state
+        compiles nothing."""
+        from .compiled import _compile  # which imports this module
+        return _compile(self.plans, self.transitions, self.root,
+                        self.team_hierarchy.teams, self.team_mode)[0]
 
     @cached_property
     def forward(self):
@@ -498,12 +489,9 @@ class TeamOrientedProgram:
           An internal node's block is guarded by ``if o<i>:``.  A block
           updates ``act[x]`` and ``blk[x]`` in place, and the floors below
           are statements after the last block.  A leaf without mass costs
-          one test, so the shape pays off on sparse beliefs: on the
-          ``solo-11-array`` benchmark workload each agent's belief held
-          mass on at most 5 of 35 leaves (a message resets it to a point
-          mass).  On the same program the kernel is slower than the
-          locals shape once about 10 of 35 leaves hold mass (1.31x at 35
-          of 35), a case no benchmark workload runs yet.
+          one test, so the shape pays off on sparse beliefs, which a
+          message resets to a point mass; on dense ones it is slower than
+          the locals shape.
         - A team-mode kernel, the shared layout's quiet tick, unpacks every
           entry of both tables into locals, ``a<i>`` and ``b<i>`` (the
           active and blocked mass of node i), one statement per table,
@@ -540,36 +528,13 @@ class TeamOrientedProgram:
         kernel does not cap; rounding may leave one of its values an ulp
         above 1, and it is left as it is.
 
-        A hot live set steps by a kernel of its own (``next_live``,
-        ``compiled.forward_source(p, live)``): this function cut to the
-        blocks of the set's leaves and of the internal nodes their TERMINATE
-        edges reach, in the list shape in both modes.  A team-mode live
-        kernel caps only the entries its blocks add to and floors the
-        internal nodes it steps, so it equals this function on every state
-        whose leaves outside the set hold 0.0 and whose entries lie in
-        [0, 1], the states both layouts build.  On ``team_program(0)``, with
-        mass on every live leaf, it ran at 0.39x this function with 3 of 35
-        leaves live, 1.05x with 20 and 1.36x with 35, so a set of every
-        shedding leaf keeps this function.
-
-        ``compiled._compile_forward`` generates the source
+        ``compiled._compile`` generates the source
         (``compiled.forward_source``) only for fields not in its cache, and
         keeps it in ``linecache`` while its kernel is cached, for
-        tracebacks, profilers and ``inspect.getsource``.
+        tracebacks, profilers and ``inspect.getsource``.  This is
+        ``self.compiled.forward``, kept on the program for its callers.
         """
-        from .compiled import _compile_forward  # which imports this module
-        return _compile_forward(self.plans, self.transitions, self.root,
-                                self.team_hierarchy.teams, self.team_mode).function
-
-    @cached_property
-    def next_live(self):
-        """Each live set mapped to its forward step, the next live set and the
-        function that steps it: ``forward`` until the set is hot, then a
-        kernel generated for the set alone (``compiled.NextLive``).  Shared
-        like ``evidence_functions`` by every program with equal fields."""
-        from .compiled import _next_live
-        return _next_live(self.plans, self.transitions, self.root,
-                          self.team_hierarchy.teams, self.team_mode)
+        return self.compiled.forward
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

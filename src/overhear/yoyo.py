@@ -7,18 +7,13 @@ by walking up to the common parent and rescaling the other teams' subtrees to
 the parent's new belief.  State grows with plans plus team-hierarchy nodes,
 not with plans times agents.
 
-A quiet tick is ``belief.quiet_step``, which steps the shared belief's
-live set (``BeliefState.live``) with the kernel compiled for it once it
-is hot.  What a tick's messages are evidence for is
-``belief.tick_evidence``: ``belief.evidence``'s masses from the tick
-signature's compiled function, which ``compiled`` generates on the
-signature's ``COMPILE_AT``-th use and caches per set of program fields
-(``belief.evidence`` runs until then).  This module commits that evidence
-and rescales, interpreted.  The structure those steps follow is a program
-table like every other: each node's climb to the root
-(``evidence_climbs``), with the walk of every rescale the climb runs.
-Only the mass arithmetic runs per tick, and every node these steps name
-is a position in the state's tables.  A team's most-likely query is its
+A quiet tick is ``belief.quiet_step``, the program's compiled forward
+step.  What a tick's messages are evidence for is ``belief.evidence``;
+this module commits that evidence and rescales.  The structure those
+steps follow is a program table like every other: each node's climb to
+the root (``evidence_climbs``), with the walk of every rescale the climb
+runs.  Only the mass arithmetic runs per tick, and every node these steps
+name is a position in the state's tables.  A team's most-likely query is its
 compiled pick over its candidate leaves
 (``TeamOrientedProgram.team_best_leaf`` over ``leaves_by_team``).
 
@@ -36,10 +31,9 @@ between the two owners.
 This is the one layout that clips.  The evidence climb and the rescale do
 not conserve mass and can push a value above 1, so each such value is
 silently set to 1: on a quiet tick by the team-mode forward kernel itself,
-which caps every entry it returns (``TeamOrientedProgram.forward``), or a
-live set's kernel, which caps every entry its blocks add to, and on an
-evidence tick by ``_clamp_entries``, over the entries the tick wrote, at
-its end.  No value is ever below 0, so neither has a lower
+which caps every entry it returns (``TeamOrientedProgram.forward``), and
+on an evidence tick by ``_clamp_entries``, over the entries the tick
+wrote, at its end.  No value is ever below 0, so neither has a lower
 bound to enforce: the forward step keeps non-negative mass non-negative
 (its kernel floors the one place rounding could break that), and an
 evidence tick only adds, multiplies, divides and takes the max of
@@ -48,14 +42,13 @@ evidence tick builds its state on fresh zero tables and adds every entry
 it writes to its ``updated`` set, so every other entry is an exact 0.0,
 which a cap leaves as it is.  Every value a tick leaves is in [0, 1], and
 every leaf outside the live set holds 0.0: an evidence tick sets the live
-set to the leaves among ``updated``.  On such states a live kernel equals
-the full one while capping only the entries it adds to.
+set to the leaves among ``updated``.
 """
 
 from __future__ import annotations
 
 from .belief import (BeliefState, MonitoringError, VisitCounter, init_beliefs, propagate_down,
-                     quiet_step, tick_evidence, tick_signature)
+                     evidence, quiet_step, tick_signature)
 from .model import TeamOrientedProgram
 
 
@@ -103,9 +96,8 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
 
     With no messages this is ``belief.quiet_step``, the quiet step of both
     layouts, whose team-mode kernels cap every value at 1.
-    Otherwise the tick's messages are one observation (``belief.evidence``,
-    run compiled by ``belief.tick_evidence``), committed at once on fresh
-    lists: each mass propagates down its subtree, climbs toward the root,
+    Otherwise the tick's messages are one observation (``belief.evidence``),
+    committed at once on fresh lists: each mass propagates down its subtree, climbs toward the root,
     and triggers a cross-team rescale whenever the climb steps into a plan
     another team owns.  The climb's steps, and where it rescales, are the
     program's ``evidence_climbs``; each step raises the parent to at least
@@ -113,7 +105,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     its live set is the leaves among them.
 
     An evidence tick taken before from the same tuples and tick signature
-    (``belief.tick_signature``) is a lookup in ``p.next_live.memo``.  Any
+    (``belief.tick_signature``) is a lookup in ``p.compiled.memo``.  Any
     other is computed as above, and its result interned and, when the
     prior state held tuples, stored.  A state whose live set is None skips
     the memo and keeps the lists the tick builds.
@@ -122,7 +114,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
         quiet_step(p, (b,), counter)
         return
     signature = tick_signature(p, msgs)
-    memo = p.next_live.memo
+    memo = p.compiled.memo
     prior_active, prior_blocked, live = b.act, b.blk, b.live
     key = (id(prior_active), signature)
     hit = memo.commit.get(key)
@@ -130,7 +122,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             and live is not None:
         b.act, b.blk, b.live = hit[2]
         return
-    scratch = tick_evidence(b, p, msgs, signature)
+    scratch = evidence(b, p, msgs)
     active = b.act = list(p.zeros)
     b.blk = list(p.zeros)
     updated: set[int] = set()
@@ -176,10 +168,10 @@ def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
     of the answer is its root path of plan names.
 
     An answer read before off the same tuples is looked up in
-    ``p.next_live.memo``; an answer off tuples with a live set is stored.
+    ``p.compiled.memo``; an answer off tuples with a live set is stored.
     """
     act, blk = b.act, b.blk
-    memo = p.next_live.memo
+    memo = p.compiled.memo
     hit = memo.best.get((id(act), team))
     if hit is not None and hit[0] is act and hit[1] is blk:
         return hit[2]

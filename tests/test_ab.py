@@ -61,7 +61,8 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     assert [name for name, row in report.items() if "counts" in row] == online
     for name in online:
         for counts in report[name]["counts"]:
-            assert counts["live kernels"] >= 0 and counts["evidence functions"] >= 0
+            # this tree compiles neither, so prints no count of them
+            assert "live kernels" not in counts and "evidence functions" not in counts
             hits = [v for k, v in counts.items() if k.endswith(" hits")]
             assert len(hits) == 3
             assert all(0.0 <= v <= 1.0 for v in hits)
@@ -71,4 +72,4 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     assert ab.main([str(ROOT), str(ROOT), "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[0] == "workload" and len(lines) == 1 + len(report) + 2 * len(online)
-    assert lines[-1].startswith("array.online_1011 change: live kernels ")
+    assert lines[-1].startswith("array.online_1011 change: quiet hits ")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import math
@@ -478,7 +479,7 @@ def test_next_live_names_the_leaves_a_point_mass_steps_to():
             for x in leaves:
                 active, blocked = q.forward(_point_mass(q, x), list(q.zeros))
                 held = {y for y in leaves if active[y] or blocked[y]}
-                assert q.next_live[(x,)][0] == tuple(sorted(held | {x})), (p.root, q, x)
+                assert q.compiled.next_live((x,)) == tuple(sorted(held | {x})), (p.root, q, x)
 
 
 def test_next_live_of_a_set_is_the_union_of_its_leaves_steps():
@@ -488,19 +489,21 @@ def test_next_live_of_a_set_is_the_union_of_its_leaves_steps():
             for _ in range(5):
                 leaves = q.leaf_index
                 live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 6)))))
-                after = set().union(*(q.next_live[(x,)][0] for x in live))
-                assert q.next_live[live][0] == tuple(sorted(after))
+                after = set().union(*(q.compiled.next_live((x,)) for x in live))
+                assert q.compiled.next_live(live) == tuple(sorted(after))
 
 
 def test_next_live_is_shared_by_fields_and_bounded(monkeypatch):
+    # the next live sets are a table of the step memo, which is bounded
     view = team_program(0).single_agent_view()
-    assert team_program(0).single_agent_view().next_live is view.next_live
-    assert team_program(0).next_live is not view.next_live
-    monkeypatch.setattr(compiled, "LIVE_SETS", 3)
-    table = compiled.NextLive(view)
+    assert team_program(0).single_agent_view().compiled is view.compiled
+    assert team_program(0).compiled is not view.compiled
+    monkeypatch.setattr(compiled, "MEMO_STATES", 3)
+    table = compiled.CompiledProgram(view, view.forward)
     for x in view.leaf_index[:7]:
-        assert table[(x,)][0] == view.next_live[(x,)][0]
-        assert 1 <= len(table) <= 3
+        assert table.next_live((x,)) == view.compiled.next_live((x,))
+        assert 1 <= len(table.memo.live) <= 3
+    assert table.memo.evictions
 
 
 def test_init_and_commits_set_the_live_set():
@@ -510,17 +513,13 @@ def test_init_and_commits_set_the_live_set():
     for q in (p, view):  # both modes carry a live set
         b = init_beliefs(q)
         assert b.live == tuple(x for x in q.leaf_index if b.act[x])
-        apply_messages(b, [msg], q)  # a cold key: ``evidence`` and ``_commit_evidence``
+        apply_messages(b, [msg], q)  # ``evidence`` and ``_commit_evidence``
         assert b.live and b.live == tuple(x for x in q.leaf_index if b.act[x])
 
 
-@pytest.mark.parametrize("compile_at", [1, 10**9], ids=["compiled", "cold"])
 @pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1] == "array"],
                          ids=lambda key: "/".join(map(str, key)))
-def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, compile_at,
-                                                                  monkeypatch):
-    monkeypatch.setattr(compiled, "COMPILE_AT", compile_at)
-    monkeypatch.setattr(compiled, "LIVE_COMPILE_AT", compile_at)
+def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key):
     states = 0
     for _, rec, by_tick in sweep_replays(*key):
         view = rec.view
@@ -609,6 +608,79 @@ def test_array_tick_unknown_sender(evac_mini):
         array_overseer_tick(beliefs, {"escort1": view},
                             [ObservedMessage(0, "stranger", "ESCORT", INIT,
                                              "process-orders")])
+
+
+def _stepped(p, ticks: int) -> BeliefState:
+    """A fresh state of p after ``ticks`` quiet steps."""
+    b = init_beliefs(p)
+    for _ in range(ticks):
+        propagate_forward(b, p)
+    return b
+
+
+def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
+    # ALPHA executes alpha-02-step0, so a TERM of it opens its successor for
+    # ALPHA but nothing for BRAVO, and the source falls back to itself; the
+    # message read first (by sender) decides, in a shared tick and in the
+    # array layout's commits, which read the messages in that order
+    p = team_program(0)
+    start = _stepped(p, 30)
+    source = p.named_index["alpha-02-step0"]
+    masses, states = [], {"yoyo": [], "array": []}
+    for alpha, bravo in (("a", "z"), ("z", "a")):
+        msgs = [ObservedMessage(30, alpha, "ALPHA", TERM, "alpha-02-step0"),
+                ObservedMessage(30, bravo, "BRAVO", TERM, "alpha-02-step0")]
+        masses.append(evidence(start, p, msgs))
+        for layout, step in (("yoyo", lambda b: yoyo_tick(p, b, msgs)),
+                             ("array", lambda b: apply_messages(b, msgs, p))):
+            b = dataclasses.replace(start)
+            step(b)
+            states[layout].append((b.act, b.blk))
+    assert set(masses[0]).isdisjoint(source) and set(masses[1]) == set(source)
+    for layout, (first, second) in states.items():
+        assert first != second, layout
+    # the shared tick commits the whole tick's evidence
+    for (act, _), mass in zip(states["yoyo"], masses):
+        assert all(act[x] >= m for x, m in mass.items())
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["team", "single"])
+def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
+    p = team_program(0)
+    if view:
+        p = p.single_agent_view()  # which reads no team, so NOBODY passes there
+    b = _stepped(p, 12)
+    cases = [[ObservedMessage(7, "alpha1", "ALPHA", INIT, "no-such-plan")],
+             [ObservedMessage(7, "alpha1", "ALPHA", TERM, "phase-00"),
+              ObservedMessage(7, "alpha2", "ALPHA", TERM, "no-such-plan")],
+             [ObservedMessage(7, "stranger", "NOBODY", TERM, "phase-00")],
+             # amy's message is read first, so its plan fails before zed's team
+             [ObservedMessage(7, "zed", "NOBODY", TERM, "phase-01"),
+              ObservedMessage(7, "amy", "ALPHA", TERM, "no-such-plan")]]
+    memo, teams = p.compiled.memo, {t for t, _ in p.team_hierarchy.teams}
+    raised = 0
+    for msgs in cases:
+        try:
+            evidence(b, p, msgs)
+        except MonitoringError as exc:
+            reference = str(exc)
+        else:
+            assert view and msgs[0].team == "NOBODY"
+            continue
+        raised += 1
+        before, values = (b.act, b.blk, b.live), (list(b.act), list(b.blk))
+        commits, misses = len(memo.commit), dict(memo.misses)
+        for step in (lambda: yoyo_tick(p, b, msgs), lambda: apply_messages(b, msgs, p)):
+            with pytest.raises(MonitoringError) as got:
+                step()
+            assert str(got.value) == reference
+        assert b.act is before[0] and b.blk is before[1] and b.live == before[2]
+        assert (b.act, b.blk) == values
+        # no step is stored, and no message key but those that resolve
+        assert len(memo.commit) == commits and memo.misses == misses
+        for _, plan, team in memo.keys.values():
+            assert plan in p.named_index and (team in teams if p.team_mode else team is None)
+    assert raised == (3 if view else 4)
 
 
 def test_a_failing_array_tick_steps_no_state():

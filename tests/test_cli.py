@@ -10,7 +10,7 @@ from overhear.cli import COMMANDS, build_parser, run_command
 from overhear.harness import evaluate_run, render_report
 from overhear.ingest import parse_log
 from overhear import compiled
-from overhear.compiled import _compile_forward, _key_program, _next_live
+from overhear.compiled import _compile
 from overhear.model import load_program_path
 from overhear.progen import flatten_mu
 from overhear.recognizer import make_recognizer
@@ -330,46 +330,48 @@ def test_evaluate_with_loss_and_model(tmp_path):
 
 def test_evaluate_runs_share_one_kernel(tmp_path):
     # each run builds a fresh comm-applied program; equal programs share one
-    # kernel, generated and compiled once per process; the live-step table
-    # and the key program hold it, so fresh ones are the first to ask for it
+    # compiled object and kernel, generated and compiled once per process
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"
     assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0
     argv = ["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
             "--truth", str(trace_path), "--comm", str(model_path)]
-    _compile_forward.cache_clear()
-    _next_live.cache_clear()
-    _key_program.cache_clear()
+    _compile.cache_clear()
     for name in ("first.txt", "second.txt"):
         assert run_command([*argv, "--out", str(tmp_path / name)]) == 0
-    assert _compile_forward.cache_info().misses == 1
+    assert _compile.cache_info().misses == 1
     assert (tmp_path / "first.txt").read_bytes() == (tmp_path / "second.txt").read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["yoyo", "array"])
-def test_evaluate_runs_share_their_evidence_functions(tmp_path, monkeypatch, mode):
-    # each run loads a fresh program and a fresh comm-applied copy; their
-    # evidence functions are cached on fields, so once the first run has
-    # compiled every key (on its first use, here) a second run compiles none.
-    # The step memo hangs on the live-step table and would answer the first
-    # run's evidence ticks from earlier tests, so it starts empty too.
+def test_evaluate_runs_share_one_step_memo(tmp_path, monkeypatch, mode):
+    # each run loads a fresh program and a fresh comm-applied copy; the step
+    # memo is kept per set of program fields, so a second run builds no memo
+    # and computes only the first quiet step of each state, from fresh lists
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"
     assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0
     argv = ["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
             "--truth", str(trace_path), "--comm", str(model_path), "--mode", mode]
-    generated = []
-    source = compiled.evidence_source
-    monkeypatch.setattr(compiled, "evidence_source",
-                        lambda *args: generated.append(args[1]) or source(*args))
-    monkeypatch.setattr(compiled, "COMPILE_AT", 1)
-    compiled._evidence_table.cache_clear()
-    _next_live.cache_clear()
-    counts = []
+    memos = []
+
+    class Counted(compiled.StepMemo):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(compiled, "StepMemo", Counted)
+    _compile.cache_clear()
+    counts, misses = [], []
     for name in ("first.txt", "second.txt"):
         assert run_command([*argv, "--out", str(tmp_path / name)]) == 0
-        counts.append(len(generated))
+        counts.append(len(memos))
+        misses.append({kind: sum(m.misses[kind] for m in memos) for kind in memos[0].misses})
     assert counts[0] > 0 and counts[1] == counts[0]
+    states = 1 if mode == "yoyo" else len(load_program_path(TEAM).team_hierarchy.agent_names)
+    assert misses[1] == {**misses[0], "quiet": misses[0]["quiet"] + states}
     assert (tmp_path / "first.txt").read_bytes() == (tmp_path / "second.txt").read_bytes()
 
 

@@ -273,7 +273,7 @@ def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
         for t, msgs in enumerate(ticks, 1):
             heard = [ObservedMessage(t, *agents[i % len(agents)], kind, names[j % len(names)])
                      for kind, i, j in msgs or ()]
-            _forget(p.next_live.memo)
+            _forget(p.compiled.memo)
             yoyo_tick(p, b, heard)
     assert len(reached) == len(ticks)
 

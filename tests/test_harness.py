@@ -8,7 +8,7 @@ from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.harness import (MAX_ORACLE_STATES, bench_scalability, engine_vector,
                               evaluate_run, exact_filter, hypothesis_count_curve,
                               oracle_states, render_bench, render_report, score_run)
-from overhear.compiled import _compile_forward, _key_program, _next_live
+from overhear.compiled import _compile
 from overhear.model import program_from_document, program_to_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
@@ -353,13 +353,10 @@ def test_bench_scalability_layout_sizes(evac_team):
 
 def test_bench_scalability_compiles_one_kernel_per_layout():
     # growing the team adds agents, which never change a kernel, so every
-    # size shares the team program's kernel and its view's, which their
-    # live-step tables and key programs hold, so fresh ones ask for them
-    _compile_forward.cache_clear()
-    _next_live.cache_clear()
-    _key_program.cache_clear()
+    # size shares the team program's compiled object and its view's
+    _compile.cache_clear()
     bench_scalability(team_program(0), range(11, 21), ticks=2)
-    assert _compile_forward.cache_info().misses == 2
+    assert _compile.cache_info().misses == 2
 
 
 def test_render_bench_layout(evac_team):

@@ -70,7 +70,7 @@ def _scan(view, b) -> int:
 @pytest.mark.parametrize("key", ARRAY_KEYS, ids=_ids)
 def test_the_memo_steps_and_answers_as_the_memo_free_step(key, bound, monkeypatch):
     monkeypatch.setattr(compiled, "MEMO_STATES", bound)
-    compiled._next_live.cache_clear()  # every program below gets an empty memo
+    compiled._compile.cache_clear()  # every program below gets an empty memo
     memos = set()
     for _, rec, by_tick in sweep_replays(*key):
         view = rec.view
@@ -84,7 +84,7 @@ def test_the_memo_steps_and_answers_as_the_memo_free_step(key, bound, monkeypatc
                 assert _bits(b) == _bits(expected), (key, t, agent, _hex(b), _hex(expected))
                 if any(b.act[x] or b.blk[x] for x in view.leaf_index):
                     assert most_likely_state(b, view) == _scan(view, expected), (key, t, agent)
-        memos.add(view.next_live.memo)
+        memos.add(view.compiled.memo)
     if bound < 10:
         assert all(memo.evictions for memo in memos)
 
@@ -144,11 +144,11 @@ def test_a_hit_needs_both_tuples_of_the_state():
 
 
 def test_a_replayed_log_steps_from_the_memo():
-    compiled._next_live.cache_clear()
+    compiled._compile.cache_clear()
     p = team_program(0)
     _, log = simulate(p, SimConfig(seed=3, ticks=120, team_mode=False))
     rec = make_recognizer(p, "array")
-    memo = rec.view.next_live.memo
+    memo = rec.view.compiled.memo
     for _ in rec.replay(log, 120):
         [rec.path(a) for a in rec.agents]
     first, visits = dict(memo.misses), rec.counter.visits
@@ -191,7 +191,7 @@ def _reference_yoyo_tick(p, b, msgs):
 @pytest.mark.parametrize("key", YOYO_KEYS, ids=_ids)
 def test_the_shared_memo_steps_and_answers_as_the_memo_free_step(key, bound, monkeypatch):
     monkeypatch.setattr(compiled, "MEMO_STATES", bound)
-    compiled._next_live.cache_clear()  # every program below gets an empty memo
+    compiled._compile.cache_clear()  # every program below gets an empty memo
     memos = set()
     for _, rec, by_tick in sweep_replays(*key):
         p, b = rec.p, rec.belief
@@ -205,7 +205,7 @@ def test_the_shared_memo_steps_and_answers_as_the_memo_free_step(key, bound, mon
             for team in rec.teams:
                 answer = p.team_best_leaf[team](expected.act, expected.blk)
                 assert team_most_likely(b, p, team) == answer, (key, t, team)
-        memos.add(p.next_live.memo)
+        memos.add(p.compiled.memo)
     if bound < 10:
         assert all(memo.evictions for memo in memos)
 
@@ -224,11 +224,11 @@ def test_stepped_shared_states_are_immutable_tuples(key):
 
 
 def test_a_replayed_team_log_steps_from_the_memo():
-    compiled._next_live.cache_clear()
+    compiled._compile.cache_clear()
     p = team_program(0)
     _, log = simulate(p, SimConfig(seed=3, ticks=300, team_mode=True))
     rec = make_recognizer(p, "yoyo")
-    memo = p.next_live.memo
+    memo = p.compiled.memo
     for _ in rec.replay(log, 300):
         [rec.path(team) for team in rec.teams]
     first, visits = dict(memo.misses), rec.counter.visits
@@ -246,7 +246,7 @@ def test_a_shared_hit_needs_both_tuples_of_the_state():
     # the evidence tick reads the prior blocked table and its rescale the
     # prior active one, so a state that shares either tuple alone with a
     # stored key is stepped and queried afresh
-    compiled._next_live.cache_clear()
+    compiled._compile.cache_clear()
     p = team_program(0)
     _, log = simulate(p, SimConfig(seed=0, ticks=150, team_mode=True))
     by_tick = messages_by_tick(log)
@@ -284,7 +284,7 @@ def test_message_keys_keep_no_team_read_from_the_sender():
     # whose team comes from the sender must be resolved for each program
     p = team_program(0)
     grown = grow_team(p, 1)
-    assert grown.next_live.memo is p.next_live.memo
+    assert grown.compiled.memo is p.compiled.memo
     (agent,) = set(grown.team_hierarchy.agent_names) - set(p.team_hierarchy.agent_names)
     team = grown.team_hierarchy.agent_team(agent)
     for m in (ObservedMessage(3, agent, "NO-SUCH-TEAM", TERM, "phase-00"),
@@ -294,4 +294,4 @@ def test_message_keys_keep_no_team_read_from_the_sender():
             _message_keys(p, [m])
     m = ObservedMessage(3, agent, team, TERM, "phase-00")  # its own team: kept, and valid for p
     assert _message_keys(grown, [m]) == _message_keys(p, [m]) == [(m, (TERM, "phase-00", team))]
-    assert p.next_live.memo.keys[(TERM, "phase-00", team)] == (TERM, "phase-00", team)
+    assert p.compiled.memo.keys[(TERM, "phase-00", team)] == (TERM, "phase-00", team)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from overhear import compiled
-from overhear.compiled import _compile_forward, forward_source
+from overhear.compiled import _compile, forward_source
 from overhear.model import (ProgramError, TERMINATE, hazard, load_program, load_program_path,
                             program_from_document, program_to_document, serialize_program,
                             topmost_teams)
@@ -506,8 +506,8 @@ def test_warm_tables_leave_equality_and_hash_alone():
     rec.step([])
     {u: rec.path(u) for u in rec.teams}
     fresh = load_program(serialize_program(warm), team_mode=True)
-    assert {"next_live", "name_paths_at", "leaves_by_team"} <= set(vars(warm))
-    assert "next_live" not in vars(fresh)
+    assert {"compiled", "name_paths_at", "leaves_by_team"} <= set(vars(warm))
+    assert "compiled" not in vars(fresh)
     assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
     assert "_chain" in vars(warm.team_hierarchy)
     assert warm.team_hierarchy == fresh.team_hierarchy
@@ -552,28 +552,28 @@ def test_forward_is_shared_only_by_equal_sources():
 
 
 def test_forward_cache_is_bounded():
-    size = _compile_forward.cache_info().maxsize
+    size = _compile.cache_info().maxsize
     p = team_program(0)
     first = p.forward
     # size distinct kernels, each one flat message probability
     for k in range(size):
         flatten_mu(p, (k + 1) / (size + 2)).forward
-    before = _compile_forward.cache_info().misses
+    before = _compile.cache_info().misses
     again = team_program(0).forward
-    assert _compile_forward.cache_info().misses == before + 1
+    assert _compile.cache_info().misses == before + 1
     assert again is not first and inspect.getsource(again) == forward_source(p)
     # the evicted kernel's source left linecache with it
     assert first.__code__.co_filename not in linecache.cache
 
 
 def test_forward_sources_leave_linecache_with_their_kernels():
-    size = _compile_forward.cache_info().maxsize
+    size = _compile.cache_info().maxsize
     p = team_program(0)
     mus = [(k + 1) / (size + 12) for k in range(size + 10)]
     for mu in mus:
         flatten_mu(p, mu).forward
     sources = [name for name in linecache.cache if name.startswith("<forward step ")]
-    assert len(sources) == size == _compile_forward.cache_info().currsize
+    assert len(sources) == size == _compile.cache_info().currsize
     # the last kernel compiled is still cached, and so is its source
     last = flatten_mu(p, mus[-1]).forward
     assert inspect.getsource(last).startswith("def forward(A, B):\n")
@@ -582,12 +582,12 @@ def test_forward_sources_leave_linecache_with_their_kernels():
 def test_kernels_of_one_source_keep_their_own_source():
     # programs that differ only in plan names generate one source under two
     # keys; the kernel left cached keeps its source when the other is dropped
-    _compile_forward.cache_clear()
+    _compile.cache_clear()
     p = team_program(0)
     renamed = replace(p, plans=tuple(replace(n, name=f"{n.name}-x") for n in p.plans))
     kept, dropped = p.forward, renamed.forward
     assert kept is not dropped and inspect.getsource(kept) == inspect.getsource(dropped)
-    size = _compile_forward.cache_info().maxsize
+    size = _compile.cache_info().maxsize
     assert team_program(0).forward is kept  # now the most recently used
     for k in range(size - 1):
         flatten_mu(p, (k + 1) / (size + 3)).forward

@@ -379,11 +379,11 @@ def test_quiet_tick_visits_bounded():
 def test_quiet_ticks_reuse_groups_and_kernels():
     # every derived table is a cached property of the program or its team
     # hierarchy, kept in the instance's __dict__; one warm-up tick and one
-    # query per unit build the groups, the live-step table, the path and
+    # query per unit build the groups, the compiled object, the path and
     # team-leaf tables, and 50 more queried quiet ticks in any layout must
     # neither add a table nor replace one; the step memo starts empty, so
     # the warm-up computes its step and queries rather than looking them up
-    compiled._next_live.cache_clear()
+    compiled._compile.cache_clear()
     tp = team_program(0)
     recognizers = [make_recognizer(tp, "yoyo"), make_recognizer(tp, "array"),
                    make_recognizer(tp, "array", coherent=True)]
@@ -398,7 +398,7 @@ def test_quiet_ticks_reuse_groups_and_kernels():
         warm.append(query(rec))
     programs = [tp] + [rec.view for rec in recognizers[1:]]
     for q in programs:
-        assert {"next_live", "groups_at", "name_paths_at", "leaves_by_team"} <= set(vars(q))
+        assert {"compiled", "groups_at", "name_paths_at", "leaves_by_team"} <= set(vars(q))
     owners = [o for q in programs for o in (q, q.team_hierarchy)]
     tables = [dict(vars(o)) for o in owners]
     for rec, first in zip(recognizers, warm):
@@ -508,15 +508,11 @@ def test_evidence_tick_does_not_depend_on_string_hashing():
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("compile_at", [1, 10**9], ids=["compiled", "cold"])
 @pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1] == "yoyo"],
                          ids=lambda key: "/".join(map(str, key)))
-def test_every_yoyo_tick_keeps_the_live_kernels_conditions(key, compile_at, monkeypatch):
-    # a live kernel equals the full one on states whose leaves outside the
-    # live set hold exactly 0.0 and whose entries lie in [0, 1]; every
-    # quiet and evidence tick of the sweep leaves such a state
-    monkeypatch.setattr(compiled, "COMPILE_AT", compile_at)
-    monkeypatch.setattr(compiled, "LIVE_COMPILE_AT", compile_at)
+def test_every_yoyo_tick_leaves_a_live_set_and_values_in_0_1(key, monkeypatch):
+    # every quiet and evidence tick of the sweep leaves a state whose leaves
+    # outside the live set hold exactly 0.0 and whose entries lie in [0, 1]
     written = []  # what each evidence tick wrote, ``updated``
     clamp = yoyo._clamp_entries
     monkeypatch.setattr(yoyo, "_clamp_entries",

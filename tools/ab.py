@@ -28,20 +28,19 @@ workload is built from each side's own modules:
 - ``<layout>.online``: the on-line case, a run that never repeats.  Each
   round simulates a fresh run of ``ONLINE_TICKS`` ticks with a new seed,
   clears every compile cache of the side's ``compiled`` module (and with
-  them the step memo, which hangs on a cached table), loads
+  them the step memo, which hangs on a cached object), loads
   the program afresh and replays the run once: each tick's step and every
   unit's ``path``.  ``array.online_1011`` does the same for the array
   layout on ``grow_team(team_program(0), CROWD)``, 1,011 agents, over
   ``TICKS`` ticks.  After the table the report prints, per side and online
   workload of the last round, the step memo's hit rates (where the side's
-  layout uses one) and the live kernels and evidence functions the replay
-  compiled.
+  layout uses one) and, for a side that compiles them, the live kernels
+  and evidence functions the replay compiled.
 
 Each side first runs every workload once, untimed, so that the timed
-rounds step warm keys and live sets: every compile cache is keyed on
-program fields, and a key compiles on its ``compiled.COMPILE_AT``-th use
-and a live set on its ``compiled.LIVE_COMPILE_AT``-th, so without this
-pass the first rounds would run them interpreted or on the full kernel.
+rounds start from warm caches: every compile cache, and the step memo, is
+kept per set of program fields, so without this pass the first rounds
+would pay for compiles and steps that later rounds look up.
 The sides then run in alternating order for ``--rounds`` rounds, each
 workload best of ``REPEATS`` per round (per tick for ``stream`` and
 ``query``), and then, as each online replay clears the caches the others
@@ -190,18 +189,23 @@ class Side:
         return seconds, answers, self.counts(rec, by_tick, ticks)
 
     def counts(self, rec, by_tick, ticks: int) -> dict:
-        """What one replay of ``rec`` compiled, and the hit rates of its step
-        memo where this side's layout uses one (a replay that uses it misses
-        at least its first step): of the quiet steps, the evidence steps (one
-        per tick in the shared layout, one per message and recipient in the
-        array layout) and the queries, the share that no step computed."""
+        """What one replay of ``rec`` compiled, for a side with live kernels
+        or compiled evidence, and the hit rates of its step memo where this
+        side's layout uses one (a replay that uses it misses at least its
+        first step): of the quiet steps, the evidence steps (one per tick in
+        the shared layout, one per message and recipient in the array
+        layout) and the queries, the share that no step computed."""
         shared = isinstance(rec, self.recognizer.SharedRecognizer)
         q = rec.p if shared else rec.view
-        tables = q.evidence_functions
-        out = {"live kernels": len(q.next_live.kernels),
-               "evidence functions": sum(tier.kernel.cache_info().currsize
-                                         for tier in (tables.step, tables.commit))}
-        memo = getattr(q.next_live, "memo", None)
+        out = {}
+        live = getattr(q, "next_live", None)
+        if hasattr(live, "kernels"):
+            out["live kernels"] = len(live.kernels)
+        tables = getattr(q, "evidence_functions", None)
+        if tables is not None:
+            out["evidence functions"] = sum(tier.kernel.cache_info().currsize
+                                            for tier in (tables.step, tables.commit))
+        memo = getattr(getattr(q, "compiled", live), "memo", None)
         if memo is None or not any(memo.misses.values()):
             return out
         heard = [by_tick.get(t, ()) for t in range(1, ticks)]
