@@ -21,7 +21,7 @@ from overhear.yoyo import team_most_likely, yoyo_tick
 
 from conftest import brute_leaves
 from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
-                         sweep_programs, sweep_replays, table_programs)
+                         sweep_programs, sweep_replays, table_programs, warm_replays)
 
 
 def _chain(lam_a=0.05, mu=0.0, extra_leaf=False, team_mode=False):
@@ -517,11 +517,59 @@ def test_init_and_commits_set_the_live_set():
         assert b.live and b.live == tuple(x for x in q.leaf_index if b.act[x])
 
 
+# entries of a planted table: exact 0 and 1, just below 1, subnormal
+_PLANTED = (0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, 2.0 ** -1060)
+
+
+def _planted_live(rng: random.Random, q, live) -> list:
+    """A table whose leaves outside ``live`` hold 0.0 and whose other
+    entries are ``_PLANTED`` values or uniform in [0, 1)."""
+    outside = set(q.leaf_index).difference(live)
+    return [0.0 if i in outside else rng.choice(_PLANTED) if rng.random() < 0.7
+            else rng.random() for i in range(len(q.node_ids))]
+
+
+@pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
+def test_the_forward_step_leaves_no_mass_outside_the_next_live_set(key):
+    # every state a sweep replay steps, in both layouts, and for each live
+    # set the replay meets, planted tables that cap, floor and skip where
+    # no run does: after ``forward`` every leaf outside ``next_live`` of the
+    # prior live set holds exactly 0.0
+    corpus, mode, coherent = key
+    rng = random.Random("/".join(map(str, key)))
+    states = planted = 0
+    for _, rec, by_tick in sweep_replays(corpus, mode, coherent):
+        q, seen = (rec.p if mode == "yoyo" else rec.view), set()
+        for t in range(TICKS):
+            for b in [rec.belief] if mode == "yoyo" else rec.beliefs.values():
+                after = q.compiled.next_live(b.live)
+                assert set(b.live) <= set(after) <= set(q.leaf_index), (key, t)
+                outside = set(q.leaf_index).difference(after)
+                tables = [(b.act, b.blk)]
+                if b.live not in seen:
+                    seen.add(b.live)
+                    tables += [(_planted_live(rng, q, b.live), _planted_live(rng, q, b.live))
+                               for _ in range(4)]
+                    planted += 4
+                for A, B in tables:
+                    act, blk = q.forward(A, B)
+                    assert all(act[x] == blk[x] == 0.0 for x in outside), (key, t, b.live)
+                states += 1
+            rec.step(by_tick.get(t, []))
+    assert states and planted
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1] == "array"],
                          ids=lambda key: "/".join(map(str, key)))
-def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key):
+def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
+    # cold: the step memo starts empty, so a step is computed where the
+    # sweep first meets it; warm: each replay follows an equal one, so its
+    # steps and live sets are lookups, which may come from another route
+    if memo == "cold":
+        compiled._compile.cache_clear()
     states = 0
-    for _, rec, by_tick in sweep_replays(*key):
+    for _, rec, by_tick in (sweep_replays if memo == "cold" else warm_replays)(*key):
         view = rec.view
         leaves, scan = view.leaf_index, _compile_scan(view.leaf_index).function
         for t in range(TICKS):

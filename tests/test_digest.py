@@ -190,12 +190,23 @@ def sweep_replays(corpus: str, mode: str, coherent: bool | None):
                        make_recognizer(rec_program, mode, coherent), by_tick)
 
 
-@functools.cache
-def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, str]:
+def warm_replays(corpus: str, mode: str, coherent: bool | None):
+    """``sweep_replays``, each recognizer yielded after an equal one (same
+    program fields, so the same step memo) has stepped through its log: the
+    yielded replay meets only steps already taken."""
+    for (_, warm, by_tick), replay in zip(sweep_replays(corpus, mode, coherent),
+                                          sweep_replays(corpus, mode, coherent)):
+        for t in range(TICKS):
+            warm.step(by_tick.get(t, []))
+        yield replay
+
+
+def replay_digests(replays, mode: str) -> tuple[str, str]:
     """sha256 over every state that one layout steps through in
-    ``sweep_replays``, and sha256 over the answers read off each of them."""
+    ``replays``, (label, recognizer, tick-grouped log) triples such as
+    ``sweep_replays`` yields, and sha256 over the answers read off each."""
     h, answers = hashlib.sha256(), hashlib.sha256()
-    for label, rec, by_tick in sweep_replays(corpus, mode, coherent):
+    for label, rec, by_tick in replays:
         h.update(label)
         answers.update(label)
         for t in range(TICKS):
@@ -207,6 +218,12 @@ def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, s
                     _hash_state(h, rec.beliefs[agent], t + 1)
             _hash_answers(answers, rec, mode)
     return h.hexdigest(), answers.hexdigest()
+
+
+@functools.cache
+def sweep_digests(corpus: str, mode: str, coherent: bool | None) -> tuple[str, str]:
+    """``replay_digests`` of ``sweep_replays``."""
+    return replay_digests(sweep_replays(corpus, mode, coherent), mode)
 
 
 def sweep_digest(corpus: str, mode: str, coherent: bool | None) -> str:

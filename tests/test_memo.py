@@ -9,24 +9,32 @@ interpreted evidence committed on fresh lists, and each team's pick.
 Their states and answers must agree bit for bit.  The memo's bound is set
 to 1 and to a small number, so entries are evicted all through the
 replay, and left at its default, where steps are shared across runs.
+
+The sweep must also keep its pins (``SWEEP_SHA256``, ``QUERY_SHA256``)
+when each replay is a lookup of an equal one's steps, and when each tick's
+messages come in another order; and on planted tables that no sweep tick
+reaches, each evidence step, computed and then looked up, must equal a
+reference.
 """
 
 import math
+import random
 from array import array
 
 import pytest
 
 from overhear import compiled
 from overhear.belief import (BeliefState, MonitoringError, _commit_evidence, _message_keys,
-                             _message_order, array_overseer_tick, evidence, init_beliefs,
-                             most_likely_state, propagate_down, propagate_forward)
-from overhear.ingest import TERM, ObservedMessage, messages_by_tick
+                             _message_order, apply_messages, array_overseer_tick, evidence,
+                             init_beliefs, most_likely_state, propagate_down, propagate_forward)
+from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from overhear.progen import grow_team, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.yoyo import _clamp_entries, _rescale, team_most_likely, yoyo_tick
 
-from test_digest import SWEEP_SHA256, TICKS, sweep_replays
+from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
+                         table_programs, warm_replays)
 
 ARRAY_KEYS = [key for key in SWEEP_SHA256 if key[1] == "array"]
 YOYO_KEYS = [key for key in SWEEP_SHA256 if key[1] == "yoyo"]
@@ -295,3 +303,87 @@ def test_message_keys_keep_no_team_read_from_the_sender():
     m = ObservedMessage(3, agent, team, TERM, "phase-00")  # its own team: kept, and valid for p
     assert _message_keys(grown, [m]) == _message_keys(p, [m]) == [(m, (TERM, "phase-00", team))]
     assert p.compiled.memo.keys[(TERM, "phase-00", team)] == (TERM, "phase-00", team)
+
+
+@pytest.mark.parametrize("key", SWEEP_SHA256, ids=_ids)
+def test_a_warm_memo_steps_every_sweep_to_its_pinned_digests(key):
+    # each replay follows an equal one through its log first, so it computes
+    # at most its first step from each state's fresh lists and looks up the
+    # rest; the states and answers it steps through keep the pins
+    def checked():
+        for replay in warm_replays(*key):
+            rec = replay[1]
+            memo = (rec.p if key[1] == "yoyo" else rec.view).compiled.memo
+            before = memo.misses["quiet"] + memo.misses["commit"]
+            yield replay  # resumed once ``replay_digests`` has stepped it through
+            fresh = 1 if key[1] == "yoyo" else len(rec.agents)
+            assert memo.misses["quiet"] + memo.misses["commit"] - before <= fresh, key
+
+    assert replay_digests(checked(), key[1]) == (SWEEP_SHA256[key], QUERY_SHA256[key])
+
+
+@pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[0].startswith("team_program")],
+                         ids=_ids)
+def test_a_ticks_messages_step_alike_in_any_order(key):
+    # both layouts read a tick's messages, and key their memo entries, in
+    # ``_message_order``; each tick's messages reversed, from an empty memo,
+    # keep the pins (only these corpora's logs have ticks of several messages)
+    compiled._compile.cache_clear()
+    moved = []
+
+    def reversed_ticks():
+        for label, rec, by_tick in sweep_replays(*key):
+            moved.extend(t for t, msgs in by_tick.items() if msgs[::-1] != msgs)
+            yield label, rec, {t: msgs[::-1] for t, msgs in by_tick.items()}
+
+    assert replay_digests(reversed_ticks(), key[1]) == (SWEEP_SHA256[key], QUERY_SHA256[key])
+    assert moved
+
+
+def _unrolled_commit(b, p, m):
+    """``evidence`` of one message committed on fresh zero tables, written
+    out apart from ``_commit_evidence``: each mass on its node, down its
+    first-child groups, and onto every ancestor, in position order."""
+    scratch = evidence(b, p, [m])
+    active = list(p.zeros)
+    for x in sorted(scratch):
+        active[x] += scratch[x]
+        propagate_down(x, scratch[x], active, p)
+        for anc in p.ancestors_at[x]:
+            active[anc] += scratch[x]
+    b.act, b.blk = active, list(p.zeros)
+
+
+@pytest.mark.parametrize("layout", ["array", "yoyo"])
+def test_evidence_steps_equal_the_reference_on_planted_tables(layout):
+    # blocked masses spread over 16 orders of magnitude, with exact zeros,
+    # reach the floor and the even fallback, which no sweep tick does; each
+    # step is taken twice from one state of tuples: computed, then looked up
+    rng = random.Random(31)
+    for prog, base in enumerate(table_programs()):
+        for p in (base, base.single_agent_view()) if layout == "array" else (base,):
+            h, names, memo = p.team_hierarchy, sorted(p.named_index), p.compiled.memo
+            teams = [None] if not p.team_mode else [t for t, _ in h.teams]
+            for _ in range(12):
+                blk = tuple(rng.random() * 10.0 ** -rng.randrange(16) if rng.random() < 0.7
+                            else 0.0 for _ in p.node_ids)
+                start = (tuple(p.zeros), blk, p.index, tuple(x for x in p.leaf_index if blk[x]))
+                msgs = [ObservedMessage(1, f"s{k}", rng.choice(teams) or "-",
+                                        rng.choice((INIT, TERM)), rng.choice(names))
+                        for k in range(rng.randrange(1, 4))]
+                expected = BeliefState(list(start[0]), list(blk), p.index, start[3])
+                if layout == "array":
+                    for m in sorted(msgs, key=_message_order):
+                        _unrolled_commit(expected, p, m)
+                else:
+                    _reference_yoyo_tick(p, expected, msgs)
+                for looked_up in (False, True):
+                    misses, b = memo.misses["commit"], BeliefState(*start)
+                    if layout == "array":
+                        apply_messages(b, msgs, p)
+                    else:
+                        yoyo_tick(p, b, msgs)
+                        assert b.live == expected.live, (prog, p.team_mode)
+                    assert _bits(b) == _bits(expected), (prog, p.team_mode, looked_up)
+                    assert {x for x in p.leaf_index if b.act[x]} <= set(b.live), prog
+                    assert (memo.misses["commit"] == misses) == looked_up, (prog, looked_up)

@@ -17,7 +17,7 @@ from overhear.sim import SimConfig, simulate
 from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
 from conftest import brute_leaves
-from test_digest import SWEEP_SHA256, TICKS, sweep_replays
+from test_digest import SWEEP_SHA256, TICKS, sweep_replays, warm_replays
 
 
 def _two_team_doc():
@@ -508,17 +508,23 @@ def test_evidence_tick_does_not_depend_on_string_hashing():
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1] == "yoyo"],
                          ids=lambda key: "/".join(map(str, key)))
-def test_every_yoyo_tick_leaves_a_live_set_and_values_in_0_1(key, monkeypatch):
+def test_every_yoyo_tick_leaves_a_live_set_and_values_in_0_1(key, memo, monkeypatch):
     # every quiet and evidence tick of the sweep leaves a state whose leaves
-    # outside the live set hold exactly 0.0 and whose entries lie in [0, 1]
-    written = []  # what each evidence tick wrote, ``updated``
+    # outside the live set hold exactly 0.0 and whose entries lie in [0, 1];
+    # cold: the step memo starts empty, so a tick is computed where the
+    # sweep first meets it; warm: each replay follows an equal one, so its
+    # ticks are lookups, which write nothing and clamp nothing
+    if memo == "cold":
+        compiled._compile.cache_clear()
+    written = []  # what each computed evidence tick wrote, ``updated``
     clamp = yoyo._clamp_entries
     monkeypatch.setattr(yoyo, "_clamp_entries",
                         lambda state, keys: written.append(set(keys)) or clamp(state, keys))
     states = 0
-    for _, rec, by_tick in sweep_replays(*key):
+    for _, rec, by_tick in (sweep_replays if memo == "cold" else warm_replays)(*key):
         p, b = rec.p, rec.belief
         for t in range(TICKS):
             written.clear()
