@@ -25,23 +25,25 @@ readers outside the engine.
 
 Both layouts step a state in place.  ``init_beliefs`` alone builds one;
 ``propagate_forward``, ``apply_messages``, ``array_overseer_tick`` and
-``yoyo.yoyo_tick`` replace its ``act`` and ``blk`` with new tables and
-return None, so a caller holds one state object for the whole run and
-keeps a tick's masses by keeping its tables.  Each checks every message
-(its team and its plan) before it replaces any table, so a step that
-raises leaves every state as it was.
+``yoyo.yoyo_tick`` replace its value (its ``act``, ``blk`` and ``live``)
+with a new one and return None, so a caller holds one state object for
+the whole run and keeps a tick's masses by keeping its tables.  Each
+checks every message (its team and its plan) before it replaces any
+value, so a step that raises leaves every state as it was.
 
-In both layouts a stepped state's tables are tuples, which no step
-writes and states may share.  Every step and query looks a state up in
-the program's step memo (``compiled.StepMemo``, ``p.compiled.memo``) by
-the identity of its tuples, so one taken before from the same state is one
-dict lookup: the quiet step of both layouts (``quiet_step``), the array
-layout's commits (``apply_messages``) and ``most_likely_state``, and the
-shared layout's evidence tick and team query (``yoyo``).  An evidence
-result is interned by its exact bits, so states that commit to equal
-values share one pair of tuples, and a state stepped from lists (a fresh
-``init_beliefs``, a hand-built state) joins them the same way.  A state
-whose live set is None skips the memo and keeps lists.
+In both layouts a stepped state holds a value of the program's step memo
+(``Value`` of ``compiled.StepMemo``, ``p.compiled.memo``), whose
+tables are tuples, which no step writes and states may share.  Each value
+keeps the steps and answers taken from it as links, so one taken before
+from the same value is one attribute load, or one dict lookup by its
+key: the quiet step of both layouts (``quiet_step``), the array layout's
+commits (``apply_messages``) and ``most_likely_state``, and the shared
+layout's evidence tick and team query (``yoyo``).  An evidence result is
+interned by its exact bits and live set, so states that commit to equal
+values share one value, and a state stepped from a value the memo did
+not make (a fresh ``init_beliefs``, a hand-built or hand-edited state)
+joins them the same way.  A state whose live set is None skips the memo
+and keeps lists.
 
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
@@ -84,7 +86,6 @@ program's kernel caps what its quiet step returns, and
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .ingest import INIT, TERM, ObservedMessage
@@ -103,7 +104,7 @@ class VisitCounter:
     """Counts the node visits of quiet steps (scalability probes).
 
     A step adds the nodes it covers, every node of the program, not the
-    tests its kernel runs, and a step looked up in the step memo counts
+    tests its kernel runs, and a step followed from the step memo counts
     the same as one computed."""
 
     __slots__ = ("visits",)
@@ -112,17 +113,57 @@ class VisitCounter:
         self.visits = 0
 
 
-@dataclass(slots=True)
+# The links of a value with none: shared, and never written (a link
+# replaces the slot's table with a new one).
+NO_LINKS: dict = {}
+
+
+class Value:
+    """One belief value, ``act``, ``blk`` and ``live`` (see
+    ``BeliefState``), and the steps memoized from it.
+
+    ``memo`` is the ``compiled.StepMemo`` that made the value, or None for
+    a value built from outside it (``BeliefState``'s constructor and
+    setters, and the engine's lists); only a memo's own values, whose
+    tables are tuples and whose live set is not None, hold links, and a
+    step follows a link only under the memo that made it.  A link is the
+    value a step gives, or the answer a query gives:
+
+    - ``quiet``: the value after the forward step (``quiet_step``);
+    - ``commits``: per evidence key, the value after it: the array layout's
+      commit of one message, keyed by its ``(kind, plan, team)``, and the
+      shared layout's evidence tick, keyed by its tick signature
+      (``tick_signature``);
+    - ``best``: the most likely leaf (``most_likely_state``);
+    - ``teams``: per team, its most likely leaf (``yoyo.team_most_likely``).
+
+    A table slot with no link holds ``NO_LINKS``.
+    """
+
+    __slots__ = ("act", "blk", "live", "memo", "quiet", "commits", "best", "teams")
+
+    def __init__(self, act, blk, live, memo=None):
+        self.act, self.blk, self.live, self.memo = act, blk, live, memo
+        self.quiet = self.best = None
+        self.commits = self.teams = NO_LINKS
+
+
 class BeliefState:
     """Belief over a plan state, stepped in place.
 
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
     ``node_ids`` order; ``index`` is the program's node id -> position table.
-    In either layout a step replaces both tables with tuples that states
-    may share and no one writes, the step memo's keys (lists, for a state
-    whose live set is None).  ``active`` and ``blocked`` are read-only
-    snapshots of the two tables keyed by node id, built on each read, so a
-    later step or write shows only in a later read.
+    The state holds the three as one ``value`` (``Value``), and
+    ``act``, ``blk`` and ``live`` read through it.  In either layout a step
+    replaces the value with one of the step memo's, whose tables are
+    tuples that states may share and no one writes (lists, for a state
+    whose live set is None), so a step taken before from the same value is
+    one attribute load.  Assigning ``act``, ``blk`` or ``live`` gives the
+    state a fresh value, with no steps memoized, so a hand-edited state
+    never follows one.  ``active`` and ``blocked`` are read-only snapshots
+    of the two tables keyed by node id, built on each read, so a later step
+    or write shows only in a later read.  Two states are equal when their
+    ``act`` and ``blk`` are.
 
     ``live`` is a sorted tuple of leaf positions outside which every leaf's
     ``act`` and ``blk`` entry is exactly 0.0, so a query reads only those
@@ -132,10 +173,46 @@ class BeliefState:
     writer that puts mass on a leaf outside ``live`` must set it to None.
     """
 
-    act: list[float] | tuple[float, ...]
-    blk: list[float] | tuple[float, ...]
-    index: dict[str, int] = field(repr=False, compare=False)
-    live: tuple[int, ...] | None = field(default=None, compare=False)
+    __slots__ = ("value", "index")
+
+    def __init__(self, act: list[float] | tuple[float, ...], blk: list[float] | tuple[float, ...],
+                 index: dict[str, int], live: tuple[int, ...] | None = None):
+        self.value = Value(act, blk, live)
+        self.index = index
+
+    @property
+    def act(self) -> list[float] | tuple[float, ...]:
+        return self.value.act
+
+    @act.setter
+    def act(self, act):
+        self.value = Value(act, self.value.blk, self.value.live)
+
+    @property
+    def blk(self) -> list[float] | tuple[float, ...]:
+        return self.value.blk
+
+    @blk.setter
+    def blk(self, blk):
+        self.value = Value(self.value.act, blk, self.value.live)
+
+    @property
+    def live(self) -> tuple[int, ...] | None:
+        return self.value.live
+
+    @live.setter
+    def live(self, live):
+        self.value = Value(self.value.act, self.value.blk, live)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.act, self.blk) == (other.act, other.blk)
+
+    __hash__ = None  # a state is stepped in place
+
+    def __repr__(self) -> str:
+        return f"BeliefState(act={self.act!r}, blk={self.blk!r}, live={self.live!r})"
 
     @property
     def active(self) -> Mapping[str, float]:
@@ -319,39 +396,35 @@ def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedP
         propagate_down(x, mass, active, p, written)
         for anc in ancestors[x]:
             active[anc] += mass
-    b.act, b.blk = active, list(p.zeros)
     children = p.children_at
-    b.live = tuple(sorted(x for x in written if not children[x]))
+    b.value = Value(active, list(p.zeros), tuple(sorted(x for x in written if not children[x])))
 
 
 def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
     """Commit each of ``_message_keys``' messages into b, one at a time.
 
-    A commit reads only the prior blocked table, so one taken before from
-    the same tuple is a lookup in ``p.compiled.memo`` (``compiled.StepMemo``).
-    Otherwise it is ``evidence`` of the message alone, committed by
-    ``_commit_evidence``; the result is interned, and stored when the prior
-    state holds tuples.  A state whose live set is None skips the memo and
-    keeps the lists the commit builds.
+    A commit taken before from the same value with the same message key is
+    a link of the value's ``commits`` (``Value``).  Otherwise it is
+    ``evidence`` of the message alone, committed by ``_commit_evidence``;
+    the result is interned in ``p.compiled.memo`` (``compiled.StepMemo``),
+    and linked when the prior value is one of the memo's own.  A state
+    whose live set is None skips the memo and keeps the lists the commit
+    builds.
     """
     memo = p.compiled.memo
     for m, key in keyed:
-        blk, live = b.blk, b.live
-        hit = memo.commit.get((id(blk), key))
-        if hit is not None and hit[0] is blk and live is not None:
-            b.act, b.blk, b.live = hit[1]
+        prior = b.value
+        after = prior.commits.get(key)
+        if after is not None and prior.memo is memo:
+            b.value = after
             continue
         _commit_evidence(b, evidence(b, p, [m]), p)
-        if live is not None:
+        if prior.live is not None:
             memo.misses["commit"] += 1
-            step = (*memo.intern(b.act, b.blk), b.live)
-            b.act, b.blk, b.live = step
-            if type(blk) is tuple:
-                memo.store(memo.commit, (id(blk), key), (blk, step))
-
-
-def _is_tuples(b: BeliefState) -> bool:
-    return type(b.act) is tuple and type(b.blk) is tuple
+            after = b.value = memo.intern(b.act, b.blk, b.live)
+            if prior.memo is memo:
+                memo.link("commit", prior)
+                prior.commits = {**prior.commits, key: after}
 
 
 def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = None):
@@ -359,38 +432,39 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
     observation, in place: the quiet tick of both layouts.
 
     It is ``propagate_forward``'s step, bit for bit, as tuples.  A step
-    taken before from the same tuples is a lookup in ``p.compiled.memo``.
-    Any other is computed by ``p.forward``: from a state of tuples it is
-    stored, and needs no interning, as its source is already one value;
-    from lists (a fresh ``init_beliefs``, a hand-built state) it is
-    interned instead.  A state whose live set is None steps by
-    ``propagate_forward`` and keeps lists.  The counter takes one visit per
-    node of p and state, the nodes a step covers, whether the step is
-    looked up or computed and whatever tests the kernel runs.
+    taken before from the same value is its ``quiet`` link (``Value``).
+    Any other is computed by ``p.forward``: from a value of
+    ``p.compiled.memo`` it makes the next value and links it, and needs no
+    interning, as its source is already one value; from any other (a fresh
+    ``init_beliefs``, a hand-built state) it is interned instead.
+    A state whose live set is None steps by ``propagate_forward`` and keeps
+    lists.  The counter takes one visit per node of p and state, the nodes
+    a step covers, whether the step is linked or computed and whatever
+    tests the kernel runs.
     """
     if counter is not None:
         counter.visits += len(p.postorder) * len(states)
     compiled = p.compiled
     memo = compiled.memo
-    quiet = memo.quiet
     for b in states:
-        act, blk, live = b.act, b.blk, b.live
-        hit = quiet.get(id(act))
-        if hit is not None and hit[0] is act and hit[1] is blk and live is not None:
-            b.act, b.blk, b.live = hit[2]
+        prior = b.value
+        after = prior.quiet
+        if after is not None and prior.memo is memo:
+            b.value = after
             continue
-        if live is None:
+        if prior.live is None:
             propagate_forward(b, p)
             continue
-        new_act, new_blk = compiled.forward(act, blk)
-        after = compiled.next_live(live)
+        act, blk = compiled.forward(prior.act, prior.blk)
+        live = compiled.next_live(prior.live)
         memo.misses["quiet"] += 1
-        if _is_tuples(b):
-            step = (tuple(new_act), tuple(new_blk), after)
-            memo.store(quiet, id(act), (act, blk, step))
+        if prior.memo is memo:
+            after = Value(tuple(act), tuple(blk), live, memo)
+            memo.link("quiet", prior)
+            prior.quiet = after
         else:
-            step = (*memo.intern(new_act, new_blk), after)
-        b.act, b.blk, b.live = step
+            after = memo.intern(act, blk, live)
+        b.value = after
 
 
 def propagate_forward(b: BeliefState, p: TeamOrientedProgram):
@@ -410,9 +484,9 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram):
     a state's live set steps to ``p.compiled.next_live`` of it.  A state
     without a live set (None, a hand-built state) keeps None.
     """
-    b.act, b.blk = p.forward(b.act, b.blk)
-    if b.live is not None:
-        b.live = p.compiled.next_live(b.live)
+    prior = b.value
+    act, blk = p.forward(prior.act, prior.blk)
+    b.value = Value(act, blk, None if prior.live is None else p.compiled.next_live(prior.live))
 
 
 _TIE_SCALE = 1.0 + TIE_TOLERANCE
@@ -443,21 +517,23 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     ``p.path_names`` of the answer is its root path of plan names.  Raises
     on a state with no mass on any leaf.
 
-    An answer read before off the same tuples is looked up in
-    ``p.compiled.memo``; an answer off tuples with a live set is stored.
+    An answer taken before from the same value is its ``best`` link
+    (``Value``); an answer from a value of ``p.compiled.memo`` is linked.
     """
-    act, blk = b.act, b.blk
+    value = b.value
+    best = value.best
     memo = p.compiled.memo
-    hit = memo.best.get(id(act))
-    if hit is not None and hit[0] is act and hit[1] is blk:
-        return hit[2]
-    live = p.leaf_index if b.live is None else b.live
+    if best is not None and value.memo is memo:
+        return best
+    act, blk = value.act, value.blk
+    live = p.leaf_index if value.live is None else value.live
     if live:
         best = pick_leaf(live, act, blk)
         if act[best] + blk[best] > 0.0:
-            if b.live is not None and _is_tuples(b):
+            if value.memo is memo:
                 memo.misses["best"] += 1
-                memo.store(memo.best, id(act), (act, blk, best))
+                memo.link("best", value)
+                value.best = best
             return best
     raise MonitoringError("belief state carries no mass on any leaf")
 

@@ -17,8 +17,8 @@ source.  A source stays in ``linecache`` only while its function is cached.
   prior mass, so a sparse belief runs few updates; a team-mode function
   steps locals and returns capped list displays.  It also holds the next
   live set of each live set met, which follows the forward step's rules,
-  and the step memo (``StepMemo``) of both layouts, whose states are
-  shared immutable tuples.
+  and the step memo (``StepMemo``) of both layouts, whose belief values
+  (``belief.Value``) are shared immutable tuples that hold their own steps.
 - ``_compile_scan``: the most-likely pick rule over a leaf tuple, each
   team's candidate leaves in ``TeamOrientedProgram.team_best_leaf``.
 
@@ -32,9 +32,11 @@ import linecache
 from array import array
 from functools import lru_cache
 
+from .belief import NO_LINKS, Value
 from .model import TERMINATE, TIE_TOLERANCE, TeamHierarchy, TeamOrientedProgram, hazard
 
-# The entries each table of a ``StepMemo`` holds before it starts over.
+# The links of each kind, and the entries of each table, that a
+# ``StepMemo`` holds before it starts over.
 MEMO_STATES = 4096
 
 
@@ -162,75 +164,85 @@ def forward_source(p: TeamOrientedProgram) -> str:
 
 
 class StepMemo:
-    """The steps of states already met, one entry per step, in both layouts.
+    """The values met by the steps of both layouts, linked to their steps:
+    a lazily built automaton over belief values.
 
-    A state (``belief.BeliefState``) that a step built holds its two tables
-    as tuples, which no step writes, so a state is a value and a step taken
-    from it once is a lookup after.  Each entry holds its key's tuples, so
-    no other object takes their id while it is a key, and a hit checks
-    ``is`` on them:
+    A state (``belief.BeliefState``) holds one ``belief.Value``.  Each
+    value the memo makes holds its tables as tuples, which no step writes,
+    and a step or query taken from it once is kept on it as a link; taking
+    it again is one attribute load.  The memo makes values in two places:
 
-    - ``quiet[id(act)]`` is ``(act, blk, (act', blk', live'))``, the
-      forward step of the state ``(act, blk)`` and its next live set
-      (``belief.quiet_step``);
-    - ``commit`` holds evidence steps.  The array layout's
-      ``[(id(blk), key)]`` is ``(blk, (act', blk', live'))``, the commit of
-      one message, ``key`` its ``(kind, plan, team)``, which reads only the
-      prior blocked table.  The shared layout's ``[(id(act), signature)]``
-      is ``(act, blk, (act', blk', live'))``, the evidence tick of a tick
-      signature (``belief.tick_signature``), whose rescale reads both prior
-      tables;
-    - ``best`` holds most-likely answers: the array layout's ``[id(act)]``
-      is ``(act, blk, leaf)``, and the shared layout's ``[(id(act), team)]``
-      the same for one team;
-    - ``interned`` maps the exact bits of a pair of tables to one pair of
-      tuples.  Evidence results, and steps taken from lists, are interned,
-      so states that start equal, or commit to equal values, share one pair
-      and step once; ``0.0`` and ``-0.0`` would be two keys, and no engine
-      state holds ``-0.0``;
-    - ``keys`` maps a message's ``(kind, plan, team)`` to its evidence key
-      (``belief._message_keys``);
-    - ``live`` maps a live set to the next one
-      (``CompiledProgram.next_live``).
+    - ``intern`` maps the exact bits of a pair of tables, with a live set,
+      to one value.  Evidence results, and steps taken from a value the
+      memo did not make (a fresh ``init_beliefs``, a hand-built state), are
+      interned, so states that start equal, or commit to equal values,
+      share one value and step once; ``0.0`` and ``-0.0`` would be two
+      keys, and no engine state holds ``-0.0``;
+    - a quiet step from one of its values makes the next value, which
+      needs no interning, as its source is already one value.
 
-    A stored step is one the engine computed from the same values.  Its
-    live set may come from another route to those values (a quiet step
-    and a commit may reach equal tables); any such set is valid for them.
-    Every table holds at most ``MEMO_STATES`` entries; a store into a full
-    one clears them all and counts an eviction.  ``misses`` counts, by
-    kind, the steps computed from a state with a live set and the answers
-    stored; a hit counts nothing.
+    It also keeps two tables: ``keys`` maps a message's
+    ``(kind, plan, team)`` to its evidence key
+    (``belief._message_keys``), and ``live`` maps a live set to the next one
+    (``CompiledProgram.next_live``).
+
+    A link is one the engine computed from the same value, live set
+    included.  ``links`` counts them per kind (quiet, commit and best,
+    which counts the answers of both queries), and ``linked`` lists the
+    values that hold them.  Each kind, and each table, holds at most
+    ``MEMO_STATES``; a link or store into a full one unlinks every listed
+    value, clears every table and counts an eviction.  ``misses`` counts,
+    by kind, the steps computed from a state with a live set and the
+    answers linked; a hit counts nothing.
     """
 
-    __slots__ = ("quiet", "commit", "best", "interned", "keys", "live", "misses", "evictions")
+    __slots__ = ("linked", "links", "interned", "keys", "live", "misses", "evictions")
 
     def __init__(self):
-        self.quiet: dict[int, tuple] = {}
-        self.commit: dict[tuple, tuple] = {}
-        self.best: dict = {}
-        self.interned: dict[bytes, tuple] = {}
+        self.linked: list[Value] = []
+        self.links = dict.fromkeys(("quiet", "commit", "best"), 0)
+        self.interned: dict[tuple, Value] = {}
         self.keys: dict[tuple, tuple] = {}
         self.live: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.misses = dict.fromkeys(("quiet", "commit", "best"), 0)
+        self.misses = dict.fromkeys(self.links, 0)
         self.evictions = 0
 
+    def clear(self):
+        """Unlink every value linked, and empty every table."""
+        for value in self.linked:
+            value.quiet = value.best = None
+            value.commits = value.teams = NO_LINKS
+        self.linked.clear()
+        self.links = dict.fromkeys(self.links, 0)
+        for table in (self.interned, self.keys, self.live):
+            table.clear()
+
+    def _evict(self):
+        self.clear()
+        self.evictions += 1
+
+    def link(self, kind: str, value: Value):
+        """Count one more link of ``kind`` from ``value``, one of this memo's
+        values, first evicting if the kind is full; the caller sets it."""
+        if self.links[kind] >= MEMO_STATES:
+            self._evict()
+        self.links[kind] += 1
+        self.linked.append(value)
+
     def store(self, table: dict, key, entry):
-        """``table[key] = entry``, first clearing every table if ``table`` is full."""
+        """``table[key] = entry``, first evicting if ``table`` is full."""
         if len(table) >= MEMO_STATES:
-            for full in (self.quiet, self.commit, self.best, self.interned, self.keys,
-                         self.live):
-                full.clear()
-            self.evictions += 1
+            self._evict()
         table[key] = entry
 
-    def intern(self, act, blk) -> tuple[tuple, tuple]:
-        """The one pair of tuples holding the exact bits of ``act`` and ``blk``."""
-        bits = array("d", act).tobytes() + array("d", blk).tobytes()
-        pair = self.interned.get(bits)
-        if pair is None:
-            pair = (tuple(act), tuple(blk))
-            self.store(self.interned, bits, pair)
-        return pair
+    def intern(self, act, blk, live: tuple[int, ...]) -> Value:
+        """The one value holding the exact bits of ``act`` and ``blk``, and ``live``."""
+        key = (array("d", act).tobytes() + array("d", blk).tobytes(), live)
+        value = self.interned.get(key)
+        if value is None:
+            value = Value(tuple(act), tuple(blk), live, self)
+            self.store(self.interned, key, value)
+        return value
 
 
 class CompiledProgram:
@@ -305,8 +317,8 @@ def _compile(plans, transitions, root, teams, team_mode) -> tuple[CompiledProgra
     not: the groups read only the team tree, so a grown team shares its
     object, memo included.  The cache holds the kernel and a program only
     the object, so a source leaves ``linecache`` when its entry leaves the
-    cache.  Each object's memo can hold ``MEMO_STATES`` entries per table,
-    so the cache keeps few of them.
+    cache.  Each object's memo can hold ``MEMO_STATES`` links per kind and
+    entries per table, so the cache keeps few of them.
     """
     p = TeamOrientedProgram(plans, transitions, TeamHierarchy(teams, ()), root, team_mode)
     kernel = _Kernel(forward_source(p), "forward", "forward step")

@@ -316,18 +316,20 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
 
 # --- hypothesis counting (no temporal probabilities) ---------------------------
 
-def _silent_closure(p: TeamOrientedProgram, start: set[int],
-                    rules: CommModel | None) -> set[int]:
-    """Positions of the nodes possibly current after any number of unannounced steps.
+def _silent_closure(p: TeamOrientedProgram, x: int, rules: CommModel | None) -> frozenset[int]:
+    """Positions of the leaves possibly current after any number of
+    unannounced steps from the node at position x.
 
     A transition the communication model predicts an announcement for
     cannot have fired silently, so the closure stops there; unpredicted
-    TERMINATE edges hand control to the parent's own transitions.
+    TERMINATE edges hand control to the parent's own transitions.  Each
+    edge of the walk depends only on its node and the rules, so a set's
+    closure is the union of its nodes' closures.
     """
     plans, index = p.plans, p.index
     current: set[int] = set()
     stepped: set[int] = set()
-    work: list[tuple[str, int]] = [("enter", x) for x in sorted(start)]
+    work: list[tuple[str, int]] = [("enter", x)]
     while work:
         op, x = work.pop()
         if op == "enter":
@@ -351,7 +353,7 @@ def _silent_closure(p: TeamOrientedProgram, start: set[int],
                     work.append(("enter", y))
             elif p.ancestors_at[x]:  # the parent's own transitions
                 work.append(("step", p.ancestors_at[x][0]))
-    return current
+    return frozenset(x for x in current if not p.children_at[x])
 
 
 def _anchor(p: TeamOrientedProgram, m: ObservedMessage) -> set[int]:
@@ -371,10 +373,12 @@ def hypothesis_count_curve(p: TeamOrientedProgram, messages,
     re-anchored on the exchange's messages and closed over transitions the
     communication model does not predict an announcement for.  ``online``
     grows the rule set from the messages seen so far instead of using the
-    full model from the start.  Equal anchor sets under equal rules count
-    the same, so each such pair is closed once per call.
+    full model from the start.  A set's closure is the union of its
+    nodes' (``_silent_closure``), so each node is closed once per call
+    under each rule set met, and each anchor set counted once.
     """
     counts = []
+    closures: dict[CommModel | None, dict[int, frozenset[int]]] = {}
     memo: dict[tuple[frozenset[int], CommModel | None], int] = {}
     learned = CommModel(frozenset())
     for tick, batch in sorted(messages_by_tick(messages).items()):
@@ -391,8 +395,11 @@ def hypothesis_count_curve(p: TeamOrientedProgram, messages,
             joined = set().union(*anchors)
         key = (frozenset(joined), active_rules)
         if key not in memo:
-            possible = _silent_closure(p, joined, active_rules)
-            memo[key] = sum(1 for x in possible if not p.children_at[x])
+            closed = closures.setdefault(active_rules, {})
+            for x in joined:
+                if x not in closed:
+                    closed[x] = _silent_closure(p, x, active_rules)
+            memo[key] = len(frozenset().union(*(closed[x] for x in joined)))
         counts.append(memo[key])
     return counts
 

@@ -18,10 +18,12 @@ compiled pick over its candidate leaves
 (``TeamOrientedProgram.team_best_leaf`` over ``leaves_by_team``).
 
 States are values here as in the array layout (``belief``): a tick steps
-the state in place, replacing its ``act`` and ``blk`` with tuples that no
-one writes, and the quiet tick, the evidence tick and the team query each
-look the state up in the program's step memo (``compiled.StepMemo``), so
-one taken before from the same tuples is a dict lookup.
+the state in place, replacing its value (``belief.Value``) with one of
+the program's step memo (``compiled.StepMemo``), whose tables are tuples
+that no one writes.  The quiet tick, the evidence tick and the team query
+each keep what they computed from a value on the value, so one taken
+before from the same value is an attribute load, or a dict lookup by tick
+signature or team.
 
 Plan ownership alone decides where to rescale: a climb step from a node
 into a parent owned by another team rescales the parent's subtrees that
@@ -47,8 +49,8 @@ set to the leaves among ``updated``.
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, VisitCounter, init_beliefs, propagate_down,
-                     evidence, quiet_step, tick_signature)
+from .belief import (BeliefState, MonitoringError, Value, VisitCounter, evidence, init_beliefs,
+                     propagate_down, quiet_step, tick_signature)
 from .model import TeamOrientedProgram
 
 
@@ -104,10 +106,11 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     the child's mass.  The tick then clamps only the entries it wrote, and
     its live set is the leaves among them.
 
-    An evidence tick taken before from the same tuples and tick signature
-    (``belief.tick_signature``) is a lookup in ``p.compiled.memo``.  Any
-    other is computed as above, and its result interned and, when the
-    prior state held tuples, stored.  A state whose live set is None skips
+    An evidence tick taken before from the same value with the same tick
+    signature (``belief.tick_signature``) is a link of the value's
+    ``commits`` (``belief.Value``).  Any other is computed as above, and
+    its result interned in ``p.compiled.memo`` and, when the prior value is
+    one of the memo's own, linked.  A state whose live set is None skips
     the memo and keeps the lists the tick builds.
     """
     if not msgs:
@@ -115,16 +118,15 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
         return
     signature = tick_signature(p, msgs)
     memo = p.compiled.memo
-    prior_active, prior_blocked, live = b.act, b.blk, b.live
-    key = (id(prior_active), signature)
-    hit = memo.commit.get(key)
-    if hit is not None and hit[0] is prior_active and hit[1] is prior_blocked \
-            and live is not None:
-        b.act, b.blk, b.live = hit[2]
+    prior = b.value
+    after = prior.commits.get(signature)
+    if after is not None and prior.memo is memo:
+        b.value = after
         return
+    prior_active, prior_blocked = prior.act, prior.blk
     scratch = evidence(b, p, msgs)
-    active = b.act = list(p.zeros)
-    b.blk = list(p.zeros)
+    b.value = Value(list(p.zeros), list(p.zeros), None)  # the lists the tick writes
+    active = b.act
     updated: set[int] = set()
     climbs = p.evidence_climbs
     for x in sorted(scratch):
@@ -138,13 +140,15 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
                 _rescale(walk, b, prior_active, prior_blocked, updated)
     _clamp_entries(b, updated)
     children = p.children_at
-    b.live = tuple(sorted(i for i in updated if not children[i]))
-    if live is not None:
-        memo.misses["commit"] += 1
-        step = (*memo.intern(b.act, b.blk), b.live)
-        b.act, b.blk, b.live = step
-        if type(prior_active) is tuple and type(prior_blocked) is tuple:
-            memo.store(memo.commit, key, (prior_active, prior_blocked, step))
+    live = tuple(sorted(i for i in updated if not children[i]))
+    if prior.live is None:
+        b.live = live
+        return
+    memo.misses["commit"] += 1
+    after = b.value = memo.intern(active, b.blk, live)
+    if prior.memo is memo:
+        memo.link("commit", prior)
+        prior.commits = {**prior.commits, signature: after}
 
 
 def _team_entry(table: dict, team: str):
@@ -167,16 +171,18 @@ def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
     no mass on any of its leaves, go to the lowest node id.  ``p.path_names``
     of the answer is its root path of plan names.
 
-    An answer read before off the same tuples is looked up in
-    ``p.compiled.memo``; an answer off tuples with a live set is stored.
+    An answer taken before from the same value is a link of the value's
+    ``teams`` (``belief.Value``); an answer from a value of
+    ``p.compiled.memo`` is linked.
     """
-    act, blk = b.act, b.blk
+    value = b.value
+    best = value.teams.get(team)
     memo = p.compiled.memo
-    hit = memo.best.get((id(act), team))
-    if hit is not None and hit[0] is act and hit[1] is blk:
-        return hit[2]
-    best = _team_entry(p.team_best_leaf, team)(act, blk)
-    if b.live is not None and type(act) is tuple and type(blk) is tuple:
+    if best is not None and value.memo is memo:
+        return best
+    best = _team_entry(p.team_best_leaf, team)(value.act, value.blk)
+    if value.memo is memo:
         memo.misses["best"] += 1
-        memo.store(memo.best, (id(act), team), (act, blk, best))
+        memo.link("best", value)
+        value.teams = {**value.teams, team: best}
     return best

@@ -26,6 +26,7 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     monkeypatch.setattr(ab, "TICKS", 60)  # still quiet and evidence ticks in each replay
     monkeypatch.setattr(ab, "ONLINE_TICKS", 120)
     monkeypatch.setattr(ab, "CROWD", 20)
+    monkeypatch.setattr(ab, "ONLINE_REPLAYS", 2)
     sources = _generated()
     calls = []
     measure, measure_online = ab.measure, ab.measure_online
@@ -44,11 +45,11 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     report = ab.compare(ROOT, ROOT, rounds=2)
     assert time.perf_counter() - start < 5.0
     # one untimed pass per side, then the timed rounds in alternating order,
-    # then the online rounds, each on a run of its own
-    first = ab.ONLINE_SEED
+    # then the online rounds, each on runs of its own
+    first, replays = ab.ONLINE_SEED, ab.ONLINE_REPLAYS
     assert calls == ["ab_parent", "ab_change", "ab_parent", "ab_change", "ab_change",
                      "ab_parent", ("ab_parent", first), ("ab_change", first),
-                     ("ab_change", first + 1), ("ab_parent", first + 1)]
+                     ("ab_change", first + replays), ("ab_parent", first + replays)]
     workloads = ("quiet_tick", "evidence_tick", "evaluate_run", "stream", "query", "online")
     assert set(report) == {f"{layout}.{workload}" for layout in ab.LAYOUTS
                            for workload in workloads} | {"array.online_1011"}

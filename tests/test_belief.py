@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import inspect
 import math
@@ -65,6 +64,33 @@ def test_zeros_copies_the_programs_read_only_table(evac_mini_single):
     with pytest.raises(TypeError):
         p.zeros[root] = 1.0
     assert p.zeros[root] == 0.0
+
+
+def test_a_belief_state_keeps_the_interface_its_readers_use(evac_mini_single):
+    # what perfbench, the tests and the recognizers read of a state: the
+    # constructor, equality on act and blk alone, the id-keyed snapshots
+    # and their length, on a fresh state and on one the engine stepped
+    p = evac_mini_single
+    act, blk = list(p.initial[0]), list(p.initial[1])
+    b = BeliefState(act, blk, p.index)
+    assert b.act is act and b.blk is blk and b.index is p.index and b.live is None
+    assert repr(b) == f"BeliefState(act={act!r}, blk={blk!r}, live=None)"
+    assert BeliefState(act, blk, p.index, (1, 2)).live == (1, 2)
+    assert b == BeliefState(list(act), list(blk), {}, (0,))  # neither index nor live
+    assert b != BeliefState(list(act), list(act), p.index)
+    assert b != BeliefState(tuple(act), tuple(blk), p.index)  # lists and tuples differ
+    with pytest.raises(TypeError):
+        hash(b)
+    stepped = init_beliefs(p)
+    quiet_step(p, [stepped])
+    for state in (b, stepped):
+        assert len(state.active) == len(state.blocked) == len(p.node_ids)
+        assert dict(state.active) == dict(zip(p.node_ids, state.act))
+        assert dict(state.blocked) == dict(zip(p.node_ids, state.blk))
+        before = state.active
+        quiet_step(p, [state])  # a snapshot keeps what it read
+        assert dict(before) != dict(state.active)
+    assert type(stepped.act) is tuple and stepped.live is not None
 
 
 def test_state_views_read_the_lists_by_node_id(evac_mini_single):
@@ -565,7 +591,7 @@ def test_the_forward_step_leaves_no_mass_outside_the_next_live_set(key):
 def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
     # cold: the step memo starts empty, so a step is computed where the
     # sweep first meets it; warm: each replay follows an equal one, so its
-    # steps and live sets are lookups, which may come from another route
+    # steps and live sets are links that equal one made
     if memo == "cold":
         compiled._compile.cache_clear()
     states = 0
@@ -681,7 +707,7 @@ def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
         masses.append(evidence(start, p, msgs))
         for layout, step in (("yoyo", lambda b: yoyo_tick(p, b, msgs)),
                              ("array", lambda b: apply_messages(b, msgs, p))):
-            b = dataclasses.replace(start)
+            b = BeliefState(start.act, start.blk, start.index, start.live)
             step(b)
             states[layout].append((b.act, b.blk))
     assert set(masses[0]).isdisjoint(source) and set(masses[1]) == set(source)
@@ -717,15 +743,15 @@ def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
             continue
         raised += 1
         before, values = (b.act, b.blk, b.live), (list(b.act), list(b.blk))
-        commits, misses = len(memo.commit), dict(memo.misses)
+        links, misses = dict(memo.links), dict(memo.misses)
         for step in (lambda: yoyo_tick(p, b, msgs), lambda: apply_messages(b, msgs, p)):
             with pytest.raises(MonitoringError) as got:
                 step()
             assert str(got.value) == reference
         assert b.act is before[0] and b.blk is before[1] and b.live == before[2]
         assert (b.act, b.blk) == values
-        # no step is stored, and no message key but those that resolve
-        assert len(memo.commit) == commits and memo.misses == misses
+        # no step is linked, and no message key kept but those that resolve
+        assert memo.links == links and memo.misses == misses
         for _, plan, team in memo.keys.values():
             assert plan in p.named_index and (team in teams if p.team_mode else team is None)
     assert raised == (3 if view else 4)

@@ -249,19 +249,13 @@ def _checked(step, reached: list, states=lambda state, *args: (state,)):
     return checked
 
 
-def _forget(memo):
-    """Empty every table of a step memo, so the next step is computed."""
-    for table in (memo.quiet, memo.commit, memo.best, memo.interned, memo.keys):
-        table.clear()
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_TEAM_PROGRAMS), _TEAM_TICKS)
 def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
     # both clips only cap at 1, which is exact only if nothing below 0 reaches
     # them; a cap moves no value below 1, so check what each capped step
-    # leaves.  The step memo is emptied before every tick, so each tick is
-    # computed and reaches its clip rather than looking up a stored step.
+    # leaves.  The step memo is cleared before every tick, so each tick is
+    # computed and reaches its clip rather than following a linked step.
     names = sorted({n.name for n in p.plans})
     agents = p.team_hierarchy.agents
     reached: list[str] = []
@@ -273,7 +267,7 @@ def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
         for t, msgs in enumerate(ticks, 1):
             heard = [ObservedMessage(t, *agents[i % len(agents)], kind, names[j % len(names)])
                      for kind, i, j in msgs or ()]
-            _forget(p.compiled.memo)
+            p.compiled.memo.clear()
             yoyo_tick(p, b, heard)
     assert len(reached) == len(ticks)
 

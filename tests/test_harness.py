@@ -1,21 +1,23 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
 from overhear.belief import MonitoringError, VisitCounter
-from overhear.ingest import INIT, TERM, ObservedMessage
-from overhear.harness import (MAX_ORACLE_STATES, bench_scalability, engine_vector,
-                              evaluate_run, exact_filter, hypothesis_count_curve,
+from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
+from overhear.harness import (MAX_ORACLE_STATES, _anchor, _silent_closure, bench_scalability,
+                              engine_vector, evaluate_run, exact_filter, hypothesis_count_curve,
                               oracle_states, render_bench, render_report, score_run)
 from overhear.compiled import _compile
-from overhear.model import program_from_document, program_to_document
+from overhear.model import TERMINATE, program_from_document, program_to_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import ALWAYS, SimConfig, simulate
-from overhear.social import learn_comm_model
+from overhear.social import CommModel, learn_comm_model
 
 from conftest import snapshot
+from test_digest import TICKS, table_programs
 
 
 def _solo_doc(plans, transitions):
@@ -314,6 +316,69 @@ def test_count_curve_respects_tick_cutoff():
               ObservedMessage(tick=9, sender="solo", team="T", kind=TERM, plan="two")]
     assert hypothesis_count_curve(p, script, up_to_tick=5) == [2]
 
+
+
+def _set_closure(p, start, rules) -> set:
+    """The positions a set of nodes closes to, walked as one set: a work
+    list of ``enter`` and ``step`` ops shared by every start node."""
+    current, stepped = set(), set()
+    work = [("enter", x) for x in sorted(start)]
+    while work:
+        op, x = work.pop()
+        if op == "enter":
+            if x not in current:
+                current.add(x)
+                work += [("enter", c) for c in p.children_at[x] if p.plans[c].is_first_child]
+                work.append(("step", x))
+        elif x not in stepped:
+            stepped.add(x)
+            if rules is not None and rules.predicts(p.plans[x].name, TERM):
+                continue
+            for t in p.out_at[x]:
+                if t.dst != TERMINATE:
+                    y = p.index[t.dst]
+                    if rules is None or not rules.predicts(p.plans[y].name, INIT):
+                        work.append(("enter", y))
+                elif p.ancestors_at[x]:
+                    work.append(("step", p.ancestors_at[x][0]))
+    return current
+
+
+def _reference_curve(p, messages, rules, online) -> list:
+    """``hypothesis_count_curve`` with each exchange's anchor set walked as
+    one set and counted afresh."""
+    counts, learned = [], CommModel(frozenset())
+    for _, batch in sorted(messages_by_tick(messages).items()):
+        if online:
+            learned = learn_comm_model(batch, learned)
+        anchors = [_anchor(p, m) for m in batch]
+        joined = set.intersection(*anchors) or set().union(*anchors)
+        possible = _set_closure(p, joined, learned if online else rules)
+        counts.append(sum(1 for x in possible if not p.children_at[x]))
+    return counts
+
+
+def test_count_curves_close_each_set_as_the_union_of_its_nodes():
+    # every table program on its own logs (the runs ``HYPOTHESIS_SHA256``
+    # pins), with no rules, learned rules and online rules, against the
+    # curve that walks each anchor set as one set; and random node sets
+    # under each program's learned rules
+    rng = random.Random(19)
+    for p in table_programs():
+        for seed in range(3):
+            _, log = simulate(p, SimConfig(seed=seed, ticks=TICKS, team_mode=p.team_mode,
+                                           send_prob=0.5))
+            learned = learn_comm_model(log)
+            for rules in (None, learned):
+                for online in (False, True):
+                    assert (hypothesis_count_curve(p, log, rules=rules, online=online)
+                            == _reference_curve(p, log, rules, online)), (p.root, seed, online)
+        nodes = range(len(p.node_ids))
+        for rules in (None, learned):
+            for _ in range(5):
+                start = set(rng.sample(nodes, rng.randint(1, min(len(nodes), 6))))
+                leaves = {x for x in _set_closure(p, start, rules) if not p.children_at[x]}
+                assert leaves == set().union(*(_silent_closure(p, x, rules) for x in start))
 
 # --- rendering and benchmarks -------------------------------------------------------
 

@@ -7,16 +7,18 @@ in the array layout the interpreted commit, ``propagate_forward`` and a
 scan of every leaf; in the shared layout ``propagate_forward``, the
 interpreted evidence committed on fresh lists, and each team's pick.
 Their states and answers must agree bit for bit.  The memo's bound is set
-to 1 and to a small number, so entries are evicted all through the
-replay, and left at its default, where steps are shared across runs.
+to 1 and to a small number, so links are dropped all through the replay,
+and left at its default, where steps are shared across runs.
 
 The sweep must also keep its pins (``SWEEP_SHA256``, ``QUERY_SHA256``)
-when each replay is a lookup of an equal one's steps, and when each tick's
-messages come in another order; and on planted tables that no sweep tick
-reaches, each evidence step, computed and then looked up, must equal a
-reference.
+when each replay follows the links an equal one made, and when each
+tick's messages come in another order; and on planted tables that no
+sweep tick reaches, each evidence step, computed and then followed, must
+equal a reference.  A state's value links its steps only for the memo
+that made it, and only until an eviction or an assignment to the state.
 """
 
+import dataclasses
 import math
 import random
 from array import array
@@ -26,11 +28,13 @@ import pytest
 from overhear import compiled
 from overhear.belief import (BeliefState, MonitoringError, _commit_evidence, _message_keys,
                              _message_order, apply_messages, array_overseer_tick, evidence,
-                             init_beliefs, most_likely_state, propagate_down, propagate_forward)
+                             init_beliefs, most_likely_state, propagate_down, propagate_forward,
+                             quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
-from overhear.progen import grow_team, team_program
+from overhear.progen import grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
+from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import _clamp_entries, _rescale, team_most_likely, yoyo_tick
 
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
@@ -69,9 +73,14 @@ def _reference_tick(rec, states: dict, msgs):
             propagate_forward(b, view)
 
 
+def _scan_of(view):
+    """The compiled pick over every leaf of ``view``."""
+    return compiled._compile_scan(view.leaf_index).function
+
+
 def _scan(view, b) -> int:
     """The most likely leaf by the compiled pick over every leaf."""
-    return compiled._compile_scan(view.leaf_index).function(b.act, b.blk)
+    return _scan_of(view)(b.act, b.blk)
 
 
 @pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
@@ -134,21 +143,6 @@ def test_stepped_array_states_are_shared_immutable_tuples():
     rec.step([msg])
     states = [rec.beliefs[a] for a in members]
     assert all(b.act is states[0].act and b.blk is states[0].blk for b in states)
-
-
-def test_a_hit_needs_both_tuples_of_the_state():
-    view = team_program(0).single_agent_view()
-    b = init_beliefs(view)
-    array_overseer_tick({"a": b}, {"a": view}, [])  # b now holds interned tuples
-    prior = BeliefState(b.act, b.blk, b.index, b.live)
-    array_overseer_tick({"a": b}, {"a": view}, [])  # stores the step of prior
-    blk = list(prior.blk)
-    blk[view.leaf_index[0]] = 0.25  # a state that shares only prior's active tuple
-    other = BeliefState(prior.act, tuple(blk), prior.index, prior.live + (view.leaf_index[0],))
-    expected = BeliefState(list(other.act), blk, other.index, other.live)
-    array_overseer_tick({"a": other}, {"a": view}, [])
-    propagate_forward(expected, view)
-    assert _hex(other) == _hex(expected) and other.act is not b.act
 
 
 def test_a_replayed_log_steps_from_the_memo():
@@ -250,41 +244,205 @@ def test_a_replayed_team_log_steps_from_the_memo():
     assert rec.counter.visits == visits  # every quiet step still counts its nodes
 
 
-def test_a_shared_hit_needs_both_tuples_of_the_state():
-    # the evidence tick reads the prior blocked table and its rescale the
-    # prior active one, so a state that shares either tuple alone with a
-    # stored key is stepped and queried afresh
+def _holding(value, index) -> BeliefState:
+    """A state that holds ``value`` itself, as a step leaves it."""
+    b = BeliefState((), (), index)
+    b.value = value
+    return b
+
+
+def _links(v) -> tuple:
+    return v.quiet, v.commits, v.best, v.teams
+
+
+@pytest.mark.parametrize("layout", ["array", "yoyo"])
+def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
+    # a state stepped to an evidence tick holds one of the memo's values,
+    # whose quiet step, commit and queries are then linked; a state that
+    # holds it and is then assigned act, blk or live, even an equal table,
+    # holds a fresh value, so each step and query from it is computed (a
+    # miss) and equals the memo-free step, whatever the links say
     compiled._compile.cache_clear()
-    p = team_program(0)
-    _, log = simulate(p, SimConfig(seed=0, ticks=150, team_mode=True))
+    p, yoyo = team_program(0), layout == "yoyo"
+    _, log = simulate(p, SimConfig(seed=0, ticks=150, team_mode=yoyo))
     by_tick = messages_by_tick(log)
-    rec = make_recognizer(p, "yoyo")
+    rec = make_recognizer(p, layout)
+    q = rec.p if yoyo else rec.view
+    memo, units = q.compiled.memo, rec.teams if yoyo else [None]
     tick = min(t for t in by_tick if t >= 10)
     for t in range(1, tick):
         rec.step(by_tick.get(t, []))
-    msgs, prior = by_tick[tick], rec.belief
-    stored = BeliefState(prior.act, prior.blk, p.index, prior.live)
-    yoyo_tick(p, stored, msgs)  # stores the evidence step of prior
-    answers = {team: team_most_likely(prior, p, team) for team in rec.teams}
-    moved = {"act": 0, "blk": 0}
-    for name in moved:
-        for x, v in enumerate(getattr(prior, name)):
-            if not v:
-                continue
-            values = list(getattr(prior, name))
-            values[x] = v / 2
-            other = BeliefState(prior.act, prior.blk, p.index, prior.live)
-            setattr(other, name, tuple(values))
-            for team in rec.teams:
-                pick = p.team_best_leaf[team](other.act, other.blk)
-                assert team_most_likely(other, p, team) == pick, (name, x, team)
-            expected = BeliefState(list(other.act), list(other.blk), p.index, other.live)
-            yoyo_tick(p, other, msgs)
-            _reference_yoyo_tick(p, expected, msgs)
-            assert _bits(other) == _bits(expected), (name, x)
-            moved[name] += _bits(other) != _bits(stored)
+    msgs = by_tick[tick]
+    if not yoyo:
+        msgs = [m for m in msgs if m.sender == msgs[0].sender]
+    prior = (rec.belief if yoyo else rec.beliefs[msgs[0].sender]).value
+    assert prior.memo is memo and type(prior.act) is tuple
+
+    def commit(b):
+        yoyo_tick(q, b, msgs) if yoyo else apply_messages(b, msgs, q)
+
+    def query(b, unit):
+        return team_most_likely(b, q, unit) if yoyo else most_likely_state(b, q)
+
+    steps = {"quiet": lambda b: quiet_step(q, [b]), "commit": commit}
+    linked = {}
+    for kind, step in steps.items():
+        b = _holding(prior, q.index)
+        step(b)
+        linked[kind] = b.value
+    answers = [query(_holding(prior, q.index), unit) for unit in units]
+    assert prior.quiet is linked["quiet"] and linked["commit"] in prior.commits.values()
+    assert prior.best is not None or len(prior.teams) == len(units)
+    links = _links(prior)
+    moved = dict.fromkeys(["act", "blk"], 0)
+    for name in ("act", "blk", "live"):
+        table = getattr(prior, name)
+        edits = [table]  # an equal table, then a table with one entry moved
+        if name == "live":
+            edits.append(tuple(q.leaf_index))
+        else:
+            x = next(x for x, v in enumerate(table) if v)
+            edits.append(table[:x] + (table[x] / 2,) + table[x + 1:])
+        for edit in edits:
+            for kind, step in steps.items():
+                b = _holding(prior, q.index)
+                setattr(b, name, edit)
+                assert b.value is not prior and _links(b.value) == (None, {}, None, {})
+                expected = BeliefState(list(b.act), list(b.blk), q.index, b.live)
+                misses = memo.misses[kind]
+                step(b)
+                if kind == "quiet":
+                    propagate_forward(expected, q)
+                elif yoyo:
+                    _reference_yoyo_tick(q, expected, msgs)
+                else:
+                    for m in sorted(msgs, key=_message_order):
+                        _commit_evidence(expected, evidence(expected, q, [m]), q)
+                assert memo.misses[kind] == misses + 1, (name, kind)
+                assert _bits(b) == _bits(expected), (name, kind)
+                assert b.live == expected.live or not yoyo, (name, kind)
+                if kind == "quiet" and edit is not table and name in moved:
+                    moved[name] += _bits(b) != _bits(linked["quiet"])
+            b = _holding(prior, q.index)
+            setattr(b, name, edit)
+            for unit in units:
+                misses = memo.misses["best"]
+                pick = (q.team_best_leaf[unit] if yoyo else _scan_of(q))(b.act, b.blk)
+                assert query(b, unit) == pick, (name, unit)
+                assert memo.misses["best"] == misses, (name, unit)  # a fresh value links nothing
     assert all(moved.values()), moved
-    assert answers == {team: team_most_likely(prior, p, team) for team in rec.teams}
+    # the value the assignments started from kept its links and answers
+    assert _links(prior) == links
+    assert answers == [query(_holding(prior, q.index), unit) for unit in units]
+
+
+@pytest.mark.parametrize("layout", ["array", "yoyo"])
+def test_a_value_follows_only_the_links_of_the_memo_that_made_it(layout):
+    # a value one program's memo made and linked, stepped under a program
+    # with other fields (other rates and mu, so another memo), is stepped
+    # as that program's memo-free step: the quiet step at the first state
+    # of a replay where the two programs' steps differ, and the commit at
+    # the first planted state where they do.  team_program(0)'s replays
+    # give each unit one credited candidate, whose mass is 1 whatever mu
+    # is, and so does each single message to its view, so the view's case
+    # runs random_program(0)
+    compiled._compile.cache_clear()
+    yoyo = layout == "yoyo"
+    base = team_program(0) if yoyo else random_program(0)
+    other = dataclasses.replace(
+        base, plans=tuple(dataclasses.replace(n, rate=n.rate and 2 * n.rate) for n in base.plans),
+        transitions=tuple(dataclasses.replace(t, mu=t.mu / (1 + k % 3))
+                          for k, t in enumerate(base.transitions)))
+    p, q = (base, other) if yoyo else (base.single_agent_view(), other.single_agent_view())
+    assert q.compiled.memo is not p.compiled.memo
+
+    def quiet(prog, b, msgs):
+        quiet_step(prog, [b])
+
+    def commit(prog, b, msgs):
+        yoyo_tick(prog, b, msgs) if yoyo else apply_messages(b, msgs, prog)
+
+    def reference(step, prog, value, msgs) -> BeliefState:
+        b = BeliefState(list(value.act), list(value.blk), prog.index, value.live)
+        if step is quiet:
+            propagate_forward(b, prog)
+        elif yoyo:
+            _reference_yoyo_tick(prog, b, msgs)
+        else:
+            for m in sorted(msgs, key=_message_order):
+                _commit_evidence(b, evidence(b, prog, [m]), prog)
+        return b
+
+    def differs(step, prior, msgs) -> bool:
+        expected = reference(step, q, prior, msgs)
+        if _bits(expected) == _bits(reference(step, p, prior, msgs)):
+            return False
+        linked = _holding(prior, p.index)
+        step(p, linked, msgs)  # links prior's step under p
+        b = _holding(prior, p.index)
+        step(q, b, msgs)
+        assert _bits(b) == _bits(expected) != _bits(linked), step.__name__
+        assert prior.memo is p.compiled.memo and b.value.memo is q.compiled.memo
+        return True
+
+    rec = make_recognizer(base, layout)
+    for t in range(1, TICKS):
+        prior = (rec.belief if yoyo else rec.beliefs[rec.agents[0]]).value
+        if prior.memo is not None and differs(quiet, prior, []):
+            break
+        rec.step([])
+    else:
+        pytest.fail("no quiet step differs")
+    rng, names = random.Random(7), sorted(p.named_index)
+    teams = [t for t, _ in p.team_hierarchy.teams] if yoyo else ["-"]
+    for _ in range(200):
+        blk = tuple(rng.random() * 10.0 ** -rng.randrange(16) if rng.random() < 0.7 else 0.0
+                    for _ in p.node_ids)
+        prior = p.compiled.memo.intern(p.zeros, blk, tuple(x for x in p.leaf_index if blk[x]))
+        msgs = [ObservedMessage(1, f"s{k}", rng.choice(teams), rng.choice((INIT, TERM)),
+                                rng.choice(names)) for k in range(rng.randrange(1, 4))]
+        if differs(commit, prior, msgs):
+            break
+    else:
+        pytest.fail("no commit differs")
+
+
+@pytest.mark.parametrize("layout", ["array", "yoyo"])
+def test_an_eviction_unlinks_every_value_linked_before_it(layout, monkeypatch):
+    # at a bound of 7 the memo evicts all through a replay; at each eviction
+    # no value linked before it keeps a link, and after every tick each
+    # kind holds at most the bound, counted on the values themselves, and
+    # every value that holds a link is listed for the next eviction
+    monkeypatch.setattr(compiled, "MEMO_STATES", 7)
+    compiled._compile.cache_clear()
+    evictions = []
+    evict = compiled.StepMemo._evict
+
+    def checked(memo):
+        before = list(memo.linked)
+        evict(memo)
+        assert all(_links(v) == (None, {}, None, {}) for v in before)
+        evictions.append(len(before))
+
+    monkeypatch.setattr(compiled.StepMemo, "_evict", checked)
+    p, yoyo = team_program(0), layout == "yoyo"
+    _, log = simulate(p, SimConfig(seed=3, ticks=300, team_mode=yoyo))
+    for coherent in (False, True) if not yoyo else (True,):
+        rec = make_recognizer(p, layout, coherent)
+        memo, seen = (rec.p if yoyo else rec.view).compiled.memo, {}
+        for _ in rec.replay(log, 300):
+            [rec.path(unit) for unit in rec.units]
+            for b in [rec.belief] if yoyo else rec.beliefs.values():
+                seen[id(b.value)] = b.value
+                if b.value.quiet is not None:
+                    seen[id(b.value.quiet)] = b.value.quiet
+            listed = {id(v): v for v in memo.linked}
+            counted = {"quiet": sum(v.quiet is not None for v in listed.values()),
+                       "commit": sum(map(len, (v.commits for v in listed.values()))),
+                       "best": sum((v.best is not None) + len(v.teams) for v in listed.values())}
+            assert counted == memo.links and max(counted.values()) <= 7
+            assert all(i in listed for i, v in seen.items() if _links(v) != (None, {}, None, {}))
+    assert len(evictions) > 1 and max(evictions) > 1
 
 
 def test_message_keys_keep_no_team_read_from_the_sender():
@@ -358,7 +516,8 @@ def _unrolled_commit(b, p, m):
 def test_evidence_steps_equal_the_reference_on_planted_tables(layout):
     # blocked masses spread over 16 orders of magnitude, with exact zeros,
     # reach the floor and the even fallback, which no sweep tick does; each
-    # step is taken twice from one state of tuples: computed, then looked up
+    # step is taken twice from the memo's value of one planted state:
+    # computed, then followed from the link the first one made
     rng = random.Random(31)
     for prog, base in enumerate(table_programs()):
         for p in (base, base.single_agent_view()) if layout == "array" else (base,):
@@ -377,8 +536,9 @@ def test_evidence_steps_equal_the_reference_on_planted_tables(layout):
                         _unrolled_commit(expected, p, m)
                 else:
                     _reference_yoyo_tick(p, expected, msgs)
+                value = memo.intern(*start[:2], start[3])  # the value a step would join
                 for looked_up in (False, True):
-                    misses, b = memo.misses["commit"], BeliefState(*start)
+                    misses, b = memo.misses["commit"], _holding(value, p.index)
                     if layout == "array":
                         apply_messages(b, msgs, p)
                     else:

@@ -25,17 +25,19 @@ workload is built from each side's own modules:
 - ``<layout>.query``: the queries of that same replay alone, every unit's
   ``path`` on each tick's states, timed apart from the step, so the query
   layer has a ratio of its own;
-- ``<layout>.online``: the on-line case, a run that never repeats.  Each
-  round simulates a fresh run of ``ONLINE_TICKS`` ticks with a new seed,
-  clears every compile cache of the side's ``compiled`` module (and with
-  them the step memo, which hangs on a cached object), loads
-  the program afresh and replays the run once: each tick's step and every
-  unit's ``path``.  ``array.online_1011`` does the same for the array
-  layout on ``grow_team(team_program(0), CROWD)``, 1,011 agents, over
-  ``TICKS`` ticks.  After the table the report prints, per side and online
-  workload of the last round, the step memo's hit rates (where the side's
-  layout uses one) and, for a side that compiles them, the live kernels
-  and evidence functions the replay compiled.
+- ``<layout>.online``: the on-line case, runs that never repeat.  Each
+  round replays ``ONLINE_REPLAYS`` fresh runs of ``ONLINE_TICKS`` ticks,
+  each with a seed no other replay uses, and samples the median of their
+  times.  Each replay simulates its run, clears every compile cache of
+  the side's ``compiled`` module (and with them the step memo, which
+  hangs on a cached object), loads the program afresh and replays the
+  run once: each tick's step and every unit's ``path``.
+  ``array.online_1011`` does the same for the array layout on
+  ``grow_team(team_program(0), CROWD)``, 1,011 agents, over ``TICKS``
+  ticks.  After the table the report prints, per side and online
+  workload, the step memo's hit rates in the last replay of the last
+  round (where the side's layout uses one) and, for a side that compiles
+  them, the live kernels and evidence functions that replay compiled.
 
 Each side first runs every workload once, untimed, so that the timed
 rounds start from warm caches: every compile cache, and the step memo, is
@@ -44,7 +46,8 @@ would pay for compiles and steps that later rounds look up.
 The sides then run in alternating order for ``--rounds`` rounds, each
 workload best of ``REPEATS`` per round (per tick for ``stream`` and
 ``query``), and then, as each online replay clears the caches the others
-keep warm, ``--rounds`` rounds of the online workloads alone.  For each
+keep warm, ``--rounds`` rounds of the online workloads alone, each the
+median of ``ONLINE_REPLAYS`` replays.  For each
 workload the report gives each side's minimum, the median of the
 per-round ratios change/parent, the rounds the change won, and whether
 both sides gave equal outputs (the replay's final states, the rendered
@@ -68,9 +71,12 @@ LAYOUTS = ("yoyo", "array")
 REPEATS = 3
 # Ticks of each replayed run.
 TICKS = 300
-# Ticks of each online run, and the first online run's seed; a round adds
-# its number, so each round replays a run no round met before.
+# Ticks of each online run, the online runs each round replays, and the
+# first online run's seed; round r replays the runs of the next
+# ``ONLINE_REPLAYS`` seeds from ``ONLINE_SEED + r * ONLINE_REPLAYS``, so no
+# replay meets a run another met.
 ONLINE_TICKS = 3000
+ONLINE_REPLAYS = 5
 ONLINE_SEED = 1000
 # Agents ``array.online_1011`` adds to team_program(0)'s 11.
 CROWD = 1000
@@ -160,6 +166,14 @@ class Side:
         return statistics.median(best), statistics.median(best_query), answers
 
     def online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None):
+        """(median seconds, every replay's answers and final states, the
+        last replay's counts) of ``ONLINE_REPLAYS`` cold replays, of the
+        runs of seeds ``seed`` on (``replay_online``)."""
+        runs = [self.replay_online(layout, s, crowd, ticks)
+                for s in range(seed, seed + ONLINE_REPLAYS)]
+        return statistics.median(r[0] for r in runs), [r[1] for r in runs], runs[-1][2]
+
+    def replay_online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None):
         """(seconds, every answer and the final states, counts) of one cold
         replay of a fresh run: ``ONLINE_TICKS`` ticks, or ``ticks``, of
         ``team_program(0)`` grown by ``crowd`` agents."""
@@ -244,8 +258,8 @@ def measure(side: Side) -> dict:
 
 
 def measure_online(side: Side, seed: int) -> dict:
-    """Each online workload's one time on the run of ``seed``, its output
-    and its counts."""
+    """Each online workload's median time over the runs of seeds ``seed``
+    on, its output and its counts."""
     out = {f"{layout}.online": side.online(layout, seed) for layout in LAYOUTS}
     out["array.online_1011"] = side.online("array", seed, CROWD, TICKS)
     return out
@@ -262,7 +276,7 @@ def compare(parent: Path, change: Path, rounds: int = 20) -> dict:
             measure(side)
         # the online rounds last, as each clears the caches the others keep warm
         phases = (lambda side, r: measure(side),
-                  lambda side, r: measure_online(side, ONLINE_SEED + r))
+                  lambda side, r: measure_online(side, ONLINE_SEED + r * ONLINE_REPLAYS))
         for phase in phases:
             for r in range(rounds):
                 order = (0, 1) if r % 2 == 0 else (1, 0)
