@@ -51,12 +51,10 @@ parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
 otherwise there is one group, and the step is the single-agent engine that
 the array layout runs once per agent.  It runs as the program's compiled
 kernel (``TeamOrientedProgram.forward``), one generated Python function
-that runs each shedding node's updates only when the node sheds a nonzero
-mass and returns two new lists.  The single-agent view's kernel steps
-copies of the prior lists and tests each leaf's prior mass; a team-mode
-kernel unpacks both lists into locals and returns two list displays, as
-it must cap every entry it returns.  ``propagate_forward`` calls it, and
-is the memo-free reference of ``quiet_step``.
+that steps copies of the prior lists, runs each shedding node's updates
+only when the node sheds a nonzero mass, tests each leaf's prior mass and
+returns the copies, capped at 1 in team mode.  ``propagate_forward``
+calls it, and is the memo-free reference of ``quiet_step``.
 
 Every state the engine builds carries its live set
 (``BeliefState.live``), the leaves outside which every leaf holds exactly
@@ -66,12 +64,11 @@ each array commit sets it to the leaves its committed masses reach, and
 ``yoyo.yoyo_tick`` to the leaves its evidence wrote.  Whatever else puts
 mass on a leaf outside the set must set it to None, which means every
 leaf.  A message resets a belief to a point mass or a few, so the set
-stays short.  A most-likely query (``most_likely_state``) runs the pick
-rule (``pick_leaf``) over the live set alone, interpreted; a leaf outside
-it holds 0.0, which never beats the pick, so it answers as a scan of
-every leaf would.  The shared layout's team queries run the rule
-compiled, one generated scan per team's candidate leaves
-(``TeamOrientedProgram.team_best_leaf``).  This module only calls the
+stays short.  Every most-likely query runs one pick rule, ``pick_leaf``:
+``most_likely_state`` over the live set alone, as a leaf outside it
+holds 0.0, which never beats the pick, so it answers as a pick over every
+leaf would; the shared layout's team query over the team's candidate
+leaves (``yoyo.team_most_likely``).  This module only calls the
 program's functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
@@ -493,11 +490,18 @@ _TIE_SCALE = 1.0 + TIE_TOLERANCE
 
 
 def pick_leaf(leaves, A, B) -> int:
-    """The pick rule of ``compiled._compile_scan``, interpreted, over
-    ``leaves``, a non-empty sequence of ascending positions: the first is
-    the initial pick, and a later leaf replaces it only when its
-    ``A[i] + B[i]`` exceeds the pick's by more than the relative
-    ``TIE_TOLERANCE``.  A and B are lists or position-keyed dicts."""
+    """The most likely leaf among ``leaves``, a non-empty sequence of
+    ascending positions: the one rule of every most-likely query.
+
+    A and B are the ``act`` and ``blk`` tables, lists, tuples or
+    position-keyed dicts, and a leaf's mass is ``A[i] + B[i]``.  The first
+    leaf is the initial pick, and a later leaf replaces the pick only when
+    its mass exceeds the pick's by more than the relative ``TIE_TOLERANCE``.
+    Masses that a reordered float sum could swap therefore tie, and a tie
+    goes to the earliest leaf, the lowest node id; with no mass on any
+    leaf the answer is the first.  No table holds NaN, so the first leaf
+    needs no test.
+    """
     k = leaves[0]
     bar = (A[k] + B[k]) * _TIE_SCALE
     for i in leaves[1:]:

@@ -1,29 +1,27 @@
-"""Generated code: the compiled forward step and leaf scans, and the one
-object per set of program fields that holds the forward step, the next
-live sets and the step memo.
+"""Generated code: the compiled forward step, and the one object per set
+of program fields that holds it, the next live sets and the step memo.
 
-Each generator writes Python source from a program's tables, and
+``forward_source`` writes Python source from a program's tables, and
 ``_Kernel`` compiles it and registers it with ``linecache``, so tracebacks,
-profilers and ``inspect.getsource`` show the generated text.  Each cache
-below is bounded, lives in this module and is keyed on what its generator
-reads, never on a program object: every program equal in those (a fresh
-load, a comm-applied copy) shares one function, and a hit generates no
-source.  A source stays in ``linecache`` only while its function is cached.
+profilers and ``inspect.getsource`` show the generated text.  The one
+cache, ``_compile``, is bounded, lives in this module and is keyed on the
+fields the generator reads, never on a program object: every program equal
+in those (a fresh load, a comm-applied copy) shares one object, and a hit
+generates no source.  A source stays in ``linecache`` only while its
+function is cached.
 
-- ``_compile`` and ``CompiledProgram``: ``TeamOrientedProgram.compiled``,
-  one object per set of the fields ``forward_source`` reads.  It holds
-  the forward (quiet) step, ``TeamOrientedProgram.forward``: the
-  single-agent view's function steps list copies and tests each leaf's
-  prior mass, so a sparse belief runs few updates; a team-mode function
-  steps locals and returns capped list displays.  It also holds the next
-  live set of each live set met, which follows the forward step's rules,
-  and the step memo (``StepMemo``) of both layouts, whose belief values
-  (``belief.Value``) are shared immutable tuples that hold their own steps.
-- ``_compile_scan``: the most-likely pick rule over a leaf tuple, each
-  team's candidate leaves in ``TeamOrientedProgram.team_best_leaf``.
+``_compile`` gives ``CompiledProgram``, ``TeamOrientedProgram.compiled``.
+It holds the forward (quiet) step, ``TeamOrientedProgram.forward``, whose
+function steps list copies and tests each leaf's prior mass, so a sparse
+belief runs few updates, and in team mode caps what it returns.  It also
+holds the next live set of each live set met, which follows the forward
+step's rules, and the step memo (``StepMemo``) of both layouts, whose
+belief values (``belief.Value``) are shared immutable tuples that hold
+their own steps.  Every most-likely query runs ``belief.pick_leaf``,
+interpreted, on a memo miss.
 
 ``model`` holds documents and tables and reaches this module only from the
-properties that return compiled objects.
+property that returns the compiled object.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from array import array
 from functools import lru_cache
 
 from .belief import NO_LINKS, Value
-from .model import TERMINATE, TIE_TOLERANCE, TeamHierarchy, TeamOrientedProgram, hazard
+from .model import TERMINATE, TeamHierarchy, TeamOrientedProgram, hazard
 
 # The links of each kind, and the entries of each table, that a
 # ``StepMemo`` holds before it starts over.
@@ -41,43 +39,43 @@ MEMO_STATES = 4096
 
 
 class _Kernel:
-    """A compiled generated function and its source's ``linecache`` entry.
+    """A compiled forward step and its source's ``linecache`` entry.
 
-    ``src`` defines one function, ``name``.  The file name holds ``label``
-    and the kernel's id, so kernels of equal source (the forward kernels of
-    programs that differ in plan names, say) keep one entry each; it hashes
-    no source, which would cost a one-shot command the ``hashlib`` import.
-    Only a compile cache holds a kernel, so the entry is dropped when the
-    kernel leaves its cache, and ``linecache`` holds no more sources than
-    the caches hold functions.
+    ``src`` defines one function, ``forward``.  The file name holds the
+    kernel's id, so kernels of equal source (those of programs that differ
+    in plan names, say) keep one entry each; it hashes no source, which
+    would cost a one-shot command the ``hashlib`` import.  Only ``_compile``
+    holds a kernel, so the entry is dropped when the kernel leaves its
+    cache, and ``linecache`` holds no more sources than the cache holds
+    functions.
     """
 
-    def __init__(self, src: str, name: str, label: str):
-        self.filename = f"<{label} at {id(self):#x}>"
+    def __init__(self, src: str):
+        self.filename = f"<forward step at {id(self):#x}>"
         self.entry = (len(src), None, src.splitlines(True), self.filename)
         linecache.cache[self.filename] = self.entry
         scope: dict = {}
         exec(compile(src, self.filename, "exec"), scope)
-        self.function = scope[name]
+        self.function = scope["forward"]
 
     def __del__(self, cache=linecache.cache):
         if cache.get(self.filename) is self.entry:  # not re-registered since
             del cache[self.filename]
 
 
-def _descend(groups_at, y: int, rho: str, depth: int, body: list[str], slot: str = "a{}"):
+def _descend(groups_at, y: int, rho: str, depth: int, body: list[str]):
     """``belief.propagate_down`` of the mass named ``rho`` from position y,
     unrolled into ``body``: each group's share is ``s<depth>``, a division
     of its parent's share, written only for a group of more than one.  A
-    share is added to ``slot`` formatted with the child's position."""
+    share is added to the child's ``act`` entry."""
     for group in groups_at[y]:
         share = rho
         if len(group) > 1:
             share = f"s{depth}"
             body.append(f"{share} = {rho} / {len(group)}")
         for c in group:
-            body.append(f"{slot.format(c)} += {share}")
-            _descend(groups_at, c, share, depth + 1, body, slot)
+            body.append(f"act[{c}] += {share}")
+            _descend(groups_at, c, share, depth + 1, body)
 
 
 def _carriers(outgoing) -> tuple[float, list]:
@@ -93,30 +91,26 @@ def _carriers(outgoing) -> tuple[float, list]:
 def forward_source(p: TeamOrientedProgram) -> str:
     """The source of ``p.forward``'s function, generated from p's fields.
 
-    Both shapes that ``TeamOrientedProgram.forward`` describes share the
-    walk, one guarded block per shedding node in postorder, and differ in
-    what a block writes to (list entries or locals), how a leaf's block is
-    guarded, and the head and tail around the blocks.
+    The function has the one shape ``TeamOrientedProgram.forward``
+    describes: a length check, list copies, one guarded block per shedding
+    node in postorder, the floors, and in team mode the cap.
     """
-    n, groups_at, team = p.index, p.groups_at, p.team_mode
-    act, blk = ("a{}", "b{}") if team else ("act[{}]", "blk[{}]")
-    shed: list[str] = []  # each o<i> set before any block runs
+    n, groups_at = p.index, p.groups_at
+    shed: list[str] = []  # each internal o<i> set before any block runs
     blocks: list[str] = []
     rates = {i: hazard(p.plans[i].rate) for i in p.leaf_index}
     sheds = {i for i, rate in rates.items() if rate}
     floored: list[int] = []  # the internal nodes that shed
-    if team:
-        shed += [f"o{i} = a{i} * {rates[i]!r}" for i in p.leaf_index if i in sheds]
 
     for i in p.postorder:
         if i not in sheds:
             continue
         up, outgoing, body = p.ancestors_at[i], p.out_at[i], []
-        if team or i not in rates:
-            guard = f"if o{i}:"
-        else:  # read the prior mass once; compute o<i> only where it is nonzero
+        if i in rates:  # read the prior mass once; compute o<i> only where it is nonzero
             guard = f"if x := A[{i}]:"
             body.append(f"o{i} = x * {rates[i]!r}")
+        else:
+            guard = f"if o{i}:"
         eta, carriers = _carriers(outgoing)
         for t in carriers:
             factors = "".join(f" * {f!r}" for f in (1.0 - t.mu, t.pi) if f != 1.0)
@@ -124,10 +118,10 @@ def forward_source(p: TeamOrientedProgram) -> str:
             if factors:
                 body.append(f"r = o{i}{factors}")
             if t.dst != TERMINATE:
-                body.append(f"{act.format(n[t.dst])} += {r}")
-                _descend(groups_at, n[t.dst], r, 0, body, act)
+                body.append(f"act[{n[t.dst]}] += {r}")
+                _descend(groups_at, n[t.dst], r, 0, body)
             elif not up:
-                body.append(f"{blk.format(i)} += {r}")  # program complete
+                body.append(f"blk[{i}] += {r}")  # program complete
             else:
                 j, groups = up[0], len(groups_at[up[0]])
                 body.append(f"o{j} += " + (r if groups == 1 else f"{r} / {groups}"))
@@ -137,28 +131,20 @@ def forward_source(p: TeamOrientedProgram) -> str:
                     shed.append(f"o{j} = 0.0")
         keep = max(0.0, 1.0 - eta)
         if keep != 0.0:
-            body.append(f"{blk.format(i)} += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
-        body.append(f"{act.format(i)} -= o{i}")
+            body.append(f"blk[{i}] += o{i}" + ("" if keep == 1.0 else f" * {keep!r}"))
+        body.append(f"act[{i}] -= o{i}")
         blocks.append(f"{guard}\n        " + "\n        ".join(body))
 
     size = len(n)
-    if team:
-        def entry(v: str, floor: bool = False) -> str:  # one returned value
-            text = f"0.0 if {v} < 0.0 else {v}" if floor else v
-            return f"1.0 if {v} > 1.0 else {text}"
-
-        active = ", ".join(entry(f"a{i}", i in floored) for i in range(size))
-        blocked = ", ".join(entry(f"b{i}") for i in range(size))
-        head = ["".join(f"a{i}, " for i in range(size)) + "= A",
-                "".join(f"b{i}, " for i in range(size)) + "= B"]
-        tail = [f"return [{active}], [{blocked}]"]
-    else:
-        head = [f"if len(A) != {size} or len(B) != {size}:",
-                f"    raise ValueError(f'forward step of {size} nodes got tables of "
-                "{len(A)} and {len(B)} entries')",
-                "act = list(A)", "blk = list(B)"]
-        tail = [f"if act[{j}] < 0.0:\n        act[{j}] = 0.0" for j in floored]
-        tail.append("return act, blk")
+    head = [f"if len(A) != {size} or len(B) != {size}:",
+            f"    raise ValueError(f'forward step of {size} nodes got tables of "
+            "{len(A)} and {len(B)} entries')",
+            "act = list(A)", "blk = list(B)"]
+    tail = [f"if act[{j}] < 0.0:\n        act[{j}] = 0.0" for j in floored]
+    if p.team_mode:
+        tail += [f"if max({t}) > 1.0:\n        {t} = [1.0 if v > 1.0 else v for v in {t}]"
+                 for t in ("act", "blk")]
+    tail.append("return act, blk")
     body = [*head, *shed, *blocks, *tail]
     return "\n".join(["def forward(A, B):", *(f"    {line}" for line in body)]) + "\n"
 
@@ -321,44 +307,5 @@ def _compile(plans, transitions, root, teams, team_mode) -> tuple[CompiledProgra
     entries per table, so the cache keeps few of them.
     """
     p = TeamOrientedProgram(plans, transitions, TeamHierarchy(teams, ()), root, team_mode)
-    kernel = _Kernel(forward_source(p), "forward", "forward step")
+    kernel = _Kernel(forward_source(p))
     return CompiledProgram(p, kernel.function), kernel
-
-
-@lru_cache(maxsize=256)
-def _compile_scan(leaves: tuple[int, ...]) -> _Kernel:
-    """The compiled pick rule over ``leaves``, a non-empty tuple of positions.
-
-    This is the one pick rule every most-likely query uses: the leaf
-    holding the most active+blocked mass.  The shared layout's team picks
-    run it compiled; ``belief.pick_leaf`` runs it interpreted over a live
-    set, which is too short and varied to repay a compile.  The generated
-    ``scan(A, B)`` reads the ``active`` and ``blocked`` tables, lists or
-    position-keyed dicts.  It scans the leaves in the given order, one
-    unrolled block per leaf (callers pass them ascending, so in id order),
-    and the first is the initial pick; a later leaf replaces the pick only
-    when its mass exceeds the pick's by more than the relative
-    ``TIE_TOLERANCE``:
-
-        m = A[i] + B[i]
-        if m > bar:
-            k, bar = i, m * <1 + TIE_TOLERANCE>
-
-    Masses that a reordered float sum could swap therefore tie, and a tie
-    goes to the earliest leaf; with no mass anywhere that is the first
-    leaf.  The scan returns the picked position.  No table holds NaN, so
-    the first leaf needs no test.
-
-    The source is a function of the leaf tuple alone, so the cache is keyed
-    on it: programs with equal leaf tuples, such as every comm-applied copy
-    of one program, share one scan and never generate it again.  The cache
-    keeps the 256 most recently used scans, registered with ``linecache``
-    like the forward kernels.
-    """
-    first, *rest = leaves
-    scale = repr(1.0 + TIE_TOLERANCE)
-    body = [f"k, bar = {first}, (A[{first}] + B[{first}]) * {scale}"]
-    for i in rest:
-        body += [f"m = A[{i}] + B[{i}]", "if m > bar:", f"    k, bar = {i}, m * {scale}"]
-    return _Kernel("\n".join(["def scan(A, B):", *(f"    {line}" for line in body),
-                              "    return k"]) + "\n", "scan", "leaf scan")

@@ -26,24 +26,21 @@ parallel); the postorder and the leaves; plan name -> positions
 evidence tables that ``belief.evidence`` reads in both modes (each
 team's open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``,
 and each node's normalizing unit, ``unit_at``); the shared layout's climb
-(``evidence_climbs``, which holds the walk of every rescale it runs); the
-compiled object of the program's fields (``compiled``): the forward step
-(``forward``), one generated function that returns new lists, stepping
-list copies in the single-agent view and locals in team mode, the next
-live set of each live set, and the step memo of both layouts; and the
-compiled most-likely pick over each team's candidate leaves
-(``team_best_leaf``), one generated scan per leaf tuple.  They are built
-on first use, so loading a program pays for none of them.  Node ids
-remain only at the document boundary: ``node_ids`` and ``index`` map
-between ids and positions, ``node(id)`` reads a plan record, and the
-transition records (``out_at``) name their plans by id.  A query answers
-with a leaf's position, and ``path_names`` gives its root path as plan
-names.  The generated code and its caches live in ``compiled``: the
-compiled object is built once per distinct set of the fields its
-generator reads, and a scan once per leaf tuple, each cache bounded and
-kept in that module, so programs equal in those fields (or in leaves)
-share one object and a hit generates no source; a source stays in
-``linecache`` only while its function is cached.
+(``evidence_climbs``, which holds the walk of every rescale it runs); and
+the compiled object of the program's fields (``compiled``): the forward
+step (``forward``), one generated function that steps list copies and
+returns them, the next live set of each live set, and the step memo of
+both layouts.  They are built on first use, so loading a program pays
+for none of them.  Node ids remain only at the document boundary:
+``node_ids`` and ``index`` map between ids and positions, ``node(id)``
+reads a plan record, and the transition records (``out_at``) name their
+plans by id.  A query answers with a leaf's position, and ``path_names``
+gives its root path as plan names.  The generated code and its cache live
+in ``compiled``: the compiled object is built once per distinct set of
+the fields its generator reads, in a bounded cache kept in that module,
+so programs equal in those fields share one object and a hit generates
+no source; a source stays in ``linecache`` only while its function is
+cached.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -64,8 +61,8 @@ use build equal tables, and instances are safe to share across threads.  So
 is the compiled object shared by programs with equal fields: its kernel
 touches nothing but its arguments and the lists it returns, two threads
 compiling one key at once get equal objects, and every entry its memo
-stores is a function of the fields and the entry's key.  A scan only reads
-its arguments.  Mutable run state lives in the belief containers, not here.
+stores is a function of the fields and the entry's key.  Mutable run
+state lives in the belief containers, not here.
 """
 
 from __future__ import annotations
@@ -82,9 +79,9 @@ TERMINATE = "TERMINATE"
 SUM_TOL = 1e-9
 
 # Leaf masses within this relative distance of the best one tie in a
-# most-likely pick (``compiled._compile_scan``): ``belief.propagate_down`` splits mass
-# evenly, so exact ties are common, and summation order must not decide
-# between them.
+# most-likely pick (``belief.pick_leaf``): ``belief.propagate_down`` splits
+# mass evenly, so exact ties are common, and summation order must not
+# decide between them.
 TIE_TOLERANCE = 1e-9
 
 
@@ -359,13 +356,6 @@ class TeamOrientedProgram:
         return {team: tuple(i for i in self.leaf_index if owner[i] in chain(team))
                 or self.leaf_index for team, _ in self.team_hierarchy.teams}
 
-    @cached_property
-    def team_best_leaf(self) -> dict:
-        """Each team's pick rule over its candidate leaves (``leaves_by_team``)."""
-        from .compiled import _compile_scan
-        return {team: _compile_scan(leaves).function
-                for team, leaves in self.leaves_by_team.items()}
-
     # -- the shared layout's evidence tick ----------------------------------
 
     @cached_property
@@ -478,30 +468,22 @@ class TeamOrientedProgram:
         operation is the one the step has always made, in the same order, so
         exact ties between leaves break as they always have.
 
-        The kernel has one of two shapes, chosen by ``team_mode``:
-
-        - The single-agent view's kernel, which the array layout runs once
-          per agent, works on list copies.  It checks both lengths, copies
-          the tables (``act = list(A)``, ``blk = list(B)``) and guards each
-          leaf's block by its prior mass, ``if x := A[i]:``, computing
-          ``o<i> = x * rate`` inside, so a leaf with no mass costs one
-          test and a leaf's shed never reads a copy an earlier block wrote.
-          An internal node's block is guarded by ``if o<i>:``.  A block
-          updates ``act[x]`` and ``blk[x]`` in place, and the floors below
-          are statements after the last block.  A leaf without mass costs
-          one test, so the shape pays off on sparse beliefs, which a
-          message resets to a point mass; on dense ones it is slower than
-          the locals shape.
-        - A team-mode kernel, the shared layout's quiet tick, unpacks every
-          entry of both tables into locals, ``a<i>`` and ``b<i>`` (the
-          active and blocked mass of node i), one statement per table,
-          computes every leaf's shed first and guards each block by ``if
-          o<i>:``.  A block updates locals only, and the function returns
-          two list displays of the locals' last values, each capped at 1:
-          an entry reads ``1.0 if v > 1.0 else v``.  The cap is why this
-          kernel keeps the locals shape: it must cover every entry, and the
-          list shape with a cap pass, or with a cap on every written
-          entry, measured slower than these capped displays.
+        The kernel has one shape in both modes.  It checks both lengths,
+        copies the tables (``act = list(A)``, ``blk = list(B)``) and guards
+        each leaf's block by its prior mass, ``if x := A[i]:``, computing
+        ``o<i> = x * rate`` inside, so a leaf with no mass costs one test
+        and a leaf's shed never reads a copy an earlier block wrote.  An
+        internal node's block is guarded by ``if o<i>:``.  A block updates
+        ``act[x]`` and ``blk[x]`` in place, and the floors below are
+        statements after the last block.  The shape pays off on sparse
+        beliefs, which a message resets to a point mass.  A team-mode
+        kernel, the shared layout's quiet tick, ends by capping both lists
+        at 1, entry by entry: ``if max(act) > 1.0: act = [1.0 if v > 1.0
+        else v for v in act]``, and the same for ``blk``.  An earlier
+        team-mode shape unpacked both tables into locals and returned two
+        capped list displays; it ran a miss some 1.2x faster, but the step
+        memo runs a kernel only on a miss, so the one shape costs a run
+        little and the generator holds one branch on ``team_mode``.
 
         Skipping is exact.  No state value is ever -0.0, and every shed mass
         is a sum of products of non-negative values, so a skipped block would
@@ -522,11 +504,9 @@ class TeamOrientedProgram:
         an internal node that sheds can round below zero: the sum of its
         children's TERMINATE flows may exceed its active mass by an ulp.  So
         such a node's active mass is floored at 0.0 after every block has
-        read it: ``if act[i] < 0.0: act[i] = 0.0`` in the single-agent
-        view's kernel, and ``1.0 if a<i> > 1.0 else 0.0 if a<i> < 0.0 else
-        a<i>`` in a team-mode kernel's display.  The single-agent view's
-        kernel does not cap; rounding may leave one of its values an ulp
-        above 1, and it is left as it is.
+        read it, ``if act[i] < 0.0: act[i] = 0.0``, before any cap.  The
+        single-agent view's kernel does not cap; rounding may leave one of
+        its values an ulp above 1, and it is left as it is.
 
         ``compiled._compile`` generates the source
         (``compiled.forward_source``) only for fields not in its cache, and

@@ -13,9 +13,9 @@ this module commits that evidence and rescales.  The structure those
 steps follow is a program table like every other: each node's climb to
 the root (``evidence_climbs``), with the walk of every rescale the climb
 runs.  Only the mass arithmetic runs per tick, and every node these steps
-name is a position in the state's tables.  A team's most-likely query is its
-compiled pick over its candidate leaves
-(``TeamOrientedProgram.team_best_leaf`` over ``leaves_by_team``).
+name is a position in the state's tables.  A team's most-likely query is
+``belief.pick_leaf`` over its candidate leaves (``leaves_by_team``), the
+rule of every most-likely query.
 
 States are values here as in the array layout (``belief``): a tick steps
 the state in place, replacing its value (``belief.Value``) with one of
@@ -50,7 +50,7 @@ set to the leaves among ``updated``.
 from __future__ import annotations
 
 from .belief import (BeliefState, MonitoringError, Value, VisitCounter, evidence, init_beliefs,
-                     propagate_down, quiet_step, tick_signature)
+                     pick_leaf, propagate_down, quiet_step, tick_signature)
 from .model import TeamOrientedProgram
 
 
@@ -151,25 +151,21 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
         prior.commits = {**prior.commits, signature: after}
 
 
-def _team_entry(table: dict, team: str):
-    try:
-        return table[team]
-    except KeyError:
-        raise MonitoringError(f"unknown unit '{team}'") from None
-
-
 def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:
     """Positions of the leaves owned by ``team`` or an ancestor team, else of every leaf."""
-    return _team_entry(p.leaves_by_team, team)
+    try:
+        return p.leaves_by_team[team]
+    except KeyError:
+        raise MonitoringError(f"unknown unit '{team}'") from None
 
 
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
     """The position of the most likely leaf among those the team can be executing.
 
-    The leaf is the team's compiled pick over ``team_leaves(p, team)``
-    (``TeamOrientedProgram.team_best_leaf``), so near-ties, and a team with
-    no mass on any of its leaves, go to the lowest node id.  ``p.path_names``
-    of the answer is its root path of plan names.
+    The leaf is ``belief.pick_leaf`` over ``team_leaves(p, team)``, so
+    near-ties, and a team with no mass on any of its leaves, go to the
+    lowest node id.  ``p.path_names`` of the answer is its root path of
+    plan names.
 
     An answer taken before from the same value is a link of the value's
     ``teams`` (``belief.Value``); an answer from a value of
@@ -180,7 +176,7 @@ def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
     memo = p.compiled.memo
     if best is not None and value.memo is memo:
         return best
-    best = _team_entry(p.team_best_leaf, team)(value.act, value.blk)
+    best = pick_leaf(team_leaves(p, team), value.act, value.blk)
     if value.memo is memo:
         memo.misses["best"] += 1
         memo.link("best", value)

@@ -1,9 +1,10 @@
+import math
 import pathlib
 
 import pytest
 
 from overhear.belief import BeliefState
-from overhear.model import load_program_path
+from overhear.model import TIE_TOLERANCE, load_program_path
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
 
@@ -17,6 +18,17 @@ def brute_leaves(p) -> tuple[str, ...]:
 def snapshot(b: BeliefState) -> BeliefState:
     """A copy of state b, which the steps that later move b leave as it is."""
     return BeliefState(list(b.act), list(b.blk), b.index)
+
+
+def _reference_pick(leaves, active, blocked):
+    """The most-likely pick rule as a plain loop over ``leaves``, the
+    reference that ``belief.pick_leaf`` and every query must agree with."""
+    best, bar = None, -math.inf
+    for leaf in leaves:
+        mass = active[leaf] + blocked[leaf]
+        if mass > bar:
+            best, bar = leaf, mass * (1.0 + TIE_TOLERANCE)
+    return best
 
 
 @pytest.fixture

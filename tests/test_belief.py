@@ -1,5 +1,4 @@
 import functools
-import inspect
 import math
 import random
 
@@ -10,15 +9,13 @@ from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitC
                              _prune_redundant_ancestors, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              pick_leaf, propagate_down, propagate_forward, quiet_step)
-from overhear.compiled import _compile_scan
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import TERMINATE, hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
-from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import team_most_likely, yoyo_tick
 
-from conftest import brute_leaves
+from conftest import _reference_pick, brute_leaves
 from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
                          sweep_programs, sweep_replays, table_programs, warm_replays)
 
@@ -383,16 +380,6 @@ def test_pick_is_the_lowest_id_of_the_top_group(caller):
     check()
 
 
-def _reference_pick(leaves, active, blocked):
-    """The pick rule as a plain loop over ``leaves``: the generated scans must agree."""
-    best, bar = None, -math.inf
-    for leaf in leaves:
-        mass = active[leaf] + blocked[leaf]
-        if mass > bar:
-            best, bar = leaf, mass * (1.0 + TIE_TOLERANCE)
-    return best
-
-
 def _planted(rng: random.Random, leaves, size: int) -> tuple[list, list]:
     """Random tables whose leaves hold near-ties of one top mass: within 4 ulps,
     and 10 ``TIE_TOLERANCE``s above and below it, each split into two exact halves."""
@@ -407,50 +394,39 @@ def _planted(rng: random.Random, leaves, size: int) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_scan_matches_the_reference_loop_on_planted_ties(seed):
+def test_pick_leaf_matches_the_reference_loop_on_planted_ties(seed):
     rng = random.Random(seed)
     for _ in range(50):
         size = rng.randint(1, 60)
         leaves = tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
-        scan = _compile_scan(leaves).function
         active, blocked = _planted(rng, leaves, size)
-        expected = _reference_pick(leaves, active, blocked)
-        assert scan(active, blocked) == pick_leaf(leaves, active, blocked) == expected
+        assert pick_leaf(leaves, active, blocked) == _reference_pick(leaves, active, blocked)
         # a dict of summed masses against a zero table, as a coherent array team pick reads
         mass = {x: active[x] + blocked[x] for x in leaves}
         zeros = (0.0,) * size
-        expected = _reference_pick(leaves, mass, zeros)
-        assert scan(mass, zeros) == pick_leaf(leaves, mass, zeros) == expected
+        assert pick_leaf(leaves, mass, zeros) == _reference_pick(leaves, mass, zeros)
 
 
-def test_scan_matches_the_reference_loop_on_zero_tables_and_single_leaves():
+def test_pick_leaf_matches_the_reference_loop_on_zero_tables_and_single_leaves():
     for size in (1, 2, 7):
         zeros = [0.0] * size
         for leaves in [(x,) for x in range(size)] + [tuple(range(size))]:
-            scan = _compile_scan(leaves).function
-            assert scan(zeros, zeros) == _reference_pick(leaves, zeros, zeros) == leaves[0]
+            assert pick_leaf(leaves, zeros, zeros) == _reference_pick(leaves, zeros, zeros)
             assert pick_leaf(leaves, zeros, zeros) == leaves[0]
 
 
-def test_program_scans_match_the_reference_loop():
+def test_program_picks_match_the_reference_loop():
+    # over every leaf and each team's candidates, a single-state query's
+    # and a team query's leaves, in both modes
     rng = random.Random(0)
     for p in table_programs():
         for q in (p, p.single_agent_view()):
             size = len(q.node_ids)
-            picks = [(q.leaf_index, _compile_scan(q.leaf_index).function)] + [
-                (q.leaves_by_team[team], q.team_best_leaf[team]) for team in q.leaves_by_team]
-            for leaves, scan in picks:
+            for leaves in (q.leaf_index, *q.leaves_by_team.values()):
                 for _ in range(5):
                     active, blocked = _planted(rng, leaves, size)
-                    assert scan(active, blocked) == _reference_pick(leaves, active, blocked)
-
-
-def test_scans_are_shared_by_leaf_tuple():
-    p = team_program(0)
-    q = apply_comm_model(p, learn_comm_model([]))
-    assert q is not p and q.team_best_leaf == p.team_best_leaf
-    assert p.single_agent_view().team_best_leaf == p.team_best_leaf
-    assert inspect.getsource(p.team_best_leaf["ALPHA"]).startswith("def scan(A, B):\n")
+                    assert pick_leaf(leaves, active, blocked) == _reference_pick(
+                        leaves, active, blocked)
 
 
 def test_most_likely_rejects_empty():
@@ -471,7 +447,7 @@ def test_most_likely_reads_the_live_set_alone_on_planted_ties(seed):
     rng = random.Random(seed)
     for p in table_programs():
         view = p.single_agent_view()
-        leaves, scan = view.leaf_index, _compile_scan(view.leaf_index).function
+        leaves = view.leaf_index
         for _ in range(3):
             live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 7)))))
             active, blocked = _planted(rng, live, len(view.node_ids))
@@ -480,7 +456,6 @@ def test_most_likely_reads_the_live_set_alone_on_planted_ties(seed):
                     active[x] = blocked[x] = 0.0
             b = BeliefState(active, blocked, view.index, live)
             expected = _reference_pick(leaves, active, blocked)
-            assert scan(active, blocked) == expected
             if active[expected] + blocked[expected] > 0.0:
                 assert most_likely_state(b, view) == expected
             else:
@@ -597,7 +572,7 @@ def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
     states = 0
     for _, rec, by_tick in (sweep_replays if memo == "cold" else warm_replays)(*key):
         view = rec.view
-        leaves, scan = view.leaf_index, _compile_scan(view.leaf_index).function
+        leaves = view.leaf_index
         for t in range(TICKS):
             rec.step(by_tick.get(t, []))
             for agent, b in rec.beliefs.items():
@@ -606,7 +581,8 @@ def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
                 held = [x for x in leaves if b.act[x] or b.blk[x]]
                 assert set(held) <= set(live), (key, t, agent)
                 if held:
-                    assert most_likely_state(b, view) == scan(b.act, b.blk), (key, t, agent)
+                    assert most_likely_state(b, view) == _reference_pick(
+                        leaves, b.act, b.blk), (key, t, agent)
                 states += 1
     assert states > 0
 

@@ -4,8 +4,9 @@ Every run of ``test_digest``'s sweep is replayed twice in step: by the
 recognizer, whose quiet steps, evidence steps and queries go through the
 memo, and by a reference that holds lists and runs the memo-free step:
 in the array layout the interpreted commit, ``propagate_forward`` and a
-scan of every leaf; in the shared layout ``propagate_forward``, the
-interpreted evidence committed on fresh lists, and each team's pick.
+pick over every leaf; in the shared layout ``propagate_forward``, the
+interpreted evidence committed on fresh lists, and each team's pick, each
+pick by the reference loop (``conftest._reference_pick``).
 Their states and answers must agree bit for bit.  The memo's bound is set
 to 1 and to a small number, so links are dropped all through the replay,
 and left at its default, where steps are shared across runs.
@@ -37,6 +38,7 @@ from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import _clamp_entries, _rescale, team_most_likely, yoyo_tick
 
+from conftest import _reference_pick
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
                          table_programs, warm_replays)
 
@@ -73,16 +75,6 @@ def _reference_tick(rec, states: dict, msgs):
             propagate_forward(b, view)
 
 
-def _scan_of(view):
-    """The compiled pick over every leaf of ``view``."""
-    return compiled._compile_scan(view.leaf_index).function
-
-
-def _scan(view, b) -> int:
-    """The most likely leaf by the compiled pick over every leaf."""
-    return _scan_of(view)(b.act, b.blk)
-
-
 @pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
 @pytest.mark.parametrize("key", ARRAY_KEYS, ids=_ids)
 def test_the_memo_steps_and_answers_as_the_memo_free_step(key, bound, monkeypatch):
@@ -100,7 +92,8 @@ def test_the_memo_steps_and_answers_as_the_memo_free_step(key, bound, monkeypatc
                 expected = states[agent]
                 assert _bits(b) == _bits(expected), (key, t, agent, _hex(b), _hex(expected))
                 if any(b.act[x] or b.blk[x] for x in view.leaf_index):
-                    assert most_likely_state(b, view) == _scan(view, expected), (key, t, agent)
+                    assert most_likely_state(b, view) == _reference_pick(
+                        view.leaf_index, expected.act, expected.blk), (key, t, agent)
         memos.add(view.compiled.memo)
     if bound < 10:
         assert all(memo.evictions for memo in memos)
@@ -205,7 +198,7 @@ def test_the_shared_memo_steps_and_answers_as_the_memo_free_step(key, bound, mon
             assert _bits(b) == _bits(expected), (key, t, _hex(b), _hex(expected))
             assert b.live == expected.live, (key, t)
             for team in rec.teams:
-                answer = p.team_best_leaf[team](expected.act, expected.blk)
+                answer = _reference_pick(p.leaves_by_team[team], expected.act, expected.blk)
                 assert team_most_likely(b, p, team) == answer, (key, t, team)
         memos.add(p.compiled.memo)
     if bound < 10:
@@ -327,7 +320,8 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
             setattr(b, name, edit)
             for unit in units:
                 misses = memo.misses["best"]
-                pick = (q.team_best_leaf[unit] if yoyo else _scan_of(q))(b.act, b.blk)
+                leaves = q.leaves_by_team[unit] if yoyo else q.leaf_index
+                pick = _reference_pick(leaves, b.act, b.blk)
                 assert query(b, unit) == pick, (name, unit)
                 assert memo.misses["best"] == misses, (name, unit)  # a fresh value links nothing
     assert all(moved.values()), moved

@@ -527,16 +527,15 @@ def test_forward_source_is_registered():
     text = serialize_program(p)
     assert (load_program(text, team_mode=True).forward
             is load_program(text, team_mode=True).forward is p.forward)
-    # a table of the wrong length fails in the team kernel's unpack line of
-    # that table and in the view kernel's length check, which the traceback
-    # shows from the registered source
+    # a wrong-length table, either one, fails in both kernels' length check,
+    # which the traceback shows from the registered source
     check = "raise ValueError(f'forward step of 40 nodes"
-    for q, lines in ((p, (", = A", ", = B")), (view, (check, check))):
+    for q in (p, view):
         for table in ([], [0.0] * (len(q.node_ids) + 1)):
-            for args, line in zip(((table, table), (list(q.zeros), table)), lines):
+            for args in ((table, table), (list(q.zeros), table)):
                 with pytest.raises(ValueError) as info:
                     q.forward(*args)
-                assert line in "".join(traceback.format_tb(info.value.__traceback__))
+                assert check in "".join(traceback.format_tb(info.value.__traceback__))
 
 
 def test_forward_is_shared_only_by_equal_sources():

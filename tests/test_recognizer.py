@@ -9,7 +9,7 @@ from overhear.progen import team_program
 from overhear.recognizer import ArrayRecognizer, SharedRecognizer, make_recognizer
 from overhear.sim import SimConfig, checkpoints, simulate
 
-from conftest import DATA, snapshot
+from conftest import DATA, _reference_pick, snapshot
 from test_digest import SWEEP_SHA256, TICKS, sweep_replays
 
 TEAM = str(DATA / "evac_team.json")
@@ -137,11 +137,12 @@ def test_coherent_array_rows_stay_identical(prog, seed):
 
 
 def _pick_over_every_candidate(rec, team: str) -> tuple[str, ...]:
-    """A coherent array team's path as the compiled pick over every candidate leaf."""
+    """A coherent array team's path as the reference pick over every candidate leaf."""
     view = rec.view
+    leaves = view.leaves_by_team[team]
     members = [rec.beliefs[a] for a in view.team_hierarchy.members(team)]
-    mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in view.leaves_by_team[team]}
-    return view.name_paths_at[view.team_best_leaf[team](mass, view.zeros)]
+    mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in leaves}
+    return view.name_paths_at[_reference_pick(leaves, mass, view.zeros)]
 
 
 @pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1:] == ("array", True)],

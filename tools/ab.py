@@ -36,8 +36,7 @@ workload is built from each side's own modules:
   ``grow_team(team_program(0), CROWD)``, 1,011 agents, over ``TICKS``
   ticks.  After the table the report prints, per side and online
   workload, the step memo's hit rates in the last replay of the last
-  round (where the side's layout uses one) and, for a side that compiles
-  them, the live kernels and evidence functions that replay compiled.
+  round.
 
 Each side first runs every workload once, untimed, so that the timed
 rounds start from warm caches: every compile cache, and the step memo, is
@@ -203,32 +202,21 @@ class Side:
         return seconds, answers, self.counts(rec, by_tick, ticks)
 
     def counts(self, rec, by_tick, ticks: int) -> dict:
-        """What one replay of ``rec`` compiled, for a side with live kernels
-        or compiled evidence, and the hit rates of its step memo where this
-        side's layout uses one (a replay that uses it misses at least its
-        first step): of the quiet steps, the evidence steps (one per tick in
-        the shared layout, one per message and recipient in the array
-        layout) and the queries, the share that no step computed."""
+        """The hit rates of the step memo in one replay of ``rec`` (a replay
+        misses at least its first step): of the quiet steps, the evidence
+        steps (one per tick in the shared layout, one per message and
+        recipient in the array layout) and the queries, the share that no
+        step computed."""
         shared = isinstance(rec, self.recognizer.SharedRecognizer)
         q = rec.p if shared else rec.view
-        out = {}
-        live = getattr(q, "next_live", None)
-        if hasattr(live, "kernels"):
-            out["live kernels"] = len(live.kernels)
-        tables = getattr(q, "evidence_functions", None)
-        if tables is not None:
-            out["evidence functions"] = sum(tier.kernel.cache_info().currsize
-                                            for tier in (tables.step, tables.commit))
-        memo = getattr(getattr(q, "compiled", live), "memo", None)
-        if memo is None or not any(memo.misses.values()):
-            return out
+        memo = q.compiled.memo
         heard = [by_tick.get(t, ()) for t in range(1, ticks)]
         steps = {"quiet": rec.counter.visits // len(q.postorder),
                  "commit": sum(map(bool, heard)) if shared else
                  sum(len(rec.recipients(m)) for msgs in heard for m in msgs),
                  "best": len(rec.units) * (ticks - 1)}
-        for kind, n in steps.items():
-            out[f"{kind} hits"] = 1.0 - memo.misses[kind] / n if n else None
+        out = {f"{kind} hits": 1.0 - memo.misses[kind] / n if n else None
+               for kind, n in steps.items()}
         out["evictions"] = memo.evictions
         return out
 
