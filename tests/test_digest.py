@@ -119,7 +119,7 @@ TABLE_KINDS = ("uniform", "sparse", "subnormal", "over")
 
 # sha256 of every table program's kernel source and position-keyed tables,
 # and of its hypothesis-count curves
-TABLES_SHA256 = "cb18bdd5b8d4dd86bbba92ef077af8873d99b588014f0425ab99ea2e29de7297"
+TABLES_SHA256 = "43764e18a3a92935a769a7b3348748791d4bad83267bd4666808c677092c3a1c"
 HYPOTHESIS_SHA256 = "ea3923a3d4d1761b1fefa3c5c47846b8cf574570ff0455d12057029f20552cd9"
 
 
