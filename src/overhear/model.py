@@ -479,11 +479,11 @@ class TeamOrientedProgram:
         beliefs, which a message resets to a point mass.  A team-mode
         kernel, the shared layout's quiet tick, ends by capping both lists
         at 1, entry by entry: ``if max(act) > 1.0: act = [1.0 if v > 1.0
-        else v for v in act]``, and the same for ``blk``.  An earlier
-        team-mode shape unpacked both tables into locals and returned two
-        capped list displays; it ran a miss some 1.2x faster, but the step
-        memo runs a kernel only on a miss, so the one shape costs a run
-        little and the generator holds one branch on ``team_mode``.
+        else v for v in act]``, and the same for ``blk``.  A team-mode
+        kernel that unpacks both tables into locals and returns capped list
+        displays runs faster, but the step memo runs a kernel only on a
+        miss, so one shape serves both modes and the generator holds one
+        branch on ``team_mode``.
 
         Skipping is exact.  No state value is ever -0.0, and every shed mass
         is a sum of products of non-negative values, so a skipped block would

@@ -411,8 +411,8 @@ def test_pick_leaf_matches_the_reference_loop_on_zero_tables_and_single_leaves()
     for size in (1, 2, 7):
         zeros = [0.0] * size
         for leaves in [(x,) for x in range(size)] + [tuple(range(size))]:
-            assert pick_leaf(leaves, zeros, zeros) == _reference_pick(leaves, zeros, zeros)
-            assert pick_leaf(leaves, zeros, zeros) == leaves[0]
+            assert pick_leaf(leaves, zeros, zeros) == _reference_pick(
+                leaves, zeros, zeros) == leaves[0]
 
 
 def test_program_picks_match_the_reference_loop():
