@@ -29,6 +29,7 @@ from __future__ import annotations
 import linecache
 from array import array
 from functools import lru_cache
+from itertools import count
 
 from .belief import NO_LINKS, Value
 from .model import TERMINATE, TeamHierarchy, TeamOrientedProgram, hazard
@@ -37,21 +38,25 @@ from .model import TERMINATE, TeamHierarchy, TeamOrientedProgram, hazard
 # ``StepMemo`` holds before it starts over.
 MEMO_STATES = 4096
 
+# The serial numbers that name each kernel's source in ``linecache``.
+_SERIALS = count()
+
 
 class _Kernel:
     """A compiled forward step and its source's ``linecache`` entry.
 
     ``src`` defines one function, ``forward``.  The file name holds the
-    kernel's id, so kernels of equal source (those of programs that differ
-    in plan names, say) keep one entry each; it hashes no source, which
-    would cost a one-shot command the ``hashlib`` import.  Only ``_compile``
-    holds a kernel, so the entry is dropped when the kernel leaves its
-    cache, and ``linecache`` holds no more sources than the cache holds
-    functions.
+    kernel's serial number, so kernels of equal source (those of programs
+    that differ in plan names, say) keep one entry each, and no kernel
+    takes the name of one evicted before it, as the ``id`` of a freed
+    kernel, reused, would give it; it hashes no source, which would cost a
+    one-shot command the ``hashlib`` import.  Only ``_compile`` holds a
+    kernel, so the entry is dropped when the kernel leaves its cache, and
+    ``linecache`` holds no more sources than the cache holds functions.
     """
 
     def __init__(self, src: str):
-        self.filename = f"<forward step at {id(self):#x}>"
+        self.filename = f"<forward step {next(_SERIALS)}>"
         self.entry = (len(src), None, src.splitlines(True), self.filename)
         linecache.cache[self.filename] = self.entry
         scope: dict = {}

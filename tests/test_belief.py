@@ -843,7 +843,7 @@ def _reference_forward(p, active: list, blocked: list) -> tuple[list, list]:
 
 @pytest.mark.parametrize("corpus", ["team_program", "nested", "random_program"])
 def test_forward_matches_the_reference_step(corpus):
-    """Both kernel shapes, on every sweep program and its single-agent view,
+    """The kernel in both modes, on every sweep program and its single-agent view,
     against ``_reference_forward`` bit for bit, on tables no run reaches."""
     for prog, p in enumerate(sweep_programs(corpus)[0]):
         for q in (p, p.single_agent_view()):

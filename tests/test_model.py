@@ -3,6 +3,7 @@ import inspect
 import json
 import linecache
 import random
+import re
 import traceback
 from dataclasses import replace
 
@@ -538,6 +539,24 @@ def test_forward_source_is_registered():
                 assert check in "".join(traceback.format_tb(info.value.__traceback__))
 
 
+def test_only_the_team_kernel_caps_and_it_caps_every_entry():
+    # tables above 1 everywhere: the team kernel's cap also reaches the
+    # entries no block writes, and the view kernel keeps every excess
+    p = team_program(0)
+    for q in (p, p.single_agent_view()):
+        source, size = forward_source(q), len(q.node_ids)
+        assert source.count("if max(") == (2 if q.team_mode else 0)
+        unwritten = set(range(size)).difference(map(int, re.findall(r"blk\[(\d+)\]", source)))
+        assert unwritten
+        act, blk = q.forward([1.5] * size, [2.0] * size)
+        if q.team_mode:
+            assert max(act) == max(blk) == 1.0
+            assert all(blk[i] == 1.0 for i in unwritten)
+        else:
+            assert max(act) > 1.0
+            assert all(blk[i] == 2.0 for i in unwritten)
+
+
 def test_forward_is_shared_only_by_equal_sources():
     p = team_program(0)
     announced = p.node(p.transitions[0].dst).name
@@ -592,6 +611,17 @@ def test_kernels_of_one_source_keep_their_own_source():
         flatten_mu(p, (k + 1) / (size + 3)).forward
     assert dropped.__code__.co_filename not in linecache.cache
     assert inspect.getsource(kept).startswith("def forward(A, B):\n")
+
+
+def test_a_kernel_never_takes_the_source_name_of_one_evicted():
+    # each kernel is compiled just after the one before it is freed, whose
+    # memory, and so whose id, it may reuse; its source name is still its own
+    p = team_program(0)
+    names = []
+    for k in range(100):
+        _compile.cache_clear()
+        names.append(flatten_mu(p, (k + 1) / 102).forward.__code__.co_filename)
+    assert len(set(names)) == len(names)
 
 
 def _family(p):
