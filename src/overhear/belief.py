@@ -24,26 +24,22 @@ read-only id-keyed snapshots of the tables (``b.active["p12"]``), for
 readers outside the engine.
 
 Both layouts step a state in place.  ``init_beliefs`` alone builds one;
-``propagate_forward``, ``apply_messages``, ``array_overseer_tick`` and
+``quiet_step``, ``apply_messages``, ``array_overseer_tick`` and
 ``yoyo.yoyo_tick`` replace its value (its ``act``, ``blk`` and ``live``)
 with a new one and return None, so a caller holds one state object for
 the whole run and keeps a tick's masses by keeping its tables.  Each
 checks every message (its team and its plan) before it replaces any
 value, so a step that raises leaves every state as it was.
 
-In both layouts a stepped state holds a value of the program's step memo
-(``Value`` of ``compiled.StepMemo``, ``p.compiled.memo``), whose
-tables are tuples, which no step writes and states may share.  Each value
-keeps the steps and answers taken from it as links, so one taken before
-from the same value is one attribute load, or one dict lookup by its
-key: the quiet step of both layouts (``quiet_step``), the array layout's
-commits (``apply_messages``) and ``most_likely_state``, and the shared
-layout's evidence tick and team query (``yoyo``).  An evidence result is
-interned by its exact bits and live set, so states that commit to equal
-values share one value, and a state stepped from a value the memo did
-not make (a fresh ``init_beliefs``, a hand-built or hand-edited state)
-joins them the same way.  A state whose live set is None skips the memo
-and keeps lists.
+Every step and query runs from a value of the program's step memo
+(``Value`` of ``compiled.StepMemo``, ``p.compiled.memo``; ``adopt``),
+and keeps what it computes from it as a link, so one taken before from
+the same value is one attribute load, or one dict lookup by its key: the
+quiet step of both layouts (``quiet_step``), the array layout's commits
+(``apply_messages``) and ``most_likely_state``, and the shared layout's
+evidence tick and team query (``yoyo``).  An evidence result is interned
+by its exact bits and live set, so states that commit to equal values
+share one value.
 
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
@@ -53,18 +49,15 @@ the array layout runs once per agent.  It runs as the program's compiled
 kernel (``TeamOrientedProgram.forward``), one generated Python function
 that steps copies of the prior lists, runs each shedding node's updates
 only when the node sheds a nonzero mass, tests each leaf's prior mass and
-returns the copies, capped at 1 in team mode.  ``propagate_forward``
-calls it, and is the memo-free reference of ``quiet_step``.
+returns the copies, capped at 1 in team mode.
 
-Every state the engine builds carries its live set
-(``BeliefState.live``), the leaves outside which every leaf holds exactly
-0.0.  ``init_beliefs`` takes it from ``p.initial``, the forward step
-steps it by ``p.compiled.next_live`` (which follows the kernel's rules),
-each array commit sets it to the leaves its committed masses reach, and
-``yoyo.yoyo_tick`` to the leaves its evidence wrote.  Whatever else puts
-mass on a leaf outside the set must set it to None, which means every
-leaf.  A message resets a belief to a point mass or a few, so the set
-stays short.  Every most-likely query runs one pick rule, ``pick_leaf``:
+Every value carries its live set (``BeliefState.live``).
+``init_beliefs`` takes it from ``p.initial``, the forward step steps it
+by ``p.compiled.next_live`` (which follows the kernel's rules), each
+array commit sets it to the leaves its committed masses reach, and
+``yoyo.yoyo_tick`` to the leaves its evidence wrote.  A message resets a
+belief to a point mass or a few, so the set stays short.  Every
+most-likely query runs one pick rule, ``pick_leaf``:
 ``most_likely_state`` over the live set alone, as a leaf outside it
 holds 0.0, which never beats the pick, so it answers as a pick over every
 leaf would; the shared layout's team query over the team's candidate
@@ -120,11 +113,14 @@ class Value:
     ``BeliefState``), and the steps memoized from it.
 
     ``memo`` is the ``compiled.StepMemo`` that made the value, or None for
-    a value built from outside it (``BeliefState``'s constructor and
-    setters, and the engine's lists); only a memo's own values, whose
-    tables are tuples and whose live set is not None, hold links, and a
-    step follows a link only under the memo that made it.  A link is the
-    value a step gives, or the answer a query gives:
+    one built outside it (``BeliefState``'s constructor and setters, and a
+    commit's lists).  Only a memo's own values, whose tables are tuples
+    and whose live set is a tuple, hold links.  Every step and query of a
+    program runs from a value of its memo: it first adopts any other value
+    a state holds (``adopt``), replacing it with the memo's value of equal
+    bits and live set, a live set of None read as every leaf, so a step
+    from an equal value is the same link.  A link is the value a step
+    gives, or the answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
     - ``commits``: per evidence key, the value after it: the array layout's
@@ -153,11 +149,12 @@ class BeliefState:
     The state holds the three as one ``value`` (``Value``), and
     ``act``, ``blk`` and ``live`` read through it.  In either layout a step
     replaces the value with one of the step memo's, whose tables are
-    tuples that states may share and no one writes (lists, for a state
-    whose live set is None), so a step taken before from the same value is
-    one attribute load.  Assigning ``act``, ``blk`` or ``live`` gives the
-    state a fresh value, with no steps memoized, so a hand-edited state
-    never follows one.  ``active`` and ``blocked`` are read-only snapshots
+    tuples that states may share and no one writes, so a step taken before
+    from the same value is one attribute load.  Assigning ``act``, ``blk``
+    or ``live`` gives the state a fresh value, which the next step or query
+    adopts (``adopt``) as the memo's value of equal bits and live set, so a
+    hand-edited state follows only the links of a value equal to it.
+    ``active`` and ``blocked`` are read-only snapshots
     of the two tables keyed by node id, built on each read, so a later step
     or write shows only in a later read.  Two states are equal when their
     ``act`` and ``blk`` are.
@@ -165,8 +162,8 @@ class BeliefState:
     ``live`` is a sorted tuple of leaf positions outside which every leaf's
     ``act`` and ``blk`` entry is exactly 0.0, so a query reads only those
     leaves and the forward step runs only their blocks; it may name leaves
-    without mass.  None means every leaf, and only a hand-built state
-    carries it.  Each engine step that replaces the tables keeps it; a
+    without mass.  None, which only a hand-built state carries, means
+    every leaf.  Each engine step that replaces the tables keeps it; a
     writer that puts mass on a leaf outside ``live`` must set it to None.
     """
 
@@ -218,6 +215,22 @@ class BeliefState:
     @property
     def blocked(self) -> Mapping[str, float]:
         return MappingProxyType(dict(zip(self.index, self.blk)))
+
+
+def adopt(b: BeliefState, p: TeamOrientedProgram) -> Value:
+    """b's value, first replaced by ``p.compiled.memo``'s value of equal
+    bits and live set when another memo, or none, made it.
+
+    A live set of None is read as ``p.leaf_index``, every leaf.  The memo's
+    own values are returned as they are: a quiet step's result is linked,
+    not interned, so interning it again would make a twin with no links.
+    """
+    value, memo = b.value, p.compiled.memo
+    if value.memo is memo:
+        return value
+    live = p.leaf_index if value.live is None else value.live
+    b.value = value = memo.intern(value.act, value.blk, live)
+    return value
 
 
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
@@ -402,70 +415,28 @@ def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
 
     A commit taken before from the same value with the same message key is
     a link of the value's ``commits`` (``Value``).  Otherwise it is
-    ``evidence`` of the message alone, committed by ``_commit_evidence``;
-    the result is interned in ``p.compiled.memo`` (``compiled.StepMemo``),
-    and linked when the prior value is one of the memo's own.  A state
-    whose live set is None skips the memo and keeps the lists the commit
-    builds.
+    ``evidence`` of the message alone, committed by ``_commit_evidence``,
+    and the result is interned in ``p.compiled.memo``
+    (``compiled.StepMemo``) and linked.
     """
     memo = p.compiled.memo
+    if b.value.memo is not memo:
+        adopt(b, p)
     for m, key in keyed:
         prior = b.value
         after = prior.commits.get(key)
-        if after is not None and prior.memo is memo:
-            b.value = after
-            continue
-        _commit_evidence(b, evidence(b, p, [m]), p)
-        if prior.live is not None:
+        if after is None:
+            _commit_evidence(b, evidence(b, p, [m]), p)
             memo.misses["commit"] += 1
-            after = b.value = memo.intern(b.act, b.blk, b.live)
-            if prior.memo is memo:
-                memo.link("commit", prior)
-                prior.commits = {**prior.commits, key: after}
+            after = memo.intern(b.act, b.blk, b.live)
+            memo.link("commit", prior)
+            prior.commits = {**prior.commits, key: after}
+        b.value = after
 
 
 def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = None):
     """Advance each of ``states``, beliefs over p, one tick with no
     observation, in place: the quiet tick of both layouts.
-
-    It is ``propagate_forward``'s step, bit for bit, as tuples.  A step
-    taken before from the same value is its ``quiet`` link (``Value``).
-    Any other is computed by ``p.forward``: from a value of
-    ``p.compiled.memo`` it makes the next value and links it, and needs no
-    interning, as its source is already one value; from any other (a fresh
-    ``init_beliefs``, a hand-built state) it is interned instead.
-    A state whose live set is None steps by ``propagate_forward`` and keeps
-    lists.  The counter takes one visit per node of p and state, the nodes
-    a step covers, whether the step is linked or computed and whatever
-    tests the kernel runs.
-    """
-    if counter is not None:
-        counter.visits += len(p.postorder) * len(states)
-    compiled = p.compiled
-    memo = compiled.memo
-    for b in states:
-        prior = b.value
-        after = prior.quiet
-        if after is not None and prior.memo is memo:
-            b.value = after
-            continue
-        if prior.live is None:
-            propagate_forward(b, p)
-            continue
-        act, blk = compiled.forward(prior.act, prior.blk)
-        live = compiled.next_live(prior.live)
-        memo.misses["quiet"] += 1
-        if prior.memo is memo:
-            after = Value(tuple(act), tuple(blk), live, memo)
-            memo.link("quiet", prior)
-            prior.quiet = after
-        else:
-            after = memo.intern(act, blk, live)
-        b.value = after
-
-
-def propagate_forward(b: BeliefState, p: TeamOrientedProgram):
-    """Advance b one tick with no observation, in place, with no memo.
 
     Leaves shed mass at their termination hazard.  The team executing a
     node takes its outgoing transitions: shed mass follows edges that need
@@ -474,16 +445,30 @@ def propagate_forward(b: BeliefState, p: TeamOrientedProgram):
     first-child group per node it conserves leaf-active plus blocked mass
     as long as no TERMINATE edge leaves the root's own children.  On a
     team-mode program the linear step is then capped at 1, entry by entry.
-    This is the reference that ``quiet_step``, the quiet tick of both
-    layouts, follows bit for bit.
 
-    The step is p's compiled kernel (``TeamOrientedProgram.forward``), and
-    a state's live set steps to ``p.compiled.next_live`` of it.  A state
-    without a live set (None, a hand-built state) keeps None.
+    A step taken before from the same value is its ``quiet`` link
+    (``Value``).  Any other is computed by ``p.forward``, its live set by
+    ``p.compiled.next_live``, and linked; it needs no interning, as its
+    source is already one value.  The counter takes one visit per node of
+    p and state, the nodes a step covers, whether the step is linked or
+    computed and whatever tests the kernel runs.
     """
-    prior = b.value
-    act, blk = p.forward(prior.act, prior.blk)
-    b.value = Value(act, blk, None if prior.live is None else p.compiled.next_live(prior.live))
+    if counter is not None:
+        counter.visits += len(p.postorder) * len(states)
+    compiled = p.compiled
+    memo = compiled.memo
+    for b in states:
+        prior = b.value
+        if prior.memo is not memo:
+            prior = adopt(b, p)
+        after = prior.quiet
+        if after is None:
+            act, blk = compiled.forward(prior.act, prior.blk)
+            memo.misses["quiet"] += 1
+            after = Value(tuple(act), tuple(blk), compiled.next_live(prior.live), memo)
+            memo.link("quiet", prior)
+            prior.quiet = after
+        b.value = after
 
 
 _TIE_SCALE = 1.0 + TIE_TOLERANCE
@@ -514,30 +499,30 @@ def pick_leaf(leaves, A, B) -> int:
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     """The position of the leaf holding the most active+blocked mass.
 
-    The leaf is ``pick_leaf`` over b's live set, or over every leaf when it
-    is None, so masses within ``TIE_TOLERANCE`` of each other tie toward
-    the lowest node id.  A leaf outside the live set holds 0.0, which never
-    beats a pick, so the answer is that of a pick over every leaf.
-    ``p.path_names`` of the answer is its root path of plan names.  Raises
-    on a state with no mass on any leaf.
+    The leaf is ``pick_leaf`` over b's live set, so masses within
+    ``TIE_TOLERANCE`` of each other tie toward the lowest node id.  A leaf
+    outside the live set holds 0.0, which never beats a pick, so the answer
+    is that of a pick over every leaf.  ``p.path_names`` of the answer is
+    its root path of plan names.  Raises on a state with no mass on any
+    leaf.
 
     An answer taken before from the same value is its ``best`` link
-    (``Value``); an answer from a value of ``p.compiled.memo`` is linked.
+    (``Value``); any other is linked.
     """
     value = b.value
-    best = value.best
     memo = p.compiled.memo
-    if best is not None and value.memo is memo:
+    if value.memo is not memo:
+        value = adopt(b, p)
+    best = value.best
+    if best is not None:
         return best
-    act, blk = value.act, value.blk
-    live = p.leaf_index if value.live is None else value.live
+    act, blk, live = value.act, value.blk, value.live
     if live:
         best = pick_leaf(live, act, blk)
         if act[best] + blk[best] > 0.0:
-            if value.memo is memo:
-                memo.misses["best"] += 1
-                memo.link("best", value)
-                value.best = best
+            memo.misses["best"] += 1
+            memo.link("best", value)
+            value.best = best
             return best
     raise MonitoringError("belief state carries no mass on any leaf")
 

@@ -164,9 +164,9 @@ class StepMemo:
     it again is one attribute load.  The memo makes values in two places:
 
     - ``intern`` maps the exact bits of a pair of tables, with a live set,
-      to one value.  Evidence results, and steps taken from a value the
-      memo did not make (a fresh ``init_beliefs``, a hand-built state), are
-      interned, so states that start equal, or commit to equal values,
+      to one value.  Evidence results, and the values the engine adopts
+      (``belief.adopt``: a fresh ``init_beliefs``, a hand-built state),
+      are interned, so states that start equal, or commit to equal values,
       share one value and step once; ``0.0`` and ``-0.0`` would be two
       keys, and no engine state holds ``-0.0``;
     - a quiet step from one of its values makes the next value, which
@@ -183,8 +183,8 @@ class StepMemo:
     values that hold them.  Each kind, and each table, holds at most
     ``MEMO_STATES``; a link or store into a full one unlinks every listed
     value, clears every table and counts an eviction.  ``misses`` counts,
-    by kind, the steps computed from a state with a live set and the
-    answers linked; a hit counts nothing.
+    by kind, the steps computed and the answers linked; a hit counts
+    nothing.
     """
 
     __slots__ = ("linked", "links", "interned", "keys", "live", "misses", "evictions")

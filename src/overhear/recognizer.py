@@ -25,7 +25,7 @@ the message's tick; ``path`` raises it naming an unknown unit.
 
 from __future__ import annotations
 
-from .belief import (MonitoringError, VisitCounter, array_overseer_tick, init_beliefs,
+from .belief import (MonitoringError, VisitCounter, adopt, array_overseer_tick, init_beliefs,
                      most_likely_state, pick_leaf)
 from .ingest import messages_by_tick
 from .model import TeamOrientedProgram
@@ -110,7 +110,7 @@ class ArrayRecognizer(_Recognizer):
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
         live = set()
         for b in members:
-            live.update(candidates if b.live is None else b.live)
+            live.update(adopt(b, view).live)
         mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates if x in live}
         best = candidates[0]
         if mass:

@@ -17,10 +17,8 @@ name is a position in the state's tables.  A team's most-likely query is
 ``belief.pick_leaf`` over its candidate leaves (``leaves_by_team``), the
 rule of every most-likely query.
 
-States are values here as in the array layout (``belief``): a tick steps
-the state in place, replacing its value (``belief.Value``) with one of
-the program's step memo (``compiled.StepMemo``), whose tables are tuples
-that no one writes.  The quiet tick, the evidence tick and the team query
+States are step-memo values here as in the array layout
+(``belief.Value``): the quiet tick, the evidence tick and the team query
 each keep what they computed from a value on the value, so one taken
 before from the same value is an attribute load, or a dict lookup by tick
 signature or team.
@@ -49,8 +47,8 @@ set to the leaves among ``updated``.
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, Value, VisitCounter, evidence, init_beliefs,
-                     pick_leaf, propagate_down, quiet_step, tick_signature)
+from .belief import (BeliefState, MonitoringError, Value, VisitCounter, adopt, evidence,
+                     init_beliefs, pick_leaf, propagate_down, quiet_step, tick_signature)
 from .model import TeamOrientedProgram
 
 
@@ -109,9 +107,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     An evidence tick taken before from the same value with the same tick
     signature (``belief.tick_signature``) is a link of the value's
     ``commits`` (``belief.Value``).  Any other is computed as above, and
-    its result interned in ``p.compiled.memo`` and, when the prior value is
-    one of the memo's own, linked.  A state whose live set is None skips
-    the memo and keeps the lists the tick builds.
+    its result interned in ``p.compiled.memo`` and linked.
     """
     if not msgs:
         quiet_step(p, (b,), counter)
@@ -119,8 +115,10 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     signature = tick_signature(p, msgs)
     memo = p.compiled.memo
     prior = b.value
+    if prior.memo is not memo:
+        prior = adopt(b, p)
     after = prior.commits.get(signature)
-    if after is not None and prior.memo is memo:
+    if after is not None:
         b.value = after
         return
     prior_active, prior_blocked = prior.act, prior.blk
@@ -141,14 +139,10 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     _clamp_entries(b, updated)
     children = p.children_at
     live = tuple(sorted(i for i in updated if not children[i]))
-    if prior.live is None:
-        b.live = live
-        return
     memo.misses["commit"] += 1
     after = b.value = memo.intern(active, b.blk, live)
-    if prior.memo is memo:
-        memo.link("commit", prior)
-        prior.commits = {**prior.commits, signature: after}
+    memo.link("commit", prior)
+    prior.commits = {**prior.commits, signature: after}
 
 
 def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:
@@ -168,16 +162,15 @@ def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
     plan names.
 
     An answer taken before from the same value is a link of the value's
-    ``teams`` (``belief.Value``); an answer from a value of
-    ``p.compiled.memo`` is linked.
+    ``teams`` (``belief.Value``); any other is linked.
     """
     value = b.value
-    best = value.teams.get(team)
     memo = p.compiled.memo
-    if best is not None and value.memo is memo:
-        return best
-    best = pick_leaf(team_leaves(p, team), value.act, value.blk)
-    if value.memo is memo:
+    if value.memo is not memo:
+        value = adopt(b, p)
+    best = value.teams.get(team)
+    if best is None:
+        best = pick_leaf(team_leaves(p, team), value.act, value.blk)
         memo.misses["best"] += 1
         memo.link("best", value)
         value.teams = {**value.teams, team: best}

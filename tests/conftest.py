@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from overhear.belief import BeliefState
+from overhear.belief import BeliefState, Value
 from overhear.model import TIE_TOLERANCE, load_program_path
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
@@ -29,6 +29,19 @@ def _reference_pick(leaves, active, blocked):
         if mass > bar:
             best, bar = leaf, mass * (1.0 + TIE_TOLERANCE)
     return best
+
+
+def propagate_forward(b: BeliefState, p):
+    """Advance b one tick with no observation, in place, with no memo: the
+    memo-free reference that ``belief.quiet_step`` follows bit for bit.
+
+    The step is p's compiled kernel (``TeamOrientedProgram.forward``), and
+    b keeps the lists it returns; a live set steps to
+    ``p.compiled.next_live`` of it, and None stays None.
+    """
+    prior = b.value
+    act, blk = p.forward(prior.act, prior.blk)
+    b.value = Value(act, blk, None if prior.live is None else p.compiled.next_live(prior.live))
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from overhear.belief import init_beliefs, propagate_forward
+from overhear.belief import init_beliefs
 from overhear.cli import run_command
 from overhear.harness import (bench_scalability, engine_vector, evaluate_run,
                               exact_filter, hypothesis_count_curve)
@@ -25,7 +25,7 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import coherent_hypotheses, count_hypotheses, learn_comm_model
 
-from conftest import DATA, brute_leaves, snapshot
+from conftest import DATA, brute_leaves, propagate_forward, snapshot
 from test_ingest import KQML_SAMPLE
 
 CRITERION_LINES = []

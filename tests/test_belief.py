@@ -8,14 +8,14 @@ from overhear import compiled
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
                              _prune_redundant_ancestors, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
-                             pick_leaf, propagate_down, propagate_forward, quiet_step)
+                             pick_leaf, propagate_down, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import TERMINATE, hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_most_likely, yoyo_tick
 
-from conftest import _reference_pick, brute_leaves
+from conftest import _reference_pick, brute_leaves, propagate_forward
 from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
                          sweep_programs, sweep_replays, table_programs, warm_replays)
 

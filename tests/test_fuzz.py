@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from overhear import yoyo
-from overhear.belief import apply_messages, init_beliefs, propagate_forward
+from overhear.belief import apply_messages, init_beliefs
 from overhear.ingest import INIT, TERM, IngestError, ObservedMessage, parse_kqml_log, parse_log
 from overhear.model import ProgramError, program_from_document, program_to_document
 from overhear.progen import random_program, team_program
@@ -25,6 +25,8 @@ from overhear.sim import (GroundTruthTrace, SimulationError, format_trace,
                           parse_trace)
 from overhear.social import parse_comm_model
 from overhear.yoyo import yoyo_tick
+
+from conftest import propagate_forward
 
 _BASE = program_to_document(team_program(0))
 _NAMES = sorted({e["name"] for e in _BASE["teams"]} | {e["name"] for e in _BASE["agents"]}

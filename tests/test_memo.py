@@ -29,8 +29,7 @@ import pytest
 from overhear import compiled
 from overhear.belief import (BeliefState, MonitoringError, _commit_evidence, _message_keys,
                              _message_order, apply_messages, array_overseer_tick, evidence,
-                             init_beliefs, most_likely_state, propagate_down, propagate_forward,
-                             quiet_step)
+                             init_beliefs, most_likely_state, propagate_down, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from overhear.progen import grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
@@ -38,7 +37,7 @@ from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import _clamp_entries, _rescale, team_most_likely, yoyo_tick
 
-from conftest import _reference_pick
+from conftest import _reference_pick, propagate_forward
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
                          table_programs, warm_replays)
 
@@ -151,9 +150,10 @@ def test_a_replayed_log_steps_from_the_memo():
     rec = make_recognizer(p, "array")
     for _ in rec.replay(log, 120):
         [rec.path(a) for a in rec.agents]
-    # only the first step from each agent's fresh lists is computed again
+    # each agent's fresh lists are adopted as the first run's start, so no
+    # step is computed again
     again = {kind: memo.misses[kind] - first[kind] for kind in first}
-    assert again["quiet"] + again["commit"] <= len(rec.agents) and again["best"] == 0
+    assert again["quiet"] + again["commit"] == 0 and again["best"] == 0
     assert rec.counter.visits == visits  # every quiet step still counts its nodes
 
 
@@ -231,10 +231,61 @@ def test_a_replayed_team_log_steps_from_the_memo():
     rec = make_recognizer(p, "yoyo")
     for _ in rec.replay(log, 300):
         [rec.path(team) for team in rec.teams]
-    # only the first step, from init_beliefs' fresh lists, is computed again
+    # init_beliefs' fresh lists are adopted as the first run's start, so no
+    # step is computed again
     again = {kind: memo.misses[kind] - first[kind] for kind in first}
-    assert again["quiet"] + again["commit"] == 1 and again["best"] == 0
+    assert again["quiet"] + again["commit"] == 0 and again["best"] == 0
     assert rec.counter.visits == visits  # every quiet step still counts its nodes
+
+
+def _states_of(rec, unit=None) -> list:
+    """The states ``rec.path(unit)`` reads, or every state of ``rec``."""
+    if hasattr(rec, "belief"):
+        return [rec.belief]
+    if unit is None:
+        return list(rec.beliefs.values())
+    if unit in rec.beliefs:
+        return [rec.beliefs[unit]]
+    return [rec.beliefs[a] for a in rec.view.team_hierarchy.members(unit)]
+
+
+@pytest.mark.parametrize("key", SWEEP_SHA256, ids=_ids)
+def test_every_state_a_step_or_query_reads_holds_a_memo_value(key):
+    # each step and query first adopts a value its memo did not make, so
+    # after each step, and each path, tick 0's fresh init_beliefs lists
+    # included, every state it read holds a value of its program's memo,
+    # with tuple tables and a tuple live set
+    def check(states, t, when):
+        for b in states:
+            value = b.value
+            assert value.memo is memo, (key, t, when)
+            assert type(value.act) is tuple and type(value.blk) is tuple, (key, t, when)
+            assert type(value.live) is tuple, (key, t, when)
+
+    for _, rec, by_tick in sweep_replays(*key):
+        p = rec.p if key[1] == "yoyo" else rec.view
+        memo = p.compiled.memo
+        messages = [m for t in sorted(by_tick) for m in by_tick[t]]
+        for t in rec.replay(messages, TICKS):
+            if t or by_tick.get(t):
+                check(_states_of(rec), t, "step")
+            for unit in rec.units:
+                rec.path(unit)
+                check(_states_of(rec, unit), t, unit)
+    # a hand-built state with no live set is adopted with every leaf, by a
+    # query as by a step, and steps to the memo-free step's bits
+    b = _states_of(rec)[0]
+    queried, stepped, expected = (BeliefState(list(b.act), list(b.blk), p.index)
+                                  for _ in range(3))
+    if key[1] == "yoyo":
+        team_most_likely(queried, p, rec.teams[0])
+    else:
+        most_likely_state(queried, p)
+    assert queried.live == p.leaf_index and queried.value.memo is memo
+    quiet_step(p, [stepped])
+    propagate_forward(expected, p)
+    assert expected.live is None and _bits(stepped) == _bits(expected)
+    assert stepped.live == p.compiled.next_live(p.leaf_index) and stepped.value.memo is memo
 
 
 def _holding(value, index) -> BeliefState:
@@ -253,8 +304,11 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
     # a state stepped to an evidence tick holds one of the memo's values,
     # whose quiet step, commit and queries are then linked; a state that
     # holds it and is then assigned act, blk or live, even an equal table,
-    # holds a fresh value, so each step and query from it is computed (a
-    # miss) and equals the memo-free step, whatever the links say
+    # holds a fresh value, which a step or query adopts as the memo's value
+    # of equal bits and live set: never the linked prior, a quiet step's
+    # result that was never interned, but one value per assignment of new
+    # bits, whose steps and queries are each computed once (a miss) and
+    # equal the memo-free step, and which an equal assignment adopts again
     compiled._compile.cache_clear()
     p, yoyo = team_program(0), layout == "yoyo"
     _, log = simulate(p, SimConfig(seed=0, ticks=150, team_mode=yoyo))
@@ -288,6 +342,7 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
     assert prior.best is not None or len(prior.teams) == len(units)
     links = _links(prior)
     moved = dict.fromkeys(["act", "blk"], 0)
+    adopted = {}  # (bits, live) -> the memo's value that an assignment of them was adopted as
     for name in ("act", "blk", "live"):
         table = getattr(prior, name)
         edits = [table]  # an equal table, then a table with one entry moved
@@ -297,6 +352,10 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
             x = next(x for x, v in enumerate(table) if v)
             edits.append(table[:x] + (table[x] / 2,) + table[x + 1:])
         for edit in edits:
+            b = _holding(prior, q.index)
+            setattr(b, name, edit)
+            key = (_bits(b), b.live)
+            fresh = key not in adopted
             for kind, step in steps.items():
                 b = _holding(prior, q.index)
                 setattr(b, name, edit)
@@ -311,7 +370,7 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
                 else:
                     for m in sorted(msgs, key=_message_order):
                         _commit_evidence(expected, evidence(expected, q, [m]), q)
-                assert memo.misses[kind] == misses + 1, (name, kind)
+                assert memo.misses[kind] == misses + fresh, (name, kind)
                 assert _bits(b) == _bits(expected), (name, kind)
                 assert b.live == expected.live or not yoyo, (name, kind)
                 if kind == "quiet" and edit is not table and name in moved:
@@ -323,8 +382,13 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
                 leaves = q.leaves_by_team[unit] if yoyo else q.leaf_index
                 pick = _reference_pick(leaves, b.act, b.blk)
                 assert query(b, unit) == pick, (name, unit)
-                assert memo.misses["best"] == misses, (name, unit)  # a fresh value links nothing
+                assert memo.misses["best"] == misses + fresh, (name, unit)
+                assert query(b, unit) == pick, (name, unit)
+                assert memo.misses["best"] == misses + fresh, (name, unit)  # linked once
+            assert b.value is adopted.setdefault(key, b.value) is not prior, name
+            assert b.value.memo is memo and type(b.value.act) is tuple, name
     assert all(moved.values()), moved
+    assert len(adopted) == 4  # the equal act, blk and live tables share one value
     # the value the assignments started from kept its links and answers
     assert _links(prior) == links
     assert answers == [query(_holding(prior, q.index), unit) for unit in units]
@@ -459,17 +523,16 @@ def test_message_keys_keep_no_team_read_from_the_sender():
 
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=_ids)
 def test_a_warm_memo_steps_every_sweep_to_its_pinned_digests(key):
-    # each replay follows an equal one through its log first, so it computes
-    # at most its first step from each state's fresh lists and looks up the
-    # rest; the states and answers it steps through keep the pins
+    # each replay follows an equal one through its log first, so it adopts
+    # each state's fresh lists as the value that one started from and
+    # computes no step; the states and answers it steps through keep the pins
     def checked():
         for replay in warm_replays(*key):
             rec = replay[1]
             memo = (rec.p if key[1] == "yoyo" else rec.view).compiled.memo
             before = memo.misses["quiet"] + memo.misses["commit"]
             yield replay  # resumed once ``replay_digests`` has stepped it through
-            fresh = 1 if key[1] == "yoyo" else len(rec.agents)
-            assert memo.misses["quiet"] + memo.misses["commit"] - before <= fresh, key
+            assert memo.misses["quiet"] + memo.misses["commit"] == before, key
 
     assert replay_digests(checked(), key[1]) == (SWEEP_SHA256[key], QUERY_SHA256[key])
 

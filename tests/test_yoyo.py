@@ -7,8 +7,7 @@ import sys
 import pytest
 
 from overhear import compiled, yoyo
-from overhear.belief import (BeliefState, VisitCounter, init_beliefs, propagate_down,
-                             propagate_forward)
+from overhear.belief import BeliefState, VisitCounter, init_beliefs, propagate_down
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from overhear.model import ProgramError, program_from_document, program_to_document
 from overhear.progen import team_program
@@ -16,7 +15,7 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
-from conftest import brute_leaves
+from conftest import brute_leaves, propagate_forward
 from test_digest import SWEEP_SHA256, TICKS, sweep_replays, warm_replays
 
 

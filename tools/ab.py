@@ -32,9 +32,10 @@ workload is built from each side's own modules:
   the side's ``compiled`` module (and with them the step memo, which
   hangs on a cached object), loads the program afresh and replays the
   run once: each tick's step and every unit's ``path``.
-  ``array.online_1011`` does the same for the array layout on
-  ``grow_team(team_program(0), CROWD)``, 1,011 agents, over ``TICKS``
-  ticks.  After the table the report prints, per side and online
+  ``array.online_1011`` does the same for the array layout in agent mode
+  (not coherent: one belief per agent, each message routed to its sender
+  alone, an agent-mode run) on ``grow_team(team_program(0), CROWD)``,
+  1,011 agents, over ``TICKS`` ticks.  After the table the report prints, per side and online
   workload, the step memo's hit rates in the last replay of the last
   round.
 
@@ -247,7 +248,8 @@ def measure(side: Side) -> dict:
 
 def measure_online(side: Side, seed: int) -> dict:
     """Each online workload's median time over the runs of seeds ``seed``
-    on, its output and its counts."""
+    on, its output and its counts.  ``array.online_1011`` runs the array
+    layout in agent mode, not coherent, as ``array.online`` does."""
     out = {f"{layout}.online": side.online(layout, seed) for layout in LAYOUTS}
     out["array.online_1011"] = side.online("array", seed, CROWD, TICKS)
     return out
