@@ -25,11 +25,11 @@ readers outside the engine.
 
 Both layouts step a state in place.  ``init_beliefs`` alone builds one;
 ``quiet_step``, ``apply_messages``, ``array_overseer_tick`` and
-``yoyo.yoyo_tick`` replace its value (its ``act``, ``blk`` and ``live``)
-with a new one and return None, so a caller holds one state object for
-the whole run and keeps a tick's masses by keeping its tables.  Each
-checks every message (its team and its plan) before it replaces any
-value, so a step that raises leaves every state as it was.
+``yoyo.yoyo_tick`` replace its value (``Value``) with a new one and
+return None, so a caller holds one state object for the whole run and
+keeps a tick's masses by keeping its tables.  Each checks every message
+(its team and its plan) before it replaces any value, so a step that
+raises leaves every state as it was.
 
 Every step and query runs from a value of the program's step memo
 (``Value`` of ``compiled.StepMemo``, ``p.compiled.memo``; ``adopt``),
@@ -38,8 +38,7 @@ the same value is one attribute load, or one dict lookup by its key: the
 quiet step of both layouts (``quiet_step``), the array layout's commits
 (``apply_messages``) and ``most_likely_state``, and the shared layout's
 evidence tick and team query (``yoyo``).  An evidence result is interned
-by its exact bits and live set, so states that commit to equal values
-share one value.
+by its exact bits, so states that commit to equal values share one value.
 
 Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
@@ -51,18 +50,11 @@ that steps copies of the prior lists, runs each shedding node's updates
 only when the node sheds a nonzero mass, tests each leaf's prior mass and
 returns the copies, capped at 1 in team mode.
 
-Every value carries its live set (``BeliefState.live``).
-``init_beliefs`` takes it from ``p.initial``, the forward step steps it
-by ``p.compiled.next_live`` (which follows the kernel's rules), each
-array commit sets it to the leaves its committed masses reach, and
-``yoyo.yoyo_tick`` to the leaves its evidence wrote.  A message resets a
-belief to a point mass or a few, so the set stays short.  Every
-most-likely query runs one pick rule, ``pick_leaf``:
-``most_likely_state`` over the live set alone, as a leaf outside it
-holds 0.0, which never beats the pick, so it answers as a pick over every
-leaf would; the shared layout's team query over the team's candidate
-leaves (``yoyo.team_most_likely``).  This module only calls the
-program's functions and never writes to a program.
+Every most-likely query runs one pick rule, ``pick_leaf``:
+``most_likely_state`` over the value's live set (``Value``), the
+shared layout's team query over the team's candidate leaves
+(``yoyo.team_most_likely``).  This module only calls the program's
+functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
 kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
@@ -109,18 +101,22 @@ NO_LINKS: dict = {}
 
 
 class Value:
-    """One belief value, ``act``, ``blk`` and ``live`` (see
-    ``BeliefState``), and the steps memoized from it.
+    """One belief value, ``act`` and ``blk`` (see ``BeliefState``), its
+    live set and the steps memoized from it.
 
     ``memo`` is the ``compiled.StepMemo`` that made the value, or None for
     one built outside it (``BeliefState``'s constructor and setters, and a
-    commit's lists).  Only a memo's own values, whose tables are tuples
-    and whose live set is a tuple, hold links.  Every step and query of a
+    commit's lists).  Only a memo's own values, whose tables are tuples,
+    carry a live set (any other holds ``()``) and hold links.  ``live`` is
+    exactly the leaves that hold mass: the positions, ascending, of the
+    leaves whose ``act`` or ``blk`` entry is nonzero.  The memo computes
+    it once, when it makes the value (``compiled.StepMemo.make``).  A
+    message resets a belief to a point mass or a few, so the set stays
+    short, and a query reads only those leaves.  Every step and query of a
     program runs from a value of its memo: it first adopts any other value
     a state holds (``adopt``), replacing it with the memo's value of equal
-    bits and live set, a live set of None read as every leaf, so a step
-    from an equal value is the same link.  A link is the value a step
-    gives, or the answer a query gives:
+    bits, so a step from an equal value is the same link.  A link is the
+    value a step gives, or the answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
     - ``commits``: per evidence key, the value after it: the array layout's
@@ -135,8 +131,8 @@ class Value:
 
     __slots__ = ("act", "blk", "live", "memo", "quiet", "commits", "best", "teams")
 
-    def __init__(self, act, blk, live, memo=None):
-        self.act, self.blk, self.live, self.memo = act, blk, live, memo
+    def __init__(self, act, blk, memo=None, live=()):
+        self.act, self.blk, self.memo, self.live = act, blk, memo, live
         self.quiet = self.best = None
         self.commits = self.teams = NO_LINKS
 
@@ -146,32 +142,24 @@ class BeliefState:
 
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
     ``node_ids`` order; ``index`` is the program's node id -> position table.
-    The state holds the three as one ``value`` (``Value``), and
-    ``act``, ``blk`` and ``live`` read through it.  In either layout a step
-    replaces the value with one of the step memo's, whose tables are
-    tuples that states may share and no one writes, so a step taken before
-    from the same value is one attribute load.  Assigning ``act``, ``blk``
-    or ``live`` gives the state a fresh value, which the next step or query
-    adopts (``adopt``) as the memo's value of equal bits and live set, so a
-    hand-edited state follows only the links of a value equal to it.
-    ``active`` and ``blocked`` are read-only snapshots
-    of the two tables keyed by node id, built on each read, so a later step
-    or write shows only in a later read.  Two states are equal when their
-    ``act`` and ``blk`` are.
-
-    ``live`` is a sorted tuple of leaf positions outside which every leaf's
-    ``act`` and ``blk`` entry is exactly 0.0, so a query reads only those
-    leaves and the forward step runs only their blocks; it may name leaves
-    without mass.  None, which only a hand-built state carries, means
-    every leaf.  Each engine step that replaces the tables keeps it; a
-    writer that puts mass on a leaf outside ``live`` must set it to None.
+    The state holds the two as one ``value`` (``Value``), and ``act`` and
+    ``blk`` read through it.  In either layout a step replaces the value
+    with one of the step memo's, whose tables are tuples that states may
+    share and no one writes, so a step taken before from the same value is
+    one attribute load.  Assigning ``act`` or ``blk`` gives the state a
+    fresh value, which the next step or query adopts (``adopt``) as the
+    memo's value of equal bits, so a hand-edited state follows only the
+    links of a value equal to it.  ``active`` and ``blocked`` are read-only
+    snapshots of the two tables keyed by node id, built on each read, so a
+    later step or write shows only in a later read.  Two states are equal
+    when their ``act`` and ``blk`` are.
     """
 
     __slots__ = ("value", "index")
 
     def __init__(self, act: list[float] | tuple[float, ...], blk: list[float] | tuple[float, ...],
-                 index: dict[str, int], live: tuple[int, ...] | None = None):
-        self.value = Value(act, blk, live)
+                 index: dict[str, int]):
+        self.value = Value(act, blk)
         self.index = index
 
     @property
@@ -180,7 +168,7 @@ class BeliefState:
 
     @act.setter
     def act(self, act):
-        self.value = Value(act, self.value.blk, self.value.live)
+        self.value = Value(act, self.value.blk)
 
     @property
     def blk(self) -> list[float] | tuple[float, ...]:
@@ -188,15 +176,7 @@ class BeliefState:
 
     @blk.setter
     def blk(self, blk):
-        self.value = Value(self.value.act, blk, self.value.live)
-
-    @property
-    def live(self) -> tuple[int, ...] | None:
-        return self.value.live
-
-    @live.setter
-    def live(self, live):
-        self.value = Value(self.value.act, self.value.blk, live)
+        self.value = Value(self.value.act, blk)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -206,7 +186,7 @@ class BeliefState:
     __hash__ = None  # a state is stepped in place
 
     def __repr__(self) -> str:
-        return f"BeliefState(act={self.act!r}, blk={self.blk!r}, live={self.live!r})"
+        return f"BeliefState(act={self.act!r}, blk={self.blk!r})"
 
     @property
     def active(self) -> Mapping[str, float]:
@@ -219,17 +199,16 @@ class BeliefState:
 
 def adopt(b: BeliefState, p: TeamOrientedProgram) -> Value:
     """b's value, first replaced by ``p.compiled.memo``'s value of equal
-    bits and live set when another memo, or none, made it.
+    bits when another memo, or none, made it.
 
-    A live set of None is read as ``p.leaf_index``, every leaf.  The memo's
-    own values are returned as they are: a quiet step's result is linked,
-    not interned, so interning it again would make a twin with no links.
+    The memo's own values are returned as they are: a quiet step's result
+    is linked, not interned, so interning it again would make a twin with
+    no links.
     """
     value, memo = b.value, p.compiled.memo
     if value.memo is memo:
         return value
-    live = p.leaf_index if value.live is None else value.live
-    b.value = value = memo.intern(value.act, value.blk, live)
+    b.value = value = memo.intern(value.act, value.blk)
     return value
 
 
@@ -237,10 +216,10 @@ def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     """All mass on the root and, through first children, on the initial leaves.
 
     The state copies the program's ``initial`` tables, built once per
-    program, and takes its live set.
+    program.
     """
-    active, blocked, live = p.initial
-    return BeliefState(list(active), list(blocked), p.index, live)
+    active, blocked = p.initial
+    return BeliefState(list(active), list(blocked), p.index)
 
 
 def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgram,
@@ -396,18 +375,16 @@ def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedP
 
     Each mass is spread down its node's first-child groups
     (``propagate_down``) and added to every ancestor, and every blocked
-    mass is 0.  The live set is the leaves among ``scratch``'s nodes and
-    those they spread to.  This is the array layout's commit.
+    mass is 0.  This is the array layout's commit.
     """
-    active, ancestors, written = list(p.zeros), p.ancestors_at, set(scratch)
+    active, ancestors = list(p.zeros), p.ancestors_at
     for x in sorted(scratch):
         mass = scratch[x]
         active[x] += mass
-        propagate_down(x, mass, active, p, written)
+        propagate_down(x, mass, active, p)
         for anc in ancestors[x]:
             active[anc] += mass
-    children = p.children_at
-    b.value = Value(active, list(p.zeros), tuple(sorted(x for x in written if not children[x])))
+    b.value = Value(active, list(p.zeros))
 
 
 def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
@@ -428,7 +405,7 @@ def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
         if after is None:
             _commit_evidence(b, evidence(b, p, [m]), p)
             memo.misses["commit"] += 1
-            after = memo.intern(b.act, b.blk, b.live)
+            after = memo.intern(b.act, b.blk)
             memo.link("commit", prior)
             prior.commits = {**prior.commits, key: after}
         b.value = after
@@ -447,11 +424,11 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
     team-mode program the linear step is then capped at 1, entry by entry.
 
     A step taken before from the same value is its ``quiet`` link
-    (``Value``).  Any other is computed by ``p.forward``, its live set by
-    ``p.compiled.next_live``, and linked; it needs no interning, as its
-    source is already one value.  The counter takes one visit per node of
-    p and state, the nodes a step covers, whether the step is linked or
-    computed and whatever tests the kernel runs.
+    (``Value``).  Any other is computed by ``p.forward`` and linked; it
+    needs no interning, as its source is already one value.  The counter
+    takes one visit per node of p and state, the nodes a step covers,
+    whether the step is linked or computed and whatever tests the kernel
+    runs.
     """
     if counter is not None:
         counter.visits += len(p.postorder) * len(states)
@@ -465,7 +442,7 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
         if after is None:
             act, blk = compiled.forward(prior.act, prior.blk)
             memo.misses["quiet"] += 1
-            after = Value(tuple(act), tuple(blk), compiled.next_live(prior.live), memo)
+            after = memo.make(act, blk)
             memo.link("quiet", prior)
             prior.quiet = after
         b.value = after
@@ -499,12 +476,12 @@ def pick_leaf(leaves, A, B) -> int:
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     """The position of the leaf holding the most active+blocked mass.
 
-    The leaf is ``pick_leaf`` over b's live set, so masses within
-    ``TIE_TOLERANCE`` of each other tie toward the lowest node id.  A leaf
-    outside the live set holds 0.0, which never beats a pick, so the answer
-    is that of a pick over every leaf.  ``p.path_names`` of the answer is
-    its root path of plan names.  Raises on a state with no mass on any
-    leaf.
+    The leaf is ``pick_leaf`` over the leaves that hold mass (``Value``'s
+    live set), so masses within ``TIE_TOLERANCE`` of each other tie toward
+    the lowest node id.  A leaf without mass never beats a pick, so the
+    answer is that of a pick over every leaf.  ``p.path_names`` of the
+    answer is its root path of plan names.  Raises on a state with no mass
+    on any leaf.
 
     An answer taken before from the same value is its ``best`` link
     (``Value``); any other is linked.
@@ -516,15 +493,12 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     best = value.best
     if best is not None:
         return best
-    act, blk, live = value.act, value.blk, value.live
-    if live:
-        best = pick_leaf(live, act, blk)
-        if act[best] + blk[best] > 0.0:
-            memo.misses["best"] += 1
-            memo.link("best", value)
-            value.best = best
-            return best
-    raise MonitoringError("belief state carries no mass on any leaf")
+    if not value.live:
+        raise MonitoringError("belief state carries no mass on any leaf")
+    memo.misses["best"] += 1
+    memo.link("best", value)
+    value.best = best = pick_leaf(value.live, value.act, value.blk)
+    return best
 
 
 def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram):

@@ -1,5 +1,5 @@
 """Generated code: the compiled forward step, and the one object per set
-of program fields that holds it, the next live sets and the step memo.
+of program fields that holds it and the step memo.
 
 ``forward_source`` writes Python source from a program's tables, and
 ``_Kernel`` compiles it and registers it with ``linecache``, so tracebacks,
@@ -14,11 +14,10 @@ function is cached.
 It holds the forward (quiet) step, ``TeamOrientedProgram.forward``, whose
 function steps list copies and tests each leaf's prior mass, so a sparse
 belief runs few updates, and in team mode caps what it returns.  It also
-holds the next live set of each live set met, which follows the forward
-step's rules, and the step memo (``StepMemo``) of both layouts, whose
-belief values (``belief.Value``) are shared immutable tuples that hold
-their own steps.  Every most-likely query runs ``belief.pick_leaf``,
-interpreted, on a memo miss.
+holds the step memo (``StepMemo``) of both layouts, whose belief values
+(``belief.Value``) are shared immutable tuples that hold their own steps.
+Every most-likely query runs ``belief.pick_leaf``, interpreted, on a memo
+miss.
 
 ``model`` holds documents and tables and reaches this module only from the
 property that returns the compiled object.
@@ -83,16 +82,6 @@ def _descend(groups_at, y: int, rho: str, depth: int, body: list[str]):
             _descend(groups_at, c, share, depth + 1, body)
 
 
-def _carriers(outgoing) -> tuple[float, list]:
-    """eta, the share of a node's shed mass that its edges take silently, and
-    the edges that carry some of it: none when eta <= 0, and none whose
-    silent share (1 - mu) or pi is exactly 0, which would add an exact 0.0."""
-    eta = sum((1.0 - t.mu) * t.pi for t in outgoing)
-    if not eta > 0.0:
-        return eta, []
-    return eta, [t for t in outgoing if 1.0 - t.mu != 0.0 and t.pi != 0.0]
-
-
 def forward_source(p: TeamOrientedProgram) -> str:
     """The source of ``p.forward``'s function, generated from p's fields.
 
@@ -116,7 +105,8 @@ def forward_source(p: TeamOrientedProgram) -> str:
             body.append(f"o{i} = x * {rates[i]!r}")
         else:
             guard = f"if o{i}:"
-        eta, carriers = _carriers(outgoing)
+        eta = sum((1.0 - t.mu) * t.pi for t in outgoing)  # the share its edges take silently
+        carriers = [t for t in outgoing if 1.0 - t.mu != 0.0 and t.pi != 0.0] if eta > 0.0 else []
         for t in carriers:
             factors = "".join(f" * {f!r}" for f in (1.0 - t.mu, t.pi) if f != 1.0)
             r = "r" if factors else f"o{i}"
@@ -160,11 +150,13 @@ class StepMemo:
 
     A state (``belief.BeliefState``) holds one ``belief.Value``.  Each
     value the memo makes holds its tables as tuples, which no step writes,
-    and a step or query taken from it once is kept on it as a link; taking
-    it again is one attribute load.  The memo makes values in two places:
+    and its live set (``belief.Value``), read off ``leaves``, the program's
+    leaf positions; a step or query taken from it once is kept on it as a
+    link, and taking it again is one attribute load.  The memo makes values
+    in two places, both by ``make``:
 
-    - ``intern`` maps the exact bits of a pair of tables, with a live set,
-      to one value.  Evidence results, and the values the engine adopts
+    - ``intern`` maps the exact bits of a pair of tables to one value.
+      Evidence results, and the values the engine adopts
       (``belief.adopt``: a fresh ``init_beliefs``, a hand-built state),
       are interned, so states that start equal, or commit to equal values,
       share one value and step once; ``0.0`` and ``-0.0`` would be two
@@ -172,29 +164,26 @@ class StepMemo:
     - a quiet step from one of its values makes the next value, which
       needs no interning, as its source is already one value.
 
-    It also keeps two tables: ``keys`` maps a message's
-    ``(kind, plan, team)`` to its evidence key
-    (``belief._message_keys``), and ``live`` maps a live set to the next one
-    (``CompiledProgram.next_live``).
+    It also keeps ``keys``, which maps a message's ``(kind, plan, team)``
+    to its evidence key (``belief._message_keys``).
 
-    A link is one the engine computed from the same value, live set
-    included.  ``links`` counts them per kind (quiet, commit and best,
-    which counts the answers of both queries), and ``linked`` lists the
-    values that hold them.  Each kind, and each table, holds at most
-    ``MEMO_STATES``; a link or store into a full one unlinks every listed
-    value, clears every table and counts an eviction.  ``misses`` counts,
-    by kind, the steps computed and the answers linked; a hit counts
-    nothing.
+    A link is one the engine computed from the same value.  ``links``
+    counts them per kind (quiet, commit and best, which counts the answers
+    of both queries), and ``linked`` lists the values that hold them.  Each
+    kind, and each table, holds at most ``MEMO_STATES``; a link or store
+    into a full one unlinks every listed value, clears every table and
+    counts an eviction.  ``misses`` counts, by kind, the steps computed and
+    the answers linked; a hit counts nothing.
     """
 
-    __slots__ = ("linked", "links", "interned", "keys", "live", "misses", "evictions")
+    __slots__ = ("leaves", "linked", "links", "interned", "keys", "misses", "evictions")
 
-    def __init__(self):
+    def __init__(self, leaves: tuple[int, ...]):
+        self.leaves = leaves
         self.linked: list[Value] = []
         self.links = dict.fromkeys(("quiet", "commit", "best"), 0)
-        self.interned: dict[tuple, Value] = {}
+        self.interned: dict[bytes, Value] = {}
         self.keys: dict[tuple, tuple] = {}
-        self.live: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.misses = dict.fromkeys(self.links, 0)
         self.evictions = 0
 
@@ -205,8 +194,8 @@ class StepMemo:
             value.commits = value.teams = NO_LINKS
         self.linked.clear()
         self.links = dict.fromkeys(self.links, 0)
-        for table in (self.interned, self.keys, self.live):
-            table.clear()
+        self.interned.clear()
+        self.keys.clear()
 
     def _evict(self):
         self.clear()
@@ -226,12 +215,17 @@ class StepMemo:
             self._evict()
         table[key] = entry
 
-    def intern(self, act, blk, live: tuple[int, ...]) -> Value:
-        """The one value holding the exact bits of ``act`` and ``blk``, and ``live``."""
-        key = (array("d", act).tobytes() + array("d", blk).tobytes(), live)
+    def make(self, act, blk) -> Value:
+        """A new value of this memo holding ``act`` and ``blk``, and its live set."""
+        live = tuple(i for i in self.leaves if act[i] or blk[i])
+        return Value(tuple(act), tuple(blk), self, live)
+
+    def intern(self, act, blk) -> Value:
+        """The one value holding the exact bits of ``act`` and ``blk``."""
+        key = array("d", act).tobytes() + array("d", blk).tobytes()
         value = self.interned.get(key)
         if value is None:
-            value = Value(tuple(act), tuple(blk), live, self)
+            value = self.make(act, blk)
             self.store(self.interned, key, value)
         return value
 
@@ -241,57 +235,17 @@ class CompiledProgram:
     ``TeamOrientedProgram.compiled``.
 
     ``forward`` is the forward step, ``forward_source``'s function (see
-    ``TeamOrientedProgram.forward``); ``next_live`` gives the live set
-    after it; ``memo`` is the step memo (``StepMemo``) of both layouts.
-    Every entry the object stores is a function of the fields and its key,
-    so threads that fill one entry at once store equal values.
+    ``TeamOrientedProgram.forward``), and ``memo`` is the step memo
+    (``StepMemo``) of both layouts.  Every entry the object stores is a
+    function of the fields and its key, so threads that fill one entry at
+    once store equal values.
     """
 
-    __slots__ = ("forward", "writes", "memo")
+    __slots__ = ("forward", "memo")
 
     def __init__(self, p: TeamOrientedProgram, forward):
-        n, children, groups_at, up = p.index, p.children_at, p.groups_at, p.ancestors_at
-
-        def under(y: int) -> set[int]:  # y if a leaf, and the leaves ``_descend`` reaches
-            leaves = set() if children[y] else {y}
-            for group in groups_at[y]:
-                for c in group:
-                    leaves |= under(c)
-            return leaves
-
-        def sends(i: int) -> set[int]:  # the leaves node i's block writes, i aside
-            leaves: set[int] = set()
-            for t in _carriers(p.out_at[i])[1]:
-                if t.dst != TERMINATE:
-                    leaves |= under(n[t.dst])
-                elif up[i]:
-                    leaves |= sends(up[i][0])
-            return leaves
-
         self.forward = forward
-        self.writes = {i: frozenset(sends(i)) for i in p.leaf_index if hazard(p.plans[i].rate)}
-        self.memo = StepMemo()
-
-    def next_live(self, live: tuple[int, ...]) -> tuple[int, ...]:
-        """The live set after ``forward`` of a state whose live set is ``live``.
-
-        A live set (``belief.BeliefState.live``) is a sorted tuple of leaf
-        positions outside which every leaf's active and blocked mass is
-        exactly 0.0.  The next one is ``live`` and every leaf that the
-        block of a leaf in it can write, by ``forward_source``'s own rules,
-        group by group in either mode.  A leaf with hazard 0 has no block,
-        and a block sends only along ``_carriers``' edges: into a sibling,
-        which writes it and every leaf ``_descend`` reaches from it, or
-        along a TERMINATE edge into the parent's block, which sends along
-        its own.  A leaf's guard reads its prior mass, so a leaf that gains
-        mass in a step writes nothing until the next.  Each set's answer is
-        kept in the memo's ``live`` table.
-        """
-        after = self.memo.live.get(live)
-        if after is None:
-            after = tuple(sorted(set(live).union(*(self.writes.get(i, ()) for i in live))))
-            self.memo.store(self.memo.live, live, after)
-        return after
+        self.memo = StepMemo(p.leaf_index)
 
 
 @lru_cache(maxsize=16)

@@ -29,12 +29,11 @@ and each node's normalizing unit, ``unit_at``); the shared layout's climb
 (``evidence_climbs``, which holds the walk of every rescale it runs); and
 the compiled object of the program's fields (``compiled``): the forward
 step (``forward``), one generated function that steps list copies and
-returns them, the next live set of each live set, and the step memo of
-both layouts.  They are built on first use, so loading a program pays
-for none of them.  Node ids remain only at the document boundary:
-``node_ids`` and ``index`` map between ids and positions, ``node(id)``
-reads a plan record, and the transition records (``out_at``) name their
-plans by id.  A query answers with a leaf's position, and ``path_names``
+returns them, and the step memo of both layouts.  They are built on first
+use, so loading a program pays for none of them.  Node ids remain only at
+the document boundary: ``node_ids`` and ``index`` map between ids and
+positions, ``node(id)`` reads a plan record, and the transition records
+(``out_at``) name their plans by id.  A query answers with a leaf's position, and ``path_names``
 gives its root path as plan names.  The generated code and its cache live
 in ``compiled``: the compiled object is built once per distinct set of
 the fields its generator reads, in a bounded cache kept in that module,
@@ -335,18 +334,18 @@ class TeamOrientedProgram:
         return (0.0,) * len(self.node_ids)
 
     @cached_property
-    def initial(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
-        """The initial (active, blocked) tables and live set, which ``belief.init_beliefs`` uses.
+    def initial(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The initial (active, blocked) tables, which ``belief.init_beliefs`` uses.
 
         All mass is on the root and, through first children, on the initial
-        leaves, the live set; the descent runs once per program, not per state.
+        leaves; the descent runs once per program, not per state.
         """
         from .belief import propagate_down  # the engine module imports this one
         active = list(self.zeros)
         root = self.index[self.root]
         active[root] = 1.0
         propagate_down(root, 1.0, active, self)
-        return tuple(active), self.zeros, tuple(i for i in self.leaf_index if active[i])
+        return tuple(active), self.zeros
 
     @cached_property
     def leaves_by_team(self) -> dict[str, tuple[int, ...]]:
@@ -442,11 +441,10 @@ class TeamOrientedProgram:
     def compiled(self):
         """The compiled object of the program's fields, shared by every
         program with equal plans, transitions, root, team tree and team mode
-        (``compiled.CompiledProgram``): the forward step (``forward``), the
-        next live set of each live set (``next_live``) and the step memo of
-        both layouts (``memo``).  ``compiled._compile`` builds it only for
-        fields not in its cache, so loading a program or building a state
-        compiles nothing."""
+        (``compiled.CompiledProgram``): the forward step (``forward``) and
+        the step memo of both layouts (``memo``).  ``compiled._compile``
+        builds it only for fields not in its cache, so loading a program or
+        building a state compiles nothing."""
         from .compiled import _compile  # which imports this module
         return _compile(self.plans, self.transitions, self.root,
                         self.team_hierarchy.teams, self.team_mode)[0]

@@ -98,27 +98,22 @@ class ArrayRecognizer(_Recognizer):
         """An agent's own most likely path, or a team's from its members.
 
         A team's leaf is ``pick_leaf`` over the members' summed masses of
-        its candidate leaves that lie in some member's live set, so near-ties
-        go to the lowest node id; every other candidate sums to exactly 0.0.
-        With no such candidate, or no mass on any, it is the team's first
-        candidate, as a pick over every candidate would give.
+        its candidate leaves that hold mass in some member (in its live set,
+        ``belief.Value``), so near-ties go to the lowest node id.  With no
+        such candidate it is the team's first candidate, as a pick over
+        every candidate would give.
         """
         view = self.view
         if unit in self.beliefs:
             return view.path_names(most_likely_state(self.beliefs[unit], view))
         candidates = team_leaves(view, unit)
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
-        live = set()
-        for b in members:
-            live.update(adopt(b, view).live)
+        live = set().union(*(adopt(b, view).live for b in members))
         mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates if x in live}
-        best = candidates[0]
-        if mass:
-            # ``mass`` already holds active+blocked, so the blocked table is all zeros
-            pick = pick_leaf(tuple(mass), mass, view.zeros)
-            if mass[pick] > 0.0:
-                best = pick
-        return view.name_paths_at[best]
+        if not mass:
+            return view.name_paths_at[candidates[0]]
+        # ``mass`` already holds active+blocked, so the blocked table is all zeros
+        return view.name_paths_at[pick_leaf(tuple(mass), mass, view.zeros)]
 
 
 def make_recognizer(p: TeamOrientedProgram, mode: str, coherent: bool | None = None):

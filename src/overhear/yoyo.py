@@ -40,9 +40,7 @@ evidence tick only adds, multiplies, divides and takes the max of
 non-negative values.  Capping only the written entries is exact.  An
 evidence tick builds its state on fresh zero tables and adds every entry
 it writes to its ``updated`` set, so every other entry is an exact 0.0,
-which a cap leaves as it is.  Every value a tick leaves is in [0, 1], and
-every leaf outside the live set holds 0.0: an evidence tick sets the live
-set to the leaves among ``updated``.
+which a cap leaves as it is.  Every value a tick leaves is in [0, 1].
 """
 
 from __future__ import annotations
@@ -101,8 +99,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     and triggers a cross-team rescale whenever the climb steps into a plan
     another team owns.  The climb's steps, and where it rescales, are the
     program's ``evidence_climbs``; each step raises the parent to at least
-    the child's mass.  The tick then clamps only the entries it wrote, and
-    its live set is the leaves among them.
+    the child's mass.  The tick then clamps only the entries it wrote.
 
     An evidence tick taken before from the same value with the same tick
     signature (``belief.tick_signature``) is a link of the value's
@@ -123,7 +120,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
         return
     prior_active, prior_blocked = prior.act, prior.blk
     scratch = evidence(b, p, msgs)
-    b.value = Value(list(p.zeros), list(p.zeros), None)  # the lists the tick writes
+    b.value = Value(list(p.zeros), list(p.zeros))  # the lists the tick writes
     active = b.act
     updated: set[int] = set()
     climbs = p.evidence_climbs
@@ -137,10 +134,8 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             if walk:
                 _rescale(walk, b, prior_active, prior_blocked, updated)
     _clamp_entries(b, updated)
-    children = p.children_at
-    live = tuple(sorted(i for i in updated if not children[i]))
     memo.misses["commit"] += 1
-    after = b.value = memo.intern(active, b.blk, live)
+    after = b.value = memo.intern(active, b.blk)
     memo.link("commit", prior)
     prior.commits = {**prior.commits, signature: after}
 

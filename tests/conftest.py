@@ -20,6 +20,12 @@ def snapshot(b: BeliefState) -> BeliefState:
     return BeliefState(list(b.act), list(b.blk), b.index)
 
 
+def held_leaves(p, b) -> tuple[int, ...]:
+    """The positions of p's leaves where b, a state or a value, holds mass,
+    ascending: what a memo value's live set must be."""
+    return tuple(x for x in p.leaf_index if b.act[x] or b.blk[x])
+
+
 def _reference_pick(leaves, active, blocked):
     """The most-likely pick rule as a plain loop over ``leaves``, the
     reference that ``belief.pick_leaf`` and every query must agree with."""
@@ -36,12 +42,9 @@ def propagate_forward(b: BeliefState, p):
     memo-free reference that ``belief.quiet_step`` follows bit for bit.
 
     The step is p's compiled kernel (``TeamOrientedProgram.forward``), and
-    b keeps the lists it returns; a live set steps to
-    ``p.compiled.next_live`` of it, and None stays None.
+    b keeps the lists it returns.
     """
-    prior = b.value
-    act, blk = p.forward(prior.act, prior.blk)
-    b.value = Value(act, blk, None if prior.live is None else p.compiled.next_live(prior.live))
+    b.value = Value(*p.forward(b.act, b.blk))
 
 
 @pytest.fixture

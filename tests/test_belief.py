@@ -6,7 +6,7 @@ import pytest
 
 from overhear import compiled
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
-                             _prune_redundant_ancestors, apply_messages,
+                             _prune_redundant_ancestors, adopt, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              pick_leaf, propagate_down, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -15,7 +15,7 @@ from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_most_likely, yoyo_tick
 
-from conftest import _reference_pick, brute_leaves, propagate_forward
+from conftest import _reference_pick, brute_leaves, held_leaves, propagate_forward
 from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
                          sweep_programs, sweep_replays, table_programs, warm_replays)
 
@@ -66,14 +66,17 @@ def test_zeros_copies_the_programs_read_only_table(evac_mini_single):
 def test_a_belief_state_keeps_the_interface_its_readers_use(evac_mini_single):
     # what perfbench, the tests and the recognizers read of a state: the
     # constructor, equality on act and blk alone, the id-keyed snapshots
-    # and their length, on a fresh state and on one the engine stepped
+    # and their length, on a fresh state and on one the engine stepped,
+    # whose value's live set is the leaves that hold mass
     p = evac_mini_single
     act, blk = list(p.initial[0]), list(p.initial[1])
     b = BeliefState(act, blk, p.index)
-    assert b.act is act and b.blk is blk and b.index is p.index and b.live is None
-    assert repr(b) == f"BeliefState(act={act!r}, blk={blk!r}, live=None)"
-    assert BeliefState(act, blk, p.index, (1, 2)).live == (1, 2)
-    assert b == BeliefState(list(act), list(blk), {}, (0,))  # neither index nor live
+    assert b.act is act and b.blk is blk and b.index is p.index and b.value.memo is None
+    assert repr(b) == f"BeliefState(act={act!r}, blk={blk!r})"
+    with pytest.raises(TypeError):
+        BeliefState(act, blk, p.index, (1, 2))  # a live set is the memo's to compute
+    assert not hasattr(b, "live")
+    assert b == BeliefState(list(act), list(blk), {})  # not the index
     assert b != BeliefState(list(act), list(act), p.index)
     assert b != BeliefState(tuple(act), tuple(blk), p.index)  # lists and tuples differ
     with pytest.raises(TypeError):
@@ -87,7 +90,8 @@ def test_a_belief_state_keeps_the_interface_its_readers_use(evac_mini_single):
         before = state.active
         quiet_step(p, [state])  # a snapshot keeps what it read
         assert dict(before) != dict(state.active)
-    assert type(stepped.act) is tuple and stepped.live is not None
+    assert type(stepped.act) is tuple and stepped.value.memo is p.compiled.memo
+    assert stepped.value.live and stepped.value.live == held_leaves(p, stepped)
 
 
 def test_state_views_read_the_lists_by_node_id(evac_mini_single):
@@ -430,31 +434,38 @@ def test_program_picks_match_the_reference_loop():
 
 
 def test_most_likely_rejects_empty():
+    # no mass anywhere, then mass on internal nodes alone: no leaf holds
+    # mass, so the live set is empty and the query raises
     p = _chain()
     b = init_beliefs(p)
     b.act[:] = p.zeros
-    with pytest.raises(MonitoringError):
-        most_likely_state(b, p)
-    b.live = ()
     with pytest.raises(MonitoringError, match="no mass on any leaf"):
         most_likely_state(b, p)
+    assert b.value.live == ()
+    b.act = [0.0 if x in p.leaf_index else 1.0 for x in range(len(p.node_ids))]
+    with pytest.raises(MonitoringError, match="no mass on any leaf"):
+        most_likely_state(b, p)
+    assert b.value.live == ()
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_most_likely_reads_the_live_set_alone_on_planted_ties(seed):
-    # near-ties at the TIE_TOLERANCE boundary on the live leaves, some of
-    # which hold no mass, and exact zeros on every other leaf
+    # near-ties at the TIE_TOLERANCE boundary on a sample of leaves, some
+    # of which hold no mass, and exact zeros on every other leaf: the live
+    # set is the sample's leaves with mass, and the pick over it is the
+    # pick over every leaf
     rng = random.Random(seed)
     for p in table_programs():
         view = p.single_agent_view()
         leaves = view.leaf_index
         for _ in range(3):
-            live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 7)))))
-            active, blocked = _planted(rng, live, len(view.node_ids))
+            sample = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 7)))))
+            active, blocked = _planted(rng, sample, len(view.node_ids))
             for x in leaves:
-                if x not in live or rng.random() < 0.2:
+                if x not in sample or rng.random() < 0.2:
                     active[x] = blocked[x] = 0.0
-            b = BeliefState(active, blocked, view.index, live)
+            b = BeliefState(active, blocked, view.index)
+            assert adopt(b, view).live == held_leaves(view, b)
             expected = _reference_pick(leaves, active, blocked)
             if active[expected] + blocked[expected] > 0.0:
                 assert most_likely_state(b, view) == expected
@@ -463,126 +474,45 @@ def test_most_likely_reads_the_live_set_alone_on_planted_ties(seed):
                     most_likely_state(b, view)
 
 
-def _point_mass(p, x: int) -> list:
-    """An active table with all mass on node x and its ancestors, as a commit leaves it."""
-    active = list(p.zeros)
-    for y in (x, *p.ancestors_at[x]):
-        active[y] = 1.0
-    return active
-
-
-def test_next_live_names_the_leaves_a_point_mass_steps_to():
-    # the table against the kernel, in both modes: one step from each leaf's
-    # point mass gives mass to exactly the leaves the table adds
-    for p in table_programs():
-        for q in (p, p.single_agent_view()):
-            leaves = q.leaf_index
-            for x in leaves:
-                active, blocked = q.forward(_point_mass(q, x), list(q.zeros))
-                held = {y for y in leaves if active[y] or blocked[y]}
-                assert q.compiled.next_live((x,)) == tuple(sorted(held | {x})), (p.root, q, x)
-
-
-def test_next_live_of_a_set_is_the_union_of_its_leaves_steps():
-    rng = random.Random(5)
-    for p in table_programs():
-        for q in (p, p.single_agent_view()):
-            for _ in range(5):
-                leaves = q.leaf_index
-                live = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 6)))))
-                after = set().union(*(q.compiled.next_live((x,)) for x in live))
-                assert q.compiled.next_live(live) == tuple(sorted(after))
-
-
-def test_next_live_is_shared_by_fields_and_bounded(monkeypatch):
-    # the next live sets are a table of the step memo, which is bounded
-    view = team_program(0).single_agent_view()
-    assert team_program(0).single_agent_view().compiled is view.compiled
-    assert team_program(0).compiled is not view.compiled
-    monkeypatch.setattr(compiled, "MEMO_STATES", 3)
-    table = compiled.CompiledProgram(view, view.forward)
-    for x in view.leaf_index[:7]:
-        assert table.next_live((x,)) == view.compiled.next_live((x,))
-        assert 1 <= len(table.memo.live) <= 3
-    assert table.memo.evictions
-
-
 def test_init_and_commits_set_the_live_set():
     p = team_program(0)
     view = p.single_agent_view()
     msg = ObservedMessage(3, "alpha1", "ALPHA", TERM, "phase-00")
     for q in (p, view):  # both modes carry a live set
         b = init_beliefs(q)
-        assert b.live == tuple(x for x in q.leaf_index if b.act[x])
+        assert b.value.memo is None
+        assert adopt(b, q).live == held_leaves(q, b) == tuple(x for x in q.leaf_index if b.act[x])
         apply_messages(b, [msg], q)  # ``evidence`` and ``_commit_evidence``
-        assert b.live and b.live == tuple(x for x in q.leaf_index if b.act[x])
-
-
-# entries of a planted table: exact 0 and 1, just below 1, subnormal
-_PLANTED = (0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, 2.0 ** -1060)
-
-
-def _planted_live(rng: random.Random, q, live) -> list:
-    """A table whose leaves outside ``live`` hold 0.0 and whose other
-    entries are ``_PLANTED`` values or uniform in [0, 1)."""
-    outside = set(q.leaf_index).difference(live)
-    return [0.0 if i in outside else rng.choice(_PLANTED) if rng.random() < 0.7
-            else rng.random() for i in range(len(q.node_ids))]
-
-
-@pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
-def test_the_forward_step_leaves_no_mass_outside_the_next_live_set(key):
-    # every state a sweep replay steps, in both layouts, and for each live
-    # set the replay meets, planted tables that cap, floor and skip where
-    # no run does: after ``forward`` every leaf outside ``next_live`` of the
-    # prior live set holds exactly 0.0
-    corpus, mode, coherent = key
-    rng = random.Random("/".join(map(str, key)))
-    states = planted = 0
-    for _, rec, by_tick in sweep_replays(corpus, mode, coherent):
-        q, seen = (rec.p if mode == "yoyo" else rec.view), set()
-        for t in range(TICKS):
-            for b in [rec.belief] if mode == "yoyo" else rec.beliefs.values():
-                after = q.compiled.next_live(b.live)
-                assert set(b.live) <= set(after) <= set(q.leaf_index), (key, t)
-                outside = set(q.leaf_index).difference(after)
-                tables = [(b.act, b.blk)]
-                if b.live not in seen:
-                    seen.add(b.live)
-                    tables += [(_planted_live(rng, q, b.live), _planted_live(rng, q, b.live))
-                               for _ in range(4)]
-                    planted += 4
-                for A, B in tables:
-                    act, blk = q.forward(A, B)
-                    assert all(act[x] == blk[x] == 0.0 for x in outside), (key, t, b.live)
-                states += 1
-            rec.step(by_tick.get(t, []))
-    assert states and planted
+        assert b.value.live and b.value.live == held_leaves(q, b)
 
 
 @pytest.mark.parametrize("memo", ["cold", "warm"])
-@pytest.mark.parametrize("key", [key for key in SWEEP_SHA256 if key[1] == "array"],
-                         ids=lambda key: "/".join(map(str, key)))
+@pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
 def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
-    # cold: the step memo starts empty, so a step is computed where the
-    # sweep first meets it; warm: each replay follows an equal one, so its
-    # steps and live sets are links that equal one made
+    # in both layouts every state a step leaves holds a memo value whose
+    # live set is exactly the leaves that hold mass, and each query answers
+    # as the reference pick; cold: the step memo starts empty, so a step is
+    # computed where the sweep first meets it; warm: each replay follows an
+    # equal one, so its steps are links that equal one made
     if memo == "cold":
         compiled._compile.cache_clear()
-    states = 0
+    yoyo, states = key[1] == "yoyo", 0
     for _, rec, by_tick in (sweep_replays if memo == "cold" else warm_replays)(*key):
-        view = rec.view
-        leaves = view.leaf_index
+        q = rec.p if yoyo else rec.view
+        leaves = q.leaf_index
         for t in range(TICKS):
             rec.step(by_tick.get(t, []))
-            for agent, b in rec.beliefs.items():
-                live = b.live
-                assert type(live) is tuple and list(live) == sorted(set(live))
-                held = [x for x in leaves if b.act[x] or b.blk[x]]
-                assert set(held) <= set(live), (key, t, agent)
-                if held:
-                    assert most_likely_state(b, view) == _reference_pick(
-                        leaves, b.act, b.blk), (key, t, agent)
+            for unit, b in ({"": rec.belief} if yoyo else rec.beliefs).items():
+                live = b.value.live
+                assert b.value.memo is q.compiled.memo, (key, t, unit)
+                assert type(live) is tuple and live == held_leaves(q, b), (key, t, unit)
+                if yoyo:
+                    for team in rec.teams:
+                        assert team_most_likely(b, q, team) == _reference_pick(
+                            q.leaves_by_team[team], b.act, b.blk), (key, t, team)
+                elif live:
+                    assert most_likely_state(b, q) == _reference_pick(
+                        leaves, b.act, b.blk), (key, t, unit)
                 states += 1
     assert states > 0
 
@@ -683,7 +613,7 @@ def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
         masses.append(evidence(start, p, msgs))
         for layout, step in (("yoyo", lambda b: yoyo_tick(p, b, msgs)),
                              ("array", lambda b: apply_messages(b, msgs, p))):
-            b = BeliefState(start.act, start.blk, start.index, start.live)
+            b = BeliefState(start.act, start.blk, start.index)
             step(b)
             states[layout].append((b.act, b.blk))
     assert set(masses[0]).isdisjoint(source) and set(masses[1]) == set(source)
@@ -718,13 +648,13 @@ def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
             assert view and msgs[0].team == "NOBODY"
             continue
         raised += 1
-        before, values = (b.act, b.blk, b.live), (list(b.act), list(b.blk))
+        before, values = b.value, (list(b.act), list(b.blk))
         links, misses = dict(memo.links), dict(memo.misses)
         for step in (lambda: yoyo_tick(p, b, msgs), lambda: apply_messages(b, msgs, p)):
             with pytest.raises(MonitoringError) as got:
                 step()
             assert str(got.value) == reference
-        assert b.act is before[0] and b.blk is before[1] and b.live == before[2]
+        assert b.value is before
         assert (b.act, b.blk) == values
         # no step is linked, and no message key kept but those that resolve
         assert memo.links == links and memo.misses == misses

@@ -359,8 +359,8 @@ def test_evaluate_runs_share_one_step_memo(tmp_path, monkeypatch, mode):
     class Counted(compiled.StepMemo):
         __slots__ = ()
 
-        def __init__(self):
-            super().__init__()
+        def __init__(self, leaves):
+            super().__init__(leaves)
             memos.append(self)
 
     monkeypatch.setattr(compiled, "StepMemo", Counted)

@@ -37,7 +37,7 @@ from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import _clamp_entries, _rescale, team_most_likely, yoyo_tick
 
-from conftest import _reference_pick, propagate_forward
+from conftest import _reference_pick, held_leaves, propagate_forward
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
                          table_programs, warm_replays)
 
@@ -179,7 +179,6 @@ def _reference_yoyo_tick(p, b, msgs):
             if walk:
                 _rescale(walk, b, prior_active, prior_blocked, updated)
     _clamp_entries(b, updated)
-    b.live = tuple(sorted(i for i in updated if not p.children_at[i]))
 
 
 @pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
@@ -196,7 +195,7 @@ def test_the_shared_memo_steps_and_answers_as_the_memo_free_step(key, bound, mon
             rec.step(msgs)
             _reference_yoyo_tick(p, expected, msgs)
             assert _bits(b) == _bits(expected), (key, t, _hex(b), _hex(expected))
-            assert b.live == expected.live, (key, t)
+            assert b.value.live == held_leaves(p, expected), (key, t)
             for team in rec.teams:
                 answer = _reference_pick(p.leaves_by_team[team], expected.act, expected.blk)
                 assert team_most_likely(b, p, team) == answer, (key, t, team)
@@ -254,13 +253,14 @@ def test_every_state_a_step_or_query_reads_holds_a_memo_value(key):
     # each step and query first adopts a value its memo did not make, so
     # after each step, and each path, tick 0's fresh init_beliefs lists
     # included, every state it read holds a value of its program's memo,
-    # with tuple tables and a tuple live set
+    # with tuple tables and a live set of the leaves that hold mass
     def check(states, t, when):
         for b in states:
             value = b.value
             assert value.memo is memo, (key, t, when)
             assert type(value.act) is tuple and type(value.blk) is tuple, (key, t, when)
             assert type(value.live) is tuple, (key, t, when)
+            assert value.live == held_leaves(p, value), (key, t, when)
 
     for _, rec, by_tick in sweep_replays(*key):
         p = rec.p if key[1] == "yoyo" else rec.view
@@ -272,7 +272,7 @@ def test_every_state_a_step_or_query_reads_holds_a_memo_value(key):
             for unit in rec.units:
                 rec.path(unit)
                 check(_states_of(rec, unit), t, unit)
-    # a hand-built state with no live set is adopted with every leaf, by a
+    # a hand-built state is adopted with the leaves that hold mass, by a
     # query as by a step, and steps to the memo-free step's bits
     b = _states_of(rec)[0]
     queried, stepped, expected = (BeliefState(list(b.act), list(b.blk), p.index)
@@ -281,11 +281,11 @@ def test_every_state_a_step_or_query_reads_holds_a_memo_value(key):
         team_most_likely(queried, p, rec.teams[0])
     else:
         most_likely_state(queried, p)
-    assert queried.live == p.leaf_index and queried.value.memo is memo
+    assert queried.value.live == held_leaves(p, b) and queried.value.memo is memo
     quiet_step(p, [stepped])
     propagate_forward(expected, p)
-    assert expected.live is None and _bits(stepped) == _bits(expected)
-    assert stepped.live == p.compiled.next_live(p.leaf_index) and stepped.value.memo is memo
+    assert _bits(stepped) == _bits(expected)
+    assert stepped.value.live == held_leaves(p, expected) and stepped.value.memo is memo
 
 
 def _holding(value, index) -> BeliefState:
@@ -300,15 +300,15 @@ def _links(v) -> tuple:
 
 
 @pytest.mark.parametrize("layout", ["array", "yoyo"])
-def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
+def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
     # a state stepped to an evidence tick holds one of the memo's values,
     # whose quiet step, commit and queries are then linked; a state that
-    # holds it and is then assigned act, blk or live, even an equal table,
-    # holds a fresh value, which a step or query adopts as the memo's value
-    # of equal bits and live set: never the linked prior, a quiet step's
-    # result that was never interned, but one value per assignment of new
-    # bits, whose steps and queries are each computed once (a miss) and
-    # equal the memo-free step, and which an equal assignment adopts again
+    # holds it and is then assigned act or blk, even an equal table, holds
+    # a fresh value, which a step or query adopts as the memo's value of
+    # equal bits: never the linked prior, a quiet step's result that was
+    # never interned, but one value per assignment of new bits, whose steps
+    # and queries are each computed once (a miss) and equal the memo-free
+    # step, and which an equal assignment adopts again
     compiled._compile.cache_clear()
     p, yoyo = team_program(0), layout == "yoyo"
     _, log = simulate(p, SimConfig(seed=0, ticks=150, team_mode=yoyo))
@@ -342,25 +342,21 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
     assert prior.best is not None or len(prior.teams) == len(units)
     links = _links(prior)
     moved = dict.fromkeys(["act", "blk"], 0)
-    adopted = {}  # (bits, live) -> the memo's value that an assignment of them was adopted as
-    for name in ("act", "blk", "live"):
+    adopted = {}  # bits -> the memo's value that an assignment of them was adopted as
+    for name in ("act", "blk"):
         table = getattr(prior, name)
-        edits = [table]  # an equal table, then a table with one entry moved
-        if name == "live":
-            edits.append(tuple(q.leaf_index))
-        else:
-            x = next(x for x, v in enumerate(table) if v)
-            edits.append(table[:x] + (table[x] / 2,) + table[x + 1:])
-        for edit in edits:
+        x = next(x for x, v in enumerate(table) if v)
+        # an equal table, then a table with one entry moved
+        for edit in (table, table[:x] + (table[x] / 2,) + table[x + 1:]):
             b = _holding(prior, q.index)
             setattr(b, name, edit)
-            key = (_bits(b), b.live)
+            key = _bits(b)
             fresh = key not in adopted
             for kind, step in steps.items():
                 b = _holding(prior, q.index)
                 setattr(b, name, edit)
                 assert b.value is not prior and _links(b.value) == (None, {}, None, {})
-                expected = BeliefState(list(b.act), list(b.blk), q.index, b.live)
+                expected = BeliefState(list(b.act), list(b.blk), q.index)
                 misses = memo.misses[kind]
                 step(b)
                 if kind == "quiet":
@@ -372,8 +368,8 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
                         _commit_evidence(expected, evidence(expected, q, [m]), q)
                 assert memo.misses[kind] == misses + fresh, (name, kind)
                 assert _bits(b) == _bits(expected), (name, kind)
-                assert b.live == expected.live or not yoyo, (name, kind)
-                if kind == "quiet" and edit is not table and name in moved:
+                assert b.value.live == held_leaves(q, expected), (name, kind)
+                if kind == "quiet" and edit is not table:
                     moved[name] += _bits(b) != _bits(linked["quiet"])
             b = _holding(prior, q.index)
             setattr(b, name, edit)
@@ -388,7 +384,7 @@ def test_an_assigned_table_or_live_set_is_stepped_and_queried_afresh(layout):
             assert b.value is adopted.setdefault(key, b.value) is not prior, name
             assert b.value.memo is memo and type(b.value.act) is tuple, name
     assert all(moved.values()), moved
-    assert len(adopted) == 4  # the equal act, blk and live tables share one value
+    assert len(adopted) == 3  # the equal act and blk tables share one value
     # the value the assignments started from kept its links and answers
     assert _links(prior) == links
     assert answers == [query(_holding(prior, q.index), unit) for unit in units]
@@ -421,7 +417,7 @@ def test_a_value_follows_only_the_links_of_the_memo_that_made_it(layout):
         yoyo_tick(prog, b, msgs) if yoyo else apply_messages(b, msgs, prog)
 
     def reference(step, prog, value, msgs) -> BeliefState:
-        b = BeliefState(list(value.act), list(value.blk), prog.index, value.live)
+        b = BeliefState(list(value.act), list(value.blk), prog.index)
         if step is quiet:
             propagate_forward(b, prog)
         elif yoyo:
@@ -456,7 +452,7 @@ def test_a_value_follows_only_the_links_of_the_memo_that_made_it(layout):
     for _ in range(200):
         blk = tuple(rng.random() * 10.0 ** -rng.randrange(16) if rng.random() < 0.7 else 0.0
                     for _ in p.node_ids)
-        prior = p.compiled.memo.intern(p.zeros, blk, tuple(x for x in p.leaf_index if blk[x]))
+        prior = p.compiled.memo.intern(p.zeros, blk)
         msgs = [ObservedMessage(1, f"s{k}", rng.choice(teams), rng.choice((INIT, TERM)),
                                 rng.choice(names)) for k in range(rng.randrange(1, 4))]
         if differs(commit, prior, msgs):
@@ -501,6 +497,24 @@ def test_an_eviction_unlinks_every_value_linked_before_it(layout, monkeypatch):
             assert counted == memo.links and max(counted.values()) <= 7
             assert all(i in listed for i, v in seen.items() if _links(v) != (None, {}, None, {}))
     assert len(evictions) > 1 and max(evictions) > 1
+
+
+def test_the_intern_table_is_shared_by_fields_and_bounded(monkeypatch):
+    # programs with equal fields share one memo, a program and its view do
+    # not; a store into a full intern table evicts, and each value interned
+    # carries the leaves that hold its mass
+    view = team_program(0).single_agent_view()
+    assert team_program(0).single_agent_view().compiled.memo is view.compiled.memo
+    assert team_program(0).compiled.memo is not view.compiled.memo
+    monkeypatch.setattr(compiled, "MEMO_STATES", 3)
+    memo = compiled.CompiledProgram(view, view.forward).memo
+    for x in view.leaf_index[:7]:
+        act = list(view.zeros)
+        act[x] = 1.0
+        value = memo.intern(act, view.zeros)
+        assert memo.intern(tuple(act), list(view.zeros)) is value and value.live == (x,)
+        assert 1 <= len(memo.interned) <= 3
+    assert memo.evictions
 
 
 def test_message_keys_keep_no_team_read_from_the_sender():
@@ -583,24 +597,23 @@ def test_evidence_steps_equal_the_reference_on_planted_tables(layout):
             for _ in range(12):
                 blk = tuple(rng.random() * 10.0 ** -rng.randrange(16) if rng.random() < 0.7
                             else 0.0 for _ in p.node_ids)
-                start = (tuple(p.zeros), blk, p.index, tuple(x for x in p.leaf_index if blk[x]))
+                start = (tuple(p.zeros), blk)
                 msgs = [ObservedMessage(1, f"s{k}", rng.choice(teams) or "-",
                                         rng.choice((INIT, TERM)), rng.choice(names))
                         for k in range(rng.randrange(1, 4))]
-                expected = BeliefState(list(start[0]), list(blk), p.index, start[3])
+                expected = BeliefState(list(start[0]), list(blk), p.index)
                 if layout == "array":
                     for m in sorted(msgs, key=_message_order):
                         _unrolled_commit(expected, p, m)
                 else:
                     _reference_yoyo_tick(p, expected, msgs)
-                value = memo.intern(*start[:2], start[3])  # the value a step would join
+                value = memo.intern(*start)  # the value a step would join
                 for looked_up in (False, True):
                     misses, b = memo.misses["commit"], _holding(value, p.index)
                     if layout == "array":
                         apply_messages(b, msgs, p)
                     else:
                         yoyo_tick(p, b, msgs)
-                        assert b.live == expected.live, (prog, p.team_mode)
                     assert _bits(b) == _bits(expected), (prog, p.team_mode, looked_up)
-                    assert {x for x in p.leaf_index if b.act[x]} <= set(b.live), prog
+                    assert b.value.live == held_leaves(p, expected), (prog, p.team_mode)
                     assert (memo.misses["commit"] == misses) == looked_up, (prog, looked_up)

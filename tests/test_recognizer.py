@@ -1,6 +1,6 @@
 import pytest
 
-from overhear.belief import MonitoringError, apply_messages
+from overhear.belief import MonitoringError, apply_messages, most_likely_state, quiet_step
 from overhear.cli import run_command
 from overhear.harness import evaluate_run
 from overhear.ingest import TERM, ObservedMessage, format_log, parse_log
@@ -8,8 +8,9 @@ from overhear.model import serialize_program
 from overhear.progen import team_program
 from overhear.recognizer import ArrayRecognizer, SharedRecognizer, make_recognizer
 from overhear.sim import SimConfig, checkpoints, simulate
+from overhear.yoyo import team_most_likely
 
-from conftest import DATA, _reference_pick, snapshot
+from conftest import DATA, _reference_pick, held_leaves, propagate_forward, snapshot
 from test_digest import SWEEP_SHA256, TICKS, sweep_replays
 
 TEAM = str(DATA / "evac_team.json")
@@ -166,9 +167,10 @@ def test_coherent_array_team_path_sums_the_members_live_candidates():
     members = [rec.beliefs[a] for a in view.team_hierarchy.members(team)]
 
     def put(b, masses: dict):
-        b.act, b.blk, b.live = list(view.zeros), list(view.zeros), tuple(sorted(masses))
+        act = list(view.zeros)
         for x, mass in masses.items():
-            b.act[x] = mass
+            act[x] = mass
+        b.act, b.blk = act, list(view.zeros)
 
     def path():
         answer = rec.path(team)
@@ -177,7 +179,7 @@ def test_coherent_array_team_path_sums_the_members_live_candidates():
 
     for k, b in enumerate(members):
         put(b, {outside[k]: 1.0})
-    # no candidate in any member's live set, or none with mass: the first candidate
+    # no candidate holds mass in any member: the first candidate
     assert path() == view.name_paths_at[candidates[0]]
     put(members[0], {outside[0]: 1.0, candidates[-1]: 0.0})
     assert path() == view.name_paths_at[candidates[0]]
@@ -186,9 +188,43 @@ def test_coherent_array_team_path_sums_the_members_live_candidates():
     put(members[0], {x: 0.3, y: 0.5})
     put(members[1], {x: 0.3})
     assert path() == view.name_paths_at[x]
-    # a member without a live set counts every candidate
-    members[1].live = None
-    assert path() == view.name_paths_at[x]
+
+
+def _point_mass(p, x: int) -> list:
+    """An active table with all mass on node x and its ancestors, as a commit leaves it."""
+    active = list(p.zeros)
+    for y in (x, *p.ancestors_at[x]):
+        active[y] = 1.0
+    return active
+
+
+@pytest.mark.parametrize("layout", ["array", "yoyo"])
+def test_mass_assigned_to_a_leaf_without_mass_is_read_by_every_query(layout):
+    # a state's act assigned, and nothing else, a point mass on a team's
+    # leaf that held no mass: every query reads it as a pick over every
+    # leaf would, and one quiet step from it gives the memo-free step's
+    # bits and a live set of exactly the leaves that then hold mass
+    rec = make_recognizer(team_program(0), layout, coherent=True)
+    q, team = (rec.p if layout == "yoyo" else rec.view), "ALPHA"
+    states = ([rec.belief] if layout == "yoyo"
+              else [rec.beliefs[a] for a in q.team_hierarchy.members(team)])
+    x = next(x for x in q.leaves_by_team[team][1:] if x not in held_leaves(q, states[0]))
+    for b in states:
+        b.act = _point_mass(q, x)
+    b = states[0]
+    if layout == "yoyo":
+        for unit in rec.teams:
+            leaves = q.leaves_by_team[unit]
+            assert team_most_likely(b, q, unit) == _reference_pick(leaves, b.act, b.blk), unit
+        assert rec.path(team) == q.name_paths_at[x]
+    else:
+        assert most_likely_state(b, q) == _reference_pick(q.leaf_index, b.act, b.blk) == x
+        assert rec.path(team) == _pick_over_every_candidate(rec, team) == q.name_paths_at[x]
+    expected = snapshot(b)
+    quiet_step(q, [b])
+    propagate_forward(expected, q)
+    assert [v.hex() for v in (*b.act, *b.blk)] == [v.hex() for v in (*expected.act, *expected.blk)]
+    assert b.value.live == held_leaves(q, expected) and x in b.value.live
 
 
 @pytest.mark.parametrize("mode, coherent", LAYOUTS)

@@ -15,7 +15,7 @@ from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
-from conftest import brute_leaves, propagate_forward
+from conftest import brute_leaves, held_leaves, propagate_forward
 from test_digest import SWEEP_SHA256, TICKS, sweep_replays, warm_replays
 
 
@@ -528,11 +528,11 @@ def test_every_yoyo_tick_leaves_a_live_set_and_values_in_0_1(key, memo, monkeypa
         for t in range(TICKS):
             written.clear()
             rec.step(by_tick.get(t, []))
-            live = b.live
+            live = b.value.live
             assert type(live) is tuple and list(live) == sorted(set(live))
             assert set(live) <= set(p.leaf_index)
-            if written:  # an evidence tick: the leaves it wrote
-                assert live == tuple(i for i in p.leaf_index if i in written[0]), (key, t)
+            if written:  # an evidence tick: the leaves that hold mass
+                assert live == held_leaves(p, b), (key, t)
             outside = set(p.leaf_index).difference(live)
             assert all(b.act[i] == b.blk[i] == 0.0 for i in outside), (key, t)
             assert all(0.0 <= v <= 1.0 for v in b.act + b.blk), (key, t)

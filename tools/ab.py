@@ -262,7 +262,7 @@ def compare(parent: Path, change: Path, rounds: int = 20) -> dict:
     samples: dict = {}
     try:
         sides = (Side(parent, "ab_parent"), Side(change, "ab_change"))
-        for side in sides:  # untimed: warm each side's keys and live sets
+        for side in sides:  # untimed: warm each side's caches and step memo
             measure(side)
         # the online rounds last, as each clears the caches the others keep warm
         phases = (lambda side, r: measure(side),
