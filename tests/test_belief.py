@@ -486,6 +486,59 @@ def test_init_and_commits_set_the_live_set():
         assert b.value.live and b.value.live == held_leaves(q, b)
 
 
+# entries of a planted table: exact 0 and 1, just below 1, subnormal
+_PLANTED = (0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, 2.0 ** -1060)
+
+
+def _planted_live(rng: random.Random, q, live) -> list:
+    """A table whose leaves outside ``live`` hold 0.0 and whose other
+    entries are ``_PLANTED`` values or uniform in [0, 1)."""
+    outside = set(q.leaf_index).difference(live)
+    return [0.0 if i in outside else rng.choice(_PLANTED) if rng.random() < 0.7
+            else rng.random() for i in range(len(q.node_ids))]
+
+
+@pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
+def test_the_forward_step_leaves_no_mass_outside_the_next_live_set(key):
+    # every state a sweep replay steps, in both layouts, and for each live
+    # set the replay meets, planted tables that cap, floor and skip where
+    # no run does: a hand-built state of those bits is adopted with the
+    # leaves that hold mass, its quiet step equals the memo-free step bit
+    # for bit, and every leaf outside the stepped value's live set holds
+    # exactly 0.0, every leaf in it some mass
+    corpus, mode, coherent = key
+    rng = random.Random("/".join(map(str, key)))
+    states = planted = 0
+    for _, rec, by_tick in sweep_replays(corpus, mode, coherent):
+        q, seen = (rec.p if mode == "yoyo" else rec.view), set()
+        leaves = set(q.leaf_index)
+        for t in range(TICKS):
+            for b in [rec.belief] if mode == "yoyo" else rec.beliefs.values():
+                live = adopt(b, q).live
+                tables = [(b.act, b.blk)]
+                if live not in seen:
+                    seen.add(live)
+                    tables += [(_planted_live(rng, q, live), _planted_live(rng, q, live))
+                               for _ in range(4)]
+                    planted += 4
+                for A, B in tables:
+                    stepped, expected = (BeliefState(list(A), list(B), q.index)
+                                         for _ in range(2))
+                    assert set(adopt(stepped, q).live) <= set(live), (key, t)
+                    quiet_step(q, [stepped])
+                    propagate_forward(expected, q)
+                    assert (stepped.act, stepped.blk) == tuple(map(tuple, (expected.act,
+                                                                            expected.blk)))
+                    after = stepped.value.live
+                    assert set(after) <= leaves and after == held_leaves(q, expected)
+                    outside = leaves.difference(after)
+                    assert all(stepped.act[x] == stepped.blk[x] == 0.0 for x in outside), (
+                        key, t, live)
+                states += 1
+            rec.step(by_tick.get(t, []))
+    assert states and planted
+
+
 @pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
 def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
