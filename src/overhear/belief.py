@@ -7,12 +7,12 @@ message has not been seen yet).  Ticks without an observed message apply a
 linear forward propagation driven by leaf termination rates; ticks with a
 message collapse the state onto the nodes consistent with it.
 
-What a tick's messages are evidence for is one rule for both layouts,
-``evidence``; the program's mode alone decides which transitions a message
-opens and which candidates share a normalizer.  The shared layout takes
-the masses of a whole tick and commits them in ``yoyo.yoyo_tick``.  The
-array layout commits one message at a time (``apply_messages``), each by
-``evidence`` of the message alone and ``_commit_evidence``.
+A tick's messages are read once, into keys (``_message_keys``).  What
+keys are evidence for is one rule for both layouts, ``evidence``; the
+program's mode alone decides which transitions a key opens and which
+candidates share a normalizer.  The shared layout commits a whole tick's
+keys at once (``yoyo.yoyo_tick``), the array layout one key at a time
+(``apply_messages``).
 
 A state holds the two masses as two tables, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
@@ -27,9 +27,8 @@ Both layouts step a state in place.  ``init_beliefs`` alone builds one;
 ``quiet_step``, ``apply_messages``, ``array_overseer_tick`` and
 ``yoyo.yoyo_tick`` replace its value (``Value``) with a new one and
 return None, so a caller holds one state object for the whole run and
-keeps a tick's masses by keeping its tables.  Each checks every message
-(its team and its plan) before it replaces any value, so a step that
-raises leaves every state as it was.
+keeps a tick's masses by keeping its tables.  A step that raises leaves
+every state as it was.
 
 Every step and query runs from a value of the program's step memo
 (``Value`` of ``compiled.StepMemo``, ``p.compiled.memo``; ``adopt``),
@@ -119,10 +118,7 @@ class Value:
     value a step gives, or the answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
-    - ``commits``: per evidence key, the value after it: the array layout's
-      commit of one message, keyed by its ``(kind, plan, team)``, and the
-      shared layout's evidence tick, keyed by its tick signature
-      (``tick_signature``);
+    - ``commits``: per commit key (``_message_keys``), the value after it;
     - ``best``: the most likely leaf (``most_likely_state``);
     - ``teams``: per team, its most likely leaf (``yoyo.team_most_likely``).
 
@@ -253,39 +249,24 @@ def _prune_redundant_ancestors(p: TeamOrientedProgram, nodes) -> list[int]:
     return sorted(x for x in nodes if nodes.isdisjoint(ancestors[x]))
 
 
-def _resolve_message_team(m: ObservedMessage, p: TeamOrientedProgram) -> str | None:
-    """The ``team_edges`` key of the transitions a message opens: in team mode
-    its team, else its sender's; in the single-agent view None, which opens all."""
-    if not p.team_mode:
-        return None
-    h = p.team_hierarchy
-    if m.team and h.has_team(m.team):
-        return m.team
-    if h.has_agent(m.sender):
-        return h.agent_team(m.sender)
-    raise MonitoringError(
-        f"message at tick {m.tick} carries unknown team '{m.team}' and unknown "
-        f"sender '{m.sender}'")
-
-
 def _message_order(m: ObservedMessage) -> tuple:
     """The order a tick's messages are read in: TERM before INIT, then by plan and sender."""
     return (0 if m.kind == TERM else 1, m.plan, m.sender)
 
 
-def _unknown_plan(m: ObservedMessage) -> MonitoringError:
-    return MonitoringError(
-        f"message at tick {m.tick} names plan '{m.plan}' which matches no node; "
-        f"either the program is stale or the team is acting incoherently")
+def _message_keys(p: TeamOrientedProgram, msgs) -> tuple[tuple, ...]:
+    """A tick's messages resolved once into the keys both layouts commit
+    by: the one place the engine reads a message.
 
-
-def _message_keys(p: TeamOrientedProgram, msgs) -> list[tuple]:
-    """A tick's messages in ``_message_order``, each with its evidence key.
-
-    Each key is ``(kind, plan, team)`` with the team resolved
-    (``_resolve_message_team``), so the single-agent view never reads a
-    sender.  Raises ``evidence``'s ``MonitoringError`` for the first
-    message whose team or plan is unknown, checked in ``evidence``'s order.
+    Each key is ``(kind, plan, team)``, in ``_message_order``.  The team
+    is the ``team_edges`` key of the transitions the message opens: in
+    team mode its team, else its sender's; in the single-agent view None,
+    which opens all, so the view never reads a sender.  The tuple is the
+    shared layout's tick signature, its evidence tick's memo key and
+    ``evidence``'s input; the array layout commits its keys one at a
+    time, each its commit's memo key.  Raises ``MonitoringError`` for the
+    first message, in this order, whose team or plan is unknown, so a
+    step that reads its keys first raises before any state changes.
 
     A key resolved without the sender is kept in ``p.compiled.memo.keys``
     by the message's ``(kind, plan, team)``, so a later message with the
@@ -293,25 +274,39 @@ def _message_keys(p: TeamOrientedProgram, msgs) -> list[tuple]:
     differ, so a team taken from the sender is resolved every time.
     """
     memo = p.compiled.memo
-    known, named, keyed = memo.keys, p.named_index, []
+    known, named, keys = memo.keys, p.named_index, []
     for m in sorted(msgs, key=_message_order) if len(msgs) > 1 else msgs:
         fields = (m.kind, m.plan, m.team)
         key = known.get(fields)
         if key is None:
-            team = _resolve_message_team(m, p)
+            team = None
+            if p.team_mode:
+                h = p.team_hierarchy
+                if m.team and h.has_team(m.team):
+                    team = m.team
+                elif h.has_agent(m.sender):
+                    team = h.agent_team(m.sender)
+                else:
+                    raise MonitoringError(
+                        f"message at tick {m.tick} carries unknown team '{m.team}' and "
+                        f"unknown sender '{m.sender}'")
             if m.plan not in named:
-                raise _unknown_plan(m)
+                raise MonitoringError(
+                    f"message at tick {m.tick} names plan '{m.plan}' which matches no "
+                    f"node; either the program is stale or the team is acting incoherently")
             key = (m.kind, m.plan, team)
             if team is None or team == m.team:
                 memo.store(known, fields, key)
-        keyed.append((m, key))
-    return keyed
+        keys.append(key)
+    return tuple(keys)
 
 
-def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
-    """What one tick's messages are evidence for: a mass per position.
+def evidence(blk: list[float] | tuple[float, ...], p: TeamOrientedProgram,
+             keys) -> dict[int, float]:
+    """What one tick's messages, as their ``_message_keys``, are evidence
+    for, given the prior blocked table ``blk``: a mass per position.
 
-    The messages are one set of INIT targets and TERM sources, so a repeat
+    The keys are one set of INIT targets and TERM sources, so a repeat
     adds nothing, and each opens its team's transitions (``team_edges``).
     The candidates are the INIT targets and the TERM sources' successors,
     else the TERM sources; an edge credits its source's prior blocked mass
@@ -324,24 +319,21 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     """
     initiated: dict[int, str | None] = {}
     terminated: dict[int, str | None] = {}
-    for m in sorted(msgs, key=_message_order):
-        team = _resolve_message_team(m, p)
-        nodes = p.named_index.get(m.plan)
-        if not nodes:
-            raise _unknown_plan(m)
-        target = initiated if m.kind == INIT else terminated
-        for x in nodes:
+    named = p.named_index
+    for kind, plan, team in keys:
+        target = initiated if kind == INIT else terminated
+        for x in named[plan]:
             target.setdefault(x, team)
-    edges, blocked = p.team_edges, b.blk
+    edges = p.team_edges
     raw: dict[int, float] = {}  # candidate -> credit
     for x, team in sorted(initiated.items()):
         raw[x] = 0.0
         for src, _, mu, pi in edges[team][0].get(x, ()):
-            raw[x] += blocked[src] * mu * pi
+            raw[x] += blk[src] * mu * pi
     for x, team in sorted(terminated.items()):
         for src, dst, mu, pi in edges[team][1].get(x, ()):
             if dst not in initiated:
-                raw[dst] = raw.get(dst, 0.0) + blocked[src] * mu * pi
+                raw[dst] = raw.get(dst, 0.0) + blk[src] * mu * pi
     if not raw:
         raw = dict.fromkeys(terminated, 0.0)
     unit_at = p.unit_at
@@ -365,17 +357,12 @@ def evidence(b: BeliefState, p: TeamOrientedProgram, msgs) -> dict[int, float]:
     return scratch
 
 
-def tick_signature(p: TeamOrientedProgram, msgs) -> tuple:
-    """The keys of a tick's ``_message_keys``, in order: what its evidence reads of it."""
-    return tuple(key for _, key in _message_keys(p, msgs))
-
-
-def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedProgram):
-    """Replace b's lists with ``scratch`` committed on fresh zero tables.
+def _commit_evidence(scratch: dict[int, float], p: TeamOrientedProgram) -> list[float]:
+    """The active table of ``scratch`` committed on a fresh zero table.
 
     Each mass is spread down its node's first-child groups
-    (``propagate_down``) and added to every ancestor, and every blocked
-    mass is 0.  This is the array layout's commit.
+    (``propagate_down``) and added to every ancestor; every blocked mass
+    is 0.  This is the array layout's commit.
     """
     active, ancestors = list(p.zeros), p.ancestors_at
     for x in sorted(scratch):
@@ -384,28 +371,25 @@ def _commit_evidence(b: BeliefState, scratch: dict[int, float], p: TeamOrientedP
         propagate_down(x, mass, active, p)
         for anc in ancestors[x]:
             active[anc] += mass
-    b.value = Value(active, list(p.zeros))
+    return active
 
 
-def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keyed: list):
-    """Commit each of ``_message_keys``' messages into b, one at a time.
+def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keys):
+    """Commit each of a tick's ``_message_keys`` into b, one at a time.
 
-    A commit taken before from the same value with the same message key is
-    a link of the value's ``commits`` (``Value``).  Otherwise it is
-    ``evidence`` of the message alone, committed by ``_commit_evidence``,
-    and the result is interned in ``p.compiled.memo``
-    (``compiled.StepMemo``) and linked.
+    A commit taken before from the same value with the same key is a link
+    of the value's ``commits`` (``Value``).  Otherwise it is ``evidence``
+    of the key alone, committed by ``_commit_evidence``, interned in
+    ``p.compiled.memo`` (``compiled.StepMemo``) and linked.
     """
     memo = p.compiled.memo
     if b.value.memo is not memo:
         adopt(b, p)
-    for m, key in keyed:
+    for key in keys:
         prior = b.value
         after = prior.commits.get(key)
         if after is None:
-            _commit_evidence(b, evidence(b, p, [m]), p)
-            memo.misses["commit"] += 1
-            after = memo.intern(b.act, b.blk)
+            after = memo.intern(_commit_evidence(evidence(prior.blk, p, (key,)), p), p.zeros)
             memo.link("commit", prior)
             prior.commits = {**prior.commits, key: after}
         b.value = after
@@ -441,7 +425,6 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
         after = prior.quiet
         if after is None:
             act, blk = compiled.forward(prior.act, prior.blk)
-            memo.misses["quiet"] += 1
             after = memo.make(act, blk)
             memo.link("quiet", prior)
             prior.quiet = after
@@ -495,7 +478,6 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
         return best
     if not value.live:
         raise MonitoringError("belief state carries no mass on any leaf")
-    memo.misses["best"] += 1
     memo.link("best", value)
     value.best = best = pick_leaf(value.live, value.act, value.blk)
     return best

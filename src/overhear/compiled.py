@@ -173,7 +173,7 @@ class StepMemo:
     kind, and each table, holds at most ``MEMO_STATES``; a link or store
     into a full one unlinks every listed value, clears every table and
     counts an eviction.  ``misses`` counts, by kind, the steps computed and
-    the answers linked; a hit counts nothing.
+    the answers linked, one per ``link``; a hit counts nothing.
     """
 
     __slots__ = ("leaves", "linked", "links", "interned", "keys", "misses", "evictions")
@@ -203,10 +203,12 @@ class StepMemo:
 
     def link(self, kind: str, value: Value):
         """Count one more link of ``kind`` from ``value``, one of this memo's
-        values, first evicting if the kind is full; the caller sets it."""
+        values, and one more miss, first evicting if the kind is full; the
+        caller sets it."""
         if self.links[kind] >= MEMO_STATES:
             self._evict()
         self.links[kind] += 1
+        self.misses[kind] += 1
         self.linked.append(value)
 
     def store(self, table: dict, key, entry):

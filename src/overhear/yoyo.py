@@ -20,8 +20,8 @@ rule of every most-likely query.
 States are step-memo values here as in the array layout
 (``belief.Value``): the quiet tick, the evidence tick and the team query
 each keep what they computed from a value on the value, so one taken
-before from the same value is an attribute load, or a dict lookup by tick
-signature or team.
+before from the same value is an attribute load, or a dict lookup by the
+tick's keys or the team.
 
 Plan ownership alone decides where to rescale: a climb step from a node
 into a parent owned by another team rescales the parent's subtrees that
@@ -45,8 +45,8 @@ which a cap leaves as it is.  Every value a tick leaves is in [0, 1].
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, Value, VisitCounter, adopt, evidence,
-                     init_beliefs, pick_leaf, propagate_down, quiet_step, tick_signature)
+from .belief import (BeliefState, MonitoringError, Value, VisitCounter, _message_keys, adopt,
+                     evidence, init_beliefs, pick_leaf, propagate_down, quiet_step)
 from .model import TeamOrientedProgram
 
 
@@ -101,15 +101,15 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     program's ``evidence_climbs``; each step raises the parent to at least
     the child's mass.  The tick then clamps only the entries it wrote.
 
-    An evidence tick taken before from the same value with the same tick
-    signature (``belief.tick_signature``) is a link of the value's
-    ``commits`` (``belief.Value``).  Any other is computed as above, and
-    its result interned in ``p.compiled.memo`` and linked.
+    An evidence tick taken before from the same value with the same keys
+    (``belief._message_keys``) is a link of the value's ``commits``
+    (``belief.Value``).  Any other is computed as above, and its result
+    interned in ``p.compiled.memo`` and linked.
     """
     if not msgs:
         quiet_step(p, (b,), counter)
         return
-    signature = tick_signature(p, msgs)
+    signature = _message_keys(p, msgs)
     memo = p.compiled.memo
     prior = b.value
     if prior.memo is not memo:
@@ -119,7 +119,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
         b.value = after
         return
     prior_active, prior_blocked = prior.act, prior.blk
-    scratch = evidence(b, p, msgs)
+    scratch = evidence(prior_blocked, p, signature)
     b.value = Value(list(p.zeros), list(p.zeros))  # the lists the tick writes
     active = b.act
     updated: set[int] = set()
@@ -134,7 +134,6 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
             if walk:
                 _rescale(walk, b, prior_active, prior_blocked, updated)
     _clamp_entries(b, updated)
-    memo.misses["commit"] += 1
     after = b.value = memo.intern(active, b.blk)
     memo.link("commit", prior)
     prior.commits = {**prior.commits, signature: after}
@@ -166,7 +165,6 @@ def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
     best = value.teams.get(team)
     if best is None:
         best = pick_leaf(team_leaves(p, team), value.act, value.blk)
-        memo.misses["best"] += 1
         memo.link("best", value)
         value.teams = {**value.teams, team: best}
     return best

@@ -6,7 +6,7 @@ import pytest
 
 from overhear import compiled
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
-                             _prune_redundant_ancestors, adopt, apply_messages,
+                             _message_keys, _prune_redundant_ancestors, adopt, apply_messages,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              pick_leaf, propagate_down, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -663,7 +663,7 @@ def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
     for alpha, bravo in (("a", "z"), ("z", "a")):
         msgs = [ObservedMessage(30, alpha, "ALPHA", TERM, "alpha-02-step0"),
                 ObservedMessage(30, bravo, "BRAVO", TERM, "alpha-02-step0")]
-        masses.append(evidence(start, p, msgs))
+        masses.append(evidence(start.blk, p, _message_keys(p, msgs)))
         for layout, step in (("yoyo", lambda b: yoyo_tick(p, b, msgs)),
                              ("array", lambda b: apply_messages(b, msgs, p))):
             b = BeliefState(start.act, start.blk, start.index)
@@ -694,7 +694,7 @@ def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
     raised = 0
     for msgs in cases:
         try:
-            evidence(b, p, msgs)
+            _message_keys(p, msgs)
         except MonitoringError as exc:
             reference = str(exc)
         else:
@@ -733,11 +733,37 @@ def test_a_failing_array_tick_steps_no_state():
     with pytest.raises(MonitoringError) as info:
         array_overseer_tick(beliefs, programs, msgs)
     with pytest.raises(MonitoringError) as reference:
-        evidence(beliefs["alpha3"], view, [bad])
+        _message_keys(view, [bad])
     assert str(info.value) == str(reference.value)
     for a, b in beliefs.items():
         assert (b.act, b.blk) == lists[a] and b.act is lists[a][0] and b.blk is lists[a][1]
         assert (b.act, b.blk) == values[a]
+
+
+def test_a_failing_array_tick_raises_for_the_first_agent_in_beliefs_order():
+    # two agents' messages name no plan, and the later agent's plan sorts
+    # first: each agent's inbox is keyed in ``beliefs`` order, so the tick
+    # raises the first agent's text, whatever the message or plan order,
+    # and steps no state
+    p = team_program(0)
+    view = p.single_agent_view()
+    h = p.team_hierarchy
+    agents = h.agent_names
+    beliefs = {a: init_beliefs(view) for a in agents}
+    programs = {a: view for a in agents}
+    for _ in range(5):
+        array_overseer_tick(beliefs, programs, [])
+    first, later = agents[0], agents[-1]
+    bad = ObservedMessage(5, first, h.agent_team(first), TERM, "z-no-such-plan")
+    msgs = [ObservedMessage(5, later, h.agent_team(later), TERM, "a-no-such-plan"), bad]
+    values = {a: b.value for a, b in beliefs.items()}
+    with pytest.raises(MonitoringError) as info:
+        array_overseer_tick(beliefs, programs, msgs)
+    with pytest.raises(MonitoringError) as reference:
+        _message_keys(view, [bad])
+    assert str(info.value) == str(reference.value)
+    assert "'z-no-such-plan'" in str(info.value)
+    assert all(b.value is values[a] for a, b in beliefs.items())
 
 
 def test_silent_agents_stay_identical(evac_mini):
@@ -851,7 +877,7 @@ def test_evidence_scratch_sums_to_one():
         names = sorted({p.node(x).name for x in p.node_ids})
         m = ObservedMessage(ticks, "solo", "SOLO", INIT, rng.choice(names))
         try:
-            scratch = evidence(b, p, [m])
+            scratch = evidence(b.blk, p, _message_keys(p, [m]))
         except MonitoringError:
             continue  # named the root: no in-transitions and no fallback base
         assert sum(scratch.values()) == pytest.approx(1.0, abs=1e-9)
@@ -867,7 +893,7 @@ def test_evidence_scratch_sums_to_one():
                                 rng.choice(names))
                 for a in rng.choices(h.agent_names, k=rng.randrange(1, 6))]
         sums: dict[str, float] = {}
-        for x, mass in evidence(b, p, msgs).items():
+        for x, mass in evidence(b.blk, p, _message_keys(p, msgs)).items():
             sums[p.owner_at[x]] = sums.get(p.owner_at[x], 0.0) + mass
         assert sums
         assert all(v == pytest.approx(1.0, abs=1e-9) for v in sums.values())

@@ -58,10 +58,17 @@ def _bits(b) -> bytes:
     return array("d", (*b.act, *b.blk)).tobytes()
 
 
+def _commit(b, p, m):
+    """The array layout's commit of one message with no memo:
+    ``evidence`` of its key, committed on fresh zero tables by
+    ``_commit_evidence``."""
+    b.act, b.blk = _commit_evidence(evidence(b.blk, p, _message_keys(p, [m])), p), list(p.zeros)
+
+
 def _reference_tick(rec, states: dict, msgs):
     """One tick of the array layout on list states, with no memo: each
-    routed message committed by ``evidence`` and ``_commit_evidence``, in
-    message order, and every other agent stepped by ``propagate_forward``."""
+    routed message committed by ``_commit`` in message order, and every
+    other agent stepped by ``propagate_forward``."""
     view, inbox = rec.view, {}
     for m in sorted(msgs, key=_message_order):
         for agent in rec.recipients(m):
@@ -69,7 +76,7 @@ def _reference_tick(rec, states: dict, msgs):
     for agent, b in states.items():
         if agent in inbox:
             for m in inbox[agent]:
-                _commit_evidence(b, evidence(b, view, [m]), view)
+                _commit(b, view, m)
         else:
             propagate_forward(b, view)
 
@@ -164,7 +171,7 @@ def _reference_yoyo_tick(p, b, msgs):
     if not msgs:
         propagate_forward(b, p)
         return
-    scratch = evidence(b, p, msgs)
+    scratch = evidence(b.blk, p, _message_keys(p, msgs))
     prior_active, prior_blocked = b.act, b.blk
     active = b.act = list(p.zeros)
     b.blk = list(p.zeros)
@@ -365,7 +372,7 @@ def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
                     _reference_yoyo_tick(q, expected, msgs)
                 else:
                     for m in sorted(msgs, key=_message_order):
-                        _commit_evidence(expected, evidence(expected, q, [m]), q)
+                        _commit(expected, q, m)
                 assert memo.misses[kind] == misses + fresh, (name, kind)
                 assert _bits(b) == _bits(expected), (name, kind)
                 assert b.value.live == held_leaves(q, expected), (name, kind)
@@ -424,7 +431,7 @@ def test_a_value_follows_only_the_links_of_the_memo_that_made_it(layout):
             _reference_yoyo_tick(prog, b, msgs)
         else:
             for m in sorted(msgs, key=_message_order):
-                _commit_evidence(b, evidence(b, prog, [m]), prog)
+                _commit(b, prog, m)
         return b
 
     def differs(step, prior, msgs) -> bool:
@@ -527,11 +534,11 @@ def test_message_keys_keep_no_team_read_from_the_sender():
     team = grown.team_hierarchy.agent_team(agent)
     for m in (ObservedMessage(3, agent, "NO-SUCH-TEAM", TERM, "phase-00"),
               ObservedMessage(3, agent, "", TERM, "phase-00")):
-        assert _message_keys(grown, [m]) == [(m, (TERM, "phase-00", team))]
+        assert _message_keys(grown, [m]) == ((TERM, "phase-00", team),)
         with pytest.raises(MonitoringError, match=f"unknown sender '{agent}'"):
             _message_keys(p, [m])
     m = ObservedMessage(3, agent, team, TERM, "phase-00")  # its own team: kept, and valid for p
-    assert _message_keys(grown, [m]) == _message_keys(p, [m]) == [(m, (TERM, "phase-00", team))]
+    assert _message_keys(grown, [m]) == _message_keys(p, [m]) == ((TERM, "phase-00", team),)
     assert p.compiled.memo.keys[(TERM, "phase-00", team)] == (TERM, "phase-00", team)
 
 
@@ -573,7 +580,7 @@ def _unrolled_commit(b, p, m):
     """``evidence`` of one message committed on fresh zero tables, written
     out apart from ``_commit_evidence``: each mass on its node, down its
     first-child groups, and onto every ancestor, in position order."""
-    scratch = evidence(b, p, [m])
+    scratch = evidence(b.blk, p, _message_keys(p, [m]))
     active = list(p.zeros)
     for x in sorted(scratch):
         active[x] += scratch[x]

@@ -501,7 +501,10 @@ def test_evidence_climb_rescales_at_each_team_boundary():
 
 def test_warm_tables_leave_equality_and_hash_alone():
     # derived tables are cached properties in the instance __dict__, outside
-    # the dataclass fields that equality, hashing and repr read
+    # the dataclass fields that equality, hashing and repr read; an empty
+    # memo makes the team queries compute, and so build ``leaves_by_team``,
+    # rather than follow links an earlier equal program left
+    _compile.cache_clear()
     warm = team_program(0)
     rec = make_recognizer(warm, "yoyo")
     rec.step([])
