@@ -44,7 +44,7 @@ Mass entering a node is copied into each of its first-child groups
 parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
 otherwise there is one group, and the step is the single-agent engine that
 the array layout runs once per agent.  It runs as the program's compiled
-kernel (``TeamOrientedProgram.forward``), one generated Python function
+kernel (``p.compiled.forward``), one generated Python function
 that steps copies of the prior lists, runs each shedding node's updates
 only when the node sheds a nonzero mass, tests each leaf's prior mass and
 returns the copies, capped at 1 in team mode.
@@ -56,12 +56,12 @@ shared layout's team query over the team's candidate leaves
 functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
-kernel keeps it so by construction (see ``TeamOrientedProgram.forward``),
+kernel keeps it so by construction (see ``compiled.forward_source``),
 and an evidence commit only adds non-negative shares of normalized masses.
 A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
-Only the shared (yoyo) layout clips, capping values at 1: a team-mode
-program's kernel caps what its quiet step returns, and
-``yoyo._clamp_entries`` what an evidence tick wrote.
+Only the shared (yoyo) layout clips, capping values at 1 by one rule: a
+team-mode program's kernel caps what its quiet step returns, and
+``yoyo._climb`` what an evidence tick commits.
 """
 
 from __future__ import annotations
@@ -104,18 +104,18 @@ class Value:
     live set and the steps memoized from it.
 
     ``memo`` is the ``compiled.StepMemo`` that made the value, or None for
-    one built outside it (``BeliefState``'s constructor and setters, and a
-    commit's lists).  Only a memo's own values, whose tables are tuples,
-    carry a live set (any other holds ``()``) and hold links.  ``live`` is
-    exactly the leaves that hold mass: the positions, ascending, of the
-    leaves whose ``act`` or ``blk`` entry is nonzero.  The memo computes
-    it once, when it makes the value (``compiled.StepMemo.make``).  A
-    message resets a belief to a point mass or a few, so the set stays
-    short, and a query reads only those leaves.  Every step and query of a
-    program runs from a value of its memo: it first adopts any other value
-    a state holds (``adopt``), replacing it with the memo's value of equal
-    bits, so a step from an equal value is the same link.  A link is the
-    value a step gives, or the answer a query gives:
+    one built outside it (``BeliefState``'s constructor and setters).  Only
+    a memo's own values, whose tables are tuples, carry a live set (any
+    other holds ``()``) and hold links.  ``live`` is exactly the leaves that
+    hold mass: the positions, ascending, of the leaves whose ``act`` or
+    ``blk`` entry is nonzero.  The memo computes it once, when it makes the
+    value (``compiled.StepMemo.make``).  A message resets a belief to a
+    point mass or a few, so the set stays short, and a query reads only
+    those leaves.  Every step and query of a program runs from a value of
+    its memo: it first adopts any other value a state holds (``adopt``),
+    replacing it with the memo's value of equal bits, so a step from an
+    equal value is the same link.  A link is the value a step gives, or the
+    answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
     - ``commits``: per commit key (``_message_keys``), the value after it;
@@ -408,11 +408,11 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
     team-mode program the linear step is then capped at 1, entry by entry.
 
     A step taken before from the same value is its ``quiet`` link
-    (``Value``).  Any other is computed by ``p.forward`` and linked; it
-    needs no interning, as its source is already one value.  The counter
-    takes one visit per node of p and state, the nodes a step covers,
-    whether the step is linked or computed and whatever tests the kernel
-    runs.
+    (``Value``).  Any other is computed by ``p.compiled.forward`` and
+    linked; it needs no interning, as its source is already one value.  The
+    counter takes one visit per node of p and state, the nodes a step
+    covers, whether the step is linked or computed and whatever tests the
+    kernel runs.
     """
     if counter is not None:
         counter.visits += len(p.postorder) * len(states)
@@ -504,8 +504,9 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
     widen that, e.g. to the sending team under a coherence assumption.
     ``beliefs`` maps agent name to state, and each state is stepped in
     place; ``programs`` maps agent name to that agent's plan view.  Every
-    message is routed and checked before any state is stepped, so a tick
-    that raises leaves every state as it was.
+    message is routed and checked, and every agent's program found, before
+    any state is stepped, so a tick that raises leaves every state as it
+    was.
 
     Every other agent's state takes ``quiet_step``, with the agents that
     share its program, so the counter takes every node of the program per
@@ -519,18 +520,26 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
                 raise MonitoringError(
                     f"message at tick {m.tick} routed to unknown agent '{agent}'")
             inbox.setdefault(agent, []).append(m)
-    keyed = {agent: _message_keys(programs[agent], inbox[agent])
-             for agent in beliefs if agent in inbox} if inbox else {}
-    quiet, last = [], None  # runs of agents that share a program, stepped together
+    # in step order, commits (p, state, keys) and runs of quiet agents that
+    # share a program, stepped together (p, states, None)
+    steps, quiet, last = [], [], None
     for agent, b in beliefs.items():
-        p = programs[agent]
-        if agent in keyed:
-            _commit_messages(b, p, keyed[agent])
+        try:
+            p = programs[agent]
+        except KeyError:
+            raise MonitoringError(f"no program for agent '{agent}'") from None
+        if agent in inbox:
+            steps.append((p, b, _message_keys(p, inbox[agent])))
             continue
         if p is not last and quiet:
-            quiet_step(last, quiet, counter)
+            steps.append((last, quiet, None))
             quiet = []
         last = p
         quiet.append(b)
     if quiet:
-        quiet_step(last, quiet, counter)
+        steps.append((last, quiet, None))
+    for p, states, keys in steps:
+        if keys is None:
+            quiet_step(p, states, counter)
+        else:
+            _commit_messages(states, p, keys)

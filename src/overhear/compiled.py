@@ -11,11 +11,12 @@ generates no source.  A source stays in ``linecache`` only while its
 function is cached.
 
 ``_compile`` gives ``CompiledProgram``, ``TeamOrientedProgram.compiled``.
-It holds the forward (quiet) step, ``TeamOrientedProgram.forward``, whose
-function steps list copies and tests each leaf's prior mass, so a sparse
-belief runs few updates, and in team mode caps what it returns.  It also
-holds the step memo (``StepMemo``) of both layouts, whose belief values
-(``belief.Value``) are shared immutable tuples that hold their own steps.
+It holds the forward (quiet) step, ``forward``, whose function
+(``forward_source``) steps list copies and tests each leaf's prior mass,
+so a sparse belief runs few updates, and in team mode caps what it
+returns.  It also holds the step memo (``StepMemo``) of both layouts,
+whose belief values (``belief.Value``) are shared immutable tuples that
+hold their own steps.
 Every most-likely query runs ``belief.pick_leaf``, interpreted, on a memo
 miss.
 
@@ -83,11 +84,62 @@ def _descend(groups_at, y: int, rho: str, depth: int, body: list[str]):
 
 
 def forward_source(p: TeamOrientedProgram) -> str:
-    """The source of ``p.forward``'s function, generated from p's fields.
+    """The source of ``p.compiled.forward``, the forward step as one
+    function of the prior (active, blocked) lists, generated from p's fields.
 
-    The function has the one shape ``TeamOrientedProgram.forward``
-    describes: a length check, list copies, one guarded block per shedding
-    node in postorder, the floors, and in team mode the cap.
+    Both are belief tables, indexed by node position.  It returns new
+    lists and leaves its arguments as they are; a table of the wrong
+    length raises ``ValueError``.  The function computes ``o<i>``, the
+    mass node i sheds: a leaf's is its prior active mass times its
+    hazard, and an internal node's is a sum that starts at 0.0 and only
+    grows by ``+=``.  The generator walks the program in postorder and
+    writes one block per shedding node, guarded so that a node that
+    sheds nothing costs one test.  The team executing a node takes all
+    of its edges, so the node's shed mass goes along each of them, and a
+    TERMINATE edge divides it among the parent's groups.  Every float
+    operation is the one the step has always made, in the same order, so
+    exact ties between leaves break as they always have.
+
+    The kernel has one shape in both modes.  It checks both lengths,
+    copies the tables (``act = list(A)``, ``blk = list(B)``) and guards
+    each leaf's block by its prior mass, ``if x := A[i]:``, computing
+    ``o<i> = x * rate`` inside, so a leaf with no mass costs one test
+    and a leaf's shed never reads a copy an earlier block wrote.  An
+    internal node's block is guarded by ``if o<i>:``.  A block updates
+    ``act[x]`` and ``blk[x]`` in place, and the floors below are
+    statements after the last block.  The shape pays off on sparse
+    beliefs, which a message resets to a point mass.  A team-mode
+    kernel, the shared layout's quiet tick, ends by capping both lists
+    at 1, entry by entry: ``if max(act) > 1.0: act = [1.0 if v > 1.0
+    else v for v in act]``, and the same for ``blk``, the rule that also
+    ends the shared layout's evidence tick (``yoyo._climb``).  A team-mode
+    kernel that unpacks both tables into locals and returns capped list
+    displays runs faster, but the step memo runs a kernel only on a
+    miss, so one shape serves both modes and the generator holds one
+    branch on ``team_mode``.
+
+    Skipping is exact.  No state value is ever -0.0, and every shed mass
+    is a sum of products of non-negative values, so a skipped block would
+    only have added, subtracted or scaled an exact 0.0, which changes no
+    bit, and a block that runs on a leaf whose shed rounds to 0.0 does
+    only that; likewise a shed sum that starts at 0.0 equals one that
+    starts at its first term.  Updates that are always zero are not
+    written at all: nodes with ``eta <= 0``, edges with a factor of
+    exactly 0, and nodes that never shed (a leaf with hazard 0, an
+    internal node no TERMINATE edge feeds).  Factors of exactly 1 and
+    splits into one share are not written either, as they change no
+    bit.  Every inlined constant is finite, so ``repr`` writes it
+    exactly.
+
+    Mass stays at or above zero exactly, with no pass over the state.  A
+    leaf sheds at most its own prior mass, and a node's blocked share
+    ``keep = 1 - eta`` is taken as 0 when it rounds below 0.  Only
+    an internal node that sheds can round below zero: the sum of its
+    children's TERMINATE flows may exceed its active mass by an ulp.  So
+    such a node's active mass is floored at 0.0 after every block has
+    read it, ``if act[i] < 0.0: act[i] = 0.0``, before any cap.  The
+    single-agent view's kernel does not cap; rounding may leave one of
+    its values an ulp above 1, and it is left as it is.
     """
     n, groups_at = p.index, p.groups_at
     shed: list[str] = []  # each internal o<i> set before any block runs
@@ -236,11 +288,10 @@ class CompiledProgram:
     """What every program with one set of fields compiles to:
     ``TeamOrientedProgram.compiled``.
 
-    ``forward`` is the forward step, ``forward_source``'s function (see
-    ``TeamOrientedProgram.forward``), and ``memo`` is the step memo
-    (``StepMemo``) of both layouts.  Every entry the object stores is a
-    function of the fields and its key, so threads that fill one entry at
-    once store equal values.
+    ``forward`` is the forward step, ``forward_source``'s function, and
+    ``memo`` is the step memo (``StepMemo``) of both layouts.  Every entry
+    the object stores is a function of the fields and its key, so threads
+    that fill one entry at once store equal values.
     """
 
     __slots__ = ("forward", "memo")

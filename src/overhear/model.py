@@ -28,9 +28,9 @@ team's open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``,
 and each node's normalizing unit, ``unit_at``); the shared layout's climb
 (``evidence_climbs``, which holds the walk of every rescale it runs); and
 the compiled object of the program's fields (``compiled``): the forward
-step (``forward``), one generated function that steps list copies and
-returns them, and the step memo of both layouts.  They are built on first
-use, so loading a program pays for none of them.  Node ids remain only at
+step (``compiled.forward``), one generated function that steps list
+copies and returns them, and the step memo of both layouts.  They are
+built on first use, so loading a program pays for none of them.  Node ids remain only at
 the document boundary: ``node_ids`` and ``index`` map between ids and
 positions, ``node(id)`` reads a plan record, and the transition records
 (``out_at``) name their plans by id.  A query answers with a leaf's position, and ``path_names``
@@ -448,71 +448,6 @@ class TeamOrientedProgram:
         from .compiled import _compile  # which imports this module
         return _compile(self.plans, self.transitions, self.root,
                         self.team_hierarchy.teams, self.team_mode)[0]
-
-    @cached_property
-    def forward(self):
-        """The forward step as one function of the prior (active, blocked) lists.
-
-        Both are belief tables, indexed by node position.  It returns new
-        lists and leaves its arguments as they are; a table of the wrong
-        length raises ``ValueError``.  The function computes ``o<i>``, the
-        mass node i sheds: a leaf's is its prior active mass times its
-        hazard, and an internal node's is a sum that starts at 0.0 and only
-        grows by ``+=``.  The generator walks the program in postorder and
-        writes one block per shedding node, guarded so that a node that
-        sheds nothing costs one test.  The team executing a node takes all
-        of its edges, so the node's shed mass goes along each of them, and a
-        TERMINATE edge divides it among the parent's groups.  Every float
-        operation is the one the step has always made, in the same order, so
-        exact ties between leaves break as they always have.
-
-        The kernel has one shape in both modes.  It checks both lengths,
-        copies the tables (``act = list(A)``, ``blk = list(B)``) and guards
-        each leaf's block by its prior mass, ``if x := A[i]:``, computing
-        ``o<i> = x * rate`` inside, so a leaf with no mass costs one test
-        and a leaf's shed never reads a copy an earlier block wrote.  An
-        internal node's block is guarded by ``if o<i>:``.  A block updates
-        ``act[x]`` and ``blk[x]`` in place, and the floors below are
-        statements after the last block.  The shape pays off on sparse
-        beliefs, which a message resets to a point mass.  A team-mode
-        kernel, the shared layout's quiet tick, ends by capping both lists
-        at 1, entry by entry: ``if max(act) > 1.0: act = [1.0 if v > 1.0
-        else v for v in act]``, and the same for ``blk``.  A team-mode
-        kernel that unpacks both tables into locals and returns capped list
-        displays runs faster, but the step memo runs a kernel only on a
-        miss, so one shape serves both modes and the generator holds one
-        branch on ``team_mode``.
-
-        Skipping is exact.  No state value is ever -0.0, and every shed mass
-        is a sum of products of non-negative values, so a skipped block would
-        only have added, subtracted or scaled an exact 0.0, which changes no
-        bit, and a block that runs on a leaf whose shed rounds to 0.0 does
-        only that; likewise a shed sum that starts at 0.0 equals one that
-        starts at its first term.  Updates that are always zero are not
-        written at all: nodes with ``eta <= 0``, edges with a factor of
-        exactly 0, and nodes that never shed (a leaf with hazard 0, an
-        internal node no TERMINATE edge feeds).  Factors of exactly 1 and
-        splits into one share are not written either, as they change no
-        bit.  Every inlined constant is finite, so ``repr`` writes it
-        exactly.
-
-        Mass stays at or above zero exactly, with no pass over the state.  A
-        leaf sheds at most its own prior mass, and a node's blocked share
-        ``keep = 1 - eta`` is taken as 0 when it rounds below 0.  Only
-        an internal node that sheds can round below zero: the sum of its
-        children's TERMINATE flows may exceed its active mass by an ulp.  So
-        such a node's active mass is floored at 0.0 after every block has
-        read it, ``if act[i] < 0.0: act[i] = 0.0``, before any cap.  The
-        single-agent view's kernel does not cap; rounding may leave one of
-        its values an ulp above 1, and it is left as it is.
-
-        ``compiled._compile`` generates the source
-        (``compiled.forward_source``) only for fields not in its cache, and
-        keeps it in ``linecache`` while its kernel is cached, for
-        tracebacks, profilers and ``inspect.getsource``.  This is
-        ``self.compiled.forward``, kept on the program for its callers.
-        """
-        return self.compiled.forward
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

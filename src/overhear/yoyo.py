@@ -28,34 +28,23 @@ into a parent owned by another team rescales the parent's subtrees that
 the node's owner does not execute itself, however many team levels lie
 between the two owners.
 
-This is the one layout that clips.  The evidence climb and the rescale do
-not conserve mass and can push a value above 1, so each such value is
-silently set to 1: on a quiet tick by the team-mode forward kernel itself,
-which caps every entry it returns (``TeamOrientedProgram.forward``), and
-on an evidence tick by ``_clamp_entries``, over the entries the tick
-wrote, at its end.  No value is ever below 0, so neither has a lower
-bound to enforce: the forward step keeps non-negative mass non-negative
-(its kernel floors the one place rounding could break that), and an
-evidence tick only adds, multiplies, divides and takes the max of
-non-negative values.  Capping only the written entries is exact.  An
-evidence tick builds its state on fresh zero tables and adds every entry
-it writes to its ``updated`` set, so every other entry is an exact 0.0,
-which a cap leaves as it is.  Every value a tick leaves is in [0, 1].
+This is the one layout that clips, and it caps at 1 by one rule in two
+places: the team-mode forward kernel, on a quiet tick, and ``_climb``, on
+an evidence tick, each end with ``if max(t) > 1.0: t = [1.0 if v > 1.0
+else v for v in t]`` over both tables (``compiled.forward_source``).  The
+evidence climb and the rescale do not conserve mass and can push a value
+above 1, which the cap silently sets to 1.  No value is ever below 0, so
+neither has a lower bound to enforce: the forward step keeps non-negative
+mass non-negative (its kernel floors the one place rounding could break
+that), and an evidence tick only adds, multiplies, divides and takes the
+max of non-negative values.  Every value a tick leaves is in [0, 1].
 """
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, Value, VisitCounter, _message_keys, adopt,
+from .belief import (BeliefState, MonitoringError, VisitCounter, _message_keys, adopt,
                      evidence, init_beliefs, pick_leaf, propagate_down, quiet_step)
 from .model import TeamOrientedProgram
-
-
-def _clamp_entries(state: BeliefState, keys):
-    """Cap the values at the positions ``keys`` names at 1."""
-    for table in (state.act, state.blk):
-        for i in keys:
-            if table[i] > 1.0:
-                table[i] = 1.0
 
 
 def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
@@ -63,16 +52,16 @@ def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     return init_beliefs(p)
 
 
-def _rescale(walk, b: BeliefState, prior_active: list[float], prior_blocked: list[float],
+def _rescale(walk, active: list[float], blocked: list[float], prior_active, prior_blocked,
              updated: set[int]):
-    """Rescale the subtrees a climb's ``walk`` visits to their parents' new belief.
+    """Rescale the subtrees a climb's ``walk`` visits, in the tables
+    ``active`` and ``blocked``, to their parents' new belief.
 
-    ``prior_active`` and ``prior_blocked`` are the lists the tick started
+    ``prior_active`` and ``prior_blocked`` are the tables the tick started
     from.  Each visited node keeps its prior share of its parent's prior
     active mass, reapplied to the parent's new mass, parents before their
     children; a node already in ``updated`` is left as the evidence set it.
     """
-    active, blocked = b.act, b.blk
     for y, par, split in walk:
         if y in updated:
             continue
@@ -88,6 +77,37 @@ def _rescale(walk, b: BeliefState, prior_active: list[float], prior_blocked: lis
         updated.add(y)
 
 
+def _climb(scratch: dict[int, float], prior, p: TeamOrientedProgram) -> tuple[list, list]:
+    """The tables ``(act, blk)`` of a tick's evidence, ``scratch``
+    (``belief.evidence``), committed against ``prior``, the value the tick
+    started from: the shared layout's commit, as ``belief._commit_evidence``
+    is the array layout's.  It writes no state.
+
+    Each mass is set on fresh zero tables, propagates down its subtree and
+    climbs toward the root along ``evidence_climbs``, each step raising the
+    parent to at least the child's mass.  Where the climb steps into a plan
+    another team owns, ``_rescale`` brings the other teams' subtrees to the
+    parent's new mass by their shares in ``prior``.  Both tables end with
+    the team-mode kernel's cap at 1 (``compiled.forward_source``).
+    """
+    active, blocked = list(p.zeros), list(p.zeros)
+    updated: set[int] = set()
+    for x in sorted(scratch):
+        active[x] = max(active[x], scratch[x])
+        updated.add(x)
+        propagate_down(x, active[x], active, p, updated)
+        for node, par, walk in p.evidence_climbs[x]:
+            active[par] = max(active[par], active[node])
+            updated.add(par)
+            if walk:
+                _rescale(walk, active, blocked, prior.act, prior.blk, updated)
+    if max(active) > 1.0:
+        active = [1.0 if v > 1.0 else v for v in active]
+    if max(blocked) > 1.0:
+        blocked = [1.0 if v > 1.0 else v for v in blocked]
+    return active, blocked
+
+
 def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
@@ -95,16 +115,12 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     With no messages this is ``belief.quiet_step``, the quiet step of both
     layouts, whose team-mode kernels cap every value at 1.
     Otherwise the tick's messages are one observation (``belief.evidence``),
-    committed at once on fresh lists: each mass propagates down its subtree, climbs toward the root,
-    and triggers a cross-team rescale whenever the climb steps into a plan
-    another team owns.  The climb's steps, and where it rescales, are the
-    program's ``evidence_climbs``; each step raises the parent to at least
-    the child's mass.  The tick then clamps only the entries it wrote.
+    committed at once by ``_climb``.
 
     An evidence tick taken before from the same value with the same keys
     (``belief._message_keys``) is a link of the value's ``commits``
-    (``belief.Value``).  Any other is computed as above, and its result
-    interned in ``p.compiled.memo`` and linked.
+    (``belief.Value``).  Any other is computed by ``_climb``, and its
+    result interned in ``p.compiled.memo`` and linked.
     """
     if not msgs:
         quiet_step(p, (b,), counter)
@@ -118,23 +134,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     if after is not None:
         b.value = after
         return
-    prior_active, prior_blocked = prior.act, prior.blk
-    scratch = evidence(prior_blocked, p, signature)
-    b.value = Value(list(p.zeros), list(p.zeros))  # the lists the tick writes
-    active = b.act
-    updated: set[int] = set()
-    climbs = p.evidence_climbs
-    for x in sorted(scratch):
-        active[x] = max(active[x], scratch[x])
-        updated.add(x)
-        propagate_down(x, active[x], active, p, updated)
-        for node, par, walk in climbs[x]:
-            active[par] = max(active[par], active[node])
-            updated.add(par)
-            if walk:
-                _rescale(walk, b, prior_active, prior_blocked, updated)
-    _clamp_entries(b, updated)
-    after = b.value = memo.intern(active, b.blk)
+    after = b.value = memo.intern(*_climb(evidence(prior.blk, p, signature), prior, p))
     memo.link("commit", prior)
     prior.commits = {**prior.commits, signature: after}
 

@@ -41,10 +41,10 @@ def propagate_forward(b: BeliefState, p):
     """Advance b one tick with no observation, in place, with no memo: the
     memo-free reference that ``belief.quiet_step`` follows bit for bit.
 
-    The step is p's compiled kernel (``TeamOrientedProgram.forward``), and
+    The step is p's compiled kernel (``p.compiled.forward``), and
     b keeps the lists it returns.
     """
-    b.value = Value(*p.forward(b.act, b.blk))
+    b.value = Value(*p.compiled.forward(b.act, b.blk))
 
 
 @pytest.fixture

@@ -766,6 +766,22 @@ def test_a_failing_array_tick_raises_for_the_first_agent_in_beliefs_order():
     assert all(b.value is values[a] for a, b in beliefs.items())
 
 
+@pytest.mark.parametrize("missing", ["escort2", "escort1"], ids=["quiet", "messaged"])
+def test_an_array_tick_with_an_agent_missing_from_programs_steps_no_state(evac_mini, missing):
+    # escort1 sends and sorts before escort2: whether the agent with no
+    # program is the quiet one or the sender, the tick raises naming it
+    # before escort1 takes its message or any state steps
+    view = evac_mini.single_agent_view()
+    agents = sorted(evac_mini.team_hierarchy.agent_names)
+    beliefs = {a: init_beliefs(view) for a in agents}
+    programs = {a: view for a in agents if a != missing}
+    values = {a: b.value for a, b in beliefs.items()}
+    msg = ObservedMessage(0, "escort1", "ESCORT", TERM, "process-orders")
+    with pytest.raises(MonitoringError, match=f"no program for agent '{missing}'"):
+        array_overseer_tick(beliefs, programs, [msg])
+    assert all(b.value is values[a] for a, b in beliefs.items())
+
+
 def test_silent_agents_stay_identical(evac_mini):
     view = evac_mini.single_agent_view()
     agents = sorted(evac_mini.team_hierarchy.agent_names)
@@ -799,7 +815,7 @@ def test_forward_leaves_its_arguments_alone(seed, view):
         propagate_forward(b, p)
     A, B = b.act, b.blk
     values = list(A), list(B)
-    NA, NB = p.forward(A, B)
+    NA, NB = p.compiled.forward(A, B)
     assert NA is not A and NB is not B
     assert (list(A), list(B)) == values
     assert all(v is w for table, before in zip((A, B), values)
@@ -808,11 +824,11 @@ def test_forward_leaves_its_arguments_alone(seed, view):
     zeros = list(p.zeros)
     ones = [1.0] * len(p.node_ids)
     for state in ((zeros, zeros), (zeros, ones)):  # all-zero, then all-blocked
-        assert p.forward(*state) == state
+        assert p.compiled.forward(*state) == state
 
 
 def _reference_forward(p, active: list, blocked: list) -> tuple[list, list]:
-    """``p.forward``, interpreted node by node with no generated code.
+    """``p.compiled.forward``, interpreted node by node with no generated code.
 
     Each leaf sheds its prior active mass times its hazard.  In postorder,
     a node whose shed is nonzero sends it along every edge out, scaled by
@@ -861,7 +877,7 @@ def test_forward_matches_the_reference_step(corpus):
             for kind in TABLE_KINDS:
                 for _ in range(KERNEL_STATES):
                     A, B = digest_table(rng, kind, size), digest_table(rng, kind, size)
-                    got, want = q.forward(A, B), _reference_forward(q, A, B)
+                    got, want = q.compiled.forward(A, B), _reference_forward(q, A, B)
                     assert ([list(map(float.hex, t)) for t in got]
                             == [list(map(float.hex, t)) for t in want]), (prog, kind)
 

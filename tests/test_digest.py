@@ -343,7 +343,7 @@ def kernel_digest() -> str:
                 size = len(q.node_ids)
                 for kind in TABLE_KINDS:
                     for _ in range(KERNEL_STATES):
-                        active, blocked = q.forward(digest_table(rng, kind, size),
+                        active, blocked = q.compiled.forward(digest_table(rng, kind, size),
                                                     digest_table(rng, kind, size))
                         h.update(f"{corpus}/{prog}/{view}/{kind}\n".encode())
                         h.update(" ".join(map(float.hex, [*active, *blocked])).encode())
@@ -365,7 +365,7 @@ def tables_digest() -> str:
     for prog, p in enumerate(table_programs()):
         for view, q in enumerate((p, p.single_agent_view())):
             h.update(f"{prog}/{view}\n".encode())
-            h.update(inspect.getsource(q.forward).encode())
+            h.update(inspect.getsource(q.compiled.forward).encode())
             for table in (q.groups_at, q.evidence_climbs, q.team_edges, q.ancestors_at,
                           q.name_paths_at, q.leaves_by_team, q.named_index):
                 h.update(repr(table).encode())

@@ -238,16 +238,16 @@ def test_shared_belief_stays_in_bounds_without_negative_zero(p, ticks):
                 assert 0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0, (t, x, v)
 
 
-def _checked(step, reached: list, states=lambda state, *args: (state,)):
-    """``step``, then asserting that no value of the states it leaves is
-    negative; ``states`` picks them from the step's arguments."""
+def _checked(step, reached: list, tables):
+    """``step``, then asserting that no value of the tables it leaves is
+    negative; ``tables`` picks them from the step's result and arguments."""
     def checked(*args):
-        step(*args)
-        for state in states(*args):
-            for table in (state.act, state.blk):
-                for x, v in enumerate(table):
-                    assert v >= 0.0, (step.__name__, x, v)
+        result = step(*args)
+        for table in tables(result, *args):
+            for x, v in enumerate(table):
+                assert v >= 0.0, (step.__name__, x, v)
         reached.append(step.__name__)
+        return result
     return checked
 
 
@@ -256,15 +256,18 @@ def _checked(step, reached: list, states=lambda state, *args: (state,)):
 def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
     # both clips only cap at 1, which is exact only if nothing below 0 reaches
     # them; a cap moves no value below 1, so check what each capped step
-    # leaves.  The step memo is cleared before every tick, so each tick is
-    # computed and reaches its clip rather than following a linked step.
+    # leaves: the states a quiet step steps, and the tables an evidence
+    # tick's commit (``_climb``) returns.  The step memo is cleared before
+    # every tick, so each tick is computed and reaches its clip rather than
+    # following a linked step.
     names = sorted({n.name for n in p.plans})
     agents = p.team_hierarchy.agents
     reached: list[str] = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(yoyo, "quiet_step", _checked(yoyo.quiet_step, reached,
-                                                lambda p, states, *args: states))
-        mp.setattr(yoyo, "_clamp_entries", _checked(yoyo._clamp_entries, reached))
+        mp.setattr(yoyo, "quiet_step", _checked(
+            yoyo.quiet_step, reached,
+            lambda result, p, states, *args: [t for b in states for t in (b.act, b.blk)]))
+        mp.setattr(yoyo, "_climb", _checked(yoyo._climb, reached, lambda result, *args: result))
         b = init_beliefs(p)
         for t, msgs in enumerate(ticks, 1):
             heard = [ObservedMessage(t, *agents[i % len(agents)], kind, names[j % len(names)])
@@ -281,9 +284,9 @@ def test_only_the_team_mode_kernel_caps_at_one(p, rng):
     # view's stays linear, so doubling its input doubles its output exactly
     size = len(p.node_ids)
     active, blocked = ([1.0 + rng.random() for _ in range(size)] for _ in range(2))
-    team_active, team_blocked = p.forward(active, blocked)
+    team_active, team_blocked = p.compiled.forward(active, blocked)
     assert max(team_active + team_blocked) == 1.0
-    view = p.single_agent_view().forward
+    view = p.single_agent_view().compiled.forward
     view_active, view_blocked = view(active, blocked)
     assert max(view_active + view_blocked) > 1.0
     doubled = view([2.0 * v for v in active], [2.0 * v for v in blocked])

@@ -35,7 +35,7 @@ from overhear.progen import grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
-from overhear.yoyo import _clamp_entries, _rescale, team_most_likely, yoyo_tick
+from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
 from conftest import _reference_pick, held_leaves, propagate_forward
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
@@ -167,14 +167,14 @@ def test_a_replayed_log_steps_from_the_memo():
 def _reference_yoyo_tick(p, b, msgs):
     """One tick of the shared layout on a list state, with no memo:
     ``propagate_forward``, or the interpreted ``evidence`` committed on fresh
-    lists, climbed and rescaled, then clamped where it wrote."""
+    lists, climbed and rescaled, then capped at 1 only where it wrote, so
+    the engine's cap of every entry must give the same bits."""
     if not msgs:
         propagate_forward(b, p)
         return
     scratch = evidence(b.blk, p, _message_keys(p, msgs))
     prior_active, prior_blocked = b.act, b.blk
-    active = b.act = list(p.zeros)
-    b.blk = list(p.zeros)
+    active, blocked = list(p.zeros), list(p.zeros)
     updated: set[int] = set()
     for x in sorted(scratch):
         active[x] = max(active[x], scratch[x])
@@ -184,8 +184,12 @@ def _reference_yoyo_tick(p, b, msgs):
             active[par] = max(active[par], active[node])
             updated.add(par)
             if walk:
-                _rescale(walk, b, prior_active, prior_blocked, updated)
-    _clamp_entries(b, updated)
+                _rescale(walk, active, blocked, prior_active, prior_blocked, updated)
+    for table in (active, blocked):
+        for i in updated:
+            if table[i] > 1.0:
+                table[i] = 1.0
+    b.act, b.blk = active, blocked
 
 
 @pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
@@ -514,7 +518,7 @@ def test_the_intern_table_is_shared_by_fields_and_bounded(monkeypatch):
     assert team_program(0).single_agent_view().compiled.memo is view.compiled.memo
     assert team_program(0).compiled.memo is not view.compiled.memo
     monkeypatch.setattr(compiled, "MEMO_STATES", 3)
-    memo = compiled.CompiledProgram(view, view.forward).memo
+    memo = compiled.CompiledProgram(view, view.compiled.forward).memo
     for x in view.leaf_index[:7]:
         act = list(view.zeros)
         act[x] = 1.0

@@ -522,15 +522,16 @@ def test_forward_source_is_registered():
     p = team_program(0)
     view = p.single_agent_view()
     for q in (p, view):
-        assert inspect.getsource(q.forward).startswith("def forward(A, B):\n")
-    assert inspect.getsource(p.forward) != inspect.getsource(view.forward)
+        assert inspect.getsource(q.compiled.forward).startswith("def forward(A, B):\n")
+    assert inspect.getsource(p.compiled.forward) != inspect.getsource(view.compiled.forward)
     # one name per source: an equal program's kernel shares it
-    assert (team_program(0).forward.__code__.co_filename
-            == p.forward.__code__.co_filename != view.forward.__code__.co_filename)
+    name = team_program(0).compiled.forward.__code__.co_filename
+    assert name == p.compiled.forward.__code__.co_filename
+    assert name != view.compiled.forward.__code__.co_filename
     # and so does the function itself, compiled once per process
     text = serialize_program(p)
-    assert (load_program(text, team_mode=True).forward
-            is load_program(text, team_mode=True).forward is p.forward)
+    assert (load_program(text, team_mode=True).compiled.forward
+            is load_program(text, team_mode=True).compiled.forward is p.compiled.forward)
     # a wrong-length table, either one, fails in both kernels' length check,
     # which the traceback shows from the registered source
     check = "raise ValueError(f'forward step of 40 nodes"
@@ -538,7 +539,7 @@ def test_forward_source_is_registered():
         for table in ([], [0.0] * (len(q.node_ids) + 1)):
             for args in ((table, table), (list(q.zeros), table)):
                 with pytest.raises(ValueError) as info:
-                    q.forward(*args)
+                    q.compiled.forward(*args)
                 assert check in "".join(traceback.format_tb(info.value.__traceback__))
 
 
@@ -551,7 +552,7 @@ def test_only_the_team_kernel_caps_and_it_caps_every_entry():
         assert source.count("if max(") == (2 if q.team_mode else 0)
         unwritten = set(range(size)).difference(map(int, re.findall(r"blk\[(\d+)\]", source)))
         assert unwritten
-        act, blk = q.forward([1.5] * size, [2.0] * size)
+        act, blk = q.compiled.forward([1.5] * size, [2.0] * size)
         if q.team_mode:
             assert max(act) == max(blk) == 1.0
             assert all(blk[i] == 1.0 for i in unwritten)
@@ -567,7 +568,7 @@ def test_forward_is_shared_only_by_equal_sources():
                 apply_comm_model(p, CommModel(frozenset({(announced, INIT)}), 0.9))]
     # the view compares equal to the program, yet steps differently
     assert variants[0] == p
-    kernels = [p.forward, *(q.forward for q in variants)]
+    kernels = [p.compiled.forward, *(q.compiled.forward for q in variants)]
     assert len({id(f) for f in kernels}) == len(kernels)
     assert len({inspect.getsource(f) for f in kernels}) == len(kernels)
 
@@ -575,12 +576,12 @@ def test_forward_is_shared_only_by_equal_sources():
 def test_forward_cache_is_bounded():
     size = _compile.cache_info().maxsize
     p = team_program(0)
-    first = p.forward
+    first = p.compiled.forward
     # size distinct kernels, each one flat message probability
     for k in range(size):
-        flatten_mu(p, (k + 1) / (size + 2)).forward
+        flatten_mu(p, (k + 1) / (size + 2)).compiled.forward
     before = _compile.cache_info().misses
-    again = team_program(0).forward
+    again = team_program(0).compiled.forward
     assert _compile.cache_info().misses == before + 1
     assert again is not first and inspect.getsource(again) == forward_source(p)
     # the evicted kernel's source left linecache with it
@@ -592,11 +593,11 @@ def test_forward_sources_leave_linecache_with_their_kernels():
     p = team_program(0)
     mus = [(k + 1) / (size + 12) for k in range(size + 10)]
     for mu in mus:
-        flatten_mu(p, mu).forward
+        flatten_mu(p, mu).compiled.forward
     sources = [name for name in linecache.cache if name.startswith("<forward step ")]
     assert len(sources) == size == _compile.cache_info().currsize
     # the last kernel compiled is still cached, and so is its source
-    last = flatten_mu(p, mus[-1]).forward
+    last = flatten_mu(p, mus[-1]).compiled.forward
     assert inspect.getsource(last).startswith("def forward(A, B):\n")
 
 
@@ -606,12 +607,12 @@ def test_kernels_of_one_source_keep_their_own_source():
     _compile.cache_clear()
     p = team_program(0)
     renamed = replace(p, plans=tuple(replace(n, name=f"{n.name}-x") for n in p.plans))
-    kept, dropped = p.forward, renamed.forward
+    kept, dropped = p.compiled.forward, renamed.compiled.forward
     assert kept is not dropped and inspect.getsource(kept) == inspect.getsource(dropped)
     size = _compile.cache_info().maxsize
-    assert team_program(0).forward is kept  # now the most recently used
+    assert team_program(0).compiled.forward is kept  # now the most recently used
     for k in range(size - 1):
-        flatten_mu(p, (k + 1) / (size + 3)).forward
+        flatten_mu(p, (k + 1) / (size + 3)).compiled.forward
     assert dropped.__code__.co_filename not in linecache.cache
     assert inspect.getsource(kept).startswith("def forward(A, B):\n")
 
@@ -623,7 +624,7 @@ def test_a_kernel_never_takes_the_source_name_of_one_evicted():
     names = []
     for k in range(100):
         _compile.cache_clear()
-        names.append(flatten_mu(p, (k + 1) / 102).forward.__code__.co_filename)
+        names.append(flatten_mu(p, (k + 1) / 102).compiled.forward.__code__.co_filename)
     assert len(set(names)) == len(names)
 
 
@@ -652,10 +653,10 @@ def test_forward_kernel_is_keyed_on_the_fields_it_reads(family):
     # each program in a family may find its kernel cached under the key of
     # one before it; the kernel must still be the one its own fields generate
     for q in _KERNEL_FAMILIES[family]():
-        assert inspect.getsource(q.forward) == forward_source(q)
+        assert inspect.getsource(q.compiled.forward) == forward_source(q)
         # a copy by replace is the program a fresh load builds, tables and kernel
         fresh = load_program(serialize_program(q), team_mode=q.team_mode)
-        assert fresh == q and fresh.forward is q.forward
+        assert fresh == q and fresh.compiled.forward is q.compiled.forward
         for table in _COPIED_TABLES:
             assert getattr(fresh, table) == getattr(q, table), table
 
@@ -663,17 +664,18 @@ def test_forward_kernel_is_keyed_on_the_fields_it_reads(family):
 def test_forward_hit_generates_no_source(monkeypatch):
     p = team_program(0)
     comm = CommModel(frozenset({(p.plans[-1].name, INIT)}), 0.9)
-    seen = (p.forward, apply_comm_model(p, comm).forward)
+    seen = (p.compiled.forward, apply_comm_model(p, comm).compiled.forward)
     calls = []
     generate = compiled.forward_source
     monkeypatch.setattr(compiled, "forward_source", lambda q: calls.append(q) or generate(q))
     for _ in range(3):
-        assert (team_program(0).forward, apply_comm_model(p, comm).forward) == seen
+        assert (team_program(0).compiled.forward,
+                apply_comm_model(p, comm).compiled.forward) == seen
     # agents are not in the key: a grown team's kernel is its team's
-    assert grow_team(p, 1000).forward is p.forward
+    assert grow_team(p, 1000).compiled.forward is p.compiled.forward
     assert calls == []
     # a miss generates once, from a program built from the key, with no agent
-    flatten_mu(p, 0.0123457).forward
+    flatten_mu(p, 0.0123457).compiled.forward
     assert len(calls) == 1 and calls[0].team_hierarchy.agents == ()
 
 
@@ -688,8 +690,8 @@ def test_equal_keys_generate_equal_source():
     # the key compares numbers by value, so an int rate and a -0.0 mu share
     # the kernel of the float rate and the 0.0 mu, and must write its text
     p, q = _mini(1.0, 0.0), _mini(1, -0.0)
-    assert p == q and q.forward is p.forward
-    assert forward_source(q) == forward_source(p) == inspect.getsource(q.forward)
+    assert p == q and q.compiled.forward is p.compiled.forward
+    assert forward_source(q) == forward_source(p) == inspect.getsource(q.compiled.forward)
 
 
 @pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), True, "0.5", None, 10 ** 400],

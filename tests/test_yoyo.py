@@ -198,7 +198,7 @@ def _rescale_into(parent, child, b, prior, p):
     """The rescale a climb from ``child`` runs as it steps into ``parent``."""
     (walk,) = [walk for _, par, walk in p.evidence_climbs[p.index[child]]
                if par == p.index[parent]]
-    _rescale(walk, b, prior.act, prior.blk, set())
+    _rescale(walk, b.act, b.blk, prior.act, prior.blk, set())
 
 
 def _state(p, active):
@@ -512,30 +512,35 @@ def test_evidence_tick_does_not_depend_on_string_hashing():
                          ids=lambda key: "/".join(map(str, key)))
 def test_every_yoyo_tick_leaves_a_live_set_and_values_in_0_1(key, memo, monkeypatch):
     # every quiet and evidence tick of the sweep leaves a state whose leaves
-    # outside the live set hold exactly 0.0 and whose entries lie in [0, 1];
-    # cold: the step memo starts empty, so a tick is computed where the
-    # sweep first meets it; warm: each replay follows an equal one, so its
-    # ticks are lookups, which write nothing and clamp nothing
-    if memo == "cold":
-        compiled._compile.cache_clear()
-    written = []  # what each computed evidence tick wrote, ``updated``
-    clamp = yoyo._clamp_entries
-    monkeypatch.setattr(yoyo, "_clamp_entries",
-                        lambda state, keys: written.append(set(keys)) or clamp(state, keys))
+    # outside the live set hold exactly 0.0 and whose entries lie in [0, 1].
+    # The step memo starts empty, so an evidence tick is computed, by
+    # ``_climb``, where the sweep first meets it: cold, in the replays
+    # checked; warm, in the equal replay before each, so the ticks checked
+    # are lookups, which compute nothing
+    compiled._compile.cache_clear()
+    climb, fired = yoyo._climb, []  # fired: what each computed evidence tick returned
+
+    def probe(*args):
+        act, blk = climb(*args)
+        assert min(act) >= 0.0 and min(blk) >= 0.0
+        fired.append((tuple(act), tuple(blk)))
+        return act, blk
+
+    monkeypatch.setattr(yoyo, "_climb", probe)
     states = 0
     for _, rec, by_tick in (sweep_replays if memo == "cold" else warm_replays)(*key):
         p, b = rec.p, rec.belief
         for t in range(TICKS):
-            written.clear()
+            before = len(fired)
             rec.step(by_tick.get(t, []))
             live = b.value.live
             assert type(live) is tuple and list(live) == sorted(set(live))
             assert set(live) <= set(p.leaf_index)
-            if written:  # an evidence tick: the leaves that hold mass
+            if len(fired) > before:  # an evidence tick computed: the leaves that hold mass
+                assert (b.act, b.blk) == fired[-1], (key, t)
                 assert live == held_leaves(p, b), (key, t)
             outside = set(p.leaf_index).difference(live)
             assert all(b.act[i] == b.blk[i] == 0.0 for i in outside), (key, t)
             assert all(0.0 <= v <= 1.0 for v in b.act + b.blk), (key, t)
             states += 1
-    assert states
-
+    assert states and fired, key  # the probe ran on this key's evidence ticks
