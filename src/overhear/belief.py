@@ -12,7 +12,7 @@ keys are evidence for is one rule for both layouts, ``evidence``; the
 program's mode alone decides which transitions a key opens and which
 candidates share a normalizer.  The shared layout commits a whole tick's
 keys at once (``yoyo.yoyo_tick``), the array layout one key at a time
-(``apply_messages``).
+(``_commit_messages``).
 
 A state holds the two masses as two tables, ``act`` and ``blk``, with one
 entry per node in ``node_ids`` order; the engine names a node by that
@@ -24,18 +24,19 @@ read-only id-keyed snapshots of the tables (``b.active["p12"]``), for
 readers outside the engine.
 
 Both layouts step a state in place.  ``init_beliefs`` alone builds one;
-``quiet_step``, ``apply_messages``, ``array_overseer_tick`` and
+``quiet_step``, ``_commit_messages``, ``array_overseer_tick`` and
 ``yoyo.yoyo_tick`` replace its value (``Value``) with a new one and
 return None, so a caller holds one state object for the whole run and
-keeps a tick's masses by keeping its tables.  A step that raises leaves
-every state as it was.
+keeps a tick's masses by keeping its tables.  Every table is a tuple from
+the moment a value holds it, so a state changes only by taking a new
+value.  A step that raises leaves every state as it was.
 
 Every step and query runs from a value of the program's step memo
 (``Value`` of ``compiled.StepMemo``, ``p.compiled.memo``; ``adopt``),
 and keeps what it computes from it as a link, so one taken before from
 the same value is one attribute load, or one dict lookup by its key: the
 quiet step of both layouts (``quiet_step``), the array layout's commits
-(``apply_messages``) and ``most_likely_state``, and the shared layout's
+(``_commit_messages``) and ``most_likely_state``, and the shared layout's
 evidence tick and team query (``yoyo``).  An evidence result is interned
 by its exact bits, so states that commit to equal values share one value.
 
@@ -45,9 +46,9 @@ parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
 otherwise there is one group, and the step is the single-agent engine that
 the array layout runs once per agent.  It runs as the program's compiled
 kernel (``p.compiled.forward``), one generated Python function
-that steps copies of the prior lists, runs each shedding node's updates
-only when the node sheds a nonzero mass, tests each leaf's prior mass and
-returns the copies, capped at 1 in team mode.
+that steps list copies of the prior tables, runs each shedding node's
+updates only when the node sheds a nonzero mass, tests each leaf's prior
+mass and returns the copies, capped at 1 in team mode.
 
 Every most-likely query runs one pick rule, ``pick_leaf``:
 ``most_likely_state`` over the value's live set (``Value``), the
@@ -66,7 +67,7 @@ team-mode program's kernel caps what its quiet step returns, and
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
 from .ingest import INIT, TERM, ObservedMessage
@@ -103,19 +104,20 @@ class Value:
     """One belief value, ``act`` and ``blk`` (see ``BeliefState``), its
     live set and the steps memoized from it.
 
-    ``memo`` is the ``compiled.StepMemo`` that made the value, or None for
-    one built outside it (``BeliefState``'s constructor and setters).  Only
-    a memo's own values, whose tables are tuples, carry a live set (any
-    other holds ``()``) and hold links.  ``live`` is exactly the leaves that
-    hold mass: the positions, ascending, of the leaves whose ``act`` or
-    ``blk`` entry is nonzero.  The memo computes it once, when it makes the
-    value (``compiled.StepMemo.make``).  A message resets a belief to a
-    point mass or a few, so the set stays short, and a query reads only
-    those leaves.  Every step and query of a program runs from a value of
-    its memo: it first adopts any other value a state holds (``adopt``),
-    replacing it with the memo's value of equal bits, so a step from an
-    equal value is the same link.  A link is the value a step gives, or the
-    answer a query gives:
+    The value holds each table as a tuple, converting any other sequence
+    once, here, so no one writes a table a value holds.  ``memo`` is the
+    ``compiled.StepMemo`` that made the value, or None for one built
+    outside it (``BeliefState``'s constructor).  Only a memo's own values
+    carry a live set (any other holds ``()``) and hold links.  ``live`` is
+    exactly the leaves that hold mass: the positions, ascending, of the
+    leaves whose ``act`` or ``blk`` entry is nonzero.  The memo computes it
+    once, when it makes the value (``compiled.StepMemo.make``).  A message
+    resets a belief to a point mass or a few, so the set stays short, and a
+    query reads only those leaves.  Every step and query of a program runs
+    from a value of its memo: it first adopts any other value a state holds
+    (``adopt``), replacing it with the memo's value of equal bits, so a step
+    from an equal value is the same link.  A link is the value a step
+    gives, or the answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
     - ``commits``: per commit key (``_message_keys``), the value after it;
@@ -128,7 +130,7 @@ class Value:
     __slots__ = ("act", "blk", "live", "memo", "quiet", "commits", "best", "teams")
 
     def __init__(self, act, blk, memo=None, live=()):
-        self.act, self.blk, self.memo, self.live = act, blk, memo, live
+        self.act, self.blk, self.memo, self.live = tuple(act), tuple(blk), memo, live
         self.quiet = self.best = None
         self.commits = self.teams = NO_LINKS
 
@@ -137,42 +139,33 @@ class BeliefState:
     """Belief over a plan state, stepped in place.
 
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
-    ``node_ids`` order; ``index`` is the program's node id -> position table.
-    The state holds the two as one ``value`` (``Value``), and ``act`` and
-    ``blk`` read through it.  In either layout a step replaces the value
-    with one of the step memo's, whose tables are tuples that states may
-    share and no one writes, so a step taken before from the same value is
-    one attribute load.  Assigning ``act`` or ``blk`` gives the state a
-    fresh value, which the next step or query adopts (``adopt``) as the
-    memo's value of equal bits, so a hand-edited state follows only the
-    links of a value equal to it.  ``active`` and ``blocked`` are read-only
-    snapshots of the two tables keyed by node id, built on each read, so a
-    later step or write shows only in a later read.  Two states are equal
-    when their ``act`` and ``blk`` are.
+    ``node_ids`` order, as tuples; ``index`` is the program's node id ->
+    position table.  The state holds the two as one ``value`` (``Value``),
+    and ``act`` and ``blk`` read through it.  A state changes only by
+    taking a new value: in either layout a step replaces it with one of the
+    step memo's, which states may share, so a step taken before from the
+    same value is one attribute load.  A value built outside the memo (the
+    constructor's, or one assigned to ``value``) is adopted by the next
+    step or query (``adopt``) as the memo's value of equal bits, so it
+    follows only the links of a value equal to it.  ``active`` and
+    ``blocked`` are read-only snapshots of the two tables keyed by node id,
+    built on each read, so a later step shows only in a later read.  Two
+    states are equal when their masses are.
     """
 
     __slots__ = ("value", "index")
 
-    def __init__(self, act: list[float] | tuple[float, ...], blk: list[float] | tuple[float, ...],
-                 index: dict[str, int]):
+    def __init__(self, act: Sequence[float], blk: Sequence[float], index: dict[str, int]):
         self.value = Value(act, blk)
         self.index = index
 
     @property
-    def act(self) -> list[float] | tuple[float, ...]:
+    def act(self) -> tuple[float, ...]:
         return self.value.act
 
-    @act.setter
-    def act(self, act):
-        self.value = Value(act, self.value.blk)
-
     @property
-    def blk(self) -> list[float] | tuple[float, ...]:
+    def blk(self) -> tuple[float, ...]:
         return self.value.blk
-
-    @blk.setter
-    def blk(self, blk):
-        self.value = Value(self.value.act, blk)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -211,11 +204,10 @@ def adopt(b: BeliefState, p: TeamOrientedProgram) -> Value:
 def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     """All mass on the root and, through first children, on the initial leaves.
 
-    The state copies the program's ``initial`` tables, built once per
-    program.
+    The state holds the program's ``initial`` tables, built once per
+    program, as they are.
     """
-    active, blocked = p.initial
-    return BeliefState(list(active), list(blocked), p.index)
+    return BeliefState(*p.initial, p.index)
 
 
 def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgram,
@@ -301,7 +293,7 @@ def _message_keys(p: TeamOrientedProgram, msgs) -> tuple[tuple, ...]:
     return tuple(keys)
 
 
-def evidence(blk: list[float] | tuple[float, ...], p: TeamOrientedProgram,
+def evidence(blk: tuple[float, ...], p: TeamOrientedProgram,
              keys) -> dict[int, float]:
     """What one tick's messages, as their ``_message_keys``, are evidence
     for, given the prior blocked table ``blk``: a mass per position.
@@ -438,8 +430,8 @@ def pick_leaf(leaves, A, B) -> int:
     """The most likely leaf among ``leaves``, a non-empty sequence of
     ascending positions: the one rule of every most-likely query.
 
-    A and B are the ``act`` and ``blk`` tables, lists, tuples or
-    position-keyed dicts, and a leaf's mass is ``A[i] + B[i]``.  The first
+    A and B are the ``act`` and ``blk`` tables, tuples or position-keyed
+    dicts, and a leaf's mass is ``A[i] + B[i]``.  The first
     leaf is the initial pick, and a later leaf replaces the pick only when
     its mass exceeds the pick's by more than the relative ``TIE_TOLERANCE``.
     Masses that a reordered float sum could swap therefore tie, and a tie
@@ -481,15 +473,6 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     memo.link("best", value)
     value.best = best = pick_leaf(value.live, value.act, value.blk)
     return best
-
-
-def apply_messages(b: BeliefState, msgs, p: TeamOrientedProgram):
-    """Fold several same-tick messages into b in place, one at a time, TERM before INIT.
-
-    Every message is checked before b changes, so a message that raises
-    leaves b as it was.
-    """
-    _commit_messages(b, p, _message_keys(p, msgs))
 
 
 def array_overseer_tick(beliefs: dict[str, BeliefState],

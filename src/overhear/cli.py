@@ -126,15 +126,11 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.loss_seed is not None and args.loss is None:
-        raise MonitoringError("--loss-seed has no effect without --loss")
     p = load_program_path(args.program, team_mode=args.team_mode)
     if args.flat_mu is not None:
         p = flatten_mu(p, args.flat_mu)
     trace = parse_trace(_read(args.truth))
     log = parse_log(_read(args.log))
-    if args.loss is not None:
-        log = apply_loss(log, args.loss, args.loss_seed or 0)
     report = evaluate_run(p, trace, log, mode=args.mode, coherent=args.coherent,
                           comm_model=_load_comm(args), delay=args.delay)
     _emit(render_report(report), args.out)
@@ -242,10 +238,6 @@ def _evaluate_args(ev):
     _add_mu_source(ev, "degrade the recognizer's mu values to this constant")
     ev.add_argument("--delay", type=int, default=1,
                     help="checkpoint delay after each exchange")
-    ev.add_argument("--loss", type=float, default=None,
-                    help="drop this fraction of the log before scoring")
-    ev.add_argument("--loss-seed", type=int, default=None,
-                    help="loss seed (default 0; needs --loss)")
     _add_out(ev)
 
 

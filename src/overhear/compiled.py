@@ -85,7 +85,7 @@ def _descend(groups_at, y: int, rho: str, depth: int, body: list[str]):
 
 def forward_source(p: TeamOrientedProgram) -> str:
     """The source of ``p.compiled.forward``, the forward step as one
-    function of the prior (active, blocked) lists, generated from p's fields.
+    function of the prior (active, blocked) tables, generated from p's fields.
 
     Both are belief tables, indexed by node position.  It returns new
     lists and leaves its arguments as they are; a table of the wrong
@@ -208,9 +208,9 @@ class StepMemo:
     in two places, both by ``make``:
 
     - ``intern`` maps the exact bits of a pair of tables to one value.
-      Evidence results, and the values the engine adopts
-      (``belief.adopt``: a fresh ``init_beliefs``, a hand-built state),
-      are interned, so states that start equal, or commit to equal values,
+      Evidence results, and the values the engine adopts (``belief.adopt``:
+      a fresh ``init_beliefs``, a state built by its constructor), are
+      interned, so states that start equal, or commit to equal values,
       share one value and step once; ``0.0`` and ``-0.0`` would be two
       keys, and no engine state holds ``-0.0``;
     - a quiet step from one of its values makes the next value, which
@@ -272,7 +272,7 @@ class StepMemo:
     def make(self, act, blk) -> Value:
         """A new value of this memo holding ``act`` and ``blk``, and its live set."""
         live = tuple(i for i in self.leaves if act[i] or blk[i])
-        return Value(tuple(act), tuple(blk), self, live)
+        return Value(act, blk, self, live)
 
     def intern(self, act, blk) -> Value:
         """The one value holding the exact bits of ``act`` and ``blk``."""

@@ -19,7 +19,7 @@ belief and for a team from its members' summed beliefs.
 Every message must resolve to a known unit.  The shared layout takes the
 message's team, or else its sender's team.  The array layout routes a
 message to its sender, or, under coherence, to every member of its team
-when that team is known.  Anything else raises ``MonitoringError`` naming
+when that team has members.  Anything else raises ``MonitoringError`` naming
 the message's tick; ``path`` raises it naming an unknown unit.
 """
 
@@ -86,9 +86,10 @@ class ArrayRecognizer(_Recognizer):
         return sum(len(b.act) for b in self.beliefs.values())
 
     def recipients(self, m) -> list[str]:
-        h = self.view.team_hierarchy
-        if self.coherent and h.has_team(m.team):
-            return list(h.members(m.team))  # sorted
+        if self.coherent:
+            members = self.view.team_hierarchy.members(m.team)  # sorted; () for an unknown team
+            if members:
+                return list(members)
         return [m.sender]
 
     def step(self, msgs):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from overhear.belief import BeliefState, Value
+from overhear.belief import BeliefState, Value, _commit_messages, _message_keys
 from overhear.model import TIE_TOLERANCE, load_program_path
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
@@ -16,8 +16,15 @@ def brute_leaves(p) -> tuple[str, ...]:
 
 
 def snapshot(b: BeliefState) -> BeliefState:
-    """A copy of state b, which the steps that later move b leave as it is."""
-    return BeliefState(list(b.act), list(b.blk), b.index)
+    """A state of b's masses that the steps that later move b leave as it is."""
+    return BeliefState(b.act, b.blk, b.index)
+
+
+def commit_messages(b: BeliefState, msgs, p):
+    """Commit one tick's messages into b, one at a time, TERM before INIT:
+    the array layout's commit (``belief._commit_messages``) of their
+    ``_message_keys``, which checks every message before b changes."""
+    _commit_messages(b, p, _message_keys(p, msgs))
 
 
 def held_leaves(p, b) -> tuple[int, ...]:
@@ -42,7 +49,7 @@ def propagate_forward(b: BeliefState, p):
     memo-free reference that ``belief.quiet_step`` follows bit for bit.
 
     The step is p's compiled kernel (``p.compiled.forward``), and
-    b keeps the lists it returns.
+    b takes a value of the tables it returns.
     """
     b.value = Value(*p.compiled.forward(b.act, b.blk))
 

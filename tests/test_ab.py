@@ -50,9 +50,10 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     assert calls == ["ab_parent", "ab_change", "ab_parent", "ab_change", "ab_change",
                      "ab_parent", ("ab_parent", first), ("ab_change", first),
                      ("ab_change", first + replays), ("ab_parent", first + replays)]
-    workloads = ("quiet_tick", "evidence_tick", "evaluate_run", "stream", "query", "online")
+    workloads = ("setup", "quiet_tick", "evidence_tick", "evaluate_run", "stream", "query",
+                 "online")
     assert set(report) == {f"{layout}.{workload}" for layout in ab.LAYOUTS
-                           for workload in workloads} | {"array.online_1011"}
+                           for workload in workloads} | {"parse_trace", "array.online_1011"}
     for row in report.values():
         assert row["equal"] and row["rounds"] == 2 and 0 <= row["wins"] <= 2
         assert row["parent_min"] > 0.0 and row["change_min"] > 0.0

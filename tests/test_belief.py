@@ -5,8 +5,8 @@ import random
 import pytest
 
 from overhear import compiled
-from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, VisitCounter,
-                             _message_keys, _prune_redundant_ancestors, adopt, apply_messages,
+from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, Value, VisitCounter,
+                             _message_keys, _prune_redundant_ancestors, adopt,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
                              pick_leaf, propagate_down, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage
@@ -15,7 +15,8 @@ from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_most_likely, yoyo_tick
 
-from conftest import _reference_pick, brute_leaves, held_leaves, propagate_forward
+from conftest import (_reference_pick, brute_leaves, commit_messages, held_leaves,
+                      propagate_forward)
 from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
                          sweep_programs, sweep_replays, table_programs, warm_replays)
 
@@ -69,16 +70,15 @@ def test_a_belief_state_keeps_the_interface_its_readers_use(evac_mini_single):
     # and their length, on a fresh state and on one the engine stepped,
     # whose value's live set is the leaves that hold mass
     p = evac_mini_single
-    act, blk = list(p.initial[0]), list(p.initial[1])
+    act, blk = p.initial
     b = BeliefState(act, blk, p.index)
     assert b.act is act and b.blk is blk and b.index is p.index and b.value.memo is None
     assert repr(b) == f"BeliefState(act={act!r}, blk={blk!r})"
     with pytest.raises(TypeError):
         BeliefState(act, blk, p.index, (1, 2))  # a live set is the memo's to compute
     assert not hasattr(b, "live")
-    assert b == BeliefState(list(act), list(blk), {})  # not the index
-    assert b != BeliefState(list(act), list(act), p.index)
-    assert b != BeliefState(tuple(act), tuple(blk), p.index)  # lists and tuples differ
+    assert b == BeliefState(act, blk, {})  # not the index
+    assert b != BeliefState(act, act, p.index)
     with pytest.raises(TypeError):
         hash(b)
     stepped = init_beliefs(p)
@@ -94,7 +94,7 @@ def test_a_belief_state_keeps_the_interface_its_readers_use(evac_mini_single):
     assert stepped.value.live and stepped.value.live == held_leaves(p, stepped)
 
 
-def test_state_views_read_the_lists_by_node_id(evac_mini_single):
+def test_state_views_read_the_tables_by_node_id(evac_mini_single):
     p = evac_mini_single
     b = init_beliefs(p)
     assert list(b.active) == list(b.blocked) == list(p.node_ids)
@@ -105,11 +105,41 @@ def test_state_views_read_the_lists_by_node_id(evac_mini_single):
         b.active[p.root] = 0.5
     with pytest.raises(KeyError):
         b.blocked["no-such-node"]
-    b.act[p.index[p.root]] = 0.5
-    assert b.active[p.root] == 0.5
-    assert init_beliefs(p).active[p.root] == 1.0  # each state copies the start tables
-    b.act = list(p.zeros)  # a view follows the list the state holds when it is read
+    b.value = Value(p.zeros, p.zeros)  # a view follows the value the state holds when it is read
     assert b.active[p.root] == 0.0
+    assert init_beliefs(p).active[p.root] == 1.0
+
+
+def test_a_fresh_state_holds_the_start_tables_and_equals_itself_adopted(evac_mini_single):
+    p = evac_mini_single
+    fresh, adopted = init_beliefs(p), init_beliefs(p)
+    assert fresh.act is p.initial[0] and fresh.blk is p.initial[1]  # nothing copied
+    assert adopt(adopted, p) is adopted.value and adopted.value.memo is p.compiled.memo
+    assert fresh.value.memo is None and fresh == adopted
+
+
+def test_states_of_equal_masses_are_equal_whatever_sequences_built_them(evac_mini_single):
+    p = evac_mini_single
+    act, blk = list(p.initial[0]), list(p.initial[1])
+    built = BeliefState(act, blk, p.index)
+    assert built == BeliefState(tuple(act), tuple(blk), p.index) == init_beliefs(p)
+    assert type(built.act) is type(built.blk) is tuple
+    act[p.index[p.root]] = 0.5  # the state holds its own tuple, not the caller's list
+    assert built.active[p.root] == 1.0
+
+
+def test_a_state_changes_only_by_taking_a_new_value(evac_mini_single):
+    # a fresh state's tables take no write, and a state has no table to
+    # assign: a step, or a caller, gives it a new value (``b.value``)
+    p = evac_mini_single
+    b, root = init_beliefs(p), p.index[p.root]
+    for table in (b.act, b.blk):
+        with pytest.raises(TypeError):
+            table[root] = 0.5
+    for name in ("act", "blk"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, list(p.zeros))
+    assert b == init_beliefs(p)
 
 
 def test_propagate_down_uniform_split():
@@ -130,16 +160,16 @@ def test_propagate_down_uniform_split():
         ],
         "transitions": [],
     })
-    b = init_beliefs(p)
-    b.act[:] = b.blk[:] = p.zeros
-    propagate_down(p.index["r"], 0.4, b.act, p)
-    assert b.active["a"] == pytest.approx(0.2)
-    assert b.active["b"] == pytest.approx(0.2)
-    assert b.active["a1"] == pytest.approx(0.1)
-    assert b.active["a2"] == pytest.approx(0.1)
-    before = dict(b.active)
-    propagate_down(p.index["a1"], 0.4, b.act, p)  # leaf: no-op
-    assert b.active == before
+    act = list(p.zeros)
+    propagate_down(p.index["r"], 0.4, act, p)
+    active = dict(zip(p.node_ids, act))
+    assert active["a"] == pytest.approx(0.2)
+    assert active["b"] == pytest.approx(0.2)
+    assert active["a1"] == pytest.approx(0.1)
+    assert active["a2"] == pytest.approx(0.1)
+    before = list(act)
+    propagate_down(p.index["a1"], 0.4, act, p)  # leaf: no-op
+    assert act == before
 
 
 def test_exponential_decay_closed_form():
@@ -153,7 +183,7 @@ def test_exponential_decay_closed_form():
 def test_lambda_zero_is_identity():
     p = _chain(lam_a=0.0)
     b = init_beliefs(p)
-    before = list(b.act), list(b.blk)
+    before = b.act, b.blk
     propagate_forward(b, p)
     assert (b.act, b.blk) == before
 
@@ -210,11 +240,12 @@ def test_evidence_posterior_ratio():
             {"from": "w2", "to": "x2", "pi": 1.0, "mu": 0.5},
         ],
     })
-    b = init_beliefs(p)
-    b.blk[p.index["w1"]] = 0.3
-    b.blk[p.index["w2"]] = 0.1
+    blk = list(p.zeros)
+    blk[p.index["w1"]] = 0.3
+    blk[p.index["w2"]] = 0.1
+    b = BeliefState(p.initial[0], blk, p.index)
     m = ObservedMessage(0, "solo", "T", INIT, "shared-step")
-    apply_messages(b, [m], p)
+    commit_messages(b, [m], p)
     assert b.active["x1"] == pytest.approx(0.75)
     assert b.active["x2"] == pytest.approx(0.25)
     assert b.active["r"] == pytest.approx(1.0)
@@ -228,7 +259,7 @@ def test_evidence_commits_full_path(evac_team):
         propagate_forward(b, p)
     assert b.blocked["n1"] > 0
     m = ObservedMessage(5, "escort1", "TASK-FORCE", INIT, "fly-flight-plan")
-    apply_messages(b, [m], p)
+    commit_messages(b, [m], p)
     assert b.active["n2"] == pytest.approx(1.0)
     assert b.active["n6"] == pytest.approx(1.0)  # first child follows
     assert b.active["n0"] == pytest.approx(1.0)
@@ -242,7 +273,7 @@ def test_term_message_moves_mass_to_successors(evac_team):
     for _ in range(5):
         propagate_forward(b, p)
     m = ObservedMessage(5, "escort1", "TASK-FORCE", TERM, "process-orders")
-    apply_messages(b, [m], p)
+    commit_messages(b, [m], p)
     assert b.active["n2"] == pytest.approx(1.0)
     assert b.active["n6"] == pytest.approx(1.0)
 
@@ -251,7 +282,7 @@ def test_unknown_plan_rejected(evac_mini_single):
     b = init_beliefs(evac_mini_single)
     m = ObservedMessage(0, "escort1", "ESCORT", INIT, "no-such-plan")
     with pytest.raises(MonitoringError, match="no-such-plan"):
-        apply_messages(b, [m], evac_mini_single)
+        commit_messages(b, [m], evac_mini_single)
 
 
 def test_surprise_message_falls_back_to_uniform(evac_mini_single):
@@ -259,7 +290,7 @@ def test_surprise_message_falls_back_to_uniform(evac_mini_single):
     p = evac_mini_single
     b = init_beliefs(p)
     m = ObservedMessage(0, "escort1", "ESCORT", INIT, "fly-flight-plan")
-    apply_messages(b, [m], p)
+    commit_messages(b, [m], p)
     assert b.active["n2"] == pytest.approx(1.0)
 
 
@@ -270,7 +301,7 @@ def test_term_before_init_in_one_tick(evac_team):
         propagate_forward(b, p)
     msgs = [ObservedMessage(5, "a", "TASK-FORCE", INIT, "fly-flight-plan"),
             ObservedMessage(5, "a", "TASK-FORCE", TERM, "process-orders")]
-    apply_messages(b, msgs, p)
+    commit_messages(b, msgs, p)
     # TERM processed first, INIT second: both land on fly-flight-plan
     assert b.active["n2"] == pytest.approx(1.0)
 
@@ -317,14 +348,15 @@ def _pick(caller, masses) -> str:
     for the summed team query.
     """
     p = _flat_program(len(masses))
-    first, second = (BeliefState(list(p.zeros), list(p.zeros), p.index) for _ in range(2))
+    halves = list(p.zeros)
     for leaf, mass in zip(brute_leaves(p), masses):
-        first.act[p.index[leaf]] = second.blk[p.index[leaf]] = mass / 2
+        halves[p.index[leaf]] = mass / 2
     if caller == "array_team_path":
         rec = make_recognizer(p, "array", coherent=True)
-        rec.beliefs = {"a1": first, "a2": second}
+        rec.beliefs = {"a1": BeliefState(halves, p.zeros, p.index),
+                       "a2": BeliefState(p.zeros, halves, p.index)}
         return rec.path("T")[-1]
-    first.blk[:] = second.blk
+    first = BeliefState(halves, halves, p.index)
     if caller == "most_likely_state":
         return p.node_ids[most_likely_state(first, p)]
     return p.node_ids[team_most_likely(first, p, "T")]
@@ -437,12 +469,11 @@ def test_most_likely_rejects_empty():
     # no mass anywhere, then mass on internal nodes alone: no leaf holds
     # mass, so the live set is empty and the query raises
     p = _chain()
-    b = init_beliefs(p)
-    b.act[:] = p.zeros
+    b = BeliefState(p.zeros, p.zeros, p.index)
     with pytest.raises(MonitoringError, match="no mass on any leaf"):
         most_likely_state(b, p)
     assert b.value.live == ()
-    b.act = [0.0 if x in p.leaf_index else 1.0 for x in range(len(p.node_ids))]
+    b.value = Value([0.0 if x in p.leaf_index else 1.0 for x in range(len(p.node_ids))], p.zeros)
     with pytest.raises(MonitoringError, match="no mass on any leaf"):
         most_likely_state(b, p)
     assert b.value.live == ()
@@ -482,7 +513,7 @@ def test_init_and_commits_set_the_live_set():
         b = init_beliefs(q)
         assert b.value.memo is None
         assert adopt(b, q).live == held_leaves(q, b) == tuple(x for x in q.leaf_index if b.act[x])
-        apply_messages(b, [msg], q)  # ``evidence`` and ``_commit_evidence``
+        commit_messages(b, [msg], q)  # ``evidence`` and ``_commit_evidence``
         assert b.value.live and b.value.live == held_leaves(q, b)
 
 
@@ -665,7 +696,7 @@ def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
                 ObservedMessage(30, bravo, "BRAVO", TERM, "alpha-02-step0")]
         masses.append(evidence(start.blk, p, _message_keys(p, msgs)))
         for layout, step in (("yoyo", lambda b: yoyo_tick(p, b, msgs)),
-                             ("array", lambda b: apply_messages(b, msgs, p))):
+                             ("array", lambda b: commit_messages(b, msgs, p))):
             b = BeliefState(start.act, start.blk, start.index)
             step(b)
             states[layout].append((b.act, b.blk))
@@ -701,9 +732,9 @@ def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
             assert view and msgs[0].team == "NOBODY"
             continue
         raised += 1
-        before, values = b.value, (list(b.act), list(b.blk))
+        before, values = b.value, (b.act, b.blk)
         links, misses = dict(memo.links), dict(memo.misses)
-        for step in (lambda: yoyo_tick(p, b, msgs), lambda: apply_messages(b, msgs, p)):
+        for step in (lambda: yoyo_tick(p, b, msgs), lambda: commit_messages(b, msgs, p)):
             with pytest.raises(MonitoringError) as got:
                 step()
             assert str(got.value) == reference
@@ -728,16 +759,14 @@ def test_a_failing_array_tick_steps_no_state():
         array_overseer_tick(beliefs, programs, [])
     bad = ObservedMessage(5, "alpha3", "ALPHA", TERM, "no-such-plan")
     msgs = [ObservedMessage(5, "alpha1", "ALPHA", TERM, "phase-00"), bad]
-    lists = {a: (b.act, b.blk) for a, b in beliefs.items()}
-    values = {a: (tuple(act), tuple(blk)) for a, (act, blk) in lists.items()}
+    tables = {a: (b.act, b.blk) for a, b in beliefs.items()}
     with pytest.raises(MonitoringError) as info:
         array_overseer_tick(beliefs, programs, msgs)
     with pytest.raises(MonitoringError) as reference:
         _message_keys(view, [bad])
     assert str(info.value) == str(reference.value)
     for a, b in beliefs.items():
-        assert (b.act, b.blk) == lists[a] and b.act is lists[a][0] and b.blk is lists[a][1]
-        assert (b.act, b.blk) == values[a]
+        assert b.act is tables[a][0] and b.blk is tables[a][1]
 
 
 def test_a_failing_array_tick_raises_for_the_first_agent_in_beliefs_order():

@@ -8,7 +8,7 @@ import pytest
 
 from overhear.cli import COMMANDS, build_parser, run_command
 from overhear.harness import evaluate_run, render_report
-from overhear.ingest import parse_log
+from overhear.ingest import apply_loss, parse_log
 from overhear import compiled
 from overhear.compiled import _compile
 from overhear.model import load_program_path
@@ -278,12 +278,15 @@ def test_flat_mu_and_comm_are_exclusive(tmp_path, capsys, name):
     assert "usage" in err and "--flat-mu: not allowed with argument --comm" in err
 
 
-def test_evaluate_rejects_a_loss_seed_without_loss(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--loss", "0.1"], ["--loss-seed", "3"]])
+def test_evaluate_leaves_message_loss_to_lose(tmp_path, capsys, flag):
+    # ``lose`` is the one message-loss step; evaluate scores the log it is given
     trace_path, log_path = _simulate(tmp_path / "run")
-    assert run_command(["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
-                        "--truth", str(trace_path), "--loss-seed", "3"]) == 1
-    assert capsys.readouterr().err == ("overhear evaluate: error: "
-                                       "--loss-seed has no effect without --loss\n")
+    with pytest.raises(SystemExit) as exc:
+        run_command(["evaluate", "--program", TEAM, "--team-mode", "--log", str(log_path),
+                     "--truth", str(trace_path), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_evaluate_report_and_reproducibility(tmp_path):
@@ -314,18 +317,28 @@ def test_evaluate_has_no_temporal_switch(tmp_path, capsys):
     assert "unrecognized arguments: --no-temporal" in capsys.readouterr().err
 
 
-def test_evaluate_with_loss_and_model(tmp_path):
+def test_evaluate_of_a_lost_log_with_a_model(tmp_path):
+    # ``lose`` then ``evaluate`` writes the report of the log that
+    # ``apply_loss`` leaves, scored with the learned model
     trace_path, log_path = _simulate(tmp_path / "run")
-    model_path = tmp_path / "model.txt"
+    model_path, lossy_path = tmp_path / "model.txt", tmp_path / "lossy.txt"
     assert run_command(["learn", "--log", str(log_path),
                         "--out", str(model_path)]) == 0
+    assert run_command(["lose", "--log", str(log_path), "--rate", "0.1",
+                        "--seed", "3", "--out", str(lossy_path)]) == 0
     out_path = tmp_path / "report.txt"
     rc = run_command(["evaluate", "--program", TEAM, "--team-mode",
-                      "--log", str(log_path), "--truth", str(trace_path),
-                      "--comm", str(model_path), "--loss", "0.1",
-                      "--loss-seed", "3", "--out", str(out_path)])
+                      "--log", str(lossy_path), "--truth", str(trace_path),
+                      "--comm", str(model_path), "--out", str(out_path)])
     assert rc == 0
-    assert "config comm 1" in out_path.read_text()
+    text = out_path.read_text()
+    assert "config comm 1" in text
+    p = load_program_path(TEAM, team_mode=True)
+    lossy = apply_loss(parse_log(log_path.read_text()), 0.1, 3)
+    assert lossy == parse_log(lossy_path.read_text())
+    report = evaluate_run(p, parse_trace(trace_path.read_text()), lossy, mode="yoyo",
+                          comm_model=parse_comm_model(model_path.read_text()))
+    assert text == render_report(report)
 
 
 def test_evaluate_runs_share_one_kernel(tmp_path):

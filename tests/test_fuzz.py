@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from overhear import yoyo
-from overhear.belief import apply_messages, init_beliefs
+from overhear.belief import init_beliefs
 from overhear.ingest import INIT, TERM, IngestError, ObservedMessage, parse_kqml_log, parse_log
 from overhear.model import ProgramError, program_from_document, program_to_document
 from overhear.progen import random_program, team_program
@@ -26,7 +26,7 @@ from overhear.sim import (GroundTruthTrace, SimulationError, format_trace,
 from overhear.social import parse_comm_model
 from overhear.yoyo import yoyo_tick
 
-from conftest import propagate_forward
+from conftest import commit_messages, propagate_forward
 
 _BASE = program_to_document(team_program(0))
 _NAMES = sorted({e["name"] for e in _BASE["teams"]} | {e["name"] for e in _BASE["agents"]}
@@ -205,8 +205,8 @@ def test_array_belief_stays_in_bounds_unclipped(p, ticks):
             propagate_forward(b, p)
         else:
             kind, i = tick
-            apply_messages(b, [ObservedMessage(t, "solo", "SOLO", kind,
-                                               names[i % len(names)])], p)
+            commit_messages(b, [ObservedMessage(t, "solo", "SOLO", kind,
+                                                names[i % len(names)])], p)
         for table in (b.active, b.blocked):
             for x, v in table.items():
                 assert 0.0 <= v <= 1.0 + 1e-12, (t, x, v)

@@ -2,7 +2,8 @@
 
 Every run of ``test_digest``'s sweep is replayed twice in step: by the
 recognizer, whose quiet steps, evidence steps and queries go through the
-memo, and by a reference that holds lists and runs the memo-free step:
+memo, and by a reference that holds values built outside the memo and
+runs the memo-free step:
 in the array layout the interpreted commit, ``propagate_forward`` and a
 pick over every leaf; in the shared layout ``propagate_forward``, the
 interpreted evidence committed on fresh lists, and each team's pick, each
@@ -16,7 +17,8 @@ when each replay follows the links an equal one made, and when each
 tick's messages come in another order; and on planted tables that no
 sweep tick reaches, each evidence step, computed and then followed, must
 equal a reference.  A state's value links its steps only for the memo
-that made it, and only until an eviction or an assignment to the state.
+that made it, and only until an eviction or until the state takes a
+value built outside the memo.
 """
 
 import dataclasses
@@ -27,8 +29,8 @@ from array import array
 import pytest
 
 from overhear import compiled
-from overhear.belief import (BeliefState, MonitoringError, _commit_evidence, _message_keys,
-                             _message_order, apply_messages, array_overseer_tick, evidence,
+from overhear.belief import (BeliefState, MonitoringError, Value, _commit_evidence,
+                             _message_keys, _message_order, array_overseer_tick, evidence,
                              init_beliefs, most_likely_state, propagate_down, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from overhear.progen import grow_team, random_program, team_program
@@ -37,7 +39,7 @@ from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
-from conftest import _reference_pick, held_leaves, propagate_forward
+from conftest import _reference_pick, commit_messages, held_leaves, propagate_forward
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
                          table_programs, warm_replays)
 
@@ -62,11 +64,11 @@ def _commit(b, p, m):
     """The array layout's commit of one message with no memo:
     ``evidence`` of its key, committed on fresh zero tables by
     ``_commit_evidence``."""
-    b.act, b.blk = _commit_evidence(evidence(b.blk, p, _message_keys(p, [m])), p), list(p.zeros)
+    b.value = Value(_commit_evidence(evidence(b.blk, p, _message_keys(p, [m])), p), p.zeros)
 
 
 def _reference_tick(rec, states: dict, msgs):
-    """One tick of the array layout on list states, with no memo: each
+    """One tick of the array layout on states outside the memo: each
     routed message committed by ``_commit`` in message order, and every
     other agent stepped by ``propagate_forward``."""
     view, inbox = rec.view, {}
@@ -157,7 +159,7 @@ def test_a_replayed_log_steps_from_the_memo():
     rec = make_recognizer(p, "array")
     for _ in rec.replay(log, 120):
         [rec.path(a) for a in rec.agents]
-    # each agent's fresh lists are adopted as the first run's start, so no
+    # each agent's fresh state is adopted as the first run's start, so no
     # step is computed again
     again = {kind: memo.misses[kind] - first[kind] for kind in first}
     assert again["quiet"] + again["commit"] == 0 and again["best"] == 0
@@ -165,7 +167,7 @@ def test_a_replayed_log_steps_from_the_memo():
 
 
 def _reference_yoyo_tick(p, b, msgs):
-    """One tick of the shared layout on a list state, with no memo:
+    """One tick of the shared layout on a state outside the memo:
     ``propagate_forward``, or the interpreted ``evidence`` committed on fresh
     lists, climbed and rescaled, then capped at 1 only where it wrote, so
     the engine's cap of every entry must give the same bits."""
@@ -189,7 +191,7 @@ def _reference_yoyo_tick(p, b, msgs):
         for i in updated:
             if table[i] > 1.0:
                 table[i] = 1.0
-    b.act, b.blk = active, blocked
+    b.value = Value(active, blocked)
 
 
 @pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
@@ -241,7 +243,7 @@ def test_a_replayed_team_log_steps_from_the_memo():
     rec = make_recognizer(p, "yoyo")
     for _ in rec.replay(log, 300):
         [rec.path(team) for team in rec.teams]
-    # init_beliefs' fresh lists are adopted as the first run's start, so no
+    # init_beliefs' fresh state is adopted as the first run's start, so no
     # step is computed again
     again = {kind: memo.misses[kind] - first[kind] for kind in first}
     assert again["quiet"] + again["commit"] == 0 and again["best"] == 0
@@ -262,7 +264,7 @@ def _states_of(rec, unit=None) -> list:
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=_ids)
 def test_every_state_a_step_or_query_reads_holds_a_memo_value(key):
     # each step and query first adopts a value its memo did not make, so
-    # after each step, and each path, tick 0's fresh init_beliefs lists
+    # after each step, and each path, tick 0's fresh init_beliefs states
     # included, every state it read holds a value of its program's memo,
     # with tuple tables and a live set of the leaves that hold mass
     def check(states, t, when):
@@ -306,6 +308,13 @@ def _holding(value, index) -> BeliefState:
     return b
 
 
+def _assigned(value, name, table, index) -> BeliefState:
+    """A state of ``value``'s tables with the one called ``name`` replaced
+    by ``table``: a new value, built outside the memo."""
+    tables = {"act": value.act, "blk": value.blk, name: table}
+    return BeliefState(tables["act"], tables["blk"], index)
+
+
 def _links(v) -> tuple:
     return v.quiet, v.commits, v.best, v.teams
 
@@ -313,13 +322,13 @@ def _links(v) -> tuple:
 @pytest.mark.parametrize("layout", ["array", "yoyo"])
 def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
     # a state stepped to an evidence tick holds one of the memo's values,
-    # whose quiet step, commit and queries are then linked; a state that
-    # holds it and is then assigned act or blk, even an equal table, holds
-    # a fresh value, which a step or query adopts as the memo's value of
+    # whose quiet step, commit and queries are then linked; a state built
+    # from it with act or blk replaced, even by an equal table, holds a
+    # fresh value, which a step or query adopts as the memo's value of
     # equal bits: never the linked prior, a quiet step's result that was
-    # never interned, but one value per assignment of new bits, whose steps
+    # never interned, but one value per state of new bits, whose steps
     # and queries are each computed once (a miss) and equal the memo-free
-    # step, and which an equal assignment adopts again
+    # step, and which a state of equal bits adopts again
     compiled._compile.cache_clear()
     p, yoyo = team_program(0), layout == "yoyo"
     _, log = simulate(p, SimConfig(seed=0, ticks=150, team_mode=yoyo))
@@ -337,7 +346,7 @@ def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
     assert prior.memo is memo and type(prior.act) is tuple
 
     def commit(b):
-        yoyo_tick(q, b, msgs) if yoyo else apply_messages(b, msgs, q)
+        yoyo_tick(q, b, msgs) if yoyo else commit_messages(b, msgs, q)
 
     def query(b, unit):
         return team_most_likely(b, q, unit) if yoyo else most_likely_state(b, q)
@@ -353,19 +362,17 @@ def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
     assert prior.best is not None or len(prior.teams) == len(units)
     links = _links(prior)
     moved = dict.fromkeys(["act", "blk"], 0)
-    adopted = {}  # bits -> the memo's value that an assignment of them was adopted as
+    adopted = {}  # bits -> the memo's value that a state of them was adopted as
     for name in ("act", "blk"):
         table = getattr(prior, name)
         x = next(x for x, v in enumerate(table) if v)
         # an equal table, then a table with one entry moved
         for edit in (table, table[:x] + (table[x] / 2,) + table[x + 1:]):
-            b = _holding(prior, q.index)
-            setattr(b, name, edit)
+            b = _assigned(prior, name, edit, q.index)
             key = _bits(b)
             fresh = key not in adopted
             for kind, step in steps.items():
-                b = _holding(prior, q.index)
-                setattr(b, name, edit)
+                b = _assigned(prior, name, edit, q.index)
                 assert b.value is not prior and _links(b.value) == (None, {}, None, {})
                 expected = BeliefState(list(b.act), list(b.blk), q.index)
                 misses = memo.misses[kind]
@@ -382,8 +389,7 @@ def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
                 assert b.value.live == held_leaves(q, expected), (name, kind)
                 if kind == "quiet" and edit is not table:
                     moved[name] += _bits(b) != _bits(linked["quiet"])
-            b = _holding(prior, q.index)
-            setattr(b, name, edit)
+            b = _assigned(prior, name, edit, q.index)
             for unit in units:
                 misses = memo.misses["best"]
                 leaves = q.leaves_by_team[unit] if yoyo else q.leaf_index
@@ -396,7 +402,7 @@ def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
             assert b.value.memo is memo and type(b.value.act) is tuple, name
     assert all(moved.values()), moved
     assert len(adopted) == 3  # the equal act and blk tables share one value
-    # the value the assignments started from kept its links and answers
+    # the value the built states started from kept its links and answers
     assert _links(prior) == links
     assert answers == [query(_holding(prior, q.index), unit) for unit in units]
 
@@ -425,7 +431,7 @@ def test_a_value_follows_only_the_links_of_the_memo_that_made_it(layout):
         quiet_step(prog, [b])
 
     def commit(prog, b, msgs):
-        yoyo_tick(prog, b, msgs) if yoyo else apply_messages(b, msgs, prog)
+        yoyo_tick(prog, b, msgs) if yoyo else commit_messages(b, msgs, prog)
 
     def reference(step, prog, value, msgs) -> BeliefState:
         b = BeliefState(list(value.act), list(value.blk), prog.index)
@@ -549,7 +555,7 @@ def test_message_keys_keep_no_team_read_from_the_sender():
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=_ids)
 def test_a_warm_memo_steps_every_sweep_to_its_pinned_digests(key):
     # each replay follows an equal one through its log first, so it adopts
-    # each state's fresh lists as the value that one started from and
+    # each fresh state as the value that one started from and
     # computes no step; the states and answers it steps through keep the pins
     def checked():
         for replay in warm_replays(*key):
@@ -591,7 +597,7 @@ def _unrolled_commit(b, p, m):
         propagate_down(x, scratch[x], active, p)
         for anc in p.ancestors_at[x]:
             active[anc] += scratch[x]
-    b.act, b.blk = active, list(p.zeros)
+    b.value = Value(active, p.zeros)
 
 
 @pytest.mark.parametrize("layout", ["array", "yoyo"])
@@ -622,7 +628,7 @@ def test_evidence_steps_equal_the_reference_on_planted_tables(layout):
                 for looked_up in (False, True):
                     misses, b = memo.misses["commit"], _holding(value, p.index)
                     if layout == "array":
-                        apply_messages(b, msgs, p)
+                        commit_messages(b, msgs, p)
                     else:
                         yoyo_tick(p, b, msgs)
                     assert _bits(b) == _bits(expected), (prog, p.team_mode, looked_up)

@@ -1,16 +1,17 @@
 import pytest
 
-from overhear.belief import MonitoringError, apply_messages, most_likely_state, quiet_step
+from overhear.belief import MonitoringError, Value, most_likely_state, quiet_step
 from overhear.cli import run_command
 from overhear.harness import evaluate_run
 from overhear.ingest import TERM, ObservedMessage, format_log, parse_log
-from overhear.model import serialize_program
+from overhear.model import program_from_document, program_to_document, serialize_program
 from overhear.progen import team_program
 from overhear.recognizer import ArrayRecognizer, SharedRecognizer, make_recognizer
 from overhear.sim import SimConfig, checkpoints, simulate
 from overhear.yoyo import team_most_likely
 
-from conftest import DATA, _reference_pick, held_leaves, propagate_forward, snapshot
+from conftest import (DATA, _reference_pick, commit_messages, held_leaves, propagate_forward,
+                      snapshot)
 from test_digest import SWEEP_SHA256, TICKS, sweep_replays
 
 TEAM = str(DATA / "evac_team.json")
@@ -90,7 +91,7 @@ def test_coherent_routing_reaches_every_member(evac_team):
     assert rec.recipients(msg) == list(AGENTS)
     rec.step([msg])
     for a in AGENTS:
-        apply_messages(before[a], [msg], rec.view)
+        commit_messages(before[a], [msg], rec.view)
         assert rec.beliefs[a].active == before[a].active
         assert rec.beliefs[a].active["n2"] == pytest.approx(1.0)
 
@@ -113,6 +114,23 @@ def test_incoherent_routing_reaches_only_the_sender(evac_team):
     coherent = make_recognizer(evac_team, "array", coherent=True)
     assert coherent.recipients(ObservedMessage(5, "escort1", "NOBODY", TERM,
                                                "process-orders")) == ["escort1"]
+
+
+def test_coherent_routing_of_a_team_without_agents_reaches_the_sender():
+    # a known team with no agents routes to the sender under coherence, as
+    # an unknown team does, so the message is committed as it is without
+    # coherence and never dropped
+    doc = program_to_document(team_program(0))
+    doc["teams"].append({"name": "DELTA", "parent": "TASK-FORCE"})
+    q = program_from_document(doc)
+    msg = ObservedMessage(1, "alpha1", "DELTA", TERM, q.plans[q.leaf_index[0]].name)
+    coherent, alone, quiet = (make_recognizer(q, "array", c) for c in (True, False, True))
+    assert coherent.recipients(msg) == alone.recipients(msg) == ["alpha1"]
+    coherent.step([msg])
+    alone.step([msg])
+    quiet.step([])
+    assert coherent.beliefs == alone.beliefs
+    assert coherent.beliefs["alpha1"] != quiet.beliefs["alpha1"]
 
 
 def _bits(b):
@@ -170,7 +188,7 @@ def test_coherent_array_team_path_sums_the_members_live_candidates():
         act = list(view.zeros)
         for x, mass in masses.items():
             act[x] = mass
-        b.act, b.blk = act, list(view.zeros)
+        b.value = Value(act, view.zeros)
 
     def path():
         answer = rec.path(team)
@@ -200,7 +218,7 @@ def _point_mass(p, x: int) -> list:
 
 @pytest.mark.parametrize("layout", ["array", "yoyo"])
 def test_mass_assigned_to_a_leaf_without_mass_is_read_by_every_query(layout):
-    # a state's act assigned, and nothing else, a point mass on a team's
+    # a state's act replaced, and nothing else, by a point mass on a team's
     # leaf that held no mass: every query reads it as a pick over every
     # leaf would, and one quiet step from it gives the memo-free step's
     # bits and a live set of exactly the leaves that then hold mass
@@ -210,7 +228,7 @@ def test_mass_assigned_to_a_leaf_without_mass_is_read_by_every_query(layout):
               else [rec.beliefs[a] for a in q.team_hierarchy.members(team)])
     x = next(x for x in q.leaves_by_team[team][1:] if x not in held_leaves(q, states[0]))
     for b in states:
-        b.act = _point_mass(q, x)
+        b.value = Value(_point_mass(q, x), b.blk)
     b = states[0]
     if layout == "yoyo":
         for unit in rec.teams:

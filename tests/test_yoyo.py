@@ -58,12 +58,12 @@ def two_team():
 
 
 def test_down_duplicates_across_teams(evac_mini):
-    b = init_beliefs(evac_mini)
-    b.act[:] = b.blk[:] = evac_mini.zeros
-    propagate_down(evac_mini.index["n3"], 0.6, b.act, evac_mini)
+    act = list(evac_mini.zeros)
+    propagate_down(evac_mini.index["n3"], 0.6, act, evac_mini)
+    active = dict(zip(evac_mini.node_ids, act))
     # one first child per team group: each team gets the full mass
-    assert b.active["n4"] == pytest.approx(0.6)
-    assert b.active["n5"] == pytest.approx(0.6)
+    assert active["n4"] == pytest.approx(0.6)
+    assert active["n5"] == pytest.approx(0.6)
 
 
 def test_down_splits_within_one_team():
@@ -73,12 +73,12 @@ def test_down_splits_within_one_team():
     doc["transitions"].append({"from": "la2", "to": "TERMINATE", "pi": 1.0,
                                "mu": 0.0, "teams": ["LEFT"]})
     p = program_from_document(doc, team_mode=True)
-    b = init_beliefs(p)
-    b.act[:] = b.blk[:] = p.zeros
-    propagate_down(p.index["s"], 0.6, b.act, p)
-    assert b.active["la"] == pytest.approx(0.3)
-    assert b.active["la2"] == pytest.approx(0.3)
-    assert b.active["ra"] == pytest.approx(0.6)
+    act = list(p.zeros)
+    propagate_down(p.index["s"], 0.6, act, p)
+    active = dict(zip(p.node_ids, act))
+    assert active["la"] == pytest.approx(0.3)
+    assert active["la2"] == pytest.approx(0.3)
+    assert active["ra"] == pytest.approx(0.6)
 
 
 def test_team_init(evac_mini):
@@ -194,19 +194,22 @@ def test_sibling_team_keeps_prior_share_of_parent(two_team):
     assert b.active["ra"] / b.active["s"] == pytest.approx(share_before, abs=1e-9)
 
 
-def _rescale_into(parent, child, b, prior, p):
-    """The rescale a climb from ``child`` runs as it steps into ``parent``."""
+def _rescale_into(parent, child, b, prior, p) -> BeliefState:
+    """b after the rescale a climb from ``child`` runs as it steps into
+    ``parent``, run on copies of b's tables."""
     (walk,) = [walk for _, par, walk in p.evidence_climbs[p.index[child]]
                if par == p.index[parent]]
-    _rescale(walk, b.act, b.blk, prior.act, prior.blk, set())
+    act, blk = list(b.act), list(b.blk)
+    _rescale(walk, act, blk, prior.act, prior.blk, set())
+    return BeliefState(act, blk, p.index)
 
 
 def _state(p, active):
     """A state holding ``active``, node id -> mass, and 0.0 everywhere else."""
-    b = BeliefState(list(p.zeros), list(p.zeros), p.index)
+    act = list(p.zeros)
     for x, mass in active.items():
-        b.act[p.index[x]] = mass
-    return b
+        act[p.index[x]] = mass
+    return BeliefState(act, p.zeros, p.index)
 
 
 def test_scale_rescales_sibling_team_subtree(evac_mini):
@@ -214,7 +217,7 @@ def test_scale_rescales_sibling_team_subtree(evac_mini):
     # hand-built prior: landing-zone-maneuvers at 0.5, both tasks under it
     prior = _state(p, {"n0": 1.0, "n3": 0.5, "n4": 0.5, "n5": 0.5})
     b = _state(p, {"n0": 1.0, "n3": 1.0, "n4": 1.0})
-    _rescale_into("n3", "n4", b, prior, p)
+    b = _rescale_into("n3", "n4", b, prior, p)
     # ESCORT's subtree is re-aligned to the parent's new mass
     assert b.active["n5"] == pytest.approx(1.0)
 
@@ -230,7 +233,7 @@ def test_scale_prior_shares_are_preserved():
     p = program_from_document(doc, team_mode=True)
     prior = _state(p, {"m": 1.0, "s": 0.5, "la": 0.5, "ra": 0.25, "rb": 0.25})
     b = _state(p, {"m": 1.0, "s": 1.0, "la": 1.0})
-    _rescale_into("s", "la", b, prior, p)
+    b = _rescale_into("s", "la", b, prior, p)
     assert b.active["ra"] == pytest.approx(0.5)
     assert b.active["rb"] == pytest.approx(0.5)
     assert b.active["ra"] + b.active["rb"] == pytest.approx(b.active["s"])

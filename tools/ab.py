@@ -15,8 +15,13 @@ workload is built from each side's own modules:
   ``team_program(0)`` of ``TICKS`` ticks, for the shared layout (``yoyo``,
   a team-mode run) and the array layout (``array``, an agent-mode run on
   the program loaded without team mode, one belief per agent);
+- ``<layout>.setup``: perfbench's set-up, what a user pays before the
+  first tick: ``model.load_program`` of ``team_program(0)``'s document
+  text, in the layout's mode, and the layout's initial states, one for
+  ``yoyo`` and one per agent on the single-agent view for ``array``;
 - ``<layout>.evaluate_run``: one ``harness.evaluate_run`` of that run with
   a comm model learned from a second run, on a fresh program load;
+- ``parse_trace``: ``sim.parse_trace`` of the ``yoyo`` run's trace text;
 - ``<layout>.stream``: perfbench's streamed step, one tick plus every
   unit's most-likely query (``path``), replaying that run on the program
   with the learned comm model applied.  Each tick's time is its best of
@@ -50,9 +55,10 @@ keep warm, ``--rounds`` rounds of the online workloads alone, each the
 median of ``ONLINE_REPLAYS`` replays.  For each
 workload the report gives each side's minimum, the median of the
 per-round ratios change/parent, the rounds the change won, and whether
-both sides gave equal outputs (the replay's final states, the rendered
-report, the answers).  Both sides share one interpreter, allocator and
-collector, so a ratio is trustworthy only when its rounds agree.
+both sides gave equal outputs (the replay's final states, the initial
+tables, the rendered report, the parsed trace, the answers).  Both sides
+share one interpreter, allocator and collector, so a ratio is trustworthy
+only when its rounds agree.
 """
 
 from __future__ import annotations
@@ -107,8 +113,8 @@ class Side:
     def __init__(self, tree: Path, name: str):
         load_tree(tree, name)
         mod = {m: importlib.import_module(f"{name}.{m}")
-               for m in ("compiled", "harness", "ingest", "model", "progen", "recognizer",
-                         "sim", "social")}
+               for m in ("belief", "compiled", "harness", "ingest", "model", "progen",
+                         "recognizer", "sim", "social")}
         self.__dict__.update(mod)
         base = self.progen.team_program(0)
         self.text = self.model.serialize_program(base)
@@ -120,6 +126,29 @@ class Side:
             trace, log = self.sim.simulate(p, cfg(seed=1, ticks=TICKS, team_mode=team_mode))
             _, train = self.sim.simulate(p, cfg(seed=2, ticks=TICKS, team_mode=team_mode))
             self.runs[layout] = (trace, log, self.social.learn_comm_model(train))
+        self.trace_text = self.sim.format_trace(self.runs["yoyo"][0])
+
+    def setup(self, layout: str):
+        """(seconds, every initial table) of a program load in the layout's
+        mode and the layout's initial states."""
+        start = time.perf_counter()
+        p = self.model.load_program(self.text, team_mode=layout == "yoyo")
+        if layout == "yoyo":
+            states = [self.belief.init_beliefs(p)]
+        else:
+            view = p.single_agent_view()
+            states = {a: self.belief.init_beliefs(view)
+                      for a in p.team_hierarchy.agent_names}.values()
+        seconds = time.perf_counter() - start
+        return seconds, [v for b in states for v in (*b.act, *b.blk)]
+
+    def parse_trace(self):
+        """(seconds, the parsed trace's fields) of ``sim.parse_trace`` of the
+        yoyo run's trace text."""
+        start = time.perf_counter()
+        trace = self.sim.parse_trace(self.trace_text)
+        seconds = time.perf_counter() - start
+        return seconds, (trace.seed, trace.agents, trace.steps, trace.transition_count)
 
     def replay(self, layout: str):
         """(quiet seconds per tick, evidence seconds per tick, final state)."""
@@ -231,18 +260,26 @@ class Side:
         return time.perf_counter() - start, self.harness.render_report(report)
 
 
+def best(timed, *args) -> tuple:
+    """The best seconds of ``REPEATS`` calls of ``timed(*args)``, each
+    giving (seconds, output), and the first call's output."""
+    runs = [timed(*args) for _ in range(REPEATS)]
+    return min(r[0] for r in runs), runs[0][1]
+
+
 def measure(side: Side) -> dict:
     """Each workload's best time of ``REPEATS``, and its output."""
     out = {}
     for layout in LAYOUTS:
+        out[f"{layout}.setup"] = best(side.setup, layout)
         runs = [side.replay(layout) for _ in range(REPEATS)]
         out[f"{layout}.quiet_tick"] = (min(r[0] for r in runs), runs[0][2])
         out[f"{layout}.evidence_tick"] = (min(r[1] for r in runs), runs[0][2])
-        evals = [side.evaluate(layout) for _ in range(REPEATS)]
-        out[f"{layout}.evaluate_run"] = (min(e[0] for e in evals), evals[0][1])
+        out[f"{layout}.evaluate_run"] = best(side.evaluate, layout)
         stream, query, answers = side.stream(layout)
         out[f"{layout}.stream"] = (stream, answers)
         out[f"{layout}.query"] = (query, answers)
+    out["parse_trace"] = best(side.parse_trace)
     return out
 
 
