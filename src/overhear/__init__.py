@@ -10,7 +10,7 @@ The package splits into:
 - yoyo: team recognizer sharing one plan hierarchy across the whole team
 - recognizer: one interface and one monitor loop over both recognizer layouts
 - sim: seeded team simulator producing ground-truth traces and logs
-- harness: exact oracle, run scoring, hypothesis counting, scalability bench
+- harness: run scoring, hypothesis counting, scalability bench
 - progen: program generators for tests and experiments
 - cli: `overhear` command built from the above
 

@@ -13,19 +13,20 @@ import time
 
 import numpy as np
 
+from overhear import belief, compiled
 from overhear.belief import init_beliefs
 from overhear.cli import run_command
-from overhear.harness import (bench_scalability, engine_vector, evaluate_run,
-                              exact_filter, hypothesis_count_curve)
+from overhear.harness import bench_scalability, evaluate_run, hypothesis_count_curve
 from overhear.ingest import (INIT, TERM, ObservedMessage, apply_loss, format_log,
                              parse_kqml_log, parse_log)
 from overhear.model import hazard, program_from_document
-from overhear.progen import flatten_mu, random_program, team_program
+from overhear.progen import flatten_mu, grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import coherent_hypotheses, count_hypotheses, learn_comm_model
 
 from conftest import DATA, brute_leaves, propagate_forward, snapshot
+from oracles import engine_vector, exact_filter
 from test_ingest import KQML_SAMPLE
 
 CRITERION_LINES = []
@@ -257,13 +258,12 @@ def test_c09_learning_curve_ordering():
             f"online between at {between}/{len(none)}, first count {none[0]}")
 
 
-def test_c10_scalability():
+def test_c10_scalability(monkeypatch):
     start = time.perf_counter()
     tp = team_program(0, chatter=0.25)
     m = len(tp.node_ids)
     teams = len(tp.team_hierarchy.teams)
     rows = bench_scalability(tp, range(11, 21), ticks=100)
-    secs = time.perf_counter() - start
     ok = m == 40 and len(rows) == 10
     for row, n in zip(rows, range(11, 21)):
         ok = ok and row["agents"] == n
@@ -272,10 +272,49 @@ def test_c10_scalability():
         ok = ok and row["yoyo_visits"] == rows[0]["yoyo_visits"] == 100 * m
         ok = ok and row["array_visits"] == 100 * m * n
     grow = [b["yoyo_nodes"] - a["yoyo_nodes"] for a, b in zip(rows, rows[1:])]
-    ok = ok and grow == [1] * 9 and secs < 10.0
+    ok = ok and grow == [1] * 9
+
+    # One log with messages, replayed on the program grown to each size from a
+    # cold step memo: the steps yoyo computes must not depend on team size.
+    _, log = simulate(tp, SimConfig(seed=1, ticks=300, team_mode=True))
+    reads = []  # states the array layout's steps take, this tick
+    quiet_step, commit_messages = belief.quiet_step, belief._commit_messages
+
+    def counted_quiet_step(p, states, counter=None):
+        reads.append(len(states))
+        quiet_step(p, states, counter)
+
+    def counted_commit(b, p, keys):
+        reads.append(1)
+        commit_messages(b, p, keys)
+
+    monkeypatch.setattr(belief, "quiet_step", counted_quiet_step)
+    monkeypatch.setattr(belief, "_commit_messages", counted_commit)
+    misses, array_reads = {}, {}
+    for n in (11, 1011):
+        compiled._compile.cache_clear()  # and with it the step memo
+        p = grow_team(tp, n - 11)  # a fresh program, so p.compiled is looked up again
+        rec = make_recognizer(p, "yoyo")
+        for _ in rec.replay(log, 300):
+            for team in rec.units:
+                rec.path(team)
+        misses[n] = dict(p.compiled.memo.misses)
+        rec = make_recognizer(p, "array")
+        per_tick = set()
+        for t in rec.replay(log, 300):
+            if t:
+                per_tick.add(sum(reads))
+            reads.clear()
+        array_reads[n] = "/".join(map(str, sorted(per_tick)))
+    ok = ok and len(log) > 0 and misses[11]["commit"] > 0 and misses[11] == misses[1011]
+    secs = time.perf_counter() - start
+    ok = ok and secs < 10.0
+    counts = ", ".join(f"{n} agents {'/'.join(map(str, misses[n].values()))}" for n in misses)
     _record(10, "scalability", ok,
             f"40-plan program, 11..20 agents, shared layout +1 node/agent, "
-            f"flat shared visits, runtime={secs:.2f}s")
+            f"flat shared visits; one {len(log)}-message log, yoyo memo misses "
+            f"quiet/commit/best {counts}; array states read per tick "
+            f"{array_reads[11]} and {array_reads[1011]}; runtime={secs:.2f}s")
 
 
 def test_c11_wire_format_fidelity():

@@ -1,9 +1,15 @@
 import base64
+import email.parser
 import hashlib
 import tarfile
 import zipfile
 
 import pytest
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    import tomli as tomllib
 
 from conftest import DATA
 
@@ -31,7 +37,10 @@ def test_wheel_holds_package_data_and_console_script(backend, tmp_path):
                                ("METADATA", "WHEEL", "entry_points.txt", "RECORD")}
     entry_points = wheel.read(f"{info}/entry_points.txt").decode()
     assert entry_points == "[console_scripts]\noverhear = overhear.cli:main\n"
-    assert "Requires-Dist: numpy" in wheel.read(f"{info}/METADATA").decode()
+    # METADATA requires exactly the [project] dependencies, in order (none today)
+    metadata = email.parser.Parser().parsestr(wheel.read(f"{info}/METADATA").decode())
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]
+    assert metadata.get_all("Requires-Dist", []) == project.get("dependencies", [])
     # Every file but RECORD itself is listed with its size and sha256.
     for line in wheel.read(f"{info}/RECORD").decode().splitlines():
         name, digest, size = line.split(",")
@@ -41,6 +50,18 @@ def test_wheel_holds_package_data_and_console_script(backend, tmp_path):
         expected = base64.urlsafe_b64encode(hashlib.sha256(data).digest()).rstrip(b"=")
         assert digest == f"sha256={expected.decode()}"
         assert int(size) == len(data)
+
+
+@pytest.mark.parametrize("dependencies", [None, [], ["numpy", "tomli>=1.1"]])
+def test_metadata_lists_the_dependencies_it_is_given(backend, dependencies):
+    project = {"name": "overhear", "version": "0.1.0"}
+    if dependencies is not None:
+        project["dependencies"] = dependencies
+    metadata = email.parser.Parser().parsestr(backend._metadata(project))
+    assert not metadata.defects
+    assert (metadata["Metadata-Version"], metadata["Name"], metadata["Version"]) == (
+        "2.1", "overhear", "0.1.0")
+    assert metadata.get_all("Requires-Dist", []) == (dependencies or [])
 
 
 def test_sdist_rebuilds_the_same_wheel(backend, tmp_path, monkeypatch):

@@ -498,13 +498,20 @@ def test_runs_with_nothing_to_do_are_errors(tmp_path, capsys, argv, message):
 
 
 def test_cli_import_leaves_numpy_out():
-    # only the C1 oracle needs numpy; every command starts without it
+    # overhear has no runtime dependency: importing every module of the
+    # package, in a fresh interpreter, loads no numpy
+    code = ("import importlib, pkgutil, sys, overhear\n"
+            "names = [m.name for m in pkgutil.walk_packages(overhear.__path__, 'overhear.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(len(names), 'numpy' in sys.modules)")
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, overhear.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    modules = len(list((ROOT / "src" / "overhear").glob("*.py"))) - 1  # not __init__
+    assert done.stdout.split() == [str(modules), "False"]
 
 
 @pytest.fixture

@@ -6,9 +6,8 @@ import pytest
 
 from overhear.belief import MonitoringError, VisitCounter
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
-from overhear.harness import (MAX_ORACLE_STATES, _anchor, _silent_closure, bench_scalability,
-                              engine_vector, evaluate_run, exact_filter, hypothesis_count_curve,
-                              oracle_states, render_bench, render_report, score_run)
+from overhear.harness import (_anchor, _silent_closure, bench_scalability, evaluate_run,
+                              hypothesis_count_curve, render_bench, render_report, score_run)
 from overhear.compiled import _compile
 from overhear.model import TERMINATE, program_from_document, program_to_document
 from overhear.progen import random_program, team_program
@@ -17,6 +16,7 @@ from overhear.sim import ALWAYS, SimConfig, simulate
 from overhear.social import CommModel, learn_comm_model
 
 from conftest import snapshot
+from oracles import MAX_ORACLE_STATES, engine_vector, exact_filter, oracle_states
 from test_digest import TICKS, table_programs
 
 
