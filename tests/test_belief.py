@@ -895,11 +895,56 @@ def _reference_forward(p, active: list, blocked: list) -> tuple[list, list]:
     return act, blk
 
 
-@pytest.mark.parametrize("corpus", ["team_program", "nested", "random_program"])
+def _plan(pid, name, team, parent, first=False, rate=None):
+    plan = {"id": pid, "name": name, "team": team, "parent": parent, "first_child": first}
+    return plan if rate is None else {**plan, "lambda": rate}
+
+
+def _divides_twice():
+    """A program whose successor's descent divides a share it divided
+    before, which no sweep program's does: ``start`` hands its shed to
+    ``split``, whose first-child group (``pair-a``, ``pair-b``) halves it,
+    and ``pair-a``'s group of U-owned children splits a half in three.
+    ``pair-a`` has a second group in team mode, its V-owned child, which
+    takes the half; the single-agent view makes one group of four.  Every
+    leaf and internal node sheds, and the root's shed leaves the program."""
+    plans = [_plan("r", "top", "T", None),
+             _plan("s1", "start", "T", "r", True, 0.3), _plan("s2", "split", "T", "r"),
+             _plan("a", "pair-a", "T", "s2", True), _plan("b", "pair-b", "T", "s2", True, 0.2),
+             *(_plan(f"a{k}", f"trio-{k}", "U", "a", True, 0.3 + k / 10) for k in (1, 2, 3)),
+             _plan("av", "aside", "V", "a", True, 0.7)]
+    ends = {"s2": 0.0, "a": 0.0, "b": 0.5, "a1": 0.0, "a2": 0.25, "a3": 0.0, "av": 0.0,
+            "r": 0.5}
+    trans = [{"from": "s1", "to": "s2", "pi": 1.0, "mu": 0.25},
+             *({"from": x, "to": TERMINATE, "pi": 1.0, "mu": mu} for x, mu in ends.items())]
+    return program_from_document({
+        "teams": [{"name": "T", "parent": None}, {"name": "U", "parent": "T"},
+                  {"name": "V", "parent": "T"}],
+        "agents": [{"name": "u1", "team": "U"}, {"name": "v1", "team": "V"}],
+        "root": "r", "plans": plans, "transitions": trans}, team_mode=True)
+
+
+def test_the_divides_twice_program_divides_twice_in_both_modes():
+    p = _divides_twice()
+    split, pair, aside = (p.named_index[name][0] for name in ("split", "pair-a", "aside"))
+    trio = tuple(p.named_index[f"trio-{k}"][0] for k in (1, 2, 3))
+    for q, groups in ((p, (trio, (aside,))), (p.single_agent_view(), ((*trio, aside),))):
+        assert q.groups_at[split] == ((pair, p.named_index["pair-b"][0]),)
+        assert q.groups_at[pair] == groups
+
+
+FORWARD_CORPORA = {
+    **{corpus: lambda corpus=corpus: sweep_programs(corpus)[0]
+       for corpus in ("team_program", "nested", "random_program")},
+    "divides-twice": lambda: [_divides_twice()],
+}
+
+
+@pytest.mark.parametrize("corpus", FORWARD_CORPORA)
 def test_forward_matches_the_reference_step(corpus):
     """The kernel in both modes, on every sweep program and its single-agent view,
     against ``_reference_forward`` bit for bit, on tables no run reaches."""
-    for prog, p in enumerate(sweep_programs(corpus)[0]):
+    for prog, p in enumerate(FORWARD_CORPORA[corpus]()):
         for q in (p, p.single_agent_view()):
             rng = random.Random(f"{corpus}/{prog}/{q.team_mode}")
             size = len(q.node_ids)
