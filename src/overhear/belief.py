@@ -44,11 +44,11 @@ Mass entering a node is copied into each of its first-child groups
 (``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
 parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
 otherwise there is one group, and the step is the single-agent engine that
-the array layout runs once per agent.  It runs as the program's compiled
-kernel (``p.compiled.forward``), one generated Python function
-that steps list copies of the prior tables, runs each shedding node's
-updates only when the node sheds a nonzero mass, tests each leaf's prior
-mass and returns the copies, capped at 1 in team mode.
+the array layout runs once per agent.  It runs as the program's forward
+step (``p.compiled.forward``), which walks the program's step table
+(``compiled.step_plan``): it steps list copies of the prior tables, runs
+each shedding node's moves only when the node sheds a nonzero mass, tests
+each leaf's prior mass and returns the copies, capped at 1 in team mode.
 
 Every most-likely query runs one pick rule, ``pick_leaf``:
 ``most_likely_state`` over the value's live set (``Value``), the
@@ -57,11 +57,11 @@ shared layout's team query over the team's candidate leaves
 functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
-kernel keeps it so by construction (see ``compiled.forward_source``),
+forward step keeps it so by construction (see ``compiled.step_plan``),
 and an evidence commit only adds non-negative shares of normalized masses.
 A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
 Only the shared (yoyo) layout clips, capping values at 1 by one rule: a
-team-mode program's kernel caps what its quiet step returns, and
+team-mode program's forward step caps what its quiet step returns, and
 ``yoyo._climb`` what an evidence tick commits.
 """
 
@@ -86,7 +86,7 @@ class VisitCounter:
     """Counts the node visits of quiet steps (scalability probes).
 
     A step adds the nodes it covers, every node of the program, not the
-    tests its kernel runs, and a step followed from the step memo counts
+    tests its forward step runs, and a step followed from the step memo counts
     the same as one computed."""
 
     __slots__ = ("visits",)
@@ -192,11 +192,17 @@ def adopt(b: BeliefState, p: TeamOrientedProgram) -> Value:
 
     The memo's own values are returned as they are: a quiet step's result
     is linked, not interned, so interning it again would make a twin with
-    no links.
+    no links.  Adopting is the one way into the memo, so it is the one
+    place a state's tables are checked against p: a table that does not
+    hold one entry per node raises ``ValueError``, and b is left as it was.
     """
     value, memo = b.value, p.compiled.memo
     if value.memo is memo:
         return value
+    size = len(p.node_ids)
+    if len(value.act) != size or len(value.blk) != size:
+        raise ValueError(f"a program of {size} nodes got a belief state of "
+                         f"{len(value.act)} and {len(value.blk)} entries")
     b.value = value = memo.intern(value.act, value.blk)
     return value
 
@@ -404,7 +410,7 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
     linked; it needs no interning, as its source is already one value.  The
     counter takes one visit per node of p and state, the nodes a step
     covers, whether the step is linked or computed and whatever tests the
-    kernel runs.
+    forward step runs.
     """
     if counter is not None:
         counter.visits += len(p.postorder) * len(states)

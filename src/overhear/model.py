@@ -28,18 +28,17 @@ team's open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``,
 and each node's normalizing unit, ``unit_at``); the shared layout's climb
 (``evidence_climbs``, which holds the walk of every rescale it runs); and
 the compiled object of the program's fields (``compiled``): the forward
-step (``compiled.forward``), one generated function that steps list
-copies and returns them, and the step memo of both layouts.  They are
-built on first use, so loading a program pays for none of them.  Node ids remain only at
-the document boundary: ``node_ids`` and ``index`` map between ids and
-positions, ``node(id)`` reads a plan record, and the transition records
-(``out_at``) name their plans by id.  A query answers with a leaf's position, and ``path_names``
-gives its root path as plan names.  The generated code and its cache live
-in ``compiled``: the compiled object is built once per distinct set of
-the fields its generator reads, in a bounded cache kept in that module,
-so programs equal in those fields share one object and a hit generates
-no source; a source stays in ``linecache`` only while its function is
-cached.
+step (``compiled.forward``), which walks a step table read once from these
+tables, steps list copies and returns them, and the step memo of both
+layouts.  They are built on first use, so loading a program pays for none
+of them.  Node ids remain only at the document boundary: ``node_ids`` and
+``index`` map between ids and positions, ``node(id)`` reads a plan record,
+and the transition records (``out_at``) name their plans by id.  A query
+answers with a leaf's position, and ``path_names`` gives its root path as
+plan names.  The step table and its cache live in ``compiled``: the
+compiled object is built once per distinct set of the fields the table
+reads, in a bounded cache kept in that module, so programs equal in those
+fields share one object and a hit builds nothing.
 
 A transition is taken by the team that executes its source plan, in both
 modes; the simulator and both recognizers share that one rule.  Loading
@@ -57,9 +56,9 @@ checks, besides schema and references:
 
 A table is a pure function of the fields, so two threads racing on its first
 use build equal tables, and instances are safe to share across threads.  So
-is the compiled object shared by programs with equal fields: its kernel
-touches nothing but its arguments and the lists it returns, two threads
-compiling one key at once get equal objects, and every entry its memo
+is the compiled object shared by programs with equal fields: its step
+touches nothing but its arguments and the lists it makes, two threads
+building one key at once get equal objects, and every entry its memo
 stores is a function of the fields and the entry's key.  Mutable run
 state lives in the belief containers, not here.
 """
@@ -447,7 +446,7 @@ class TeamOrientedProgram:
         building a state compiles nothing."""
         from .compiled import _compile  # which imports this module
         return _compile(self.plans, self.transitions, self.root,
-                        self.team_hierarchy.teams, self.team_mode)[0]
+                        self.team_hierarchy.teams, self.team_mode)
 
     def single_agent_view(self) -> "TeamOrientedProgram":
         """The program with team mode off, for the per-agent recognizer baseline.

@@ -108,10 +108,10 @@ def format_comm_model(model: CommModel) -> str:
 def parse_comm_model(text: str) -> CommModel:
     """Read a model written by ``format_comm_model``; '#' starts a comment.
 
-    Raises ``IngestError`` naming the line of a bad confidence or an
-    unrecognized line.
+    Raises ``IngestError`` naming the line of a bad confidence, a second
+    confidence or an unrecognized line.
     """
-    confidence = 1.0
+    confidence, confidence_line = 1.0, None
     rules: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,6 +127,10 @@ def parse_comm_model(text: str) -> CommModel:
             if not 0.0 < confidence <= 1.0:
                 raise IngestError(f"line {lineno}: confidence must be in (0, 1], "
                                   f"got {parts[1]!r}")
+            if confidence_line is not None:
+                raise IngestError(f"line {lineno}: a second CONFIDENCE line; "
+                                  f"the first is line {confidence_line}")
+            confidence_line = lineno
         elif parts[0] == "PLAN" and len(parts) == 3 and parts[2] in (INIT, TERM):
             rules.add((parts[1], parts[2]))
         else:

@@ -29,15 +29,16 @@ the node's owner does not execute itself, however many team levels lie
 between the two owners.
 
 This is the one layout that clips, and it caps at 1 by one rule in two
-places: the team-mode forward kernel, on a quiet tick, and ``_climb``, on
-an evidence tick, each end with ``if max(t) > 1.0: t = [1.0 if v > 1.0
-else v for v in t]`` over both tables (``compiled.forward_source``).  The
-evidence climb and the rescale do not conserve mass and can push a value
-above 1, which the cap silently sets to 1.  No value is ever below 0, so
-neither has a lower bound to enforce: the forward step keeps non-negative
-mass non-negative (its kernel floors the one place rounding could break
-that), and an evidence tick only adds, multiplies, divides and takes the
-max of non-negative values.  Every value a tick leaves is in [0, 1].
+places: the team-mode forward step (``compiled.CompiledProgram.forward``),
+on a quiet tick, and ``_climb``, on an evidence tick, each end with ``if
+max(t) > 1.0: t = [1.0 if v > 1.0 else v for v in t]`` over both tables.
+The evidence climb and the rescale do not conserve mass and can push a
+value above 1, which the cap silently sets to 1.  No value is ever below
+0, so neither has a lower bound to enforce: the forward step keeps
+non-negative mass non-negative (it floors the one place rounding could
+break that), and an evidence tick only adds, multiplies, divides and
+takes the max of non-negative values.  Every value a tick leaves is in
+[0, 1].
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _climb(scratch: dict[int, float], prior, p: TeamOrientedProgram) -> tuple[li
     parent to at least the child's mass.  Where the climb steps into a plan
     another team owns, ``_rescale`` brings the other teams' subtrees to the
     parent's new mass by their shares in ``prior``.  Both tables end with
-    the team-mode kernel's cap at 1 (``compiled.forward_source``).
+    the team-mode forward step's cap at 1 (``compiled.CompiledProgram.forward``).
     """
     active, blocked = list(p.zeros), list(p.zeros)
     updated: set[int] = set()
@@ -113,7 +114,7 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     """Advance the shared belief one tick, in place.
 
     With no messages this is ``belief.quiet_step``, the quiet step of both
-    layouts, whose team-mode kernels cap every value at 1.
+    layouts, whose team-mode forward steps cap every value at 1.
     Otherwise the tick's messages are one observation (``belief.evidence``),
     committed at once by ``_climb``.
 

@@ -48,8 +48,8 @@ def propagate_forward(b: BeliefState, p):
     """Advance b one tick with no observation, in place, with no memo: the
     memo-free reference that ``belief.quiet_step`` follows bit for bit.
 
-    The step is p's compiled kernel (``p.compiled.forward``), and
-    b takes a value of the tables it returns.
+    The step is p's forward step (``p.compiled.forward``, the walk of its
+    step table), and b takes a value of the tables it returns.
     """
     b.value = Value(*p.compiled.forward(b.act, b.blk))
 

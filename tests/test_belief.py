@@ -118,6 +118,25 @@ def test_a_fresh_state_holds_the_start_tables_and_equals_itself_adopted(evac_min
     assert fresh.value.memo is None and fresh == adopted
 
 
+@pytest.mark.parametrize("extra", [-30, -1, 1, 5], ids=["10", "39", "41", "45"])
+def test_a_state_of_the_wrong_length_is_refused_at_the_memo(extra):
+    # every step and query adopts its state first, which checks both lengths
+    p = team_program(0)
+    view = p.single_agent_view()
+    size = len(p.node_ids)
+    for q, ask in ((view, lambda b: most_likely_state(b, view)),
+                   (p, lambda b: team_most_likely(b, p, p.team_hierarchy.teams[0][0])),
+                   (view, lambda b: quiet_step(view, [b])), (p, lambda b: quiet_step(p, [b]))):
+        for act, blk in (([0.5] * (size + extra), list(p.zeros)),
+                         (list(p.zeros), [0.5] * (size + extra))):
+            b = BeliefState(act, blk, q.index)
+            value = b.value
+            with pytest.raises(ValueError, match=f"^a program of {size} nodes got a belief "
+                                                 f"state of {len(act)} and {len(blk)} entries$"):
+                ask(b)
+            assert b.value is value
+
+
 def test_states_of_equal_masses_are_equal_whatever_sequences_built_them(evac_mini_single):
     p = evac_mini_single
     act, blk = list(p.initial[0]), list(p.initial[1])
@@ -857,7 +876,7 @@ def test_forward_leaves_its_arguments_alone(seed, view):
 
 
 def _reference_forward(p, active: list, blocked: list) -> tuple[list, list]:
-    """``p.compiled.forward``, interpreted node by node with no generated code.
+    """``p.compiled.forward``, interpreted node by node with no step table.
 
     Each leaf sheds its prior active mass times its hazard.  In postorder,
     a node whose shed is nonzero sends it along every edge out, scaled by
@@ -942,7 +961,8 @@ FORWARD_CORPORA = {
 
 @pytest.mark.parametrize("corpus", FORWARD_CORPORA)
 def test_forward_matches_the_reference_step(corpus):
-    """The kernel in both modes, on every sweep program and its single-agent view,
+    """The forward step in both modes, on every sweep program and its
+    single-agent view and on one program whose descent divides twice,
     against ``_reference_forward`` bit for bit, on tables no run reaches."""
     for prog, p in enumerate(FORWARD_CORPORA[corpus]()):
         for q in (p, p.single_agent_view()):

@@ -343,7 +343,7 @@ def test_evaluate_of_a_lost_log_with_a_model(tmp_path):
 
 def test_evaluate_runs_share_one_kernel(tmp_path):
     # each run builds a fresh comm-applied program; equal programs share one
-    # compiled object and kernel, generated and compiled once per process
+    # compiled object, its step table built once per process
     trace_path, log_path = _simulate(tmp_path / "run")
     model_path = tmp_path / "model.txt"
     assert run_command(["learn", "--log", str(log_path), "--out", str(model_path)]) == 0

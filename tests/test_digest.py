@@ -20,13 +20,14 @@ not move one random draw must leave ``SIM_SHA256`` unchanged.  It is split
 in two: ``SIM_MOVED_SHA256`` holds the agent-mode runs that an outage or a
 TERMINATE edge out of the root reaches, and ``SIM_SHA256`` every other run.
 
-A third pin, ``KERNEL_SHA256``, hashes each program's compiled forward
-step on seeded tables that no run reaches, so a rewrite of the kernel
-generator must keep every floor and every zero-skip exact.
+A third pin, ``KERNEL_SHA256``, hashes each program's forward step
+(``p.compiled.forward``, the walk of its step table) on seeded tables that
+no run reaches, so a rewrite of the step or of how its table is built must
+keep every floor and every zero-skip exact.
 
 Two more pin what the program builds and counts: ``TABLES_SHA256`` hashes
-the kernel's generated source and the engine's position-keyed tables, so a
-rewrite of how the tables are derived must build every one the same, and
+the engine's position-keyed tables, so a rewrite of how the tables are
+derived must build every one the same, and
 ``HYPOTHESIS_SHA256`` hashes the hypothesis-count curves, which no belief
 state reaches.
 """
@@ -34,7 +35,6 @@ state reaches.
 import dataclasses
 import functools
 import hashlib
-import inspect
 import pathlib
 import random
 import struct
@@ -111,15 +111,15 @@ SIM_SHA256 = "9bfe566a4808e27250ff62b5931eb958c40cc3cb285db408ce208a03ea3ce6ac"
 SIM_MOVED_SHA256 = "2db5e45f1d3ee4810753a2ef67f317dfc4fc56c3f3639125a460d87f8ee56c8e"
 SIM_TICKS = 150
 
-# sha256 of every program's kernel (and its view's) on arbitrary tables
+# sha256 of every program's forward step (and its view's) on arbitrary tables
 KERNEL_SHA256 = "a4220434f57d9b338dbca4bf4a1feb8294bf58e6fadf0037ab544682926ce6a9"
 KERNEL_STATES = 50
 # the kinds of table ``digest_table`` draws
 TABLE_KINDS = ("uniform", "sparse", "subnormal", "over")
 
-# sha256 of every table program's kernel source and position-keyed tables,
-# and of its hypothesis-count curves
-TABLES_SHA256 = "43764e18a3a92935a769a7b3348748791d4bad83267bd4666808c677092c3a1c"
+# sha256 of every table program's position-keyed tables, and of its
+# hypothesis-count curves
+TABLES_SHA256 = "7f1a630bef3ed18a3e5971029048b86e7964bc4ad38506e97556ed73eb393d43"
 HYPOTHESIS_SHA256 = "ea3923a3d4d1761b1fefa3c5c47846b8cf574570ff0455d12057029f20552cd9"
 
 
@@ -140,8 +140,8 @@ def sweep_programs(corpus: str) -> tuple[list, bool]:
     ``team_program(0..2)`` varies only the rates of one shape: one team
     level, every pi 1.  ``nested`` adds a second team level (evac_team and a
     climb that skips one, ``root_edge_program("LEFT1")``), a TERMINATE edge
-    out of the root, and internal nodes that shed and so get the kernel's
-    floors.  ``random_program`` adds pi < 1, duplicate plan names and
+    out of the root, and internal nodes that shed and so get the forward
+    step's floors.  ``random_program`` adds pi < 1, duplicate plan names and
     completing roots, replayed from agent-mode runs.
     """
     if corpus in QUANTIZED:
@@ -332,8 +332,8 @@ def kernel_digest() -> str:
     sparse with exact zeros, near-subnormal, and every entry above 1.  So
     the floors and the zero-skips run under masses no run produces.
 
-    A team-mode kernel caps what it returns at 1, and the single-agent
-    view's does not, so the pin covers both the cap and its absence.
+    A team-mode program's step caps what it returns at 1, and the
+    single-agent view's does not, so the pin covers both the cap and its absence.
     """
     h = hashlib.sha256()
     for corpus in ("team_program", "nested", "random_program"):
@@ -359,13 +359,12 @@ def table_programs() -> list:
 
 
 def tables_digest() -> str:
-    """sha256 over the generated kernel source and the engine's tables of
-    every ``table_programs()`` program and its single-agent view."""
+    """sha256 over the engine's tables of every ``table_programs()``
+    program and its single-agent view."""
     h = hashlib.sha256()
     for prog, p in enumerate(table_programs()):
         for view, q in enumerate((p, p.single_agent_view())):
             h.update(f"{prog}/{view}\n".encode())
-            h.update(inspect.getsource(q.compiled.forward).encode())
             for table in (q.groups_at, q.evidence_climbs, q.team_edges, q.ancestors_at,
                           q.name_paths_at, q.leaves_by_team, q.named_index):
                 h.update(repr(table).encode())

@@ -3,7 +3,7 @@ raise only their documented error types, traces survive a text round trip,
 the per-agent belief stays in [0, 1] without being clipped, no belief
 value of either layout is ever -0.0, no negative value reaches the
 shared layout's clips, which only cap at 1, and only a team-mode forward
-kernel caps what it returns."""
+step caps what it returns."""
 
 import copy
 import math
@@ -193,9 +193,9 @@ _TICKS = st.lists(st.none() | st.tuples(st.sampled_from([INIT, TERM]), st.intege
 
 @settings(max_examples=300, deadline=None)
 @given(_ARRAY_PROGRAMS, _TICKS)
-# the root's active mass rounds below 0 after 31 ticks unless the kernel floors it
+# the root's active mass rounds below 0 after 31 ticks unless the step floors it
 @example(_stressed_program(174, 40.0, 1), [None] * 40)
-# a leaf's blocked share rounds below 0 unless the kernel floors ``keep``
+# a leaf's blocked share rounds below 0 unless the step floors ``keep``
 @example(_stressed_program(213, 5.0, 1), [None])
 def test_array_belief_stays_in_bounds_unclipped(p, ticks):
     names = sorted({n.name for n in p.plans})
@@ -210,7 +210,7 @@ def test_array_belief_stays_in_bounds_unclipped(p, ticks):
         for table in (b.active, b.blocked):
             for x, v in table.items():
                 assert 0.0 <= v <= 1.0 + 1e-12, (t, x, v)
-                # the kernel skips nodes that shed 0.0, exact only with no -0.0
+                # the step skips nodes that shed 0.0, exact only with no -0.0
                 assert math.copysign(1.0, v) == 1.0, (t, x, v)
 
 
@@ -280,7 +280,7 @@ def test_shared_belief_reaches_the_clamps_non_negative(p, ticks):
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(_TEAM_PROGRAMS), st.randoms(use_true_random=False))
 def test_only_the_team_mode_kernel_caps_at_one(p, rng):
-    # every entry above 1: the team-mode kernel caps all it returns, and the
+    # every entry above 1: the team-mode step caps all it returns, and the
     # view's stays linear, so doubling its input doubles its output exactly
     size = len(p.node_ids)
     active, blocked = ([1.0 + rng.random() for _ in range(size)] for _ in range(2))

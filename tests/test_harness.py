@@ -417,8 +417,8 @@ def test_bench_scalability_layout_sizes(evac_team):
 
 
 def test_bench_scalability_compiles_one_kernel_per_layout():
-    # growing the team adds agents, which never change a kernel, so every
-    # size shares the team program's compiled object and its view's
+    # growing the team adds agents, which never change a step table, so
+    # every size shares the team program's compiled object and its view's
     _compile.cache_clear()
     bench_scalability(team_program(0), range(11, 21), ticks=2)
     assert _compile.cache_info().misses == 2

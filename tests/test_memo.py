@@ -524,7 +524,7 @@ def test_the_intern_table_is_shared_by_fields_and_bounded(monkeypatch):
     assert team_program(0).single_agent_view().compiled.memo is view.compiled.memo
     assert team_program(0).compiled.memo is not view.compiled.memo
     monkeypatch.setattr(compiled, "MEMO_STATES", 3)
-    memo = compiled.CompiledProgram(view, view.compiled.forward).memo
+    memo = compiled.CompiledProgram(view).memo
     for x in view.leaf_index[:7]:
         act = list(view.zeros)
         act[x] = 1.0

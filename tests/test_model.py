@@ -1,16 +1,12 @@
 import copy
-import inspect
 import json
-import linecache
 import random
-import re
-import traceback
 from dataclasses import replace
 
 import pytest
 
 from overhear import compiled
-from overhear.compiled import _compile, forward_source
+from overhear.compiled import _compile, step_plan
 from overhear.model import (ProgramError, TERMINATE, hazard, load_program, load_program_path,
                             program_from_document, program_to_document, serialize_program,
                             topmost_teams)
@@ -518,39 +514,33 @@ def test_warm_tables_leave_equality_and_hash_alone():
     assert hash(warm.team_hierarchy) == hash(fresh.team_hierarchy)
 
 
-def test_forward_source_is_registered():
+def _table(q) -> tuple:
+    """What q's forward step walks: its step table and whether it caps."""
+    c = q.compiled
+    return c.nodes, c.floored, c.capped
+
+
+def test_equal_programs_share_one_compiled_object():
     p = team_program(0)
     view = p.single_agent_view()
-    for q in (p, view):
-        assert inspect.getsource(q.compiled.forward).startswith("def forward(A, B):\n")
-    assert inspect.getsource(p.compiled.forward) != inspect.getsource(view.compiled.forward)
-    # one name per source: an equal program's kernel shares it
-    name = team_program(0).compiled.forward.__code__.co_filename
-    assert name == p.compiled.forward.__code__.co_filename
-    assert name != view.compiled.forward.__code__.co_filename
-    # and so does the function itself, compiled once per process
+    assert p.compiled is not view.compiled and _table(p) != _table(view)
+    # an equal program, and a fresh load of its document, share it
+    assert team_program(0).compiled is p.compiled
     text = serialize_program(p)
-    assert (load_program(text, team_mode=True).compiled.forward
-            is load_program(text, team_mode=True).compiled.forward is p.compiled.forward)
-    # a wrong-length table, either one, fails in both kernels' length check,
-    # which the traceback shows from the registered source
-    check = "raise ValueError(f'forward step of 40 nodes"
-    for q in (p, view):
-        for table in ([], [0.0] * (len(q.node_ids) + 1)):
-            for args in ((table, table), (list(q.zeros), table)):
-                with pytest.raises(ValueError) as info:
-                    q.compiled.forward(*args)
-                assert check in "".join(traceback.format_tb(info.value.__traceback__))
+    assert (load_program(text, team_mode=True).compiled
+            is load_program(text, team_mode=True).compiled is p.compiled)
 
 
 def test_only_the_team_kernel_caps_and_it_caps_every_entry():
-    # tables above 1 everywhere: the team kernel's cap also reaches the
-    # entries no block writes, and the view kernel keeps every excess
+    # tables above 1 everywhere: the team step's cap also reaches the
+    # entries no move writes, and the view step keeps every excess
     p = team_program(0)
     for q in (p, p.single_agent_view()):
-        source, size = forward_source(q), len(q.node_ids)
-        assert source.count("if max(") == (2 if q.team_mode else 0)
-        unwritten = set(range(size)).difference(map(int, re.findall(r"blk\[(\d+)\]", source)))
+        nodes, _, capped = _table(q)
+        size = len(q.node_ids)
+        assert capped is q.team_mode
+        written = {c for *_, moves in nodes for _, _, table, c, _, _ in moves if table == 1}
+        unwritten = set(range(size)).difference(written)
         assert unwritten
         act, blk = q.compiled.forward([1.5] * size, [2.0] * size)
         if q.team_mode:
@@ -561,71 +551,48 @@ def test_only_the_team_kernel_caps_and_it_caps_every_entry():
             assert all(blk[i] == 2.0 for i in unwritten)
 
 
-def test_forward_is_shared_only_by_equal_sources():
+def test_forward_is_shared_only_by_equal_tables():
     p = team_program(0)
     announced = p.node(p.transitions[0].dst).name
     variants = [p.single_agent_view(), flatten_mu(p, 0.05),
                 apply_comm_model(p, CommModel(frozenset({(announced, INIT)}), 0.9))]
     # the view compares equal to the program, yet steps differently
     assert variants[0] == p
-    kernels = [p.compiled.forward, *(q.compiled.forward for q in variants)]
-    assert len({id(f) for f in kernels}) == len(kernels)
-    assert len({inspect.getsource(f) for f in kernels}) == len(kernels)
+    objects = [p.compiled, *(q.compiled for q in variants)]
+    assert len({id(c) for c in objects}) == len(objects)
+    assert len({_table(q) for q in (p, *variants)}) == len(objects)
 
 
 def test_forward_cache_is_bounded():
     size = _compile.cache_info().maxsize
     p = team_program(0)
-    first = p.compiled.forward
-    # size distinct kernels, each one flat message probability
+    first = p.compiled
+    # size distinct objects, each one flat message probability
     for k in range(size):
-        flatten_mu(p, (k + 1) / (size + 2)).compiled.forward
+        flatten_mu(p, (k + 1) / (size + 2)).compiled
     before = _compile.cache_info().misses
-    again = team_program(0).compiled.forward
+    again = team_program(0).compiled
     assert _compile.cache_info().misses == before + 1
-    assert again is not first and inspect.getsource(again) == forward_source(p)
-    # the evicted kernel's source left linecache with it
-    assert first.__code__.co_filename not in linecache.cache
+    assert again is not first and again.memo is not first.memo
+    assert _table(team_program(0)) == (first.nodes, first.floored, first.capped)
 
 
-def test_forward_sources_leave_linecache_with_their_kernels():
-    size = _compile.cache_info().maxsize
-    p = team_program(0)
-    mus = [(k + 1) / (size + 12) for k in range(size + 10)]
-    for mu in mus:
-        flatten_mu(p, mu).compiled.forward
-    sources = [name for name in linecache.cache if name.startswith("<forward step ")]
-    assert len(sources) == size == _compile.cache_info().currsize
-    # the last kernel compiled is still cached, and so is its source
-    last = flatten_mu(p, mus[-1]).compiled.forward
-    assert inspect.getsource(last).startswith("def forward(A, B):\n")
-
-
-def test_kernels_of_one_source_keep_their_own_source():
-    # programs that differ only in plan names generate one source under two
-    # keys; the kernel left cached keeps its source when the other is dropped
+def test_programs_of_one_table_keep_their_own_objects():
+    # programs that differ only in plan names build one table under two
+    # keys; each has its own object and memo, and the one left cached
+    # stays when the other is dropped
     _compile.cache_clear()
     p = team_program(0)
     renamed = replace(p, plans=tuple(replace(n, name=f"{n.name}-x") for n in p.plans))
-    kept, dropped = p.compiled.forward, renamed.compiled.forward
-    assert kept is not dropped and inspect.getsource(kept) == inspect.getsource(dropped)
+    kept, dropped = p.compiled, renamed.compiled
+    assert kept is not dropped and kept.memo is not dropped.memo
+    assert _table(p) == _table(renamed)
     size = _compile.cache_info().maxsize
-    assert team_program(0).compiled.forward is kept  # now the most recently used
+    assert team_program(0).compiled is kept  # now the most recently used
     for k in range(size - 1):
-        flatten_mu(p, (k + 1) / (size + 3)).compiled.forward
-    assert dropped.__code__.co_filename not in linecache.cache
-    assert inspect.getsource(kept).startswith("def forward(A, B):\n")
-
-
-def test_a_kernel_never_takes_the_source_name_of_one_evicted():
-    # each kernel is compiled just after the one before it is freed, whose
-    # memory, and so whose id, it may reuse; its source name is still its own
-    p = team_program(0)
-    names = []
-    for k in range(100):
-        _compile.cache_clear()
-        names.append(flatten_mu(p, (k + 1) / 102).compiled.forward.__code__.co_filename)
-    assert len(set(names)) == len(names)
+        flatten_mu(p, (k + 1) / (size + 3)).compiled
+    assert team_program(0).compiled is kept
+    assert replace(p, plans=renamed.plans).compiled is not dropped  # a fresh program's
 
 
 def _family(p):
@@ -649,33 +616,32 @@ _COPIED_TABLES = ("out_at", "groups_at", "initial", "evidence_climbs", "team_edg
 
 
 @pytest.mark.parametrize("family", _KERNEL_FAMILIES)
-def test_forward_kernel_is_keyed_on_the_fields_it_reads(family):
-    # each program in a family may find its kernel cached under the key of
-    # one before it; the kernel must still be the one its own fields generate
+def test_step_table_is_keyed_on_the_fields_it_reads(family):
+    # each program in a family may find its object cached under the key of
+    # one before it; its table must still be the one its own fields build
     for q in _KERNEL_FAMILIES[family]():
-        assert inspect.getsource(q.compiled.forward) == forward_source(q)
-        # a copy by replace is the program a fresh load builds, tables and kernel
+        assert _table(q) == (*step_plan(q), q.team_mode)
+        # a copy by replace is the program a fresh load builds, tables and step
         fresh = load_program(serialize_program(q), team_mode=q.team_mode)
-        assert fresh == q and fresh.compiled.forward is q.compiled.forward
+        assert fresh == q and fresh.compiled is q.compiled
         for table in _COPIED_TABLES:
             assert getattr(fresh, table) == getattr(q, table), table
 
 
-def test_forward_hit_generates_no_source(monkeypatch):
+def test_forward_hit_builds_no_table(monkeypatch):
     p = team_program(0)
     comm = CommModel(frozenset({(p.plans[-1].name, INIT)}), 0.9)
-    seen = (p.compiled.forward, apply_comm_model(p, comm).compiled.forward)
+    seen = (p.compiled, apply_comm_model(p, comm).compiled)
     calls = []
-    generate = compiled.forward_source
-    monkeypatch.setattr(compiled, "forward_source", lambda q: calls.append(q) or generate(q))
+    build = compiled.step_plan
+    monkeypatch.setattr(compiled, "step_plan", lambda q: calls.append(q) or build(q))
     for _ in range(3):
-        assert (team_program(0).compiled.forward,
-                apply_comm_model(p, comm).compiled.forward) == seen
-    # agents are not in the key: a grown team's kernel is its team's
-    assert grow_team(p, 1000).compiled.forward is p.compiled.forward
+        assert (team_program(0).compiled, apply_comm_model(p, comm).compiled) == seen
+    # agents are not in the key: a grown team's object is its team's
+    assert grow_team(p, 1000).compiled is p.compiled
     assert calls == []
-    # a miss generates once, from a program built from the key, with no agent
-    flatten_mu(p, 0.0123457).compiled.forward
+    # a miss builds once, from a program built from the key, with no agent
+    flatten_mu(p, 0.0123457).compiled
     assert len(calls) == 1 and calls[0].team_hierarchy.agents == ()
 
 
@@ -686,12 +652,13 @@ def _mini(rate, mu):
     return program_from_document(doc)
 
 
-def test_equal_keys_generate_equal_source():
+def test_equal_keys_build_equal_tables():
     # the key compares numbers by value, so an int rate and a -0.0 mu share
-    # the kernel of the float rate and the 0.0 mu, and must write its text
+    # the object of the float rate and the 0.0 mu, and must build its table
+    # bit for bit
     p, q = _mini(1.0, 0.0), _mini(1, -0.0)
-    assert p == q and q.compiled.forward is p.compiled.forward
-    assert forward_source(q) == forward_source(p) == inspect.getsource(q.compiled.forward)
+    assert p == q and q.compiled is p.compiled
+    assert repr(step_plan(q)) == repr(step_plan(p)) == repr(_table(q)[:2])
 
 
 @pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), True, "0.5", None, 10 ** 400],

@@ -82,6 +82,8 @@ def test_comm_model_round_trip():
     ("# model\n\nCONFIDENCE nan\n", "line 3: confidence must be in (0, 1], got 'nan'"),
     ("CONFIDENCE 0.5\nPLAN a DONE\n", "line 2: unrecognized communication-model line"),
     ("RULE a INIT\n", "line 1: unrecognized communication-model line 'RULE a INIT'"),
+    ("CONFIDENCE 0.5\n# again\nCONFIDENCE 0.9\n",
+     "line 3: a second CONFIDENCE line; the first is line 1"),
 ])
 def test_parse_comm_model_errors_name_the_line(text, message):
     with pytest.raises(IngestError) as exc:

@@ -22,6 +22,11 @@ workload is built from each side's own modules:
 - ``<layout>.evaluate_run``: one ``harness.evaluate_run`` of that run with
   a comm model learned from a second run, on a fresh program load;
 - ``parse_trace``: ``sim.parse_trace`` of the ``yoyo`` run's trace text;
+- ``<layout>.forward``: the forward step alone, as a memo miss runs it:
+  the mean time of ``compiled.forward`` of the layout's program (the
+  single-agent view for ``array``) over every distinct state, by exact
+  bits, that one replay of that run reaches, with the step memo bypassed;
+  its outputs are compared bit for bit;
 - ``<layout>.stream``: perfbench's streamed step, one tick plus every
   unit's most-likely query (``path``), replaying that run on the program
   with the learned comm model applied.  Each tick's time is its best of
@@ -70,6 +75,7 @@ import importlib.util
 import statistics
 import sys
 import time
+from array import array
 from pathlib import Path
 
 LAYOUTS = ("yoyo", "array")
@@ -101,7 +107,7 @@ def load_tree(tree: Path, name: str):
 
 def unload(name: str):
     """Drop the package ``name`` and its modules, and with them their
-    compile caches and the ``linecache`` entries those hold."""
+    compile caches."""
     for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
         del sys.modules[key]
     gc.collect()
@@ -127,6 +133,7 @@ class Side:
             _, train = self.sim.simulate(p, cfg(seed=2, ticks=TICKS, team_mode=team_mode))
             self.runs[layout] = (trace, log, self.social.learn_comm_model(train))
         self.trace_text = self.sim.format_trace(self.runs["yoyo"][0])
+        self.reached = {layout: self.reach(layout) for layout in LAYOUTS}
 
     def setup(self, layout: str):
         """(seconds, every initial table) of a program load in the layout's
@@ -149,6 +156,31 @@ class Side:
         trace = self.sim.parse_trace(self.trace_text)
         seconds = time.perf_counter() - start
         return seconds, (trace.seed, trace.agents, trace.steps, trace.transition_count)
+
+    def reach(self, layout: str):
+        """(the program the layout steps, every distinct (act, blk) pair, by
+        exact bits, that one replay of the layout's run steps from)."""
+        _, log, _ = self.runs[layout]
+        p = self.model.load_program(self.text, team_mode=layout == "yoyo")
+        rec = self.recognizer.make_recognizer(p, layout)
+        by_tick = self.ingest.messages_by_tick(log)
+        seen = {}
+        for t in range(1, TICKS):
+            for b in [rec.belief] if layout == "yoyo" else rec.beliefs.values():
+                seen.setdefault(_bits(b.act, b.blk), (b.act, b.blk))
+            rec.step(by_tick.get(t, []))
+        return (rec.p if layout == "yoyo" else rec.view), list(seen.values())
+
+    def forward(self, layout: str):
+        """(mean seconds per step, each output's bits) of the forward step
+        over the states ``reach`` found, calling ``compiled.forward`` itself,
+        so no step is a memo lookup."""
+        q, states = self.reached[layout]
+        step = q.compiled.forward
+        start = time.perf_counter()
+        out = [step(A, B) for A, B in states]
+        seconds = (time.perf_counter() - start) / len(states)
+        return seconds, [_bits(act, blk) for act, blk in out]
 
     def replay(self, layout: str):
         """(quiet seconds per tick, evidence seconds per tick, final state)."""
@@ -260,6 +292,11 @@ class Side:
         return time.perf_counter() - start, self.harness.render_report(report)
 
 
+def _bits(act, blk) -> bytes:
+    """The exact bits of a pair of tables."""
+    return array("d", act).tobytes() + array("d", blk).tobytes()
+
+
 def best(timed, *args) -> tuple:
     """The best seconds of ``REPEATS`` calls of ``timed(*args)``, each
     giving (seconds, output), and the first call's output."""
@@ -272,6 +309,7 @@ def measure(side: Side) -> dict:
     out = {}
     for layout in LAYOUTS:
         out[f"{layout}.setup"] = best(side.setup, layout)
+        out[f"{layout}.forward"] = best(side.forward, layout)
         runs = [side.replay(layout) for _ in range(REPEATS)]
         out[f"{layout}.quiet_tick"] = (min(r[0] for r in runs), runs[0][2])
         out[f"{layout}.evidence_tick"] = (min(r[1] for r in runs), runs[0][2])
