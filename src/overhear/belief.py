@@ -41,7 +41,8 @@ evidence tick and team query (``yoyo``).  An evidence result is interned
 by its exact bits, so states that commit to equal values share one value.
 
 Mass entering a node is copied into each of its first-child groups
-(``TeamOrientedProgram.groups_at``).  On a team-mode program a group is one
+(``TeamOrientedProgram.groups_at``) by ``model.descend``.  On a
+team-mode program a group is one
 parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
 otherwise there is one group, and the step is the single-agent engine that
 the array layout runs once per agent.  It runs as the program's forward
@@ -51,18 +52,17 @@ each shedding node's moves only when the node sheds a nonzero mass, tests
 each leaf's prior mass and returns the copies, capped at 1 in team mode.
 
 Every most-likely query runs one pick rule, ``pick_leaf``:
-``most_likely_state`` over the value's live set (``Value``), the
-shared layout's team query over the team's candidate leaves
-(``yoyo.team_most_likely``).  This module only calls the program's
-functions and never writes to a program.
+``most_likely_state`` over every leaf, the shared layout's team query over
+the team's candidate leaves (``yoyo.team_most_likely``).  This module only
+calls the program's functions and never writes to a program.
 
 This module clips no value itself.  Every mass stays at or above 0 exactly: the
 forward step keeps it so by construction (see ``compiled.step_plan``),
 and an evidence commit only adds non-negative shares of normalized masses.
 A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
-Only the shared (yoyo) layout clips, capping values at 1 by one rule: a
-team-mode program's forward step caps what its quiet step returns, and
-``yoyo._climb`` what an evidence tick commits.
+Only the shared (yoyo) layout clips, capping values at 1 by one function,
+``compiled.cap``: a team-mode program's forward step caps what its quiet
+step returns, and ``yoyo._climb`` what an evidence tick commits.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
 from .ingest import INIT, TERM, ObservedMessage
-from .model import TIE_TOLERANCE, TeamOrientedProgram
+from .model import TIE_TOLERANCE, TeamOrientedProgram, descend
 
 # Evidence posteriors below the floor are truncated to zero to stop dead
 # hypotheses from drifting along indefinitely.
@@ -101,23 +101,18 @@ NO_LINKS: dict = {}
 
 
 class Value:
-    """One belief value, ``act`` and ``blk`` (see ``BeliefState``), its
-    live set and the steps memoized from it.
+    """One belief value, a state of the step memo's automaton: its two
+    tables, ``act`` and ``blk`` (see ``BeliefState``), and its links.
 
     The value holds each table as a tuple, converting any other sequence
     once, here, so no one writes a table a value holds.  ``memo`` is the
     ``compiled.StepMemo`` that made the value, or None for one built
     outside it (``BeliefState``'s constructor).  Only a memo's own values
-    carry a live set (any other holds ``()``) and hold links.  ``live`` is
-    exactly the leaves that hold mass: the positions, ascending, of the
-    leaves whose ``act`` or ``blk`` entry is nonzero.  The memo computes it
-    once, when it makes the value (``compiled.StepMemo.make``).  A message
-    resets a belief to a point mass or a few, so the set stays short, and a
-    query reads only those leaves.  Every step and query of a program runs
-    from a value of its memo: it first adopts any other value a state holds
-    (``adopt``), replacing it with the memo's value of equal bits, so a step
-    from an equal value is the same link.  A link is the value a step
-    gives, or the answer a query gives:
+    hold links.  Every step and query of a program runs from a value of its
+    memo: it first adopts any other value a state holds (``adopt``),
+    replacing it with the memo's value of equal bits, so a step from an
+    equal value is the same link.  A link is the value a step gives, or
+    the answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
     - ``commits``: per commit key (``_message_keys``), the value after it;
@@ -127,10 +122,10 @@ class Value:
     A table slot with no link holds ``NO_LINKS``.
     """
 
-    __slots__ = ("act", "blk", "live", "memo", "quiet", "commits", "best", "teams")
+    __slots__ = ("act", "blk", "memo", "quiet", "commits", "best", "teams")
 
-    def __init__(self, act, blk, memo=None, live=()):
-        self.act, self.blk, self.memo, self.live = tuple(act), tuple(blk), memo, live
+    def __init__(self, act, blk, memo=None):
+        self.act, self.blk, self.memo = tuple(act), tuple(blk), memo
         self.quiet = self.best = None
         self.commits = self.teams = NO_LINKS
 
@@ -214,24 +209,6 @@ def init_beliefs(p: TeamOrientedProgram) -> BeliefState:
     program, as they are.
     """
     return BeliefState(*p.initial, p.index)
-
-
-def propagate_down(x: int, rho: float, active: list[float], p: TeamOrientedProgram,
-                   updated: set[int] | None = None):
-    """Credit ``rho`` to the first children of the node at position x, recursively.
-
-    Each first-child group gets the full ``rho`` (parallel subteams carry
-    duplicated mass) and splits it evenly among its members.  Mutates the
-    ``active`` table in place, and adds every credited position to
-    ``updated`` when given; callers pass the table under construction.
-    """
-    for group in p.groups_at[x]:
-        share = rho / len(group)
-        for c in group:
-            active[c] += share
-            if updated is not None:
-                updated.add(c)
-            propagate_down(c, share, active, p, updated)
 
 
 def _prune_redundant_ancestors(p: TeamOrientedProgram, nodes) -> list[int]:
@@ -358,15 +335,13 @@ def evidence(blk: tuple[float, ...], p: TeamOrientedProgram,
 def _commit_evidence(scratch: dict[int, float], p: TeamOrientedProgram) -> list[float]:
     """The active table of ``scratch`` committed on a fresh zero table.
 
-    Each mass is spread down its node's first-child groups
-    (``propagate_down``) and added to every ancestor; every blocked mass
-    is 0.  This is the array layout's commit.
+    Each mass goes down its node's descent (``model.descend``) and onto
+    every ancestor; every blocked mass is 0.  The array layout's commit.
     """
-    active, ancestors = list(p.zeros), p.ancestors_at
-    for x in sorted(scratch):
-        mass = scratch[x]
+    active, ancestors, descents = list(p.zeros), p.ancestors_at, p.descents_at
+    for x, mass in sorted(scratch.items()):
         active[x] += mass
-        propagate_down(x, mass, active, p)
+        descend(descents[x], mass, active)
         for anc in ancestors[x]:
             active[anc] += mass
     return active
@@ -422,8 +397,7 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
             prior = adopt(b, p)
         after = prior.quiet
         if after is None:
-            act, blk = compiled.forward(prior.act, prior.blk)
-            after = memo.make(act, blk)
+            after = Value(*compiled.forward(prior.act, prior.blk), memo)
             memo.link("quiet", prior)
             prior.quiet = after
         b.value = after
@@ -457,12 +431,11 @@ def pick_leaf(leaves, A, B) -> int:
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     """The position of the leaf holding the most active+blocked mass.
 
-    The leaf is ``pick_leaf`` over the leaves that hold mass (``Value``'s
-    live set), so masses within ``TIE_TOLERANCE`` of each other tie toward
-    the lowest node id.  A leaf without mass never beats a pick, so the
-    answer is that of a pick over every leaf.  ``p.path_names`` of the
-    answer is its root path of plan names.  Raises on a state with no mass
-    on any leaf.
+    The leaf is ``pick_leaf`` over every leaf, so masses within
+    ``TIE_TOLERANCE`` of each other tie toward the lowest node id;
+    ``p.path_names`` of it is its root path of plan names.  No mass is
+    negative and a leaf without mass never beats a pick, so the query
+    raises, when the pick holds no mass, only on a state with none.
 
     An answer taken before from the same value is its ``best`` link
     (``Value``); any other is linked.
@@ -474,10 +447,11 @@ def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
     best = value.best
     if best is not None:
         return best
-    if not value.live:
+    best = pick_leaf(p.leaf_index, value.act, value.blk)
+    if not (value.act[best] or value.blk[best]):
         raise MonitoringError("belief state carries no mass on any leaf")
     memo.link("best", value)
-    value.best = best = pick_leaf(value.live, value.act, value.blk)
+    value.best = best
     return best
 
 

@@ -4,11 +4,11 @@ fields that holds it and the step memo.
 ``step_plan`` reads a program's tables once into the step table, and
 ``CompiledProgram.forward`` walks it: the forward (quiet) step, which steps
 list copies and tests each leaf's prior mass, so a sparse belief runs few
-updates, and in team mode caps what it returns.  The step runs only on a
-memo miss: every quiet step is a link on a step-memo value (``StepMemo``),
-whose belief values (``belief.Value``) are shared immutable tuples that hold
-their own steps.  Every most-likely query runs ``belief.pick_leaf`` on a
-memo miss.
+updates, and in team mode caps what it returns (``cap``).  The step runs
+only on a memo miss: every quiet step is a link on a step-memo value
+(``StepMemo``), and a value (``belief.Value``) is two immutable tables and
+the links to its steps.  Every most-likely query runs ``belief.pick_leaf``
+on a memo miss.
 
 The one cache, ``_compile``, is bounded, lives in this module and is keyed
 on the fields ``step_plan`` reads, never on a program object: every program
@@ -25,25 +25,21 @@ from array import array
 from functools import lru_cache
 
 from .belief import NO_LINKS, Value
-from .model import TERMINATE, TeamHierarchy, TeamOrientedProgram, hazard
+from .model import TERMINATE, TeamHierarchy, TeamOrientedProgram, descend, hazard
 
 # The links of each kind, and the entries of each table, that a
 # ``StepMemo`` holds before it starts over.
 MEMO_STATES = 4096
 
 
-def _descent(groups_at, y: int, slot: int, out: list):
-    """``belief.propagate_down`` from position y, whose share is in
-    ``slot``, flattened into ``out`` in preorder as ``(child, slot,
-    divisor)``: each child's share is in its slot.  A group of more than
-    one takes the next slot, which its first child fills by dividing the
-    share by the group's size; every other divisor is None."""
-    for group in groups_at[y]:
-        share, divisor = (slot + 1, len(group)) if len(group) > 1 else (slot, None)
-        for c in group:
-            out.append((c, share, divisor))
-            divisor = None  # the rest of the group reads the first child's share
-            _descent(groups_at, c, share, out)
+def cap(act: list[float], blk: list[float]) -> tuple[list[float], list[float]]:
+    """Both tables with every entry above 1 set to 1, each other entry
+    left as it is: the one clip, which ends the shared layout's quiet step
+    (the team-mode ``CompiledProgram.forward``) and evidence tick
+    (``yoyo._climb``)."""
+    if max(act) > 1.0 or max(blk) > 1.0:
+        act, blk = [[1.0 if v > 1.0 else v for v in t] for t in (act, blk)]
+    return act, blk
 
 
 def step_plan(p: TeamOrientedProgram) -> tuple[tuple, tuple[int, ...]]:
@@ -61,8 +57,8 @@ def step_plan(p: TeamOrientedProgram) -> tuple[tuple, tuple[int, ...]]:
     sheds, divided by ``divisor`` unless that is None.  A move goes to one
     of three places:
 
-    - a successor's active mass, and down its first-child groups by its
-      ``descent`` (``_descent``), where slot 0 holds the scaled shed;
+    - a successor's active mass, and down its ``descents_at`` entry,
+      ``descent``, which ``descend`` walks;
     - out of the program from the root: the root's blocked mass;
     - out of a parent: the parent's shed, divided among its groups.
 
@@ -77,7 +73,7 @@ def step_plan(p: TeamOrientedProgram) -> tuple[tuple, tuple[int, ...]]:
     ``keep`` of 0 are left out, and so are nodes that never shed (a leaf
     with hazard 0, an internal node no TERMINATE edge feeds).
     """
-    n, groups_at = p.index, p.groups_at
+    n, groups_at, descents = p.index, p.groups_at, p.descents_at
     rates = {i: hazard(p.plans[i].rate) for i in p.leaf_index}
     sheds = {i for i, rate in rates.items() if rate}
     nodes, floored = [], []
@@ -92,9 +88,7 @@ def step_plan(p: TeamOrientedProgram) -> tuple[tuple, tuple[int, ...]]:
                 continue
             factors = (None if silent == 1.0 else silent, None if pi == 1.0 else pi)
             if t.dst != TERMINATE:
-                descent = []
-                _descent(groups_at, n[t.dst], 0, descent)
-                moves.append((*factors, 0, n[t.dst], None, tuple(descent)))
+                moves.append((*factors, 0, n[t.dst], None, descents[n[t.dst]]))
             elif not up:
                 moves.append((*factors, 1, i, None, ()))  # program complete
             else:
@@ -114,12 +108,10 @@ class StepMemo:
     """The values met by the steps of both layouts, linked to their steps:
     a lazily built automaton over belief values.
 
-    A state (``belief.BeliefState``) holds one ``belief.Value``.  Each
-    value the memo makes holds its tables as tuples, which no step writes,
-    and its live set (``belief.Value``), read off ``leaves``, the program's
-    leaf positions; a step or query taken from it once is kept on it as a
-    link, and taking it again is one attribute load.  The memo makes values
-    in two places, both by ``make``:
+    A state (``belief.BeliefState``) holds one ``belief.Value``, an
+    automaton state: two tables that no step writes, and links.  A step or
+    query taken from a value once is kept on it as a link, and taking it
+    again is one attribute load.  The memo's values are made in two places:
 
     - ``intern`` maps the exact bits of a pair of tables to one value.
       Evidence results, and the values the engine adopts (``belief.adopt``:
@@ -142,10 +134,9 @@ class StepMemo:
     the answers linked, one per ``link``; a hit counts nothing.
     """
 
-    __slots__ = ("leaves", "linked", "links", "interned", "keys", "misses", "evictions")
+    __slots__ = ("linked", "links", "interned", "keys", "misses", "evictions")
 
-    def __init__(self, leaves: tuple[int, ...]):
-        self.leaves = leaves
+    def __init__(self):
         self.linked: list[Value] = []
         self.links = dict.fromkeys(("quiet", "commit", "best"), 0)
         self.interned: dict[bytes, Value] = {}
@@ -183,17 +174,12 @@ class StepMemo:
             self._evict()
         table[key] = entry
 
-    def make(self, act, blk) -> Value:
-        """A new value of this memo holding ``act`` and ``blk``, and its live set."""
-        live = tuple(i for i in self.leaves if act[i] or blk[i])
-        return Value(act, blk, self, live)
-
     def intern(self, act, blk) -> Value:
         """The one value holding the exact bits of ``act`` and ``blk``."""
         key = array("d", act).tobytes() + array("d", blk).tobytes()
         value = self.interned.get(key)
         if value is None:
-            value = self.make(act, blk)
+            value = Value(act, blk, self)
             self.store(self.interned, key, value)
         return value
 
@@ -213,7 +199,7 @@ class CompiledProgram:
     def __init__(self, p: TeamOrientedProgram):
         self.nodes, self.floored = step_plan(p)
         self.capped = p.team_mode
-        self.memo = StepMemo(p.leaf_index)
+        self.memo = StepMemo()
 
     def forward(self, A, B) -> tuple[list[float], list[float]]:
         """The forward step of the prior (active, blocked) tables: new
@@ -225,14 +211,11 @@ class CompiledProgram:
         reads a copy an earlier entry wrote; an internal node's runs only
         when its shed is nonzero.  Each move computes ``(o * (1 - mu)) *
         pi``, leaving out factors of 1.0, and adds it, or its quotient by
-        the move's divisor, to the move's position; a descent then adds
-        each child its share, dividing a share once per group of more than
-        one.  The node then loses ``o`` from its active mass.  After the
-        last entry every ``floored`` node's active mass below 0.0 is set to
-        0.0.  A team-mode program's step then caps both lists at 1, entry
-        by entry: ``if max(act) > 1.0: act = [1.0 if v > 1.0 else v for v
-        in act]``, and the same for ``blk``, the rule that also ends the
-        shared layout's evidence tick (``yoyo._climb``).
+        the move's divisor, to the move's position, and down its descent
+        (``descend``).  The node then loses ``o`` from its active mass.
+        After the last entry every ``floored`` node's active mass below 0.0
+        is set to 0.0.  A team-mode program's step then caps both lists at
+        1 (``cap``), as the shared layout's evidence tick does.
 
         Skipping is exact.  No state value is ever -0.0, and every shed mass
         is a sum of products of non-negative values, so a skipped entry
@@ -245,7 +228,7 @@ class CompiledProgram:
         and it is left as it is.
         """
         act, blk, shed = list(A), list(B), [0.0] * len(A)
-        tables, shares = (act, blk, shed), [0.0] * len(A)  # no descent is deeper than p
+        tables = (act, blk, shed)
         for i, rate, moves in self.nodes:
             if rate is None:
                 o = shed[i]
@@ -262,21 +245,12 @@ class CompiledProgram:
                     r *= pi
                 tables[table][c] += r if divisor is None else r / divisor
                 if descent:
-                    shares[0] = r
-                    for c, slot, divisor in descent:
-                        if divisor is not None:
-                            shares[slot] = shares[slot - 1] / divisor
-                        act[c] += shares[slot]
+                    descend(descent, r, act)
             act[i] -= o
         for j in self.floored:
             if act[j] < 0.0:
                 act[j] = 0.0
-        if self.capped:
-            if max(act) > 1.0:
-                act = [1.0 if v > 1.0 else v for v in act]
-            if max(blk) > 1.0:
-                blk = [1.0 if v > 1.0 else v for v in blk]
-        return act, blk
+        return cap(act, blk) if self.capped else (act, blk)
 
 
 @lru_cache(maxsize=16)

@@ -251,12 +251,16 @@ def parse_kqml_log(text: str, *, tick_seconds: float = 1.0) -> list[ObservedMess
 def apply_loss(messages, rate: float, seed: int) -> list[ObservedMessage]:
     """Drop an exact fraction of messages, chosen without replacement.
 
-    Exactly floor(rate * n) messages are removed; survivor order is kept.
+    Exactly floor(rate * n) messages are removed, for the rate as written
+    (its shortest decimal form, so 0.29 of 100 drops 29, where the float
+    product would drop 28); survivor order is kept.
     """
+    from fractions import Fraction  # here: with decimal, it would slow every command's start
+
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"loss rate must be in [0, 1], got {rate}")
     messages = list(messages)
-    k = int(rate * len(messages))
+    k = int(Fraction(str(rate)) * len(messages))
     drop = set(random.Random(seed).sample(range(len(messages)), k))
     return [m for i, m in enumerate(messages) if i not in drop]
 

@@ -20,7 +20,8 @@ positions ascend in id order.  The tables are each node's children
 (``children_at``), transitions out (``out_at``), ancestors, root path as
 plan names (``name_paths_at``), owner and first-child groups
 (``groups_at``, the one place that decides which subteams run in
-parallel); the postorder and the leaves; plan name -> positions
+parallel) and first-child descent (``descents_at``, which ``descend``
+walks); the postorder and the leaves; plan name -> positions
 (``named_index``); the zero table (``zeros``), the initial state
 (``initial``) and each team's candidate leaves (``leaves_by_team``); the
 evidence tables that ``belief.evidence`` reads in both modes (each
@@ -51,6 +52,7 @@ checks, besides schema and references:
   so the shared layout can decide where to rescale from plan ownership
   alone;
 - a transition other than TERMINATE joins two children of one parent;
+  no plan's id is TERMINATE;
 - every plan, team and agent name fits one field of a trace or log line:
   it is not empty and holds no whitespace, ``/``, ``!`` or ``#``.
 
@@ -77,7 +79,7 @@ TERMINATE = "TERMINATE"
 SUM_TOL = 1e-9
 
 # Leaf masses within this relative distance of the best one tie in a
-# most-likely pick (``belief.pick_leaf``): ``belief.propagate_down`` splits
+# most-likely pick (``belief.pick_leaf``): ``descend`` splits
 # mass evenly, so exact ties are common, and summation order must not
 # decide between them.
 TIE_TOLERANCE = 1e-9
@@ -194,6 +196,18 @@ class TeamHierarchy:
 def hazard(rate: float) -> float:
     """Per-tick termination probability of a leaf with the given rate."""
     return 1.0 - math.exp(-rate)
+
+
+def descend(descent, rho: float, act: list[float]):
+    """Add ``rho``, a node's mass, down its ``descents_at`` entry into
+    ``act``: each first-child group gets its parent's full share (parallel
+    subteams carry duplicated mass) and splits it evenly.  The one descent
+    of the initial state, the forward step and both evidence commits."""
+    shares = [rho] * (len(descent) + 1)  # no slot exceeds the entries
+    for c, slot, divisor in descent:
+        if divisor is not None:
+            shares[slot] = shares[slot - 1] / divisor
+        act[c] += shares[slot]
 
 
 def topmost_teams(h: TeamHierarchy, teams) -> set[str]:
@@ -328,6 +342,34 @@ class TeamOrientedProgram:
         return tuple(groups)
 
     @cached_property
+    def descents_at(self) -> tuple[tuple[tuple[int, int, int | None], ...], ...]:
+        """Each node's first-child descent (``descend``), by position: its
+        ``groups_at`` subtree in preorder as ``(child, slot, divisor)``.
+        Slot 0 holds the node's mass; a group of more than one takes the
+        next slot, which its first child fills by dividing its parent's
+        share by the group's size; every other divisor is None."""
+        groups_at = self.groups_at
+        descents = [()] * len(groups_at)
+
+        def fill(y: int) -> tuple:
+            out = []
+            for group in groups_at[y]:
+                shift = int(len(group) > 1)
+                divisor = len(group) if shift else None
+                for c in group:
+                    out.append((c, shift, divisor))
+                    divisor = None  # the rest of the group reads the first child's share
+                    below = descents[c] or (fill(c) if groups_at[c] else ())
+                    out += [(d, slot + 1, div) for d, slot, div in below] if shift else below
+            descents[y] = out = tuple(out)
+            return out
+
+        for y, groups in enumerate(groups_at):
+            if groups and not descents[y]:  # a node with groups has a nonempty descent
+                fill(y)
+        return tuple(descents)
+
+    @cached_property
     def zeros(self) -> tuple[float, ...]:
         """0.0 for every node, by position; ``list`` it to get a fresh state table."""
         return (0.0,) * len(self.node_ids)
@@ -336,14 +378,13 @@ class TeamOrientedProgram:
     def initial(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The initial (active, blocked) tables, which ``belief.init_beliefs`` uses.
 
-        All mass is on the root and, through first children, on the initial
-        leaves; the descent runs once per program, not per state.
+        All mass is on the root and, by its descent, on the initial leaves;
+        the descent runs once per program, not per state.
         """
-        from .belief import propagate_down  # the engine module imports this one
         active = list(self.zeros)
         root = self.index[self.root]
         active[root] = 1.0
-        propagate_down(root, 1.0, active, self)
+        descend(self.descents_at[root], 1.0, active)
         return tuple(active), self.zeros
 
     @cached_property
@@ -597,6 +638,8 @@ def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOriented
         loc = f"plan '{pid}'"
         if pid in plans:
             raise ProgramError("duplicate plan id", loc)
+        if pid == TERMINATE:
+            raise ProgramError("the id TERMINATE is reserved for completing a parent", loc)
         team = _string(entry, "team", loc)
         if not hierarchy.has_team(team):
             raise ProgramError(f"unknown team '{team}'", loc)

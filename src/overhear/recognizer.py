@@ -25,7 +25,7 @@ the message's tick; ``path`` raises it naming an unknown unit.
 
 from __future__ import annotations
 
-from .belief import (MonitoringError, VisitCounter, adopt, array_overseer_tick, init_beliefs,
+from .belief import (MonitoringError, VisitCounter, array_overseer_tick, init_beliefs,
                      most_likely_state, pick_leaf)
 from .ingest import messages_by_tick
 from .model import TeamOrientedProgram
@@ -99,18 +99,18 @@ class ArrayRecognizer(_Recognizer):
         """An agent's own most likely path, or a team's from its members.
 
         A team's leaf is ``pick_leaf`` over the members' summed masses of
-        its candidate leaves that hold mass in some member (in its live set,
-        ``belief.Value``), so near-ties go to the lowest node id.  With no
-        such candidate it is the team's first candidate, as a pick over
-        every candidate would give.
+        its candidate leaves that hold mass in some member's value
+        (``belief.Value``, each distinct one tested once), so near-ties go
+        to the lowest node id.  With no such candidate it is the team's
+        first candidate, as a pick over every candidate would give.
         """
         view = self.view
         if unit in self.beliefs:
             return view.path_names(most_likely_state(self.beliefs[unit], view))
         candidates = team_leaves(view, unit)
         members = [self.beliefs[a] for a in view.team_hierarchy.members(unit)]  # sorted
-        live = set().union(*(adopt(b, view).live for b in members))
-        mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates if x in live}
+        held = {x for v in {b.value for b in members} for x in candidates if v.act[x] or v.blk[x]}
+        mass = {x: sum(b.act[x] + b.blk[x] for b in members) for x in candidates if x in held}
         if not mass:
             return view.name_paths_at[candidates[0]]
         # ``mass`` already holds active+blocked, so the blocked table is all zeros

@@ -28,12 +28,12 @@ into a parent owned by another team rescales the parent's subtrees that
 the node's owner does not execute itself, however many team levels lie
 between the two owners.
 
-This is the one layout that clips, and it caps at 1 by one rule in two
-places: the team-mode forward step (``compiled.CompiledProgram.forward``),
-on a quiet tick, and ``_climb``, on an evidence tick, each end with ``if
-max(t) > 1.0: t = [1.0 if v > 1.0 else v for v in t]`` over both tables.
-The evidence climb and the rescale do not conserve mass and can push a
-value above 1, which the cap silently sets to 1.  No value is ever below
+This is the one layout that clips, and it caps at 1 by one function,
+``compiled.cap``, with two callers: the team-mode forward step
+(``compiled.CompiledProgram.forward``), on a quiet tick, and ``_climb``, on
+an evidence tick, each end with it over both tables.  The evidence climb
+and the rescale do not conserve mass and can push a value above 1, which
+the cap silently sets to 1.  No value is ever below
 0, so neither has a lower bound to enforce: the forward step keeps
 non-negative mass non-negative (it floors the one place rounding could
 break that), and an evidence tick only adds, multiplies, divides and
@@ -44,8 +44,9 @@ takes the max of non-negative values.  Every value a tick leaves is in
 from __future__ import annotations
 
 from .belief import (BeliefState, MonitoringError, VisitCounter, _message_keys, adopt,
-                     evidence, init_beliefs, pick_leaf, propagate_down, quiet_step)
-from .model import TeamOrientedProgram
+                     evidence, init_beliefs, pick_leaf, quiet_step)
+from .compiled import cap
+from .model import TeamOrientedProgram, descend
 
 
 def team_init_beliefs(p: TeamOrientedProgram) -> BeliefState:
@@ -84,29 +85,27 @@ def _climb(scratch: dict[int, float], prior, p: TeamOrientedProgram) -> tuple[li
     started from: the shared layout's commit, as ``belief._commit_evidence``
     is the array layout's.  It writes no state.
 
-    Each mass is set on fresh zero tables, propagates down its subtree and
-    climbs toward the root along ``evidence_climbs``, each step raising the
-    parent to at least the child's mass.  Where the climb steps into a plan
-    another team owns, ``_rescale`` brings the other teams' subtrees to the
-    parent's new mass by their shares in ``prior``.  Both tables end with
-    the team-mode forward step's cap at 1 (``compiled.CompiledProgram.forward``).
+    Each mass is set on fresh zero tables, goes down its node's descent
+    (``model.descend``), whose children join ``updated``, and climbs toward
+    the root along ``evidence_climbs``, each step raising the parent to at
+    least the child's mass.  Where the climb steps into a plan another team
+    owns, ``_rescale`` brings the other teams' subtrees to the parent's new
+    mass by their shares in ``prior``.  Both tables end with ``compiled.cap``.
     """
     active, blocked = list(p.zeros), list(p.zeros)
     updated: set[int] = set()
     for x in sorted(scratch):
         active[x] = max(active[x], scratch[x])
         updated.add(x)
-        propagate_down(x, active[x], active, p, updated)
+        descent = p.descents_at[x]
+        descend(descent, active[x], active)
+        updated.update([c for c, _, _ in descent])
         for node, par, walk in p.evidence_climbs[x]:
             active[par] = max(active[par], active[node])
             updated.add(par)
             if walk:
                 _rescale(walk, active, blocked, prior.act, prior.blk, updated)
-    if max(active) > 1.0:
-        active = [1.0 if v > 1.0 else v for v in active]
-    if max(blocked) > 1.0:
-        blocked = [1.0 if v > 1.0 else v for v in blocked]
-    return active, blocked
+    return cap(active, blocked)
 
 
 def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,

@@ -29,8 +29,27 @@ def commit_messages(b: BeliefState, msgs, p):
 
 def held_leaves(p, b) -> tuple[int, ...]:
     """The positions of p's leaves where b, a state or a value, holds mass,
-    ascending: what a memo value's live set must be."""
+    ascending: the leaves whose ``act`` or ``blk`` entry is nonzero."""
     return tuple(x for x in p.leaf_index if b.act[x] or b.blk[x])
+
+
+def propagate_down(x: int, rho: float, active: list[float], p, updated: set[int] | None = None):
+    """Credit ``rho`` to the first children of the node at position x,
+    recursively: the reference that ``model.descend`` of
+    ``p.descents_at[x]`` follows bit for bit.
+
+    Each first-child group gets the full ``rho`` (parallel subteams carry
+    duplicated mass) and splits it evenly among its members.  Mutates the
+    ``active`` table in place, and adds every credited position to
+    ``updated`` when given.
+    """
+    for group in p.groups_at[x]:
+        share = rho / len(group)
+        for c in group:
+            active[c] += share
+            if updated is not None:
+                updated.add(c)
+            propagate_down(c, share, active, p, updated)
 
 
 def _reference_pick(leaves, active, blocked):

@@ -8,15 +8,15 @@ from overhear import compiled
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, Value, VisitCounter,
                              _message_keys, _prune_redundant_ancestors, adopt,
                              array_overseer_tick, evidence, init_beliefs, most_likely_state,
-                             pick_leaf, propagate_down, quiet_step)
+                             pick_leaf, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage
-from overhear.model import TERMINATE, hazard, program_from_document
+from overhear.model import TERMINATE, descend, hazard, program_from_document
 from overhear.progen import random_program, team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_most_likely, yoyo_tick
 
 from conftest import (_reference_pick, brute_leaves, commit_messages, held_leaves,
-                      propagate_forward)
+                      propagate_down, propagate_forward)
 from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
                          sweep_programs, sweep_replays, table_programs, warm_replays)
 
@@ -68,14 +68,14 @@ def test_a_belief_state_keeps_the_interface_its_readers_use(evac_mini_single):
     # what perfbench, the tests and the recognizers read of a state: the
     # constructor, equality on act and blk alone, the id-keyed snapshots
     # and their length, on a fresh state and on one the engine stepped,
-    # whose value's live set is the leaves that hold mass
+    # whose value holds its tables and links and nothing else
     p = evac_mini_single
     act, blk = p.initial
     b = BeliefState(act, blk, p.index)
     assert b.act is act and b.blk is blk and b.index is p.index and b.value.memo is None
     assert repr(b) == f"BeliefState(act={act!r}, blk={blk!r})"
     with pytest.raises(TypeError):
-        BeliefState(act, blk, p.index, (1, 2))  # a live set is the memo's to compute
+        BeliefState(act, blk, p.index, (1, 2))  # a state takes its tables and index alone
     assert not hasattr(b, "live")
     assert b == BeliefState(act, blk, {})  # not the index
     assert b != BeliefState(act, act, p.index)
@@ -91,7 +91,7 @@ def test_a_belief_state_keeps_the_interface_its_readers_use(evac_mini_single):
         quiet_step(p, [state])  # a snapshot keeps what it read
         assert dict(before) != dict(state.active)
     assert type(stepped.act) is tuple and stepped.value.memo is p.compiled.memo
-    assert stepped.value.live and stepped.value.live == held_leaves(p, stepped)
+    assert not hasattr(stepped.value, "live")
 
 
 def test_state_views_read_the_tables_by_node_id(evac_mini_single):
@@ -159,36 +159,6 @@ def test_a_state_changes_only_by_taking_a_new_value(evac_mini_single):
         with pytest.raises(AttributeError):
             setattr(b, name, list(p.zeros))
     assert b == init_beliefs(p)
-
-
-def test_propagate_down_uniform_split():
-    p = program_from_document({
-        "teams": [{"name": "T", "parent": None}],
-        "agents": [{"name": "solo", "team": "T"}],
-        "root": "r",
-        "plans": [
-            {"id": "r", "name": "top", "team": "T"},
-            {"id": "a", "name": "left", "team": "T", "parent": "r",
-             "first_child": True},
-            {"id": "b", "name": "right", "team": "T", "parent": "r",
-             "first_child": True, "lambda": 0.1},
-            {"id": "a1", "name": "left-one", "team": "T", "parent": "a",
-             "first_child": True, "lambda": 0.1},
-            {"id": "a2", "name": "left-two", "team": "T", "parent": "a",
-             "first_child": True, "lambda": 0.1},
-        ],
-        "transitions": [],
-    })
-    act = list(p.zeros)
-    propagate_down(p.index["r"], 0.4, act, p)
-    active = dict(zip(p.node_ids, act))
-    assert active["a"] == pytest.approx(0.2)
-    assert active["b"] == pytest.approx(0.2)
-    assert active["a1"] == pytest.approx(0.1)
-    assert active["a2"] == pytest.approx(0.1)
-    before = list(act)
-    propagate_down(p.index["a1"], 0.4, act, p)  # leaf: no-op
-    assert act == before
 
 
 def test_exponential_decay_closed_form():
@@ -486,36 +456,43 @@ def test_program_picks_match_the_reference_loop():
 
 def test_most_likely_rejects_empty():
     # no mass anywhere, then mass on internal nodes alone: no leaf holds
-    # mass, so the live set is empty and the query raises
+    # mass, so the reference pick over every leaf holds none, and the query
+    # raises and links no answer; mass on the last leaf alone, active or
+    # blocked, is that leaf
     p = _chain()
+    leaves = p.leaf_index
     b = BeliefState(p.zeros, p.zeros, p.index)
-    with pytest.raises(MonitoringError, match="no mass on any leaf"):
-        most_likely_state(b, p)
-    assert b.value.live == ()
-    b.value = Value([0.0 if x in p.leaf_index else 1.0 for x in range(len(p.node_ids))], p.zeros)
-    with pytest.raises(MonitoringError, match="no mass on any leaf"):
-        most_likely_state(b, p)
-    assert b.value.live == ()
+    for act in (p.zeros, [0.0 if x in leaves else 1.0 for x in range(len(p.node_ids))]):
+        b.value = Value(act, p.zeros)
+        assert not act[_reference_pick(leaves, act, p.zeros)]
+        with pytest.raises(MonitoringError, match="no mass on any leaf"):
+            most_likely_state(b, p)
+        assert b.value.best is None
+    for table in range(2):
+        tables = [list(p.zeros), list(p.zeros)]
+        tables[table][leaves[-1]] = 0.25
+        b.value = Value(*tables)
+        assert most_likely_state(b, p) == _reference_pick(leaves, *tables) == leaves[-1]
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_most_likely_reads_the_live_set_alone_on_planted_ties(seed):
+def test_most_likely_picks_over_every_leaf_on_planted_ties(seed):
     # near-ties at the TIE_TOLERANCE boundary on a sample of leaves, some
-    # of which hold no mass, and exact zeros on every other leaf: the live
-    # set is the sample's leaves with mass, and the pick over it is the
-    # pick over every leaf
+    # of which hold no mass, and exact zeros on every other leaf, then mass
+    # on the last leaf alone: the query is the reference pick over every
+    # leaf, and raises only when that pick holds no mass
     rng = random.Random(seed)
     for p in table_programs():
         view = p.single_agent_view()
         leaves = view.leaf_index
-        for _ in range(3):
-            sample = tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 7)))))
+        samples = [tuple(sorted(rng.sample(leaves, rng.randint(1, min(len(leaves), 7)))))
+                   for _ in range(3)]
+        for sample in (*samples, leaves[-1:]):
             active, blocked = _planted(rng, sample, len(view.node_ids))
             for x in leaves:
-                if x not in sample or rng.random() < 0.2:
+                if x not in sample or (len(sample) > 1 and rng.random() < 0.2):
                     active[x] = blocked[x] = 0.0
             b = BeliefState(active, blocked, view.index)
-            assert adopt(b, view).live == held_leaves(view, b)
             expected = _reference_pick(leaves, active, blocked)
             if active[expected] + blocked[expected] > 0.0:
                 assert most_likely_state(b, view) == expected
@@ -524,16 +501,16 @@ def test_most_likely_reads_the_live_set_alone_on_planted_ties(seed):
                     most_likely_state(b, view)
 
 
-def test_init_and_commits_set_the_live_set():
+def test_init_and_commits_answer_the_reference_pick():
     p = team_program(0)
     view = p.single_agent_view()
     msg = ObservedMessage(3, "alpha1", "ALPHA", TERM, "phase-00")
-    for q in (p, view):  # both modes carry a live set
+    for q in (p, view):  # in both modes
         b = init_beliefs(q)
         assert b.value.memo is None
-        assert adopt(b, q).live == held_leaves(q, b) == tuple(x for x in q.leaf_index if b.act[x])
+        assert most_likely_state(b, q) == _reference_pick(q.leaf_index, b.act, b.blk)
         commit_messages(b, [msg], q)  # ``evidence`` and ``_commit_evidence``
-        assert b.value.live and b.value.live == held_leaves(q, b)
+        assert most_likely_state(b, q) == _reference_pick(q.leaf_index, b.act, b.blk)
 
 
 # entries of a planted table: exact 0 and 1, just below 1, subnormal
@@ -541,30 +518,27 @@ _PLANTED = (0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, 2.0 ** -1060)
 
 
 def _planted_live(rng: random.Random, q, live) -> list:
-    """A table whose leaves outside ``live`` hold 0.0 and whose other
-    entries are ``_PLANTED`` values or uniform in [0, 1)."""
+    """A table whose leaves outside ``live``, a set of leaves, hold 0.0 and
+    whose other entries are ``_PLANTED`` values or uniform in [0, 1)."""
     outside = set(q.leaf_index).difference(live)
     return [0.0 if i in outside else rng.choice(_PLANTED) if rng.random() < 0.7
             else rng.random() for i in range(len(q.node_ids))]
 
 
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
-def test_the_forward_step_leaves_no_mass_outside_the_next_live_set(key):
-    # every state a sweep replay steps, in both layouts, and for each live
-    # set the replay meets, planted tables that cap, floor and skip where
-    # no run does: a hand-built state of those bits is adopted with the
-    # leaves that hold mass, its quiet step equals the memo-free step bit
-    # for bit, and every leaf outside the stepped value's live set holds
-    # exactly 0.0, every leaf in it some mass
+def test_the_quiet_step_of_planted_tables_equals_the_memo_free_step(key):
+    # every state a sweep replay steps, in both layouts, and for each set
+    # of leaves that hold mass the replay meets, planted tables on those
+    # leaves that cap, floor and skip where no run does: a hand-built state
+    # of those bits, adopted by the step, steps to the memo-free step's bits
     corpus, mode, coherent = key
     rng = random.Random("/".join(map(str, key)))
     states = planted = 0
     for _, rec, by_tick in sweep_replays(corpus, mode, coherent):
         q, seen = (rec.p if mode == "yoyo" else rec.view), set()
-        leaves = set(q.leaf_index)
         for t in range(TICKS):
             for b in [rec.belief] if mode == "yoyo" else rec.beliefs.values():
-                live = adopt(b, q).live
+                live = held_leaves(q, b)
                 tables = [(b.act, b.blk)]
                 if live not in seen:
                     seen.add(live)
@@ -574,16 +548,12 @@ def test_the_forward_step_leaves_no_mass_outside_the_next_live_set(key):
                 for A, B in tables:
                     stepped, expected = (BeliefState(list(A), list(B), q.index)
                                          for _ in range(2))
-                    assert set(adopt(stepped, q).live) <= set(live), (key, t)
+                    assert set(held_leaves(q, stepped)) <= set(live), (key, t)
                     quiet_step(q, [stepped])
+                    assert stepped.value.memo is q.compiled.memo
                     propagate_forward(expected, q)
                     assert (stepped.act, stepped.blk) == tuple(map(tuple, (expected.act,
                                                                             expected.blk)))
-                    after = stepped.value.live
-                    assert set(after) <= leaves and after == held_leaves(q, expected)
-                    outside = leaves.difference(after)
-                    assert all(stepped.act[x] == stepped.blk[x] == 0.0 for x in outside), (
-                        key, t, live)
                 states += 1
             rec.step(by_tick.get(t, []))
     assert states and planted
@@ -591,12 +561,12 @@ def test_the_forward_step_leaves_no_mass_outside_the_next_live_set(key):
 
 @pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=lambda key: "/".join(map(str, key)))
-def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
-    # in both layouts every state a step leaves holds a memo value whose
-    # live set is exactly the leaves that hold mass, and each query answers
-    # as the reference pick; cold: the step memo starts empty, so a step is
-    # computed where the sweep first meets it; warm: each replay follows an
-    # equal one, so its steps are links that equal one made
+def test_every_sweep_state_holds_a_memo_value_and_answers_the_reference_pick(key, memo):
+    # in both layouts every state a step leaves holds a memo value, and
+    # each query answers as the reference pick over every leaf, or raises
+    # where no leaf holds mass; cold: the step memo starts empty, so a step
+    # is computed where the sweep first meets it; warm: each replay follows
+    # an equal one, so its steps are links that equal one made
     if memo == "cold":
         compiled._compile.cache_clear()
     yoyo, states = key[1] == "yoyo", 0
@@ -606,16 +576,17 @@ def test_live_sets_hold_every_leaf_with_mass_on_every_sweep_state(key, memo):
         for t in range(TICKS):
             rec.step(by_tick.get(t, []))
             for unit, b in ({"": rec.belief} if yoyo else rec.beliefs).items():
-                live = b.value.live
                 assert b.value.memo is q.compiled.memo, (key, t, unit)
-                assert type(live) is tuple and live == held_leaves(q, b), (key, t, unit)
                 if yoyo:
                     for team in rec.teams:
                         assert team_most_likely(b, q, team) == _reference_pick(
                             q.leaves_by_team[team], b.act, b.blk), (key, t, team)
-                elif live:
+                elif held_leaves(q, b):
                     assert most_likely_state(b, q) == _reference_pick(
                         leaves, b.act, b.blk), (key, t, unit)
+                else:
+                    with pytest.raises(MonitoringError):
+                        most_likely_state(b, q)
                 states += 1
     assert states > 0
 
@@ -881,9 +852,9 @@ def _reference_forward(p, active: list, blocked: list) -> tuple[list, list]:
     Each leaf sheds its prior active mass times its hazard.  In postorder,
     a node whose shed is nonzero sends it along every edge out, scaled by
     the edge's silent share ``1 - mu`` and by ``pi``: to a successor and
-    down its first-child groups (``propagate_down``), out of the program
-    into the root's blocked mass, or into the parent's shed, divided among
-    the parent's groups.  The node keeps ``max(0, 1 - eta)`` of its shed
+    down its first-child groups (the recursive ``propagate_down``), out of
+    the program into the root's blocked mass, or into the parent's shed,
+    divided among the parent's groups.  The node keeps ``max(0, 1 - eta)`` of its shed
     as blocked mass, and the shed leaves its active mass.  Every active
     mass is then floored at 0, and in team mode every entry is capped at 1.
     """
@@ -974,6 +945,29 @@ def test_forward_matches_the_reference_step(corpus):
                     got, want = q.compiled.forward(A, B), _reference_forward(q, A, B)
                     assert ([list(map(float.hex, t)) for t in got]
                             == [list(map(float.hex, t)) for t in want]), (prog, kind)
+
+
+@pytest.mark.parametrize("corpus", FORWARD_CORPORA)
+def test_descend_matches_the_recursive_reference(corpus):
+    """``model.descend`` of each node's ``descents_at`` entry, on every
+    sweep program and its single-agent view and on one program whose
+    descent divides twice, against the recursive ``propagate_down`` bit
+    for bit, for seeded masses credited onto seeded tables; the children
+    ``yoyo._climb`` adds to ``updated``, the descent's, are the positions
+    the reference credits."""
+    for prog, p in enumerate(FORWARD_CORPORA[corpus]()):
+        for q in (p, p.single_agent_view()):
+            rng = random.Random(f"{corpus}/{prog}/{q.team_mode}")
+            size = len(q.node_ids)
+            for x, descent in enumerate(q.descents_at):
+                for kind in TABLE_KINDS:
+                    rho = rng.choice((1.0, rng.random(), 5e-324, 1.0 / 3.0))
+                    got = digest_table(rng, kind, size)
+                    want, credited = list(got), set()
+                    descend(descent, rho, got)
+                    propagate_down(x, rho, want, q, credited)
+                    assert list(map(float.hex, got)) == list(map(float.hex, want)), (prog, x)
+                    assert {c for c, _, _ in descent} == credited, (prog, x)
 
 
 def test_evidence_scratch_sums_to_one():

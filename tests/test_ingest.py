@@ -224,6 +224,13 @@ def test_apply_loss_exact_and_deterministic():
     assert all(any(m == n for n in it) for m in kept)
 
 
+def test_apply_loss_drops_the_fraction_as_written():
+    # as floats, 0.29 * 100 and 0.57 * 100 fall just below 29 and 57
+    msgs = _fuzz_corpus(100, seed=5)
+    for rate, dropped in ((0.29, 29), (0.57, 57), (0.1, 10), (0.005, 0), (1.0, 100)):
+        assert len(apply_loss(msgs, rate, seed=3)) == 100 - dropped, rate
+
+
 def test_apply_loss_seed_changes_selection():
     msgs = _fuzz_corpus(200, seed=5)
     assert apply_loss(msgs, 0.1, seed=1) != apply_loss(msgs, 0.1, seed=2)

@@ -28,10 +28,10 @@ from array import array
 
 import pytest
 
-from overhear import compiled
+from overhear import compiled, yoyo
 from overhear.belief import (BeliefState, MonitoringError, Value, _commit_evidence,
                              _message_keys, _message_order, array_overseer_tick, evidence,
-                             init_beliefs, most_likely_state, propagate_down, quiet_step)
+                             init_beliefs, most_likely_state, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from overhear.progen import grow_team, random_program, team_program
 from overhear.recognizer import make_recognizer
@@ -39,7 +39,8 @@ from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
-from conftest import _reference_pick, commit_messages, held_leaves, propagate_forward
+from conftest import _reference_pick, commit_messages, propagate_down, propagate_forward
+from test_belief import _divides_twice
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
                          table_programs, warm_replays)
 
@@ -168,14 +169,19 @@ def test_a_replayed_log_steps_from_the_memo():
 
 def _reference_yoyo_tick(p, b, msgs):
     """One tick of the shared layout on a state outside the memo:
-    ``propagate_forward``, or the interpreted ``evidence`` committed on fresh
-    lists, climbed and rescaled, then capped at 1 only where it wrote, so
-    the engine's cap of every entry must give the same bits."""
+    ``propagate_forward``, or the interpreted ``evidence`` committed by
+    ``_reference_climb``."""
     if not msgs:
         propagate_forward(b, p)
         return
-    scratch = evidence(b.blk, p, _message_keys(p, msgs))
-    prior_active, prior_blocked = b.act, b.blk
+    b.value = Value(*_reference_climb(evidence(b.blk, p, _message_keys(p, msgs)), p, b.act, b.blk))
+
+
+def _reference_climb(scratch, p, prior_active, prior_blocked) -> tuple[list, list]:
+    """``yoyo._climb`` written out: ``scratch`` committed on fresh lists
+    down the recursive ``propagate_down``, which collects the positions it
+    writes, climbed and rescaled, then capped at 1 only where it wrote, so
+    the engine's cap of every entry must give the same bits."""
     active, blocked = list(p.zeros), list(p.zeros)
     updated: set[int] = set()
     for x in sorted(scratch):
@@ -191,7 +197,26 @@ def _reference_yoyo_tick(p, b, msgs):
         for i in updated:
             if table[i] > 1.0:
                 table[i] = 1.0
-    b.value = Value(active, blocked)
+    return active, blocked
+
+
+def test_climb_equals_the_reference_on_planted_evidence():
+    # evidence on nodes of several teams at once, on planted prior tables,
+    # so a climb's rescale walks into another node's descent: ``_climb``
+    # must count that descent's children as written, as the reference's
+    # ``updated`` does, and leave them as the descent set them
+    rng = random.Random(49)
+    for prog, p in enumerate([q for q in table_programs() if q.team_mode] + [_divides_twice()]):
+        size = len(p.node_ids)
+        for _ in range(40):
+            nodes = rng.sample(range(size), rng.randint(2, min(size, 4)))
+            scratch = {x: rng.choice((1.0, rng.random())) for x in nodes}
+            prior = [[rng.random() if rng.random() < 0.6 else 0.0 for _ in range(size)]
+                     for _ in range(2)]
+            got = yoyo._climb(scratch, Value(*prior), p)
+            want = _reference_climb(scratch, p, *prior)
+            assert [list(map(float.hex, t)) for t in got] == [
+                list(map(float.hex, t)) for t in want], (prog, scratch)
 
 
 @pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
@@ -208,7 +233,6 @@ def test_the_shared_memo_steps_and_answers_as_the_memo_free_step(key, bound, mon
             rec.step(msgs)
             _reference_yoyo_tick(p, expected, msgs)
             assert _bits(b) == _bits(expected), (key, t, _hex(b), _hex(expected))
-            assert b.value.live == held_leaves(p, expected), (key, t)
             for team in rec.teams:
                 answer = _reference_pick(p.leaves_by_team[team], expected.act, expected.blk)
                 assert team_most_likely(b, p, team) == answer, (key, t, team)
@@ -251,29 +275,28 @@ def test_a_replayed_team_log_steps_from_the_memo():
 
 
 def _states_of(rec, unit=None) -> list:
-    """The states ``rec.path(unit)`` reads, or every state of ``rec``."""
+    """The states ``rec.path(unit)`` adopts, or every state of ``rec``.
+
+    An array team's query reads its members' tables and links nothing, so
+    it adopts none of them."""
     if hasattr(rec, "belief"):
         return [rec.belief]
     if unit is None:
         return list(rec.beliefs.values())
-    if unit in rec.beliefs:
-        return [rec.beliefs[unit]]
-    return [rec.beliefs[a] for a in rec.view.team_hierarchy.members(unit)]
+    return [rec.beliefs[unit]] if unit in rec.beliefs else []
 
 
 @pytest.mark.parametrize("key", SWEEP_SHA256, ids=_ids)
 def test_every_state_a_step_or_query_reads_holds_a_memo_value(key):
-    # each step and query first adopts a value its memo did not make, so
-    # after each step, and each path, tick 0's fresh init_beliefs states
-    # included, every state it read holds a value of its program's memo,
-    # with tuple tables and a live set of the leaves that hold mass
+    # each step and query that links first adopts a value its memo did not
+    # make, so after each step, and each path, tick 0's fresh init_beliefs
+    # states included, every state it adopted holds a value of its
+    # program's memo, with tuple tables
     def check(states, t, when):
         for b in states:
             value = b.value
             assert value.memo is memo, (key, t, when)
             assert type(value.act) is tuple and type(value.blk) is tuple, (key, t, when)
-            assert type(value.live) is tuple, (key, t, when)
-            assert value.live == held_leaves(p, value), (key, t, when)
 
     for _, rec, by_tick in sweep_replays(*key):
         p = rec.p if key[1] == "yoyo" else rec.view
@@ -294,11 +317,11 @@ def test_every_state_a_step_or_query_reads_holds_a_memo_value(key):
         team_most_likely(queried, p, rec.teams[0])
     else:
         most_likely_state(queried, p)
-    assert queried.value.live == held_leaves(p, b) and queried.value.memo is memo
+    assert queried.value.memo is memo
     quiet_step(p, [stepped])
     propagate_forward(expected, p)
     assert _bits(stepped) == _bits(expected)
-    assert stepped.value.live == held_leaves(p, expected) and stepped.value.memo is memo
+    assert stepped.value.memo is memo
 
 
 def _holding(value, index) -> BeliefState:
@@ -386,7 +409,6 @@ def test_an_assigned_table_is_stepped_and_queried_afresh(layout):
                         _commit(expected, q, m)
                 assert memo.misses[kind] == misses + fresh, (name, kind)
                 assert _bits(b) == _bits(expected), (name, kind)
-                assert b.value.live == held_leaves(q, expected), (name, kind)
                 if kind == "quiet" and edit is not table:
                     moved[name] += _bits(b) != _bits(linked["quiet"])
             b = _assigned(prior, name, edit, q.index)
@@ -519,7 +541,7 @@ def test_an_eviction_unlinks_every_value_linked_before_it(layout, monkeypatch):
 def test_the_intern_table_is_shared_by_fields_and_bounded(monkeypatch):
     # programs with equal fields share one memo, a program and its view do
     # not; a store into a full intern table evicts, and each value interned
-    # carries the leaves that hold its mass
+    # holds its tables as tuples
     view = team_program(0).single_agent_view()
     assert team_program(0).single_agent_view().compiled.memo is view.compiled.memo
     assert team_program(0).compiled.memo is not view.compiled.memo
@@ -529,7 +551,7 @@ def test_the_intern_table_is_shared_by_fields_and_bounded(monkeypatch):
         act = list(view.zeros)
         act[x] = 1.0
         value = memo.intern(act, view.zeros)
-        assert memo.intern(tuple(act), list(view.zeros)) is value and value.live == (x,)
+        assert memo.intern(tuple(act), list(view.zeros)) is value and value.act == tuple(act)
         assert 1 <= len(memo.interned) <= 3
     assert memo.evictions
 
@@ -632,5 +654,4 @@ def test_evidence_steps_equal_the_reference_on_planted_tables(layout):
                     else:
                         yoyo_tick(p, b, msgs)
                     assert _bits(b) == _bits(expected), (prog, p.team_mode, looked_up)
-                    assert b.value.live == held_leaves(p, expected), (prog, p.team_mode)
                     assert (memo.misses["commit"] == misses) == looked_up, (prog, looked_up)

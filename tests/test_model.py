@@ -240,6 +240,17 @@ def test_transition_must_join_children_of_one_parent(src, dst):
         program_from_document(doc)
 
 
+def test_a_plan_whose_id_is_terminate_is_rejected():
+    # read as a plan, its edge in would complete the parent and no edge
+    # could ever enter it
+    doc = _mini_doc()
+    doc["plans"][2]["id"] = TERMINATE
+    doc["transitions"] = [{"from": "a", "to": TERMINATE, "pi": 1.0, "mu": 0.5},
+                          {"from": TERMINATE, "to": "a", "pi": 1.0, "mu": 0.5}]
+    with pytest.raises(ProgramError, match=r"TERMINATE is reserved.* \[plan 'TERMINATE'\]"):
+        program_from_document(doc)
+
+
 def test_agent_must_sit_at_leaf_team(evac_team):
     doc = program_to_document(evac_team)
     doc["agents"].append({"name": "x", "team": "FLIGHT-TEAM"})

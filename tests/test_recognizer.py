@@ -221,7 +221,8 @@ def test_mass_assigned_to_a_leaf_without_mass_is_read_by_every_query(layout):
     # a state's act replaced, and nothing else, by a point mass on a team's
     # leaf that held no mass: every query reads it as a pick over every
     # leaf would, and one quiet step from it gives the memo-free step's
-    # bits and a live set of exactly the leaves that then hold mass
+    # bits; then the array team's members hold different values, with mass
+    # on disjoint candidates, and the team query is the member-sum pick
     rec = make_recognizer(team_program(0), layout, coherent=True)
     q, team = (rec.p if layout == "yoyo" else rec.view), "ALPHA"
     states = ([rec.belief] if layout == "yoyo"
@@ -242,7 +243,15 @@ def test_mass_assigned_to_a_leaf_without_mass_is_read_by_every_query(layout):
     quiet_step(q, [b])
     propagate_forward(expected, q)
     assert [v.hex() for v in (*b.act, *b.blk)] == [v.hex() for v in (*expected.act, *expected.blk)]
-    assert b.value.live == held_leaves(q, expected) and x in b.value.live
+    if layout == "array":
+        y, z = [c for c in q.leaves_by_team[team] if c != x][:2]
+        answers = []
+        for spread in ((x, x, y, z), (x, y, y, z), (y, z, x, z)):
+            for member, c in zip(states, spread, strict=True):
+                member.value = Value(_point_mass(q, c), q.zeros)
+            answers.append(rec.path(team))
+            assert answers[-1] == _pick_over_every_candidate(rec, team), spread
+        assert answers == [q.name_paths_at[c] for c in (x, y, z)]
 
 
 @pytest.mark.parametrize("mode, coherent", LAYOUTS)

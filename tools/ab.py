@@ -45,9 +45,12 @@ workload is built from each side's own modules:
   ``array.online_1011`` does the same for the array layout in agent mode
   (not coherent: one belief per agent, each message routed to its sender
   alone, an agent-mode run) on ``grow_team(team_program(0), CROWD)``,
-  1,011 agents, over ``TICKS`` ticks.  After the table the report prints, per side and online
-  workload, the step memo's hit rates in the last replay of the last
-  round.
+  1,011 agents, over ``TICKS`` ticks.  ``array.coherent_online_1011`` is
+  its team-mode, coherent counterpart: a team-mode run of the same
+  program, each message routed to every member of its team, and every
+  team queried on every tick from its members' summed beliefs.  After the
+  table the report prints, per side and online workload, the step memo's
+  hit rates in the last replay of the last round.
 
 Each side first runs every workload once, untimed, so that the timed
 rounds start from warm caches: every compile cache, and the step memo, is
@@ -226,20 +229,23 @@ class Side:
                 answers.append(paths)
         return statistics.median(best), statistics.median(best_query), answers
 
-    def online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None):
+    def online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None,
+               coherent: bool | None = None):
         """(median seconds, every replay's answers and final states, the
         last replay's counts) of ``ONLINE_REPLAYS`` cold replays, of the
         runs of seeds ``seed`` on (``replay_online``)."""
-        runs = [self.replay_online(layout, s, crowd, ticks)
+        runs = [self.replay_online(layout, s, crowd, ticks, coherent)
                 for s in range(seed, seed + ONLINE_REPLAYS)]
         return statistics.median(r[0] for r in runs), [r[1] for r in runs], runs[-1][2]
 
-    def replay_online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None):
+    def replay_online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None,
+                      coherent: bool | None = None):
         """(seconds, every answer and the final states, counts) of one cold
         replay of a fresh run: ``ONLINE_TICKS`` ticks, or ``ticks``, of
-        ``team_program(0)`` grown by ``crowd`` agents."""
+        ``team_program(0)`` grown by ``crowd`` agents.  ``coherent`` is
+        ``make_recognizer``'s; a coherent run is a team-mode run."""
         ticks = ticks or ONLINE_TICKS
-        team_mode = layout == "yoyo"
+        team_mode = layout == "yoyo" or bool(coherent)
 
         def program():
             p = self.model.load_program(self.text, team_mode=team_mode)
@@ -250,7 +256,7 @@ class Side:
         for cached in vars(self.compiled).values():
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
-        rec = self.recognizer.make_recognizer(program(), layout)
+        rec = self.recognizer.make_recognizer(program(), layout, coherent)
         by_tick = self.ingest.messages_by_tick(log)
         answers = []
         clock = time.perf_counter
@@ -259,7 +265,7 @@ class Side:
             rec.step(by_tick.get(t, []))
             answers.append([rec.path(u) for u in rec.units])
         seconds = clock() - start
-        states = [rec.belief] if team_mode else rec.beliefs.values()
+        states = [rec.belief] if layout == "yoyo" else rec.beliefs.values()
         answers.append([v for b in states for v in (*b.act, *b.blk)])
         return seconds, answers, self.counts(rec, by_tick, ticks)
 
@@ -267,16 +273,18 @@ class Side:
         """The hit rates of the step memo in one replay of ``rec`` (a replay
         misses at least its first step): of the quiet steps, the evidence
         steps (one per tick in the shared layout, one per message and
-        recipient in the array layout) and the queries, the share that no
-        step computed."""
+        recipient in the array layout) and the queries that link an answer,
+        the share that no step computed.  The array layout's team queries
+        link none, so a coherent array replay has no query rate."""
         shared = isinstance(rec, self.recognizer.SharedRecognizer)
         q = rec.p if shared else rec.view
         memo = q.compiled.memo
         heard = [by_tick.get(t, ()) for t in range(1, ticks)]
         steps = {"quiet": rec.counter.visits // len(q.postorder),
                  "commit": sum(map(bool, heard)) if shared else
-                 sum(len(rec.recipients(m)) for msgs in heard for m in msgs),
-                 "best": len(rec.units) * (ticks - 1)}
+                 sum(len(rec.recipients(m)) for msgs in heard for m in msgs)}
+        if shared or not rec.coherent:
+            steps["best"] = len(rec.units) * (ticks - 1)
         out = {f"{kind} hits": 1.0 - memo.misses[kind] / n if n else None
                for kind, n in steps.items()}
         out["evictions"] = memo.evictions
@@ -324,9 +332,11 @@ def measure(side: Side) -> dict:
 def measure_online(side: Side, seed: int) -> dict:
     """Each online workload's median time over the runs of seeds ``seed``
     on, its output and its counts.  ``array.online_1011`` runs the array
-    layout in agent mode, not coherent, as ``array.online`` does."""
+    layout in agent mode, not coherent, as ``array.online`` does, and
+    ``array.coherent_online_1011`` coherent, on a team-mode run."""
     out = {f"{layout}.online": side.online(layout, seed) for layout in LAYOUTS}
     out["array.online_1011"] = side.online("array", seed, CROWD, TICKS)
+    out["array.coherent_online_1011"] = side.online("array", seed, CROWD, TICKS, coherent=True)
     return out
 
 
@@ -373,12 +383,12 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=20)
     args = ap.parse_args(argv)
     report = compare(args.parent, args.change, args.rounds)
-    print(f"{'workload':24} {'parent_min':>11} {'change_min':>11} {'ratio':>6} "
+    print(f"{'workload':26} {'parent_min':>11} {'change_min':>11} {'ratio':>6} "
           f"{'range':>13} {'wins':>6} equal")
     for name, r in report.items():
         unit, scale = ("ms", 1e3) if name.endswith("evaluate_run") else ("us", 1e6)
         lo, hi = r["ratio_range"]
-        print(f"{name:24} {r['parent_min'] * scale:8.2f} {unit} {r['change_min'] * scale:8.2f} "
+        print(f"{name:26} {r['parent_min'] * scale:8.2f} {unit} {r['change_min'] * scale:8.2f} "
               f"{unit} {r['median_ratio']:6.3f} {lo:6.3f}-{hi:5.3f} "
               f"{r['wins']:>3}/{r['rounds']:<2} {r['equal']}")
     for name, r in report.items():
