@@ -27,9 +27,9 @@ from functools import lru_cache
 from .belief import NO_LINKS, Value
 from .model import TERMINATE, TeamHierarchy, TeamOrientedProgram, descend, hazard
 
-# The links of each kind, and the entries of each table, that a
-# ``StepMemo`` holds before it starts over.
-MEMO_STATES = 4096
+# The links and table entries that a ``StepMemo`` holds in all before it starts
+# over: a 10,011-agent agent-mode replay of ``team_program(0)`` peaks at 60% of it.
+MEMO_ENTRIES = 3 * 4096
 
 
 def cap(act: list[float], blk: list[float]) -> tuple[list[float], list[float]]:
@@ -125,23 +125,22 @@ class StepMemo:
     It also keeps ``keys``, which maps a message's ``(kind, plan, team)``
     to its evidence key (``belief._message_keys``).
 
-    A link is one the engine computed from the same value.  ``links``
-    counts them per kind (quiet, commit and best, which counts the answers
-    of both queries), and ``linked`` lists the values that hold them.  Each
-    kind, and each table, holds at most ``MEMO_STATES``; a link or store
-    into a full one unlinks every listed value, clears every table and
-    counts an eviction.  ``misses`` counts, by kind, the steps computed and
-    the answers linked, one per ``link``; a hit counts nothing.
+    A link is one the engine computed from the same value, and ``linked``
+    lists a value once per link it holds.  ``len(linked)`` and the entries
+    of both tables count together against one bound, ``MEMO_ENTRIES``: a
+    link or store into a full memo unlinks every listed value, clears both
+    tables and counts an eviction.  ``misses`` counts, by kind (quiet,
+    commit and best, which counts the answers of both queries), the steps
+    computed and the answers linked, one per ``link``; a hit counts nothing.
     """
 
-    __slots__ = ("linked", "links", "interned", "keys", "misses", "evictions")
+    __slots__ = ("linked", "interned", "keys", "misses", "evictions")
 
     def __init__(self):
         self.linked: list[Value] = []
-        self.links = dict.fromkeys(("quiet", "commit", "best"), 0)
         self.interned: dict[bytes, Value] = {}
         self.keys: dict[tuple, tuple] = {}
-        self.misses = dict.fromkeys(self.links, 0)
+        self.misses = dict.fromkeys(("quiet", "commit", "best"), 0)
         self.evictions = 0
 
     def clear(self):
@@ -150,7 +149,6 @@ class StepMemo:
             value.quiet = value.best = None
             value.commits = value.teams = NO_LINKS
         self.linked.clear()
-        self.links = dict.fromkeys(self.links, 0)
         self.interned.clear()
         self.keys.clear()
 
@@ -158,20 +156,21 @@ class StepMemo:
         self.clear()
         self.evictions += 1
 
+    def _make_room(self):
+        if len(self.linked) + len(self.interned) + len(self.keys) >= MEMO_ENTRIES:
+            self._evict()
+
     def link(self, kind: str, value: Value):
         """Count one more link of ``kind`` from ``value``, one of this memo's
-        values, and one more miss, first evicting if the kind is full; the
+        values, and one more miss, first evicting if the memo is full; the
         caller sets it."""
-        if self.links[kind] >= MEMO_STATES:
-            self._evict()
-        self.links[kind] += 1
+        self._make_room()
         self.misses[kind] += 1
         self.linked.append(value)
 
     def store(self, table: dict, key, entry):
-        """``table[key] = entry``, first evicting if ``table`` is full."""
-        if len(table) >= MEMO_STATES:
-            self._evict()
+        """``table[key] = entry``, first evicting if the memo is full."""
+        self._make_room()
         table[key] = entry
 
     def intern(self, act, blk) -> Value:
@@ -265,8 +264,8 @@ def _compile(plans, transitions, root, teams, team_mode) -> CompiledProgram:
     ``team_mode`` is in the key, as a program and its single-agent view
     compare equal but step differently.  Agents are not: the groups read
     only the team tree, so a grown team shares its object, memo included.
-    Each object's memo can hold ``MEMO_STATES`` links per kind and entries
-    per table, so the cache keeps few of them.
+    Each object's memo can hold ``MEMO_ENTRIES`` links and table entries
+    in all, so the cache keeps few of them.
     """
     p = TeamOrientedProgram(plans, transitions, TeamHierarchy(teams, ()), root, team_mode)
     return CompiledProgram(p)

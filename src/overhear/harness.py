@@ -86,7 +86,7 @@ def _unit_truth(step, unit: str, members: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
-                 mode: str = "yoyo", coherent: bool | None = True,
+                 mode: str = "yoyo", coherent: bool | None = None,
                  comm_model: CommModel | None = None,
                  delay: int = 1, hypotheses_out: list | None = None) -> RunReport:
     """Replay a log against ground truth and score checkpoint hypotheses.

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from .model import (TERMINATE, TeamOrientedProgram, probability, program_from_document,
-                    program_to_document)
+from .model import (TERMINATE, ProgramError, TeamOrientedProgram, probability,
+                    program_from_document, program_to_document)
 
 
 def random_program(seed: int, max_nodes: int = 10,
@@ -66,8 +66,6 @@ def random_program(seed: int, max_nodes: int = 10,
                 targets.append(d)
             if may_finish and rng.random() < 0.5:
                 targets.append(TERMINATE)
-            if not targets:
-                targets = [kids[0]]
             weights = [rng.uniform(0.2, 1.0) for _ in targets]
             total = sum(weights)
             for dst, w in zip(targets, weights):
@@ -165,8 +163,10 @@ def team_program(seed: int = 0, chatter: float = 0.25) -> TeamOrientedProgram:
 
 def grow_team(p: TeamOrientedProgram, extra: int) -> TeamOrientedProgram:
     """Same program with ``extra`` additional agents on its first populated
-    leaf team (sorted by name)."""
-    team = min(t for _, t in p.team_hierarchy.agents)
+    leaf team (sorted by name).  Raises ``ProgramError`` if p has no agents."""
+    team = min((t for _, t in p.team_hierarchy.agents), default=None)
+    if team is None:
+        raise ProgramError("cannot grow the team of a program with no agents")
     doc = program_to_document(p)
     for i in range(1, extra + 1):
         doc["agents"].append({"name": f"{team.lower()}-x{i}", "team": team})

@@ -21,6 +21,8 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
     monkeypatch.setattr(ab, "TICKS", 60)  # still quiet and evidence ticks in each replay
     monkeypatch.setattr(ab, "ONLINE_TICKS", 120)
     monkeypatch.setattr(ab, "CROWD", 20)
+    monkeypatch.setattr(ab, "HORDE", 20)
+    monkeypatch.setattr(ab, "HORDE_TICKS", 60)
     monkeypatch.setattr(ab, "ONLINE_REPLAYS", 2)
     calls = []
     measure, measure_online = ab.measure, ab.measure_online
@@ -48,7 +50,8 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
                  "query", "online")
     assert set(report) == {f"{layout}.{workload}" for layout in ab.LAYOUTS
                            for workload in workloads} | {"parse_trace", "array.online_1011",
-                                                         "array.coherent_online_1011"}
+                                                         "array.coherent_online_1011",
+                                                         "array.online_10011"}
     for row in report.values():
         assert row["equal"] and row["rounds"] == 2 and 0 <= row["wins"] <= 2
         assert row["parent_min"] > 0.0 and row["change_min"] > 0.0
@@ -64,9 +67,12 @@ def test_ab_compares_a_tree_with_itself(capsys, monkeypatch):
             # an array team query links no answer, so has no hit rate
             assert len(hits) == (2 if name == "array.coherent_online_1011" else 3)
             assert all(0.0 <= v <= 1.0 for v in hits)
+            misses = [k for k in counts if k.endswith(" misses")]
+            assert len(misses) == len(hits) and "evictions" in counts
     # both packages are gone
     assert not [name for name in sys.modules if name.startswith(("ab_parent", "ab_change"))]
     assert ab.main([str(ROOT), str(ROOT), "--rounds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[0] == "workload" and len(lines) == 1 + len(report) + 2 * len(online)
-    assert lines[-1].startswith("array.coherent_online_1011 change: quiet hits ")
+    assert lines[-1].startswith("array.online_10011 change: quiet hits ")
+    assert "quiet misses " in lines[-1] and "evictions 0" in lines[-1]

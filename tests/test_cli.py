@@ -1,5 +1,7 @@
 import argparse
+import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -11,8 +13,8 @@ from overhear.harness import evaluate_run, render_report
 from overhear.ingest import apply_loss, parse_log
 from overhear import compiled
 from overhear.compiled import _compile
-from overhear.model import load_program_path
-from overhear.progen import flatten_mu
+from overhear.model import ProgramError, load_program_path
+from overhear.progen import flatten_mu, grow_team
 from overhear.recognizer import make_recognizer
 from overhear.sim import parse_trace
 from overhear.social import apply_comm_model, parse_comm_model
@@ -258,6 +260,20 @@ def test_evaluate_reads_the_program_through_flat_mu(tmp_path):
     assert out_path.read_text() == render_report(report)
 
 
+def test_evaluate_run_defaults_to_the_coherence_the_command_runs(tmp_path):
+    # both take the layout's own: the array layout, one unit per agent
+    trace_path, log_path = _simulate(tmp_path / "run")
+    out_path = tmp_path / "report.txt"
+    assert run_command(["evaluate", "--program", TEAM, "--team-mode", "--mode", "array",
+                        "--log", str(log_path), "--truth", str(trace_path),
+                        "--out", str(out_path)]) == 0
+    report = evaluate_run(load_program_path(TEAM, team_mode=True),
+                          parse_trace(trace_path.read_text()),
+                          parse_log(log_path.read_text()), mode="array")
+    assert report.config["coherent"] == 0
+    assert out_path.read_text() == render_report(report)
+
+
 @pytest.mark.parametrize("value", ["1.5", "nan"])
 def test_evaluate_rejects_a_flat_mu_that_is_no_probability(tmp_path, capsys, value):
     trace_path, log_path = _simulate(tmp_path / "run")
@@ -468,6 +484,19 @@ def test_bench_table(tmp_path, capsys):
     assert lines[0] == "agents array_nodes yoyo_nodes array_visits yoyo_visits"
     assert len(lines) == 4
     assert [int(l.split()[0]) for l in lines[1:]] == [4, 5, 6]
+
+
+def test_bench_names_a_program_without_agents(tmp_path, capsys):
+    doc = json.loads(pathlib.Path(TEAM).read_text())
+    doc["agents"] = []
+    path = tmp_path / "no_agents.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProgramError, match="program with no agents"):
+        grow_team(load_program_path(path, team_mode=True), 1)
+    assert run_command(["bench", "--program", str(path), "--agents", "0:2",
+                        "--ticks", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "overhear bench: error: cannot grow the team of a program with no agents\n")
 
 
 def test_bench_rejects_bad_range(capsys):

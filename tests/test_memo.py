@@ -84,10 +84,10 @@ def _reference_tick(rec, states: dict, msgs):
             propagate_forward(b, view)
 
 
-@pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
+@pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_ENTRIES])
 @pytest.mark.parametrize("key", ARRAY_KEYS, ids=_ids)
 def test_the_memo_steps_and_answers_as_the_memo_free_step(key, bound, monkeypatch):
-    monkeypatch.setattr(compiled, "MEMO_STATES", bound)
+    monkeypatch.setattr(compiled, "MEMO_ENTRIES", bound)
     compiled._compile.cache_clear()  # every program below gets an empty memo
     memos = set()
     for _, rec, by_tick in sweep_replays(*key):
@@ -219,10 +219,10 @@ def test_climb_equals_the_reference_on_planted_evidence():
                 list(map(float.hex, t)) for t in want], (prog, scratch)
 
 
-@pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_STATES])
+@pytest.mark.parametrize("bound", [1, 7, compiled.MEMO_ENTRIES])
 @pytest.mark.parametrize("key", YOYO_KEYS, ids=_ids)
 def test_the_shared_memo_steps_and_answers_as_the_memo_free_step(key, bound, monkeypatch):
-    monkeypatch.setattr(compiled, "MEMO_STATES", bound)
+    monkeypatch.setattr(compiled, "MEMO_ENTRIES", bound)
     compiled._compile.cache_clear()  # every program below gets an empty memo
     memos = set()
     for _, rec, by_tick in sweep_replays(*key):
@@ -503,10 +503,11 @@ def test_a_value_follows_only_the_links_of_the_memo_that_made_it(layout):
 @pytest.mark.parametrize("layout", ["array", "yoyo"])
 def test_an_eviction_unlinks_every_value_linked_before_it(layout, monkeypatch):
     # at a bound of 7 the memo evicts all through a replay; at each eviction
-    # no value linked before it keeps a link, and after every tick each
-    # kind holds at most the bound, counted on the values themselves, and
-    # every value that holds a link is listed for the next eviction
-    monkeypatch.setattr(compiled, "MEMO_STATES", 7)
+    # no value linked before it keeps a link, and after every tick the links
+    # counted on the values themselves are those listed, which with both
+    # tables' entries are at most the bound, and every value that holds a
+    # link is listed for the next eviction
+    monkeypatch.setattr(compiled, "MEMO_ENTRIES", 7)
     compiled._compile.cache_clear()
     evictions = []
     evict = compiled.StepMemo._evict
@@ -530,12 +531,32 @@ def test_an_eviction_unlinks_every_value_linked_before_it(layout, monkeypatch):
                 if b.value.quiet is not None:
                     seen[id(b.value.quiet)] = b.value.quiet
             listed = {id(v): v for v in memo.linked}
-            counted = {"quiet": sum(v.quiet is not None for v in listed.values()),
-                       "commit": sum(map(len, (v.commits for v in listed.values()))),
-                       "best": sum((v.best is not None) + len(v.teams) for v in listed.values())}
-            assert counted == memo.links and max(counted.values()) <= 7
+            counted = sum((v.quiet is not None) + len(v.commits) + (v.best is not None)
+                          + len(v.teams) for v in listed.values())
+            assert counted == len(memo.linked)
+            assert len(memo.linked) + len(memo.interned) + len(memo.keys) <= 7
             assert all(i in listed for i, v in seen.items() if _links(v) != (None, {}, None, {}))
     assert len(evictions) > 1 and max(evictions) > 1
+
+
+def test_links_of_every_kind_and_table_entries_count_against_one_bound(monkeypatch):
+    # six links of mixed kinds fill a memo bounded at 6 without evicting;
+    # the seventh entry, a link or a store, evicts once and is then held alone
+    monkeypatch.setattr(compiled, "MEMO_ENTRIES", 6)
+    view = team_program(0).single_agent_view()
+    for seventh in ("link", "store"):
+        memo = compiled.CompiledProgram(view).memo
+        values = [Value(view.zeros, view.zeros, memo) for _ in range(7)]
+        for kind, value in zip(("quiet", "commit", "best") * 2, values):
+            memo.link(kind, value)
+        assert memo.evictions == 0 and len(memo.linked) == 6
+        if seventh == "link":
+            memo.link("best", values[6])
+        else:
+            memo.store(memo.keys, (TERM, "phase-00", None), (TERM, "phase-00", None))
+        assert memo.evictions == 1
+        assert len(memo.linked) + len(memo.interned) + len(memo.keys) == 1
+    assert memo.misses == {"quiet": 2, "commit": 2, "best": 2}
 
 
 def test_the_intern_table_is_shared_by_fields_and_bounded(monkeypatch):
@@ -545,7 +566,7 @@ def test_the_intern_table_is_shared_by_fields_and_bounded(monkeypatch):
     view = team_program(0).single_agent_view()
     assert team_program(0).single_agent_view().compiled.memo is view.compiled.memo
     assert team_program(0).compiled.memo is not view.compiled.memo
-    monkeypatch.setattr(compiled, "MEMO_STATES", 3)
+    monkeypatch.setattr(compiled, "MEMO_ENTRIES", 3)
     memo = compiled.CompiledProgram(view).memo
     for x in view.leaf_index[:7]:
         act = list(view.zeros)

@@ -48,9 +48,16 @@ workload is built from each side's own modules:
   1,011 agents, over ``TICKS`` ticks.  ``array.coherent_online_1011`` is
   its team-mode, coherent counterpart: a team-mode run of the same
   program, each message routed to every member of its team, and every
-  team queried on every tick from its members' summed beliefs.  After the
-  table the report prints, per side and online workload, the step memo's
-  hit rates in the last replay of the last round.
+  team queried on every tick from its members' summed beliefs.
+  ``array.online_10011`` replays, in each round, one agent-mode run of
+  ``HORDE_TICKS`` ticks on ``grow_team(team_program(0), HORDE)``, 10,011
+  agents, simulated once per side before the rounds (seed 1, untimed),
+  cold as the other online replays are, reading every agent's path on
+  every tick; its output is each tick's answers and the final states,
+  each by its hash (both sides share one process, so one hash function).
+  After the table the report prints, per side and online workload, the
+  step memo's hit rates, misses by kind and evictions in the last replay
+  of the last round.
 
 Each side first runs every workload once, untimed, so that the timed
 rounds start from warm caches: every compile cache, and the step memo, is
@@ -95,6 +102,10 @@ ONLINE_REPLAYS = 5
 ONLINE_SEED = 1000
 # Agents ``array.online_1011`` adds to team_program(0)'s 11.
 CROWD = 1000
+# Agents ``array.online_10011`` adds to team_program(0)'s 11, and the ticks
+# of its run.
+HORDE = 10000
+HORDE_TICKS = 600
 
 
 def load_tree(tree: Path, name: str):
@@ -137,6 +148,13 @@ class Side:
             self.runs[layout] = (trace, log, self.social.learn_comm_model(train))
         self.trace_text = self.sim.format_trace(self.runs["yoyo"][0])
         self.reached = {layout: self.reach(layout) for layout in LAYOUTS}
+        _, self.horde_log = self.sim.simulate(self.program(False, HORDE), self.sim.SimConfig(
+            seed=1, ticks=HORDE_TICKS, team_mode=False))
+
+    def program(self, team_mode: bool, crowd: int = 0):
+        """A fresh load of ``team_program(0)``, grown by ``crowd`` agents."""
+        p = self.model.load_program(self.text, team_mode=team_mode)
+        return self.progen.grow_team(p, crowd) if crowd else p
 
     def setup(self, layout: str):
         """(seconds, every initial table) of a program load in the layout's
@@ -241,22 +259,26 @@ class Side:
     def replay_online(self, layout: str, seed: int, crowd: int = 0, ticks: int | None = None,
                       coherent: bool | None = None):
         """(seconds, every answer and the final states, counts) of one cold
-        replay of a fresh run: ``ONLINE_TICKS`` ticks, or ``ticks``, of
-        ``team_program(0)`` grown by ``crowd`` agents.  ``coherent`` is
-        ``make_recognizer``'s; a coherent run is a team-mode run."""
+        replay (``replay_log``) of a fresh run: ``ONLINE_TICKS`` ticks, or
+        ``ticks``, of ``team_program(0)`` grown by ``crowd`` agents.
+        ``coherent`` is ``make_recognizer``'s; a coherent run is a team-mode
+        run."""
         ticks = ticks or ONLINE_TICKS
         team_mode = layout == "yoyo" or bool(coherent)
+        _, log = self.sim.simulate(self.program(team_mode, crowd),
+                                   self.sim.SimConfig(seed=seed, ticks=ticks, team_mode=team_mode))
+        return self.replay_log(layout, log, crowd, ticks, coherent)
 
-        def program():
-            p = self.model.load_program(self.text, team_mode=team_mode)
-            return self.progen.grow_team(p, crowd) if crowd else p
-
-        _, log = self.sim.simulate(program(), self.sim.SimConfig(seed=seed, ticks=ticks,
-                                                                 team_mode=team_mode))
+    def replay_log(self, layout: str, log, crowd: int, ticks: int, coherent: bool | None):
+        """(seconds, every answer and the final states, counts) of one cold
+        replay of ``log`` over ``ticks`` ticks: every compile cache of the
+        side's ``compiled`` module cleared, and with them the step memo, and
+        the program loaded afresh."""
+        team_mode = layout == "yoyo" or bool(coherent)
         for cached in vars(self.compiled).values():
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
-        rec = self.recognizer.make_recognizer(program(), layout, coherent)
+        rec = self.recognizer.make_recognizer(self.program(team_mode, crowd), layout, coherent)
         by_tick = self.ingest.messages_by_tick(log)
         answers = []
         clock = time.perf_counter
@@ -274,8 +296,9 @@ class Side:
         misses at least its first step): of the quiet steps, the evidence
         steps (one per tick in the shared layout, one per message and
         recipient in the array layout) and the queries that link an answer,
-        the share that no step computed.  The array layout's team queries
-        link none, so a coherent array replay has no query rate."""
+        the share that no step computed; then the misses of each of those
+        kinds, and the evictions.  The array layout's team queries link
+        none, so a coherent array replay has no query rate."""
         shared = isinstance(rec, self.recognizer.SharedRecognizer)
         q = rec.p if shared else rec.view
         memo = q.compiled.memo
@@ -287,6 +310,7 @@ class Side:
             steps["best"] = len(rec.units) * (ticks - 1)
         out = {f"{kind} hits": 1.0 - memo.misses[kind] / n if n else None
                for kind, n in steps.items()}
+        out.update((f"{kind} misses", memo.misses[kind]) for kind in steps)
         out["evictions"] = memo.evictions
         return out
 
@@ -333,10 +357,16 @@ def measure_online(side: Side, seed: int) -> dict:
     """Each online workload's median time over the runs of seeds ``seed``
     on, its output and its counts.  ``array.online_1011`` runs the array
     layout in agent mode, not coherent, as ``array.online`` does, and
-    ``array.coherent_online_1011`` coherent, on a team-mode run."""
+    ``array.coherent_online_1011`` coherent, on a team-mode run.
+    ``array.online_10011`` is one replay of the side's ``horde_log``, its
+    answers and final states each reduced to its hash, as the rounds keep
+    every output."""
     out = {f"{layout}.online": side.online(layout, seed) for layout in LAYOUTS}
     out["array.online_1011"] = side.online("array", seed, CROWD, TICKS)
     out["array.coherent_online_1011"] = side.online("array", seed, CROWD, TICKS, coherent=True)
+    seconds, answers, counts = side.replay_log("array", side.horde_log, HORDE, HORDE_TICKS,
+                                               False)
+    out["array.online_10011"] = (seconds, [hash(tuple(a)) for a in answers], counts)
     return out
 
 
