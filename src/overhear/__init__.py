@@ -2,17 +2,17 @@
 
 The package splits into:
 
-- model: plan/team hierarchy documents and validation
-- ingest: message log formats (canonical + KQML) and loss filters
-- belief: the belief engine both recognizer layouts share (forward step,
-  evidence, most-likely query), and the array layout's per-agent tick
-- social: coherence counting, learned communication models
-- yoyo: team recognizer sharing one plan hierarchy across the whole team
-- recognizer: one interface and one monitor loop over both recognizer layouts
-- sim: seeded team simulator producing ground-truth traces and logs
-- harness: run scoring, hypothesis counting, scalability bench
-- progen: program generators for tests and experiments
-- cli: `overhear` command built from the above
+- model: program documents, their validation, and the position-keyed tables
+- compiled: the forward step as a table, the step memo and the one clip
+- belief: the belief engine both layouts share, and the array layout's tick
+- yoyo: the shared-hierarchy layout, one belief for the whole team
+- recognizer: one interface and one monitor loop over both layouts
+- social: coherence counting and announcement models
+- ingest: overheard messages, their log formats (canonical + KQML) and loss
+- sim: the seeded simulator, writing ground-truth traces and logs
+- harness: run scoring, hypothesis-count curves, scalability bench
+- progen: seeded program generators
+- cli: the `overhear` command
 
 The top level exports what the README's library example uses, plus the
 error types; everything else is imported from its module.

@@ -1,68 +1,15 @@
-"""Belief engine over a plan hierarchy, shared by both recognizer layouts.
+"""The belief engine both recognizer layouts share, and the array layout's tick.
 
-Per plan node the engine keeps two masses: active (the agent is executing
-the node, or a descendant for internal nodes) and blocked (the node has
-terminated but no successor has begun, typically because the announcing
-message has not been seen yet).  Ticks without an observed message apply a
-linear forward propagation driven by leaf termination rates; ticks with a
-message collapse the state onto the nodes consistent with it.
-
-A tick's messages are read once, into keys (``_message_keys``).  What
-keys are evidence for is one rule for both layouts, ``evidence``; the
-program's mode alone decides which transitions a key opens and which
-candidates share a normalizer.  The shared layout commits a whole tick's
-keys at once (``yoyo.yoyo_tick``), the array layout one key at a time
-(``_commit_messages``).
-
-A state holds the two masses as two tables, ``act`` and ``blk``, with one
-entry per node in ``node_ids`` order; the engine names a node by that
-position (``TeamOrientedProgram.index``) and reads only the program's
-position-keyed tables.  A query returns a leaf's position too, which
-``TeamOrientedProgram.path_names`` turns into plan names.  Node ids appear
-only at the document boundary: ``BeliefState.active`` and ``.blocked`` are
-read-only id-keyed snapshots of the tables (``b.active["p12"]``), for
-readers outside the engine.
-
-Both layouts step a state in place.  ``init_beliefs`` alone builds one;
-``quiet_step``, ``_commit_messages``, ``array_overseer_tick`` and
-``yoyo.yoyo_tick`` replace its value (``Value``) with a new one and
-return None, so a caller holds one state object for the whole run and
-keeps a tick's masses by keeping its tables.  Every table is a tuple from
-the moment a value holds it, so a state changes only by taking a new
-value.  A step that raises leaves every state as it was.
-
-Every step and query runs from a value of the program's step memo
-(``Value`` of ``compiled.StepMemo``, ``p.compiled.memo``; ``adopt``),
-and keeps what it computes from it as a link, so one taken before from
-the same value is one attribute load, or one dict lookup by its key: the
-quiet step of both layouts (``quiet_step``), the array layout's commits
-(``_commit_messages``) and ``most_likely_state``, and the shared layout's
-evidence tick and team query (``yoyo``).  An evidence result is interned
-by its exact bits, so states that commit to equal values share one value.
-
-Mass entering a node is copied into each of its first-child groups
-(``TeamOrientedProgram.groups_at``) by ``model.descend``.  On a
-team-mode program a group is one
-parallel subteam, which makes the quiet tick of the shared (yoyo) layout;
-otherwise there is one group, and the step is the single-agent engine that
-the array layout runs once per agent.  It runs as the program's forward
-step (``p.compiled.forward``), which walks the program's step table
-(``compiled.step_plan``): it steps list copies of the prior tables, runs
-each shedding node's moves only when the node sheds a nonzero mass, tests
-each leaf's prior mass and returns the copies, capped at 1 in team mode.
-
-Every most-likely query runs one pick rule, ``pick_leaf``:
-``most_likely_state`` over every leaf, the shared layout's team query over
-the team's candidate leaves (``yoyo.team_most_likely``).  This module only
-calls the program's functions and never writes to a program.
-
-This module clips no value itself.  Every mass stays at or above 0 exactly: the
-forward step keeps it so by construction (see ``compiled.step_plan``),
-and an evidence commit only adds non-negative shares of normalized masses.
-A value may exceed 1 by rounding, by an ulp or so, and is left as it is.
-Only the shared (yoyo) layout clips, capping values at 1 by one function,
-``compiled.cap``: a team-mode program's forward step caps what its quiet
-step returns, and ``yoyo._climb`` what an evidence tick commits.
+A state (``BeliefState``) holds, per plan node, an active mass (the node or
+a descendant is executing) and a blocked mass (the node has ended and no
+successor has begun, typically because its announcement is not yet heard).
+A quiet tick steps states forward (``quiet_step``).  A tick with messages
+reads them once into keys (``_message_keys``), which ``evidence`` turns
+into masses that a layout commits: the array layout one key at a time
+(``_commit_messages``), the shared one a whole tick at once
+(``yoyo.yoyo_tick``).  Every step and query runs from a value of the step
+memo and keeps its result there as a link (``Value``); every most-likely
+query picks by ``pick_leaf``.  A reader starts at ``array_overseer_tick``.
 """
 
 from __future__ import annotations
@@ -107,19 +54,26 @@ class Value:
     The value holds each table as a tuple, converting any other sequence
     once, here, so no one writes a table a value holds.  ``memo`` is the
     ``compiled.StepMemo`` that made the value, or None for one built
-    outside it (``BeliefState``'s constructor).  Only a memo's own values
-    hold links.  Every step and query of a program runs from a value of its
-    memo: it first adopts any other value a state holds (``adopt``),
-    replacing it with the memo's value of equal bits, so a step from an
-    equal value is the same link.  A link is the value a step gives, or
-    the answer a query gives:
+    outside it (``BeliefState``'s constructor).
+
+    This class keeps the link rule.  Every step and query of a program runs
+    from a value of its memo, first adopting any other value a state holds
+    (``adopt``) as the memo's value of equal bits.  What a step or query
+    computes from a value is kept on the value as a link, so taking it
+    again from the same value is one attribute load, or one dict lookup by
+    its key; each link counts against the memo's bound
+    (``compiled.StepMemo``).  Only a memo's own values hold links.  A link
+    is the value a step gives, or the answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
-    - ``commits``: per commit key (``_message_keys``), the value after it;
+    - ``commits``: per commit key, the value after it: one key of
+      ``_message_keys`` in the array layout (``_commit_messages``), a
+      tick's tuple of keys in the shared one (``yoyo.yoyo_tick``);
     - ``best``: the most likely leaf (``most_likely_state``);
     - ``teams``: per team, its most likely leaf (``yoyo.team_most_likely``).
 
-    A table slot with no link holds ``NO_LINKS``.
+    A table slot with no link holds ``NO_LINKS``, and a link replaces the
+    slot's table with a new one.
     """
 
     __slots__ = ("act", "blk", "memo", "quiet", "commits", "best", "teams")
@@ -136,16 +90,13 @@ class BeliefState:
     ``act`` and ``blk`` hold the active and blocked mass of every node, in
     ``node_ids`` order, as tuples; ``index`` is the program's node id ->
     position table.  The state holds the two as one ``value`` (``Value``),
-    and ``act`` and ``blk`` read through it.  A state changes only by
-    taking a new value: in either layout a step replaces it with one of the
-    step memo's, which states may share, so a step taken before from the
-    same value is one attribute load.  A value built outside the memo (the
-    constructor's, or one assigned to ``value``) is adopted by the next
-    step or query (``adopt``) as the memo's value of equal bits, so it
-    follows only the links of a value equal to it.  ``active`` and
-    ``blocked`` are read-only snapshots of the two tables keyed by node id,
-    built on each read, so a later step shows only in a later read.  Two
-    states are equal when their masses are.
+    and ``act`` and ``blk`` read through it.  ``init_beliefs`` alone builds
+    a state for a run; every step replaces its value and returns None, so a
+    caller holds one state for the whole run and keeps a tick's masses by
+    keeping its tables, and a step that raises leaves every state as it
+    was.  ``active`` and ``blocked`` are read-only snapshots of the two
+    tables keyed by node id, built on each read, for readers outside the
+    engine.  Two states are equal when their masses are.
     """
 
     __slots__ = ("value", "index")
@@ -243,10 +194,11 @@ def _message_keys(p: TeamOrientedProgram, msgs) -> tuple[tuple, ...]:
     first message, in this order, whose team or plan is unknown, so a
     step that reads its keys first raises before any state changes.
 
-    A key resolved without the sender is kept in ``p.compiled.memo.keys``
-    by the message's ``(kind, plan, team)``, so a later message with the
-    same fields is one lookup.  The memo is shared by programs whose agents
-    differ, so a team taken from the sender is resolved every time.
+    A key resolved without the sender is kept in the memo's ``keys``
+    (``compiled.StepMemo``) by the message's ``(kind, plan, team)``, so a
+    later message with the same fields is one lookup.  The memo is shared
+    by programs whose agents differ, so a team taken from the sender is
+    resolved every time.
     """
     memo = p.compiled.memo
     known, named, keys = memo.keys, p.named_index, []
@@ -333,10 +285,11 @@ def evidence(blk: tuple[float, ...], p: TeamOrientedProgram,
 
 
 def _commit_evidence(scratch: dict[int, float], p: TeamOrientedProgram) -> list[float]:
-    """The active table of ``scratch`` committed on a fresh zero table.
+    """The active table of ``scratch`` committed on a fresh zero table:
+    the array layout's commit, which clips nothing (see ``compiled.cap``).
 
     Each mass goes down its node's descent (``model.descend``) and onto
-    every ancestor; every blocked mass is 0.  The array layout's commit.
+    every ancestor; every blocked mass is 0.
     """
     active, ancestors, descents = list(p.zeros), p.ancestors_at, p.descents_at
     for x, mass in sorted(scratch.items()):
@@ -350,10 +303,8 @@ def _commit_evidence(scratch: dict[int, float], p: TeamOrientedProgram) -> list[
 def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keys):
     """Commit each of a tick's ``_message_keys`` into b, one at a time.
 
-    A commit taken before from the same value with the same key is a link
-    of the value's ``commits`` (``Value``).  Otherwise it is ``evidence``
-    of the key alone, committed by ``_commit_evidence``, interned in
-    ``p.compiled.memo`` (``compiled.StepMemo``) and linked.
+    A commit is ``evidence`` of its key alone, committed by
+    ``_commit_evidence``; each is a ``commits`` link (``Value``).
     """
     memo = p.compiled.memo
     if b.value.memo is not memo:
@@ -378,14 +329,12 @@ def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = No
     to the parent along TERMINATE edges.  The map is linear; with one
     first-child group per node it conserves leaf-active plus blocked mass
     as long as no TERMINATE edge leaves the root's own children.  On a
-    team-mode program the linear step is then capped at 1, entry by entry.
+    team-mode program it is then capped (see ``compiled.cap``).
 
-    A step taken before from the same value is its ``quiet`` link
-    (``Value``).  Any other is computed by ``p.compiled.forward`` and
-    linked; it needs no interning, as its source is already one value.  The
-    counter takes one visit per node of p and state, the nodes a step
-    covers, whether the step is linked or computed and whatever tests the
-    forward step runs.
+    The step is ``compiled.CompiledProgram.forward``, and a ``quiet`` link
+    (``Value``).  The counter takes one visit per node of p and state, the
+    nodes a step covers, whether the step is linked or computed and
+    whatever tests the forward step runs.
     """
     if counter is not None:
         counter.visits += len(p.postorder) * len(states)
@@ -429,16 +378,12 @@ def pick_leaf(leaves, A, B) -> int:
 
 
 def most_likely_state(b: BeliefState, p: TeamOrientedProgram) -> int:
-    """The position of the leaf holding the most active+blocked mass.
+    """The position of the leaf holding the most active+blocked mass:
+    ``pick_leaf`` over every leaf, and a ``best`` link (``Value``).
 
-    The leaf is ``pick_leaf`` over every leaf, so masses within
-    ``TIE_TOLERANCE`` of each other tie toward the lowest node id;
-    ``p.path_names`` of it is its root path of plan names.  No mass is
-    negative and a leaf without mass never beats a pick, so the query
-    raises, when the pick holds no mass, only on a state with none.
-
-    An answer taken before from the same value is its ``best`` link
-    (``Value``); any other is linked.
+    ``p.path_names`` of it is its root path of plan names.  Raises
+    ``MonitoringError`` when the pick holds no mass, which happens only on
+    a state with no mass on any leaf.
     """
     value = b.value
     memo = p.compiled.memo

@@ -1,22 +1,11 @@
 """The forward step as a table, and the one object per set of program
 fields that holds it and the step memo.
 
-``step_plan`` reads a program's tables once into the step table, and
-``CompiledProgram.forward`` walks it: the forward (quiet) step, which steps
-list copies and tests each leaf's prior mass, so a sparse belief runs few
-updates, and in team mode caps what it returns (``cap``).  The step runs
-only on a memo miss: every quiet step is a link on a step-memo value
-(``StepMemo``), and a value (``belief.Value``) is two immutable tables and
-the links to its steps.  Every most-likely query runs ``belief.pick_leaf``
-on a memo miss.
-
-The one cache, ``_compile``, is bounded, lives in this module and is keyed
-on the fields ``step_plan`` reads, never on a program object: every program
-equal in those (a fresh load, a comm-applied copy) shares one
-``CompiledProgram``, ``TeamOrientedProgram.compiled``, memo included.
-
-``model`` holds documents and tables and reaches this module only from the
-property that returns the compiled object.
+``step_plan`` reads a program's tables once into the step table, which
+``CompiledProgram.forward`` walks.  ``StepMemo`` keeps the belief values
+the steps meet and the links between them.  ``_compile``, the one cache,
+gives every program equal in the fields the table reads one
+``CompiledProgram``, its ``TeamOrientedProgram.compiled``.
 """
 
 from __future__ import annotations
@@ -34,9 +23,19 @@ MEMO_ENTRIES = 3 * 4096
 
 def cap(act: list[float], blk: list[float]) -> tuple[list[float], list[float]]:
     """Both tables with every entry above 1 set to 1, each other entry
-    left as it is: the one clip, which ends the shared layout's quiet step
-    (the team-mode ``CompiledProgram.forward``) and evidence tick
-    (``yoyo._climb``)."""
+    left as it is: the one clip.
+
+    Only the shared layout clips, by this function, which has two callers:
+    its quiet tick, the team-mode ``CompiledProgram.forward``, and its
+    evidence tick, ``yoyo._climb``, each end with it.  That layout's climb
+    and rescale do not conserve mass and can push a value above 1.  No
+    value of either layout is ever below 0, so there is no lower bound to
+    enforce: the forward step keeps mass non-negative (it floors the one
+    place rounding could break that, ``step_plan``'s ``floored``), and a
+    commit only adds, multiplies, divides and takes the max of
+    non-negative values.  The array layout needs no clip: its values
+    exceed 1 only by rounding, an ulp or so, which is left as it is.
+    """
     if max(act) > 1.0 or max(blk) > 1.0:
         act, blk = [[1.0 if v > 1.0 else v for v in t] for t in (act, blk)]
     return act, blk
@@ -105,13 +104,10 @@ def step_plan(p: TeamOrientedProgram) -> tuple[tuple, tuple[int, ...]]:
 
 
 class StepMemo:
-    """The values met by the steps of both layouts, linked to their steps:
-    a lazily built automaton over belief values.
+    """The values met by the steps of both layouts, linked to their steps
+    (see ``belief.Value``): a lazily built automaton over belief values.
 
-    A state (``belief.BeliefState``) holds one ``belief.Value``, an
-    automaton state: two tables that no step writes, and links.  A step or
-    query taken from a value once is kept on it as a link, and taking it
-    again is one attribute load.  The memo's values are made in two places:
+    The memo's values are made in two places:
 
     - ``intern`` maps the exact bits of a pair of tables to one value.
       Evidence results, and the values the engine adopts (``belief.adopt``:
@@ -125,11 +121,11 @@ class StepMemo:
     It also keeps ``keys``, which maps a message's ``(kind, plan, team)``
     to its evidence key (``belief._message_keys``).
 
-    A link is one the engine computed from the same value, and ``linked``
-    lists a value once per link it holds.  ``len(linked)`` and the entries
-    of both tables count together against one bound, ``MEMO_ENTRIES``: a
-    link or store into a full memo unlinks every listed value, clears both
-    tables and counts an eviction.  ``misses`` counts, by kind (quiet,
+    This class keeps the memo's one bound.  ``linked`` lists a value once
+    per link it holds, and ``len(linked)`` and the entries of both tables
+    count together against ``MEMO_ENTRIES``: a link or store into a full
+    memo first unlinks every listed value, clears both tables and counts an
+    eviction, so the memo starts over.  ``misses`` counts, by kind (quiet,
     commit and best, which counts the answers of both queries), the steps
     computed and the answers linked, one per ``link``; a hit counts nothing.
     """
@@ -213,8 +209,7 @@ class CompiledProgram:
         the move's divisor, to the move's position, and down its descent
         (``descend``).  The node then loses ``o`` from its active mass.
         After the last entry every ``floored`` node's active mass below 0.0
-        is set to 0.0.  A team-mode program's step then caps both lists at
-        1 (``cap``), as the shared layout's evidence tick does.
+        is set to 0.0.  A team-mode program's step then ends with ``cap``.
 
         Skipping is exact.  No state value is ever -0.0, and every shed mass
         is a sum of products of non-negative values, so a skipped entry
@@ -222,9 +217,9 @@ class CompiledProgram:
         changes no bit, and an entry that runs on a leaf whose shed rounds
         to 0.0 does only that; likewise a shed sum that starts at 0.0
         equals one that starts at its first term, and a factor of 1.0 or a
-        split into one share changes no bit.  The single-agent view's step
-        does not cap; rounding may leave one of its values an ulp above 1,
-        and it is left as it is.
+        split into one share changes no bit.  The step runs only on a memo
+        miss, and checks no length: every state reaches it through
+        ``belief.adopt``, which checks both tables' lengths.
         """
         act, blk, shed = list(A), list(B), [0.0] * len(A)
         tables = (act, blk, shed)

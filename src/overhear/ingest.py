@@ -29,7 +29,8 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class ObservedMessage:
-    """One overheard announcement: a plan was initiated or terminated."""
+    """One overheard announcement at a nonnegative tick: a plan was
+    initiated or terminated."""
 
     tick: int
     sender: str
@@ -43,6 +44,8 @@ class ObservedMessage:
     def __post_init__(self):
         if self.kind not in (INIT, TERM):
             raise IngestError(f"message kind must be INIT or TERM, got {self.kind!r}")
+        if self.tick < 0:
+            raise IngestError(f"message tick must be nonnegative, got {self.tick}")
 
 
 def format_log_line(m: ObservedMessage) -> str:

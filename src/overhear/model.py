@@ -1,68 +1,23 @@
-"""Team-oriented program model.
+"""Team-oriented programs: the document, its validation, and its tables.
 
-A program couples a plan hierarchy (a decomposition tree whose siblings are
-linked by probabilistic temporal transitions) with a team hierarchy (a tree of
-teams with agents at the leaf teams).  Programs are loaded from a JSON
-document, validated, and exposed with structural indexes so the recognizers
-never walk raw lists.
+A program (``TeamOrientedProgram``) couples a plan hierarchy, a
+decomposition tree whose siblings are linked by probabilistic temporal
+transitions, with a team hierarchy (``TeamHierarchy``), a tree of teams
+with agents at the leaf teams.  ``load_program`` reads and validates a
+JSON document (``program_from_document``); ``serialize_program`` writes
+one.
 
-Every derived table of ``TeamHierarchy`` and ``TeamOrientedProgram`` is a
-``functools.cached_property``: built whole from the dataclass fields on first
-use, kept in the instance's ``__dict__`` and left out of equality, hashing
-and ``repr``.  The hierarchy's are the team -> parent, agent -> team,
-ancestor-or-self chain and members tables and the agent names.  No other
-module writes to a program.
-
-The program has one table layer, keyed by a node's position in ``plans``,
-which the loader sorts by id: a belief table is a list with one entry per
-node in that order, so every table names a node by its position, and
-positions ascend in id order.  The tables are each node's children
-(``children_at``), transitions out (``out_at``), ancestors, root path as
-plan names (``name_paths_at``), owner and first-child groups
-(``groups_at``, the one place that decides which subteams run in
-parallel) and first-child descent (``descents_at``, which ``descend``
-walks); the postorder and the leaves; plan name -> positions
-(``named_index``); the zero table (``zeros``), the initial state
-(``initial``) and each team's candidate leaves (``leaves_by_team``); the
-evidence tables that ``belief.evidence`` reads in both modes (each
-team's open transitions as ``(src, dst, mu, pi)`` edges, ``team_edges``,
-and each node's normalizing unit, ``unit_at``); the shared layout's climb
-(``evidence_climbs``, which holds the walk of every rescale it runs); and
-the compiled object of the program's fields (``compiled``): the forward
-step (``compiled.forward``), which walks a step table read once from these
-tables, steps list copies and returns them, and the step memo of both
-layouts.  They are built on first use, so loading a program pays for none
-of them.  Node ids remain only at the document boundary: ``node_ids`` and
-``index`` map between ids and positions, ``node(id)`` reads a plan record,
-and the transition records (``out_at``) name their plans by id.  A query
-answers with a leaf's position, and ``path_names`` gives its root path as
-plan names.  The step table and its cache live in ``compiled``: the
-compiled object is built once per distinct set of the fields the table
-reads, in a bounded cache kept in that module, so programs equal in those
-fields share one object and a hit builds nothing.
-
-A transition is taken by the team that executes its source plan, in both
-modes; the simulator and both recognizers share that one rule.  Loading
-checks, besides schema and references:
-
-- each plan's outgoing ``pi`` sums to 1;
-- a transition's ``teams``, an optional restatement of that rule, is
-  absent, ``[]`` or exactly ``[<source plan's team>]``;
-- a plan's team is its parent plan's team or one of that team's subteams,
-  so the shared layout can decide where to rescale from plan ownership
-  alone;
-- a transition other than TERMINATE joins two children of one parent;
-  no plan's id is TERMINATE;
-- every plan, team and agent name fits one field of a trace or log line:
-  it is not empty and holds no whitespace, ``/``, ``!`` or ``#``.
-
-A table is a pure function of the fields, so two threads racing on its first
-use build equal tables, and instances are safe to share across threads.  So
-is the compiled object shared by programs with equal fields: its step
-touches nothing but its arguments and the lists it makes, two threads
-building one key at once get equal objects, and every entry its memo
-stores is a function of the fields and the entry's key.  Mutable run
-state lives in the belief containers, not here.
+Every derived table is a ``functools.cached_property`` of the dataclass
+fields, built whole on first use and left out of equality, hashing and
+``repr``; no other module writes to a program.  The program's tables are
+keyed by a node's position in ``plans``, which the loader sorts by id, so
+positions ascend in id order and a belief table holds one entry per node
+in that order.  Node ids remain only at the document boundary:
+``node_ids`` and ``index`` map between ids and positions, ``node(id)``
+reads a plan record, and the transition records of ``out_at`` name their
+plans by id.  A query answers with a leaf's position, which
+``path_names`` turns into plan names.  The forward step and the step memo
+live in ``compiled``, reached only through ``TeamOrientedProgram.compiled``.
 """
 
 from __future__ import annotations
@@ -201,8 +156,12 @@ def hazard(rate: float) -> float:
 def descend(descent, rho: float, act: list[float]):
     """Add ``rho``, a node's mass, down its ``descents_at`` entry into
     ``act``: each first-child group gets its parent's full share (parallel
-    subteams carry duplicated mass) and splits it evenly.  The one descent
-    of the initial state, the forward step and both evidence commits."""
+    subteams carry duplicated mass) and splits it evenly.
+
+    The one first-child descent: the initial state (``initial``), the
+    forward step's successors (``compiled.CompiledProgram.forward``) and
+    both layouts' evidence commits (``belief._commit_evidence``,
+    ``yoyo._climb``) run it."""
     shares = [rho] * (len(descent) + 1)  # no slot exceeds the entries
     for c, slot, divisor in descent:
         if divisor is not None:
@@ -224,7 +183,10 @@ class TeamOrientedProgram:
     """Validated plan + team hierarchy with structural indexes.
 
     ``plans`` is sorted by id, as the loader builds it, so a node's position
-    is also its rank by id."""
+    is also its rank by id.  A table is a pure function of the fields, so
+    two threads racing on its first use build equal tables, and a program
+    is safe to share across threads; run state lives in the belief states.
+    """
 
     plans: tuple[PlanNode, ...]
     transitions: tuple[TemporalTransition, ...]
@@ -623,6 +585,24 @@ def _load_hierarchy(doc: dict) -> TeamHierarchy:
 
 
 def program_from_document(doc: dict, *, team_mode: bool = False) -> TeamOrientedProgram:
+    """The program a parsed document describes; ``ProgramError`` names the
+    offending entry when it is invalid.
+
+    A transition is taken by the team that executes its source plan, in
+    both modes; the simulator and both recognizers share that one rule.
+    Loading checks, besides schema and references:
+
+    - each plan's outgoing ``pi`` sums to 1;
+    - a transition's ``teams``, an optional restatement of that rule, is
+      absent, ``[]`` or exactly ``[<source plan's team>]``;
+    - a plan's team is its parent plan's team or one of that team's
+      subteams, so the shared layout can decide where to rescale from plan
+      ownership alone (``evidence_climbs``);
+    - a transition other than TERMINATE joins two children of one parent;
+      no plan's id is TERMINATE;
+    - every plan, team and agent name fits one field of a trace or log
+      line: it is not empty and holds no whitespace, ``/``, ``!`` or ``#``.
+    """
     if not isinstance(doc, dict):
         raise ProgramError("program document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "document")

@@ -98,11 +98,11 @@ class ArrayRecognizer(_Recognizer):
     def path(self, unit: str) -> tuple[str, ...]:
         """An agent's own most likely path, or a team's from its members.
 
-        A team's leaf is ``pick_leaf`` over the members' summed masses of
-        its candidate leaves that hold mass in some member's value
-        (``belief.Value``, each distinct one tested once), so near-ties go
-        to the lowest node id.  With no such candidate it is the team's
-        first candidate, as a pick over every candidate would give.
+        A team's leaf is ``belief.pick_leaf`` over the members' summed
+        masses of its candidate leaves that hold mass in some member's value
+        (``belief.Value``, each distinct one tested once).  With no such
+        candidate it is the team's first candidate, as a pick over every
+        candidate would give.
         """
         view = self.view
         if unit in self.beliefs:

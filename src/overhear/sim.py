@@ -408,11 +408,18 @@ def simulate(p: TeamOrientedProgram, cfg: SimConfig
 
 def checkpoints(trace: GroundTruthTrace, messages, delay: int = 0
                 ) -> list[tuple[int, dict[str, tuple[tuple[str, ...], bool]]]]:
-    """Exchange checkpoints: one per distinct message tick, plus a grace delay."""
+    """Exchange checkpoints: one per distinct message tick, plus a grace
+    delay clipped to the trace's last tick.
+
+    A message at or past the trace's end has no truth to score and raises
+    ``SimulationError``, as does a negative delay."""
     if delay < 0:
         raise SimulationError(f"checkpoint delay must be nonnegative, got {delay}")
     out = []
     for tick in sorted({m.tick for m in messages}):
+        if tick >= trace.ticks:
+            raise SimulationError(f"message at tick {tick} is past the trace's "
+                                  f"{trace.ticks} ticks")
         cp = min(tick + delay, trace.ticks - 1)
         out.append((cp, trace.steps[cp]))
     return out

@@ -1,44 +1,11 @@
-"""Team recognizer over a single shared plan hierarchy.
+"""The shared-hierarchy layout: one belief for the whole team.
 
-Instead of one belief array per agent, one belief array covers the whole
-team: plans executed in parallel by sibling teams carry duplicated mass, and
-evidence about one team's plan is reconciled with the rest of the hierarchy
-by walking up to the common parent and rescaling the other teams' subtrees to
-the parent's new belief.  State grows with plans plus team-hierarchy nodes,
-not with plans times agents.
-
-A quiet tick is ``belief.quiet_step``, the program's compiled forward
-step.  What a tick's messages are evidence for is ``belief.evidence``;
-this module commits that evidence and rescales.  The structure those
-steps follow is a program table like every other: each node's climb to
-the root (``evidence_climbs``), with the walk of every rescale the climb
-runs.  Only the mass arithmetic runs per tick, and every node these steps
-name is a position in the state's tables.  A team's most-likely query is
-``belief.pick_leaf`` over its candidate leaves (``leaves_by_team``), the
-rule of every most-likely query.
-
-States are step-memo values here as in the array layout
-(``belief.Value``): the quiet tick, the evidence tick and the team query
-each keep what they computed from a value on the value, so one taken
-before from the same value is an attribute load, or a dict lookup by the
-tick's keys or the team.
-
-Plan ownership alone decides where to rescale: a climb step from a node
-into a parent owned by another team rescales the parent's subtrees that
-the node's owner does not execute itself, however many team levels lie
-between the two owners.
-
-This is the one layout that clips, and it caps at 1 by one function,
-``compiled.cap``, with two callers: the team-mode forward step
-(``compiled.CompiledProgram.forward``), on a quiet tick, and ``_climb``, on
-an evidence tick, each end with it over both tables.  The evidence climb
-and the rescale do not conserve mass and can push a value above 1, which
-the cap silently sets to 1.  No value is ever below
-0, so neither has a lower bound to enforce: the forward step keeps
-non-negative mass non-negative (it floors the one place rounding could
-break that), and an evidence tick only adds, multiplies, divides and
-takes the max of non-negative values.  Every value a tick leaves is in
-[0, 1].
+Plans that sibling teams execute in parallel carry duplicated mass, so the
+state grows with plans plus team-hierarchy nodes, not with plans times
+agents.  A quiet tick is ``belief.quiet_step``.  An evidence tick commits
+``belief.evidence`` by ``_climb``, which climbs to the root and rescales
+the other teams' subtrees wherever it steps into a plan another team owns
+(``_rescale``).  A reader starts at ``yoyo_tick`` and ``team_most_likely``.
 """
 
 from __future__ import annotations
@@ -90,7 +57,8 @@ def _climb(scratch: dict[int, float], prior, p: TeamOrientedProgram) -> tuple[li
     the root along ``evidence_climbs``, each step raising the parent to at
     least the child's mass.  Where the climb steps into a plan another team
     owns, ``_rescale`` brings the other teams' subtrees to the parent's new
-    mass by their shares in ``prior``.  Both tables end with ``compiled.cap``.
+    mass by their shares in ``prior``.  The tables are then capped (see
+    ``compiled.cap``).
     """
     active, blocked = list(p.zeros), list(p.zeros)
     updated: set[int] = set()
@@ -113,14 +81,10 @@ def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
     """Advance the shared belief one tick, in place.
 
     With no messages this is ``belief.quiet_step``, the quiet step of both
-    layouts, whose team-mode forward steps cap every value at 1.
-    Otherwise the tick's messages are one observation (``belief.evidence``),
-    committed at once by ``_climb``.
-
-    An evidence tick taken before from the same value with the same keys
-    (``belief._message_keys``) is a link of the value's ``commits``
-    (``belief.Value``).  Any other is computed by ``_climb``, and its
-    result interned in ``p.compiled.memo`` and linked.
+    layouts.  Otherwise the tick's messages, as their
+    ``belief._message_keys``, are one observation (``belief.evidence``),
+    committed at once by ``_climb``: a ``commits`` link keyed by the tuple
+    of keys (``belief.Value``).
     """
     if not msgs:
         quiet_step(p, (b,), counter)
@@ -148,15 +112,11 @@ def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:
 
 
 def team_most_likely(b: BeliefState, p: TeamOrientedProgram, team: str) -> int:
-    """The position of the most likely leaf among those the team can be executing.
+    """The position of the most likely leaf among those the team can be
+    executing: ``belief.pick_leaf`` over ``team_leaves(p, team)``, and a
+    ``teams`` link (``belief.Value``).
 
-    The leaf is ``belief.pick_leaf`` over ``team_leaves(p, team)``, so
-    near-ties, and a team with no mass on any of its leaves, go to the
-    lowest node id.  ``p.path_names`` of the answer is its root path of
-    plan names.
-
-    An answer taken before from the same value is a link of the value's
-    ``teams`` (``belief.Value``); any other is linked.
+    ``p.path_names`` of the answer is its root path of plan names.
     """
     value = b.value
     memo = p.compiled.memo

@@ -20,13 +20,14 @@ from overhear.harness import bench_scalability, evaluate_run, hypothesis_count_c
 from overhear.ingest import (INIT, TERM, ObservedMessage, apply_loss, format_log,
                              parse_kqml_log, parse_log)
 from overhear.model import hazard, program_from_document
-from overhear.progen import flatten_mu, grow_team, random_program, team_program
+from overhear.progen import flatten_mu, grow_team, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import coherent_hypotheses, count_hypotheses, learn_comm_model
 
 from conftest import DATA, brute_leaves, propagate_forward, snapshot
 from oracles import engine_vector, exact_filter
+from programs import random_program
 from test_ingest import KQML_SAMPLE
 
 CRITERION_LINES = []

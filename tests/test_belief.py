@@ -11,12 +11,13 @@ from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, Value,
                              pick_leaf, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import TERMINATE, descend, hazard, program_from_document
-from overhear.progen import random_program, team_program
+from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
 from overhear.yoyo import team_most_likely, yoyo_tick
 
 from conftest import (_reference_pick, brute_leaves, commit_messages, held_leaves,
                       propagate_down, propagate_forward)
+from programs import random_program
 from test_digest import (KERNEL_STATES, SWEEP_SHA256, TABLE_KINDS, TICKS, digest_table,
                          sweep_programs, sweep_replays, table_programs, warm_replays)
 

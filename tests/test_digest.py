@@ -43,12 +43,14 @@ from overhear.belief import most_likely_state
 from overhear.harness import hypothesis_count_curve
 from overhear.ingest import format_log, messages_by_tick
 from overhear.model import load_program_path, program_from_document
-from overhear.progen import random_program, team_program
+from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import (ALWAYS, MU_SAMPLED, NEVER, SimConfig, format_trace,
                           simulate)
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import team_most_likely
+
+from programs import random_program
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
 

@@ -20,13 +20,14 @@ from overhear import yoyo
 from overhear.belief import init_beliefs
 from overhear.ingest import INIT, TERM, IngestError, ObservedMessage, parse_kqml_log, parse_log
 from overhear.model import ProgramError, program_from_document, program_to_document
-from overhear.progen import random_program, team_program
+from overhear.progen import team_program
 from overhear.sim import (GroundTruthTrace, SimulationError, format_trace,
                           parse_trace)
 from overhear.social import parse_comm_model
 from overhear.yoyo import yoyo_tick
 
 from conftest import commit_messages, propagate_forward
+from programs import random_program
 
 _BASE = program_to_document(team_program(0))
 _NAMES = sorted({e["name"] for e in _BASE["teams"]} | {e["name"] for e in _BASE["agents"]}

@@ -10,13 +10,14 @@ from overhear.harness import (_anchor, _silent_closure, bench_scalability, evalu
                               hypothesis_count_curve, render_bench, render_report, score_run)
 from overhear.compiled import _compile
 from overhear.model import TERMINATE, program_from_document, program_to_document
-from overhear.progen import random_program, team_program
+from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import ALWAYS, SimConfig, simulate
 from overhear.social import CommModel, learn_comm_model
 
 from conftest import snapshot
 from oracles import MAX_ORACLE_STATES, engine_vector, exact_filter, oracle_states
+from programs import random_program
 from test_digest import TICKS, table_programs
 
 

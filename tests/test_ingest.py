@@ -1,4 +1,5 @@
 import calendar
+import dataclasses
 import datetime
 import math
 import pathlib
@@ -50,6 +51,17 @@ def test_parse_log_rejects_backwards_ticks():
 def test_kind_validated_on_construction():
     with pytest.raises(IngestError):
         ObservedMessage(0, "a", "T", "START", "go")
+
+
+def test_tick_validated_on_construction():
+    # a negative tick was once accepted here, then dropped by the replay
+    # and read as a checkpoint counted from the trace's end
+    with pytest.raises(IngestError, match="^message tick must be nonnegative, got -3$"):
+        ObservedMessage(-3, "a", "T", INIT, "go")
+    with pytest.raises(IngestError, match="^message tick must be nonnegative, got -1$"):
+        dataclasses.replace(ObservedMessage(0, "a", "T", INIT, "go"), tick=-1)
+    with pytest.raises(IngestError, match="^line 2: tick must be nonnegative$"):
+        parse_log("0 a T INIT go\n-3 a T INIT go\n")
 
 
 def test_kqml_published_records():

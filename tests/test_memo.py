@@ -33,13 +33,14 @@ from overhear.belief import (BeliefState, MonitoringError, Value, _commit_eviden
                              _message_keys, _message_order, array_overseer_tick, evidence,
                              init_beliefs, most_likely_state, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage, messages_by_tick
-from overhear.progen import grow_team, random_program, team_program
+from overhear.progen import grow_team, team_program
 from overhear.recognizer import make_recognizer
 from overhear.sim import SimConfig, simulate
 from overhear.social import apply_comm_model, learn_comm_model
 from overhear.yoyo import _rescale, team_most_likely, yoyo_tick
 
 from conftest import _reference_pick, commit_messages, propagate_down, propagate_forward
+from programs import random_program
 from test_belief import _divides_twice
 from test_digest import (QUERY_SHA256, SWEEP_SHA256, TICKS, replay_digests, sweep_replays,
                          table_programs, warm_replays)

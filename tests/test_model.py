@@ -10,12 +10,13 @@ from overhear.compiled import _compile, step_plan
 from overhear.model import (ProgramError, TERMINATE, hazard, load_program, load_program_path,
                             program_from_document, program_to_document, serialize_program,
                             topmost_teams)
-from overhear.progen import flatten_mu, grow_team, random_program, team_program
+from overhear.progen import flatten_mu, grow_team, team_program
 from overhear.recognizer import make_recognizer
 from overhear.social import INIT, CommModel, apply_comm_model
 from overhear.yoyo import team_leaves
 
 from conftest import DATA, brute_leaves
+from programs import random_program
 
 
 def _mini_doc():

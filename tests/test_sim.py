@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 
 import pytest
@@ -310,6 +311,20 @@ def test_checkpoints_reject_negative_delay(evac_team, delay):
     assert log
     with pytest.raises(SimulationError, match=f"delay must be nonnegative, got {delay}$"):
         checkpoints(trace, log, delay)
+
+
+@pytest.mark.parametrize("ticks", [0, 60])
+def test_checkpoints_reject_messages_past_the_trace(evac_team, ticks):
+    # an empty trace raised a bare IndexError, and a longer one scored a late
+    # message at its last tick
+    trace, log = simulate(evac_team, SimConfig(seed=11, ticks=60, team_mode=True,
+                                               send_prob=0.9, comm_policy=ALWAYS))
+    trace = parse_trace(format_trace(trace) if ticks else "")
+    assert trace.ticks == ticks
+    late = [m for m in log if m.tick < ticks] + [dataclasses.replace(log[-1], tick=ticks)]
+    with pytest.raises(SimulationError, match=f"^message at tick {ticks} is past the trace's "
+                                              f"{ticks} ticks$"):
+        checkpoints(trace, late, 1)
 
 
 def test_message_rate_calibration():
