@@ -5,11 +5,12 @@ a descendant is executing) and a blocked mass (the node has ended and no
 successor has begun, typically because its announcement is not yet heard).
 A quiet tick steps states forward (``quiet_step``).  A tick with messages
 reads them once into keys (``_message_keys``), which ``evidence`` turns
-into masses that a layout commits: the array layout one key at a time
-(``_commit_messages``), the shared one a whole tick at once
-(``yoyo.yoyo_tick``).  Every step and query runs from a value of the step
-memo and keeps its result there as a link (``Value``); every most-likely
-query picks by ``pick_leaf``.  A reader starts at ``array_overseer_tick``.
+into masses that ``commit`` commits by a layout's rule: the array
+layout's folds the keys one at a time (``_array_rule``), the shared
+one's takes the whole tick at once (``yoyo._shared_rule``).  Every step
+and query runs from a value of the step memo and keeps its result there
+as a link (``Value``); every most-likely query picks by ``pick_leaf``.
+A reader starts at ``array_overseer_tick``.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ class Value:
     is the value a step gives, or the answer a query gives:
 
     - ``quiet``: the value after the forward step (``quiet_step``);
-    - ``commits``: per commit key, the value after it: one key of
-      ``_message_keys`` in the array layout (``_commit_messages``), a
-      tick's tuple of keys in the shared one (``yoyo.yoyo_tick``);
+    - ``commits``: per commit rule and tick's tuple of ``_message_keys``,
+      the value after it (``commit``);
     - ``best``: the most likely leaf (``most_likely_state``);
     - ``teams``: per team, its most likely leaf (``yoyo.team_most_likely``).
 
@@ -187,12 +187,11 @@ def _message_keys(p: TeamOrientedProgram, msgs) -> tuple[tuple, ...]:
     Each key is ``(kind, plan, team)``, in ``_message_order``.  The team
     is the ``team_edges`` key of the transitions the message opens: in
     team mode its team, else its sender's; in the single-agent view None,
-    which opens all, so the view never reads a sender.  The tuple is the
-    shared layout's tick signature, its evidence tick's memo key and
-    ``evidence``'s input; the array layout commits its keys one at a
-    time, each its commit's memo key.  Raises ``MonitoringError`` for the
-    first message, in this order, whose team or plan is unknown, so a
-    step that reads its keys first raises before any state changes.
+    which opens all, so the view never reads a sender.  The tuple is
+    what ``commit`` keys its link by and hands its rule.  Raises
+    ``MonitoringError`` for the first message, in this order, whose team
+    or plan is unknown, so a step that reads its keys first raises before
+    any state changes.
 
     A key resolved without the sender is kept in the memo's ``keys``
     (``compiled.StepMemo``) by the message's ``(kind, plan, team)``, so a
@@ -300,23 +299,37 @@ def _commit_evidence(scratch: dict[int, float], p: TeamOrientedProgram) -> list[
     return active
 
 
-def _commit_messages(b: BeliefState, p: TeamOrientedProgram, keys):
-    """Commit each of a tick's ``_message_keys`` into b, one at a time.
+def _array_rule(prior: Value, p: TeamOrientedProgram, keys) -> tuple[list, tuple]:
+    """The array layout's commit rule (see ``commit``): each key's
+    ``evidence`` alone, in turn, against the blocked table the key before
+    left, committed by ``_commit_evidence``.  The tables the last key
+    gives are the rule's."""
+    blk = prior.blk
+    for key in keys:
+        act, blk = _commit_evidence(evidence(blk, p, (key,)), p), p.zeros
+    return act, blk
 
-    A commit is ``evidence`` of its key alone, committed by
-    ``_commit_evidence``; each is a ``commits`` link (``Value``).
+
+def commit(b: BeliefState, p: TeamOrientedProgram, keys, rule):
+    """Commit one tick's ``_message_keys``, ``keys``, into b by ``rule``:
+    the one place a ``commits`` link (``Value``) is looked up and made.
+
+    The link is keyed by the rule and the tuple of keys, so two rules that
+    step one memo never answer for each other; a miss interns the tables
+    ``rule(prior, p, keys)`` gives for the value b held.  The rules are
+    ``_array_rule`` and the shared layout's ``yoyo._shared_rule``.
     """
     memo = p.compiled.memo
-    if b.value.memo is not memo:
-        adopt(b, p)
-    for key in keys:
-        prior = b.value
-        after = prior.commits.get(key)
-        if after is None:
-            after = memo.intern(_commit_evidence(evidence(prior.blk, p, (key,)), p), p.zeros)
-            memo.link("commit", prior)
-            prior.commits = {**prior.commits, key: after}
-        b.value = after
+    prior = b.value
+    if prior.memo is not memo:
+        prior = adopt(b, p)
+    key = rule, keys
+    after = prior.commits.get(key)
+    if after is None:
+        after = memo.intern(*rule(prior, p, keys))
+        memo.link("commit", prior)
+        prior.commits = {**prior.commits, key: after}
+    b.value = after
 
 
 def quiet_step(p: TeamOrientedProgram, states, counter: VisitCounter | None = None):
@@ -411,14 +424,14 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
     recognizer; pass ``recipients`` (message -> iterable of agent names) to
     widen that, e.g. to the sending team under a coherence assumption.
     ``beliefs`` maps agent name to state, and each state is stepped in
-    place; ``programs`` maps agent name to that agent's plan view.  Every
-    message is routed and checked, and every agent's program found, before
-    any state is stepped, so a tick that raises leaves every state as it
-    was.
+    place; ``programs`` maps agent name to that agent's plan view, which
+    must be one program object for every agent.  Every message is routed
+    and checked, and every agent's program found and checked, before any
+    state is stepped, so a tick that raises leaves every state as it was.
 
-    Every other agent's state takes ``quiet_step``, with the agents that
-    share its program, so the counter takes every node of the program per
-    quiet step of each agent.
+    The quiet agents' states take one ``quiet_step``, so the counter takes
+    every node of the program per quiet agent; each other agent's state
+    takes a ``commit`` by ``_array_rule``.
     """
     inbox: dict[str, list[ObservedMessage]] = {}
     for m in msgs:
@@ -428,26 +441,21 @@ def array_overseer_tick(beliefs: dict[str, BeliefState],
                 raise MonitoringError(
                     f"message at tick {m.tick} routed to unknown agent '{agent}'")
             inbox.setdefault(agent, []).append(m)
-    # in step order, commits (p, state, keys) and runs of quiet agents that
-    # share a program, stepped together (p, states, None)
-    steps, quiet, last = [], [], None
+    p, quiet, heard = None, [], []
     for agent, b in beliefs.items():
-        try:
-            p = programs[agent]
-        except KeyError:
-            raise MonitoringError(f"no program for agent '{agent}'") from None
+        view = programs.get(agent)
+        if view is not p or view is None:
+            if view is None:
+                raise MonitoringError(f"no program for agent '{agent}'")
+            if p is not None:
+                raise MonitoringError(
+                    f"agent '{agent}' maps to a second program; an array tick runs one")
+            p = view
         if agent in inbox:
-            steps.append((p, b, _message_keys(p, inbox[agent])))
-            continue
-        if p is not last and quiet:
-            steps.append((last, quiet, None))
-            quiet = []
-        last = p
-        quiet.append(b)
-    if quiet:
-        steps.append((last, quiet, None))
-    for p, states, keys in steps:
-        if keys is None:
-            quiet_step(p, states, counter)
+            heard.append((b, _message_keys(p, inbox[agent])))
         else:
-            _commit_messages(states, p, keys)
+            quiet.append(b)
+    if quiet:
+        quiet_step(p, quiet, counter)
+    for b, keys in heard:
+        commit(b, p, keys, _array_rule)

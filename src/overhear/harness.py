@@ -13,7 +13,7 @@ from .belief import MonitoringError
 from .ingest import INIT, TERM, ObservedMessage, messages_by_tick
 from .model import TERMINATE, TeamOrientedProgram
 from .recognizer import MODES, make_recognizer
-from .sim import GroundTruthTrace, checkpoints as truth_checkpoints
+from .sim import GroundTruthTrace, SimulationError, checkpoints as truth_checkpoints
 from .social import CommModel, apply_comm_model, learn_comm_model
 
 
@@ -96,27 +96,23 @@ def evaluate_run(p: TeamOrientedProgram, trace: GroundTruthTrace, messages,
     takes the layout's default (see ``make_recognizer``).  The recognizer
     runs on ``p`` after ``comm_model`` rewrites its message probabilities;
     truth reads only ``p``'s team hierarchy, so ``p`` may be a degraded copy
-    of the real program (e.g. ``flatten_mu``).  A negative delay, or a trace
-    that lacks one of the program's agents, raises ``MonitoringError``; so
-    does a message at or past the trace's end, naming the first in log
-    order, as it has no truth to score and the replay would never reach it.
+    of the real program (e.g. ``flatten_mu``).  A trace that lacks one of
+    the program's agents raises ``MonitoringError``, and so does each error
+    of ``sim.checkpoints`` (a delay that is not a nonnegative int, a
+    message the trace ends before), with its text.
     """
-    if delay < 0:
-        raise MonitoringError(f"checkpoint delay must be nonnegative, got {delay}")
     traced = set(trace.agents)
     for agent in p.team_hierarchy.agent_names:
         if agent not in traced:
             raise MonitoringError(f"truth trace has no state for agent '{agent}'")
-    for m in messages:
-        if m.tick >= trace.ticks:
-            raise MonitoringError(
-                f"message at tick {m.tick} ({m.sender} {m.kind} {m.plan}) is past the "
-                f"truth trace's last tick, {trace.ticks - 1}")
+    try:
+        cps = dict(truth_checkpoints(trace, messages, delay))
+    except SimulationError as exc:
+        raise MonitoringError(str(exc)) from None
     if comm_model is not None:
         p = apply_comm_model(p, comm_model)
     recognizer = make_recognizer(p, mode, coherent)
     units = recognizer.units
-    cps = dict(truth_checkpoints(trace, messages, delay))
     last = max(cps) if cps else 0
 
     h = p.team_hierarchy

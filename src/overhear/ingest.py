@@ -44,6 +44,8 @@ class ObservedMessage:
     def __post_init__(self):
         if self.kind not in (INIT, TERM):
             raise IngestError(f"message kind must be INIT or TERM, got {self.kind!r}")
+        if isinstance(self.tick, bool) or not isinstance(self.tick, int):
+            raise IngestError(f"message tick must be an int, got {self.tick!r}")
         if self.tick < 0:
             raise IngestError(f"message tick must be nonnegative, got {self.tick}")
 

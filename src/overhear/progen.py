@@ -81,7 +81,10 @@ def team_program(seed: int = 0, chatter: float = 0.25) -> TeamOrientedProgram:
 
 def grow_team(p: TeamOrientedProgram, extra: int) -> TeamOrientedProgram:
     """Same program with ``extra`` additional agents on its first populated
-    leaf team (sorted by name).  Raises ``ProgramError`` if p has no agents."""
+    leaf team (sorted by name).  Raises ``ProgramError`` if ``extra`` is not
+    a nonnegative int or p has no agents."""
+    if isinstance(extra, bool) or not isinstance(extra, int) or extra < 0:
+        raise ProgramError(f"extra agents must be a nonnegative int, got {extra!r}")
     team = min((t for _, t in p.team_hierarchy.agents), default=None)
     if team is None:
         raise ProgramError("cannot grow the team of a program with no agents")

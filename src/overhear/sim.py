@@ -60,6 +60,10 @@ class SimConfig:
     fail_ticks: int = 0
 
     def __post_init__(self):
+        for name in ("ticks", "fail_from", "fail_ticks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SimulationError(f"{name} must be an int, got {value!r}")
         if self.comm_policy not in COMM_POLICIES:
             raise SimulationError(f"unknown comm policy '{self.comm_policy}'")
         if self.ticks < 1:
@@ -412,14 +416,15 @@ def checkpoints(trace: GroundTruthTrace, messages, delay: int = 0
     delay clipped to the trace's last tick.
 
     A message at or past the trace's end has no truth to score and raises
-    ``SimulationError``, as does a negative delay."""
+    ``SimulationError`` naming the first in log order, as does a delay that
+    is not a nonnegative int."""
+    if isinstance(delay, bool) or not isinstance(delay, int):
+        raise SimulationError(f"checkpoint delay must be an int, got {delay!r}")
     if delay < 0:
         raise SimulationError(f"checkpoint delay must be nonnegative, got {delay}")
-    out = []
-    for tick in sorted({m.tick for m in messages}):
-        if tick >= trace.ticks:
-            raise SimulationError(f"message at tick {tick} is past the trace's "
-                                  f"{trace.ticks} ticks")
-        cp = min(tick + delay, trace.ticks - 1)
-        out.append((cp, trace.steps[cp]))
-    return out
+    ticks, last = sorted({m.tick for m in messages}), trace.ticks - 1
+    if ticks and ticks[-1] > last:
+        late = next(m for m in messages if m.tick > last)
+        raise SimulationError(f"message at tick {late.tick} ({late.sender} {late.kind} "
+                              f"{late.plan}) is past the truth trace's last tick, {last}")
+    return [(cp, trace.steps[cp]) for cp in (min(tick + delay, last) for tick in ticks)]

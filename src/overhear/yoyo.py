@@ -2,15 +2,16 @@
 
 Plans that sibling teams execute in parallel carry duplicated mass, so the
 state grows with plans plus team-hierarchy nodes, not with plans times
-agents.  A quiet tick is ``belief.quiet_step``.  An evidence tick commits
-``belief.evidence`` by ``_climb``, which climbs to the root and rescales
-the other teams' subtrees wherever it steps into a plan another team owns
+agents.  A quiet tick is ``belief.quiet_step``.  An evidence tick is a
+``belief.commit`` by ``_shared_rule``: the tick's ``belief.evidence``
+committed by ``_climb``, which climbs to the root and rescales the other
+teams' subtrees wherever it steps into a plan another team owns
 (``_rescale``).  A reader starts at ``yoyo_tick`` and ``team_most_likely``.
 """
 
 from __future__ import annotations
 
-from .belief import (BeliefState, MonitoringError, VisitCounter, _message_keys, adopt,
+from .belief import (BeliefState, MonitoringError, VisitCounter, _message_keys, adopt, commit,
                      evidence, init_beliefs, pick_leaf, quiet_step)
 from .compiled import cap
 from .model import TeamOrientedProgram, descend
@@ -76,31 +77,25 @@ def _climb(scratch: dict[int, float], prior, p: TeamOrientedProgram) -> tuple[li
     return cap(active, blocked)
 
 
+def _shared_rule(prior, p: TeamOrientedProgram, keys) -> tuple[list, list]:
+    """The shared layout's commit rule (``belief.commit``): ``_climb`` of
+    the tick's ``belief.evidence``, all its keys at once."""
+    return _climb(evidence(prior.blk, p, keys), prior, p)
+
+
 def yoyo_tick(p: TeamOrientedProgram, b: BeliefState, msgs,
               counter: VisitCounter | None = None):
     """Advance the shared belief one tick, in place.
 
     With no messages this is ``belief.quiet_step``, the quiet step of both
     layouts.  Otherwise the tick's messages, as their
-    ``belief._message_keys``, are one observation (``belief.evidence``),
-    committed at once by ``_climb``: a ``commits`` link keyed by the tuple
-    of keys (``belief.Value``).
+    ``belief._message_keys``, are one observation, a ``belief.commit`` by
+    ``_shared_rule``.
     """
-    if not msgs:
+    if msgs:
+        commit(b, p, _message_keys(p, msgs), _shared_rule)
+    else:
         quiet_step(p, (b,), counter)
-        return
-    signature = _message_keys(p, msgs)
-    memo = p.compiled.memo
-    prior = b.value
-    if prior.memo is not memo:
-        prior = adopt(b, p)
-    after = prior.commits.get(signature)
-    if after is not None:
-        b.value = after
-        return
-    after = b.value = memo.intern(*_climb(evidence(prior.blk, p, signature), prior, p))
-    memo.link("commit", prior)
-    prior.commits = {**prior.commits, signature: after}
 
 
 def team_leaves(p: TeamOrientedProgram, team: str) -> tuple[int, ...]:

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from overhear.belief import BeliefState, Value, _commit_messages, _message_keys
+from overhear.belief import BeliefState, Value, _array_rule, _message_keys, commit
 from overhear.model import TIE_TOLERANCE, load_program_path
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "overhear" / "data"
@@ -22,9 +22,9 @@ def snapshot(b: BeliefState) -> BeliefState:
 
 def commit_messages(b: BeliefState, msgs, p):
     """Commit one tick's messages into b, one at a time, TERM before INIT:
-    the array layout's commit (``belief._commit_messages``) of their
-    ``_message_keys``, which checks every message before b changes."""
-    _commit_messages(b, p, _message_keys(p, msgs))
+    the array layout's commit (``belief.commit`` by ``_array_rule``) of
+    their ``_message_keys``, which checks every message before b changes."""
+    commit(b, p, _message_keys(p, msgs), _array_rule)
 
 
 def held_leaves(p, b) -> tuple[int, ...]:

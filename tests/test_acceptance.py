@@ -279,18 +279,18 @@ def test_c10_scalability(monkeypatch):
     # cold step memo: the steps yoyo computes must not depend on team size.
     _, log = simulate(tp, SimConfig(seed=1, ticks=300, team_mode=True))
     reads = []  # states the array layout's steps take, this tick
-    quiet_step, commit_messages = belief.quiet_step, belief._commit_messages
+    quiet_step, commit = belief.quiet_step, belief.commit
 
     def counted_quiet_step(p, states, counter=None):
         reads.append(len(states))
         quiet_step(p, states, counter)
 
-    def counted_commit(b, p, keys):
+    def counted_commit(b, p, keys, rule):
         reads.append(1)
-        commit_messages(b, p, keys)
+        commit(b, p, keys, rule)
 
     monkeypatch.setattr(belief, "quiet_step", counted_quiet_step)
-    monkeypatch.setattr(belief, "_commit_messages", counted_commit)
+    monkeypatch.setattr(belief, "commit", counted_commit)
     misses, array_reads = {}, {}
     for n in (11, 1011):
         compiled._compile.cache_clear()  # and with it the step memo

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -6,14 +7,14 @@ import pytest
 
 from overhear import compiled
 from overhear.belief import (TIE_TOLERANCE, BeliefState, MonitoringError, Value, VisitCounter,
-                             _message_keys, _prune_redundant_ancestors, adopt,
-                             array_overseer_tick, evidence, init_beliefs, most_likely_state,
-                             pick_leaf, quiet_step)
+                             _array_rule, _message_keys, _prune_redundant_ancestors, adopt,
+                             array_overseer_tick, commit, evidence, init_beliefs,
+                             most_likely_state, pick_leaf, quiet_step)
 from overhear.ingest import INIT, TERM, ObservedMessage
 from overhear.model import TERMINATE, descend, hazard, program_from_document
 from overhear.progen import team_program
 from overhear.recognizer import make_recognizer
-from overhear.yoyo import team_most_likely, yoyo_tick
+from overhear.yoyo import _shared_rule, team_most_likely, yoyo_tick
 
 from conftest import (_reference_pick, brute_leaves, commit_messages, held_leaves,
                       propagate_down, propagate_forward)
@@ -699,6 +700,26 @@ def test_the_first_sender_in_message_order_picks_a_shared_nodes_team():
         assert all(act[x] >= m for x, m in mass.items())
 
 
+def test_each_rule_keeps_its_own_commit_link_on_a_shared_memo():
+    # both rules key a link by the tick's keys, so the rule is in the key
+    # too: from one value of one memo, neither layout's commit follows the
+    # other's link
+    p = team_program(0)
+    start = _stepped(p, 30)
+    msgs = [ObservedMessage(30, "a", "ALPHA", TERM, "alpha-02-step0"),
+            ObservedMessage(30, "z", "BRAVO", TERM, "alpha-02-step0")]
+    after = []
+    for step in (lambda b: yoyo_tick(p, b, msgs), lambda b: commit_messages(b, msgs, p)):
+        b = BeliefState(start.act, start.blk, start.index)
+        step(b)
+        after.append(b.value)
+    prior = adopt(BeliefState(start.act, start.blk, start.index), p)
+    keys = _message_keys(p, msgs)
+    assert prior.commits[_shared_rule, keys] is after[0]
+    assert prior.commits[_array_rule, keys] is after[1]
+    assert (after[0].act, after[0].blk) != (after[1].act, after[1].blk)
+
+
 @pytest.mark.parametrize("view", [False, True], ids=["team", "single"])
 def test_unknown_plans_and_teams_raise_evidences_texts_and_are_not_cached(view):
     p = team_program(0)
@@ -800,6 +821,50 @@ def test_an_array_tick_with_an_agent_missing_from_programs_steps_no_state(evac_m
     with pytest.raises(MonitoringError, match=f"no program for agent '{missing}'"):
         array_overseer_tick(beliefs, programs, [msg])
     assert all(b.value is values[a] for a, b in beliefs.items())
+
+
+def test_an_array_tick_with_two_programs_steps_no_state(evac_mini):
+    # every agent of an array tick runs one program object; an equal copy
+    # is a second object, and the tick raises before any state steps
+    view = evac_mini.single_agent_view()
+    agents = sorted(evac_mini.team_hierarchy.agent_names)
+    beliefs = {a: init_beliefs(view) for a in agents}
+    programs = {a: view for a in agents}
+    programs[agents[-1]] = dataclasses.replace(view)
+    values = {a: b.value for a, b in beliefs.items()}
+    msg = ObservedMessage(0, agents[0], "ESCORT", TERM, "process-orders")
+    for msgs in ([], [msg]):
+        with pytest.raises(MonitoringError, match=f"^agent '{agents[-1]}' maps to a second "
+                                                  "program; an array tick runs one$"):
+            array_overseer_tick(beliefs, programs, msgs)
+        assert all(b.value is values[a] for a, b in beliefs.items())
+
+
+def test_an_array_agent_hearing_two_messages_takes_one_commit_link():
+    # the link is keyed by the rule and the tick's whole key tuple, and the
+    # value is the one that committing the keys as two ticks of one key
+    # each gives, bit for bit, as each key was once its own link
+    compiled._compile.cache_clear()
+    view = team_program(0).single_agent_view()
+    agents = view.team_hierarchy.agent_names
+    beliefs = {a: init_beliefs(view) for a in agents}
+    programs = {a: view for a in agents}
+    for _ in range(20):
+        array_overseer_tick(beliefs, programs, [])
+    msgs = [ObservedMessage(20, "alpha1", "ALPHA", TERM, "phase-00"),
+            ObservedMessage(20, "alpha1", "ALPHA", TERM, "phase-01")]
+    keys = _message_keys(view, msgs)
+    prior = beliefs["alpha1"].value
+    assert len(keys) == 2 and prior.commits == {} and prior.blk != view.zeros
+    array_overseer_tick(beliefs, programs, msgs)
+    after = beliefs["alpha1"].value
+    assert prior.commits == {(_array_rule, keys): after}
+    assert all(b.value is prior.quiet for a, b in beliefs.items() if a != "alpha1")
+    b = BeliefState(prior.act, prior.blk, view.index)
+    for key in keys:
+        commit(b, view, (key,), _array_rule)
+    assert [list(map(float.hex, t)) for t in (b.act, b.blk)] == [
+        list(map(float.hex, t)) for t in (after.act, after.blk)]
 
 
 def test_silent_agents_stay_identical(evac_mini):

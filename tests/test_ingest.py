@@ -64,6 +64,14 @@ def test_tick_validated_on_construction():
         parse_log("0 a T INIT go\n-3 a T INIT go\n")
 
 
+@pytest.mark.parametrize("tick", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_tick_must_be_an_int(tick):
+    # a float tick was accepted, then indexed a trace's steps with a bare
+    # TypeError, and a replay never read it
+    with pytest.raises(IngestError, match=f"^message tick must be an int, got {tick!r}$"):
+        ObservedMessage(tick, "alpha1", "ALPHA", TERM, "phase-00")
+
+
 def test_kqml_published_records():
     msgs = parse_kqml_log(KQML_SAMPLE.read_text())
     assert len(msgs) == 2

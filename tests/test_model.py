@@ -690,3 +690,11 @@ def test_flatten_mu_sets_a_float_on_every_announceable_edge():
         assert [t.mu for t in q.transitions] == [
             t.mu if t.dst == TERMINATE else value for t in p.transitions]
         assert all(type(t.mu) is float for t in q.transitions)
+
+
+@pytest.mark.parametrize("extra", [-3, 1.0, True], ids=["negative", "float", "bool"])
+def test_grow_team_takes_a_nonnegative_int(extra):
+    # -3 once returned the program as it was, and 1.0 raised a bare TypeError
+    with pytest.raises(ProgramError, match=f"^extra agents must be a nonnegative int, "
+                                           f"got {extra!r}$"):
+        grow_team(team_program(0), extra)

@@ -43,6 +43,15 @@ def test_config_validation():
         SimConfig(send_prob=1.5)
 
 
+@pytest.mark.parametrize("field, value", [("ticks", 2.5), ("ticks", True), ("fail_from", 1.0),
+                                          ("fail_ticks", 1.5)])
+def test_config_counts_must_be_ints(field, value):
+    # a float count was accepted, and ``simulate`` then raised a bare TypeError
+    outage = {} if field == "ticks" else {"fail_agent": "alpha1", "fail_ticks": 2}
+    with pytest.raises(SimulationError, match=f"^{field} must be an int, got {value!r}$"):
+        SimConfig(**{**outage, field: value})
+
+
 @pytest.mark.parametrize("window", [{"fail_from": -1}, {"fail_ticks": -1},
                                     {"fail_from": -5, "fail_ticks": 10}],
                          ids=["from", "ticks", "from-with-length"])
@@ -313,6 +322,14 @@ def test_checkpoints_reject_negative_delay(evac_team, delay):
         checkpoints(trace, log, delay)
 
 
+@pytest.mark.parametrize("delay", [1.5, True], ids=["float", "bool"])
+def test_checkpoints_take_an_int_delay(evac_team, delay):
+    # a float delay indexed the trace's steps with a bare TypeError
+    trace, log = simulate(evac_team, SimConfig(seed=7, ticks=120, team_mode=True))
+    with pytest.raises(SimulationError, match=f"^checkpoint delay must be an int, got {delay!r}$"):
+        checkpoints(trace, log, delay)
+
+
 @pytest.mark.parametrize("ticks", [0, 60])
 def test_checkpoints_reject_messages_past_the_trace(evac_team, ticks):
     # an empty trace raised a bare IndexError, and a longer one scored a late
@@ -321,9 +338,11 @@ def test_checkpoints_reject_messages_past_the_trace(evac_team, ticks):
                                                send_prob=0.9, comm_policy=ALWAYS))
     trace = parse_trace(format_trace(trace) if ticks else "")
     assert trace.ticks == ticks
-    late = [m for m in log if m.tick < ticks] + [dataclasses.replace(log[-1], tick=ticks)]
-    with pytest.raises(SimulationError, match=f"^message at tick {ticks} is past the trace's "
-                                              f"{ticks} ticks$"):
+    edge = dataclasses.replace(log[-1], tick=ticks)
+    late = [m for m in log if m.tick < ticks] + [edge]
+    with pytest.raises(SimulationError, match=(
+            rf"^message at tick {ticks} \({edge.sender} {edge.kind} {edge.plan}\) is past "
+            rf"the truth trace's last tick, {ticks - 1}$")):
         checkpoints(trace, late, 1)
 
 

@@ -293,19 +293,20 @@ class Side:
 
     def counts(self, rec, by_tick, ticks: int) -> dict:
         """The hit rates of the step memo in one replay of ``rec`` (a replay
-        misses at least its first step): of the quiet steps, the evidence
-        steps (one per tick in the shared layout, one per message and
-        recipient in the array layout) and the queries that link an answer,
-        the share that no step computed; then the misses of each of those
-        kinds, and the evictions.  The array layout's team queries link
-        none, so a coherent array replay has no query rate."""
+        misses at least its first step): of the quiet steps, the commits
+        (one per state and tick with messages: one per tick in the shared
+        layout, one per recipient and tick in the array layout) and the
+        queries that link an answer, the share that no step computed; then
+        the misses of each of those kinds, and the evictions.  The array
+        layout's team queries link none, so a coherent array replay has no
+        query rate."""
         shared = isinstance(rec, self.recognizer.SharedRecognizer)
         q = rec.p if shared else rec.view
         memo = q.compiled.memo
         heard = [by_tick.get(t, ()) for t in range(1, ticks)]
         steps = {"quiet": rec.counter.visits // len(q.postorder),
                  "commit": sum(map(bool, heard)) if shared else
-                 sum(len(rec.recipients(m)) for msgs in heard for m in msgs)}
+                 sum(len({a for m in msgs for a in rec.recipients(m)}) for msgs in heard)}
         if shared or not rec.coherent:
             steps["best"] = len(rec.units) * (ticks - 1)
         out = {f"{kind} hits": 1.0 - memo.misses[kind] / n if n else None
